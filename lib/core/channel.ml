@@ -31,8 +31,8 @@ type t = {
   copy_on_recv : bool;
   meter : Cost.meter;
   model : Cost.model;
-  outbox : Buffer.t;     (* sealed wire bytes awaiting TCP *)
-  mutable raw_in : bytes list;  (* harvested stream bytes, oldest first *)
+  outbox : Byteq.t;     (* sealed wire bytes awaiting TCP *)
+  mutable raw_in : bytes list;  (* harvested stream bytes, newest first *)
   inbox : bytes Queue.t;
   mutable failed : Session.error option;
   mutable sent_messages : int;
@@ -51,7 +51,7 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
     copy_on_recv;
     meter;
     model;
-    outbox = Buffer.create 4096;
+    outbox = Byteq.create 4096;
     raw_in = [];
     inbox = Queue.create ();
     failed = None;
@@ -72,36 +72,36 @@ let fail t e = if t.failed = None then t.failed <- Some e
 let queue_wire t wire =
   if not t.zero_copy_send then
     Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length wire));
-  Buffer.add_bytes t.outbox wire
+  Byteq.add_bytes t.outbox wire
 
 (* I/O-domain half: must be called within the I/O domain (the caller
    decides how the boundary is crossed). Returns whether any bytes moved
    across the L5 boundary, so the caller can charge handoff crossings. *)
 let io_pump t =
   let moved = ref false in
-  (* Flush as much of the outbox as TCP will take. *)
-  let pending = Buffer.length t.outbox in
-  if pending > 0 then begin
-    let data = Buffer.to_bytes t.outbox in
-    let accepted = Tcp.send (Stack.tcp t.stack) t.conn data in
+  (* Flush as much of the outbox as TCP will take, straight from the
+     outbox's storage. *)
+  let tcp = Stack.tcp t.stack in
+  if Byteq.length t.outbox > 0 then begin
+    let accepted =
+      Byteq.consume t.outbox (fun buf off len -> Tcp.send_sub tcp t.conn buf ~off ~len)
+    in
     if accepted > 0 then begin
       moved := true;
-      Buffer.clear t.outbox;
-      if accepted < pending then Buffer.add_subbytes t.outbox data accepted (pending - accepted);
-      Tcp.flush (Stack.tcp t.stack) t.conn
+      Tcp.flush tcp t.conn
     end
   end;
   (* Harvest inbound stream bytes. *)
-  let b = Tcp.recv (Stack.tcp t.stack) t.conn ~max:65536 in
+  let b = Tcp.recv tcp t.conn ~max:65536 in
   if Bytes.length b > 0 then begin
     moved := true;
-    t.raw_in <- t.raw_in @ [ b ]
+    t.raw_in <- b :: t.raw_in
   end;
   !moved
 
 (* App-side half: move harvested bytes through the record layer. *)
 let app_pump t =
-  let chunks = t.raw_in in
+  let chunks = List.rev t.raw_in in
   t.raw_in <- [];
   List.iter
     (fun b ->
@@ -156,7 +156,7 @@ let send_admitted ?(klass = Cio_overload.Admission.Interactive) ?deadline t payl
       | Cio_overload.Pressure.Accepted -> (
           match send t payload with Ok () -> Sent | Error e -> Send_error e))
 
-let outbox_bytes t = Buffer.length t.outbox
+let outbox_bytes t = Byteq.length t.outbox
 let recv t = if Queue.is_empty t.inbox then None else Some (Queue.take t.inbox)
 let pending t = Queue.length t.inbox
 let is_established t = Session.is_established t.session

@@ -1,69 +1,108 @@
 (* ChaCha20 stream cipher (RFC 8439 §2). Verified against the RFC vectors
-   in the test suite. *)
+   in the test suite.
 
-let rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+   The sixteen state words are [int32] values in local refs, which
+   ocamlopt keeps unboxed in registers: the rounds allocate nothing and
+   wrap mod 2^32 natively. (Native ints masked to 32 bits are
+   allocation-free too, but every tagged shift costs extra instructions;
+   they measured about half the speed per block.) The keystream is XORed
+   from source to destination one 32-bit word at a time, bytewise only in
+   the last partial block. Each call owns its 64-byte keystream scratch:
+   there is no shared state, so the cipher is reentrant. *)
 
-let quarter_round st a b c d =
-  st.(a) <- Int32.add st.(a) st.(b);
-  st.(d) <- rotl (Int32.logxor st.(d) st.(a)) 16;
-  st.(c) <- Int32.add st.(c) st.(d);
-  st.(b) <- rotl (Int32.logxor st.(b) st.(c)) 12;
-  st.(a) <- Int32.add st.(a) st.(b);
-  st.(d) <- rotl (Int32.logxor st.(d) st.(a)) 8;
-  st.(c) <- Int32.add st.(c) st.(d);
-  st.(b) <- rotl (Int32.logxor st.(b) st.(c)) 7
+let[@inline] ( +% ) a b = Int32.add a b
+let[@inline] ( ^% ) a b = Int32.logxor a b
+let[@inline] rotl x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+let[@inline] get32 b off = Bytes.get_int32_le b off
+let[@inline] set32 b off v = Bytes.set_int32_le b off v
 
-let init_state ~key ~nonce ~counter =
+let check ~key ~nonce =
   if Bytes.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
-  if Bytes.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes";
-  let st = Array.make 16 0l in
-  st.(0) <- 0x61707865l;
-  st.(1) <- 0x3320646el;
-  st.(2) <- 0x79622d32l;
-  st.(3) <- 0x6b206574l;
-  for i = 0 to 7 do
-    st.(4 + i) <- Bytes.get_int32_le key (4 * i)
+  if Bytes.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes"
+
+(* The keystream block for [counter] (an int, taken mod 2^32, so that
+   no boxed [int32] crosses the call) into [ks]. *)
+let block_into ~key ~nonce ~counter ks =
+  let x0 = ref 0x61707865l and x1 = ref 0x3320646el and x2 = ref 0x79622d32l in
+  let x3 = ref 0x6b206574l and x4 = ref (get32 key 0) and x5 = ref (get32 key 4) in
+  let x6 = ref (get32 key 8) and x7 = ref (get32 key 12) and x8 = ref (get32 key 16) in
+  let x9 = ref (get32 key 20) and x10 = ref (get32 key 24) and x11 = ref (get32 key 28) in
+  let x12 = ref (Int32.of_int counter) and x13 = ref (get32 nonce 0) in
+  let x14 = ref (get32 nonce 4) and x15 = ref (get32 nonce 8) in
+  for _ = 1 to 10 do
+    (* Column round. *)
+    x0 := !x0 +% !x4; x12 := rotl (!x12 ^% !x0) 16; x8 := !x8 +% !x12; x4 := rotl (!x4 ^% !x8) 12;
+    x0 := !x0 +% !x4; x12 := rotl (!x12 ^% !x0) 8; x8 := !x8 +% !x12; x4 := rotl (!x4 ^% !x8) 7;
+    x1 := !x1 +% !x5; x13 := rotl (!x13 ^% !x1) 16; x9 := !x9 +% !x13; x5 := rotl (!x5 ^% !x9) 12;
+    x1 := !x1 +% !x5; x13 := rotl (!x13 ^% !x1) 8; x9 := !x9 +% !x13; x5 := rotl (!x5 ^% !x9) 7;
+    x2 := !x2 +% !x6; x14 := rotl (!x14 ^% !x2) 16; x10 := !x10 +% !x14; x6 := rotl (!x6 ^% !x10) 12;
+    x2 := !x2 +% !x6; x14 := rotl (!x14 ^% !x2) 8; x10 := !x10 +% !x14; x6 := rotl (!x6 ^% !x10) 7;
+    x3 := !x3 +% !x7; x15 := rotl (!x15 ^% !x3) 16; x11 := !x11 +% !x15; x7 := rotl (!x7 ^% !x11) 12;
+    x3 := !x3 +% !x7; x15 := rotl (!x15 ^% !x3) 8; x11 := !x11 +% !x15; x7 := rotl (!x7 ^% !x11) 7;
+    (* Diagonal round. *)
+    x0 := !x0 +% !x5; x15 := rotl (!x15 ^% !x0) 16; x10 := !x10 +% !x15; x5 := rotl (!x5 ^% !x10) 12;
+    x0 := !x0 +% !x5; x15 := rotl (!x15 ^% !x0) 8; x10 := !x10 +% !x15; x5 := rotl (!x5 ^% !x10) 7;
+    x1 := !x1 +% !x6; x12 := rotl (!x12 ^% !x1) 16; x11 := !x11 +% !x12; x6 := rotl (!x6 ^% !x11) 12;
+    x1 := !x1 +% !x6; x12 := rotl (!x12 ^% !x1) 8; x11 := !x11 +% !x12; x6 := rotl (!x6 ^% !x11) 7;
+    x2 := !x2 +% !x7; x13 := rotl (!x13 ^% !x2) 16; x8 := !x8 +% !x13; x7 := rotl (!x7 ^% !x8) 12;
+    x2 := !x2 +% !x7; x13 := rotl (!x13 ^% !x2) 8; x8 := !x8 +% !x13; x7 := rotl (!x7 ^% !x8) 7;
+    x3 := !x3 +% !x4; x14 := rotl (!x14 ^% !x3) 16; x9 := !x9 +% !x14; x4 := rotl (!x4 ^% !x9) 12;
+    x3 := !x3 +% !x4; x14 := rotl (!x14 ^% !x3) 8; x9 := !x9 +% !x14; x4 := rotl (!x4 ^% !x9) 7
   done;
-  st.(12) <- counter;
-  for i = 0 to 2 do
-    st.(13 + i) <- Bytes.get_int32_le nonce (4 * i)
-  done;
-  st
+  (* Feed-forward: add the input state back in. *)
+  set32 ks 0 (!x0 +% 0x61707865l);
+  set32 ks 4 (!x1 +% 0x3320646el);
+  set32 ks 8 (!x2 +% 0x79622d32l);
+  set32 ks 12 (!x3 +% 0x6b206574l);
+  set32 ks 16 (!x4 +% get32 key 0);
+  set32 ks 20 (!x5 +% get32 key 4);
+  set32 ks 24 (!x6 +% get32 key 8);
+  set32 ks 28 (!x7 +% get32 key 12);
+  set32 ks 32 (!x8 +% get32 key 16);
+  set32 ks 36 (!x9 +% get32 key 20);
+  set32 ks 40 (!x10 +% get32 key 24);
+  set32 ks 44 (!x11 +% get32 key 28);
+  set32 ks 48 (!x12 +% Int32.of_int counter);
+  set32 ks 52 (!x13 +% get32 nonce 0);
+  set32 ks 56 (!x14 +% get32 nonce 4);
+  set32 ks 60 (!x15 +% get32 nonce 8)
 
 let block ~key ~nonce ~counter =
-  let st = init_state ~key ~nonce ~counter in
-  let work = Array.copy st in
-  for _ = 1 to 10 do
-    quarter_round work 0 4 8 12;
-    quarter_round work 1 5 9 13;
-    quarter_round work 2 6 10 14;
-    quarter_round work 3 7 11 15;
-    quarter_round work 0 5 10 15;
-    quarter_round work 1 6 11 12;
-    quarter_round work 2 7 8 13;
-    quarter_round work 3 4 9 14
-  done;
-  let out = Bytes.create 64 in
-  for i = 0 to 15 do
-    Bytes.set_int32_le out (4 * i) (Int32.add work.(i) st.(i))
-  done;
-  out
+  check ~key ~nonce;
+  let ks = Bytes.create 64 in
+  block_into ~key ~nonce ~counter:(Int32.to_int counter) ks;
+  ks
 
-let encrypt ?(counter = 1l) ~key ~nonce data =
-  if Bytes.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
-  if Bytes.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes";
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  let blocks = (n + 63) / 64 in
-  for b = 0 to blocks - 1 do
-    let ks = block ~key ~nonce ~counter:(Int32.add counter (Int32.of_int b)) in
-    let off = 64 * b in
-    let len = min 64 (n - off) in
-    for i = 0 to len - 1 do
-      Bytes.set out (off + i)
-        (Char.chr (Char.code (Bytes.get data (off + i)) lxor Char.code (Bytes.get ks i)))
+let xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
+  check ~key ~nonce;
+  if len < 0 || src_off < 0 || src_off > Bytes.length src - len || dst_off < 0
+     || dst_off > Bytes.length dst - len
+  then invalid_arg "Chacha20.xor_into: range out of bounds";
+  let ks = Bytes.create 64 in
+  let counter = Int32.to_int counter in
+  let full = len / 64 in
+  for b = 0 to full - 1 do
+    (* The block counter wraps mod 2^32, as Int32 arithmetic does. *)
+    block_into ~key ~nonce ~counter:(counter + b) ks;
+    let s = src_off + (64 * b) and d = dst_off + (64 * b) in
+    for i = 0 to 15 do
+      set32 dst (d + (4 * i)) (get32 src (s + (4 * i)) ^% get32 ks (4 * i))
     done
   done;
+  let tail = len - (64 * full) in
+  if tail > 0 then begin
+    block_into ~key ~nonce ~counter:(counter + full) ks;
+    let s = src_off + (64 * full) and d = dst_off + (64 * full) in
+    for i = 0 to tail - 1 do
+      Bytes.set dst (d + i)
+        (Char.chr (Char.code (Bytes.get src (s + i)) lxor Char.code (Bytes.get ks i)))
+    done
+  end
+
+let encrypt ?(counter = 1l) ~key ~nonce data =
+  let n = Bytes.length data in
+  let out = Bytes.create n in
+  xor_into ~counter ~key ~nonce data ~src_off:0 out ~dst_off:0 ~len:n;
   out
 
 let decrypt = encrypt

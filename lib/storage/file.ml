@@ -80,12 +80,12 @@ let seal_chunk t ~lba chunk =
       let aad = Bytes.create 8 in
       Bytes.set_int32_le aad 0 (Int32.of_int lba);
       Bytes.set_int32_le aad 4 (Int32.of_int version);
-      let sealed = Aead.seal ~key ~nonce ~aad chunk in
-      let out = Bytes.create (4 + Aead.nonce_len + 2 + Bytes.length sealed) in
+      let len = Bytes.length chunk in
+      let out = Bytes.create (seal_overhead + len) in
       Bytes.set_int32_le out 0 (Int32.of_int version);
       Bytes.blit nonce 0 out 4 Aead.nonce_len;
-      Bytes.set_uint16_le out (4 + Aead.nonce_len) (Bytes.length sealed);
-      Bytes.blit sealed 0 out (4 + Aead.nonce_len + 2) (Bytes.length sealed);
+      Bytes.set_uint16_le out (4 + Aead.nonce_len) (len + Aead.tag_len);
+      Aead.seal_into ~key ~nonce ~aad chunk ~src_off:0 ~len out ~dst_off:(4 + Aead.nonce_len + 2);
       out
 
 let open_chunk t ~lba stored =
@@ -101,14 +101,15 @@ let open_chunk t ~lba stored =
         let nonce = Bytes.sub stored 4 Aead.nonce_len in
         let declared = Bytes.get_uint16_le stored (4 + Aead.nonce_len) in
         let clen = min declared (Bytes.length stored - seal_overhead + Aead.tag_len) in
-        let sealed = Bytes.sub stored (4 + Aead.nonce_len + 2) clen in
         charge_crypto t clen;
         let aad = Bytes.create 8 in
         Bytes.set_int32_le aad 0 (Int32.of_int lba);
         Bytes.set_int32_le aad 4 (Int32.of_int expected_version);
-        match Aead.open_ ~key ~nonce ~aad sealed with
-        | Some chunk -> Ok chunk
-        | None -> Error (Integrity "block failed authentication (corrupt/remap/rollback)")
+        let chunk = Bytes.create (max 0 (clen - Aead.tag_len)) in
+        if Aead.open_into ~key ~nonce ~aad stored ~src_off:(4 + Aead.nonce_len + 2) ~len:clen chunk
+             ~dst_off:0
+        then Ok chunk
+        else Error (Integrity "block failed authentication (corrupt/remap/rollback)")
       end
 
 let find t name = List.find_opt (fun i -> i.name = name) t.inodes

@@ -70,7 +70,7 @@ type conn = {
   mutable snd_una : int32;
   mutable snd_nxt : int32;
   mutable snd_wnd : int;
-  mutable snd_queue : Buffer.t;  (* app data not yet segmented *)
+  snd_queue : Byteq.t;  (* app data not yet segmented *)
   mutable retx : retx_entry list; (* oldest first *)
   mutable dup_acks : int;
   mutable fin_pending : bool;
@@ -78,7 +78,7 @@ type conn = {
   (* receive side *)
   mutable rcv_nxt : int32;
   rcv_capacity : int;
-  mutable recv_buf : Buffer.t;   (* in-order stream awaiting the app *)
+  recv_buf : Byteq.t;   (* in-order stream awaiting the app *)
   mutable ooo : (int32 * bytes) list;  (* out-of-order stash, seq-sorted *)
   mutable fin_rcvd : bool;
   (* congestion control *)
@@ -182,7 +182,7 @@ let emit t conn ?(payload = Bytes.empty) ?(syn = false) ?(fin = false) ?(rst = f
       seq;
       ack = (if ack then conn.rcv_nxt else 0l);
       flags = { Tcp_wire.syn; fin; rst; ack; psh = Bytes.length payload > 0 };
-      window = max 0 (conn.rcv_capacity - Buffer.length conn.recv_buf);
+      window = max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
       mss = (if syn then Some t.default_mss else None);
       payload;
     }
@@ -240,14 +240,14 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
       snd_una = iss;
       snd_nxt = iss;
       snd_wnd = 0;
-      snd_queue = Buffer.create 4096;
+      snd_queue = Byteq.create 4096;
       retx = [];
       dup_acks = 0;
       fin_pending = false;
       fin_seq = None;
       rcv_nxt = 0l;
       rcv_capacity = 65535;
-      recv_buf = Buffer.create 4096;
+      recv_buf = Byteq.create 4096;
       ooo = [];
       fin_rcvd = false;
       mss = t.default_mss;
@@ -286,13 +286,10 @@ let rec output t c =
   | Established | Close_wait ->
       let window = min c.snd_wnd c.cwnd in
       let usable = window - in_flight c in
-      let queued = Buffer.length c.snd_queue in
+      let queued = Byteq.length c.snd_queue in
       if queued > 0 && usable > 0 then begin
         let len = min (min queued usable) c.mss in
-        let payload = Bytes.sub (Buffer.to_bytes c.snd_queue) 0 len in
-        let rest = Buffer.sub c.snd_queue len (queued - len) in
-        Buffer.clear c.snd_queue;
-        Buffer.add_string c.snd_queue rest;
+        let payload = Byteq.take c.snd_queue len in
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt len;
         record_retx t c ~seq ~payload ~syn:false ~fin:false;
@@ -341,35 +338,28 @@ let accept l =
       l.accept_queue <- rest;
       Some c
 
-let send _t c data =
+let send_sub _t c data ~off ~len =
   match c.state with
   | Established | Close_wait ->
       if c.fin_pending then 0
       else begin
-        let room = 262144 - Buffer.length c.snd_queue in
-        let n = min room (Bytes.length data) in
-        Buffer.add_subbytes c.snd_queue data 0 n;
+        let n = min (262144 - Byteq.length c.snd_queue) len in
+        Byteq.add_subbytes c.snd_queue data off n;
         n
       end
   | _ -> 0
 
+let send t c data = send_sub t c data ~off:0 ~len:(Bytes.length data)
+
 let flush t c = output t c
 
 let recv _t c ~max =
-  let avail = Buffer.length c.recv_buf in
-  let n = min max avail in
-  if n = 0 then Bytes.empty
-  else begin
-    let out = Bytes.of_string (Buffer.sub c.recv_buf 0 n) in
-    let rest = Buffer.sub c.recv_buf n (avail - n) in
-    Buffer.clear c.recv_buf;
-    Buffer.add_string c.recv_buf rest;
-    out
-  end
+  let n = min max (Byteq.length c.recv_buf) in
+  if n = 0 then Bytes.empty else Byteq.take c.recv_buf n
 
-let recv_available c = Buffer.length c.recv_buf
+let recv_available c = Byteq.length c.recv_buf
 
-let eof c = c.fin_rcvd && Buffer.length c.recv_buf = 0
+let eof c = c.fin_rcvd && Byteq.length c.recv_buf = 0
 
 let close t c =
   match c.state with
@@ -408,9 +398,9 @@ let rec drain_ooo c =
       c.ooo <- rest;
       let skip = Tcp_wire.seq_diff c.rcv_nxt s in
       if skip < Bytes.length p then begin
-        let fresh = Bytes.sub p skip (Bytes.length p - skip) in
-        Buffer.add_bytes c.recv_buf fresh;
-        c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt (Bytes.length fresh)
+        let fresh = Bytes.length p - skip in
+        Byteq.add_subbytes c.recv_buf p skip fresh;
+        c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt fresh
       end;
       drain_ooo c
   | _ -> ()
@@ -419,9 +409,9 @@ let deliver_payload c (seg : Tcp_wire.t) =
   let len = Bytes.length seg.payload in
   if len > 0 then begin
     if seg.seq = c.rcv_nxt then begin
-      let room = c.rcv_capacity - Buffer.length c.recv_buf in
+      let room = c.rcv_capacity - Byteq.length c.recv_buf in
       let take = min len room in
-      Buffer.add_subbytes c.recv_buf seg.payload 0 take;
+      Byteq.add_subbytes c.recv_buf seg.payload 0 take;
       c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
       drain_ooo c
     end
@@ -433,10 +423,9 @@ let deliver_payload c (seg : Tcp_wire.t) =
       (* Partially old segment: deliver the fresh tail. *)
       let skip = Tcp_wire.seq_diff c.rcv_nxt seg.seq in
       if skip < len then begin
-        let fresh = Bytes.sub seg.payload skip (len - skip) in
-        let room = c.rcv_capacity - Buffer.length c.recv_buf in
-        let take = min (Bytes.length fresh) room in
-        Buffer.add_subbytes c.recv_buf fresh 0 take;
+        let room = c.rcv_capacity - Byteq.length c.recv_buf in
+        let take = min (len - skip) room in
+        Byteq.add_subbytes c.recv_buf seg.payload skip take;
         c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
         drain_ooo c
       end

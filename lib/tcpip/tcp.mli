@@ -65,6 +65,9 @@ val send : t -> conn -> bytes -> int
 (** Queue application data; returns bytes accepted (0 unless the
     connection is open for sending). Call {!flush} to segment. *)
 
+val send_sub : t -> conn -> bytes -> off:int -> len:int -> int
+(** {!send} of the [len] bytes of the buffer from [off]. *)
+
 val flush : t -> conn -> unit
 
 val recv : t -> conn -> max:int -> bytes

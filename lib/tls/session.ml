@@ -95,20 +95,24 @@ let recv_keys t (k : Keys.t) =
 let charge_aead t nbytes = Cost.charge t.meter Cost.Crypto (Cost.aead_cost t.model nbytes)
 
 (* Seal a plaintext into a protected wire record. The header (with the
-   ciphertext length) is the AAD, so length tampering is also caught. *)
+   ciphertext length) is the AAD, so length tampering is also caught; the
+   ciphertext and tag are sealed straight in behind it. *)
 let seal_record t ~ctype plaintext =
   match t.keys with
   | None -> Error (Bad_state "no keys yet")
   | Some k ->
       let dk = send_keys t k in
-      let clen = Bytes.length plaintext + Aead.tag_len in
-      let aad = Wire.header ~ctype ~len:clen in
+      let len = Bytes.length plaintext in
+      let aad = Wire.header ~ctype ~len:(len + Aead.tag_len) in
       let nonce = Keys.nonce ~iv:dk.Keys.iv ~seq:t.send_seq in
-      let sealed = Aead.seal ~key:dk.Keys.key ~nonce ~aad plaintext in
-      charge_aead t (Bytes.length plaintext);
+      let record = Bytes.create (Wire.header_len + len + Aead.tag_len) in
+      Bytes.blit aad 0 record 0 Wire.header_len;
+      Aead.seal_into ~key:dk.Keys.key ~nonce ~aad plaintext ~src_off:0 ~len record
+        ~dst_off:Wire.header_len;
+      charge_aead t len;
       t.send_seq <- Int64.add t.send_seq 1L;
       t.records_sent <- t.records_sent + 1;
-      Ok (Bytes.cat aad sealed)
+      Ok record
 
 let open_record t (r : Wire.record) =
   match t.keys with
@@ -300,15 +304,15 @@ let feed t stream_bytes =
           | r :: rest -> (
               match process_record t r with
               | Ok (outs, data) ->
-                  outputs := !outputs @ outs;
-                  app := !app @ data;
+                  outputs := List.rev_append outs !outputs;
+                  app := List.rev_append data !app;
                   go rest
               | Error e ->
                   ignore (die t e);
                   err := Some e)
         in
         go records;
-        { outputs = !outputs; app_data = !app; err = !err }
+        { outputs = List.rev !outputs; app_data = List.rev !app; err = !err }
   end
 
 let send_data t payload =

@@ -6,6 +6,8 @@
    trusts the stream beyond the declared length, and oversized lengths are
    rejected outright. *)
 
+open Cio_util
+
 type content_type = Handshake | Data | Alert | Rekey
 
 let content_code = function Handshake -> 22 | Data -> 23 | Alert -> 21 | Rekey -> 24
@@ -40,31 +42,32 @@ let encode { ctype; body } =
   if len > max_body then invalid_arg "Wire.encode: record body too large";
   Bytes.cat (header ~ctype ~len) body
 
-type splitter = { buf : Buffer.t; mutable dead : bool }
+type splitter = { buf : Byteq.t; mutable dead : bool }
 
-let splitter () = { buf = Buffer.create 4096; dead = false }
+let splitter () = { buf = Byteq.create 4096; dead = false }
 
 type split_result = Records of record list | Malformed of string
 
 let feed t data =
   if t.dead then Malformed "splitter poisoned by earlier malformed input"
   else begin
-    Buffer.add_bytes t.buf data;
+    let q = t.buf in
+    Byteq.add_bytes q data;
+    let byte i = Char.code (Byteq.get q i) in
     let out = ref [] in
     let err = ref None in
     let continue = ref true in
     while !continue do
-      let have = Buffer.length t.buf in
+      let have = Byteq.length q in
       if have < header_len then continue := false
       else begin
-        let hdr = Buffer.sub t.buf 0 header_len in
-        match content_of_code (Char.code hdr.[0]) with
+        match content_of_code (byte 0) with
         | None ->
             t.dead <- true;
-            err := Some (Printf.sprintf "unknown content type %d" (Char.code hdr.[0]));
+            err := Some (Printf.sprintf "unknown content type %d" (byte 0));
             continue := false
         | Some ctype ->
-            let len = (Char.code hdr.[2] lsl 8) lor Char.code hdr.[3] in
+            let len = (byte 2 lsl 8) lor byte 3 in
             if len > max_body then begin
               t.dead <- true;
               err := Some (Printf.sprintf "record length %d exceeds limit" len);
@@ -72,11 +75,8 @@ let feed t data =
             end
             else if have < header_len + len then continue := false
             else begin
-              let body = Bytes.of_string (Buffer.sub t.buf header_len len) in
-              let rest = Buffer.sub t.buf (header_len + len) (have - header_len - len) in
-              Buffer.clear t.buf;
-              Buffer.add_string t.buf rest;
-              out := { ctype; body } :: !out
+              Byteq.drop q header_len;
+              out := { ctype; body = Byteq.take q len } :: !out
             end
       end
     done;

@@ -245,6 +245,159 @@ let prop_hmac_key_sensitivity =
       let b = Hmac.digest_bytes ~key:(Bytes.of_string "key-two") msg in
       not (Bytes.equal a b))
 
+(* --- Equivalence with the reference oracle (test/crypto_oracle.ml) ---- *)
+
+module Oracle = Crypto_oracle
+
+let key_gen = QCheck.Gen.(map Bytes.of_string (string_size (return 32)))
+let nonce_gen = QCheck.Gen.(map Bytes.of_string (string_size (return 12)))
+
+(* Counters cluster just below 2^32 so that multi-block messages wrap. *)
+let counter_gen =
+  QCheck.Gen.(
+    oneof [ map (fun d -> Int32.sub 0xFFFFFFFFl (Int32.of_int d)) (int_range 0 140); map Int32.of_int int ])
+
+let msg_gen =
+  QCheck.Gen.(
+    map Bytes.of_string (oneof [ string_size (int_range 0 300); string_size (return 8192) ]))
+
+let prop_chacha20_matches_oracle =
+  QCheck.Test.make ~name:"chacha20 encrypt == oracle (0-300 B and 8 KiB, counter wrap)" ~count:150
+    (QCheck.make
+       ~print:(fun (_, _, c, m) -> Printf.sprintf "counter=%lx len=%d" c (Bytes.length m))
+       QCheck.Gen.(quad key_gen nonce_gen counter_gen msg_gen))
+    (fun (key, nonce, counter, msg) ->
+      Bytes.equal
+        (Chacha20.encrypt ~counter ~key ~nonce msg)
+        (Oracle.Chacha20.encrypt ~counter ~key ~nonce msg)
+      && Bytes.equal (Chacha20.block ~key ~nonce ~counter) (Oracle.Chacha20.block ~key ~nonce ~counter))
+
+(* A message at a random offset inside a larger buffer, fed in random
+   chunk sizes, must give the oracle's one-shot tag. *)
+let prop_poly1305_chunked_matches_oracle =
+  QCheck.Test.make ~name:"poly1305 over unaligned chunk splits == oracle" ~count:200
+    (QCheck.make
+       ~print:(fun (_, pre, m, cuts) ->
+         Printf.sprintf "pre=%d len=%d cuts=[%s]" pre (Bytes.length m)
+           (String.concat ";" (List.map string_of_int cuts)))
+       QCheck.Gen.(
+         quad key_gen (int_range 0 15) (map Bytes.of_string (string_size (int_range 0 600)))
+           (list_size (int_range 0 12) (int_range 0 40))))
+    (fun (key, pre, msg, cuts) ->
+      let n = Bytes.length msg in
+      let buf = Bytes.make (pre + n + 7) '\xAA' in
+      Bytes.blit msg 0 buf pre n;
+      let p = Poly1305.init ~key in
+      let rec go off = function
+        | c :: rest when off < n ->
+            let len = min c (n - off) in
+            Poly1305.feed p buf ~pos:(pre + off) ~len;
+            go (off + len) rest
+        | _ -> Poly1305.feed p buf ~pos:(pre + off) ~len:(n - off)
+      in
+      go 0 cuts;
+      let tag = Bytes.make 20 '\000' in
+      Poly1305.finish_into p tag ~off:3;
+      Bytes.equal (Bytes.sub tag 3 16) (Oracle.Poly1305.mac ~key msg))
+
+let aead_case_gen =
+  QCheck.Gen.(
+    quad (pair key_gen nonce_gen)
+      (map Bytes.of_string (string_size (int_range 0 40)))
+      msg_gen (pair (int_range 1 33) (int_range 1 33)))
+
+let print_aead_case (_, aad, m, (so, d)) =
+  Printf.sprintf "aad=%d len=%d src_off=%d dst_off=%d" (Bytes.length aad) (Bytes.length m) so d
+
+let prop_aead_into_matches_seal =
+  QCheck.Test.make ~name:"aead seal_into/open_into at offsets == seal/open_ == oracle" ~count:150
+    (QCheck.make ~print:print_aead_case aead_case_gen)
+    (fun ((key, nonce), aad, pt, (src_off, dst_off)) ->
+      let n = Bytes.length pt in
+      let sealed = Aead.seal ~key ~nonce ~aad pt in
+      let src = Bytes.make (src_off + n + 5) '\x11' in
+      Bytes.blit pt 0 src src_off n;
+      let wire = Bytes.make (dst_off + n + Aead.tag_len + 5) '\x22' in
+      Aead.seal_into ~key ~nonce ~aad src ~src_off ~len:n wire ~dst_off;
+      let back = Bytes.make (src_off + n + 5) '\x33' in
+      let opened =
+        Aead.open_into ~key ~nonce ~aad wire ~src_off:dst_off ~len:(n + Aead.tag_len) back
+          ~dst_off:src_off
+      in
+      (* In place: seal and open within one buffer. *)
+      let inplace = Bytes.copy src in
+      let inplace_sealed = Bytes.make (src_off + n + Aead.tag_len) '\x00' in
+      Bytes.blit inplace 0 inplace_sealed 0 (src_off + n);
+      Aead.seal_into ~key ~nonce ~aad inplace_sealed ~src_off ~len:n inplace_sealed ~dst_off:src_off;
+      let inplace_ok =
+        Bytes.equal (Bytes.sub inplace_sealed src_off (n + Aead.tag_len)) sealed
+        && Aead.open_into ~key ~nonce ~aad inplace_sealed ~src_off ~len:(n + Aead.tag_len)
+             inplace_sealed ~dst_off:src_off
+        && Bytes.equal (Bytes.sub inplace_sealed src_off n) pt
+      in
+      Bytes.equal sealed (Oracle.Aead.seal ~key ~nonce ~aad pt)
+      && Bytes.equal (Bytes.sub wire dst_off (n + Aead.tag_len)) sealed
+      && Bytes.sub_string wire 0 dst_off = String.make dst_off '\x22'
+      && opened
+      && Bytes.equal (Bytes.sub back src_off n) pt
+      && Aead.open_ ~key ~nonce ~aad sealed = Some pt
+      && inplace_ok)
+
+let prop_aead_open_into_tamper =
+  QCheck.Test.make ~name:"aead open_into: any flipped bit -> false, destination untouched" ~count:300
+    (QCheck.make
+       ~print:(fun (c, bit) -> Printf.sprintf "%s bit=%d" (print_aead_case c) bit)
+       QCheck.Gen.(pair aead_case_gen nat))
+    (fun (((key, nonce), aad, pt, (src_off, dst_off)), bit) ->
+      let n = Bytes.length pt in
+      let wire = Bytes.make (src_off + n + Aead.tag_len + 3) '\x44' in
+      Aead.seal_into ~key ~nonce ~aad pt ~src_off:0 ~len:n wire ~dst_off:src_off;
+      let bit = bit mod (8 * (n + Aead.tag_len)) in
+      let i = src_off + (bit / 8) in
+      Bytes.set wire i (Char.chr (Char.code (Bytes.get wire i) lxor (1 lsl (bit mod 8))));
+      let dst = Bytes.init (dst_off + n + 3) (fun j -> Char.chr (j land 0xFF)) in
+      let before = Bytes.copy dst in
+      (not (Aead.open_into ~key ~nonce ~aad wire ~src_off ~len:(n + Aead.tag_len) dst ~dst_off))
+      && Bytes.equal dst before)
+
+(* --- Allocation: per-call cost must not grow with the message ---------- *)
+
+let minor_words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+let test_aead_into_allocation_constant () =
+  let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' and aad = Bytes.make 5 'a' in
+  let words n =
+    let src = Bytes.make n 'p' and wire = Bytes.create (n + Aead.tag_len) in
+    let back = Bytes.create n in
+    let seal () = Aead.seal_into ~key ~nonce ~aad src ~src_off:0 ~len:n wire ~dst_off:0 in
+    let open_ () =
+      if not (Aead.open_into ~key ~nonce ~aad wire ~src_off:0 ~len:(n + Aead.tag_len) back ~dst_off:0)
+      then Alcotest.fail "open_into rejected its own record"
+    in
+    let s = minor_words seal in
+    (s, minor_words open_)
+  in
+  let s64, o64 = words 64 and s8k, o8k = words 8192 in
+  Alcotest.(check int) "seal_into: 64 B and 8 KiB allocate the same" s64 s8k;
+  Alcotest.(check int) "open_into: 64 B and 8 KiB allocate the same" o64 o8k;
+  let small what w = Alcotest.(check bool) (Printf.sprintf "%s: %d words <= 64" what w) true (w <= 64) in
+  small "seal_into" s64;
+  small "open_into" o64
+
+let test_poly1305_feed_allocation_free () =
+  let p = Poly1305.init ~key:(Bytes.make 32 'r') in
+  let data = Bytes.make 8192 'm' in
+  (* Odd offsets and lengths exercise the partial-block buffer too. *)
+  let feed () =
+    Poly1305.feed p data ~pos:3 ~len:4093;
+    Poly1305.feed p data ~pos:0 ~len:7
+  in
+  Alcotest.(check int) "Poly1305.feed allocates nothing" 0 (minor_words feed)
+
 let suite =
   [
     Alcotest.test_case "sha256: FIPS vectors" `Quick test_sha256_vectors;
@@ -275,4 +428,11 @@ let suite =
     Helpers.qtest prop_aead_tamper_detected;
     Helpers.qtest prop_sha256_streaming_chunking_invariant;
     Helpers.qtest prop_hmac_key_sensitivity;
+    Helpers.qtest prop_chacha20_matches_oracle;
+    Helpers.qtest prop_poly1305_chunked_matches_oracle;
+    Helpers.qtest prop_aead_into_matches_seal;
+    Helpers.qtest prop_aead_open_into_tamper;
+    Alcotest.test_case "aead: seal_into/open_into allocation is size-independent" `Quick
+      test_aead_into_allocation_constant;
+    Alcotest.test_case "poly1305: feed allocates nothing" `Quick test_poly1305_feed_allocation_free;
   ]

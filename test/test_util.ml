@@ -191,6 +191,71 @@ let prop_percentile_bounded =
       let lo = Array.fold_left min arr.(0) arr and hi = Array.fold_left max arr.(0) arr in
       p >= lo -. 1e-9 && p <= hi +. 1e-9)
 
+(* Byteq against a string model: appends, takes, drops and in-place
+   consumes in any order keep the same FIFO contents. *)
+type byteq_op = Add of string | Take of int | Drop of int | Consume of int
+
+let byteq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun s -> Add s) (string_size (int_range 0 200)));
+        (2, map (fun n -> Take n) (int_range 0 150));
+        (1, map (fun n -> Drop n) (int_range 0 150));
+        (1, map (fun n -> Consume n) (int_range 0 150));
+      ])
+
+let print_byteq_op = function
+  | Add s -> Printf.sprintf "Add %d" (String.length s)
+  | Take n -> Printf.sprintf "Take %d" n
+  | Drop n -> Printf.sprintf "Drop %d" n
+  | Consume n -> Printf.sprintf "Consume %d" n
+
+let prop_byteq_matches_model =
+  QCheck.Test.make ~name:"byteq behaves as a FIFO string" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_byteq_op)
+       QCheck.Gen.(list_size (int_range 0 60) byteq_op_gen))
+    (fun ops ->
+      let q = Byteq.create 1 in
+      let model = ref "" in
+      let cut n =
+        let n = min n (String.length !model) in
+        let front = String.sub !model 0 n in
+        model := String.sub !model n (String.length !model - n);
+        front
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Add s ->
+                Byteq.add_bytes q (Bytes.of_string s);
+                model := !model ^ s;
+                true
+            | Take n ->
+                let n = min n (Byteq.length q) in
+                Bytes.to_string (Byteq.take q n) = cut n
+            | Drop n ->
+                let n = min n (Byteq.length q) in
+                Byteq.drop q n;
+                ignore (cut n);
+                true
+            | Consume n ->
+                let seen = ref "" in
+                let got =
+                  Byteq.consume q (fun b off len ->
+                      let k = min n len in
+                      seen := Bytes.sub_string b off k;
+                      k)
+                in
+                got = String.length !seen && !seen = cut got
+          in
+          ok
+          && Byteq.length q = String.length !model
+          && String.init (Byteq.length q) (Byteq.get q) = !model)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "rng: determinism" `Quick test_rng_determinism;
@@ -213,6 +278,7 @@ let suite =
     Alcotest.test_case "crc32: vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32: incremental" `Quick test_crc32_incremental;
     Alcotest.test_case "hex: roundtrip" `Quick test_hex_roundtrip;
+    Helpers.qtest prop_byteq_matches_model;
     Alcotest.test_case "hex: invalid input" `Quick test_hex_invalid;
     Alcotest.test_case "cost: meter accumulates" `Quick test_cost_meter_accumulates;
     Alcotest.test_case "cost: snapshot diff" `Quick test_cost_snapshot_diff;
