@@ -123,6 +123,16 @@ let test_crypto_primitives () =
     Test.make ~name:"sha256-4KiB" (Staged.stage (fun () -> ignore (Cio_crypto.Sha256.digest_bytes data)));
     Test.make ~name:"aead-seal-4KiB"
       (Staged.stage (fun () -> ignore (Cio_crypto.Aead.seal ~key ~nonce ~aad:Bytes.empty data)));
+    (* A small record: the fixed per-call work (one-time key, length block,
+       tag) dominates. Sealed into one reused buffer, as records are. *)
+    (let wire = Bytes.create (64 + Cio_crypto.Aead.tag_len) in
+     Test.make ~name:"aead-seal-64B"
+       (Staged.stage (fun () ->
+            Cio_crypto.Aead.seal_into ~key ~nonce ~aad:Bytes.empty data ~src_off:0 ~len:64 wire
+              ~dst_off:0)));
+    (* One full-MSS TCP segment's Internet checksum. *)
+    Test.make ~name:"checksum-1460B"
+      (Staged.stage (fun () -> ignore (Cio_frame.Checksum.compute data ~pos:0 ~len:1460)));
   ]
 
 let test_packed ~hardened name =

@@ -112,6 +112,7 @@ type t = {
   mutable next_desc : int;
   mutable next_tag : int;
   counters : counters;
+  hdr : bytes;  (* [read_header]'s fetch buffer: private, decoded at once *)
 }
 
 let create ~region ~base ~slots ~positioning ~producer ~host_meter =
@@ -146,6 +147,7 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
           index_masked = 0;
           state_skipped = 0;
         };
+      hdr = Bytes.create header_bytes;
     }
   in
   (match positioning with
@@ -188,14 +190,16 @@ let desc_off t d = t.base + t.lay.desc_off + (8 * (d land (max t.lay.desc_count 
 let ring_word_cost t ~amortized =
   if amortized then t.model.Cost.ring_burst_op else t.model.Cost.ring_op
 
-(* Single-fetch header read: one 16-byte pull, decoded privately. *)
+(* Single-fetch header read: one 16-byte pull into the ring's private
+   fetch buffer, decoded before the next fetch can reuse it. The buffer
+   is not shared memory, so a host racing through the read hook cannot
+   change what is decoded. *)
 let read_header ?(amortized = false) t actor slot =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
-  let b =
-    match actor with
-    | Region.Guest -> Region.guest_read t.region ~off:(hdr_off t slot) ~len:header_bytes
-    | Region.Host -> Region.host_read t.region ~off:(hdr_off t slot) ~len:header_bytes
-  in
+  let b = t.hdr in
+  (match actor with
+  | Region.Guest -> Region.guest_read_into t.region ~off:(hdr_off t slot) b
+  | Region.Host -> Region.host_read_into t.region ~off:(hdr_off t slot) b);
   let state = Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF in
   let len = Int32.to_int (Bytes.get_int32_le b 4) land 0xFFFFFFFF in
   let info = Int32.to_int (Bytes.get_int32_le b 8) land 0xFFFFFFFF in

@@ -17,8 +17,9 @@ val xor_into :
     [len] bytes of [src] from [src_off], XORed with the keystream starting
     at block [counter], into [dst] at [dst_off]. The block counter wraps
     mod 2{^32}. [src] and [dst] may be the same buffer at the same offset
-    (in place); other overlaps are not supported. Allocates only a 64-byte
-    keystream scratch. *)
+    (in place); other overlaps are not supported. Allocates nothing when
+    [len] is a multiple of 64, and one 64-byte keystream buffer
+    otherwise. *)
 
 val encrypt : ?counter:int32 -> key:bytes -> nonce:bytes -> bytes -> bytes
 (** XOR with the keystream starting at [counter] (default 1, the AEAD

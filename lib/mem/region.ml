@@ -44,6 +44,9 @@ type t = {
   data : bytes;
   page_size : int;
   prot : prot array;
+  mutable private_pages : int;
+      (* pages of [prot] that are [Private]: when 0, every in-bounds
+         range is shared and [range_shared] needs no page scan *)
   meter : Cost.meter;
   model : Cost.model;
   mutable log : event list;  (* newest first *)
@@ -83,6 +86,7 @@ let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~
     data = Bytes.make size '\000';
     page_size;
     prot = Array.make pages prot;
+    private_pages = (match prot with Private -> pages | Shared -> 0);
     meter = (match meter with Some m -> m | None -> Cost.meter ());
     model;
     log = [];
@@ -115,8 +119,12 @@ let prot_of_page t page =
 
 let range_ok t off len = off >= 0 && len >= 0 && off + len <= Bytes.length t.data
 
-(* A range is host-accessible only if every page it touches is shared. *)
+(* A range is host-accessible only if every page it touches is shared.
+   With no private page at all (the common case: a region nothing has
+   revoked from) an in-bounds range is shared without a page scan. *)
 let range_shared t off len =
+  (t.private_pages = 0 && range_ok t off len)
+  ||
   let first = page_of t off and last = page_of t (off + len - 1) in
   let rec go p = p > last || (t.prot.(p) = Shared && go (p + 1)) in
   len = 0 || go first
@@ -159,55 +167,61 @@ let san_note t ~off ~len =
         s.s_fetches;
       s.s_fetches <- (off, len, snap) :: s.s_fetches
 
-let read t actor ~off ~len =
+(* Every read runs the same steps in the same order: bounds/protection
+   check, log, transaction and sanitizer capture, the read itself (the
+   caller's), then the guest read hook. [read_begin] does the steps before
+   the read and returns whether the hook is due; [read_end] fires it —
+   after the value is captured, so the *next* fetch observes any mutation
+   the hook performs. *)
+let read_begin t actor ~off ~len =
   check_access t actor off len ~write:false;
   log t (Read { actor; off; len });
-  (match (actor, t.txn) with
-  | Guest, Some reads when len > 0 && range_shared t off len ->
-      t.txn <- Some ((off, len, Bytes.sub_string t.data off len) :: reads)
-  | _ -> ());
-  (match actor with
-  | Guest when len > 0 && range_shared t off len -> san_note t ~off ~len
-  | _ -> ());
+  match actor with
+  | Host -> false
+  | Guest ->
+      let shared = len > 0 && range_shared t off len in
+      if shared then begin
+        (match t.txn with
+        | Some reads -> t.txn <- Some ((off, len, Bytes.sub_string t.data off len) :: reads)
+        | None -> ());
+        san_note t ~off ~len
+      end;
+      shared
+
+let read_end t ~off ~len hook_due =
+  match t.guest_read_hook with
+  | Some hook when hook_due -> hook ~off ~len
+  | _ -> ()
+
+let read t actor ~off ~len =
+  let due = read_begin t actor ~off ~len in
   let result = Bytes.sub t.data off len in
-  (match (actor, t.guest_read_hook) with
-  | Guest, Some hook when len > 0 && range_shared t off len ->
-      (* Fire after the value is captured so the *next* fetch observes any
-         mutation the hook performs. *)
-      hook ~off ~len
-  | _ -> ());
+  read_end t ~off ~len due;
   result
 
-let write t actor ~off src =
-  let len = Bytes.length src in
+(* Blit-into variant of [read]: fills a caller-provided buffer instead of
+   allocating — the allocation-free consume path. *)
+let read_into t actor ~off dst =
+  let len = Bytes.length dst in
+  let due = read_begin t actor ~off ~len in
+  Bytes.blit t.data off dst 0 len;
+  read_end t ~off ~len due
+
+(* Writes: check, log, the write itself, then the host write hook. *)
+let write_begin t actor ~off ~len =
   check_access t actor off len ~write:true;
-  log t (Write { actor; off; len });
-  Bytes.blit src 0 t.data off len;
+  log t (Write { actor; off; len })
+
+let write_end t actor ~off ~len =
   match (actor, t.host_write_hook) with
   | Host, Some hook -> hook ~off ~len
   | _ -> ()
 
-(* Blit-into variant of [read]: identical checks, logging, transaction
-   capture and hook ordering, but fills a caller-provided buffer instead
-   of allocating — the allocation-free consume path. *)
-let read_into t actor ~off dst =
-  let len = Bytes.length dst in
-  check_access t actor off len ~write:false;
-  log t (Read { actor; off; len });
-  (match (actor, t.txn) with
-  | Guest, Some reads when len > 0 && range_shared t off len ->
-      t.txn <- Some ((off, len, Bytes.sub_string t.data off len) :: reads)
-  | _ -> ());
-  (match actor with
-  | Guest when len > 0 && range_shared t off len -> san_note t ~off ~len
-  | _ -> ());
-  Bytes.blit t.data off dst 0 len;
-  match (actor, t.guest_read_hook) with
-  | Guest, Some hook when len > 0 && range_shared t off len ->
-      (* Fire after the value is captured so the *next* fetch observes any
-         mutation the hook performs. *)
-      hook ~off ~len
-  | _ -> ()
+let write t actor ~off src =
+  let len = Bytes.length src in
+  write_begin t actor ~off ~len;
+  Bytes.blit src 0 t.data off len;
+  write_end t actor ~off ~len
 
 let guest_read t ~off ~len = read t Guest ~off ~len
 let guest_write t ~off src = write t Guest ~off src
@@ -217,41 +231,53 @@ let guest_read_into t ~off dst = read_into t Guest ~off dst
 let host_read_into t ~off dst = read_into t Host ~off dst
 
 (* Integer accessors used by the ring/descriptor layers. All are
-   little-endian, matching the virtio wire format. *)
+   little-endian, matching the virtio wire format. Each goes through the
+   same steps as [read]/[write] but touches the region bytes directly,
+   with no intermediate buffer. *)
 
-let read_u8 t actor ~off = Char.code (Bytes.get (read t actor ~off ~len:1) 0)
+let read_u8 t actor ~off =
+  let due = read_begin t actor ~off ~len:1 in
+  let v = Bytes.get_uint8 t.data off in
+  read_end t ~off ~len:1 due;
+  v
 
 let read_u16 t actor ~off =
-  let b = read t actor ~off ~len:2 in
-  Bytes.get_uint16_le b 0
+  let due = read_begin t actor ~off ~len:2 in
+  let v = Bytes.get_uint16_le t.data off in
+  read_end t ~off ~len:2 due;
+  v
 
 let read_u32 t actor ~off =
-  let b = read t actor ~off ~len:4 in
-  Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF
+  let due = read_begin t actor ~off ~len:4 in
+  let v = Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFFFFFF in
+  read_end t ~off ~len:4 due;
+  v
 
 let read_u64 t actor ~off =
-  let b = read t actor ~off ~len:8 in
-  Bytes.get_int64_le b 0
+  let due = read_begin t actor ~off ~len:8 in
+  let v = Bytes.get_int64_le t.data off in
+  read_end t ~off ~len:8 due;
+  v
 
 let write_u8 t actor ~off v =
-  let b = Bytes.create 1 in
-  Bytes.set b 0 (Char.chr (v land 0xFF));
-  write t actor ~off b
+  write_begin t actor ~off ~len:1;
+  Bytes.set_uint8 t.data off (v land 0xFF);
+  write_end t actor ~off ~len:1
 
 let write_u16 t actor ~off v =
-  let b = Bytes.create 2 in
-  Bytes.set_uint16_le b 0 (v land 0xFFFF);
-  write t actor ~off b
+  write_begin t actor ~off ~len:2;
+  Bytes.set_uint16_le t.data off (v land 0xFFFF);
+  write_end t actor ~off ~len:2
 
 let write_u32 t actor ~off v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int (v land 0xFFFFFFFF));
-  write t actor ~off b
+  write_begin t actor ~off ~len:4;
+  Bytes.set_int32_le t.data off (Int32.of_int (v land 0xFFFFFFFF));
+  write_end t actor ~off ~len:4
 
 let write_u64 t actor ~off v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  write t actor ~off b
+  write_begin t actor ~off ~len:8;
+  Bytes.set_int64_le t.data off v;
+  write_end t actor ~off ~len:8
 
 (* Page sharing / revocation. Unsharing is the paper's §3.2 "revocation"
    primitive: the guest reclaims a page from the host on the fly instead of
@@ -262,6 +288,7 @@ let share_page t page =
     invalid_arg "Region.share_page: bad page";
   if t.prot.(page) <> Shared then begin
     t.prot.(page) <- Shared;
+    t.private_pages <- t.private_pages - 1;
     Cost.charge t.meter Cost.Share t.model.Cost.page_share;
     log t (Share_page page)
   end
@@ -271,6 +298,7 @@ let unshare_page t page =
     invalid_arg "Region.unshare_page: bad page";
   if t.prot.(page) <> Private then begin
     t.prot.(page) <- Private;
+    t.private_pages <- t.private_pages + 1;
     Cost.charge t.meter Cost.Unshare t.model.Cost.page_unshare;
     log t (Unshare_page page)
   end
@@ -286,6 +314,7 @@ let share_range t ~off ~len =
     for p = first to last do
       if t.prot.(p) <> Shared then begin
         t.prot.(p) <- Shared;
+        t.private_pages <- t.private_pages - 1;
         incr changed;
         log t (Share_page p)
       end
@@ -302,6 +331,7 @@ let unshare_range t ~off ~len =
     for p = first to last do
       if t.prot.(p) <> Private then begin
         t.prot.(p) <- Private;
+        t.private_pages <- t.private_pages + 1;
         incr changed;
         log t (Unshare_page p)
       end

@@ -1,7 +1,7 @@
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 
-   Used as the Ethernet frame check sequence in the simulated link layer
-   and as a cheap integrity probe in tests. *)
+   No library module calls it: the tests use it as a cheap integrity
+   probe, and the benchmark uses it for its running payload digest. *)
 
 let table =
   lazy

@@ -118,3 +118,29 @@ let repo_root () =
   match go (Sys.getcwd ()) with
   | Some d -> d
   | None -> Alcotest.fail "repo root (containing lib/) not found above cwd"
+
+(* Protection oracle for [Region.range_shared]: the definition it must
+   keep, page by page, whatever shortcut the region takes. *)
+let scan_shared r off len =
+  let ps = Cio_mem.Region.page_size r in
+  let last = (off + len - 1) / ps in
+  let rec go p = p > last || (Cio_mem.Region.prot_of_page r p = Cio_mem.Region.Shared && go (p + 1)) in
+  len = 0 || go (off / ps)
+
+(* An in-bounds range from two raw draws, so generators need not know
+   the region's size. *)
+let clamp_range r (a, b) =
+  let size = Cio_mem.Region.size r in
+  let off = a mod (size + 1) in
+  (off, b mod (size - off + 1))
+
+(* Raw draws for [clamp_range]. *)
+let range_query_gen = QCheck.Gen.(list_size (int_range 1 12) (pair nat nat))
+
+(* [range_shared] agrees with [scan_shared] on every query range. *)
+let range_shared_agrees r queries =
+  List.for_all
+    (fun q ->
+      let off, len = clamp_range r q in
+      Cio_mem.Region.range_shared r off len = scan_shared r off len)
+    queries

@@ -503,6 +503,63 @@ let prop_hot_swap_preserves_invariants =
         ops;
       !ok)
 
+(* Region protection through a driver's life: revoke-mode RX traffic,
+   direct share/unshare and hot swaps. After every step, [range_shared]
+   on the live region and on every retired one (fully revoked by the
+   swap) agrees with a page-by-page scan. *)
+let prop_range_shared_across_hot_swap =
+  QCheck.Test.make ~name:"range_shared == page scan across traffic, revocation and hot swap"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (ops, _) ->
+         String.concat "; "
+           (List.map
+              (function
+                | `Rx n -> Printf.sprintf "Rx %d" n
+                | `Guest_poll -> "Guest_poll"
+                | `Host_poll -> "Host_poll"
+                | `Share (a, b) -> Printf.sprintf "Share (%d,%d)" a b
+                | `Unshare (a, b) -> Printf.sprintf "Unshare (%d,%d)" a b
+                | `Swap -> "Swap")
+              ops))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 40)
+              (frequency
+                 [
+                   (3, map (fun n -> `Rx (1 + (n mod 2047))) small_nat);
+                   (3, return `Guest_poll);
+                   (3, return `Host_poll);
+                   (2, map (fun r -> `Share r) (pair nat nat));
+                   (2, map (fun r -> `Unshare r) (pair nat nat));
+                   (1, return `Swap);
+                 ]))
+           Helpers.range_query_gen))
+    (fun (ops, queries) ->
+      let drv, host, _ = make ~cfg:{ inline_cfg with Config.rx_strategy = Config.Revoke } () in
+      let retired = ref [] in
+      List.for_all
+        (fun op ->
+          let r = Driver.region drv in
+          (match op with
+          | `Rx n -> Host_model.deliver_rx host (Bytes.make n 'r')
+          | `Guest_poll -> ignore (Driver.poll drv)
+          | `Host_poll -> Host_model.poll host
+          | `Share q ->
+              let off, len = Helpers.clamp_range r q in
+              Region.share_range r ~off ~len
+          | `Unshare q ->
+              let off, len = Helpers.clamp_range r q in
+              Region.unshare_range r ~off ~len
+          | `Swap ->
+              Driver.hot_swap drv;
+              Host_model.reattach host ~driver:drv;
+              retired := r :: !retired);
+          List.for_all
+            (fun r -> Helpers.range_shared_agrees r queries)
+            (Driver.region drv :: !retired))
+        ops)
+
 (* --- batched datapath --------------------------------------------------- *)
 
 let frames_of strings = Array.of_list (List.map Bytes.of_string strings)
@@ -773,4 +830,5 @@ let suite =
     Helpers.qtest prop_untrusted_index_confined;
     Helpers.qtest prop_ring_model_based;
     Helpers.qtest prop_hot_swap_preserves_invariants;
+    Helpers.qtest prop_range_shared_across_hot_swap;
   ]

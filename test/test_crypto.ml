@@ -272,6 +272,42 @@ let prop_chacha20_matches_oracle =
         (Oracle.Chacha20.encrypt ~counter ~key ~nonce msg)
       && Bytes.equal (Chacha20.block ~key ~nonce ~counter) (Oracle.Chacha20.block ~key ~nonce ~counter))
 
+(* [xor_into] at unaligned offsets, out of place and in place: the bytes
+   in range are the oracle's, the bytes around them are untouched. *)
+let prop_chacha20_xor_into_offsets =
+  QCheck.Test.make ~name:"chacha20 xor_into at offsets 0-7, in and out of place == oracle"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ((_, _, c), m, (so, d)) ->
+         Printf.sprintf "counter=%lx len=%d src_off=%d dst_off=%d" c (Bytes.length m) so d)
+       QCheck.Gen.(
+         triple (triple key_gen nonce_gen counter_gen)
+           (map Bytes.of_string (string_size (int_range 0 300)))
+           (pair (int_range 0 7) (int_range 0 7))))
+    (fun ((key, nonce, counter), msg, (src_off, dst_off)) ->
+      let n = Bytes.length msg in
+      let expected = Oracle.Chacha20.encrypt ~counter ~key ~nonce msg in
+      let framed off fill =
+        let b = Bytes.make (off + n + 9) fill in
+        Bytes.blit msg 0 b off n;
+        b
+      in
+      let src = framed src_off '\x5A' in
+      let src_before = Bytes.copy src in
+      let dst = Bytes.make (dst_off + n + 9) '\xC3' in
+      Chacha20.xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len:n;
+      let inplace = framed src_off '\x5A' in
+      Chacha20.xor_into ~counter ~key ~nonce inplace ~src_off inplace ~dst_off:src_off ~len:n;
+      let untouched b off fill =
+        Bytes.sub_string b 0 off = String.make off fill
+        && Bytes.sub_string b (off + n) 9 = String.make 9 fill
+      in
+      Bytes.equal (Bytes.sub dst dst_off n) expected
+      && untouched dst dst_off '\xC3'
+      && Bytes.equal src src_before
+      && Bytes.equal (Bytes.sub inplace src_off n) expected
+      && untouched inplace src_off '\x5A')
+
 (* A message at a random offset inside a larger buffer, fed in random
    chunk sizes, must give the oracle's one-shot tag. *)
 let prop_poly1305_chunked_matches_oracle =
@@ -398,6 +434,16 @@ let test_poly1305_feed_allocation_free () =
   in
   Alcotest.(check int) "Poly1305.feed allocates nothing" 0 (minor_words feed)
 
+let test_chacha20_xor_into_allocation_free () =
+  let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' in
+  let src = Bytes.make 8200 's' and dst = Bytes.create 8200 in
+  (* Whole blocks at unaligned offsets, out of place and in place. *)
+  let xor () =
+    Chacha20.xor_into ~counter:1l ~key ~nonce src ~src_off:3 dst ~dst_off:5 ~len:8192;
+    Chacha20.xor_into ~counter:7l ~key ~nonce dst ~src_off:0 dst ~dst_off:0 ~len:64
+  in
+  Alcotest.(check int) "xor_into over whole blocks allocates nothing" 0 (minor_words xor)
+
 let suite =
   [
     Alcotest.test_case "sha256: FIPS vectors" `Quick test_sha256_vectors;
@@ -435,4 +481,7 @@ let suite =
     Alcotest.test_case "aead: seal_into/open_into allocation is size-independent" `Quick
       test_aead_into_allocation_constant;
     Alcotest.test_case "poly1305: feed allocates nothing" `Quick test_poly1305_feed_allocation_free;
+    Helpers.qtest prop_chacha20_xor_into_offsets;
+    Alcotest.test_case "chacha20: whole-block xor_into allocation-free" `Quick
+      test_chacha20_xor_into_allocation_free;
   ]

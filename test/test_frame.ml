@@ -259,6 +259,50 @@ let test_pretty_degrades () =
   Alcotest.(check bool) "garbage ip summarised" true
     (String.length (Pretty.ip_summary (Bytes.make 40 '\xCD')) > 0)
 
+(* RFC 1071 reference: one byte pair per step, odd byte padded with a
+   zero, end-around carries folded at the end. *)
+let ref_ones_complement_sum b ~pos ~len ~init =
+  let sum = ref init in
+  for k = 0 to (len / 2) - 1 do
+    sum := !sum + (Char.code (Bytes.get b (pos + (2 * k))) lsl 8) + Char.code (Bytes.get b (pos + (2 * k) + 1))
+  done;
+  if len land 1 = 1 then sum := !sum + (Char.code (Bytes.get b (pos + len - 1)) lsl 8);
+  while !sum > 0xFFFF do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  !sum
+
+(* Random bytes, or all ones to maximise the carries the fold absorbs. *)
+let checksum_data_gen =
+  QCheck.Gen.(
+    map Bytes.of_string (oneof [ string_size (return 1607); return (String.make 1607 '\xFF') ]))
+
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~name:"checksum: word-wide sum == byte-pair RFC 1071 reference" ~count:500
+    (QCheck.make
+       ~print:(fun (pos, len, init, _) -> Printf.sprintf "pos=%d len=%d init=%d" pos len init)
+       QCheck.Gen.(
+         quad (int_range 0 7)
+           (oneof [ int_range 0 64; int_range 0 1600; return 1599; return 1600 ])
+           (oneof [ return 0; int_range 0 0xFFFF; int_range 0 0xFFFFFF ])
+           checksum_data_gen))
+    (fun (pos, len, init, b) ->
+      Checksum.ones_complement_sum b ~pos ~len ~init = ref_ones_complement_sum b ~pos ~len ~init)
+
+(* Writing [compute]'s result into a zeroed field at an even offset of
+   the range makes [verify] accept the range, at any start. *)
+let prop_checksum_compute_verify_roundtrip =
+  QCheck.Test.make ~name:"checksum: compute then verify round trip" ~count:300
+    (QCheck.make
+       ~print:(fun (pos, len, field, _) -> Printf.sprintf "pos=%d len=%d field=%d" pos len field)
+       QCheck.Gen.(
+         quad (int_range 0 7) (int_range 2 1600) nat (map Bytes.of_string (string_size (return 1607)))))
+    (fun (pos, len, field, b) ->
+      let field = pos + (2 * (field mod (len / 2))) in
+      Bytes.set_uint16_be b field 0;
+      Bytes.set_uint16_be b field (Checksum.compute b ~pos ~len);
+      Checksum.verify b ~pos ~len)
+
 let suite =
   [
     Alcotest.test_case "addr: mac octets" `Quick test_mac_octets;
@@ -290,4 +334,6 @@ let suite =
     Helpers.qtest prop_udp_roundtrip;
     Helpers.qtest prop_tcp_roundtrip;
     Helpers.qtest prop_ipv4_bitflip_rejected_or_equal;
+    Helpers.qtest prop_checksum_matches_reference;
+    Helpers.qtest prop_checksum_compute_verify_roundtrip;
   ]

@@ -398,6 +398,57 @@ let prop_txn_hazards_pin_sanitizer_semantics =
       && s.Region.double_fetches = (if overlap then 1 else 0)
       && s.Region.mutated_fetches = (if overlap && mutate then 1 else 0))
 
+(* --- range_shared: O(1) when nothing is private, a scan otherwise ----- *)
+
+let prot_op_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun p -> `Share_page p) nat;
+        map (fun p -> `Unshare_page p) nat;
+        map (fun r -> `Share_range r) (pair nat nat);
+        map (fun r -> `Unshare_range r) (pair nat nat);
+      ])
+
+let prot_op_print = function
+  | `Share_page p -> Printf.sprintf "share_page %d" p
+  | `Unshare_page p -> Printf.sprintf "unshare_page %d" p
+  | `Share_range (a, b) -> Printf.sprintf "share_range (%d,%d)" a b
+  | `Unshare_range (a, b) -> Printf.sprintf "unshare_range (%d,%d)" a b
+
+(* Raw draws are folded onto the region's pages and in-bounds ranges. *)
+let apply_prot_op r op =
+  let page p = p mod Region.page_count r in
+  match op with
+  | `Share_page p -> Region.share_page r (page p)
+  | `Unshare_page p -> Region.unshare_page r (page p)
+  | `Share_range q ->
+      let off, len = Helpers.clamp_range r q in
+      Region.share_range r ~off ~len
+  | `Unshare_range q ->
+      let off, len = Helpers.clamp_range r q in
+      Region.unshare_range r ~off ~len
+
+let prop_range_shared_equals_page_scan =
+  QCheck.Test.make ~name:"range_shared == page scan after random share/unshare" ~count:300
+    (QCheck.make
+       ~print:(fun (prot, size, ops, _) ->
+         Printf.sprintf "%s size=%d ops=[%s]"
+           (if prot then "Shared" else "Private")
+           size
+           (String.concat "; " (List.map prot_op_print ops)))
+       QCheck.Gen.(
+         quad bool (int_range 1 3000) (list_size (int_range 0 30) prot_op_gen) Helpers.range_query_gen))
+    (fun (shared, size, ops, queries) ->
+      let prot = if shared then Region.Shared else Region.Private in
+      let r = Region.create ~page_size:64 ~prot ~name:"prop" size in
+      Helpers.range_shared_agrees r queries
+      && List.for_all
+           (fun op ->
+             apply_prot_op r op;
+             Helpers.range_shared_agrees r queries)
+           ops)
+
 let suite =
   [
     Alcotest.test_case "region: guest roundtrip" `Quick test_guest_rw_roundtrip;
@@ -443,4 +494,5 @@ let suite =
     Helpers.qtest prop_pool_alloc_unique;
     Helpers.qtest prop_masked_pool_always_in_bounds;
     Helpers.qtest prop_bufpool_acquire_is_exact_and_balanced;
+    Helpers.qtest prop_range_shared_equals_page_scan;
   ]
