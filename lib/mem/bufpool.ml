@@ -10,7 +10,11 @@
    Retention is capped per power-of-two size class (the shape a real
    implementation would use for its slab sizes), so a burst of unusual
    lengths cannot pin unbounded memory: beyond the cap a recycled buffer
-   is simply dropped for the GC. *)
+   is simply dropped for the GC.
+
+   The hit path allocates nothing either: each exact length owns a stack
+   of free buffers in an array (grown only while the class cap allows
+   more), and each such bucket holds its size class's counter. *)
 
 open Cio_util
 
@@ -30,8 +34,15 @@ type stats = {
   mutable dropped : int;   (* returns rejected by the class cap *)
 }
 
+(* Free buffers of one exact length: the first [count] of [free]. *)
+type bucket = {
+  in_class : int ref;           (* retained in this size class, shared *)
+  mutable free : bytes array;
+  mutable count : int;
+}
+
 type t = {
-  buckets : (int, bytes Queue.t) Hashtbl.t;      (* exact length -> free buffers *)
+  buckets : (int, bucket) Hashtbl.t;             (* exact length -> free buffers *)
   class_retained : (int, int ref) Hashtbl.t;     (* pow2 class -> retained count *)
   cap : int;                                     (* max retained per size class *)
   mutable retained_count : int;                  (* free buffers held right now *)
@@ -54,41 +65,61 @@ let stats t = t.stats
 let cap t = t.cap
 let high_watermark t = t.high_watermark
 
-let class_of len = Bitops.next_power_of_two (max 1 len)
-
-let class_counter t cls =
-  match Hashtbl.find_opt t.class_retained cls with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.class_retained cls r;
-      r
-
 let retained t =
   Hashtbl.fold (fun _ r acc -> acc + !r) t.class_retained 0
 
 let acquire t len =
   if len <= 0 then invalid_arg "Bufpool.acquire: length must be positive";
-  match Hashtbl.find_opt t.buckets len with
-  | Some q when not (Queue.is_empty q) ->
+  match Hashtbl.find t.buckets len with
+  | q when q.count > 0 ->
       t.stats.reused <- t.stats.reused + 1;
-      decr (class_counter t (class_of len));
+      decr q.in_class;
       t.retained_count <- t.retained_count - 1;
-      Queue.take q
-  | _ ->
+      q.count <- q.count - 1;
+      let b = q.free.(q.count) in
+      q.free.(q.count) <- Bytes.empty;
+      b
+  | _ | (exception Not_found) ->
       t.stats.fresh <- t.stats.fresh + 1;
       Bytes.create len
+
+let bucket t len =
+  match Hashtbl.find t.buckets len with
+  | q -> q
+  | exception Not_found ->
+      let cls = Bitops.next_power_of_two len in
+      let in_class =
+        match Hashtbl.find t.class_retained cls with
+        | r -> r
+        | exception Not_found ->
+            let r = ref 0 in
+            Hashtbl.add t.class_retained cls r;
+            r
+      in
+      let q = { in_class; free = [||]; count = 0 } in
+      Hashtbl.add t.buckets len q;
+      q
+
+(* Push [b] on [q], doubling the array when it is full. *)
+let push q b =
+  if q.count = Array.length q.free then begin
+    let free = Array.make (max 4 (2 * q.count)) Bytes.empty in
+    Array.blit q.free 0 free 0 q.count;
+    q.free <- free
+  end;
+  q.free.(q.count) <- b;
+  q.count <- q.count + 1
 
 let recycle t b =
   let len = Bytes.length b in
   if len > 0 then begin
-    let counter = class_counter t (class_of len) in
-    if !counter >= t.cap then begin
+    let q = bucket t len in
+    if !(q.in_class) >= t.cap then begin
       t.stats.dropped <- t.stats.dropped + 1;
       Cio_telemetry.Metrics.inc m_dropped
     end
     else begin
-      incr counter;
+      incr q.in_class;
       t.stats.recycled <- t.stats.recycled + 1;
       t.retained_count <- t.retained_count + 1;
       if t.retained_count > t.high_watermark then begin
@@ -98,14 +129,6 @@ let recycle t b =
           Cio_telemetry.Metrics.set m_retained_high t.retained_count
         end
       end;
-      let q =
-        match Hashtbl.find_opt t.buckets len with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.add t.buckets len q;
-            q
-      in
-      Queue.add b q
+      push q b
     end
   end

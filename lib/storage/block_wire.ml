@@ -6,7 +6,11 @@
    Response: { status:u8, lba:u32, len:u32, payload }
 
    Fixed-size headers, no negotiation, stateless request/response pairs
-   matched by lba — the L2 principles transposed to storage. *)
+   matched by lba — the L2 principles transposed to storage.
+
+   The block device encodes and parses messages in place, in pooled
+   buffers ([put_header], [payload_len]); the record codec below is a
+   thin wrapper over the same functions. *)
 
 type op = Read | Write
 
@@ -20,46 +24,48 @@ let status_of_code = function 0 -> Some Ok_ | 1 -> Some Error_ | _ -> None
 
 let header_len = 9
 
+let put_header b ~code ~lba ~len =
+  Bytes.set b 0 (Char.chr code);
+  Bytes.set_int32_le b 1 (Int32.of_int lba);
+  Bytes.set_int32_le b 5 (Int32.of_int len)
+
+let code b = Char.code (Bytes.get b 0)
+let lba b = Int32.to_int (Bytes.get_int32_le b 1)
+
+(* The one validation both directions share: the claimed payload length,
+   or -1 when the header is short or claims a negative lba, a negative
+   length or more payload than the message holds. *)
+let payload_len b =
+  if Bytes.length b < header_len then -1
+  else begin
+    let len = Int32.to_int (Bytes.get_int32_le b 5) in
+    if lba b < 0 || len < 0 || header_len + len > Bytes.length b then -1 else len
+  end
+
 type request = { op : op; lba : int; payload : bytes }
 
 type response = { status : status; rlba : int; rpayload : bytes }
 
-let encode_request { op; lba; payload } =
-  let b = Bytes.create (header_len + Bytes.length payload) in
-  Bytes.set b 0 (Char.chr (op_code op));
-  Bytes.set_int32_le b 1 (Int32.of_int lba);
-  Bytes.set_int32_le b 5 (Int32.of_int (Bytes.length payload));
-  Bytes.blit payload 0 b header_len (Bytes.length payload);
+let encode ~code ~lba payload =
+  let len = Bytes.length payload in
+  let b = Bytes.create (header_len + len) in
+  put_header b ~code ~lba ~len;
+  Bytes.blit payload 0 b header_len len;
   b
+
+let encode_request { op; lba; payload } = encode ~code:(op_code op) ~lba payload
+let encode_response { status; rlba; rpayload } = encode ~code:(status_code status) ~lba:rlba rpayload
 
 let decode_request b =
-  if Bytes.length b < header_len then None
-  else begin
-    match op_of_code (Char.code (Bytes.get b 0)) with
-    | None -> None
-    | Some op ->
-        let lba = Int32.to_int (Bytes.get_int32_le b 1) in
-        let len = Int32.to_int (Bytes.get_int32_le b 5) in
-        if lba < 0 || len < 0 || header_len + len > Bytes.length b then None
-        else Some { op; lba; payload = Bytes.sub b header_len len }
-  end
-
-let encode_response { status; rlba; rpayload } =
-  let b = Bytes.create (header_len + Bytes.length rpayload) in
-  Bytes.set b 0 (Char.chr (status_code status));
-  Bytes.set_int32_le b 1 (Int32.of_int rlba);
-  Bytes.set_int32_le b 5 (Int32.of_int (Bytes.length rpayload));
-  Bytes.blit rpayload 0 b header_len (Bytes.length rpayload);
-  b
+  let len = payload_len b in
+  if len < 0 then None
+  else
+    Option.map (fun op -> { op; lba = lba b; payload = Bytes.sub b header_len len }) (op_of_code (code b))
 
 let decode_response b =
-  if Bytes.length b < header_len then None
-  else begin
-    match status_of_code (Char.code (Bytes.get b 0)) with
-    | None -> None
-    | Some status ->
-        let rlba = Int32.to_int (Bytes.get_int32_le b 1) in
-        let len = Int32.to_int (Bytes.get_int32_le b 5) in
-        if rlba < 0 || len < 0 || header_len + len > Bytes.length b then None
-        else Some { status; rlba; rpayload = Bytes.sub b header_len len }
-  end
+  let len = payload_len b in
+  if len < 0 then None
+  else
+    Option.map
+      (fun status -> { status; rlba = lba b; rpayload = Bytes.sub b header_len len })
+      (status_of_code (code b))

@@ -12,6 +12,27 @@ val status_of_code : int -> status option
 
 val header_len : int
 
+(** {2 In place}
+
+    A message is a [header_len]-byte header at offset 0 followed by its
+    payload. *)
+
+val put_header : bytes -> code:int -> lba:int -> len:int -> unit
+(** Write an op or status [code], an lba and a payload length. *)
+
+val code : bytes -> int
+(** The op or status code byte. *)
+
+val lba : bytes -> int
+
+val payload_len : bytes -> int
+(** The payload length the header claims, or [-1] when the message is
+    shorter than a header or the header claims a negative lba, a
+    negative length or more payload than the message holds. The codes
+    are not checked. *)
+
+(** {2 Records} *)
+
 type request = { op : op; lba : int; payload : bytes }
 type response = { status : status; rlba : int; rpayload : bytes }
 

@@ -23,8 +23,8 @@ type disk = {
   blocks : int;
   req_ring : Ring.t;         (* guest produces, host consumes *)
   resp_ring : Ring.t;        (* host produces, guest consumes *)
+  host_pool : Bufpool.t;     (* consumed requests and staged responses *)
   mutable misbehaviors : misbehavior list;
-  mutable last_response : bytes option;
   mutable reads : int;
   mutable writes : int;
   mutable malformed : int;
@@ -41,7 +41,7 @@ type t = {
   client_resp : Ring.t;
   disk : disk;
   meter : Cost.meter;
-  mutable outstanding : int;
+  pool : Bufpool.t;          (* staged requests and consumed responses *)
 }
 
 let positioning = Config.Inline { data_capacity = 8192 }
@@ -66,15 +66,23 @@ let create ?(model = Cost.default) ?meter ~name ~blocks () =
       blocks;
       req_ring;
       resp_ring;
+      host_pool = Bufpool.create ();
       misbehaviors = [];
-      last_response = None;
       reads = 0;
       writes = 0;
       malformed = 0;
       access_log = [];
     }
   in
-  ({ region; client_req = req_ring; client_resp = resp_ring; disk; meter = Region.meter region; outstanding = 0 }, disk)
+  ( {
+      region;
+      client_req = req_ring;
+      client_resp = resp_ring;
+      disk;
+      meter = Region.meter region;
+      pool = Bufpool.create ();
+    },
+    disk )
 
 let disk_inject disk m = disk.misbehaviors <- disk.misbehaviors @ [ m ]
 
@@ -93,115 +101,124 @@ let disk_writes d = d.writes
 let disk_access_log d = List.rev d.access_log
 let disk_clear_log d = d.access_log <- []
 
+(* A response staged in a host pool buffer: header, [len] payload bytes
+   for the caller to fill. *)
+let stage disk status ~lba ~len =
+  let b = Bufpool.acquire disk.host_pool (Block_wire.header_len + len) in
+  Block_wire.put_header b ~code:(Block_wire.status_code status) ~lba ~len;
+  b
+
+(* Serve one consumed request in place: the write payload goes straight
+   from the consumed buffer to the backing store, a read's block straight
+   from the backing store into the staged response. *)
+let serve disk raw =
+  let len = Block_wire.payload_len raw in
+  match if len < 0 then None else Block_wire.op_of_code (Block_wire.code raw) with
+  | None -> disk.malformed <- disk.malformed + 1
+  | Some op ->
+      let lba = Block_wire.lba raw in
+      disk.access_log <- (op, lba) :: disk.access_log;
+      let resp =
+        if lba >= disk.blocks then stage disk Block_wire.Error_ ~lba ~len:0
+        else begin
+          match op with
+          | Block_wire.Read ->
+              disk.reads <- disk.reads + 1;
+              (* Wrong_lba: serve a *different* block's content while
+                 claiming it is the requested one. *)
+              let src_lba =
+                match take disk (function Wrong_lba -> true | _ -> false) with
+                | Some _ -> (lba + 1) mod disk.blocks
+                | None -> lba
+              in
+              let resp = stage disk Block_wire.Ok_ ~lba ~len:block_size in
+              Bytes.blit disk.data (src_lba * block_size) resp Block_wire.header_len block_size;
+              (match take disk (function Corrupt_block -> true | _ -> false) with
+              | Some _ ->
+                  (* Flip a mid-payload byte: real bit rot / malice lands
+                     in data, not padding. *)
+                  let i = Block_wire.header_len + 64 in
+                  Bytes.set resp i (Char.chr (Char.code (Bytes.get resp i) lxor 0xFF))
+              | None -> ());
+              resp
+          | Block_wire.Write ->
+              disk.writes <- disk.writes + 1;
+              Bytes.blit raw Block_wire.header_len disk.data (lba * block_size) (min len block_size);
+              stage disk Block_wire.Ok_ ~lba ~len:0
+        end
+      in
+      (match take disk (function Lie_response_len -> true | _ -> false) with
+      | Some _ ->
+          (* Corrupt the embedded length field upward. *)
+          Bytes.set_int32_le resp 5 (Int32.of_int 1_000_000)
+      | None -> ());
+      ignore (Ring.try_produce disk.resp_ring resp);
+      (* Replay: deliver the response just sent a second time. The ring
+         copies it, so it is produced again before its buffer goes back
+         to the pool, and nothing keeps it afterwards. *)
+      (match take disk (function Replay_response -> true | _ -> false) with
+      | Some _ -> ignore (Ring.try_produce disk.resp_ring resp)
+      | None -> ());
+      Bufpool.recycle disk.host_pool resp
+
 (* Run the host disk: consume requests, produce responses. *)
-let disk_poll disk =
-  let rec go () =
-    match Ring.try_consume disk.req_ring with
-    | None -> ()
-    | Some raw -> (
-        match Block_wire.decode_request raw with
-        | None -> disk.malformed <- disk.malformed + 1
-        | Some req ->
-            let lba = req.Block_wire.lba in
-            disk.access_log <- (req.Block_wire.op, lba) :: disk.access_log;
-            let resp =
-              if lba < 0 || lba >= disk.blocks then
-                { Block_wire.status = Block_wire.Error_; rlba = lba; rpayload = Bytes.empty }
-              else begin
-                match req.Block_wire.op with
-                | Block_wire.Read ->
-                    disk.reads <- disk.reads + 1;
-                    (* Wrong_lba: serve a *different* block's content while
-                       claiming it is the requested one. *)
-                    let src_lba =
-                      match take disk (function Wrong_lba -> true | _ -> false) with
-                      | Some Wrong_lba -> (lba + 1) mod disk.blocks
-                      | _ -> lba
-                    in
-                    let payload = Bytes.sub disk.data (src_lba * block_size) block_size in
-                    let payload =
-                      match take disk (function Corrupt_block -> true | _ -> false) with
-                      | Some Corrupt_block ->
-                          (* Flip a mid-payload byte: real bit rot / malice
-                             lands in data, not padding. *)
-                          let i = 64 in
-                          Bytes.set payload i (Char.chr (Char.code (Bytes.get payload i) lxor 0xFF));
-                          payload
-                      | _ -> payload
-                    in
-                    { Block_wire.status = Block_wire.Ok_; rlba = lba; rpayload = payload }
-                | Block_wire.Write ->
-                    disk.writes <- disk.writes + 1;
-                    let len = min (Bytes.length req.Block_wire.payload) block_size in
-                    Bytes.blit req.Block_wire.payload 0 disk.data (lba * block_size) len;
-                    { Block_wire.status = Block_wire.Ok_; rlba = lba; rpayload = Bytes.empty }
-              end
-            in
-            let encoded = Block_wire.encode_response resp in
-            let encoded =
-              match take disk (function Lie_response_len -> true | _ -> false) with
-              | Some Lie_response_len ->
-                  (* Corrupt the embedded length field upward. *)
-                  let e = Bytes.copy encoded in
-                  Bytes.set_int32_le e 5 (Int32.of_int 1_000_000);
-                  e
-              | _ -> encoded
-            in
-            ignore (Ring.try_produce disk.resp_ring encoded);
-            disk.last_response <- Some encoded;
-            (match take disk (function Replay_response -> true | _ -> false) with
-            | Some Replay_response -> (
-                match disk.last_response with
-                | Some prev -> ignore (Ring.try_produce disk.resp_ring prev)
-                | None -> ())
-            | _ -> ());
-            go ())
-  in
-  go ()
+let rec disk_poll disk =
+  match Ring.try_consume ~pool:disk.host_pool disk.req_ring with
+  | None -> ()
+  | Some raw ->
+      serve disk raw;
+      Bufpool.recycle disk.host_pool raw;
+      disk_poll disk
 
-(* Guest-side API: synchronous convenience that drives the host inline
-   (the storage experiments do not need the network engine). *)
+(* Guest-side API: synchronous, driving the host inline (the storage
+   experiments do not need the network engine). One request is staged in
+   a pool buffer, copied once onto the ring, and its response is copied
+   once off the ring into another pool buffer and used in place. *)
 
-type result = Data of bytes | Write_ok | Failed of string
+type 'a reply = Data of 'a | Write_ok | Failed of string
+type result = bytes reply
 
-let submit t req =
+let no_payload _ _ = ()
+
+let transact t ~op ~lba ~len fill use =
   Cost.charge t.meter Cost.Ring 0;
-  Ring.try_produce t.client_req (Block_wire.encode_request req)
-
-let poll_response t =
-  match Ring.try_consume t.client_resp with
-  | None -> None
-  | Some raw -> (
-      match Block_wire.decode_response raw with
-      | None -> Some (Failed "malformed response")
-      | Some r ->
-          if r.Block_wire.status <> Block_wire.Ok_ then Some (Failed "device error")
+  let req = Bufpool.acquire t.pool (Block_wire.header_len + len) in
+  Block_wire.put_header req ~code:(Block_wire.op_code op) ~lba ~len;
+  fill req Block_wire.header_len;
+  let sent = Ring.try_produce t.client_req req in
+  Bufpool.recycle t.pool req;
+  if not sent then Failed "request ring full"
+  else begin
+    disk_poll t.disk;
+    match Ring.try_consume ~pool:t.pool t.client_resp with
+    | None -> Failed "no response"
+    | Some raw ->
+        let plen = Block_wire.payload_len raw in
+        let r =
+          if plen < 0 then Failed "malformed response"
           else begin
-            match Bytes.length r.Block_wire.rpayload with
-            | 0 -> Some Write_ok
-            | _ -> Some (Data r.Block_wire.rpayload)
-          end)
-
-let read_block t ~lba =
-  if not (submit t { Block_wire.op = Block_wire.Read; lba; payload = Bytes.empty }) then
-    Failed "request ring full"
-  else begin
-    disk_poll t.disk;
-    match poll_response t with
-    | Some r -> r
-    | None -> Failed "no response"
+            match Block_wire.status_of_code (Block_wire.code raw) with
+            | None -> Failed "malformed response"
+            | Some Block_wire.Error_ -> Failed "device error"
+            | Some Block_wire.Ok_ ->
+                if plen = 0 then Write_ok else Data (use raw Block_wire.header_len plen)
+          end
+        in
+        Bufpool.recycle t.pool raw;
+        r
   end
 
-let write_block t ~lba payload =
-  if Bytes.length payload > block_size then Failed "payload larger than block"
-  else if not (submit t { Block_wire.op = Block_wire.Write; lba; payload }) then
-    Failed "request ring full"
-  else begin
-    disk_poll t.disk;
-    match poll_response t with
-    | Some r -> r
-    | None -> Failed "no response"
-  end
+let read_with t ~lba use = transact t ~op:Block_wire.Read ~lba ~len:0 no_payload use
+
+let write_from t ~lba ~len fill =
+  if len > block_size then Failed "payload larger than block"
+  else transact t ~op:Block_wire.Write ~lba ~len fill Bytes.sub
+
+let write_sub t ~lba src ~off ~len =
+  write_from t ~lba ~len (fun dst dst_off -> Bytes.blit src off dst dst_off len)
+
+let read_block t ~lba = read_with t ~lba Bytes.sub
+let write_block t ~lba payload = write_sub t ~lba payload ~off:0 ~len:(Bytes.length payload)
 
 let meter t = t.meter
 let disk t = t.disk

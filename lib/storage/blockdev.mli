@@ -25,13 +25,39 @@ val disk_access_log : disk -> (Block_wire.op * int) list
 
 val disk_clear_log : disk -> unit
 
-type result = Data of bytes | Write_ok | Failed of string
+type 'a reply = Data of 'a | Write_ok | Failed of string
+(** A device reply: [Data] for a reply that carries a payload (the
+    payload itself, or what {!read_with}'s [use] made of it), [Write_ok]
+    for a success without one, [Failed] otherwise. *)
 
-val submit : t -> Block_wire.request -> bool
-val poll_response : t -> result option
+type result = bytes reply
+
+(** {2 In place}
+
+    Each call submits one request, runs the disk inline and consumes one
+    response. The request is staged in a buffer of the device's pool and
+    the response is consumed into another; both go back to the pool
+    before the call returns, so in steady state a block crossing
+    allocates no buffer. *)
+
+val read_with : t -> lba:int -> (bytes -> int -> int -> 'a) -> 'a reply
+(** [read_with t ~lba use] reads block [lba]. When the reply carries
+    data, [use buf off len] sees its payload in place — valid only during
+    the call — and its value comes back as [Data]. *)
+
+val write_from : t -> lba:int -> len:int -> (bytes -> int -> unit) -> result
+(** [write_from t ~lba ~len fill] writes a [len]-byte payload to block
+    [lba]: [fill buf off] puts it at [off] in the staged request buffer
+    (valid only during the call). Fails without submitting when [len]
+    exceeds [block_size]. *)
+
+val write_sub : t -> lba:int -> bytes -> off:int -> len:int -> result
+(** [write_from] with the payload copied from a slice of a buffer. *)
+
+(** {2 Copying wrappers} *)
 
 val read_block : t -> lba:int -> result
-(** Synchronous convenience: submits, runs the disk, returns the reply. *)
+(** Submits, runs the disk, returns the reply with its payload copied. *)
 
 val write_block : t -> lba:int -> bytes -> result
 

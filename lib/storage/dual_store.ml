@@ -22,13 +22,19 @@ open Cio_util
 open Cio_crypto
 open Cio_compartment
 
+(* App-private state per file name: the anti-rollback version and the
+   name's nonce prefix (the first bytes of SHA-256 of the name), hashed
+   once when the name is first written. *)
+type known = { mutable version : int; name_nonce : bytes }
+
 type t = {
   world : Compartment.t;
   app : Compartment.domain;
   store : Compartment.domain;
   fs : File.t;
   key : bytes;
-  versions : (string, int) Hashtbl.t;  (* app-private: anti-rollback *)
+  names : (string, known) Hashtbl.t;  (* app-private: anti-rollback *)
+  nonce : bytes;                      (* per-operation nonce *)
   meter : Cost.meter;
 }
 
@@ -47,7 +53,16 @@ let create ?(crossing = Compartment.Gate) ~dev ~key () =
   (* The quarantined file layer runs in Plain mode: it only ever sees
      ciphertext that the app sealed above it. *)
   let fs = File.create ~dev ~mode:File.Plain in
-  { world; app; store; fs; key; versions = Hashtbl.create 16; meter }
+  {
+    world;
+    app;
+    store;
+    fs;
+    key;
+    names = Hashtbl.create 16;
+    nonce = Bytes.create Aead.nonce_len;
+    meter;
+  }
 
 let world t = t.world
 let app_domain t = t.app
@@ -57,49 +72,55 @@ let crossings t = (Compartment.counters t.world).Compartment.crossings
 
 let enter_store t f = Compartment.call t.world ~caller:t.app ~callee:t.store f
 
-let aad ~name ~version =
-  let b = Bytes.of_string (Printf.sprintf "%s#%d" name version) in
-  b
+let aad ~name ~version = Bytes.of_string (name ^ "#" ^ string_of_int version)
 
-let nonce_of ~name ~version =
-  let h = Sha256.digest_string name in
-  let n = Bytes.sub h 0 Aead.nonce_len in
-  Bytes.set_int32_le n 0 (Int32.of_int version);
-  n
+(* Nonce: the name's nonce prefix with the version over its first four
+   bytes. *)
+let nonce t ~name_nonce ~version =
+  Bytes.blit name_nonce 0 t.nonce 0 Aead.nonce_len;
+  Bytes.set_int32_le t.nonce 0 (Int32.of_int version);
+  t.nonce
 
 let charge_crypto t nbytes = Cost.charge t.meter Cost.Crypto (Cost.aead_cost Cost.default nbytes)
 
 let write_file t ~name content =
   (* Seal in the app domain: name + fresh version bound into the AAD. *)
-  let version = 1 + Option.value ~default:0 (Hashtbl.find_opt t.versions name) in
+  let known = Hashtbl.find_opt t.names name in
+  let version, name_nonce =
+    match known with
+    | Some k -> (k.version + 1, k.name_nonce)
+    | None -> (1, Bytes.sub (Sha256.digest_string name) 0 Aead.nonce_len)
+  in
   charge_crypto t (Bytes.length content);
   let sealed =
-    Aead.seal ~key:t.key ~nonce:(nonce_of ~name ~version) ~aad:(aad ~name ~version) content
+    Aead.seal ~key:t.key ~nonce:(nonce t ~name_nonce ~version) ~aad:(aad ~name ~version) content
   in
   match enter_store t (fun () -> File.write_file t.fs ~name sealed) with
   | Ok () ->
-      Hashtbl.replace t.versions name version;
+      (match known with
+      | Some k -> k.version <- version
+      | None -> Hashtbl.replace t.names name { version; name_nonce });
       Ok ()
   | Error e -> Error (Store_error e)
 
 let read_file t ~name =
-  match Hashtbl.find_opt t.versions name with
+  match Hashtbl.find_opt t.names name with
   | None -> Error (Store_error File.Not_found_)
-  | Some version -> (
+  | Some { version; name_nonce } -> (
       match enter_store t (fun () -> File.read_file t.fs ~name) with
       | Error e -> Error (Store_error e)
       | Ok sealed -> (
           charge_crypto t (Bytes.length sealed);
           (* Unseal in the app domain against app-private name+version:
              wrong file, stale version or corrupt bytes all land here. *)
-          match Aead.open_ ~key:t.key ~nonce:(nonce_of ~name ~version) ~aad:(aad ~name ~version) sealed with
+          match Aead.open_ ~key:t.key ~nonce:(nonce t ~name_nonce ~version) ~aad:(aad ~name ~version) sealed with
           | Some content -> Ok content
           | None -> Error (Integrity "file failed authentication (corrupt/swapped/rolled back)")))
 
 let delete t ~name =
   match enter_store t (fun () -> File.delete t.fs name) with
   | Ok () ->
-      Hashtbl.remove t.versions name;
+      Hashtbl.remove t.names name;
       Ok ()
   | Error e -> Error (Store_error e)
 

@@ -32,7 +32,8 @@ type t = {
   mutable inodes : inode list;
   free : bool array;         (* block allocation bitmap (guest-private) *)
   versions : int array;      (* per-block write version (guest-private) *)
-  mutable rng_counter : int;
+  nonce : bytes;             (* per-block AEAD nonce *)
+  aad : bytes;               (* per-block AAD: lba + version *)
 }
 
 type error = Not_found_ | No_space | Io_error of string | Integrity of string
@@ -48,7 +49,15 @@ let create ~dev ~mode =
   | Sealed key when Bytes.length key <> Aead.key_len -> invalid_arg "File.create: bad key size"
   | _ -> ());
   let blocks = Blockdev.blocks dev in
-  { dev; mode; inodes = []; free = Array.make blocks true; versions = Array.make blocks 0; rng_counter = 0 }
+  {
+    dev;
+    mode;
+    inodes = [];
+    free = Array.make blocks true;
+    versions = Array.make blocks 0;
+    nonce = Bytes.create Aead.nonce_len;
+    aad = Bytes.create 8;
+  }
 
 let alloc_block t =
   let n = Array.length t.free in
@@ -61,55 +70,75 @@ let alloc_block t =
 
 let free_block t i = t.free.(i) <- true
 
-let chunk_of_mode t = match t.mode with Plain -> Blockdev.block_size | Sealed _ -> chunk_size
+let chunk t = match t.mode with Plain -> Blockdev.block_size | Sealed _ -> chunk_size
 
 let charge_crypto t nbytes =
   let m = Blockdev.meter t.dev in
   Cio_util.Cost.charge m Cio_util.Cost.Crypto (Cio_util.Cost.aead_cost Cio_util.Cost.default nbytes)
 
-let seal_chunk t ~lba chunk =
+let set_aad t ~lba ~version =
+  Bytes.set_int32_le t.aad 0 (Int32.of_int lba);
+  Bytes.set_int32_le t.aad 4 (Int32.of_int version)
+
+(* Sealed-block field offsets. *)
+let nonce_off = 4
+let len_off = nonce_off + Aead.nonce_len
+let ct_off = len_off + 2
+
+(* Write [len] bytes of [content] from [off] to block [lba]. Sealed mode
+   seals them straight into the device's staged request buffer. *)
+let write_chunk t ~lba content ~off ~len =
   match t.mode with
-  | Plain -> chunk
+  | Plain -> Blockdev.write_sub t.dev ~lba content ~off ~len
   | Sealed key ->
-      charge_crypto t (Bytes.length chunk);
+      charge_crypto t len;
       t.versions.(lba) <- t.versions.(lba) + 1;
       let version = t.versions.(lba) in
-      let nonce = Bytes.make Aead.nonce_len '\000' in
-      Bytes.set_int32_le nonce 0 (Int32.of_int lba);
-      Bytes.set_int32_le nonce 4 (Int32.of_int version);
-      let aad = Bytes.create 8 in
-      Bytes.set_int32_le aad 0 (Int32.of_int lba);
-      Bytes.set_int32_le aad 4 (Int32.of_int version);
-      let len = Bytes.length chunk in
-      let out = Bytes.create (seal_overhead + len) in
-      Bytes.set_int32_le out 0 (Int32.of_int version);
-      Bytes.blit nonce 0 out 4 Aead.nonce_len;
-      Bytes.set_uint16_le out (4 + Aead.nonce_len) (len + Aead.tag_len);
-      Aead.seal_into ~key ~nonce ~aad chunk ~src_off:0 ~len out ~dst_off:(4 + Aead.nonce_len + 2);
-      out
+      (* All twelve bytes: a read leaves the stored nonce here. *)
+      Bytes.set_int32_le t.nonce 0 (Int32.of_int lba);
+      Bytes.set_int32_le t.nonce 4 (Int32.of_int version);
+      Bytes.set_int32_le t.nonce 8 0l;
+      set_aad t ~lba ~version;
+      Blockdev.write_from t.dev ~lba ~len:(seal_overhead + len) (fun b o ->
+          Bytes.set_int32_le b o (Int32.of_int version);
+          Bytes.blit t.nonce 0 b (o + nonce_off) Aead.nonce_len;
+          Bytes.set_uint16_le b (o + len_off) (len + Aead.tag_len);
+          Aead.seal_into ~key ~nonce:t.nonce ~aad:t.aad content ~src_off:off ~len b
+            ~dst_off:(o + ct_off))
 
-let open_chunk t ~lba stored =
+let auth_failed = Integrity "block failed authentication (corrupt/remap/rollback)"
+
+(* Append the chunk held by one stored block ([len] bytes at [off] in
+   [b]) to [out] at [pos]; returns how many bytes were placed. Plain
+   mode clips to [out]'s end; sealed mode opens straight into [out]. *)
+let place_chunk t ~lba b ~off ~len out ~pos =
+  let room = Bytes.length out - pos in
   match t.mode with
-  | Plain -> Ok stored
+  | Plain ->
+      let n = min (min Blockdev.block_size len) room in
+      Bytes.blit b off out pos n;
+      Ok n
   | Sealed key ->
-      if Bytes.length stored < seal_overhead then Error (Integrity "sealed block too short")
+      if len < seal_overhead then Error (Integrity "sealed block too short")
       else begin
         (* The expected version comes from guest-private state, not from
            the (host-controlled) stored bytes: rollback cannot lie. The
            declared ciphertext length is untrusted and clamped. *)
         let expected_version = t.versions.(lba) in
-        let nonce = Bytes.sub stored 4 Aead.nonce_len in
-        let declared = Bytes.get_uint16_le stored (4 + Aead.nonce_len) in
-        let clen = min declared (Bytes.length stored - seal_overhead + Aead.tag_len) in
+        Bytes.blit b (off + nonce_off) t.nonce 0 Aead.nonce_len;
+        let declared = Bytes.get_uint16_le b (off + len_off) in
+        let clen = min declared (len - seal_overhead + Aead.tag_len) in
         charge_crypto t clen;
-        let aad = Bytes.create 8 in
-        Bytes.set_int32_le aad 0 (Int32.of_int lba);
-        Bytes.set_int32_le aad 4 (Int32.of_int expected_version);
-        let chunk = Bytes.create (max 0 (clen - Aead.tag_len)) in
-        if Aead.open_into ~key ~nonce ~aad stored ~src_off:(4 + Aead.nonce_len + 2) ~len:clen chunk
-             ~dst_off:0
-        then Ok chunk
-        else Error (Integrity "block failed authentication (corrupt/remap/rollback)")
+        set_aad t ~lba ~version:expected_version;
+        let plain = max 0 (clen - Aead.tag_len) in
+        (* A block authenticates only under the (lba, version) it was
+           sealed with, and holds exactly the chunk sealed then, which
+           fits: a longer claim cannot authenticate. *)
+        if plain <= room
+           && Aead.open_into ~key ~nonce:t.nonce ~aad:t.aad b ~src_off:(off + ct_off) ~len:clen out
+                ~dst_off:pos
+        then Ok plain
+        else Error auth_failed
       end
 
 let find t name = List.find_opt (fun i -> i.name = name) t.inodes
@@ -125,7 +154,7 @@ let delete t name =
 let write_file t ~name content =
   (* Replace semantics: drop any existing file first. *)
   (match delete t name with Ok () | Error Not_found_ -> () | Error _ -> ());
-  let chunk = chunk_of_mode t in
+  let chunk = chunk t in
   let size = Bytes.length content in
   let nblocks = max 1 ((size + chunk - 1) / chunk) in
   let rec place i acc =
@@ -135,12 +164,9 @@ let write_file t ~name content =
       | None ->
           List.iter (free_block t) acc;
           Error No_space
-      | Some lba ->
+      | Some lba -> (
           let off = i * chunk in
-          let len = min chunk (size - off) in
-          let piece = if len > 0 then Bytes.sub content off len else Bytes.empty in
-          let stored = seal_chunk t ~lba piece in
-          (match Blockdev.write_block t.dev ~lba stored with
+          match write_chunk t ~lba content ~off ~len:(min chunk (size - off)) with
           | Blockdev.Write_ok -> place (i + 1) (lba :: acc)
           | Blockdev.Failed e ->
               List.iter (free_block t) (lba :: acc);
@@ -156,29 +182,23 @@ let write_file t ~name content =
       t.inodes <- { name; size; inode_blocks = placed } :: t.inodes;
       Ok ()
 
+(* The result is allocated once, at the file's size, and each block's
+   chunk lands in it straight from the device's response buffer. *)
 let read_file t ~name =
   match find t name with
   | None -> Error Not_found_
   | Some inode ->
-      let chunk = chunk_of_mode t in
-      let out = Buffer.create inode.size in
-      let rec go = function
-        | [] ->
-            let all = Buffer.to_bytes out in
-            Ok (Bytes.sub all 0 (min inode.size (Bytes.length all)))
+      let out = Bytes.create inode.size in
+      let rec go pos = function
+        | [] -> Ok (if pos = inode.size then out else Bytes.sub out 0 pos)
         | lba :: rest -> (
-            match Blockdev.read_block t.dev ~lba with
+            match Blockdev.read_with t.dev ~lba (fun b off len -> place_chunk t ~lba b ~off ~len out ~pos) with
             | Blockdev.Failed e -> Error (Io_error e)
             | Blockdev.Write_ok -> Error (Io_error "unexpected write response")
-            | Blockdev.Data stored -> (
-                match open_chunk t ~lba stored with
-                | Error e -> Error e
-                | Ok piece ->
-                    Buffer.add_bytes out (Bytes.sub piece 0 (min chunk (Bytes.length piece)));
-                    go rest))
+            | Blockdev.Data (Error e) -> Error e
+            | Blockdev.Data (Ok n) -> go (pos + n) rest)
       in
-      ignore chunk;
-      go inode.inode_blocks
+      go 0 inode.inode_blocks
 
 let list_files t = List.map (fun i -> (i.name, i.size)) t.inodes
 let meter t = Blockdev.meter t.dev

@@ -13,6 +13,10 @@ val error_to_string : error -> string
 
 val create : dev:Blockdev.t -> mode:mode -> t
 
+val chunk : t -> int
+(** File bytes per block: [Blockdev.block_size] in [Plain] mode, less
+    the sealing overhead in [Sealed] mode. *)
+
 val write_file : t -> name:string -> bytes -> (unit, error) result
 (** Replace semantics. *)
 

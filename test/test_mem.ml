@@ -287,6 +287,35 @@ let test_bufpool_rejects_nonpositive () =
     (Invalid_argument "Bufpool.acquire: length must be positive") (fun () ->
       ignore (Bufpool.acquire p (-3)))
 
+let test_bufpool_reuse_allocates_nothing () =
+  let p = Bufpool.create () in
+  let lens = [| 9; 25; 1514; 4105 |] in
+  let pairs () =
+    for i = 0 to 999 do
+      Bufpool.recycle p (Bufpool.acquire p lens.(i land 3))
+    done
+  in
+  pairs ();
+  let w0 = Gc.minor_words () in
+  pairs ();
+  let words = int_of_float (Gc.minor_words () -. w0) in
+  Alcotest.(check int) "1000 steady-state pairs allocate 0 words" 0 words;
+  let s = Bufpool.stats p in
+  Alcotest.(check int) "one fresh buffer per length" 4 s.Bufpool.fresh;
+  Alcotest.(check int) "every other acquire reused" 1996 s.Bufpool.reused
+
+let test_bufpool_reuse_across_growth () =
+  (* Every buffer recycled past the free list's initial size comes back,
+     each exactly once. *)
+  let p = Bufpool.create () in
+  let bs = List.init 10 (fun _ -> Bufpool.acquire p 64) in
+  List.iter (Bufpool.recycle p) bs;
+  let again = List.init 10 (fun _ -> Bufpool.acquire p 64) in
+  Alcotest.(check bool) "same buffers" true
+    (List.for_all (fun b -> List.length (List.filter (( == ) b) again) = 1) bs);
+  Alcotest.(check int) "no fresh buffer on reuse" 10 (Bufpool.stats p).Bufpool.fresh;
+  Alcotest.(check int) "nothing retained" 0 (Bufpool.retained p)
+
 let prop_bufpool_acquire_is_exact_and_balanced =
   QCheck.Test.make ~name:"bufpool acquires are exact-length; stats balance" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 40) (int_range 1 4096))
@@ -481,6 +510,10 @@ let suite =
     Alcotest.test_case "bufpool: class cap drops overflow" `Quick test_bufpool_class_cap_drops;
     Alcotest.test_case "bufpool: non-positive length rejected" `Quick
       test_bufpool_rejects_nonpositive;
+    Alcotest.test_case "bufpool: reuse allocates nothing" `Quick
+      test_bufpool_reuse_allocates_nothing;
+    Alcotest.test_case "bufpool: reuse across growth" `Quick
+      test_bufpool_reuse_across_growth;
     Alcotest.test_case "sanitizer: off by default, counts nothing" `Quick
       test_sanitizer_off_counts_nothing;
     Alcotest.test_case "sanitizer: overlapping fetch counted" `Quick

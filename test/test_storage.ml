@@ -320,3 +320,313 @@ let suite =
     Alcotest.test_case "dual store: delete" `Quick test_dual_store_delete;
     Helpers.qtest prop_sealed_roundtrip;
   ]
+
+(* --- the pooled block path -------------------------------------------- *)
+
+let key = Bytes.make 32 'K'
+
+let test_dual_store_nonce_aad_formula () =
+  (* The app seals file [name] at [version] under nonce = the first 12
+     bytes of SHA-256(name) with the version over bytes 0-3, and AAD =
+     "name#version". The file layer is Plain and allocates first-fit, so
+     a one-block sealed file sits at lba 0: its bytes must be exactly
+     that sealing, across versions and after a delete. *)
+  let expected ~name ~version content =
+    let nonce = Bytes.sub (Cio_crypto.Sha256.digest_string name) 0 Cio_crypto.Aead.nonce_len in
+    Bytes.set_int32_le nonce 0 (Int32.of_int version);
+    let aad = Bytes.of_string (Printf.sprintf "%s#%d" name version) in
+    Cio_crypto.Aead.seal ~key ~nonce ~aad content
+  in
+  let check_write store dev ~name ~version =
+    let content = Bytes.init (100 + version) (fun i -> Char.chr (((i * 5) + version) land 0xFF)) in
+    (match Dual_store.write_file store ~name content with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Dual_store.error_to_string e));
+    let want = expected ~name ~version content in
+    match Blockdev.read_block dev ~lba:0 with
+    | Blockdev.Data b ->
+        Helpers.check_bytes (Printf.sprintf "%S v%d" name version) want (Bytes.sub b 0 (Bytes.length want))
+    | _ -> Alcotest.fail "raw block read failed"
+  in
+  List.iter
+    (fun name ->
+      let dev, _ = make_dev () in
+      let store = Dual_store.create ~dev ~key () in
+      for version = 1 to 12 do
+        check_write store dev ~name ~version
+      done;
+      (match Dual_store.delete store ~name with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Dual_store.error_to_string e));
+      check_write store dev ~name ~version:1;
+      check_write store dev ~name ~version:2)
+    [ ""; "a"; "doc"; "file#1"; "\xc3\xbcnic\xc3\xb8de"; String.make 300 'n' ]
+
+(* Differential test: random write/read/delete sequences against a
+   Hashtbl model of the contents and a first-fit model of the block
+   allocator, which fixes the (op, lba) sequence the disk must see. *)
+
+type size = Zero | One | Chunk | Chunk_plus_one | Three_chunks | Bytes_ of int
+type fop = Write of int * size | Read of int | Delete of int
+
+let size_of chunk = function
+  | Zero -> 0
+  | One -> 1
+  | Chunk -> chunk
+  | Chunk_plus_one -> chunk + 1
+  | Three_chunks -> 3 * chunk
+  | Bytes_ n -> n
+
+let print_fop = function
+  | Write (f, s) ->
+      let s =
+        match s with
+        | Zero -> "0"
+        | One -> "1"
+        | Chunk -> "chunk"
+        | Chunk_plus_one -> "chunk+1"
+        | Three_chunks -> "3*chunk"
+        | Bytes_ n -> string_of_int n
+      in
+      Printf.sprintf "write f%d %s" f s
+  | Read f -> Printf.sprintf "read f%d" f
+  | Delete f -> Printf.sprintf "delete f%d" f
+
+let gen_fops =
+  let open QCheck.Gen in
+  let file = int_bound 3 in
+  let size =
+    frequency
+      [
+        (1, return Zero);
+        (1, return One);
+        (1, return Chunk);
+        (1, return Chunk_plus_one);
+        (1, return Three_chunks);
+        (2, map (fun n -> Bytes_ n) (int_bound 12_000));
+      ]
+  in
+  list_size (int_range 1 30)
+    (frequency
+       [
+         (3, map2 (fun f s -> Write (f, s)) file size);
+         (3, map (fun f -> Read f) file);
+         (1, map (fun f -> Delete f) file);
+       ])
+
+let run_against_model mode fops =
+  let dev, disk = make_dev () in
+  let fs = File.create ~dev ~mode in
+  let chunk = File.chunk fs in
+  let files = Hashtbl.create 4 in
+  let free = Array.make (Blockdev.blocks dev) true in
+  let log = ref [] in
+  let expect op lbas = List.iter (fun lba -> log := (op, lba) :: !log) lbas in
+  let release name =
+    match Hashtbl.find_opt files name with
+    | Some (_, lbas) ->
+        List.iter (fun lba -> free.(lba) <- true) lbas;
+        Hashtbl.remove files name
+    | None -> ()
+  in
+  let rec first_fit n lba =
+    if n = 0 then []
+    else if free.(lba) then begin
+      free.(lba) <- false;
+      lba :: first_fit (n - 1) (lba + 1)
+    end
+    else first_fit n (lba + 1)
+  in
+  let step i fop =
+    match fop with
+    | Write (f, s) ->
+        let name = Printf.sprintf "f%d" f in
+        let size = size_of chunk s in
+        let content = Bytes.init size (fun j -> Char.chr (((j * 31) + (i * 7) + f) land 0xFF)) in
+        release name;
+        let lbas = first_fit (max 1 ((size + chunk - 1) / chunk)) 0 in
+        Hashtbl.replace files name (content, lbas);
+        expect Block_wire.Write lbas;
+        File.write_file fs ~name content = Ok ()
+    | Read f -> (
+        let name = Printf.sprintf "f%d" f in
+        match (Hashtbl.find_opt files name, File.read_file fs ~name) with
+        | None, Error File.Not_found_ -> true
+        | Some (content, lbas), Ok got ->
+            expect Block_wire.Read lbas;
+            Bytes.equal content got
+        | _ -> false)
+    | Delete f -> (
+        let name = Printf.sprintf "f%d" f in
+        let known = Hashtbl.mem files name in
+        release name;
+        match File.delete fs name with
+        | Ok () -> known
+        | Error File.Not_found_ -> not known
+        | Error _ -> false)
+  in
+  let rec go i = function [] -> true | fop :: rest -> step i fop && go (i + 1) rest in
+  go 0 fops && Blockdev.disk_access_log disk = List.rev !log
+
+let prop_pooled_path_matches_model =
+  QCheck.Test.make ~name:"pooled block path matches the model (plain and sealed)" ~count:100
+    (QCheck.make ~print:QCheck.Print.(list print_fop) gen_fops)
+    (fun fops ->
+      run_against_model File.Plain fops && run_against_model (File.Sealed key) fops)
+
+(* Each misbehaviour, on a device whose pools already recycle buffers of
+   every size the file path uses. *)
+
+let warmed mode =
+  let dev, disk = make_dev () in
+  let fs = File.create ~dev ~mode in
+  for i = 0 to 3 do
+    ignore (File.write_file fs ~name:"warm" (Bytes.make ((2 * File.chunk fs) + i) 'w'));
+    ignore (File.read_file fs ~name:"warm")
+  done;
+  ignore (File.delete fs "warm");
+  Blockdev.disk_clear_log disk;
+  (disk, fs)
+
+let write fs name content =
+  match File.write_file fs ~name content with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (File.error_to_string e)
+
+let read_is what fs name want =
+  match (File.read_file fs ~name, want) with
+  | Ok got, Ok want -> Helpers.check_bytes what want got
+  | Error (File.Integrity _), Error (File.Integrity _) -> ()
+  | Error got, Error want when got = want -> ()
+  | Ok _, Error _ -> Alcotest.fail (what ^ ": read succeeded")
+  | Error e, _ -> Alcotest.fail (what ^ ": " ^ File.error_to_string e)
+
+let integrity = Error (File.Integrity "")
+let sealed = File.Sealed key
+let reads lbas = List.map (fun lba -> (Block_wire.Read, lba)) lbas
+
+let test_warm_corrupt_block () =
+  List.iter
+    (fun mode ->
+      let disk, fs = warmed mode in
+      let content = Bytes.make 1000 'p' in
+      write fs "f" content;
+      Blockdev.disk_inject disk Blockdev.Corrupt_block;
+      let flipped = Bytes.copy content in
+      Bytes.set flipped 64 (Char.chr (Char.code 'p' lxor 0xFF));
+      read_is "corrupted read" fs "f" (if mode = File.Plain then Ok flipped else integrity);
+      read_is "next read clean" fs "f" (Ok content))
+    [ File.Plain; sealed ]
+
+let test_warm_wrong_lba () =
+  List.iter
+    (fun mode ->
+      (* b's block holds more than a's: sealed mode must fail closed,
+         not open past a's end. *)
+      let disk, fs = warmed mode in
+      write fs "a" (Bytes.make 1000 'a');
+      write fs "b" (Bytes.make 3000 'b');
+      Blockdev.disk_clear_log disk;
+      Blockdev.disk_inject disk Blockdev.Wrong_lba;
+      read_is "remapped read" fs "a" (if mode = File.Plain then Ok (Bytes.make 1000 'b') else integrity);
+      read_is "next read clean" fs "a" (Ok (Bytes.make 1000 'a'));
+      Alcotest.(check bool) "log keeps the requested lba" true
+        (Blockdev.disk_access_log disk = reads [ 0; 0 ]))
+    [ File.Plain; sealed ]
+
+let test_warm_lie_response_len () =
+  List.iter
+    (fun mode ->
+      let disk, fs = warmed mode in
+      write fs "f" (Bytes.make 5000 'l');
+      Blockdev.disk_inject disk Blockdev.Lie_response_len;
+      read_is "lying read" fs "f" (Error (File.Io_error "malformed response"));
+      read_is "next read clean" fs "f" (Ok (Bytes.make 5000 'l')))
+    [ File.Plain; sealed ]
+
+let test_warm_replay_response () =
+  (* The replayed response stays queued, so every later reply is one
+     behind: its bytes must still be the original response's, although
+     the pools have since staged other responses in the same buffers. *)
+  List.iter
+    (fun mode ->
+      let disk, fs = warmed mode in
+      let a = Bytes.make 1000 'a' and b = Bytes.make 1000 'b' in
+      write fs "a" a;
+      write fs "b" b;
+      Blockdev.disk_clear_log disk;
+      Blockdev.disk_inject disk Blockdev.Replay_response;
+      let stale want = if mode = File.Plain then Ok want else integrity in
+      read_is "replayed read" fs "a" (Ok a);
+      read_is "b gets a's replay" fs "b" (stale a);
+      read_is "a gets b's reply" fs "a" (stale b);
+      (match File.write_file fs ~name:"c" (Bytes.make 10 'c') with
+      | Error (File.Io_error "unexpected data response") -> ()
+      | Ok () -> Alcotest.fail "write took a read reply"
+      | Error e -> Alcotest.fail (File.error_to_string e));
+      read_is "read gets the write's reply" fs "a" (Error (File.Io_error "unexpected write response"));
+      Alcotest.(check bool) "access log" true
+        (Blockdev.disk_access_log disk = reads [ 0; 1; 0 ] @ [ (Block_wire.Write, 2) ] @ reads [ 0 ]))
+    [ File.Plain; sealed ]
+
+let test_sealed_nonce_not_inherited_from_reads () =
+  (* Sealed mode opens with the nonce stored in the block (host bytes);
+     the next seal must still use lba, version and four zero bytes. *)
+  let dev, _ = make_dev () in
+  let fs = sealed_fs dev in
+  write fs "f" (Bytes.make 100 'f');
+  (match Blockdev.read_block dev ~lba:0 with
+  | Blockdev.Data b ->
+      Bytes.set_int32_le b 12 0x5a5a5a5al;
+      ignore (Blockdev.write_block dev ~lba:0 b)
+  | _ -> Alcotest.fail "raw block read failed");
+  read_is "tampered nonce" fs "f" integrity;
+  write fs "g" (Bytes.make 100 'g');
+  match Blockdev.read_block dev ~lba:1 with
+  | Blockdev.Data b -> Alcotest.(check int32) "nonce bytes 8-11" 0l (Bytes.get_int32_le b 12)
+  | _ -> Alcotest.fail "raw block read failed"
+
+let test_warm_plain_roundtrip_allocation () =
+  let dev, _ = make_dev () in
+  let fs = File.create ~dev ~mode:File.Plain in
+  let content = Bytes.init 8208 (fun i -> Char.chr (i land 0xFF)) in
+  let op () =
+    write fs "f" content;
+    match File.read_file fs ~name:"f" with
+    | Ok got -> got
+    | Error e -> Alcotest.fail (File.error_to_string e)
+  in
+  for _ = 1 to 10 do
+    ignore (op ())
+  done;
+  (* An empty minor heap: nothing is promoted during the op, so major
+     words are direct major allocations only. *)
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let got = op () in
+  let minor = int_of_float (Gc.minor_words () -. minor0) in
+  let _, _, major1 = Gc.counters () in
+  Helpers.check_bytes "content" content got;
+  let major = int_of_float (major1 -. major0) and result = Obj.reachable_words (Obj.repr got) in
+  Alcotest.(check bool)
+    (Printf.sprintf "major words %d <= the returned buffer's %d" major result)
+    true (major <= result);
+  (* The copying path allocated 1591 minor words and 17480 major words
+     for this write+read. *)
+  Alcotest.(check bool) (Printf.sprintf "minor words %d < 1591" minor) true (minor < 1591)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "dual store: nonce and AAD formula" `Quick test_dual_store_nonce_aad_formula;
+      Helpers.qtest prop_pooled_path_matches_model;
+      Alcotest.test_case "pooled path: corrupt block after reuse" `Quick test_warm_corrupt_block;
+      Alcotest.test_case "pooled path: wrong lba after reuse" `Quick test_warm_wrong_lba;
+      Alcotest.test_case "pooled path: length lie after reuse" `Quick test_warm_lie_response_len;
+      Alcotest.test_case "pooled path: replay after reuse" `Quick test_warm_replay_response;
+      Alcotest.test_case "pooled path: sealed nonce not inherited from reads" `Quick
+        test_sealed_nonce_not_inherited_from_reads;
+      Alcotest.test_case "pooled path: plain 8208 B write+read allocation" `Quick
+        test_warm_plain_roundtrip_allocation;
+    ]
