@@ -258,24 +258,7 @@ let run_micro ?(smoke = false) () =
 
 (* --- machine-readable output (--json) -------------------------------- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"'
+let add_json_string buf s = Cio_util.Json_lite.(write buf (Str s))
 
 let micro_ns_per_run results =
   (* merged results: measure label -> (test name -> OLS). One instance

@@ -48,16 +48,3 @@ let default =
     use_notifications = false;
     pad_frames = false;
   }
-
-let data_capacity t =
-  match t.positioning with
-  | Inline { data_capacity } -> data_capacity
-  | Pool { pool_slot_size; _ } -> pool_slot_size
-  | Indirect { pool_slot_size; _ } -> pool_slot_size
-
-let positioning_name = function
-  | Inline _ -> "inline"
-  | Pool _ -> "pool"
-  | Indirect _ -> "indirect"
-
-let rx_strategy_name = function Copy_in -> "copy" | Revoke -> "revoke"

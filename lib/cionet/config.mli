@@ -22,9 +22,3 @@ type t = {
 }
 
 val default : t
-
-val data_capacity : t -> int
-(** Maximum message payload under the configured positioning. *)
-
-val positioning_name : positioning -> string
-val rx_strategy_name : rx_strategy -> string

@@ -32,8 +32,7 @@ type t = {
   mutable generation : int;  (* bumped on every hot swap *)
   mutable tx_frames : int;
   mutable rx_frames : int;
-  pool : Bufpool.t;       (* RX buffer recycling; stable across hot swaps *)
-  pad_scratch : bytes option;  (* preallocated pad buffer (pad_frames only) *)
+  pool : Bufpool.t;       (* RX/pad buffer recycling; stable across hot swaps *)
 }
 
 let config_bytes = 64
@@ -85,9 +84,6 @@ let create ?(model = Cost.default) ?meter ?host_meter ~name (config : Config.t) 
     tx_frames = 0;
     rx_frames = 0;
     pool = Bufpool.create ();
-    pad_scratch =
-      (if config.Config.pad_frames then Some (Bytes.create (config.Config.mtu + 14))
-       else None);
   }
 
 let region t = t.inst.region
@@ -130,19 +126,6 @@ let kick t n =
     if Trace.on () then Trace.instant ~cat:Kind.l2 Kind.kick
   end
 
-(* Size padding: the host sees uniform frames. Receivers strip the
-   padding via the IPv4 total-length field. The scratch buffer is safe to
-   reuse because [try_produce] copies the payload into the region before
-   returning. *)
-let pad t frame =
-  match t.pad_scratch with
-  | Some scratch when Bytes.length frame < Bytes.length scratch ->
-      let len = Bytes.length frame in
-      Bytes.blit frame 0 scratch 0 len;
-      Bytes.fill scratch len (Bytes.length scratch - len) '\000';
-      scratch
-  | _ -> frame
-
 (* Backpressure surface: TX-ring occupancy, from the guest-private
    cursors (see Ring.occupancy). *)
 let tx_occupancy t = Ring.occupancy t.inst.tx
@@ -151,34 +134,14 @@ let tx_pressure t =
   Cio_overload.Pressure.level_of_occupancy ~used:(Ring.occupancy t.inst.tx)
     ~capacity:(Ring.slots t.inst.tx)
 
-(* Typed transmit: the ring refusing a frame is a signal, not a silent
-   [false]. [transmit] below keeps the boolean shape for callers that
-   predate the overload plane. *)
-let transmit_ex t frame =
-  let frame = pad t frame in
-  let traced = Trace.on () in
-  if traced then Trace.span_begin ~cat:Kind.l2 "tx";
-  let ok = Ring.try_produce t.inst.tx frame in
-  if ok then begin
-    t.tx_frames <- t.tx_frames + 1;
-    Metrics.inc m_tx;
-    kick t 1
-  end
-  else Cio_overload.Pressure.note_ring_full ();
-  if traced then Trace.span_end ~cat:Kind.l2 "tx";
-  if ok then Cio_overload.Pressure.Accepted
-  else Cio_overload.Pressure.(Backpressure Ring_full)
-
-let transmit t frame =
-  match transmit_ex t frame with
-  | Cio_overload.Pressure.Accepted -> true
-  | Cio_overload.Pressure.Backpressure _ -> false
-
-(* Burst transmit: one ring crossing, one doorbell, for the whole batch.
-   Padded short frames are staged in pool buffers (recycled immediately
-   after the ring copies them out), so the burst path performs no
-   per-frame allocation in steady state. Returns how many frames went
-   in; the tail of the batch is the caller's to retry. *)
+(* Transmit: one ring crossing, one doorbell, for the whole batch.
+   Size padding ([pad_frames]) shows the host uniform frames; receivers
+   strip it via the IPv4 total-length field. Padded short frames are
+   staged in pool buffers (recycled immediately after the ring copies
+   them out), so padding performs no per-frame allocation in steady
+   state. Returns how many frames went in; the tail of the batch is the
+   caller's to retry, and a short count is signalled to the overload
+   plane as [overload.bp.ring_full]. *)
 let transmit_burst t frames =
   let n_in = Array.length frames in
   if n_in = 0 then 0
@@ -217,14 +180,8 @@ let transmit_burst t frames =
     n
   end
 
-(* Burst transmit with a typed tail outcome: [(n, Accepted)] when the
-   whole batch went in, [(n, Backpressure Ring_full)] when the ring
-   filled after [n] frames and the tail is the caller's to hold. *)
-let transmit_burst_ex t frames =
-  let n = transmit_burst t frames in
-  if n < Array.length frames then
-    (n, Cio_overload.Pressure.(Backpressure Ring_full))
-  else (n, Cio_overload.Pressure.Accepted)
+(* A single frame is a burst of one: same charges, same counters. *)
+let transmit t frame = transmit_burst t [| frame |] = 1
 
 let got_rx t frame =
   t.rx_frames <- t.rx_frames + 1;
@@ -239,15 +196,15 @@ let poll t =
       (match r with Some f -> got_rx t f | None -> ());
       r
   | Config.Revoke -> (
-      match Ring.try_consume_revoke ~pool:t.pool t.inst.rx with
-      | None -> None
-      | Some zc ->
-          got_rx t zc.Ring.data;
+      match Ring.try_consume_revoke_burst ~pool:t.pool ~max:1 t.inst.rx with
+      | Some { Ring.frames = [ f ]; release } ->
+          got_rx t f;
           (* The netif contract hands out an owned buffer, so release the
              slot immediately; the data bytes were captured while the
              pages were private, which is the property that matters. *)
-          zc.Ring.release ();
-          Some zc.Ring.data)
+          release ();
+          Some f
+      | _ -> None)
 
 (* Burst receive: drain up to [max] frames in one crossing. In [Revoke]
    mode the whole contiguous run is revoked with a single shootdown and
@@ -272,13 +229,6 @@ let poll_burst ?(max = 64) t =
 
 let recycle t b = Bufpool.recycle t.pool b
 let pool t = t.pool
-
-let poll_zero_copy t =
-  match Ring.try_consume_revoke t.inst.rx with
-  | None -> None
-  | Some zc ->
-      got_rx t zc.Ring.data;
-      Some zc
 
 let to_netif t =
   {

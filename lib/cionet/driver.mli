@@ -34,17 +34,9 @@ val hot_swap : t -> unit
     re-attach (see {!Host_model.reattach}). *)
 
 val transmit : t -> bytes -> bool
+(** [transmit t f] is [transmit_burst t [| f |] = 1]. *)
+
 val poll : t -> bytes option
-
-val transmit_ex : t -> bytes -> Cio_overload.Pressure.outcome
-(** Typed transmit: [Backpressure Ring_full] when the TX ring has no
-    EMPTY slot (also counted as [overload.bp.ring_full]). [transmit] is
-    the boolean shim over this. *)
-
-val transmit_burst_ex : t -> bytes array -> int * Cio_overload.Pressure.outcome
-(** Burst transmit with a typed tail outcome: [(n, Accepted)] when the
-    whole batch was placed, [(n, Backpressure Ring_full)] when the ring
-    filled after [n] frames. *)
 
 val tx_occupancy : t -> int
 (** TX-ring slots in flight (guest-private cursors; host-independent). *)
@@ -55,8 +47,10 @@ val tx_pressure : t -> Cio_overload.Pressure.level
 val transmit_burst : t -> bytes array -> int
 (** Place up to a whole batch in one ring crossing with at most one
     doorbell (coalesced under [use_notifications]); returns how many
-    frames went in. Short frames are padded via pool buffers when
-    [pad_frames] is set — no per-frame allocation in steady state. *)
+    frames went in. A short count means the TX ring filled; it is also
+    counted as [overload.bp.ring_full]. Short frames are padded via pool
+    buffers when [pad_frames] is set — no per-frame allocation in steady
+    state. *)
 
 val poll_burst : ?max:int -> t -> bytes list
 (** Drain up to [max] (default 64) RX frames in one crossing, FIFO. In
@@ -69,9 +63,5 @@ val recycle : t -> bytes -> unit
 
 val pool : t -> Cio_mem.Bufpool.t
 (** The driver's RX/staging buffer pool (stable across hot swaps). *)
-
-val poll_zero_copy : t -> Ring.zero_copy option
-(** Revocation receive that keeps the slot until [release] (for callers
-    that can consume in place). *)
 
 val to_netif : t -> Cio_tcpip.Netif.t

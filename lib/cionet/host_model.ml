@@ -45,7 +45,6 @@ type t = {
   pool : Bufpool.t;  (* staging buffers for pending RX frames *)
   pending_rx : bytes Queue.t;
   mutable misbehaviors : misbehavior list;
-  mutable last_frame : bytes option;
   (* Modal faults: unlike the one-shot header sabotage, these describe a
      host *condition* that persists for a counted number of polls/frames.
      A stalled or frozen host is indistinguishable from a dead one to the
@@ -69,7 +68,6 @@ let create ~(driver : Driver.t) ~transmit =
     pool = Bufpool.create ();
     pending_rx = Queue.create ();
     misbehaviors = [];
-    last_frame = None;
     stall_polls = 0;
     freeze_polls = 0;
     drop_frames = 0;
@@ -107,9 +105,6 @@ let inject t m =
   | Silent_drop n -> t.drop_frames <- t.drop_frames + max 0 n
   | Ring_freeze n -> t.freeze_polls <- t.freeze_polls + max 0 n
   | _ -> t.misbehaviors <- t.misbehaviors @ [ m ]
-
-let stalled t = t.stall_polls > 0
-let frozen t = t.freeze_polls > 0
 
 let take t pred =
   let rec go acc = function
@@ -186,110 +181,87 @@ let sabotage t =
                  end))
       | _ -> ())
 
-let poll t =
-  if t.stall_polls > 0 then
-    (* A stalled host services nothing: TX backs up, RX starves. The
-       guest-side watchdog is the only way out — the stateless interface
-       means its reset loses nothing the transport cannot replay. *)
-    t.stall_polls <- t.stall_polls - 1
+(* Region faults are absorbed: from the host's view a revoked page is
+   simply unmapped. *)
+let note_fault t =
+  t.stats.faults <- t.stats.faults + 1;
+  Metrics.inc m_faults;
+  if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
+
+(* TX direction: drain the guest's ring in bursts and forward in FIFO
+   order, up to [left] frames. A fault mid-burst (revoked pages, e.g. a
+   hot swap racing the drain) loses the in-flight batch, exactly like a
+   cable pull. *)
+let rec drain_tx t left =
+  let k = min 64 left in
+  if k > 0 then
+    match Ring.try_consume_burst ~max:k t.driver_tx with
+    | [] -> ()
+    | frames ->
+        List.iter
+          (fun frame ->
+            t.stats.tx_forwarded <- t.stats.tx_forwarded + 1;
+            Metrics.inc m_tx_forwarded;
+            t.transmit frame)
+          frames;
+        drain_tx t (left - List.length frames)
+    | exception Region.Fault _ -> note_fault t
+
+let corrupt frame =
+  let f = Bytes.copy frame in
+  if Bytes.length f > 0 then Bytes.set f 0 (Char.chr (Char.code (Bytes.get f 0) lxor 0xFF));
+  f
+
+(* RX direction: push pending frames into the guest's RX ring, [batch]
+   frames per ring crossing, up to [left] frames. With [batch = 1] every
+   frame can take its detour: silent drop, payload corruption, header
+   sabotage of the slot it landed in, replay. Produced staging buffers
+   go back to the pool except the newest of each batch, which is left to
+   the GC (recycling it as well measured a higher heap top on the 8 KiB
+   echo), so a batch of one recycles nothing. A fault loses the frames
+   in flight. *)
+let rec fill_rx t ~batch left =
+  if t.drop_frames > 0 && not (Queue.is_empty t.pending_rx) then begin
+    (* Silent drop: the frame vanishes without any ring activity, as if
+       the wire had eaten it. Nothing to detect at L2; TCP's timers own
+       this failure. *)
+    ignore (Queue.take t.pending_rx);
+    t.drop_frames <- t.drop_frames - 1;
+    t.stats.rx_dropped <- t.stats.rx_dropped + 1;
+    Metrics.inc m_rx_dropped;
+    if Trace.on () then Trace.instant ~cat:Kind.l2 "host-rx-drop";
+    fill_rx t ~batch left
+  end
   else begin
-  let quota = match t.service_quota with Some q -> max 0 q | None -> max_int in
-  let tx_left = ref quota in
-  let rx_left = ref quota in
-  (* TX direction: drain the guest's ring in bursts and forward in FIFO
-     order, up to the service quota. A fault mid-burst (revoked pages,
-     e.g. a hot swap racing the drain) loses the in-flight batch, exactly
-     like a cable pull. *)
-  let rec drain_tx () =
-    let k = min 64 !tx_left in
-    if k > 0 then
-      match Ring.try_consume_burst ~max:k t.driver_tx with
-      | [] -> ()
-      | frames ->
-          tx_left := !tx_left - List.length frames;
-          List.iter
-            (fun frame ->
-              t.stats.tx_forwarded <- t.stats.tx_forwarded + 1;
-              Metrics.inc m_tx_forwarded;
-              t.transmit frame)
-            frames;
-          drain_tx ()
-      | exception Region.Fault _ ->
-          t.stats.faults <- t.stats.faults + 1;
-          Metrics.inc m_faults;
-          if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
-  in
-  drain_tx ();
-  (* RX direction: push pending frames into the guest's RX ring. *)
-  let rec fill_rx () =
-    if t.drop_frames > 0 && not (Queue.is_empty t.pending_rx) then begin
-      (* Silent drop: the frame vanishes without any ring activity, as if
-         the wire had eaten it. Nothing to detect at L2; TCP's timers own
-         this failure. *)
-      ignore (Queue.take t.pending_rx);
-      t.drop_frames <- t.drop_frames - 1;
-      t.stats.rx_dropped <- t.stats.rx_dropped + 1;
-      Metrics.inc m_rx_dropped;
-      if Trace.on () then Trace.instant ~cat:Kind.l2 "host-rx-drop";
-      fill_rx ()
-    end
-    else if (not (Queue.is_empty t.pending_rx)) && !rx_left > 0 then begin
-      let frame = Queue.peek t.pending_rx in
-      let frame =
-        match take t (function Corrupt_payload -> true | _ -> false) with
-        | Some Corrupt_payload ->
-            let f = Bytes.copy frame in
-            if Bytes.length f > 0 then
-              Bytes.set f 0 (Char.chr (Char.code (Bytes.get f 0) lxor 0xFF));
-            f
-        | _ -> frame
-      in
-      match Ring.try_produce t.driver_rx frame with
-      | true ->
-          ignore (Queue.take t.pending_rx);
-          rx_left := !rx_left - 1;
-          t.stats.rx_injected <- t.stats.rx_injected + 1;
-          Metrics.inc m_rx_injected;
-          t.last_frame <- Some frame;
-          sabotage t;
-          (match take t (function Replay_slot -> true | _ -> false) with
-          | Some Replay_slot ->
-              (* Republish the same payload: a temporal attack. The safe
-                 ring makes this indistinguishable from the host licitly
-                 delivering the same bytes twice — exactly the paper's
-                 point that L2 cannot and need not stop replays; the L5
-                 record layer must (and does, see cio_tls tests). *)
-              ignore (Ring.try_produce t.driver_rx frame)
-          | _ -> ());
-          fill_rx ()
-      | false -> ()
-      | exception Region.Fault _ ->
-          t.stats.faults <- t.stats.faults + 1;
-          Metrics.inc m_faults;
-          if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault";
-          ignore (Queue.take t.pending_rx)
-    end
-  in
-  (* Fast path: no misbehaviour pending and the whole region shared means
-     burst produce cannot take a per-frame detour (corruption, sabotage,
-     replay) or fault slot-by-slot; inject whole batches and recycle the
-     staging buffers the ring has already copied out. [last_frame] keeps
-     the newest buffer un-recycled because a later slow-path replay may
-     republish it. *)
-  let rec fill_rx_burst () =
-    let k = min (min 64 !rx_left) (Queue.length t.pending_rx) in
+    let k = min (min batch left) (Queue.length t.pending_rx) in
     if k > 0 then begin
       let frames = Array.init k (fun _ -> Queue.take t.pending_rx) in
-      match Ring.try_produce_burst t.driver_rx frames with
+      let staged =
+        match take t (function Corrupt_payload -> true | _ -> false) with
+        | Some _ ->
+            let s = Array.copy frames in
+            s.(0) <- corrupt frames.(0);
+            s
+        | None -> frames
+      in
+      match Ring.try_produce_burst t.driver_rx staged with
       | n ->
-          if n > 0 then begin
-            rx_left := !rx_left - n;
-            t.stats.rx_injected <- t.stats.rx_injected + n;
-            Metrics.add m_rx_injected n;
-            for i = 0 to n - 2 do
-              Bufpool.recycle t.pool frames.(i)
-            done;
-            t.last_frame <- Some frames.(n - 1)
+          t.stats.rx_injected <- t.stats.rx_injected + n;
+          Metrics.add m_rx_injected n;
+          for i = 0 to n - 2 do
+            Bufpool.recycle t.pool frames.(i)
+          done;
+          if n > 0 && t.misbehaviors <> [] then begin
+            sabotage t;
+            match take t (function Replay_slot -> true | _ -> false) with
+            | Some _ ->
+                (* Republish the same payload: a temporal attack. The safe
+                   ring makes this indistinguishable from the host licitly
+                   delivering the same bytes twice — exactly the paper's
+                   point that L2 cannot and need not stop replays; the L5
+                   record layer must (and does, see cio_tls tests). *)
+                ignore (Ring.try_produce t.driver_rx staged.(n - 1))
+            | None -> ()
           end;
           if n < k then begin
             (* Ring full: put the unproduced tail back at the head. *)
@@ -300,26 +272,39 @@ let poll t =
             Queue.transfer t.pending_rx leftovers;
             Queue.transfer leftovers t.pending_rx
           end
-          else fill_rx_burst ()
-      | exception Region.Fault _ ->
-          t.stats.faults <- t.stats.faults + 1;
-          Metrics.inc m_faults;
-          if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
+          else fill_rx t ~batch (left - n)
+      | exception Region.Fault _ -> note_fault t
     end
-  in
-  if t.freeze_polls > 0 then
-    (* Ring freeze: the host still drains TX (the guest sees forward
-       progress on sends) but the RX ring goes quiet — a one-directional
-       stall that only an RX-aware watchdog deadline catches. *)
-    t.freeze_polls <- t.freeze_polls - 1
-  else begin
-    let region = Ring.region t.driver_rx in
-    if
-      t.misbehaviors = [] && t.drop_frames = 0
-      && Region.range_shared region 0 (Region.size region)
-    then fill_rx_burst ()
-    else fill_rx ()
   end
+
+let poll t =
+  if t.stall_polls > 0 then
+    (* A stalled host services nothing: TX backs up, RX starves. The
+       guest-side watchdog is the only way out — the stateless interface
+       means its reset loses nothing the transport cannot replay. *)
+    t.stall_polls <- t.stall_polls - 1
+  else begin
+    let quota = match t.service_quota with Some q -> max 0 q | None -> max_int in
+    drain_tx t quota;
+    if t.freeze_polls > 0 then
+      (* Ring freeze: the host still drains TX (the guest sees forward
+         progress on sends) but the RX ring goes quiet — a one-directional
+         stall that only an RX-aware watchdog deadline catches. *)
+      t.freeze_polls <- t.freeze_polls - 1
+    else begin
+      (* The batch size is fixed once per poll: whole batches for an
+         honest host over a fully shared region, where no frame can take
+         a detour or fault slot by slot; otherwise one frame at a time. *)
+      let region = Ring.region t.driver_rx in
+      let batch =
+        if
+          t.misbehaviors = [] && t.drop_frames = 0
+          && Region.range_shared region 0 (Region.size region)
+        then 64
+        else 1
+      in
+      fill_rx t ~batch quota
+    end
   end
 
 let pending_rx_count t = Queue.length t.pending_rx

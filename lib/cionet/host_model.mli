@@ -33,9 +33,6 @@ val inject : t -> misbehavior -> unit
 (** Header/payload sabotage queues one-shot; [Stall]/[Silent_drop]/
     [Ring_freeze] extend the corresponding modal fault duration. *)
 
-val stalled : t -> bool
-val frozen : t -> bool
-
 val set_service_quota : t -> int option -> unit
 (** Cap frames serviced per {!poll}, per direction ([None] = unbounded,
     the default). A slow-but-honest host: the saturation knob for the
@@ -45,6 +42,8 @@ val deliver_rx : t -> bytes -> unit
 
 val poll : t -> unit
 (** Drain the guest's TX ring (forwarding frames) and fill the RX ring
-    from pending frames. *)
+    from pending frames: in whole batches for an honest host over a fully
+    shared region, one frame at a time while a per-frame misbehaviour is
+    queued or a page is revoked. *)
 
 val pending_rx_count : t -> int

@@ -31,7 +31,6 @@ let create ?(model = Cost.default) ?host_meter ~name ~queues (config : Config.t)
     rx_next = 0;
   }
 
-let queue_count t = Array.length t.queues
 let queue t i = t.queues.(i)
 let queues t = Array.to_list t.queues
 
@@ -48,21 +47,6 @@ let transmit t ~flow_hash frame =
 
 let transmit_burst t ~flow_hash frames =
   Driver.transmit_burst t.queues.(queue_for t ~flow_hash) frames
-
-let poll t =
-  (* Drain one frame, round-robin across queues for fairness. *)
-  let n = Array.length t.queues in
-  let rec go tried =
-    if tried = n then None
-    else begin
-      let q = t.rx_next in
-      t.rx_next <- (t.rx_next + 1) mod n;
-      match Driver.poll t.queues.(q) with
-      | Some f -> Some f
-      | None -> go (tried + 1)
-    end
-  in
-  go 0
 
 (* Burst drain: visit each queue once starting from the round-robin
    cursor, taking up to the remaining budget from each, so one busy queue
@@ -82,17 +66,6 @@ let poll_burst ?(max = 64) t =
     end
   done;
   List.rev !acc
-
-(* Aggregate backpressure: total in-flight TX slots and the worst
-   per-queue level — with fixed steering a single hot queue can hit Hard
-   while the others idle, and the worst queue is the one that matters. *)
-let tx_occupancy t =
-  Array.fold_left (fun acc q -> acc + Driver.tx_occupancy q) 0 t.queues
-
-let tx_pressure t =
-  Array.fold_left
-    (fun acc q -> Cio_overload.Pressure.worst acc (Driver.tx_pressure q))
-    Cio_overload.Pressure.Nominal t.queues
 
 let total_cycles t =
   Array.fold_left (fun acc q -> acc + Cost.total (Driver.guest_meter q)) 0 t.queues

@@ -10,32 +10,21 @@ type t
 val create :
   ?model:Cost.model -> ?host_meter:Cost.meter -> name:string -> queues:int -> Config.t -> t
 
-val queue_count : t -> int
 val queue : t -> int -> Driver.t
 val queues : t -> Driver.t list
 
 val queue_for : t -> flow_hash:int -> int
 (** Fixed steering: mask for power-of-two queue counts, sign-safe modulo
-    otherwise. Always in [[0, queue_count)], for any hash. *)
+    otherwise. Always a valid queue index, for any hash. *)
 
 val transmit : t -> flow_hash:int -> bytes -> bool
 
 val transmit_burst : t -> flow_hash:int -> bytes array -> int
 (** Burst transmit on the flow's queue; see {!Driver.transmit_burst}. *)
 
-val poll : t -> bytes option
-(** Round-robin drain across the queues. *)
-
 val poll_burst : ?max:int -> t -> bytes list
 (** Drain up to [max] (default 64) frames, visiting each queue at most
     once round-robin from the cursor. *)
-
-val tx_occupancy : t -> int
-(** Total TX slots in flight across all queues. *)
-
-val tx_pressure : t -> Cio_overload.Pressure.level
-(** Worst per-queue TX pressure (a single hot queue dominates under
-    fixed steering). *)
 
 val total_cycles : t -> int
 val critical_path_cycles : t -> int

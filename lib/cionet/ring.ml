@@ -316,23 +316,32 @@ let try_produce_burst t frames =
   in
   go 0
 
+(* Confine an untrusted length to the payload unit, counting every clamp.
+   One check charge per call, clamped or not. *)
+let clamp t actor len =
+  charge t actor Cost.Check t.model.Cost.check;
+  if len > t.lay.unit_size then begin
+    t.counters.len_clamped <- t.counters.len_clamped + 1;
+    Metrics.inc m_len_clamped;
+    if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-clamp";
+    t.lay.unit_size
+  end
+  else len
+
+(* Skip a malformed slot: count it, return it to EMPTY and advance the
+   cursor. There is no error path — the skip is the whole handling. *)
+let skip ?(amortized = false) ?arg t actor slot =
+  t.counters.state_skipped <- t.counters.state_skipped + 1;
+  Metrics.inc m_state_skipped;
+  if Trace.on () then Trace.instant ?arg ~cat:Kind.l2 "slot-skip";
+  write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
+  t.cons_next <- t.cons_next + 1
+
 (* Resolve the payload location for a consumed slot, confining every
    untrusted value by masking/clamping. *)
 let locate ?(amortized = false) t actor slot ~len ~info =
-  let clamp len cap =
-    charge t actor Cost.Check t.model.Cost.check;
-    if len > cap then begin
-      t.counters.len_clamped <- t.counters.len_clamped + 1;
-      Metrics.inc m_len_clamped;
-      if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-clamp";
-      cap
-    end
-    else len
-  in
   match t.positioning with
-  | Config.Inline _ ->
-      let len = clamp len t.lay.unit_size in
-      (unit_off t slot, len)
+  | Config.Inline _ -> (unit_off t slot, clamp t actor len)
   | Config.Pool _ ->
       charge t actor Cost.Check t.model.Cost.check;
       let u = info land (t.lay.units - 1) in
@@ -341,8 +350,7 @@ let locate ?(amortized = false) t actor slot ~len ~info =
         Metrics.inc m_index_masked;
         if Trace.on () then Trace.instant ~arg:info ~cat:Kind.l2 "slot-mask"
       end;
-      let len = clamp len t.lay.unit_size in
-      (unit_off t u, len)
+      (unit_off t u, clamp t actor len)
   | Config.Indirect _ ->
       charge t actor Cost.Check t.model.Cost.check;
       let d = info land (t.lay.desc_count - 1) in
@@ -369,8 +377,7 @@ let locate ?(amortized = false) t actor slot ~len ~info =
         Metrics.inc m_index_masked;
         if Trace.on () then Trace.instant ~arg:raw_off ~cat:Kind.l2 "slot-mask"
       end;
-      let len = clamp (min len dlen) t.lay.unit_size in
-      (t.base + t.lay.data_off + confined, len)
+      (t.base + t.lay.data_off + confined, clamp t actor (min len dlen))
 
 (* One consume step. [Cr_skip] means a malformed slot was skipped and the
    cursor advanced — progress was made but no message came out. *)
@@ -386,12 +393,7 @@ let consume_one ?pool t ~amortized =
     Cr_empty
   end
   else if state <> state_full then begin
-    (* Malformed state word: skip the slot entirely (no error path). *)
-    t.counters.state_skipped <- t.counters.state_skipped + 1;
-    Metrics.inc m_state_skipped;
-    if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-    write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
-    t.cons_next <- t.cons_next + 1;
+    skip ~amortized ~arg:state t actor slot;
     Cr_skip
   end
   else begin
@@ -400,11 +402,7 @@ let consume_one ?pool t ~amortized =
       (* A message carries at least one byte by contract: a zero-length
          claim is malformed, so the slot is skipped like any other
          malformed slot (no error path). *)
-      t.counters.state_skipped <- t.counters.state_skipped + 1;
-      Metrics.inc m_state_skipped;
-      if Trace.on () then Trace.instant ~cat:Kind.l2 "slot-skip";
-      write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
-      t.cons_next <- t.cons_next + 1;
+      skip ~amortized t actor slot;
       Cr_skip
     end
     else begin
@@ -444,78 +442,13 @@ let try_consume_burst ?pool ?(max = 64) t =
   if max <= 0 then [] else go 0 []
 
 (* Zero-copy consume by revocation (guest consumer, Inline positioning):
-   unshare the payload pages, return a view of now-private memory, and
-   release by re-sharing + marking EMPTY. *)
-type zero_copy = { data : bytes; release : unit -> unit }
-
-let rec try_consume_revoke ?pool t =
-  let actor = consumer t in
-  if actor <> Region.Guest then invalid_arg "Ring.try_consume_revoke: guest-consumer rings only";
-  (match t.positioning with
-  | Config.Inline _ -> ()
-  | _ -> invalid_arg "Ring.try_consume_revoke: inline positioning only");
-  let slot = t.cons_next land (t.slots - 1) in
-  let state, len, _info, _tag = read_header t actor slot in
-  if state = state_empty then begin
-    t.counters.empty_polls <- t.counters.empty_polls + 1;
-    Metrics.inc m_empty_polls;
-    None
-  end
-  else if state <> state_full then begin
-    t.counters.state_skipped <- t.counters.state_skipped + 1;
-    Metrics.inc m_state_skipped;
-    if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-    write_word t actor ~off:(hdr_off t slot) state_empty;
-    t.cons_next <- t.cons_next + 1;
-    None
-  end
-  else begin
-    charge t actor Cost.Check t.model.Cost.check;
-    let len = min len t.lay.unit_size in
-    if len = 0 then begin
-      t.counters.state_skipped <- t.counters.state_skipped + 1;
-      Metrics.inc m_state_skipped;
-      if Trace.on () then Trace.instant ~cat:Kind.l2 "slot-skip";
-      write_word t actor ~off:(hdr_off t slot) state_empty;
-      t.cons_next <- t.cons_next + 1;
-      None
-    end
-    else revoke_consume ?pool t actor slot ~len
-  end
-
-and revoke_consume ?pool t actor slot ~len =
-  begin
-    let off = unit_off t slot in
-    (* Revoke the slot's pages: the host can no longer race the data. *)
-    Region.unshare_range t.region ~off ~len:t.lay.unit_size;
-    let data =
-      match pool with
-      | Some p ->
-          let b = Bufpool.acquire p len in
-          Region.guest_read_into t.region ~off b;
-          b
-      | None -> Region.guest_read t.region ~off ~len
-    in
-    let released = ref false in
-    let release () =
-      if not !released then begin
-        released := true;
-        Region.share_range t.region ~off ~len:t.lay.unit_size;
-        write_word t actor ~off:(hdr_off t slot) state_empty
-      end
-    in
-    t.cons_next <- t.cons_next + 1;
-    t.counters.consumed <- t.counters.consumed + 1;
-    Metrics.inc m_consumed;
-    if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-revoke";
-    Some { data; release }
-  end
-
-(* Burst revocation: one unshare/share pair (one shootdown each way)
-   covers a contiguous run of FULL slots. The run never wraps the ring —
-   a wrap would split the span — and never consumes past a non-FULL or
-   malformed slot: that slot is left in place for the next call, so the
-   single-slot skip machinery handles it with its usual accounting. *)
+   one unshare/share pair (one shootdown each way) covers a contiguous
+   run of FULL slots, read in place while the host is locked out, then
+   released by re-sharing + marking every slot EMPTY. The run never wraps
+   the ring — a wrap would split the span — and never consumes past a
+   non-FULL or malformed slot: that slot is left in place for the next
+   call, which skips it at the head of its run with the usual
+   accounting. A run of one ([~max:1]) is the single-slot revocation. *)
 type zero_copy_burst = { frames : bytes list; release : unit -> unit }
 
 let try_consume_revoke_burst ?pool ?(max = 64) t =
@@ -537,36 +470,34 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
       None
     end
     else if state <> state_full then begin
-      t.counters.state_skipped <- t.counters.state_skipped + 1;
-      Metrics.inc m_state_skipped;
-      if Trace.on () then Trace.instant ~arg:state ~cat:Kind.l2 "slot-skip";
-      write_word t actor ~off:(hdr_off t start) state_empty;
-      t.cons_next <- t.cons_next + 1;
+      skip ~arg:state t actor start;
       None
     end
     else begin
-      charge t actor Cost.Check t.model.Cost.check;
-      let first_len = min len t.lay.unit_size in
+      let first_len = clamp t actor len in
       if first_len = 0 then begin
-        t.counters.state_skipped <- t.counters.state_skipped + 1;
-        Metrics.inc m_state_skipped;
-        if Trace.on () then Trace.instant ~cat:Kind.l2 "slot-skip";
-        write_word t actor ~off:(hdr_off t start) state_empty;
-        t.cons_next <- t.cons_next + 1;
+        skip t actor start;
         None
       end
       else begin
         (* Scan ahead for the run of valid FULL slots (amortized header
-           reads); stop at the first slot that doesn't qualify. *)
+           reads); stop at the first slot that doesn't qualify. Every
+           scanned header pays its check; only a FULL slot, which is the
+           only kind that can join the run, has its length clamped. *)
         let lens = Array.make limit 0 in
         lens.(0) <- first_len;
         let k = ref 1 in
         let scanning = ref true in
         while !scanning && !k < limit do
           let state, len, _info, _tag = read_header t ~amortized:true actor (start + !k) in
-          charge t actor Cost.Check t.model.Cost.check;
-          let len = min len t.lay.unit_size in
-          if state = state_full && len > 0 then begin
+          let len =
+            if state = state_full then clamp t actor len
+            else begin
+              charge t actor Cost.Check t.model.Cost.check;
+              0
+            end
+          in
+          if len > 0 then begin
             lens.(!k) <- len;
             incr k
           end

@@ -90,19 +90,14 @@ val try_consume_burst : ?pool:Bufpool.t -> ?max:int -> t -> bytes list
     without ending the batch; an EMPTY slot ends it. Header/word costs
     amortize after the first access. *)
 
-type zero_copy = { data : bytes; release : unit -> unit }
-
-val try_consume_revoke : ?pool:Bufpool.t -> t -> zero_copy option
-(** Consumer side, revocation strategy (guest consumer, inline
-    positioning): unshare the payload pages and read in place; [release]
-    re-shares and returns the slot. The returned [data] is always a
-    private snapshot owned by the caller. *)
-
 type zero_copy_burst = { frames : bytes list; release : unit -> unit }
 
 val try_consume_revoke_burst : ?pool:Bufpool.t -> ?max:int -> t -> zero_copy_burst option
-(** Revocation in bursts: one unshare/share pair (one TLB shootdown each
-    way) covers a contiguous run of up to [max] valid FULL slots. The run
-    stops at a ring wrap or at the first non-FULL/malformed slot, which is
-    left in place for the next call. [release] re-shares the whole span
-    and returns every slot. *)
+(** Consumer side, revocation strategy (guest consumer, inline
+    positioning): one unshare/share pair (one TLB shootdown each way)
+    covers a contiguous run of up to [max] (default 64) valid FULL slots,
+    read while the host is locked out. The run stops at a ring wrap or at
+    the first non-FULL/malformed slot, which is left in place for the
+    next call. [release] re-shares the whole span and returns every slot;
+    the [frames] are private snapshots owned by the caller. [~max:1] is
+    the single-slot revocation. *)

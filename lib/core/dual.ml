@@ -46,6 +46,20 @@ type listener = { tcp_listener : Tcp.listener; unit_ : t }
 
 let enter_io t f = Compartment.call t.world ~caller:t.app ~callee:t.io f
 
+(* The quarantined stack over the unit's driver. The closures capture
+   [driver] (whose instance is swapped in place on hot swap), so burst TX
+   and buffer recycling survive restarts; the overload plane, if any,
+   bounds TX coalescing and shares its retry budget with TCP. *)
+let make_stack ~model ~meter ~driver ~plane ~ip ~neighbors ~now ~rng =
+  Stack.create ~model ~meter
+    ~tx_burst:(fun frames -> Cio_cionet.Driver.transmit_burst driver frames)
+    ~recycle:(fun f -> Cio_cionet.Driver.recycle driver f)
+    ?tx_queue_limit:
+      (Option.map (fun p -> (Cio_overload.Plane.config p).Cio_overload.Plane.queue_limit) plane)
+    ?retry_budget:(Option.map Cio_overload.Plane.retry_budget plane)
+    ~netif:(Cio_cionet.Driver.to_netif driver)
+    ~ip ~neighbors ~now ~rng ()
+
 let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?(model = Cost.default)
     ?(crossing = Compartment.Gate) ?(zero_copy_send = true) ?(copy_on_recv = true) ?overload
     ~name ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
@@ -59,23 +73,12 @@ let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?(model = Cost.defa
   let app = Compartment.add_domain world ~name:"app" in
   let io = Compartment.add_domain world ~name:"iostack" in
   let driver = Cio_cionet.Driver.create ~model ~meter ~name cionet_config in
-  let netif = Cio_cionet.Driver.to_netif driver in
   let plane =
     Option.map
       (fun config -> Cio_overload.Plane.create ~config ~rng:(Rng.split rng) ~now ())
       overload
   in
-  (* The closures capture [driver] (whose instance is swapped in place on
-     hot swap), so burst TX and buffer recycling survive restarts. *)
-  let stack =
-    Stack.create ~model ~meter
-      ~tx_burst:(fun frames -> Cio_cionet.Driver.transmit_burst driver frames)
-      ~recycle:(fun f -> Cio_cionet.Driver.recycle driver f)
-      ?tx_queue_limit:
-        (Option.map (fun p -> (Cio_overload.Plane.config p).Cio_overload.Plane.queue_limit) plane)
-      ?retry_budget:(Option.map Cio_overload.Plane.retry_budget plane)
-      ~netif ~ip ~neighbors ~now ~rng ()
-  in
+  let stack = make_stack ~model ~meter ~driver ~plane ~ip ~neighbors ~now ~rng in
   {
     world;
     app;
@@ -132,16 +135,8 @@ let restart_io t =
   Cio_observe.Recovery.reset t.recovery;
   t.channels <- [];
   t.stack <-
-    Stack.create ~model:t.model ~meter:t.meter
-      ~tx_burst:(fun frames -> Cio_cionet.Driver.transmit_burst t.driver frames)
-      ~recycle:(fun f -> Cio_cionet.Driver.recycle t.driver f)
-      ?tx_queue_limit:
-        (Option.map
-           (fun p -> (Cio_overload.Plane.config p).Cio_overload.Plane.queue_limit)
-           t.plane)
-      ?retry_budget:(Option.map Cio_overload.Plane.retry_budget t.plane)
-      ~netif:(Cio_cionet.Driver.to_netif t.driver)
-      ~ip:t.ip ~neighbors:t.neighbors ~now:t.now ~rng:t.rng ()
+    make_stack ~model:t.model ~meter:t.meter ~driver:t.driver ~plane:t.plane ~ip:t.ip
+      ~neighbors:t.neighbors ~now:t.now ~rng:t.rng
 
 let make_channel t ~role ~conn =
   let session =

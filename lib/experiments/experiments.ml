@@ -68,15 +68,12 @@ let fig5 ppf () =
   fp ppf "  observability; syscall designs leak the most metadata; the tunnel hides@.";
   fp ppf "  the most and pays for it; hardening costs the legacy transport throughput.@."
 
-(* --- E1: data positioning --------------------------------------------- *)
-
-let raw_ring_cost ~positioning ~msg_size ~count =
-  let cfg =
-    { Cio_cionet.Config.default with Cio_cionet.Config.positioning; ring_slots = 64 }
-  in
-  let drv = Cio_cionet.Driver.create ~name:"e1" cfg in
+(* Guest cycles spent on [count] TX+RX pairs of [payload] through a fresh
+   cionet device: transmit, host poll, host delivers the echo, host poll,
+   guest poll. *)
+let cionet_pair_cost ?model ~name ~count cfg payload =
+  let drv = Cio_cionet.Driver.create ?model ~name cfg in
   let host = Cio_cionet.Host_model.create ~driver:drv ~transmit:(fun _ -> ()) in
-  let payload = Bytes.make msg_size 'e' in
   let m = Cio_cionet.Driver.guest_meter drv in
   let before = Cost.snapshot m in
   for _ = 1 to count do
@@ -86,7 +83,15 @@ let raw_ring_cost ~positioning ~msg_size ~count =
     Cio_cionet.Host_model.poll host;
     ignore (Cio_cionet.Driver.poll drv)
   done;
-  let d = Cost.diff ~before ~after:(Cost.snapshot m) in
+  Cost.diff ~before ~after:(Cost.snapshot m)
+
+(* --- E1: data positioning --------------------------------------------- *)
+
+let raw_ring_cost ~positioning ~msg_size ~count =
+  let cfg =
+    { Cio_cionet.Config.default with Cio_cionet.Config.positioning; ring_slots = 64 }
+  in
+  let d = cionet_pair_cost ~name:"e1" ~count cfg (Bytes.make msg_size 'e') in
   float_of_int (Cost.total d) /. float_of_int count
 
 let e1 ppf () =
@@ -204,21 +209,6 @@ let virtio_frame_cost ~hardened ~count =
     Cost.diff ~before ~after:(Cost.snapshot m)
   end
 
-let cionet_frame_cost ~count =
-  let drv = Cio_cionet.Driver.create ~name:"e3c" Cio_cionet.Config.default in
-  let host = Cio_cionet.Host_model.create ~driver:drv ~transmit:(fun _ -> ()) in
-  let m = Cio_cionet.Driver.guest_meter drv in
-  let payload = Bytes.make 1500 'f' in
-  let before = Cost.snapshot m in
-  for _ = 1 to count do
-    ignore (Cio_cionet.Driver.transmit drv payload);
-    Cio_cionet.Host_model.poll host;
-    Cio_cionet.Host_model.deliver_rx host payload;
-    Cio_cionet.Host_model.poll host;
-    ignore (Cio_cionet.Driver.poll drv)
-  done;
-  Cost.diff ~before ~after:(Cost.snapshot m)
-
 let e3 ppf () =
   fp ppf "E3: the hardening tax (guest cycles per 1500 B TX+RX pair)@.";
   let count = 64 in
@@ -226,7 +216,8 @@ let e3 ppf () =
     [
       ("virtio-unhardened", virtio_frame_cost ~hardened:false ~count);
       ("virtio-hardened", virtio_frame_cost ~hardened:true ~count);
-      ("cionet (this work)", cionet_frame_cost ~count);
+      ( "cionet (this work)",
+        cionet_pair_cost ~name:"e3c" ~count Cio_cionet.Config.default (Bytes.make 1500 'f') );
     ]
   in
   fp ppf "  %-20s %10s   breakdown@." "transport" "cyc/frame";
@@ -466,19 +457,7 @@ let e11 ppf () =
   fp ppf "E11: no-notifications principle (cionet with/without doorbells)@.";
   let run use_notifications =
     let cfg = { Cio_cionet.Config.default with Cio_cionet.Config.use_notifications } in
-    let drv = Cio_cionet.Driver.create ~name:"e11" cfg in
-    let host = Cio_cionet.Host_model.create ~driver:drv ~transmit:(fun _ -> ()) in
-    let m = Cio_cionet.Driver.guest_meter drv in
-    let payload = Bytes.make 1024 'n' in
-    let before = Cost.snapshot m in
-    for _ = 1 to 64 do
-      ignore (Cio_cionet.Driver.transmit drv payload);
-      Cio_cionet.Host_model.poll host;
-      Cio_cionet.Host_model.deliver_rx host payload;
-      Cio_cionet.Host_model.poll host;
-      ignore (Cio_cionet.Driver.poll drv)
-    done;
-    let d = Cost.diff ~before ~after:(Cost.snapshot m) in
+    let d = cionet_pair_cost ~name:"e11" ~count:64 cfg (Bytes.make 1024 'n') in
     (Cost.total d / 64, Cost.count_of d Cost.Notification)
   in
   let poll_cyc, poll_n = run false in
@@ -701,19 +680,8 @@ let e14 ppf () =
         end
       in
       let cionet =
-        let drv = Cio_cionet.Driver.create ~model ~name:"e14c" Cio_cionet.Config.default in
-        let host = Cio_cionet.Host_model.create ~driver:drv ~transmit:(fun _ -> ()) in
-        let m = Cio_cionet.Driver.guest_meter drv in
-        let payload = Bytes.make 1500 'f' in
-        let before = Cost.snapshot m in
-        for _ = 1 to 16 do
-          ignore (Cio_cionet.Driver.transmit drv payload);
-          Cio_cionet.Host_model.poll host;
-          Cio_cionet.Host_model.deliver_rx host payload;
-          Cio_cionet.Host_model.poll host;
-          ignore (Cio_cionet.Driver.poll drv)
-        done;
-        Cost.diff ~before ~after:(Cost.snapshot m)
+        cionet_pair_cost ~model ~name:"e14c" ~count:16 Cio_cionet.Config.default
+          (Bytes.make 1500 'f')
       in
       let u = cost_of (virtio false) and h = cost_of (virtio true) and c = cost_of cionet in
       fp ppf "      notify x%.1f: cionet=%.0f unhardened=%.0f hardened=%.0f -> ordering %s@."

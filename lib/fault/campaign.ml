@@ -512,6 +512,7 @@ let pp ppf t =
 let to_json buf t =
   let field name value = Printf.bprintf buf "\"%s\":%s" name value in
   let int_field name v = field name (string_of_int v) in
+  let str_field name v = field name (Json_lite.to_string (Json_lite.Str v)) in
   Buffer.add_char buf '{';
   field "seed" (Printf.sprintf "%Ld" t.seed);
   Buffer.add_char buf ',';
@@ -530,13 +531,13 @@ let to_json buf t =
   int_field "admitted" t.admitted; Buffer.add_char buf ',';
   int_field "shed" t.shed; Buffer.add_char buf ',';
   int_field "breaker_transitions" t.breaker_transitions; Buffer.add_char buf ',';
-  field "breaker_state" (Printf.sprintf "%S" t.breaker_state); Buffer.add_char buf ',';
+  str_field "breaker_state" t.breaker_state; Buffer.add_char buf ',';
   Printf.bprintf buf "\"faults\":[";
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_char buf '{';
-      field "kind" (Printf.sprintf "%S" (Format.asprintf "%a" Plan.pp_kind f.kind));
+      str_field "kind" (Format.asprintf "%a" Plan.pp_kind f.kind);
       Buffer.add_char buf ',';
       int_field "injected_at" f.injected_at; Buffer.add_char buf ',';
       field "detected" (if f.detected then "true" else "false"); Buffer.add_char buf ',';

@@ -37,12 +37,6 @@ let reason_name = function
 
 let level_name = function Nominal -> "nominal" | Soft -> "soft" | Hard -> "hard"
 
-let worst a b =
-  match (a, b) with
-  | Hard, _ | _, Hard -> Hard
-  | Soft, _ | _, Soft -> Soft
-  | Nominal, Nominal -> Nominal
-
 (* Soft at half occupancy, hard at 7/8 — the same shape real NIC drivers
    use for ring-occupancy thresholds (start coalescing early, refuse
    late). Integer arithmetic only: called on the datapath. *)

@@ -19,9 +19,6 @@ type outcome = Accepted | Backpressure of reason
 val reason_name : reason -> string
 val level_name : level -> string
 
-val worst : level -> level -> level
-(** Pointwise maximum, for aggregating per-queue levels. *)
-
 val level_of_occupancy : used:int -> capacity:int -> level
 
 val note_ring_full : unit -> unit

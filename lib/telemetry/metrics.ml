@@ -150,29 +150,13 @@ let pp ppf t =
     items;
   Format.fprintf ppf "@]"
 
-(* Hand-rolled JSON: the toolchain has no JSON library and metric names
-   are ASCII identifiers, but escape defensively anyway. *)
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let to_json buf t =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (name, instr) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_char buf '"';
-      json_escape buf name;
+      Cio_util.Json_lite.escape buf name;
       Buffer.add_string buf "\":";
       match instr with
       | Counter v -> Buffer.add_string buf (string_of_int v)

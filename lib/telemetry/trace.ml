@@ -120,20 +120,6 @@ let events () =
 
 (* --- export --- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 (* Chrome's trace viewer lays events out per (pid, tid); mapping each
    category to its own tid puts L2, L5, TCP and fault activity on
    separate rows. *)
@@ -154,9 +140,9 @@ let to_chrome_json buf =
       let ph = match e.phase with B -> "B" | E -> "E" | I -> "i" in
       let ts_us = Int64.to_float e.ts /. 1000.0 in
       Buffer.add_string buf "{\"name\":\"";
-      json_escape buf e.name;
+      Cio_util.Json_lite.escape buf e.name;
       Buffer.add_string buf "\",\"cat\":\"";
-      json_escape buf e.cat;
+      Cio_util.Json_lite.escape buf e.cat;
       Buffer.add_string buf (Printf.sprintf "\",\"ph\":\"%s\",\"ts\":%.3f" ph ts_us);
       Buffer.add_string buf (Printf.sprintf ",\"pid\":1,\"tid\":%d" (tid_of e.cat));
       if e.phase = I then Buffer.add_string buf ",\"s\":\"t\"";

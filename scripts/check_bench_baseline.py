@@ -4,17 +4,25 @@
 Usage: check_bench_baseline.py CURRENT.json BASELINE.json [--strict]
 
 Both files are cio-bench-v1 JSON as written by `bench/main.exe --json`.
-Compares the `micro_ns_per_run` entries whose names start with
-"cio/cionet": warns when a micro got more than 10% slower than the
-baseline (exit 1 with --strict), and checks the batching win — a burst
-micro of depth d must cost less per frame than d times its single-slot
-counterpart wherever both are present.
+Three checks:
 
-CI timing noise makes a hard gate on absolute numbers fragile; the
-default mode therefore only warns on regressions but always fails on a
-malformed file or an inverted batching result.
+- experiment text: every experiment's `output` must equal the
+  baseline's byte for byte (exit 1 with a unified diff otherwise). The
+  outputs are deterministic simulated-cycle tables, so any drift is a
+  behaviour change. Skipped with a warning when the two runs differ in
+  `smoke`, since smoke and full runs size their workloads differently.
+- micro timings: the `micro_ns_per_run` entries whose names start with
+  "cio/cionet" warn when more than 10% slower than the baseline (exit 1
+  with --strict). The Bechamel runs are time-boxed, so two runs of the
+  same tree already differ; the `metrics` section is not compared for
+  the same reason.
+- batching win: a burst micro of depth d must cost less per frame than
+  d times its single-slot counterpart wherever both are present.
+
+Always fails on a malformed file.
 """
 
+import difflib
 import json
 import os
 import re
@@ -25,7 +33,7 @@ PREFIX = "cio/cionet"
 
 
 def load(path, optional=False):
-    """Parse a cio-bench-v1 file into {micro_name: ns_per_run}.
+    """Parse a cio-bench-v1 file into (doc, {micro_name: ns_per_run}).
 
     A missing *optional* file (the committed baseline on a branch that
     has not generated one yet) returns None so the caller can skip the
@@ -44,6 +52,12 @@ def load(path, optional=False):
         sys.exit(f"error: cannot read {path}: {e}")
     if doc.get("schema") != "cio-bench-v1":
         sys.exit(f"error: {path}: not a cio-bench-v1 file")
+    experiments = doc.get("experiments", [])
+    if not isinstance(experiments, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("id"), str)
+        and isinstance(e.get("output"), str) for e in experiments
+    ):
+        sys.exit(f"error: {path}: experiments is not a list of {{id, output}} objects")
     micro = doc.get("micro_ns_per_run", {})
     if not isinstance(micro, dict):
         sys.exit(f"error: {path}: micro_ns_per_run is not an object")
@@ -55,7 +69,35 @@ def load(path, optional=False):
             out[k] = float(v)
         except (TypeError, ValueError):
             print(f"warning: {path}: {k}: non-numeric value {v!r}; skipping")
-    return out
+    return doc, out
+
+
+def check_experiment_text(current_doc, baseline_doc):
+    """Fail on any experiment whose output differs from the baseline."""
+    if current_doc.get("smoke") != baseline_doc.get("smoke"):
+        print("warning: smoke flag differs from the baseline;"
+              " experiment text comparison skipped")
+        return 0
+    current = {e["id"]: e["output"] for e in current_doc.get("experiments", [])}
+    errors = 0
+    for e in baseline_doc.get("experiments", []):
+        eid, base = e["id"], e["output"]
+        if eid not in current:
+            print(f"error: experiment {eid}: in baseline but missing from this run")
+            errors += 1
+        elif current[eid] != base:
+            print(f"error: experiment {eid}: output differs from the baseline:")
+            sys.stdout.writelines(difflib.unified_diff(
+                base.splitlines(keepends=True),
+                current[eid].splitlines(keepends=True),
+                fromfile=f"baseline/{eid}", tofile=f"current/{eid}"))
+            errors += 1
+        else:
+            print(f"ok: experiment {eid}: output matches the baseline")
+    baseline_ids = {e["id"] for e in baseline_doc.get("experiments", [])}
+    for eid in sorted(set(current) - baseline_ids):
+        print(f"note: experiment {eid}: not in baseline; comparison skipped")
+    return errors
 
 
 def check_regressions(current, baseline):
@@ -127,11 +169,11 @@ def main(argv):
     args = [a for a in argv if a != "--strict"]
     if len(args) != 2:
         sys.exit(__doc__.strip())
-    current = load(args[0])
-    baseline = load(args[1], optional=True)
+    current_doc, current = load(args[0])
+    loaded = load(args[1], optional=True)
     if not current:
         sys.exit(f"error: {args[0]}: no {PREFIX} micros (run bench with micros enabled)")
-    if baseline is None:
+    if loaded is None:
         # No baseline to compare against: still run the self-contained
         # batching check, which needs only the current run.
         errors = check_batching_wins(current)
@@ -139,8 +181,10 @@ def main(argv):
             sys.exit(1)
         print("bench baseline check passed (no baseline file; comparison skipped)")
         return
+    baseline_doc, baseline = loaded
+    errors = check_experiment_text(current_doc, baseline_doc)
     warnings = check_regressions(current, baseline)
-    errors = check_batching_wins(current)
+    errors += check_batching_wins(current)
     if errors:
         sys.exit(1)
     if warnings:

@@ -91,7 +91,7 @@ let test_revoked_page_blocks_host () =
   let drv, host, _ = make ~cfg () in
   Host_model.deliver_rx host (Bytes.of_string "first");
   Host_model.poll host;
-  match Driver.poll_zero_copy drv with
+  match Ring.try_consume_revoke_burst ~max:1 (Driver.rx_ring drv) with
   | None -> Alcotest.fail "no zero-copy rx"
   | Some zc ->
       (* While the guest holds the slot, its pages are private: the host
@@ -100,6 +100,7 @@ let test_revoked_page_blocks_host () =
       (match Region.host_read (Driver.region drv) ~off ~len:16 with
       | _ -> Alcotest.fail "revoked page must be invisible to host"
       | exception Region.Fault _ -> ());
+      Alcotest.(check int) "one slot held" 1 (List.length zc.Ring.frames);
       zc.Ring.release ();
       (* After release the host can touch it again. *)
       ignore (Region.host_read (Driver.region drv) ~off ~len:16)
@@ -152,14 +153,19 @@ let test_notifications_optional () =
 (* --- hostile host ------------------------------------------------------ *)
 
 let test_lie_len_confined () =
-  let drv, host, _ = make () in
-  Host_model.inject host (Host_model.Lie_len 100000);
-  Host_model.deliver_rx host (Bytes.of_string "tiny");
-  Host_model.poll host;
-  (match Driver.poll drv with
-  | Some f -> Alcotest.(check bool) "clamped to capacity" true (Bytes.length f <= 4096)
-  | None -> ());
-  Alcotest.(check int) "clamp counted" 1 (Ring.counters (Driver.rx_ring drv)).Ring.len_clamped
+  (* Both receive strategies confine the lie and count the clamp. *)
+  List.iter
+    (fun (name, rx_strategy) ->
+      let drv, host, _ = make ~cfg:{ inline_cfg with Config.rx_strategy } () in
+      Host_model.inject host (Host_model.Lie_len 100000);
+      Host_model.deliver_rx host (Bytes.of_string "tiny");
+      Host_model.poll host;
+      (match Driver.poll drv with
+      | Some f -> Alcotest.(check int) (name ^ ": clamped to capacity") 4096 (Bytes.length f)
+      | None -> Alcotest.fail (name ^ ": frame lost"));
+      Alcotest.(check int) (name ^ ": clamp counted") 1
+        (Ring.counters (Driver.rx_ring drv)).Ring.len_clamped)
+    [ ("copy", Config.Copy_in); ("revoke", Config.Revoke) ]
 
 let test_bad_index_masked_in_pool_mode () =
   let drv, host, _ = make ~cfg:pool_cfg () in
@@ -220,6 +226,30 @@ let test_corrupt_payload_confined_to_l2 () =
       Alcotest.(check bool) "content corrupted" false
         (Bytes.equal f (Bytes.of_string "payload-bytes"))
   | None -> Alcotest.fail "frame lost"
+
+let test_corrupt_payload_rest_of_poll_per_frame () =
+  (* A queued per-frame misbehaviour puts the whole poll on batches of
+     one: the first frame takes the detour, the rest follow intact and in
+     order, each produced in its own unamortized ring crossing. *)
+  let drv, host, _ = make () in
+  let frames = [ "frame-1"; "frame-2"; "frame-3" ] in
+  Host_model.inject host Host_model.Corrupt_payload;
+  List.iter (fun f -> Host_model.deliver_rx host (Bytes.of_string f)) frames;
+  Host_model.poll host;
+  let flip_first = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0xFF) else c) in
+  Alcotest.(check (list string)) "frame 1 corrupted, frames 2-3 intact, in order"
+    [ flip_first "frame-1"; "frame-2"; "frame-3" ]
+    (List.map Bytes.to_string (Driver.poll_burst drv));
+  (* Reference host work: one empty TX drain, then three single-slot
+     produces. *)
+  let reference = Driver.create ~name:"reference" inline_cfg in
+  ignore (Ring.try_consume (Driver.tx_ring reference));
+  List.iter
+    (fun f -> ignore (Ring.try_produce (Driver.rx_ring reference) (Bytes.of_string f)))
+    frames;
+  Alcotest.(check int) "host meter = three unamortized produces"
+    (Cost.total (Driver.host_meter reference))
+    (Cost.total (Driver.host_meter drv))
 
 let test_replay_slot_duplicate_delivery () =
   (* A replayed slot is indistinguishable from the host licitly delivering
@@ -725,22 +755,49 @@ let test_multiqueue_transmit_matches_steering () =
 (* --- batched-path properties -------------------------------------------- *)
 
 let prop_burst_of_one_equals_single_slot =
-  (* A burst of one is *exactly* the single-slot operation: same ring
-     counters, same metered cost, bit for bit. *)
+  (* A burst of one is *exactly* the single-slot ring operation, on both
+     sides of the ring: same counters, same guest and host meters
+     (cycles and event counts per category), bit for bit — including when
+     the host lies about the length. The RX side is received through the
+     driver, so under Copy_in it is [try_consume] against
+     [try_consume_burst ~max:1] and under Revoke the one-slot revocation
+     run of both receive entry points. (A malformed slot is where the two
+     differ by contract: a burst keeps scanning past a skip.) *)
   QCheck.Test.make ~name:"burst of one ≡ single-slot (counters and cost)" ~count:60
-    QCheck.(int_range 1 2047)
-    (fun len ->
+    QCheck.(triple (int_range 1 2047) (option (int_range 1 100_000)) bool)
+    (fun (len, lie, revoke) ->
       let payload = Bytes.make len 'q' in
+      let rx_strategy = if revoke then Config.Revoke else Config.Copy_in in
       let run ~burst =
-        let drv, host, _ = make () in
-        (if burst then ignore (Driver.transmit_burst drv [| payload |])
-         else ignore (Driver.transmit drv payload));
-        Host_model.poll host;
-        Host_model.deliver_rx host payload;
-        Host_model.poll host;
-        (if burst then ignore (Driver.poll_burst drv ~max:1) else ignore (Driver.poll drv));
-        let c r = let k = Ring.counters r in (k.Ring.produced, k.Ring.consumed) in
-        (Cost.total (Driver.guest_meter drv), c (Driver.tx_ring drv), c (Driver.rx_ring drv))
+        let drv = Driver.create ~name:"burst-of-one" { inline_cfg with Config.rx_strategy } in
+        let tx = Driver.tx_ring drv and rx = Driver.rx_ring drv in
+        let produce r =
+          if burst then Ring.try_produce_burst r [| payload |] = 1 else Ring.try_produce r payload
+        in
+        let tx_ok = produce tx in
+        let forwarded =
+          if burst then Ring.try_consume_burst ~max:1 tx else Option.to_list (Ring.try_consume tx)
+        in
+        let rx_ok = produce rx in
+        Option.iter
+          (fun v ->
+            Region.write_u32 (Driver.region drv) Region.Host ~off:(Ring.header_offset rx 0 + 4) v)
+          lie;
+        let got = if burst then Driver.poll_burst ~max:1 drv else Option.to_list (Driver.poll drv) in
+        let counters r =
+          let k = Ring.counters r in
+          Ring.
+            [
+              k.produced; k.consumed; k.full_misses; k.empty_polls; k.len_clamped; k.index_masked;
+              k.state_skipped;
+            ]
+        in
+        let meter m =
+          List.concat_map (fun c -> [ Cost.cycles_of m c; Cost.count_of m c ]) Cost.all_categories
+        in
+        ( (tx_ok, rx_ok, List.map Bytes.to_string (forwarded @ got)),
+          (counters tx, counters rx),
+          (meter (Driver.guest_meter drv), meter (Driver.host_meter drv)) )
       in
       run ~burst:true = run ~burst:false)
 
@@ -797,6 +854,8 @@ let suite =
     Alcotest.test_case "hostile: dataflow survives burst" `Quick test_dataflow_survives_attack_burst;
     Alcotest.test_case "hostile: corrupt payload confined to L2" `Quick
       test_corrupt_payload_confined_to_l2;
+    Alcotest.test_case "hostile: corrupt payload, rest of poll per frame" `Quick
+      test_corrupt_payload_rest_of_poll_per_frame;
     Alcotest.test_case "hostile: replay slot delivered twice" `Quick
       test_replay_slot_duplicate_delivery;
     Alcotest.test_case "hostile: stall services nothing" `Quick test_stall_services_nothing;

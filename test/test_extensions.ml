@@ -129,7 +129,7 @@ let test_multiqueue_roundtrip_all_queues () =
     List.map (fun d -> Host_model.create ~driver:d ~transmit:(fun _ -> ())) (Multiqueue.queues mq)
   in
   (* Deliver one frame into every queue's RX and drain them all through
-     the round-robin poll. *)
+     the round-robin burst poll. *)
   List.iteri
     (fun i host -> Host_model.deliver_rx host (Bytes.of_string (Printf.sprintf "rx-q%d" i)))
     hosts;
@@ -138,11 +138,11 @@ let test_multiqueue_roundtrip_all_queues () =
       (Multiqueue.transmit mq ~flow_hash:flow (Bytes.of_string (Printf.sprintf "tx-%d" flow)))
   done;
   List.iter Host_model.poll hosts;
-  let received = ref 0 in
-  for _ = 1 to 16 do
-    match Multiqueue.poll mq with Some _ -> incr received | None -> ()
-  done;
-  Alcotest.(check int) "all queue deliveries drained" 4 !received
+  let received = Multiqueue.poll_burst mq in
+  Alcotest.(check int) "all queue deliveries drained" 4 (List.length received);
+  Alcotest.(check (list string)) "one frame from each queue, round-robin"
+    [ "rx-q0"; "rx-q1"; "rx-q2"; "rx-q3" ]
+    (List.map Bytes.to_string received)
 
 let test_multiqueue_per_flow_ordering () =
   let mq = Multiqueue.create ~name:"mq3" ~queues:2 Config.default in

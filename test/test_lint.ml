@@ -53,7 +53,6 @@ let test_safe_modules_clean () =
       "lib/virtio/driver_hardened.ml";
       "lib/virtio/vring.ml";
       "lib/mem/region.ml";
-      "lib/mem/pool.ml";
       "lib/util/rng.ml";
     ]
 

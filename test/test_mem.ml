@@ -1,5 +1,5 @@
 (* Tests for the TEE memory model: protections, sharing/revocation,
-   double-fetch transactions, and the pool allocator policies. *)
+   double-fetch transactions, and the buffer pool. *)
 
 open Cio_util
 open Cio_mem
@@ -168,77 +168,6 @@ let test_word_accessors () =
   Alcotest.(check int64) "u64" 0x1122334455667788L (Region.read_u64 r Region.Guest ~off:8);
   Region.write_u8 r Region.Guest ~off:16 0xAB;
   Alcotest.(check int) "u8" 0xAB (Region.read_u8 r Region.Guest ~off:16)
-
-(* --- pool --------------------------------------------------------- *)
-
-let make_pool metadata =
-  let r = make ~size:(64 * 1024) () in
-  (r, Pool.create ~region:r ~base:0 ~slot_size:512 ~slots:16 ~metadata)
-
-let test_pool_alloc_free_cycle () =
-  let _, p = make_pool Pool.Trusted in
-  let slots = List.init 16 (fun _ -> Option.get (Pool.alloc p)) in
-  Alcotest.(check int) "all allocated" 16 (Pool.allocated_count p);
-  Alcotest.(check (option int)) "exhausted" None (Pool.alloc p);
-  List.iter (Pool.free p) slots;
-  Alcotest.(check int) "all freed" 0 (Pool.allocated_count p)
-
-let test_pool_no_double_alloc () =
-  let _, p = make_pool Pool.Trusted in
-  let a = Option.get (Pool.alloc p) and b = Option.get (Pool.alloc p) in
-  Alcotest.(check bool) "distinct slots" true (a <> b)
-
-let test_pool_free_validation () =
-  let _, p = make_pool Pool.Trusted in
-  Alcotest.check_raises "free unallocated" (Invalid_argument "Pool.free: slot not allocated")
-    (fun () -> Pool.free p 3);
-  Alcotest.check_raises "free out of range" (Invalid_argument "Pool.free: bad slot") (fun () ->
-      Pool.free p 99)
-
-let test_pool_shared_unvalidated_corruptible () =
-  let r, p = make_pool Pool.Shared_unvalidated in
-  (* The host plants a wild slot id on top of the shared free stack. *)
-  let meta_off = Pool.base p + (Pool.slot_size p * Pool.slot_count p) in
-  let count = Region.read_u16 r Region.Host ~off:meta_off in
-  Region.write_u16 r Region.Host ~off:(meta_off + 2 + (2 * (count - 1))) 999;
-  match Pool.alloc p with
-  | _ -> Alcotest.fail "unvalidated pop must blow up on wild id"
-  | exception Pool.Corrupted_metadata _ -> ()
-
-let test_pool_shared_masked_confines () =
-  let r, p = make_pool Pool.Shared_masked in
-  let meta_off = Pool.base p + (Pool.slot_size p * Pool.slot_count p) in
-  let count = Region.read_u16 r Region.Host ~off:meta_off in
-  Region.write_u16 r Region.Host ~off:(meta_off + 2 + (2 * (count - 1))) 999;
-  match Pool.alloc p with
-  | Some slot -> Alcotest.(check bool) "confined to range" true (Pool.slot_in_bounds p slot)
-  | None -> Alcotest.fail "masked pop must still produce a slot"
-
-let test_pool_slot_io () =
-  let _, p = make_pool Pool.Trusted in
-  let slot = Option.get (Pool.alloc p) in
-  Pool.write_slot p slot (Bytes.of_string "payload");
-  Helpers.check_bytes "slot io" (Bytes.of_string "payload") (Pool.read_slot p slot ~len:7)
-
-let test_pool_geometry_validated () =
-  let r = make () in
-  Alcotest.check_raises "non-pow2 slot size"
-    (Invalid_argument "Pool.create: slot_size must be a power of two") (fun () ->
-      ignore (Pool.create ~region:r ~base:0 ~slot_size:100 ~slots:16 ~metadata:Pool.Trusted))
-
-let prop_pool_alloc_unique =
-  QCheck.Test.make ~name:"pool never double-allocates" ~count:100
-    QCheck.(int_range 1 16)
-    (fun n ->
-      let _, p = make_pool Pool.Trusted in
-      let allocated = List.filter_map (fun _ -> Pool.alloc p) (List.init n (fun i -> i)) in
-      let sorted = List.sort_uniq compare allocated in
-      List.length sorted = List.length allocated)
-
-let prop_masked_pool_always_in_bounds =
-  QCheck.Test.make ~name:"masked slot ids stay in bounds" ~count:300 QCheck.small_nat (fun v ->
-      let _, p = make_pool Pool.Shared_masked in
-      Pool.slot_in_bounds p (Pool.mask_slot p v))
 
 (* --- buffer pool (allocation-free datapath) --------------------------- *)
 
@@ -497,14 +426,6 @@ let suite =
     Alcotest.test_case "region: guest-read race hook" `Quick test_guest_read_hook_fires;
     Alcotest.test_case "region: access log" `Quick test_events_logged;
     Alcotest.test_case "region: word accessors" `Quick test_word_accessors;
-    Alcotest.test_case "pool: alloc/free cycle" `Quick test_pool_alloc_free_cycle;
-    Alcotest.test_case "pool: unique allocation" `Quick test_pool_no_double_alloc;
-    Alcotest.test_case "pool: free validation" `Quick test_pool_free_validation;
-    Alcotest.test_case "pool: unvalidated metadata corruptible" `Quick
-      test_pool_shared_unvalidated_corruptible;
-    Alcotest.test_case "pool: masked metadata confined" `Quick test_pool_shared_masked_confines;
-    Alcotest.test_case "pool: slot io" `Quick test_pool_slot_io;
-    Alcotest.test_case "pool: geometry validated" `Quick test_pool_geometry_validated;
     Alcotest.test_case "bufpool: acquire/recycle/reuse" `Quick test_bufpool_acquire_recycle_reuse;
     Alcotest.test_case "bufpool: exact-length buckets" `Quick test_bufpool_exact_length_buckets;
     Alcotest.test_case "bufpool: class cap drops overflow" `Quick test_bufpool_class_cap_drops;
@@ -524,8 +445,6 @@ let suite =
     Alcotest.test_case "sanitizer: private/host reads ignored" `Quick
       test_sanitizer_ignores_private_and_host;
     Helpers.qtest prop_txn_hazards_pin_sanitizer_semantics;
-    Helpers.qtest prop_pool_alloc_unique;
-    Helpers.qtest prop_masked_pool_always_in_bounds;
     Helpers.qtest prop_bufpool_acquire_is_exact_and_balanced;
     Helpers.qtest prop_range_shared_equals_page_scan;
   ]

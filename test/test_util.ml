@@ -182,6 +182,23 @@ let prop_hex_roundtrip =
       let b = Bytes.of_string s in
       Bytes.equal (Hex.to_bytes (Hex.of_bytes b)) b)
 
+(* The one JSON string writer must round-trip every byte string through
+   the reader: control bytes (escaped, several as \u00XX), quote and
+   backslash, and raw high bytes. Half the draws are biased towards
+   control bytes; some are the string of all 256 byte values. *)
+let prop_json_string_roundtrip =
+  let every_byte = String.init 256 Char.chr in
+  QCheck.Test.make ~name:"json string roundtrip" ~count:300
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         frequency
+           [
+             (1, return every_byte);
+             (4, string_size ~gen:(char_range '\000' '\031') (int_range 0 40));
+             (5, string_size ~gen:char (int_range 0 40));
+           ]))
+    (fun s -> Json_lite.of_string (Json_lite.to_string (Json_lite.Str s)) = Json_lite.Str s)
+
 let prop_percentile_bounded =
   QCheck.Test.make ~name:"percentiles lie within min/max" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 50) (float_bound_exclusive 1000.0))
@@ -287,5 +304,6 @@ let suite =
     Helpers.qtest prop_mask_confines;
     Helpers.qtest prop_align_up_idempotent;
     Helpers.qtest prop_hex_roundtrip;
+    Helpers.qtest prop_json_string_roundtrip;
     Helpers.qtest prop_percentile_bounded;
   ]
