@@ -308,7 +308,8 @@ let write_json ~file ~mode ~smoke ~experiments ~micro =
   Fmt.pr "wrote %s@." file
 
 (* Fast, information-dense subset for CI smoke runs. *)
-let smoke_ids = [ "fig2"; "fig3"; "fig4"; "e1"; "e2"; "e11"; "e21"; "e22" ]
+let smoke_ids =
+  [ "fig2"; "fig3"; "fig4"; "e1"; "e2"; "e5"; "e11"; "e12"; "e13"; "e17"; "e18"; "e21"; "e22" ]
 
 (* Run one experiment, teeing its output to stdout and into the
    accumulator for --json. *)

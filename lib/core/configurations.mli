@@ -34,12 +34,6 @@ val run_echo :
   ?seed:int64 ->
   ?msg_size:int ->
   ?messages:int ->
-  ?window:int ->
-  ?latency_ns:int64 ->
-  ?gbps:float ->
-  ?quantum_ns:int64 ->
-  ?max_steps:int ->
-  ?model:Cost.model ->
   ?cionet_config:Cio_cionet.Config.t ->
   kind ->
   metrics
@@ -55,17 +49,6 @@ type transport_choice = T_virtio_hardened | T_cionet
 
 val transport_name : transport_choice -> string
 
-val run_echo_custom :
-  ?seed:int64 ->
-  ?msg_size:int ->
-  ?messages:int ->
-  ?window:int ->
-  ?quantum_ns:int64 ->
-  ?max_steps:int ->
-  ?model:Cost.model ->
-  transport:transport_choice ->
-  quarantined:bool ->
-  unit ->
-  bool * float * int
+val run_echo_custom : transport:transport_choice -> quarantined:bool -> bool * float * int
 (** (completed, cycles per app byte, L5 crossings) for a transport ×
     boundary-placement cell. *)

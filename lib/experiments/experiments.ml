@@ -470,54 +470,22 @@ let e11 ppf () =
 
 (* --- E12: live migration by device hot swap -------------------------------- *)
 
-(* Local topology constants for the hand-wired experiments. *)
-let ip_tee = Cio_frame.Addr.ipv4_of_octets 10 0 0 1
-let ip_peer = Cio_frame.Addr.ipv4_of_octets 10 0 0 2
-let mac_tee = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 1
-let mac_peer = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 2
-let echo_port = 443
-let psk = Bytes.of_string "attestation-provisioned-psk-32b!"
-let psk_id = "experiments"
-
 (* A full dual-boundary echo session; halfway through, the device is
    hot-swapped (old region revoked wholesale, fresh instance, host
    re-attaches). The zero-negotiation interface has no state to migrate;
    TCP retransmission and the L5 record layer absorb the cable-pull. *)
 let e12 ppf () =
-  let open Cio_netsim in
   fp ppf "E12: live migration by device hot swap (the §3.2 zero-negotiation payoff)@.";
-  let engine = Engine.create () in
-  let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-  let rng = Rng.create 66L in
-  let now () = Engine.now engine in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:ip_peer ~mac:mac_peer ~neighbors:[ (ip_tee, mac_tee) ]
-      ~psk ~psk_id ~rng:(Rng.split rng) ~now ()
-  in
-  Peer.serve_echo peer ~port:echo_port;
-  let unit_ =
-    Dual.create ~mac:mac_tee ~name:"e12" ~ip:ip_tee ~neighbors:[ (ip_peer, mac_peer) ] ~psk
-      ~psk_id ~rng:(Rng.split rng) ~now ()
-  in
-  let host =
-    Cio_cionet.Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Link.attach link Link.A (fun f -> Cio_cionet.Host_model.deliver_rx host f);
-  let ch = Dual.connect unit_ ~dst:ip_peer ~dst_port:echo_port in
-  let pump () =
-    Dual.poll unit_;
-    Cio_cionet.Host_model.poll host;
-    Peer.poll peer;
-    Engine.advance engine ~by:5_000L
-  in
+  let d = Testbed.attach_dual (Testbed.create ~name:"e12" ~psk_id:"experiments" ~seed:66L ()) in
+  let unit_ = d.Testbed.unit_ in
+  let ch = Testbed.connect d in
   let echoes = ref 0 and sent = ref 0 and steps = ref 0 in
   let payload = Bytes.make 512 'm' in
   let swap_at = 10 and target = 20 in
   let swapped_step = ref 0 and recovered_step = ref 0 in
   while !echoes < target && !steps < 300_000 do
     incr steps;
-    pump ();
+    Testbed.pump d ~by:5_000L;
     if Channel.is_established ch && !sent < target && !sent - !echoes < 2 then
       if (match Channel.send ch payload with Ok () -> true | Error _ -> false) then incr sent;
     (match Channel.recv ch with
@@ -529,7 +497,7 @@ let e12 ppf () =
     if !echoes = swap_at && !swapped_step = 0 then begin
       swapped_step := !steps;
       Cio_cionet.Driver.hot_swap (Dual.driver unit_);
-      Cio_cionet.Host_model.reattach host ~driver:(Dual.driver unit_)
+      Cio_cionet.Host_model.reattach d.Testbed.host ~driver:(Dual.driver unit_)
     end
   done;
   fp ppf "  echoes before swap: %d; hot swap at step %d; first echo after swap at step %d@."
@@ -553,42 +521,18 @@ let e13 ppf () =
   let open Cio_netsim in
   fp ppf "E13: padding dual-boundary frames to the MTU (observability ablation)@.";
   let run pad_frames =
-    let engine = Engine.create () in
-    let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-    let tap = Cio_observe.Observe.create (if pad_frames then "dual+pad" else "dual") in
-    Link.set_transit_tap link
-      (Some
-         (fun ~time ~src frame ->
-           let dir = match src with Link.A -> Kind_.dir_out | Link.B -> Kind_.dir_in in
-           Cio_observe.Observe.record tap ~time
-             ~kind:(Kind_.tap ~base:Kind_.frame ~dir)
-             ~size:(Bytes.length frame)));
-    let rng = Rng.create 77L in
-    let now () = Engine.now engine in
-    let peer =
-      Peer.create ~link ~endpoint:Link.B ~ip:ip_peer ~mac:mac_peer ~neighbors:[ (ip_tee, mac_tee) ]
-        ~psk ~psk_id ~rng:(Rng.split rng) ~now ()
+    let bed =
+      Testbed.create ~name:(if pad_frames then "dual+pad" else "dual") ~psk_id:"experiments"
+        ~seed:77L ()
     in
-    Peer.serve_echo peer ~port:echo_port;
     let cionet_config = { Cio_cionet.Config.default with Cio_cionet.Config.pad_frames } in
-    let unit_ =
-      Dual.create ~cionet_config ~mac:mac_tee ~name:"e13" ~ip:ip_tee
-        ~neighbors:[ (ip_peer, mac_peer) ] ~psk ~psk_id ~rng:(Rng.split rng) ~now ()
-    in
-    let host =
-      Cio_cionet.Host_model.create ~driver:(Dual.driver unit_)
-        ~transmit:(fun f -> Link.send link ~src:Link.A f)
-    in
-    Link.attach link Link.A (fun f -> Cio_cionet.Host_model.deliver_rx host f);
-    let ch = Dual.connect unit_ ~dst:ip_peer ~dst_port:echo_port in
+    let d = Testbed.attach_dual ~cionet_config bed in
+    let ch = Testbed.connect d in
     let rng_sizes = Rng.create 5L in
     let echoes = ref 0 and sent = ref 0 and steps = ref 0 in
     while !echoes < 30 && !steps < 100_000 do
       incr steps;
-      Dual.poll unit_;
-      Cio_cionet.Host_model.poll host;
-      Peer.poll peer;
-      Engine.advance engine ~by:2_000L;
+      Testbed.pump d ~by:2_000L;
       if Channel.is_established ch && !sent < 30 && !sent - !echoes < 2 then begin
         (* Varied sizes: what padding is supposed to hide. *)
         let payload = Bytes.make (32 + Rng.int rng_sizes 900) 'p' in
@@ -596,7 +540,7 @@ let e13 ppf () =
       end;
       match Channel.recv ch with Some _ -> incr echoes | None -> ()
     done;
-    (tap, Link.bytes_sent link ~src:Link.A + Link.bytes_sent link ~src:Link.B)
+    (bed.tap, Link.bytes_sent bed.link ~src:Link.A + Link.bytes_sent bed.link ~src:Link.B)
   in
   let tap_plain, bytes_plain = run false in
   let tap_pad, bytes_pad = run true in
@@ -808,7 +752,7 @@ let e17 ppf () =
     (fun transport ->
       let cell quarantined =
         let completed, cyc, crossings =
-          C.run_echo_custom ~transport ~quarantined ()
+          C.run_echo_custom ~transport ~quarantined
         in
         if completed then Printf.sprintf "%6.1f cyc/B (%d gates)" cyc crossings
         else "INCOMPLETE"

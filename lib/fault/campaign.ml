@@ -96,15 +96,6 @@ let all_recovered t =
   t.faults <> []
   && List.for_all (fun f -> f.recovered_in_steps <> None) t.faults
 
-(* Topology constants (same shape as the hand-wired experiments). *)
-let ip_tee = Cio_frame.Addr.ipv4_of_octets 10 0 0 1
-let ip_peer = Cio_frame.Addr.ipv4_of_octets 10 0 0 2
-let mac_tee = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 1
-let mac_peer = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 2
-let echo_port = 443
-let psk = Bytes.of_string "attestation-provisioned-psk-32b!"
-let psk_id = "fault-campaign"
-
 (* Flip one bit inside a TCP payload (a TLS record in flight), fixing the
    checksums up so the tamper survives L2–L4 and must be caught — and is,
    fail-closed — by the L5 AEAD. *)
@@ -158,30 +149,14 @@ let classify kind ~d_recovery ~d_confined ~d_crashes =
   else ("tolerated silently (transport absorbed it)", false)
 
 let run ?(config = default_config) (plan : Plan.t) =
-  let engine = Engine.create () in
-  if Trace.on () then begin
-    Trace.set_clock (fun () -> Engine.now engine);
-    Trace.span_begin ~cat:Kind.fault "campaign"
-  end;
-  let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-  let rng = Rng.create plan.Plan.seed in
-  let now () = Engine.now engine in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:ip_peer ~mac:mac_peer
-      ~neighbors:[ (ip_tee, mac_tee) ] ~psk ~psk_id ~rng:(Rng.split rng) ~now ()
+  let bed =
+    Testbed.create ~name:"fault-campaign" ~psk_id:"fault-campaign" ~seed:plan.Plan.seed ()
   in
-  Peer.serve_echo peer ~port:echo_port;
-  let unit_ =
-    Dual.create ~mac:mac_tee ~name:"fault-campaign" ~ip:ip_tee
-      ~neighbors:[ (ip_peer, mac_peer) ] ?overload:config.overload ~psk ~psk_id
-      ~rng:(Rng.split rng) ~now ()
-  in
+  if Trace.on () then Trace.span_begin ~cat:Kind.fault "campaign";
+  let d = Testbed.attach_dual ?overload:config.overload bed in
+  let engine = bed.Testbed.engine and link = bed.Testbed.link and rng = bed.Testbed.rng in
+  let unit_ = d.Testbed.unit_ and host = d.Testbed.host in
   let plane = Dual.overload unit_ in
-  let host =
-    Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Link.attach link Link.A (fun f -> Host_model.deliver_rx host f);
   let recovery = Dual.recovery unit_ in
   let wd =
     Watchdog.create ~poll_budget:config.watchdog_budget ~recovery
@@ -192,7 +167,7 @@ let run ?(config = default_config) (plan : Plan.t) =
   in
   (* Leak detection: every frame entering the link — both directions, the
      complete host-visible surface — is scanned for the canary that every
-     app payload embeds. *)
+     app payload embeds. This tap replaces the testbed's metadata tap. *)
   let leaks = ref 0 in
   Link.set_transit_tap link
     (Some (fun ~time:_ ~src:_ frame -> if Cio_attack.Attack.contains_canary frame then incr leaks));
@@ -256,7 +231,7 @@ let run ?(config = default_config) (plan : Plan.t) =
   let lost = ref 0 in
   let integrity = ref 0 in
   let outstanding : bytes Queue.t = Queue.create () in
-  let ch = ref (Dual.connect unit_ ~dst:ip_peer ~dst_port:echo_port) in
+  let ch = ref (Testbed.connect d) in
   let drop_outstanding () =
     lost := !lost + Queue.length outstanding;
     Queue.clear outstanding
@@ -335,10 +310,7 @@ let run ?(config = default_config) (plan : Plan.t) =
   while (not (done_ ())) && !steps < config.max_steps do
     incr steps;
     sample_sanitizer ();
-    Dual.poll unit_;
-    Host_model.poll host;
-    Peer.poll peer;
-    Engine.advance engine ~by:config.quantum_ns;
+    Testbed.pump d ~by:config.quantum_ns;
     sample_confinement ();
     if Dual.io_alive unit_ then begin
       Watchdog.tick wd ~expecting_rx:(not (Queue.is_empty outstanding));

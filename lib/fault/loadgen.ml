@@ -18,9 +18,7 @@
 
    Determinism: same seed + same config, byte-identical report. *)
 
-open Cio_util
 open Cio_core
-open Cio_netsim
 open Cio_cionet
 
 type config = {
@@ -63,14 +61,6 @@ type report = {
   breaker_transitions : int;
 }
 
-let ip_tee = Cio_frame.Addr.ipv4_of_octets 10 0 0 1
-let ip_peer = Cio_frame.Addr.ipv4_of_octets 10 0 0 2
-let mac_tee = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 1
-let mac_peer = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 2
-let echo_port = 443
-let psk = Bytes.of_string "attestation-provisioned-psk-32b!"
-let psk_id = "overload-loadgen"
-
 (* Payload: "<seq:%06d> <birth:%08d> ...padding". The reply carries its
    own birth step, so RTT needs no side table. *)
 let payload ~msg_size ~seq ~birth =
@@ -83,34 +73,14 @@ let parse_birth m =
   if Bytes.length m >= 16 then int_of_string_opt (Bytes.sub_string m 7 8) else None
 
 let run ?(config = default_config) ~seed () =
-  let engine = Engine.create () in
-  let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-  let rng = Rng.create seed in
-  let now () = Engine.now engine in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:ip_peer ~mac:mac_peer
-      ~neighbors:[ (ip_tee, mac_tee) ] ~psk ~psk_id ~rng:(Rng.split rng) ~now ()
+  let d =
+    Testbed.attach_dual ?overload:config.overload
+      (Testbed.create ~name:"overload-loadgen" ~psk_id:"overload-loadgen" ~seed ())
   in
-  Peer.serve_echo peer ~port:echo_port;
-  let unit_ =
-    Dual.create ~mac:mac_tee ~name:"overload-loadgen" ~ip:ip_tee
-      ~neighbors:[ (ip_peer, mac_peer) ] ?overload:config.overload ~psk ~psk_id
-      ~rng:(Rng.split rng) ~now ()
-  in
+  let unit_ = d.Testbed.unit_ and host = d.Testbed.host in
   let plane = Dual.overload unit_ in
-  let host =
-    Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Host_model.set_service_quota host (Some config.host_quota);
-  Link.attach link Link.A (fun f -> Host_model.deliver_rx host f);
-  let ch = Dual.connect unit_ ~dst:ip_peer ~dst_port:echo_port in
-  let pump () =
-    Dual.poll unit_;
-    Host_model.poll host;
-    Peer.poll peer;
-    Engine.advance engine ~by:config.quantum_ns
-  in
+  let ch = Testbed.connect d in
+  let pump () = Testbed.pump d ~by:config.quantum_ns in
   (* Handshake warm-up, outside the measured window (unmetered host). *)
   Host_model.set_service_quota host None;
   let warm = ref 0 in

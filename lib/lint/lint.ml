@@ -347,7 +347,6 @@ type ctx = {
   c_in_cionet_ring : bool;
   tainted : (string, unit) Hashtbl.t;
   mutable fetches : (string * int) list;  (* normalized fetch app, line *)
-  mutable has_txn : bool;
   mutable out : finding list;
 }
 
@@ -518,9 +517,7 @@ let check_setfield ctx line lid rhs =
 let rec walk ctx e =
   match e.pexp_desc with
   | Pexp_ident lid ->
-      check_unsafe ctx e lid;
-      let n = flatten_lid lid.Location.txt in
-      if List.mem (last_component n) [ "with_txn"; "begin_txn" ] then ctx.has_txn <- true
+      check_unsafe ctx e lid
   | Pexp_let (rf, vbs, body) ->
       if rf = Asttypes.Recursive then
         List.iter
@@ -618,22 +615,19 @@ and walk_module ctx me =
 let finish_df ctx =
   (* Group identical fetch expressions: the same shared offset pulled
      twice in one function without an intervening snapshot is the
-     textbook double fetch — unless the function brackets its parse in a
-     [Region] transaction, the dynamic equivalent. *)
-  if not ctx.has_txn then begin
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (norm, line) ->
-        let prev = try Hashtbl.find tbl norm with Not_found -> [] in
-        Hashtbl.replace tbl norm (line :: prev))
-      ctx.fetches;
-    Hashtbl.iter
-      (fun norm lines ->
-        if List.length lines >= 2 then
-          let line = List.fold_left max 0 lines in
-          emit ctx DF line (Printf.sprintf "fetched twice from shared memory: %s" norm))
-      tbl
-  end
+     textbook double fetch. *)
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (norm, line) ->
+      let prev = try Hashtbl.find tbl norm with Not_found -> [] in
+      Hashtbl.replace tbl norm (line :: prev))
+    ctx.fetches;
+  Hashtbl.iter
+    (fun norm lines ->
+      if List.length lines >= 2 then
+        let line = List.fold_left max 0 lines in
+        emit ctx DF line (Printf.sprintf "fetched twice from shared memory: %s" norm))
+    tbl
 
 let analyze_binding ~file ~role ~in_ring ~recursive vb =
   let fname =
@@ -647,7 +641,6 @@ let analyze_binding ~file ~role ~in_ring ~recursive vb =
       c_in_cionet_ring = in_ring;
       tainted = Hashtbl.create 16;
       fetches = [];
-      has_txn = false;
       out = [];
     }
   in

@@ -51,9 +51,6 @@ type t = {
   model : Cost.model;
   mutable log : event list;  (* newest first *)
   mutable log_enabled : bool;
-  mutable txn : (int * int * string) list option;
-      (* open double-fetch transaction: guest reads of shared memory as
-         (off, len, content-at-read-time) *)
   mutable host_write_hook : (off:int -> len:int -> unit) option;
   mutable guest_read_hook : (off:int -> len:int -> unit) option;
       (* fired after each guest read of shared memory: lets the attack
@@ -63,10 +60,9 @@ type t = {
          shared memory is checked against the epoch's earlier fetches *)
 }
 
-(* Runtime double-fetch sanitizer state. Unlike a [txn] (opened by the
-   *code under test* around one logical parse), the sanitizer is armed
-   from the outside — by a test or fault campaign — and watches code that
-   never asked to be watched. An epoch is one logical parse (one poll);
+(* Runtime double-fetch sanitizer state. The sanitizer is armed from the
+   outside — by a test or fault campaign — and watches code that never
+   asked to be watched. An epoch is one logical parse (one poll);
    re-reading an index across epochs is legitimate, re-reading inside one
    is the Fig. 3/4 double fetch. *)
 and san = {
@@ -91,7 +87,6 @@ let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~
     model;
     log = [];
     log_enabled = true;
-    txn = None;
     host_write_hook = None;
     guest_read_hook = None;
     san = None;
@@ -168,7 +163,7 @@ let san_note t ~off ~len =
       s.s_fetches <- (off, len, snap) :: s.s_fetches
 
 (* Every read runs the same steps in the same order: bounds/protection
-   check, log, transaction and sanitizer capture, the read itself (the
+   check, log, sanitizer capture, the read itself (the
    caller's), then the guest read hook. [read_begin] does the steps before
    the read and returns whether the hook is due; [read_end] fires it —
    after the value is captured, so the *next* fetch observes any mutation
@@ -180,12 +175,7 @@ let read_begin t actor ~off ~len =
   | Host -> false
   | Guest ->
       let shared = len > 0 && range_shared t off len in
-      if shared then begin
-        (match t.txn with
-        | Some reads -> t.txn <- Some ((off, len, Bytes.sub_string t.data off len) :: reads)
-        | None -> ());
-        san_note t ~off ~len
-      end;
+      if shared then san_note t ~off ~len;
       shared
 
 let read_end t ~off ~len hook_due =
@@ -357,56 +347,6 @@ let copy_in_into t ~off dst =
 let copy_out t ~off src =
   guest_write t ~off src;
   Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length src))
-
-(* Double-fetch transactions. The guest brackets one logical parse of
-   host-writable data with [begin_txn]/[end_txn]; any shared range read
-   twice inside the bracket is a double-fetch hazard, and it is *exploited*
-   if the bytes changed between the two reads (i.e. the host raced the
-   parser). *)
-
-type hazard = { off : int; len : int; mutated : bool }
-
-let begin_txn t =
-  if t.txn <> None then invalid_arg "Region.begin_txn: transaction already open";
-  t.txn <- Some []
-
-let end_txn t =
-  match t.txn with
-  | None -> invalid_arg "Region.end_txn: no open transaction"
-  | Some reads ->
-      t.txn <- None;
-      let reads = List.rev reads in
-      let hazards = ref [] in
-      let rec scan = function
-        | [] -> ()
-        | (off, len, content) :: rest ->
-            List.iter
-              (fun (off2, len2, content2) ->
-                if ranges_overlap (off, len) (off2, len2) then begin
-                  let mutated =
-                    (* compare the overlapping window of the two reads *)
-                    let lo = max off off2 and hi = min (off + len) (off2 + len2) in
-                    let w1 = String.sub content (lo - off) (hi - lo) in
-                    let w2 = String.sub content2 (lo - off2) (hi - lo) in
-                    not (String.equal w1 w2)
-                  in
-                  hazards := { off = off2; len = len2; mutated } :: !hazards
-                end)
-              rest;
-            scan rest
-      in
-      scan reads;
-      List.rev !hazards
-
-let with_txn t f =
-  begin_txn t;
-  match f () with
-  | v ->
-      let hazards = end_txn t in
-      (v, hazards)
-  | exception e ->
-      ignore (end_txn t);
-      raise e
 
 let set_host_write_hook t hook = t.host_write_hook <- hook
 let set_guest_read_hook t hook = t.guest_read_hook <- hook

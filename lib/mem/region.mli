@@ -1,5 +1,5 @@
 (** Simulated TEE memory: byte regions with per-page protection, access
-    logging, page sharing/revocation, and double-fetch transactions.
+    logging, page sharing/revocation, and a double-fetch sanitizer.
 
     Stands in for SEV/TDX/SGX memory protection (DESIGN.md §1): [Private]
     pages fault on host access; [Shared] pages model bounce/ring memory. *)
@@ -68,7 +68,7 @@ val host_write : t -> off:int -> bytes -> unit
 
 val guest_read_into : t -> off:int -> bytes -> unit
 (** [guest_read_into t ~off dst] reads [Bytes.length dst] bytes at [off]
-    into [dst] — same checks, logging, transaction capture and read-hook
+    into [dst] — same checks, logging, sanitizer capture and read-hook
     ordering as {!guest_read}, without allocating. *)
 
 val host_read_into : t -> off:int -> bytes -> unit
@@ -101,18 +101,6 @@ val copy_in_into : t -> off:int -> bytes -> unit
 val copy_out : t -> off:int -> bytes -> unit
 (** Guest publish of private bytes; charges [Copy]. *)
 
-(** {1 Double-fetch transactions} *)
-
-type hazard = { off : int; len : int; mutated : bool }
-
-val begin_txn : t -> unit
-
-val end_txn : t -> hazard list
-(** Shared ranges the guest read more than once inside the bracket;
-    [mutated] marks reads whose bytes changed in between (a host race). *)
-
-val with_txn : t -> (unit -> 'a) -> 'a * hazard list
-
 val set_host_write_hook : t -> (off:int -> len:int -> unit) option -> unit
 (** Install an adversary callback fired after every host write (used by
     the attack harness to interleave mutations deterministically). *)
@@ -123,10 +111,9 @@ val set_guest_read_hook : t -> (off:int -> len:int -> unit) option -> unit
 
 (** {1 Runtime double-fetch sanitizer}
 
-    The dynamic counterpart of cio_lint's DF rule. Unlike a transaction
-    (opened by the code under test), the sanitizer is armed from the
-    outside — by a test or fault campaign — and watches code that never
-    asked to be watched: every guest fetch of a shared range is compared
+    The dynamic counterpart of cio_lint's DF rule. The sanitizer is armed
+    from the outside — by a test or fault campaign — and watches code that
+    never asked to be watched: every guest fetch of a shared range is compared
     against the current epoch's earlier fetches, and overlaps bump the
     [mem.sanitizer.double_fetch] (and, when the bytes changed in between,
     [mem.sanitizer.double_fetch_mutated]) counters in

@@ -5,9 +5,9 @@
    RX list were all unbounded, so a slow consumer turned into memory
    growth rather than a visible signal. The overload plane replaces the
    silent paths with explicit, typed outcomes at each crossing: every
-   producer learns *why* it was refused (ring full, bounded queue full,
-   admission, deadline blown, breaker open), and every refusal is
-   counted.
+   producer learns *why* it was refused (admission, deadline blown,
+   breaker open, retry budget spent), and every refusal, a full ring or
+   bounded queue included, is counted.
 
    [level] is the continuous companion to the binary outcome: a queue's
    occupancy mapped to Nominal / Soft / Hard so upper layers can react
@@ -18,24 +18,12 @@ module Metrics = Cio_telemetry.Metrics
 type level = Nominal | Soft | Hard
 
 type reason =
-  | Ring_full        (* L2 TX ring had no EMPTY slot *)
-  | Queue_full       (* a bounded software queue refused the item *)
   | Admission        (* token bucket had no token for this class *)
   | Deadline         (* the request outlived its latency budget *)
   | Breaker_open     (* host circuit breaker is not closed *)
   | Retry_exhausted  (* retry budget refused to amplify load *)
 
 type outcome = Accepted | Backpressure of reason
-
-let reason_name = function
-  | Ring_full -> "ring-full"
-  | Queue_full -> "queue-full"
-  | Admission -> "admission"
-  | Deadline -> "deadline"
-  | Breaker_open -> "breaker-open"
-  | Retry_exhausted -> "retry-exhausted"
-
-let level_name = function Nominal -> "nominal" | Soft -> "soft" | Hard -> "hard"
 
 (* Soft at half occupancy, hard at 7/8 — the same shape real NIC drivers
    use for ring-occupancy thresholds (start coalescing early, refuse

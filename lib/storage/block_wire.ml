@@ -9,8 +9,7 @@
    matched by lba — the L2 principles transposed to storage.
 
    The block device encodes and parses messages in place, in pooled
-   buffers ([put_header], [payload_len]); the record codec below is a
-   thin wrapper over the same functions. *)
+   buffers ([put_header], [payload_len]). *)
 
 type op = Read | Write
 
@@ -41,31 +40,3 @@ let payload_len b =
     let len = Int32.to_int (Bytes.get_int32_le b 5) in
     if lba b < 0 || len < 0 || header_len + len > Bytes.length b then -1 else len
   end
-
-type request = { op : op; lba : int; payload : bytes }
-
-type response = { status : status; rlba : int; rpayload : bytes }
-
-let encode ~code ~lba payload =
-  let len = Bytes.length payload in
-  let b = Bytes.create (header_len + len) in
-  put_header b ~code ~lba ~len;
-  Bytes.blit payload 0 b header_len len;
-  b
-
-let encode_request { op; lba; payload } = encode ~code:(op_code op) ~lba payload
-let encode_response { status; rlba; rpayload } = encode ~code:(status_code status) ~lba:rlba rpayload
-
-let decode_request b =
-  let len = payload_len b in
-  if len < 0 then None
-  else
-    Option.map (fun op -> { op; lba = lba b; payload = Bytes.sub b header_len len }) (op_of_code (code b))
-
-let decode_response b =
-  let len = payload_len b in
-  if len < 0 then None
-  else
-    Option.map
-      (fun status -> { status; rlba = lba b; rpayload = Bytes.sub b header_len len })
-      (status_of_code (code b))

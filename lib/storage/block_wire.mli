@@ -30,13 +30,3 @@ val payload_len : bytes -> int
     shorter than a header or the header claims a negative lba, a
     negative length or more payload than the message holds. The codes
     are not checked. *)
-
-(** {2 Records} *)
-
-type request = { op : op; lba : int; payload : bytes }
-type response = { status : status; rlba : int; rpayload : bytes }
-
-val encode_request : request -> bytes
-val decode_request : bytes -> request option
-val encode_response : response -> bytes
-val decode_response : bytes -> response option

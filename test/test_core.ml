@@ -105,33 +105,10 @@ let test_tunnel_uniform_padding () =
 (* --- dual unit as a library (not through the harness) ----------------- *)
 
 let test_dual_unit_echo_direct () =
-  let open Cio_netsim in
-  let engine = Engine.create () in
-  let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-  let rng = Rng.create 3L in
-  let now () = Engine.now engine in
-  let psk = Bytes.of_string "direct-dual-test-psk-32-bytes-x." in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:Helpers.ip_b ~mac:Helpers.mac_b
-      ~neighbors:[ (Helpers.ip_a, Helpers.mac_a) ] ~psk ~psk_id:"d" ~rng:(Rng.split rng) ~now ()
-  in
-  Peer.serve_echo peer ~port:4433;
-  let unit_ =
-    Dual.create ~mac:Helpers.mac_a ~name:"direct" ~ip:Helpers.ip_a
-      ~neighbors:[ (Helpers.ip_b, Helpers.mac_b) ] ~psk ~psk_id:"d" ~rng:(Rng.split rng) ~now ()
-  in
-  let host =
-    Cio_cionet.Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Link.attach link Link.A (fun f -> Cio_cionet.Host_model.deliver_rx host f);
-  let ch = Dual.connect unit_ ~dst:Helpers.ip_b ~dst_port:4433 in
-  let pump () =
-    Dual.poll unit_;
-    Cio_cionet.Host_model.poll host;
-    Peer.poll peer;
-    Engine.advance engine ~by:2_000L
-  in
+  let d = Testbed.attach_dual (Testbed.create ~name:"direct" ~psk_id:"d" ~seed:3L ()) in
+  let unit_ = d.Testbed.unit_ in
+  let ch = Testbed.connect d in
+  let pump () = Testbed.pump d ~by:2_000L in
   let rec until pred n = pred () || (n > 0 && (pump (); until pred (n - 1))) in
   Alcotest.(check bool) "established" true (until (fun () -> Channel.is_established ch) 2000);
   (match Channel.send ch (Bytes.of_string "dual-echo") with
@@ -153,33 +130,10 @@ let test_dual_echo_steady_state_zero_alloc () =
   (* The allocation-free acceptance bar: once the pool is warm, a dual-
      boundary TLS echo performs zero fresh Bytes allocations per frame on
      the L2 path (RX consume buffers and TX pad staging all recycle). *)
-  let open Cio_netsim in
-  let engine = Engine.create () in
-  let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-  let rng = Rng.create 11L in
-  let now () = Engine.now engine in
-  let psk = Bytes.of_string "steady-state-echo-psk-32-bytes-x" in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:Helpers.ip_b ~mac:Helpers.mac_b
-      ~neighbors:[ (Helpers.ip_a, Helpers.mac_a) ] ~psk ~psk_id:"s" ~rng:(Rng.split rng) ~now ()
-  in
-  Peer.serve_echo peer ~port:4433;
-  let unit_ =
-    Dual.create ~mac:Helpers.mac_a ~name:"steady" ~ip:Helpers.ip_a
-      ~neighbors:[ (Helpers.ip_b, Helpers.mac_b) ] ~psk ~psk_id:"s" ~rng:(Rng.split rng) ~now ()
-  in
-  let host =
-    Cio_cionet.Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Link.attach link Link.A (fun f -> Cio_cionet.Host_model.deliver_rx host f);
-  let ch = Dual.connect unit_ ~dst:Helpers.ip_b ~dst_port:4433 in
-  let pump () =
-    Dual.poll unit_;
-    Cio_cionet.Host_model.poll host;
-    Peer.poll peer;
-    Engine.advance engine ~by:2_000L
-  in
+  let d = Testbed.attach_dual (Testbed.create ~name:"steady" ~psk_id:"s" ~seed:11L ()) in
+  let unit_ = d.Testbed.unit_ in
+  let ch = Testbed.connect d in
+  let pump () = Testbed.pump d ~by:2_000L in
   let rec until pred n = pred () || (n > 0 && (pump (); until pred (n - 1))) in
   Alcotest.(check bool) "established" true (until (fun () -> Channel.is_established ch) 2000);
   let msg = Bytes.make 512 'e' in

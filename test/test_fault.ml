@@ -3,9 +3,7 @@
    of the quarantined I/O stack, fail-closed record tampering, watchdog
    stall recovery — and the leak verdict that makes them safe. *)
 
-open Cio_util
 open Cio_core
-open Cio_netsim
 open Cio_fault
 open Cio_compartment
 
@@ -156,41 +154,15 @@ let test_crash_domain_fails_closed () =
 (* --- dual-unit crash recovery end to end --------------------------------- *)
 
 let test_dual_survives_io_stack_crash () =
-  let engine = Engine.create () in
-  let link = Link.create ~latency_ns:5_000L ~gbps:10.0 engine in
-  let rng = Rng.create 99L in
-  let now () = Engine.now engine in
-  let ip_tee = Cio_frame.Addr.ipv4_of_octets 10 0 0 1 in
-  let ip_peer = Cio_frame.Addr.ipv4_of_octets 10 0 0 2 in
-  let mac_tee = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 1 in
-  let mac_peer = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 2 in
-  let psk = Bytes.of_string "attestation-provisioned-psk-32b!" in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:ip_peer ~mac:mac_peer
-      ~neighbors:[ (ip_tee, mac_tee) ] ~psk ~psk_id:"t" ~rng:(Rng.split rng) ~now ()
-  in
-  Peer.serve_echo peer ~port:443;
-  let unit_ =
-    Dual.create ~mac:mac_tee ~name:"crash-test" ~ip:ip_tee
-      ~neighbors:[ (ip_peer, mac_peer) ] ~psk ~psk_id:"t" ~rng:(Rng.split rng) ~now ()
-  in
-  let host =
-    Cio_cionet.Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Link.attach link Link.A (fun f -> Cio_cionet.Host_model.deliver_rx host f);
-  let step () =
-    Dual.poll unit_;
-    Cio_cionet.Host_model.poll host;
-    Peer.poll peer;
-    Engine.advance engine ~by:10_000L
-  in
+  let d = Testbed.attach_dual (Testbed.create ~name:"crash-test" ~psk_id:"t" ~seed:99L ()) in
+  let unit_ = d.Testbed.unit_ and host = d.Testbed.host in
+  let step () = Testbed.pump d ~by:10_000L in
   let wait pred =
     let n = ref 0 in
     while (not (pred ())) && !n < 60_000 do incr n; step () done;
     pred ()
   in
-  let ch = ref (Dual.connect unit_ ~dst:ip_peer ~dst_port:443) in
+  let ch = ref (Testbed.connect d) in
   Alcotest.(check bool) "established" true
     (wait (fun () -> Channel.is_established !ch));
   let echo msg =

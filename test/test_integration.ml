@@ -12,52 +12,20 @@ open Cio_core
 open Cio_netsim
 open Cio_util
 
-type world = {
-  engine : Engine.t;
-  link : Link.t;
-  unit_ : Dual.t;
-  host : Cio_cionet.Host_model.t;
-  peer : Peer.t;
-}
-
-let psk = Bytes.of_string "integration-test-psk-32-bytes-!!"
-
-let make_world ?(latency_ns = 5_000L) ~seed ~profile () =
-  let engine = Engine.create () in
-  let link = Link.create ~latency_ns ~gbps:10.0 engine in
-  let rng = Rng.create seed in
-  let now () = Engine.now engine in
-  let peer =
-    Peer.create ~link ~endpoint:Link.B ~ip:Helpers.ip_b ~mac:Helpers.mac_b
-      ~neighbors:[ (Helpers.ip_a, Helpers.mac_a) ] ~psk ~psk_id:"itest" ~rng:(Rng.split rng) ~now
-      ()
-  in
-  Peer.serve_echo peer ~port:443;
-  let unit_ =
-    Dual.create ~mac:Helpers.mac_a ~name:"itest" ~ip:Helpers.ip_a
-      ~neighbors:[ (Helpers.ip_b, Helpers.mac_b) ] ~psk ~psk_id:"itest" ~rng:(Rng.split rng) ~now
-      ()
-  in
-  let host =
-    Cio_cionet.Host_model.create ~driver:(Dual.driver unit_)
-      ~transmit:(fun f -> Link.send link ~src:Link.A f)
-  in
-  Link.attach link Link.A (fun f -> Cio_cionet.Host_model.deliver_rx host f);
+let make_world ~seed ~profile () =
+  let bed = Testbed.create ~name:"itest" ~psk_id:"itest" ~seed () in
+  let w = Testbed.attach_dual bed in
   (* The adversary owns both directions of the link. *)
   (match profile with
   | None -> ()
   | Some p ->
-      let adv_a = Adversary.create ~rng:(Rng.split rng) p in
-      let adv_b = Adversary.create ~rng:(Rng.split rng) p in
-      Adversary.install adv_a link ~src:Link.A;
-      Adversary.install adv_b link ~src:Link.B);
-  { engine; link; unit_; host; peer }
+      let adv_a = Adversary.create ~rng:(Rng.split bed.rng) p in
+      let adv_b = Adversary.create ~rng:(Rng.split bed.rng) p in
+      Adversary.install adv_a bed.link ~src:Link.A;
+      Adversary.install adv_b bed.link ~src:Link.B);
+  w
 
-let pump w =
-  Dual.poll w.unit_;
-  Cio_cionet.Host_model.poll w.host;
-  Peer.poll w.peer;
-  Engine.advance w.engine ~by:2_000L
+let pump w = Testbed.pump w ~by:2_000L
 
 let run_until w pred max_steps =
   let rec go n =
@@ -73,7 +41,7 @@ let run_until w pred max_steps =
 
 (* Echo [count] distinct messages and verify every reply byte-exactly. *)
 let echo_workload w ~count ~max_steps =
-  let ch = Dual.connect w.unit_ ~dst:Helpers.ip_b ~dst_port:443 in
+  let ch = Testbed.connect w in
   if not (run_until w (fun () -> Channel.is_established ch) max_steps) then `Handshake_stuck
   else begin
     let mismatches = ref 0 and echoes = ref 0 and sent = ref 0 in
@@ -176,7 +144,7 @@ let test_multiple_channels_one_unit () =
      the shared I/O compartment serves all of them under the same single
      crossing per quantum. *)
   let w = make_world ~seed:107L ~profile:None () in
-  let chans = List.init 4 (fun _ -> Dual.connect w.unit_ ~dst:Helpers.ip_b ~dst_port:443) in
+  let chans = List.init 4 (fun _ -> Testbed.connect w) in
   Alcotest.(check bool) "all established" true
     (run_until w (fun () -> List.for_all Channel.is_established chans) 60_000);
   List.iteri
@@ -201,9 +169,9 @@ let test_host_sees_only_ciphertext () =
      payload, the secret must appear in none of them. *)
   let w = make_world ~seed:108L ~profile:None () in
   let captured = Buffer.create 4096 in
-  Link.set_transit_tap w.link
+  Link.set_transit_tap w.bed.link
     (Some (fun ~time:_ ~src:_ frame -> Buffer.add_bytes captured frame));
-  let ch = Dual.connect w.unit_ ~dst:Helpers.ip_b ~dst_port:443 in
+  let ch = Testbed.connect w in
   Alcotest.(check bool) "established" true
     (run_until w (fun () -> Channel.is_established ch) 30_000);
   let secret = "TOP-SECRET-PAYLOAD-DO-NOT-LEAK" in
@@ -223,7 +191,7 @@ let test_hot_swap_under_traffic () =
   (* E12 as a test: hot swap mid-session; the workload completes and no
      wrong data appears. *)
   let w = make_world ~seed:109L ~profile:None () in
-  let ch = Dual.connect w.unit_ ~dst:Helpers.ip_b ~dst_port:443 in
+  let ch = Testbed.connect w in
   Alcotest.(check bool) "established" true
     (run_until w (fun () -> Channel.is_established ch) 30_000);
   let echoes = ref 0 and sent = ref 0 and swapped = ref false in

@@ -96,40 +96,44 @@ let test_copy_in_charges () =
   Alcotest.(check bool) "copy charged" (Cost.cycles_of m Cost.Copy > 0) true;
   Alcotest.(check int) "exact" (Cost.copy_cost (Region.model r) 1024) (Cost.cycles_of m Cost.Copy)
 
+(* The double-fetch recorder: with the sanitizer armed, each guest fetch
+   that overlaps an earlier fetch of the same epoch is one double fetch,
+   and a mutated one if the bytes changed in between. *)
 let test_double_fetch_detected () =
   let r = make () in
   Region.guest_write r ~off:0 (Bytes.of_string "AAAA");
-  Region.begin_txn r;
+  Region.sanitizer_enable r;
   ignore (Region.guest_read r ~off:0 ~len:4);
   ignore (Region.guest_read r ~off:0 ~len:4);
-  let hazards = Region.end_txn r in
-  Alcotest.(check int) "one hazard" 1 (List.length hazards);
-  Alcotest.(check bool) "not mutated" false (List.hd hazards).Region.mutated
+  let s = Region.sanitizer_stats r in
+  Alcotest.(check int) "one double fetch" 1 s.Region.double_fetches;
+  Alcotest.(check int) "not mutated" 0 s.Region.mutated_fetches
 
 let test_double_fetch_mutation_flagged () =
   let r = make () in
   Region.guest_write r ~off:0 (Bytes.of_string "AAAA");
-  Region.begin_txn r;
+  Region.sanitizer_enable r;
   ignore (Region.guest_read r ~off:0 ~len:4);
   Region.host_write r ~off:0 (Bytes.of_string "BBBB");
   ignore (Region.guest_read r ~off:0 ~len:4);
-  let hazards = Region.end_txn r in
   Alcotest.(check bool) "mutation flagged" true
-    (List.exists (fun h -> h.Region.mutated) hazards)
+    ((Region.sanitizer_stats r).Region.mutated_fetches > 0)
 
 let test_single_fetch_no_hazard () =
   let r = make () in
-  Region.begin_txn r;
+  Region.sanitizer_enable r;
   ignore (Region.guest_read r ~off:0 ~len:4);
   ignore (Region.guest_read r ~off:100 ~len:4);
-  Alcotest.(check int) "disjoint reads, no hazard" 0 (List.length (Region.end_txn r))
+  Alcotest.(check int) "disjoint reads, no double fetch" 0
+    (Region.sanitizer_stats r).Region.double_fetches
 
 let test_overlapping_fetch_hazard () =
   let r = make () in
-  Region.begin_txn r;
+  Region.sanitizer_enable r;
   ignore (Region.guest_read r ~off:0 ~len:8);
   ignore (Region.guest_read r ~off:4 ~len:8);
-  Alcotest.(check int) "overlap is a hazard" 1 (List.length (Region.end_txn r))
+  Alcotest.(check int) "overlap is a double fetch" 1
+    (Region.sanitizer_stats r).Region.double_fetches
 
 let test_guest_read_hook_fires () =
   let r = make () in
@@ -326,12 +330,11 @@ let test_sanitizer_ignores_private_and_host () =
   ignore (Region.host_read r ~off:4096 ~len:8);
   Alcotest.(check int) "nothing counted" 0 (Region.sanitizer_stats r).Region.double_fetches
 
-(* Property: the transaction API's hazard semantics — which the runtime
-   sanitizer mirrors epoch-for-epoch — are exactly "overlap = hazard,
-   changed bytes in the overlap = mutated". *)
-let prop_txn_hazards_pin_sanitizer_semantics =
-  QCheck.Test.make
-    ~name:"txn hazards = overlap; mutated = raced; sanitizer agrees" ~count:300
+(* Property: the sanitizer's semantics within one epoch are exactly
+   "overlap = one double fetch, changed bytes in the overlap = mutated";
+   the next epoch starts clean. *)
+let prop_sanitizer_overlap_race_semantics =
+  QCheck.Test.make ~name:"sanitizer: overlap + race semantics" ~count:300
     (QCheck.make
        QCheck.Gen.(
          pair
@@ -340,20 +343,16 @@ let prop_txn_hazards_pin_sanitizer_semantics =
     (fun ((off1, len1, off2, len2), mutate) ->
       let r = make () in
       Region.sanitizer_enable r;
-      let (), hazards =
-        Region.with_txn r (fun () ->
-            ignore (Region.guest_read r ~off:off1 ~len:len1);
-            if mutate then Region.host_write r ~off:off2 (Bytes.make len2 '\xFF');
-            ignore (Region.guest_read r ~off:off2 ~len:len2))
-      in
+      ignore (Region.guest_read r ~off:off1 ~len:len1);
+      if mutate then Region.host_write r ~off:off2 (Bytes.make len2 '\xFF');
+      ignore (Region.guest_read r ~off:off2 ~len:len2);
+      Region.sanitizer_epoch r;
+      ignore (Region.guest_read r ~off:off2 ~len:len2);
       let overlap = off1 < off2 + len2 && off2 < off1 + len1 in
       let s = Region.sanitizer_stats r in
-      (* 1. a hazard iff the two reads overlap; *)
-      (hazards <> []) = overlap
-      (* 2. mutated iff the host raced an overlapping window; *)
-      && List.for_all (fun h -> h.Region.mutated = (overlap && mutate)) hazards
-      (* 3. the runtime sanitizer counts the same pair the txn saw. *)
-      && s.Region.double_fetches = (if overlap then 1 else 0)
+      (* 1. a double fetch iff the two reads overlap; *)
+      s.Region.double_fetches = (if overlap then 1 else 0)
+      (* 2. mutated iff the host raced an overlapping window. *)
       && s.Region.mutated_fetches = (if overlap && mutate then 1 else 0))
 
 (* --- range_shared: O(1) when nothing is private, a scan otherwise ----- *)
@@ -444,7 +443,7 @@ let suite =
       test_sanitizer_epoch_resets_window;
     Alcotest.test_case "sanitizer: private/host reads ignored" `Quick
       test_sanitizer_ignores_private_and_host;
-    Helpers.qtest prop_txn_hazards_pin_sanitizer_semantics;
+    Helpers.qtest prop_sanitizer_overlap_race_semantics;
     Helpers.qtest prop_bufpool_acquire_is_exact_and_balanced;
     Helpers.qtest prop_range_shared_equals_page_scan;
   ]
