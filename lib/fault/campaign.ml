@@ -101,22 +101,34 @@ let all_recovered t =
    fail-closed — by the L5 AEAD. *)
 let tamper_tls_record frame =
   let open Cio_frame in
-  match Ethernet.parse frame with
+  match Ethernet.decode frame ~off:0 ~len:(Bytes.length frame) with
   | Error _ -> None
   | Ok eth -> (
       match eth.Ethernet.ethertype with
       | Ethernet.Ipv4 -> (
-          match Ipv4.parse eth.Ethernet.payload with
+          match Ipv4.decode frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len with
           | Ok ip when ip.Ipv4.protocol = Ipv4.Tcp -> (
-              match Tcp_wire.parse ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload with
-              | Ok seg when Bytes.length seg.Tcp_wire.payload > 5 ->
-                  let p = Bytes.copy seg.Tcp_wire.payload in
-                  let i = Bytes.length p - 1 in
-                  Bytes.set p i (Char.chr (Char.code (Bytes.get p i) lxor 0x01));
-                  let tcp' = Tcp_wire.build ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
-                      { seg with Tcp_wire.payload = p } in
-                  let ip' = Ipv4.build { ip with Ipv4.payload = tcp' } in
-                  Some (Ethernet.build { eth with Ethernet.payload = ip' })
+              let src_ip = ip.Ipv4.src and dst_ip = ip.Ipv4.dst in
+              match
+                Tcp_wire.decode ~src_ip ~dst_ip frame ~off:ip.Ipv4.payload_off
+                  ~len:ip.Ipv4.payload_len
+              with
+              | Ok seg when seg.Tcp_wire.payload_len > 5 ->
+                  (* A fresh frame: the caller's is left untouched. *)
+                  let tcp_off = Ethernet.header_len + Ipv4.header_len in
+                  let pay_off = tcp_off + Tcp_wire.header_len seg in
+                  let len = seg.Tcp_wire.payload_len in
+                  let ip_len = pay_off - Ethernet.header_len + len in
+                  let out = Bytes.create (Ethernet.frame_len ~payload_len:ip_len) in
+                  Bytes.blit frame seg.Tcp_wire.payload_off out pay_off len;
+                  let i = pay_off + len - 1 in
+                  Bytes.set out i (Char.chr (Char.code (Bytes.get out i) lxor 0x01));
+                  Tcp_wire.encode out ~off:tcp_off ~src_ip ~dst_ip seg;
+                  Ipv4.encode out ~off:Ethernet.header_len ~src:src_ip ~dst:dst_ip
+                    ~protocol:ip.Ipv4.protocol ~ttl:ip.Ipv4.ttl ~payload_len:(pay_off - tcp_off + len);
+                  Ethernet.encode out ~off:0 ~dst:eth.Ethernet.dst ~src:eth.Ethernet.src
+                    ~ethertype:eth.Ethernet.ethertype ~payload_len:ip_len;
+                  Some out
               | _ -> None)
           | _ -> None)
       | _ -> None)

@@ -33,12 +33,15 @@ let compute b ~pos ~len = finish (ones_complement_sum b ~pos ~len ~init:0)
 
 let verify b ~pos ~len = ones_complement_sum b ~pos ~len ~init:0 = 0xFFFF
 
-(* Pseudo-header contribution for UDP/TCP checksums. *)
-let pseudo_header ~src ~dst ~proto ~length =
-  let b = Bytes.create 12 in
-  Bytes.set_int32_be b 0 src;
-  Bytes.set_int32_be b 4 dst;
-  Bytes.set b 8 '\000';
-  Bytes.set b 9 (Char.chr proto);
-  Bytes.set_uint16_be b 10 length;
-  b
+(* The IPv4 pseudo-header's folded sum, as [ones_complement_sum] over its
+   twelve bytes (source, destination, zero, protocol, length) would give,
+   without building them: two 16-bit words from each address, then the
+   zero/protocol word and the 16-bit length. *)
+let pseudo_sum ~src ~dst ~proto ~length =
+  let w32 x = Int32.to_int x land 0xFFFFFFFF in
+  let s = (w32 src lsr 16) + (w32 src land 0xFFFF) + (w32 dst lsr 16) + (w32 dst land 0xFFFF) in
+  let s = ref (s + (proto land 0xFF) + (length land 0xFFFF)) in
+  while !s lsr 16 <> 0 do
+    s := (!s land 0xFFFF) + (!s lsr 16)
+  done;
+  !s

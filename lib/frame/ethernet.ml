@@ -1,5 +1,7 @@
 (* Ethernet II framing. 14-byte header; the simulated FCS is handled by
-   the link layer when enabled, not here. *)
+   the link layer when enabled, not here. The codec works in place: the
+   encoder writes a header in front of a payload the caller already put
+   in the buffer, and the decoder returns where the payload lies. *)
 
 type ethertype = Ipv4 | Arp | Unknown of int
 
@@ -7,49 +9,44 @@ let ethertype_code = function Ipv4 -> 0x0800 | Arp -> 0x0806 | Unknown c -> c
 
 let ethertype_of_code = function 0x0800 -> Ipv4 | 0x0806 -> Arp | c -> Unknown c
 
-let pp_ethertype ppf = function
-  | Ipv4 -> Fmt.pf ppf "IPv4"
-  | Arp -> Fmt.pf ppf "ARP"
-  | Unknown c -> Fmt.pf ppf "0x%04x" c
-
-type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype; payload : bytes }
+type t = {
+  dst : Addr.mac;
+  src : Addr.mac;
+  ethertype : ethertype;
+  payload_off : int;
+  payload_len : int;
+}
 
 let header_len = 14
-let min_payload = 46  (* classic Ethernet minimum; we pad on build *)
-let max_payload = 1500
+let min_payload = 46  (* classic Ethernet minimum; we pad on encode *)
 
-let build { dst; src; ethertype; payload } =
-  let pay_len = max (Bytes.length payload) min_payload in
-  let b = Bytes.make (header_len + pay_len) '\000' in
-  for i = 0 to 5 do
-    Bytes.set b i (Char.chr (Addr.mac_octet dst i));
-    Bytes.set b (6 + i) (Char.chr (Addr.mac_octet src i))
-  done;
-  Bytes.set_uint16_be b 12 (ethertype_code ethertype);
-  Bytes.blit payload 0 b header_len (Bytes.length payload);
-  b
+let frame_len ~payload_len = header_len + max payload_len min_payload
 
-let parse b =
-  if Bytes.length b < header_len then Error "ethernet: frame shorter than header"
-  else begin
-    let mac_at off =
-      Addr.mac_of_octets
-        (Char.code (Bytes.get b off))
-        (Char.code (Bytes.get b (off + 1)))
-        (Char.code (Bytes.get b (off + 2)))
-        (Char.code (Bytes.get b (off + 3)))
-        (Char.code (Bytes.get b (off + 4)))
-        (Char.code (Bytes.get b (off + 5)))
-    in
+let set_mac b off m =
+  Bytes.set_uint16_be b off (m lsr 32);
+  Bytes.set_int32_be b (off + 2) (Int32.of_int m)
+
+let get_mac b off =
+  (Bytes.get_uint16_be b off lsl 32) lor (Int32.to_int (Bytes.get_int32_be b (off + 2)) land 0xFFFFFFFF)
+
+let encode b ~off ~dst ~src ~ethertype ~payload_len =
+  let stop = off + frame_len ~payload_len in
+  set_mac b off dst;
+  set_mac b (off + 6) src;
+  Bytes.set_uint16_be b (off + 12) (ethertype_code ethertype);
+  let pad = off + header_len + payload_len in
+  Bytes.fill b pad (stop - pad) '\000'
+
+let decode b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Ethernet.decode: range out of bounds";
+  if len < header_len then Error "ethernet: frame shorter than header"
+  else
     Ok
       {
-        dst = mac_at 0;
-        src = mac_at 6;
-        ethertype = ethertype_of_code (Bytes.get_uint16_be b 12);
-        payload = Bytes.sub b header_len (Bytes.length b - header_len);
+        dst = get_mac b off;
+        src = get_mac b (off + 6);
+        ethertype = ethertype_of_code (Bytes.get_uint16_be b (off + 12));
+        payload_off = off + header_len;
+        payload_len = len - header_len;
       }
-  end
-
-let pp ppf t =
-  Fmt.pf ppf "eth %a -> %a %a (%d B payload)" Addr.pp_mac t.src Addr.pp_mac t.dst
-    pp_ethertype t.ethertype (Bytes.length t.payload)

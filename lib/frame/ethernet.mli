@@ -1,20 +1,33 @@
-(** Ethernet II framing. *)
+(** Ethernet II framing, encoded and decoded in place. *)
 
 type ethertype = Ipv4 | Arp | Unknown of int
 
 val ethertype_code : ethertype -> int
 val ethertype_of_code : int -> ethertype
-val pp_ethertype : Format.formatter -> ethertype -> unit
 
-type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype; payload : bytes }
+type t = {
+  dst : Addr.mac;
+  src : Addr.mac;
+  ethertype : ethertype;
+  payload_off : int;  (** where the payload starts in the decoded buffer *)
+  payload_len : int;  (** everything after the header, link padding included *)
+}
+(** A decoded header and a view of its payload. *)
 
 val header_len : int
 val min_payload : int
-val max_payload : int
 
-val build : t -> bytes
-(** Serialise; payloads shorter than the Ethernet minimum are zero-padded,
-    so receivers must rely on the inner layer's length field. *)
+val frame_len : payload_len:int -> int
+(** Length of the frame that carries [payload_len] bytes: the header plus
+    the payload zero-padded to the Ethernet minimum, so receivers must
+    rely on the inner layer's length field. *)
 
-val parse : bytes -> (t, string) result
-val pp : Format.formatter -> t -> unit
+val encode :
+  bytes -> off:int -> dst:Addr.mac -> src:Addr.mac -> ethertype:ethertype -> payload_len:int -> unit
+(** Write the header at [off] in front of the [payload_len] payload bytes
+    already at [off + header_len], and zero the padding up to
+    [off + frame_len ~payload_len]. *)
+
+val decode : bytes -> off:int -> len:int -> (t, string) result
+(** Decode the frame in [len] bytes at [off]. The view is valid as long
+    as the buffer is. *)

@@ -2,42 +2,43 @@
    debugging: ethernet -> ipv4 -> tcp/udp, falling back gracefully on
    anything unparseable (which, on a confidential wire, is most bytes). *)
 
-let tcp_summary ~src_ip ~dst_ip payload =
-  match Tcp_wire.parse ~src_ip ~dst_ip payload with
+let tcp_summary ~src_ip ~dst_ip b ~off ~len =
+  match Tcp_wire.decode ~src_ip ~dst_ip b ~off ~len with
   | Error e -> Printf.sprintf "tcp? (%s)" e
   | Ok seg ->
       Fmt.str "%a:%d > %a:%d [%a] seq=%lu ack=%lu win=%d len=%d" Addr.pp_ipv4 src_ip
         seg.Tcp_wire.src_port Addr.pp_ipv4 dst_ip seg.Tcp_wire.dst_port Tcp_wire.pp_flags
         seg.Tcp_wire.flags seg.Tcp_wire.seq seg.Tcp_wire.ack seg.Tcp_wire.window
-        (Bytes.length seg.Tcp_wire.payload)
+        seg.Tcp_wire.payload_len
 
-let udp_summary ~src_ip ~dst_ip payload =
-  match Udp.parse ~src_ip ~dst_ip payload with
+let udp_summary ~src_ip ~dst_ip b ~off ~len =
+  match Udp.decode ~src_ip ~dst_ip b ~off ~len with
   | Error e -> Printf.sprintf "udp? (%s)" e
   | Ok dgram ->
       Fmt.str "%a:%d > %a:%d udp len=%d" Addr.pp_ipv4 src_ip dgram.Udp.src_port Addr.pp_ipv4
-        dst_ip dgram.Udp.dst_port
-        (Bytes.length dgram.Udp.payload)
+        dst_ip dgram.Udp.dst_port dgram.Udp.payload_len
 
-let ip_summary payload =
-  match Ipv4.parse payload with
+let ip_summary_at b ~off ~len =
+  match Ipv4.decode b ~off ~len with
   | Error e -> Printf.sprintf "ipv4? (%s)" e
   | Ok ip -> (
+      let src_ip = ip.Ipv4.src and dst_ip = ip.Ipv4.dst in
+      let off = ip.Ipv4.payload_off and len = ip.Ipv4.payload_len in
       match ip.Ipv4.protocol with
-      | Ipv4.Tcp -> tcp_summary ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload
-      | Ipv4.Udp -> udp_summary ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload
+      | Ipv4.Tcp -> tcp_summary ~src_ip ~dst_ip b ~off ~len
+      | Ipv4.Udp -> udp_summary ~src_ip ~dst_ip b ~off ~len
       | Ipv4.Unknown p ->
-          Fmt.str "%a > %a proto=%d len=%d" Addr.pp_ipv4 ip.Ipv4.src Addr.pp_ipv4 ip.Ipv4.dst p
-            (Bytes.length ip.Ipv4.payload))
+          Fmt.str "%a > %a proto=%d len=%d" Addr.pp_ipv4 src_ip Addr.pp_ipv4 dst_ip p len)
+
+let ip_summary packet = ip_summary_at packet ~off:0 ~len:(Bytes.length packet)
 
 let frame_summary frame =
-  match Ethernet.parse frame with
+  match Ethernet.decode frame ~off:0 ~len:(Bytes.length frame) with
   | Error _ -> Printf.sprintf "opaque %d B (not an ethernet frame)" (Bytes.length frame)
   | Ok eth -> (
       match eth.Ethernet.ethertype with
-      | Ethernet.Ipv4 -> ip_summary eth.Ethernet.payload
+      | Ethernet.Ipv4 -> ip_summary_at frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len
       | Ethernet.Arp -> Fmt.str "%a > %a arp" Addr.pp_mac eth.Ethernet.src Addr.pp_mac eth.Ethernet.dst
       | Ethernet.Unknown t ->
           Fmt.str "%a > %a ethertype=0x%04x len=%d" Addr.pp_mac eth.Ethernet.src Addr.pp_mac
-            eth.Ethernet.dst t
-            (Bytes.length eth.Ethernet.payload))
+            eth.Ethernet.dst t eth.Ethernet.payload_len)

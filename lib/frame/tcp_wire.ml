@@ -1,6 +1,6 @@
 (* TCP segment codec (RFC 9293 wire format). Sequence numbers are int32
    with modular comparison helpers; the only option understood is MSS
-   (kind 2), everything else is skipped on parse and never emitted. *)
+   (kind 2), everything else is skipped on decode and never emitted. *)
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
 
@@ -19,10 +19,13 @@ type t = {
   flags : flags;
   window : int;
   mss : int option;  (* only meaningful on SYN segments *)
-  payload : bytes;
+  payload_off : int;
+  payload_len : int;
 }
 
 let base_header_len = 20
+
+let header_len t = if t.mss = None then base_header_len else base_header_len + 4
 
 (* Modular sequence arithmetic. *)
 let seq_lt a b = Int32.compare (Int32.sub a b) 0l < 0
@@ -37,35 +40,28 @@ let flag_bits f =
   lor (if f.psh then 0x08 else 0)
   lor (if f.ack then 0x10 else 0)
 
-let build ~src_ip ~dst_ip t =
-  let opts =
-    match t.mss with
-    | None -> Bytes.empty
-    | Some mss ->
-        let o = Bytes.create 4 in
-        Bytes.set o 0 '\x02';
-        Bytes.set o 1 '\x04';
-        Bytes.set_uint16_be o 2 mss;
-        o
-  in
-  let header_len = base_header_len + Bytes.length opts in
-  let total = header_len + Bytes.length t.payload in
-  if total > 0xFFFF then invalid_arg "Tcp_wire.build: segment too large";
-  let b = Bytes.make total '\000' in
-  Bytes.set_uint16_be b 0 t.src_port;
-  Bytes.set_uint16_be b 2 t.dst_port;
-  Bytes.set_int32_be b 4 t.seq;
-  Bytes.set_int32_be b 8 t.ack;
-  Bytes.set b 12 (Char.chr ((header_len / 4) lsl 4));
-  Bytes.set b 13 (Char.chr (flag_bits t.flags));
-  Bytes.set_uint16_be b 14 t.window;
-  Bytes.blit opts 0 b base_header_len (Bytes.length opts);
-  Bytes.blit t.payload 0 b header_len (Bytes.length t.payload);
-  let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:6 ~length:total in
-  let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-  let csum = Checksum.finish (Checksum.ones_complement_sum b ~pos:0 ~len:total ~init) in
-  Bytes.set_uint16_be b 16 csum;
-  b
+let encode b ~off ~src_ip ~dst_ip t =
+  let header_len = header_len t in
+  let total = header_len + t.payload_len in
+  if total > 0xFFFF then invalid_arg "Tcp_wire.encode: segment too large";
+  Bytes.set_uint16_be b off t.src_port;
+  Bytes.set_uint16_be b (off + 2) t.dst_port;
+  Bytes.set_int32_be b (off + 4) t.seq;
+  Bytes.set_int32_be b (off + 8) t.ack;
+  Bytes.set b (off + 12) (Char.chr ((header_len / 4) lsl 4));
+  Bytes.set b (off + 13) (Char.chr (flag_bits t.flags));
+  Bytes.set_uint16_be b (off + 14) t.window;
+  Bytes.set_uint16_be b (off + 16) 0;
+  Bytes.set_uint16_be b (off + 18) 0;
+  (match t.mss with
+  | None -> ()
+  | Some mss ->
+      Bytes.set b (off + 20) '\x02';
+      Bytes.set b (off + 21) '\x04';
+      Bytes.set_uint16_be b (off + 22) mss);
+  let init = Checksum.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~length:total in
+  Bytes.set_uint16_be b (off + 16)
+    (Checksum.finish (Checksum.ones_complement_sum b ~pos:off ~len:total ~init))
 
 let parse_mss b ~pos ~len =
   (* Walk the options area looking for MSS; tolerate unknown options. *)
@@ -88,19 +84,19 @@ let parse_mss b ~pos ~len =
   in
   go pos
 
-let parse ~src_ip ~dst_ip b =
-  let len = Bytes.length b in
+let decode ~src_ip ~dst_ip b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Tcp_wire.decode: range out of bounds";
   if len < base_header_len then Error "tcp: truncated header"
   else begin
-    let data_off = (Char.code (Bytes.get b 12) lsr 4) * 4 in
+    let data_off = (Char.code (Bytes.get b (off + 12)) lsr 4) * 4 in
     if data_off < base_header_len || data_off > len then Error "tcp: bad data offset"
     else begin
-      let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:6 ~length:len in
-      let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-      if Checksum.ones_complement_sum b ~pos:0 ~len ~init <> 0xFFFF then
+      let init = Checksum.pseudo_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~length:len in
+      if Checksum.ones_complement_sum b ~pos:off ~len ~init <> 0xFFFF then
         Error "tcp: checksum mismatch"
       else begin
-        let bits = Char.code (Bytes.get b 13) in
+        let bits = Char.code (Bytes.get b (off + 13)) in
         let flags =
           {
             fin = bits land 0x01 <> 0;
@@ -112,19 +108,16 @@ let parse ~src_ip ~dst_ip b =
         in
         Ok
           {
-            src_port = Bytes.get_uint16_be b 0;
-            dst_port = Bytes.get_uint16_be b 2;
-            seq = Bytes.get_int32_be b 4;
-            ack = Bytes.get_int32_be b 8;
+            src_port = Bytes.get_uint16_be b off;
+            dst_port = Bytes.get_uint16_be b (off + 2);
+            seq = Bytes.get_int32_be b (off + 4);
+            ack = Bytes.get_int32_be b (off + 8);
             flags;
-            window = Bytes.get_uint16_be b 14;
-            mss = parse_mss b ~pos:base_header_len ~len:(data_off - base_header_len);
-            payload = Bytes.sub b data_off (len - data_off);
+            window = Bytes.get_uint16_be b (off + 14);
+            mss = parse_mss b ~pos:(off + base_header_len) ~len:(data_off - base_header_len);
+            payload_off = off + data_off;
+            payload_len = len - data_off;
           }
       end
     end
   end
-
-let pp ppf t =
-  Fmt.pf ppf "tcp %d -> %d [%a] seq=%lu ack=%lu win=%d (%d B)" t.src_port t.dst_port
-    pp_flags t.flags t.seq t.ack t.window (Bytes.length t.payload)

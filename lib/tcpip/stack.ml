@@ -43,19 +43,23 @@ type t = {
      byte-identical to the uncoalesced stack. *)
   tx_burst : (bytes array -> int) option;
   txq : bytes Queue.t;
+  (* TX frame buffers under [tx_burst], which only borrows a frame for
+     the call: each accepted frame comes back here. Without it the netif
+     keeps what it is given, so every frame is a fresh buffer. *)
+  tx_pool : Cio_mem.Bufpool.t;
   (* Overload plane: when set, the TX coalescing queue is bounded and
      new frames shed (counted, typed) instead of growing it without
      limit while the ring is full. *)
   tx_queue_limit : int option;
   (* Frame-buffer return path: RX buffers go back to the driver's pool
-     once parsed (the parsers copy what they keep). *)
+     once handled (the decoders return views into the frame, and what
+     outlives [handle_frame] is copied out of it first). *)
   recycle : (bytes -> unit) option;
 }
 
-let mac_for t dst =
-  match List.assoc_opt dst t.neighbors with
-  | Some mac -> Some mac
-  | None -> None
+let no_neighbour t =
+  t.counters.dropped <- t.counters.dropped + 1;
+  t.counters.last_drop_reason <- "no neighbour entry"
 
 (* Emit one built frame: queue for the next burst flush when coalescing,
    transmit immediately otherwise. Counters and charges are identical
@@ -70,7 +74,8 @@ let emit t frame =
       | Some lim when Queue.length t.txq >= lim ->
           t.counters.dropped <- t.counters.dropped + 1;
           t.counters.last_drop_reason <- "tx backpressure: queue full";
-          Cio_overload.Pressure.note_queue_full ()
+          Cio_overload.Pressure.note_queue_full ();
+          Cio_mem.Bufpool.recycle t.tx_pool frame
       | _ ->
           t.counters.frames_out <- t.counters.frames_out + 1;
           Cost.charge t.meter Cost.Stack 150;
@@ -91,6 +96,9 @@ let flush_tx t =
         if k > 0 then begin
           let frames = Array.init k (fun _ -> Queue.take t.txq) in
           let n = burst frames in
+          for i = 0 to n - 1 do
+            Cio_mem.Bufpool.recycle t.tx_pool frames.(i)
+          done;
           if n < k then begin
             let leftovers = Queue.create () in
             for i = n to k - 1 do
@@ -104,6 +112,38 @@ let flush_tx t =
       in
       go ()
 
+(* Every outgoing frame is one buffer of its exact length: the transport
+   header and payload go in at [l4_off], then the IPv4 and Ethernet
+   headers in front of them. *)
+let l4_off = Ethernet.header_len + Ipv4.header_len
+
+let frame_buffer t ~l4_len =
+  let len = Ethernet.frame_len ~payload_len:(Ipv4.header_len + l4_len) in
+  match t.tx_burst with
+  | Some _ -> Cio_mem.Bufpool.acquire t.tx_pool len
+  | None -> Bytes.create len
+
+(* Put the IPv4 and Ethernet headers in front of the [l4_len]-byte
+   transport segment at [l4_off], and emit the frame. *)
+let send_frame t frame ~dst_mac ~dst ~protocol ~l4_len =
+  Ipv4.encode frame ~off:Ethernet.header_len ~src:t.ip ~dst ~protocol ~ttl:t.ttl ~payload_len:l4_len;
+  Ethernet.encode frame ~off:0 ~dst:dst_mac ~src:t.netif.Netif.mac ~ethertype:Ethernet.Ipv4
+    ~payload_len:(Ipv4.header_len + l4_len);
+  emit t frame
+
+(* A TCP segment: its payload is copied once, from the connection's send
+   queue straight into the frame. *)
+let send_tcp t ~dst (seg : Tcp_wire.t) q =
+  match List.assoc dst t.neighbors with
+  | exception Not_found -> no_neighbour t
+  | dst_mac ->
+      let hdr_len = Tcp_wire.header_len seg in
+      let len = seg.Tcp_wire.payload_len in
+      let frame = frame_buffer t ~l4_len:(hdr_len + len) in
+      Byteq.blit q ~src_off:seg.Tcp_wire.payload_off frame ~dst_off:(l4_off + hdr_len) ~len;
+      Tcp_wire.encode frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst seg;
+      send_frame t frame ~dst_mac ~dst ~protocol:Ipv4.Tcp ~l4_len:(hdr_len + len)
+
 let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_queue_limit
     ?retry_budget ~netif ~ip ~neighbors ~now ~rng () =
   let meter = match meter with Some m -> m | None -> Cost.meter () in
@@ -116,7 +156,7 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         neighbors;
         tcp =
           Tcp.create ~model ~meter ?retry_budget ~local_ip:ip
-            ~send_segment:(fun ~dst payload -> send_proto (Lazy.force t) Ipv4.Tcp ~dst payload)
+            ~send_segment:(fun ~dst seg q -> send_tcp (Lazy.force t) ~dst seg q)
             ~now ~rng ();
         udp_socks = [];
         meter;
@@ -125,21 +165,10 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         counters = { frames_in = 0; frames_out = 0; dropped = 0; last_drop_reason = "" };
         tx_burst;
         txq = Queue.create ();
+        tx_pool = Cio_mem.Bufpool.create ();
         tx_queue_limit;
         recycle;
       }
-  and send_proto t proto ~dst payload =
-    match mac_for t dst with
-    | None ->
-        t.counters.dropped <- t.counters.dropped + 1;
-        t.counters.last_drop_reason <- "no neighbour entry"
-    | Some dst_mac ->
-        let ip_packet = Ipv4.build { Ipv4.src = t.ip; dst; protocol = proto; ttl = t.ttl; payload } in
-        let frame =
-          Ethernet.build
-            { Ethernet.dst = dst_mac; src = t.netif.Netif.mac; ethertype = Ethernet.Ipv4; payload = ip_packet }
-        in
-        emit t frame
   in
   Lazy.force t
 
@@ -156,18 +185,14 @@ let tx_pressure t =
       Cio_overload.Pressure.level_of_occupancy ~used:(Queue.length t.txq) ~capacity:lim
 
 let send_udp t ~src_port ~dst ~dst_port payload =
-  match mac_for t dst with
-  | None ->
-      t.counters.dropped <- t.counters.dropped + 1;
-      t.counters.last_drop_reason <- "no neighbour entry"
-  | Some dst_mac ->
-      let udp = Udp.build ~src_ip:t.ip ~dst_ip:dst { Udp.src_port; dst_port; payload } in
-      let ip_packet = Ipv4.build { Ipv4.src = t.ip; dst; protocol = Ipv4.Udp; ttl = t.ttl; payload = udp } in
-      let frame =
-        Ethernet.build
-          { Ethernet.dst = dst_mac; src = t.netif.Netif.mac; ethertype = Ethernet.Ipv4; payload = ip_packet }
-      in
-      emit t frame
+  match List.assoc dst t.neighbors with
+  | exception Not_found -> no_neighbour t
+  | dst_mac ->
+      let payload_len = Bytes.length payload in
+      let frame = frame_buffer t ~l4_len:(Udp.header_len + payload_len) in
+      Bytes.blit payload 0 frame (l4_off + Udp.header_len) payload_len;
+      Udp.encode frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst ~src_port ~dst_port ~payload_len;
+      send_frame t frame ~dst_mac ~dst ~protocol:Ipv4.Udp ~l4_len:(Udp.header_len + payload_len)
 
 let udp_bind t ~port =
   if List.exists (fun s -> s.uport = port) t.udp_socks then
@@ -184,10 +209,12 @@ let drop t reason =
   t.counters.last_drop_reason <- reason;
   Log.debug (fun m -> m "drop: %s" reason)
 
+(* Each layer decodes a view into [frame]; nothing is copied until a
+   consumer keeps bytes past this call. *)
 let handle_frame t frame =
   t.counters.frames_in <- t.counters.frames_in + 1;
   Cost.charge t.meter Cost.Stack 150;
-  match Ethernet.parse frame with
+  match Ethernet.decode frame ~off:0 ~len:(Bytes.length frame) with
   | Error e -> drop t e
   | Ok eth ->
       if eth.Ethernet.dst <> t.netif.Netif.mac && eth.Ethernet.dst <> Addr.mac_broadcast then
@@ -196,25 +223,31 @@ let handle_frame t frame =
         match eth.Ethernet.ethertype with
         | Ethernet.Arp | Ethernet.Unknown _ -> drop t "ethernet: unhandled ethertype"
         | Ethernet.Ipv4 -> (
-            match Ipv4.parse eth.Ethernet.payload with
+            match Ipv4.decode frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len with
             | Error e -> drop t e
             | Ok ip ->
                 if ip.Ipv4.dst <> t.ip then drop t "ipv4: not our address"
                 else begin
+                  let src_ip = ip.Ipv4.src and dst_ip = ip.Ipv4.dst in
+                  let off = ip.Ipv4.payload_off and len = ip.Ipv4.payload_len in
                   match ip.Ipv4.protocol with
                   | Ipv4.Tcp -> (
-                      match Tcp_wire.parse ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload with
+                      match Tcp_wire.decode ~src_ip ~dst_ip frame ~off ~len with
                       | Error e -> drop t e
-                      | Ok seg -> Tcp.input t.tcp ~src:ip.Ipv4.src seg)
+                      | Ok seg -> Tcp.input t.tcp ~src:src_ip frame seg)
                   | Ipv4.Udp -> (
-                      match Udp.parse ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst ip.Ipv4.payload with
+                      match Udp.decode ~src_ip ~dst_ip frame ~off ~len with
                       | Error e -> drop t e
                       | Ok dgram -> (
                           match List.find_opt (fun s -> s.uport = dgram.Udp.dst_port) t.udp_socks with
                           | None -> drop t "udp: no socket bound"
                           | Some s ->
                               if Queue.length s.rxq < 1024 then
-                                Queue.add (ip.Ipv4.src, dgram.Udp.src_port, dgram.Udp.payload) s.rxq
+                                Queue.add
+                                  ( src_ip,
+                                    dgram.Udp.src_port,
+                                    Bytes.sub frame dgram.Udp.payload_off dgram.Udp.payload_len )
+                                  s.rxq
                               else drop t "udp: socket queue full"))
                   | Ipv4.Unknown _ -> drop t "ipv4: unhandled protocol"
                 end)
@@ -231,8 +264,8 @@ let poll ?(budget = 64) t =
       | None -> ()
       | Some frame ->
           handle_frame t frame;
-          (* The parsers copied what they kept; the frame buffer can go
-             back to the driver's pool. *)
+          (* Nothing holds a view into the frame any more; its buffer
+             can go back to the driver's pool. *)
           (match t.recycle with Some r -> r frame | None -> ());
           go (n - 1)
     end

@@ -33,9 +33,13 @@ val create :
   t
 (** [tx_burst] enables TX coalescing: outgoing frames queue and flush as
     bursts at the end of each {!poll} (the function returns how many of
-    the batch were accepted; the tail is retried next flush). [recycle]
-    returns drained RX frame buffers to the driver's pool after parsing.
-    Omitting both yields the classic frame-at-a-time stack.
+    the batch were accepted; the tail is retried next flush). It borrows
+    the frames for the call only: the stack reuses each accepted frame's
+    buffer afterwards. Without it, [netif.transmit] keeps every frame it
+    is given. [recycle] returns each drained RX frame buffer to the
+    driver's pool once {!handle_frame} is done with it; nothing the
+    stack keeps points into it. Omitting both yields the classic
+    frame-at-a-time stack.
     [tx_queue_limit] bounds the coalescing queue: a full queue sheds new
     frames (counted under [dropped] and [overload.bp.queue_full])
     instead of growing without limit while the ring is full.
@@ -60,7 +64,8 @@ val udp_recv : udp_socket -> (Addr.ipv4 * int * bytes) option
 val udp_port : udp_socket -> int
 
 val handle_frame : t -> bytes -> unit
-(** Inject one raw Ethernet frame (normally called via {!poll}). *)
+(** Inject one raw Ethernet frame (normally called via {!poll}). The
+    frame is only read during the call. *)
 
 val poll : ?budget:int -> t -> unit
 (** Drain up to [budget] received frames, run TCP timers, then flush

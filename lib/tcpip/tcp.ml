@@ -49,16 +49,18 @@ let state_name = function
   | Time_wait -> "TIME-WAIT"
   | Closed -> "CLOSED"
 
+(* A sent segment awaiting its ACK. Its payload stays in the send queue,
+   at [rseq]'s distance from the queue's front sequence number. *)
 type retx_entry = {
   rseq : int32;
-  rpayload : bytes;
+  rlen : int;  (* payload bytes *)
   rsyn : bool;
   rfin : bool;
   mutable sent_at : int64;
   mutable retries : int;
 }
 
-let retx_len e = Bytes.length e.rpayload + (if e.rsyn then 1 else 0) + if e.rfin then 1 else 0
+let retx_len e = e.rlen + (if e.rsyn then 1 else 0) + if e.rfin then 1 else 0
 
 type conn = {
   id : int;
@@ -70,8 +72,13 @@ type conn = {
   mutable snd_una : int32;
   mutable snd_nxt : int32;
   mutable snd_wnd : int;
-  snd_queue : Byteq.t;  (* app data not yet segmented *)
-  mutable retx : retx_entry list; (* oldest first *)
+  (* App data not yet acknowledged: the first [snd_sent] bytes are in
+     flight (retransmits read them from here), the rest not yet
+     segmented. The front byte has sequence number [snd_qseq]. *)
+  snd_queue : Byteq.t;
+  mutable snd_qseq : int32;
+  mutable snd_sent : int;
+  retx : retx_entry Queue.t; (* oldest first *)
   mutable dup_acks : int;
   mutable fin_pending : bool;
   mutable fin_seq : int32 option;
@@ -92,11 +99,11 @@ type conn = {
   mutable error : string option;
 }
 
-type listener = { lport : int; backlog : int; mutable accept_queue : conn list }
+type listener = { lport : int; backlog : int; accept_queue : conn Queue.t }
 
 type t = {
   local_ip : Addr.ipv4;
-  send_segment : dst:Addr.ipv4 -> bytes -> unit;
+  send_segment : dst:Addr.ipv4 -> Tcp_wire.t -> Byteq.t -> unit;
   now : unit -> int64;
   rng : Rng.t;
   meter : Cost.meter;
@@ -173,25 +180,31 @@ let conn_remote c = (c.remote_ip, c.remote_port)
 let charge_stack t nbytes =
   Cost.charge t.meter Cost.Stack (300 + Cost.copy_cost t.model nbytes)
 
-let emit t conn ?(payload = Bytes.empty) ?(syn = false) ?(fin = false) ?(rst = false)
-    ?(ack = true) ~seq () =
+(* Send one segment of [conn]. Its [len] payload bytes, if any, are the
+   send queue's bytes from sequence number [seq] on; the stack copies
+   them once, straight into the frame. *)
+let emit t conn ?(len = 0) ?(syn = false) ?(fin = false) ?(rst = false) ?(ack = true) ~seq () =
   let seg =
     {
       Tcp_wire.src_port = conn.local_port;
       dst_port = conn.remote_port;
       seq;
       ack = (if ack then conn.rcv_nxt else 0l);
-      flags = { Tcp_wire.syn; fin; rst; ack; psh = Bytes.length payload > 0 };
+      flags = { Tcp_wire.syn; fin; rst; ack; psh = len > 0 };
       window = max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
       mss = (if syn then Some t.default_mss else None);
-      payload;
+      payload_off = (if len = 0 then 0 else Tcp_wire.seq_diff seq conn.snd_qseq);
+      payload_len = len;
     }
   in
   t.segments_out <- t.segments_out + 1;
   Cio_telemetry.Metrics.inc m_segments_out;
-  Cio_telemetry.Metrics.observe m_segment_bytes (Bytes.length payload);
-  charge_stack t (Bytes.length payload);
-  t.send_segment ~dst:conn.remote_ip (Tcp_wire.build ~src_ip:t.local_ip ~dst_ip:conn.remote_ip seg)
+  Cio_telemetry.Metrics.observe m_segment_bytes len;
+  charge_stack t len;
+  t.send_segment ~dst:conn.remote_ip seg conn.snd_queue
+
+(* The payload store of segments that carry none. *)
+let no_payload = Byteq.create 0
 
 let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
   (* RFC 9293 §3.10.7.1 reset generation for segments with no connection. *)
@@ -201,7 +214,7 @@ let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
       else
         ( 0l,
           Tcp_wire.seq_add to_seg.Tcp_wire.seq
-            (Bytes.length to_seg.Tcp_wire.payload
+            (to_seg.Tcp_wire.payload_len
             + (if to_seg.Tcp_wire.flags.Tcp_wire.syn then 1 else 0)
             + if to_seg.Tcp_wire.flags.Tcp_wire.fin then 1 else 0),
           true )
@@ -215,13 +228,14 @@ let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
         flags = { Tcp_wire.flags_none with rst = true; ack = ack_flag };
         window = 0;
         mss = None;
-        payload = Bytes.empty;
+        payload_off = 0;
+        payload_len = 0;
       }
     in
     t.segments_out <- t.segments_out + 1;
     Cio_telemetry.Metrics.inc m_segments_out;
     charge_stack t 0;
-    t.send_segment ~dst (Tcp_wire.build ~src_ip:t.local_ip ~dst_ip:dst seg)
+    t.send_segment ~dst seg no_payload
   end
 
 let isn t = Rng.next_int64 t.rng |> Int64.to_int32
@@ -241,7 +255,9 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
       snd_nxt = iss;
       snd_wnd = 0;
       snd_queue = Byteq.create 4096;
-      retx = [];
+      snd_qseq = Tcp_wire.seq_add iss 1;
+      snd_sent = 0;
+      retx = Queue.create ();
       dup_acks = 0;
       fin_pending = false;
       fin_seq = None;
@@ -273,8 +289,8 @@ let find_listener t ~port = List.find_opt (fun l -> l.lport = port) t.listeners
 
 let arm_rtx t c = if c.rtx_deadline = None then c.rtx_deadline <- Some (Int64.add (t.now ()) c.rto_ns)
 
-let record_retx t c ~seq ~payload ~syn ~fin =
-  c.retx <- c.retx @ [ { rseq = seq; rpayload = payload; rsyn = syn; rfin = fin; sent_at = t.now (); retries = 0 } ];
+let record_retx t c ~seq ~len ~syn ~fin =
+  Queue.add { rseq = seq; rlen = len; rsyn = syn; rfin = fin; sent_at = t.now (); retries = 0 } c.retx;
   arm_rtx t c
 
 let in_flight c = Tcp_wire.seq_diff c.snd_nxt c.snd_una
@@ -286,14 +302,14 @@ let rec output t c =
   | Established | Close_wait ->
       let window = min c.snd_wnd c.cwnd in
       let usable = window - in_flight c in
-      let queued = Byteq.length c.snd_queue in
+      let queued = Byteq.length c.snd_queue - c.snd_sent in
       if queued > 0 && usable > 0 then begin
         let len = min (min queued usable) c.mss in
-        let payload = Byteq.take c.snd_queue len in
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt len;
-        record_retx t c ~seq ~payload ~syn:false ~fin:false;
-        emit t c ~payload ~seq ();
+        c.snd_sent <- c.snd_sent + len;
+        record_retx t c ~seq ~len ~syn:false ~fin:false;
+        emit t c ~len ~seq ();
         output t c
       end
       else if queued = 0 && c.fin_pending && c.fin_seq = None then begin
@@ -301,7 +317,7 @@ let rec output t c =
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
         c.fin_seq <- Some seq;
-        record_retx t c ~seq ~payload:Bytes.empty ~syn:false ~fin:true;
+        record_retx t c ~seq ~len:0 ~syn:false ~fin:true;
         emit t c ~fin:true ~seq ();
         c.state <- (match c.state with Established -> Fin_wait_1 | _ -> Last_ack)
       end
@@ -319,7 +335,7 @@ let connect t ?src_port ~dst ~dst_port () =
   let c = fresh_conn t ~local_port ~remote_ip:dst ~remote_port:dst_port ~state:Syn_sent in
   let seq = c.snd_nxt in
   c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
-  record_retx t c ~seq ~payload:Bytes.empty ~syn:true ~fin:false;
+  record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
   emit t c ~syn:true ~ack:false ~seq ();
   c
 
@@ -327,23 +343,18 @@ let listen t ~port ?(backlog = 16) () =
   match find_listener t ~port with
   | Some _ -> invalid_arg "Tcp.listen: port already bound"
   | None ->
-      let l = { lport = port; backlog; accept_queue = [] } in
+      let l = { lport = port; backlog; accept_queue = Queue.create () } in
       t.listeners <- l :: t.listeners;
       l
 
-let accept l =
-  match l.accept_queue with
-  | [] -> None
-  | c :: rest ->
-      l.accept_queue <- rest;
-      Some c
+let accept l = Queue.take_opt l.accept_queue
 
 let send_sub _t c data ~off ~len =
   match c.state with
   | Established | Close_wait ->
       if c.fin_pending then 0
       else begin
-        let n = min (262144 - Byteq.length c.snd_queue) len in
+        let n = min (262144 - (Byteq.length c.snd_queue - c.snd_sent)) len in
         Byteq.add_subbytes c.snd_queue data off n;
         n
       end
@@ -405,19 +416,21 @@ let rec drain_ooo c =
       drain_ooo c
   | _ -> ()
 
-let deliver_payload c (seg : Tcp_wire.t) =
-  let len = Bytes.length seg.payload in
+(* [buf] holds the segment's payload at [seg.payload_off]; whatever is
+   kept past this call is copied out of it. *)
+let deliver_payload c buf (seg : Tcp_wire.t) =
+  let len = seg.payload_len in
   if len > 0 then begin
     if seg.seq = c.rcv_nxt then begin
       let room = c.rcv_capacity - Byteq.length c.recv_buf in
       let take = min len room in
-      Byteq.add_subbytes c.recv_buf seg.payload 0 take;
+      Byteq.add_subbytes c.recv_buf buf seg.payload_off take;
       c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
       drain_ooo c
     end
     else if Tcp_wire.seq_lt c.rcv_nxt seg.seq then begin
       let dist = Tcp_wire.seq_diff seg.seq c.rcv_nxt in
-      if dist < c.rcv_capacity then stash_ooo c seg.seq seg.payload
+      if dist < c.rcv_capacity then stash_ooo c seg.seq (Bytes.sub buf seg.payload_off len)
     end
     else begin
       (* Partially old segment: deliver the fresh tail. *)
@@ -425,12 +438,31 @@ let deliver_payload c (seg : Tcp_wire.t) =
       if skip < len then begin
         let room = c.rcv_capacity - Byteq.length c.recv_buf in
         let take = min (len - skip) room in
-        Byteq.add_subbytes c.recv_buf seg.payload skip take;
+        Byteq.add_subbytes c.recv_buf buf (seg.payload_off + skip) take;
         c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
         drain_ooo c
       end
     end
   end
+
+(* Drop the segments [ack] covers from the front of the retransmit queue
+   (they were queued in sequence order), then release the send-queue
+   bytes in front of the oldest segment still unacknowledged. A partially
+   acknowledged segment keeps all its bytes: it is resent whole. *)
+let release_acked c ack =
+  let rec pop () =
+    match Queue.peek_opt c.retx with
+    | Some e when Tcp_wire.seq_leq (Tcp_wire.seq_add e.rseq (retx_len e)) ack ->
+        ignore (Queue.take c.retx);
+        pop ()
+    | _ -> ()
+  in
+  pop ();
+  let front = match Queue.peek_opt c.retx with Some e -> e.rseq | None -> ack in
+  let n = min (Tcp_wire.seq_diff front c.snd_qseq) c.snd_sent in
+  Byteq.drop c.snd_queue n;
+  c.snd_qseq <- Tcp_wire.seq_add c.snd_qseq n;
+  c.snd_sent <- c.snd_sent - n
 
 let process_ack t c (seg : Tcp_wire.t) =
   let ack = seg.Tcp_wire.ack in
@@ -440,13 +472,12 @@ let process_ack t c (seg : Tcp_wire.t) =
     c.snd_una <- ack;
     c.dup_acks <- 0;
     c.snd_wnd <- seg.Tcp_wire.window;
-    (* Keep only segments whose end sequence is still unacknowledged. *)
-    c.retx <- List.filter (fun e -> Tcp_wire.seq_lt ack (Tcp_wire.seq_add e.rseq (retx_len e))) c.retx;
+    release_acked c ack;
     (* Congestion control: slow start then additive increase. *)
     if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.mss
     else c.cwnd <- c.cwnd + max 1 (c.mss * c.mss / c.cwnd);
     c.rto_ns <- t.base_rto_ns;
-    c.rtx_deadline <- (if c.retx = [] then None else Some (Int64.add (t.now ()) c.rto_ns));
+    c.rtx_deadline <- (if Queue.is_empty c.retx then None else Some (Int64.add (t.now ()) c.rto_ns));
     (* Forward progress pays back into the shared retry budget. *)
     (match t.retry_budget with
     | Some rb -> Cio_overload.Retry_budget.on_success rb
@@ -464,7 +495,7 @@ let process_ack t c (seg : Tcp_wire.t) =
     | _ -> ());
     output t c
   end
-  else if ack = c.snd_una && Bytes.length seg.Tcp_wire.payload = 0 && c.retx <> [] then begin
+  else if ack = c.snd_una && seg.Tcp_wire.payload_len = 0 && not (Queue.is_empty c.retx) then begin
     (* Duplicate ACK. *)
     c.snd_wnd <- seg.Tcp_wire.window;
     c.dup_acks <- c.dup_acks + 1;
@@ -477,15 +508,15 @@ let process_ack t c (seg : Tcp_wire.t) =
         | Some rb -> Cio_overload.Retry_budget.try_retry rb
         | None -> true
       in
-      match c.retx with
-      | e :: _ when budget_ok ->
+      match Queue.peek_opt c.retx with
+      | Some e when budget_ok ->
           let flight = max (in_flight c) c.mss in
           c.ssthresh <- max (flight / 2) (2 * c.mss);
           c.cwnd <- c.ssthresh;
           e.retries <- e.retries + 1;
           e.sent_at <- t.now ();
           note_retransmit t;
-          emit t c ~payload:e.rpayload ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
+          emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
       | _ -> ()
     end
   end
@@ -505,7 +536,7 @@ let handle_synsent t c (seg : Tcp_wire.t) =
       c.snd_wnd <- seg.Tcp_wire.window;
       (match seg.Tcp_wire.mss with Some m -> c.mss <- min m t.default_mss | None -> ());
       c.cwnd <- 2 * c.mss;
-      c.retx <- [];
+      Queue.clear c.retx;
       c.rtx_deadline <- None;
       c.state <- Established;
       emit t c ~seq:c.snd_nxt ();  (* ACK completing the handshake *)
@@ -524,7 +555,7 @@ let handle_synsent t c (seg : Tcp_wire.t) =
 let seq_acceptable c (seg : Tcp_wire.t) =
   (* RFC 9293 §3.4 acceptability, with the simplification of a constant
      advertised window. *)
-  let seg_len = Bytes.length seg.Tcp_wire.payload in
+  let seg_len = seg.Tcp_wire.payload_len in
   let wnd = c.rcv_capacity in
   if seg_len = 0 then
     Tcp_wire.seq_leq c.rcv_nxt seg.Tcp_wire.seq
@@ -535,7 +566,7 @@ let seq_acceptable c (seg : Tcp_wire.t) =
     || seg.Tcp_wire.seq = c.rcv_nxt
 
 let handle_fin t c (seg : Tcp_wire.t) =
-  let fin_seq = Tcp_wire.seq_add seg.Tcp_wire.seq (Bytes.length seg.Tcp_wire.payload) in
+  let fin_seq = Tcp_wire.seq_add seg.Tcp_wire.seq seg.Tcp_wire.payload_len in
   if fin_seq = c.rcv_nxt then begin
     c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt 1;
     c.fin_rcvd <- true;
@@ -549,7 +580,7 @@ let handle_fin t c (seg : Tcp_wire.t) =
     emit t c ~seq:c.snd_nxt ()
   end
 
-let handle_established t c (seg : Tcp_wire.t) =
+let handle_established t c buf (seg : Tcp_wire.t) =
   if not (seq_acceptable c seg) then
     (* Unacceptable: ACK and drop (protects against old/replayed data). *)
     emit t c ~seq:c.snd_nxt ()
@@ -569,38 +600,37 @@ let handle_established t c (seg : Tcp_wire.t) =
   else begin
     if seg.Tcp_wire.flags.Tcp_wire.ack then process_ack t c seg;
     let before = c.rcv_nxt in
-    deliver_payload c seg;
+    deliver_payload c buf seg;
     if seg.Tcp_wire.flags.Tcp_wire.fin then handle_fin t c seg
-    else if c.rcv_nxt <> before || Bytes.length seg.Tcp_wire.payload > 0 then
+    else if c.rcv_nxt <> before || seg.Tcp_wire.payload_len > 0 then
       (* Data arrived (in order or not): ACK immediately. *)
       emit t c ~seq:c.snd_nxt ()
   end
 
-let handle_synreceived t c l (seg : Tcp_wire.t) =
+let handle_synreceived t c l buf (seg : Tcp_wire.t) =
   if seg.Tcp_wire.flags.Tcp_wire.rst then c.state <- Closed
   else if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
     c.snd_una <- seg.Tcp_wire.ack;
     c.snd_wnd <- seg.Tcp_wire.window;
-    c.retx <- [];
+    Queue.clear c.retx;
     c.rtx_deadline <- None;
     c.state <- Established;
     (match l with
-    | Some l when List.length l.accept_queue < l.backlog ->
-        l.accept_queue <- l.accept_queue @ [ c ]
+    | Some l when Queue.length l.accept_queue < l.backlog -> Queue.add c l.accept_queue
     | _ -> ());
     (* The completing ACK may already carry data. *)
-    if Bytes.length seg.Tcp_wire.payload > 0 then handle_established t c seg
+    if seg.Tcp_wire.payload_len > 0 then handle_established t c buf seg
   end
-  else if seg.Tcp_wire.flags.Tcp_wire.syn && Bytes.length seg.Tcp_wire.payload = 0 then
+  else if seg.Tcp_wire.flags.Tcp_wire.syn && seg.Tcp_wire.payload_len = 0 then
     (* Retransmitted SYN: resend SYN-ACK. *)
-    match c.retx with
-    | e :: _ -> emit t c ~payload:e.rpayload ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-    | [] -> ()
+    match Queue.peek_opt c.retx with
+    | Some e -> emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
+    | None -> ()
 
-let input t ~src (seg : Tcp_wire.t) =
+let input t ~src buf (seg : Tcp_wire.t) =
   t.segments_in <- t.segments_in + 1;
   Cio_telemetry.Metrics.inc m_segments_in;
-  charge_stack t (Bytes.length seg.Tcp_wire.payload);
+  charge_stack t seg.Tcp_wire.payload_len;
   match
     find_conn t ~local_port:seg.Tcp_wire.dst_port ~remote_ip:src ~remote_port:seg.Tcp_wire.src_port
   with
@@ -608,9 +638,9 @@ let input t ~src (seg : Tcp_wire.t) =
       match c.state with
       | Syn_sent -> handle_synsent t c seg
       | Syn_received ->
-          handle_synreceived t c (find_listener t ~port:c.local_port) seg
+          handle_synreceived t c (find_listener t ~port:c.local_port) buf seg
       | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-          handle_established t c seg
+          handle_established t c buf seg
       | Time_wait ->
           if seg.Tcp_wire.flags.Tcp_wire.fin then emit t c ~seq:c.snd_nxt ()
       | Listen | Closed -> send_rst t ~dst:src ~to_seg:seg)
@@ -627,7 +657,7 @@ let input t ~src (seg : Tcp_wire.t) =
           c.snd_wnd <- seg.Tcp_wire.window;
           let seq = c.snd_nxt in
           c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
-          record_retx t c ~seq ~payload:Bytes.empty ~syn:true ~fin:false;
+          record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
           emit t c ~syn:true ~seq ()
       | _ -> send_rst t ~dst:src ~to_seg:seg)
 
@@ -640,9 +670,9 @@ let tick t =
       | _ -> ());
       match c.rtx_deadline with
       | Some d when d <= now -> (
-          match c.retx with
-          | [] -> c.rtx_deadline <- None
-          | e :: _ ->
+          match Queue.peek_opt c.retx with
+          | None -> c.rtx_deadline <- None
+          | Some e ->
               if e.retries >= t.max_retries then begin
                 c.state <- Closed;
                 c.error <- Some "retransmission limit exceeded";
@@ -676,8 +706,8 @@ let tick t =
                     c.rtx_deadline <- Some (Int64.add now pace);
                     note_retransmit t;
                     if e.rsyn && c.state = Syn_sent then
-                      emit t c ~payload:e.rpayload ~syn:true ~ack:false ~seq:e.rseq ()
-                    else emit t c ~payload:e.rpayload ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
+                      emit t c ~len:e.rlen ~syn:true ~ack:false ~seq:e.rseq ()
+                    else emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
               end)
       | _ -> ())
     t.conns;

@@ -36,11 +36,14 @@ val create :
   ?meter:Cost.meter ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
   local_ip:Addr.ipv4 ->
-  send_segment:(dst:Addr.ipv4 -> bytes -> unit) ->
+  send_segment:(dst:Addr.ipv4 -> Tcp_wire.t -> Byteq.t -> unit) ->
   now:(unit -> int64) ->
   rng:Rng.t ->
   unit ->
   t
+(** [send_segment ~dst seg q] sends one segment; its payload is the
+    [seg.payload_len] bytes of [q] from position [seg.payload_off]. [q]
+    is only read during the call. *)
 
 val meter : t -> Cost.meter
 val segments_in : t -> int
@@ -79,8 +82,11 @@ val eof : conn -> bool
 val close : t -> conn -> unit
 val abort : t -> conn -> unit
 
-val input : t -> src:Addr.ipv4 -> Tcp_wire.t -> unit
-(** Process one inbound segment (already IP-demultiplexed). *)
+val input : t -> src:Addr.ipv4 -> bytes -> Tcp_wire.t -> unit
+(** [input t ~src buf seg] processes one inbound segment (already
+    IP-demultiplexed) whose payload view points into [buf]. Nothing
+    keeps [buf] past the call: delivered bytes are copied into the
+    receive buffer, and out-of-order ones into the reassembly stash. *)
 
 val tick : t -> unit
 (** Run retransmission / TIME-WAIT timers against the [now] clock. *)

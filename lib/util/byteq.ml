@@ -31,6 +31,11 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Byteq.get: index out of bounds";
   Bytes.get t.buf (t.off + i)
 
+let blit t ~src_off dst ~dst_off ~len =
+  if src_off < 0 || len < 0 || src_off > t.len - len then
+    invalid_arg "Byteq.blit: range out of bounds";
+  Bytes.blit t.buf (t.off + src_off) dst dst_off len
+
 let drop t n =
   if n < 0 || n > t.len then invalid_arg "Byteq.drop: count out of bounds";
   t.len <- t.len - n;

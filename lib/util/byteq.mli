@@ -16,6 +16,11 @@ val add_bytes : t -> bytes -> unit
 val get : t -> int -> char
 (** [get q i] is the [i]-th queued byte (0 is the front). *)
 
+val blit : t -> src_off:int -> bytes -> dst_off:int -> len:int -> unit
+(** [blit q ~src_off dst ~dst_off ~len] copies the [len] queued bytes
+    from position [src_off] (0 is the front) into [dst] at [dst_off],
+    leaving the queue as it was. *)
+
 val drop : t -> int -> unit
 (** Discard [n] bytes from the front. *)
 

@@ -51,9 +51,8 @@ let run_until ?(max_steps = 10_000) pair pred =
   in
   go max_steps
 
-(* Established TCP connection pair over loopback. *)
-let connected_pair ?seed () =
-  let pair = make_stack_pair ?seed () in
+(* An established TCP connection from A to B over [pair]. *)
+let connect pair =
   let tcp_a = Cio_tcpip.Stack.tcp pair.stack_a and tcp_b = Cio_tcpip.Stack.tcp pair.stack_b in
   let listener = Cio_tcpip.Tcp.listen tcp_b ~port:7777 () in
   let client = Cio_tcpip.Tcp.connect tcp_a ~dst:ip_b ~dst_port:7777 () in
@@ -63,8 +62,14 @@ let connected_pair ?seed () =
         (match !server with None -> server := Cio_tcpip.Tcp.accept listener | Some _ -> ());
         Cio_tcpip.Tcp.conn_state client = Cio_tcpip.Tcp.Established && !server <> None)
   in
-  if not ok then failwith "helpers.connected_pair: handshake did not complete";
-  (pair, client, Option.get !server)
+  if not ok then failwith "helpers.connect: handshake did not complete";
+  (client, Option.get !server)
+
+(* Established TCP connection pair over loopback. *)
+let connected_pair ?seed () =
+  let pair = make_stack_pair ?seed () in
+  let client, server = connect pair in
+  (pair, client, server)
 
 (* Pump [data] from [src_conn] on stack [src] to [dst_conn], returning
    what arrived. *)

@@ -126,18 +126,15 @@ let test_dual_unit_echo_direct () =
      is ciphertext — the plaintext never appears on the shared region. *)
   Alcotest.(check bool) "gate crossings happened" true (Dual.crossings unit_ > 0)
 
-let test_dual_echo_steady_state_zero_alloc () =
-  (* The allocation-free acceptance bar: once the pool is warm, a dual-
-     boundary TLS echo performs zero fresh Bytes allocations per frame on
-     the L2 path (RX consume buffers and TX pad staging all recycle). *)
-  let d = Testbed.attach_dual (Testbed.create ~name:"steady" ~psk_id:"s" ~seed:11L ()) in
-  let unit_ = d.Testbed.unit_ in
+(* A dual unit with an established channel to the testbed's echo peer,
+   and a closed-loop echo of [msg] over it (one message in flight). *)
+let echo_rig ~name ~seed =
+  let d = Testbed.attach_dual (Testbed.create ~name ~psk_id:name ~seed ()) in
   let ch = Testbed.connect d in
   let pump () = Testbed.pump d ~by:2_000L in
   let rec until pred n = pred () || (n > 0 && (pump (); until pred (n - 1))) in
   Alcotest.(check bool) "established" true (until (fun () -> Channel.is_established ch) 2000);
-  let msg = Bytes.make 512 'e' in
-  let echo () =
+  let echo msg =
     (match Channel.send ch msg with
     | Ok () -> ()
     | Error e -> Alcotest.fail (Cio_tls.Session.error_to_string e));
@@ -152,12 +149,41 @@ let test_dual_echo_steady_state_zero_alloc () =
     then Alcotest.fail "echo lost";
     Helpers.check_bytes "echo content" msg (Option.get !got)
   in
-  for _ = 1 to 6 do echo () done;
-  let pool = Cio_cionet.Driver.pool (Dual.driver unit_) in
+  (d, echo)
+
+let test_dual_echo_steady_state_zero_alloc () =
+  (* The allocation-free acceptance bar: once the pool is warm, a dual-
+     boundary TLS echo performs zero fresh Bytes allocations per frame on
+     the L2 path (RX consume buffers and TX pad staging all recycle). *)
+  let d, echo = echo_rig ~name:"steady" ~seed:11L in
+  let msg = Bytes.make 512 'e' in
+  for _ = 1 to 6 do echo msg done;
+  let pool = Cio_cionet.Driver.pool (Dual.driver d.Testbed.unit_) in
   let fresh0 = (Cio_mem.Bufpool.stats pool).Cio_mem.Bufpool.fresh in
-  for _ = 1 to 10 do echo () done;
+  for _ = 1 to 10 do echo msg done;
   Alcotest.(check int) "zero per-frame allocations on the L2 path" fresh0
     (Cio_mem.Bufpool.stats pool).Cio_mem.Bufpool.fresh
+
+(* The CI allocation gate: minor-heap words per echo of the whole world
+   (unit, host model, link, echo peer), pools warm. The count is
+   deterministic for a given build, so it gates where wall-clock cannot.
+   Measured with the test build (OCaml 5.1.1, x86-64), 32 echoes after 8
+   warm-up ones: 8 KiB, 11844 words per echo (26515 when every layer
+   built and parsed into buffers of its own); 64 B, 3267 (3591). Each
+   bound is the measurement plus 10%. *)
+let minor_words_per_echo ~size =
+  let _, echo = echo_rig ~name:"alloc" ~seed:5L in
+  let msg = Bytes.init size (fun i -> Char.chr (i land 0xFF)) in
+  for _ = 1 to 8 do echo msg done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 32 do echo msg done;
+  (Gc.minor_words () -. w0) /. 32.
+
+let test_dual_echo_minor_words () =
+  let w8k = minor_words_per_echo ~size:8192 and w64 = minor_words_per_echo ~size:64 in
+  Alcotest.(check bool) (Printf.sprintf "8 KiB: %.1f words per echo <= 13028" w8k) true
+    (w8k <= 13028.);
+  Alcotest.(check bool) (Printf.sprintf "64 B: %.1f words per echo <= 3594" w64) true (w64 <= 3594.)
 
 let test_channel_copy_knobs_change_costs () =
   (* E7 at unit level: zero-copy send saves the L5 crossing copy. *)
@@ -207,5 +233,6 @@ let suite =
     Alcotest.test_case "dual unit direct echo" `Slow test_dual_unit_echo_direct;
     Alcotest.test_case "dual echo allocation-free in steady state" `Slow
       test_dual_echo_steady_state_zero_alloc;
+    Alcotest.test_case "dual echo minor words per message" `Slow test_dual_echo_minor_words;
     Alcotest.test_case "channel copy knobs (E7)" `Quick test_channel_copy_knobs_change_costs;
   ]

@@ -96,28 +96,33 @@ let test_campaign_sabotage_confined () =
 
 let test_tamper_helper_only_touches_payload () =
   (* The record-tamper helper must produce a frame that still parses at
-     L2-L4 (that is the point: only the AEAD may notice). *)
-  let open Cio_frame in
+     L2-L4 (that is the point: only the AEAD may notice), and that the
+     oracle codecs would have produced: the frame rebuilt around the
+     payload with its last bit flipped. *)
+  let open Frame_oracle in
   let payload = Bytes.make 32 'p' in
   let seg =
     { Tcp_wire.src_port = 1234; dst_port = 443; seq = 7l; ack = 9l;
       flags = { Tcp_wire.syn = false; ack = true; fin = false; rst = false; psh = false };
       window = 65535; payload; mss = None }
   in
-  let src = Addr.ipv4_of_octets 10 0 0 1 and dst = Addr.ipv4_of_octets 10 0 0 2 in
-  let tcp = Tcp_wire.build ~src_ip:src ~dst_ip:dst seg in
-  let ip =
-    Ipv4.build { Ipv4.src; dst; protocol = Ipv4.Tcp; ttl = 64; payload = tcp }
-  in
-  let eth =
+  let src = Cio_frame.Addr.ipv4_of_octets 10 0 0 1 and dst = Cio_frame.Addr.ipv4_of_octets 10 0 0 2 in
+  let frame_of seg =
+    let tcp = Tcp_wire.build ~src_ip:src ~dst_ip:dst seg in
+    let ip = Ipv4.build { Ipv4.src; dst; protocol = Ipv4.Tcp; ttl = 64; payload = tcp } in
     Ethernet.build
-      { Ethernet.src = Addr.mac_of_octets 2 0 0 0 0 1;
-        dst = Addr.mac_of_octets 2 0 0 0 0 2; ethertype = Ethernet.Ipv4; payload = ip }
+      { Ethernet.src = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 1;
+        dst = Cio_frame.Addr.mac_of_octets 2 0 0 0 0 2; ethertype = Ethernet.Ipv4; payload = ip }
   in
+  let eth = frame_of seg in
   match Campaign.tamper_tls_record eth with
   | None -> Alcotest.fail "tamper refused a payload-bearing frame"
   | Some eth' -> (
       Alcotest.(check bool) "frame changed" false (Bytes.equal eth eth');
+      let flipped = Bytes.copy payload in
+      Bytes.set flipped 31 (Char.chr (Char.code 'p' lxor 1));
+      Helpers.check_bytes "rebuilt with the last payload bit flipped"
+        (frame_of { seg with Tcp_wire.payload = flipped }) eth';
       match Ethernet.parse eth' with
       | Error _ -> Alcotest.fail "tampered frame no longer parses at L2"
       | Ok e -> (

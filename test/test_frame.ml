@@ -1,7 +1,9 @@
-(* Codec tests: addresses, checksums, Ethernet/IPv4/UDP/TCP round trips
-   and malformed-input rejection. *)
+(* Codec tests: addresses, checksums, Ethernet/IPv4/UDP/TCP round trips,
+   malformed-input rejection, and equivalence with the allocate-per-layer
+   oracle codecs (test/frame_oracle.ml). *)
 
 open Cio_frame
+module O = Frame_oracle
 
 let ip_a = Helpers.ip_a
 let ip_b = Helpers.ip_b
@@ -38,117 +40,165 @@ let test_checksum_odd_length () =
   (* Must not raise, and must be stable. *)
   Alcotest.(check int) "stable" (Checksum.compute b ~pos:0 ~len:3) (Checksum.compute b ~pos:0 ~len:3)
 
-let eth_frame payload =
-  { Ethernet.dst = Helpers.mac_b; src = Helpers.mac_a; ethertype = Ethernet.Ipv4; payload }
+(* Encoders write a header in front of a payload already in place; these
+   lay [payload] out in a fresh exact-length buffer and encode around it. *)
+let encode_with ~hdr ~len payload enc =
+  let b = Bytes.make len '\xA5' in
+  Bytes.blit payload 0 b hdr (Bytes.length payload);
+  enc b;
+  b
+
+let eth_build ?(ethertype = Ethernet.Ipv4) payload =
+  let payload_len = Bytes.length payload in
+  encode_with ~hdr:Ethernet.header_len ~len:(Ethernet.frame_len ~payload_len) payload (fun b ->
+      Ethernet.encode b ~off:0 ~dst:Helpers.mac_b ~src:Helpers.mac_a ~ethertype ~payload_len)
+
+let ipv4_build ?(protocol = Ipv4.Udp) payload =
+  let payload_len = Bytes.length payload in
+  encode_with ~hdr:Ipv4.header_len ~len:(Ipv4.header_len + payload_len) payload (fun b ->
+      Ipv4.encode b ~off:0 ~src:ip_a ~dst:ip_b ~protocol ~ttl:64 ~payload_len)
+
+let udp_build ~src_port ~dst_port payload =
+  let payload_len = Bytes.length payload in
+  encode_with ~hdr:Udp.header_len ~len:(Udp.header_len + payload_len) payload (fun b ->
+      Udp.encode b ~off:0 ~src_ip:ip_a ~dst_ip:ip_b ~src_port ~dst_port ~payload_len)
+
+let tcp_build seg payload =
+  let seg = { seg with Tcp_wire.payload_len = Bytes.length payload } in
+  let hdr = Tcp_wire.header_len seg in
+  encode_with ~hdr ~len:(hdr + Bytes.length payload) payload (fun b ->
+      Tcp_wire.encode b ~off:0 ~src_ip:ip_a ~dst_ip:ip_b seg)
+
+(* Decode a whole buffer; a view's payload as a copy. *)
+let whole f b = f b ~off:0 ~len:(Bytes.length b)
+let eth_decode = whole Ethernet.decode
+let ipv4_decode = whole Ipv4.decode
+let udp_decode ?(src_ip = ip_a) ?(dst_ip = ip_b) = whole (Udp.decode ~src_ip ~dst_ip)
+let tcp_decode = whole (Tcp_wire.decode ~src_ip:ip_a ~dst_ip:ip_b)
+let view b ~off ~len = Bytes.sub b off len
 
 let test_ethernet_roundtrip () =
-  let frame = eth_frame (Bytes.make 100 'p') in
-  match Ethernet.parse (Ethernet.build frame) with
+  let payload = Bytes.make 100 'p' in
+  let b = eth_build payload in
+  match eth_decode b with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
-      Alcotest.(check int) "dst" frame.Ethernet.dst parsed.Ethernet.dst;
-      Alcotest.(check int) "src" frame.Ethernet.src parsed.Ethernet.src;
-      Helpers.check_bytes "payload" frame.Ethernet.payload parsed.Ethernet.payload
+      Alcotest.(check int) "dst" Helpers.mac_b parsed.Ethernet.dst;
+      Alcotest.(check int) "src" Helpers.mac_a parsed.Ethernet.src;
+      Helpers.check_bytes "payload" payload
+        (view b ~off:parsed.Ethernet.payload_off ~len:parsed.Ethernet.payload_len)
 
 let test_ethernet_pads_short_payload () =
-  let built = Ethernet.build (eth_frame (Bytes.of_string "tiny")) in
+  let built = eth_build (Bytes.of_string "tiny") in
   Alcotest.(check int) "minimum frame size" (Ethernet.header_len + Ethernet.min_payload)
-    (Bytes.length built)
+    (Bytes.length built);
+  Helpers.check_bytes "padding zeroed" (Bytes.make (Ethernet.min_payload - 4) '\000')
+    (view built ~off:(Ethernet.header_len + 4) ~len:(Ethernet.min_payload - 4))
 
 let test_ethernet_truncated_rejected () =
-  match Ethernet.parse (Bytes.make 10 'x') with
+  match eth_decode (Bytes.make 10 'x') with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "short frame must be rejected"
 
 let test_ethernet_unknown_ethertype () =
-  let b = Ethernet.build { (eth_frame Bytes.empty) with Ethernet.ethertype = Ethernet.Unknown 0x1234 } in
-  match Ethernet.parse b with
+  let b = eth_build ~ethertype:(Ethernet.Unknown 0x1234) Bytes.empty in
+  match eth_decode b with
   | Ok { Ethernet.ethertype = Ethernet.Unknown 0x1234; _ } -> ()
   | _ -> Alcotest.fail "unknown ethertype must survive roundtrip"
 
-let ip_packet payload =
-  { Ipv4.src = ip_a; dst = ip_b; protocol = Ipv4.Udp; ttl = 64; payload }
-
 let test_ipv4_roundtrip () =
-  match Ipv4.parse (Ipv4.build (ip_packet (Bytes.make 64 'd'))) with
+  match ipv4_decode (ipv4_build (Bytes.make 64 'd')) with
   | Error e -> Alcotest.fail e
   | Ok p ->
       Alcotest.(check int32) "src" ip_a p.Ipv4.src;
       Alcotest.(check int32) "dst" ip_b p.Ipv4.dst;
       Alcotest.(check int) "ttl" 64 p.Ipv4.ttl;
-      Alcotest.(check int) "payload" 64 (Bytes.length p.Ipv4.payload)
+      Alcotest.(check int) "payload" 64 p.Ipv4.payload_len
 
 let test_ipv4_header_checksum_enforced () =
-  let b = Ipv4.build (ip_packet (Bytes.of_string "x")) in
+  let b = ipv4_build (Bytes.of_string "x") in
   Bytes.set b 8 '\x01' (* mangle TTL without fixing checksum *);
-  match Ipv4.parse b with
+  match ipv4_decode b with
   | Error "ipv4: header checksum mismatch" -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ e)
   | Ok _ -> Alcotest.fail "corrupted header must be rejected"
 
 let test_ipv4_rejects_fragments () =
-  let b = Ipv4.build (ip_packet (Bytes.of_string "x")) in
+  let b = ipv4_build (Bytes.of_string "x") in
   (* Set MF bit and fix up the checksum. *)
   Bytes.set_uint16_be b 6 0x2000;
   Bytes.set_uint16_be b 10 0;
   let csum = Checksum.compute b ~pos:0 ~len:20 in
   Bytes.set_uint16_be b 10 csum;
-  match Ipv4.parse b with
+  match ipv4_decode b with
   | Error "ipv4: fragmentation unsupported" -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ e)
   | Ok _ -> Alcotest.fail "fragment must be rejected"
 
 let test_ipv4_tolerates_link_padding () =
   (* Ethernet pads short packets; the IP total-length field governs. *)
-  let b = Ipv4.build (ip_packet (Bytes.of_string "small")) in
+  let b = ipv4_build (Bytes.of_string "small") in
   let padded = Bytes.cat b (Bytes.make 20 '\000') in
-  match Ipv4.parse padded with
-  | Ok p -> Alcotest.(check int) "payload trimmed" 5 (Bytes.length p.Ipv4.payload)
+  match ipv4_decode padded with
+  | Ok p -> Alcotest.(check int) "payload trimmed" 5 p.Ipv4.payload_len
   | Error e -> Alcotest.fail e
 
 let test_ipv4_rejects_bad_version () =
-  let b = Ipv4.build (ip_packet Bytes.empty) in
+  let b = ipv4_build Bytes.empty in
   Bytes.set b 0 '\x65' (* version 6 *);
-  match Ipv4.parse b with
+  match ipv4_decode b with
   | Error "ipv4: not version 4" -> ()
   | _ -> Alcotest.fail "bad version must be rejected"
 
 let test_udp_roundtrip () =
-  let dgram = { Udp.src_port = 5353; dst_port = 53; payload = Bytes.of_string "query" } in
-  match Udp.parse ~src_ip:ip_a ~dst_ip:ip_b (Udp.build ~src_ip:ip_a ~dst_ip:ip_b dgram) with
+  let payload = Bytes.of_string "query" in
+  let b = udp_build ~src_port:5353 ~dst_port:53 payload in
+  match udp_decode b with
   | Error e -> Alcotest.fail e
   | Ok p ->
       Alcotest.(check int) "sport" 5353 p.Udp.src_port;
       Alcotest.(check int) "dport" 53 p.Udp.dst_port;
-      Helpers.check_bytes "payload" dgram.Udp.payload p.Udp.payload
+      Helpers.check_bytes "payload" payload (view b ~off:p.Udp.payload_off ~len:p.Udp.payload_len)
 
 let test_udp_checksum_includes_pseudo_header () =
-  let b = Udp.build ~src_ip:ip_a ~dst_ip:ip_b { Udp.src_port = 1; dst_port = 2; payload = Bytes.of_string "x" } in
+  let b = udp_build ~src_port:1 ~dst_port:2 (Bytes.of_string "x") in
   (* The same datagram verified against a different address must fail:
      the pseudo-header binds it to its endpoints. (Swapping src and dst
      would NOT fail — the one's-complement sum is order-independent —
      which is itself worth pinning down.) *)
   let other = Cio_frame.Addr.ipv4_of_octets 10 0 0 3 in
-  (match Udp.parse ~src_ip:other ~dst_ip:ip_b b with
+  (match udp_decode ~src_ip:other ~dst_ip:ip_b b with
   | Error "udp: checksum mismatch" -> ()
   | _ -> Alcotest.fail "pseudo-header must be bound");
-  match Udp.parse ~src_ip:ip_b ~dst_ip:ip_a b with
+  match udp_decode ~src_ip:ip_b ~dst_ip:ip_a b with
   | Ok _ -> ()  (* order-independence of the internet checksum *)
   | Error e -> Alcotest.fail ("swap unexpectedly failed: " ^ e)
 
 let test_udp_corrupted_rejected () =
-  let b = Udp.build ~src_ip:ip_a ~dst_ip:ip_b { Udp.src_port = 1; dst_port = 2; payload = Bytes.of_string "data" } in
+  let b = udp_build ~src_port:1 ~dst_port:2 (Bytes.of_string "data") in
   Bytes.set b (Bytes.length b - 1) '\xFF';
-  match Udp.parse ~src_ip:ip_a ~dst_ip:ip_b b with
+  match udp_decode b with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corruption must be detected"
 
-let tcp_seg ?(payload = Bytes.empty) ?(mss = None) ?(flags = Tcp_wire.flags_none) () =
-  { Tcp_wire.src_port = 1000; dst_port = 2000; seq = 42l; ack = 7l; flags; window = 512; mss; payload }
+let tcp_seg ?(mss = None) ?(flags = Tcp_wire.flags_none) () =
+  {
+    Tcp_wire.src_port = 1000;
+    dst_port = 2000;
+    seq = 42l;
+    ack = 7l;
+    flags;
+    window = 512;
+    mss;
+    payload_off = 0;
+    payload_len = 0;
+  }
 
 let test_tcp_roundtrip () =
-  let seg = tcp_seg ~payload:(Bytes.of_string "segment data") ~flags:{ Tcp_wire.flags_none with Tcp_wire.ack = true; psh = true } () in
-  match Tcp_wire.parse ~src_ip:ip_a ~dst_ip:ip_b (Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b seg) with
+  let payload = Bytes.of_string "segment data" in
+  let seg = tcp_seg ~flags:{ Tcp_wire.flags_none with Tcp_wire.ack = true; psh = true } () in
+  let b = tcp_build seg payload in
+  match tcp_decode b with
   | Error e -> Alcotest.fail e
   | Ok p ->
       Alcotest.(check int32) "seq" 42l p.Tcp_wire.seq;
@@ -156,18 +206,19 @@ let test_tcp_roundtrip () =
       Alcotest.(check bool) "ack flag" true p.Tcp_wire.flags.Tcp_wire.ack;
       Alcotest.(check bool) "psh flag" true p.Tcp_wire.flags.Tcp_wire.psh;
       Alcotest.(check int) "window" 512 p.Tcp_wire.window;
-      Helpers.check_bytes "payload" seg.Tcp_wire.payload p.Tcp_wire.payload
+      Helpers.check_bytes "payload" payload
+        (view b ~off:p.Tcp_wire.payload_off ~len:p.Tcp_wire.payload_len)
 
 let test_tcp_mss_option () =
   let seg = tcp_seg ~mss:(Some 1460) ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true } () in
-  match Tcp_wire.parse ~src_ip:ip_a ~dst_ip:ip_b (Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b seg) with
+  match tcp_decode (tcp_build seg Bytes.empty) with
   | Ok p -> Alcotest.(check (option int)) "mss" (Some 1460) p.Tcp_wire.mss
   | Error e -> Alcotest.fail e
 
 let test_tcp_checksum_enforced () =
-  let b = Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b (tcp_seg ~payload:(Bytes.of_string "x") ()) in
+  let b = tcp_build (tcp_seg ()) (Bytes.of_string "x") in
   Bytes.set b (Bytes.length b - 1) 'y';
-  match Tcp_wire.parse ~src_ip:ip_a ~dst_ip:ip_b b with
+  match tcp_decode b with
   | Error "tcp: checksum mismatch" -> ()
   | _ -> Alcotest.fail "corruption must be rejected"
 
@@ -178,9 +229,9 @@ let test_tcp_seq_arithmetic_wraps () =
   Alcotest.(check int) "diff across wrap" 21 (Tcp_wire.seq_diff 5l 0xFFFFFFF0l)
 
 let test_tcp_bad_data_offset_rejected () =
-  let b = Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b (tcp_seg ()) in
+  let b = tcp_build (tcp_seg ()) Bytes.empty in
   Bytes.set b 12 '\x30' (* data offset 12 bytes < 20 *);
-  match Tcp_wire.parse ~src_ip:ip_a ~dst_ip:ip_b b with
+  match tcp_decode b with
   | Error "tcp: bad data offset" -> ()
   | _ -> Alcotest.fail "bad offset must be rejected"
 
@@ -191,59 +242,56 @@ let payload_arb =
 
 let prop_eth_roundtrip =
   QCheck.Test.make ~name:"ethernet parse . build = id (payload)" ~count:200 payload_arb (fun p ->
-      match Ethernet.parse (Ethernet.build (eth_frame p)) with
+      let b = eth_build p in
+      match eth_decode b with
       | Ok parsed ->
           (* Short payloads come back zero-padded; compare the prefix. *)
-          Bytes.length parsed.Ethernet.payload >= Bytes.length p
-          && Bytes.equal (Bytes.sub parsed.Ethernet.payload 0 (Bytes.length p)) p
+          parsed.Ethernet.payload_len >= Bytes.length p
+          && Bytes.equal (view b ~off:parsed.Ethernet.payload_off ~len:(Bytes.length p)) p
       | Error _ -> false)
 
 let prop_ipv4_roundtrip =
   QCheck.Test.make ~name:"ipv4 parse . build = id" ~count:200 payload_arb (fun p ->
-      match Ipv4.parse (Ipv4.build (ip_packet p)) with
-      | Ok parsed -> Bytes.equal parsed.Ipv4.payload p
+      let b = ipv4_build p in
+      match ipv4_decode b with
+      | Ok parsed -> Bytes.equal (view b ~off:parsed.Ipv4.payload_off ~len:parsed.Ipv4.payload_len) p
       | Error _ -> false)
 
 let prop_udp_roundtrip =
   QCheck.Test.make ~name:"udp parse . build = id" ~count:200 payload_arb (fun p ->
-      match Udp.parse ~src_ip:ip_a ~dst_ip:ip_b
-              (Udp.build ~src_ip:ip_a ~dst_ip:ip_b { Udp.src_port = 9; dst_port = 10; payload = p })
-      with
-      | Ok parsed -> Bytes.equal parsed.Udp.payload p
+      let b = udp_build ~src_port:9 ~dst_port:10 p in
+      match udp_decode b with
+      | Ok parsed -> Bytes.equal (view b ~off:parsed.Udp.payload_off ~len:parsed.Udp.payload_len) p
       | Error _ -> false)
 
 let prop_tcp_roundtrip =
   QCheck.Test.make ~name:"tcp parse . build = id" ~count:200 payload_arb (fun p ->
-      match Tcp_wire.parse ~src_ip:ip_a ~dst_ip:ip_b
-              (Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b (tcp_seg ~payload:p ()))
-      with
-      | Ok parsed -> Bytes.equal parsed.Tcp_wire.payload p
+      let b = tcp_build (tcp_seg ()) p in
+      match tcp_decode b with
+      | Ok parsed ->
+          Bytes.equal (view b ~off:parsed.Tcp_wire.payload_off ~len:parsed.Tcp_wire.payload_len) p
       | Error _ -> false)
 
 let prop_ipv4_bitflip_rejected_or_equal =
   QCheck.Test.make ~name:"ipv4 header bit flips never parse to wrong metadata" ~count:300
     QCheck.(pair payload_arb (int_bound 159))
     (fun (p, bit) ->
-      let b = Ipv4.build (ip_packet p) in
+      let b = ipv4_build p in
       let byte = bit / 8 in
       Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl (bit mod 8))));
-      match Ipv4.parse b with
+      match ipv4_decode b with
       | Error _ -> true
       | Ok parsed ->
           (* A flip that still parses can only be one the checksum does
              not cover inconsistently (i.e. it flipped and the checksum
              field compensates); metadata must then be self-consistent. *)
-          Bytes.length parsed.Ipv4.payload <= Bytes.length p)
+          parsed.Ipv4.payload_len <= Bytes.length p)
 
 let test_pretty_tcp () =
   let seg =
-    Tcp_wire.build ~src_ip:ip_a ~dst_ip:ip_b
-      (tcp_seg ~payload:(Bytes.of_string "xy")
-         ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true }
-         ())
+    tcp_build (tcp_seg ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true } ()) (Bytes.of_string "xy")
   in
-  let ip = Ipv4.build { Ipv4.src = ip_a; dst = ip_b; protocol = Ipv4.Tcp; ttl = 64; payload = seg } in
-  let frame = Ethernet.build (eth_frame ip) in
+  let frame = eth_build (ipv4_build ~protocol:Ipv4.Tcp seg) in
   let s = Pretty.frame_summary frame in
   List.iter
     (fun needle ->
@@ -303,6 +351,230 @@ let prop_checksum_compute_verify_roundtrip =
       Bytes.set_uint16_be b field (Checksum.compute b ~pos ~len);
       Checksum.verify b ~pos ~len)
 
+(* --- Equivalence with the oracle codecs (test/frame_oracle.ml) ------ *)
+
+(* One header of one layer, from random field material. *)
+type unit_case = {
+  layer : int;  (* 0 Ethernet, 1 IPv4, 2 TCP, 3 UDP *)
+  f : int array;  (* header field material *)
+  payload : bytes;
+  pre : bytes;  (* what sits before the unit in the larger buffer *)
+  post : bytes;  (* and after it *)
+}
+
+let layer_name = [| "ethernet"; "ipv4"; "tcp"; "udp" |]
+
+let gen_unit_case =
+  let open QCheck.Gen in
+  let* layer = int_bound 3 in
+  let* f = array_size (return 12) (int_bound (1 lsl 30 - 1)) in
+  let* payload = map Bytes.of_string (string_size (oneof [ int_range 0 64; int_range 0 1500 ])) in
+  let* pre = map Bytes.of_string (string_size (int_range 0 37)) in
+  let* post = map Bytes.of_string (string_size (int_range 0 37)) in
+  return { layer; f; payload; pre; post }
+
+let print_unit_case c =
+  Printf.sprintf "%s fields=[%s] payload=%d B pre=%d post=%d" layer_name.(c.layer)
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.f)))
+    (Bytes.length c.payload) (Bytes.length c.pre) (Bytes.length c.post)
+
+let case_ips c = (Int32.of_int (c.f.(0) lsl 2), Int32.of_int c.f.(1))
+let case_mac c i = (c.f.(i) lsl 18) lxor c.f.(i + 1)
+
+let case_ethertype c =
+  match c.f.(4) mod 3 with
+  | 0 -> Ethernet.Ipv4
+  | 1 -> Ethernet.Arp
+  | _ -> Ethernet.Unknown (c.f.(5) land 0xFFFF)
+
+let case_protocol c =
+  match c.f.(4) mod 3 with 0 -> Ipv4.Tcp | 1 -> Ipv4.Udp | _ -> Ipv4.Unknown (c.f.(5) land 0xFF)
+
+let case_flags c =
+  let b = c.f.(6) in
+  { Tcp_wire.fin = b land 1 <> 0; syn = b land 2 <> 0; rst = b land 4 <> 0; psh = b land 8 <> 0;
+    ack = b land 16 <> 0 }
+
+let case_mss c = if c.f.(6) land 32 <> 0 then Some (c.f.(7) land 0xFFFF) else None
+
+let case_tcp c =
+  {
+    Tcp_wire.src_port = c.f.(2) land 0xFFFF;
+    dst_port = c.f.(3) land 0xFFFF;
+    seq = Int32.of_int (c.f.(8) lsl 2);
+    ack = Int32.of_int (c.f.(9) lsl 2);
+    flags = case_flags c;
+    window = c.f.(10) land 0xFFFF;
+    mss = case_mss c;
+    payload_off = 0;
+    payload_len = Bytes.length c.payload;
+  }
+
+(* The oracle's serialisation of the case's unit. *)
+let oracle_build c =
+  let src, dst = case_ips c in
+  match c.layer with
+  | 0 ->
+      O.Ethernet.build
+        { O.Ethernet.dst = case_mac c 0; src = case_mac c 2; ethertype = case_ethertype c;
+          payload = c.payload }
+  | 1 ->
+      O.Ipv4.build
+        { O.Ipv4.src; dst; protocol = case_protocol c; ttl = c.f.(6) land 0xFF; payload = c.payload }
+  | 2 ->
+      let h = case_tcp c in
+      O.Tcp_wire.build ~src_ip:src ~dst_ip:dst
+        { O.Tcp_wire.src_port = h.Tcp_wire.src_port; dst_port = h.Tcp_wire.dst_port;
+          seq = h.Tcp_wire.seq; ack = h.Tcp_wire.ack; flags = h.Tcp_wire.flags;
+          window = h.Tcp_wire.window; mss = h.Tcp_wire.mss; payload = c.payload }
+  | _ ->
+      O.Udp.build ~src_ip:src ~dst_ip:dst
+        { O.Udp.src_port = c.f.(2) land 0xFFFF; dst_port = c.f.(3) land 0xFFFF; payload = c.payload }
+
+(* The library's encoding of the same unit at [off] in [b], around the
+   payload already placed there. Returns the header length. *)
+let library_encode c b ~off =
+  let src, dst = case_ips c in
+  let payload_len = Bytes.length c.payload in
+  match c.layer with
+  | 0 ->
+      Bytes.blit c.payload 0 b (off + Ethernet.header_len) payload_len;
+      Ethernet.encode b ~off ~dst:(case_mac c 0) ~src:(case_mac c 2) ~ethertype:(case_ethertype c)
+        ~payload_len
+  | 1 ->
+      Bytes.blit c.payload 0 b (off + Ipv4.header_len) payload_len;
+      Ipv4.encode b ~off ~src ~dst ~protocol:(case_protocol c) ~ttl:(c.f.(6) land 0xFF) ~payload_len
+  | 2 ->
+      let h = case_tcp c in
+      Bytes.blit c.payload 0 b (off + Tcp_wire.header_len h) payload_len;
+      Tcp_wire.encode b ~off ~src_ip:src ~dst_ip:dst h
+  | _ ->
+      Bytes.blit c.payload 0 b (off + Udp.header_len) payload_len;
+      Udp.encode b ~off ~src_ip:src ~dst_ip:dst ~src_port:(c.f.(2) land 0xFFFF)
+        ~dst_port:(c.f.(3) land 0xFFFF) ~payload_len
+
+(* Both decoders' results in one comparable shape: the header fields as
+   text (the oracle and the library share the field types) and the
+   payload bytes, or the error string. *)
+let oracle_decode c ~src ~dst u =
+  match c.layer with
+  | 0 ->
+      Result.map
+        (fun e -> (Fmt.str "%d %d %d" e.O.Ethernet.dst e.O.Ethernet.src
+                     (Ethernet.ethertype_code e.O.Ethernet.ethertype), e.O.Ethernet.payload))
+        (O.Ethernet.parse u)
+  | 1 ->
+      Result.map
+        (fun i -> (Fmt.str "%ld %ld %d %d" i.O.Ipv4.src i.O.Ipv4.dst
+                     (Ipv4.protocol_code i.O.Ipv4.protocol) i.O.Ipv4.ttl, i.O.Ipv4.payload))
+        (O.Ipv4.parse u)
+  | 2 ->
+      Result.map
+        (fun s -> (Fmt.str "%d %d %ld %ld %a %d %a" s.O.Tcp_wire.src_port s.O.Tcp_wire.dst_port
+                     s.O.Tcp_wire.seq s.O.Tcp_wire.ack Tcp_wire.pp_flags s.O.Tcp_wire.flags
+                     s.O.Tcp_wire.window Fmt.(option int) s.O.Tcp_wire.mss, s.O.Tcp_wire.payload))
+        (O.Tcp_wire.parse ~src_ip:src ~dst_ip:dst u)
+  | _ ->
+      Result.map
+        (fun d -> (Fmt.str "%d %d" d.O.Udp.src_port d.O.Udp.dst_port, d.O.Udp.payload))
+        (O.Udp.parse ~src_ip:src ~dst_ip:dst u)
+
+let library_decode c ~src ~dst b ~off ~len =
+  match c.layer with
+  | 0 ->
+      Result.map
+        (fun e -> (Fmt.str "%d %d %d" e.Ethernet.dst e.Ethernet.src
+                     (Ethernet.ethertype_code e.Ethernet.ethertype),
+                   view b ~off:e.Ethernet.payload_off ~len:e.Ethernet.payload_len))
+        (Ethernet.decode b ~off ~len)
+  | 1 ->
+      Result.map
+        (fun i -> (Fmt.str "%ld %ld %d %d" i.Ipv4.src i.Ipv4.dst (Ipv4.protocol_code i.Ipv4.protocol)
+                     i.Ipv4.ttl, view b ~off:i.Ipv4.payload_off ~len:i.Ipv4.payload_len))
+        (Ipv4.decode b ~off ~len)
+  | 2 ->
+      Result.map
+        (fun s -> (Fmt.str "%d %d %ld %ld %a %d %a" s.Tcp_wire.src_port s.Tcp_wire.dst_port
+                     s.Tcp_wire.seq s.Tcp_wire.ack Tcp_wire.pp_flags s.Tcp_wire.flags
+                     s.Tcp_wire.window Fmt.(option int) s.Tcp_wire.mss,
+                   view b ~off:s.Tcp_wire.payload_off ~len:s.Tcp_wire.payload_len))
+        (Tcp_wire.decode ~src_ip:src ~dst_ip:dst b ~off ~len)
+  | _ ->
+      Result.map
+        (fun d -> (Fmt.str "%d %d" d.Udp.src_port d.Udp.dst_port,
+                   view b ~off:d.Udp.payload_off ~len:d.Udp.payload_len))
+        (Udp.decode ~src_ip:src ~dst_ip:dst b ~off ~len)
+
+(* How a valid unit is damaged before decoding: XOR bytes (mostly in the
+   headers), truncate it, or check it against other pseudo-header
+   addresses. An empty damage list keeps it valid. *)
+type damage = Flip of int * int | Cut of int | Other_ips
+
+let gen_damage =
+  let open QCheck.Gen in
+  list_size (int_bound 3)
+    (frequency
+       [
+         (4, map2 (fun p x -> Flip (p, x)) (oneof [ int_bound 40; nat ]) (int_range 1 255));
+         (1, map (fun n -> Cut n) nat);
+         (1, return Other_ips);
+       ])
+
+let print_damage =
+  QCheck.Print.list (function
+    | Flip (p, x) -> Printf.sprintf "flip %d ^%d" p x
+    | Cut n -> Printf.sprintf "cut %d" n
+    | Other_ips -> "other ips")
+
+let prop_decoders_match_oracle =
+  QCheck.Test.make ~name:"frame decoders at random offsets == oracle parse (valid and malformed)"
+    ~count:1500
+    (QCheck.make
+       ~print:(fun (c, d) -> print_unit_case c ^ " damage=" ^ print_damage d)
+       QCheck.Gen.(pair gen_unit_case gen_damage))
+    (fun (c, damage) ->
+      let u =
+        List.fold_left
+          (fun u -> function
+            | Flip (p, x) when Bytes.length u > 0 ->
+                let p = p mod Bytes.length u in
+                Bytes.set u p (Char.chr (Char.code (Bytes.get u p) lxor x));
+                u
+            | Cut n -> Bytes.sub u 0 (n mod (Bytes.length u + 1))
+            | Flip _ | Other_ips -> u)
+          (oracle_build c) damage
+      in
+      let src, dst = case_ips c in
+      let src, dst = if List.mem Other_ips damage then (dst, Int32.add src 1l) else (src, dst) in
+      let b = Bytes.concat Bytes.empty [ c.pre; u; c.post ] in
+      let expected = oracle_decode c ~src ~dst (Bytes.copy u) in
+      let got = library_decode c ~src ~dst b ~off:(Bytes.length c.pre) ~len:(Bytes.length u) in
+      if got = expected then true
+      else
+        QCheck.Test.fail_reportf "library %s, oracle %s"
+          (match got with Ok (h, _) -> "Ok " ^ h | Error e -> "Error " ^ e)
+          (match expected with Ok (h, _) -> "Ok " ^ h | Error e -> "Error " ^ e))
+
+let prop_encoders_match_oracle =
+  QCheck.Test.make ~name:"frame encoders at random offsets == oracle build" ~count:1000
+    (QCheck.make ~print:print_unit_case gen_unit_case)
+    (fun c ->
+      let expected = oracle_build c in
+      let off = Bytes.length c.pre and n = Bytes.length expected in
+      let b = Bytes.concat Bytes.empty [ c.pre; Bytes.make n '\xA5'; c.post ] in
+      library_encode c b ~off;
+      Bytes.equal (view b ~off ~len:n) expected
+      && Bytes.equal (view b ~off:0 ~len:off) c.pre
+      && Bytes.equal (view b ~off:(off + n) ~len:(Bytes.length c.post)) c.post)
+
+let prop_pseudo_sum_matches_header =
+  QCheck.Test.make ~name:"checksum: pseudo_sum == sum over the pseudo-header bytes" ~count:1000
+    QCheck.(quad int32 int32 (int_bound 255) (int_bound 0xFFFF))
+    (fun (src, dst, proto, length) ->
+      let hdr = O.Checksum.pseudo_header ~src ~dst ~proto ~length in
+      Checksum.pseudo_sum ~src ~dst ~proto ~length
+      = Checksum.ones_complement_sum hdr ~pos:0 ~len:12 ~init:0)
+
 let suite =
   [
     Alcotest.test_case "addr: mac octets" `Quick test_mac_octets;
@@ -336,4 +608,7 @@ let suite =
     Helpers.qtest prop_ipv4_bitflip_rejected_or_equal;
     Helpers.qtest prop_checksum_matches_reference;
     Helpers.qtest prop_checksum_compute_verify_roundtrip;
+    Helpers.qtest prop_pseudo_sum_matches_header;
+    Helpers.qtest prop_decoders_match_oracle;
+    Helpers.qtest prop_encoders_match_oracle;
   ]

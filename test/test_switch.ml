@@ -7,7 +7,7 @@ open Cio_util
 open Cio_frame
 
 let frame ~dst ~src payload =
-  Cio_frame.Ethernet.build { Cio_frame.Ethernet.dst; src; ethertype = Cio_frame.Ethernet.Ipv4; payload }
+  Frame_oracle.Ethernet.build { Frame_oracle.Ethernet.dst; src; ethertype = Ethernet.Ipv4; payload }
 
 let mac i = Addr.mac_of_octets 2 0 0 0 0 i
 

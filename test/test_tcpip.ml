@@ -110,8 +110,11 @@ let test_duplicate_listen_rejected () =
   Alcotest.check_raises "double bind" (Invalid_argument "Tcp.listen: port already bound") (fun () ->
       ignore (Tcp.listen tcp_b ~port:81 ()))
 
-(* A lossy/reordering netif wrapper for robustness tests. *)
-let lossy_pair ~seed ~drop ~dup ~reorder () =
+(* A lossy/reordering netif wrapper for robustness tests. With [burst]
+   A's stack coalesces TX through the same wrapper (a burst link copies
+   or drops each frame during the call, so it cannot reorder). *)
+let lossy_pair ?(burst = false) ~seed ~drop ~dup ~reorder () =
+  assert (not (burst && reorder > 0.0));
   let nif_a, nif_b = Netif.loopback_pair ~mac_a:H.mac_a ~mac_b:H.mac_b ~mtu:1500 in
   let rng = Cio_util.Rng.create seed in
   let held = ref None in
@@ -133,8 +136,16 @@ let lossy_pair ~seed ~drop ~dup ~reorder () =
   let nif_a' = { nif_a with Netif.transmit = lossy_transmit } in
   let clock = ref 0L in
   let now () = !clock in
+  let tx_burst =
+    if burst then
+      Some
+        (fun frames ->
+          Array.iter lossy_transmit frames;
+          Array.length frames)
+    else None
+  in
   let stack_a =
-    Stack.create ~netif:nif_a' ~ip:H.ip_a ~neighbors:[ (H.ip_b, H.mac_b) ] ~now
+    Stack.create ?tx_burst ~netif:nif_a' ~ip:H.ip_a ~neighbors:[ (H.ip_b, H.mac_b) ] ~now
       ~rng:(Cio_util.Rng.split rng) ()
   in
   let stack_b =
@@ -143,8 +154,9 @@ let lossy_pair ~seed ~drop ~dup ~reorder () =
   in
   { H.stack_a; stack_b; clock }
 
-let transfer_under_impairment ~seed ~drop ~dup ~reorder =
-  let pair = lossy_pair ~seed ~drop ~dup ~reorder () in
+(* Push 60 kB from A to B over a lossy pair; returns A's retransmits. *)
+let transfer_under_impairment ?burst ~seed ~drop ~dup ~reorder () =
+  let pair = lossy_pair ?burst ~seed ~drop ~dup ~reorder () in
   let tcp_a = Stack.tcp pair.H.stack_a and tcp_b = Stack.tcp pair.H.stack_b in
   let listener = Tcp.listen tcp_b ~port:90 () in
   let client = Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:90 () in
@@ -169,15 +181,88 @@ let transfer_under_impairment ~seed ~drop ~dup ~reorder =
         Buffer.length received >= 60_000)
   in
   Alcotest.(check bool) "transfer completes" true ok;
-  H.check_bytes "byte-exact despite impairment" data (Buffer.to_bytes received)
+  H.check_bytes "byte-exact despite impairment" data (Buffer.to_bytes received);
+  Tcp.retransmits tcp_a
 
-let test_retransmission_on_loss () = transfer_under_impairment ~seed:11L ~drop:0.05 ~dup:0.0 ~reorder:0.0
+let test_retransmission_on_loss () =
+  ignore (transfer_under_impairment ~seed:11L ~drop:0.05 ~dup:0.0 ~reorder:0.0 ())
 
-let test_duplication_tolerated () = transfer_under_impairment ~seed:12L ~drop:0.0 ~dup:0.1 ~reorder:0.0
+let test_duplication_tolerated () =
+  ignore (transfer_under_impairment ~seed:12L ~drop:0.0 ~dup:0.1 ~reorder:0.0 ())
 
-let test_reordering_reassembled () = transfer_under_impairment ~seed:13L ~drop:0.0 ~dup:0.0 ~reorder:0.2
+let test_reordering_reassembled () =
+  ignore (transfer_under_impairment ~seed:13L ~drop:0.0 ~dup:0.0 ~reorder:0.2 ())
 
-let test_combined_impairment () = transfer_under_impairment ~seed:14L ~drop:0.03 ~dup:0.05 ~reorder:0.1
+let test_combined_impairment () =
+  ignore (transfer_under_impairment ~seed:14L ~drop:0.03 ~dup:0.05 ~reorder:0.1 ())
+
+(* Retransmissions are rebuilt from the send queue: a burst link only
+   borrows each frame, and the TX pool hands the dropped original's
+   buffer to a later segment as soon as the burst returns. *)
+let test_retransmit_after_tx_buffer_reuse () =
+  let retransmits =
+    transfer_under_impairment ~burst:true ~seed:15L ~drop:0.05 ~dup:0.0 ~reorder:0.0 ()
+  in
+  Alcotest.(check bool) "lost segments were retransmitted" true (retransmits > 0)
+
+(* --- RX buffer ownership ------------------------------------------------ *)
+
+(* The stack hands every RX frame back through [recycle] once handled,
+   and a driver then reuses the buffer. B's stack here scribbles over
+   each returned frame, so anything still reading a frame after
+   [handle_frame] reads garbage. [transmit] wraps A's netif. *)
+let reuse_pair ?(transmit = fun send frame -> send frame) () =
+  let nif_a, nif_b = Netif.loopback_pair ~mac_a:H.mac_a ~mac_b:H.mac_b ~mtu:1500 in
+  let clock = ref 0L in
+  let now () = !clock in
+  let rng = Cio_util.Rng.create 16L in
+  let stack_a =
+    Stack.create
+      ~netif:{ nif_a with Netif.transmit = transmit nif_a.Netif.transmit }
+      ~ip:H.ip_a ~neighbors:[ (H.ip_b, H.mac_b) ] ~now ~rng:(Cio_util.Rng.split rng) ()
+  in
+  let stack_b =
+    Stack.create
+      ~recycle:(fun frame -> Bytes.fill frame 0 (Bytes.length frame) '\xEE')
+      ~netif:nif_b ~ip:H.ip_b ~neighbors:[ (H.ip_a, H.mac_a) ] ~now ~rng:(Cio_util.Rng.split rng) ()
+  in
+  { H.stack_a; stack_b; clock }
+
+let test_ooo_stash_survives_rx_reuse () =
+  (* Hold the first full-size data frame back until the next has passed:
+     B stashes the second segment, then recycles its frame. *)
+  let held = ref None and swapped = ref false in
+  let transmit send frame =
+    if !swapped || Bytes.length frame < 1000 then send frame
+    else
+      match !held with
+      | None -> held := Some frame
+      | Some h ->
+          swapped := true;
+          send frame;
+          send h
+  in
+  let pair = reuse_pair ~transmit () in
+  let client, server = H.connect pair in
+  let data = Bytes.init 4000 (fun i -> Char.chr ((i * 13) land 0xFF)) in
+  let got =
+    H.transfer pair ~src_tcp:(Stack.tcp pair.H.stack_a) ~src_conn:client
+      ~dst_tcp:(Stack.tcp pair.H.stack_b) ~dst_conn:server data
+  in
+  Alcotest.(check bool) "second segment overtook the first" true !swapped;
+  H.check_bytes "stashed bytes drained intact" data got
+
+let test_udp_queue_survives_rx_reuse () =
+  let pair = reuse_pair () in
+  let sock = Stack.udp_bind pair.H.stack_b ~port:5000 in
+  Stack.send_udp pair.H.stack_a ~src_port:4000 ~dst:H.ip_b ~dst_port:5000 (Bytes.of_string "ping");
+  Stack.send_udp pair.H.stack_a ~src_port:4000 ~dst:H.ip_b ~dst_port:5000 (Bytes.of_string "pong");
+  H.step pair;
+  let next () = Option.map (fun (_, _, p) -> Bytes.to_string p) (Stack.udp_recv sock) in
+  let first = next () in
+  let second = next () in
+  Alcotest.(check (list (option string))) "queued datagrams intact" [ Some "ping"; Some "pong" ]
+    [ first; second ]
 
 let test_udp_roundtrip () =
   let pair = H.make_stack_pair () in
@@ -202,9 +287,9 @@ let test_stack_ignores_foreign_frames () =
   let pair = H.make_stack_pair () in
   (* A frame addressed to a different MAC must be dropped at Ethernet. *)
   let foreign =
-    Cio_frame.Ethernet.build
+    Frame_oracle.Ethernet.build
       {
-        Cio_frame.Ethernet.dst = Cio_frame.Addr.mac_of_octets 9 9 9 9 9 9;
+        Frame_oracle.Ethernet.dst = Cio_frame.Addr.mac_of_octets 9 9 9 9 9 9;
         src = H.mac_a;
         ethertype = Cio_frame.Ethernet.Ipv4;
         payload = Bytes.make 30 'x';
@@ -296,10 +381,11 @@ let prop_stack_survives_mutated_real_frames =
     QCheck.(pair small_nat (int_bound 7))
     (fun (pos, bit) ->
       let pair = H.make_stack_pair () in
+      let module O = Frame_oracle in
       let seg =
-        Cio_frame.Tcp_wire.build ~src_ip:H.ip_a ~dst_ip:H.ip_b
+        O.Tcp_wire.build ~src_ip:H.ip_a ~dst_ip:H.ip_b
           {
-            Cio_frame.Tcp_wire.src_port = 1234;
+            O.Tcp_wire.src_port = 1234;
             dst_port = 80;
             seq = 100l;
             ack = 0l;
@@ -310,12 +396,10 @@ let prop_stack_survives_mutated_real_frames =
           }
       in
       let ip =
-        Cio_frame.Ipv4.build
-          { Cio_frame.Ipv4.src = H.ip_a; dst = H.ip_b; protocol = Cio_frame.Ipv4.Tcp; ttl = 64; payload = seg }
+        O.Ipv4.build { O.Ipv4.src = H.ip_a; dst = H.ip_b; protocol = Cio_frame.Ipv4.Tcp; ttl = 64; payload = seg }
       in
       let frame =
-        Cio_frame.Ethernet.build
-          { Cio_frame.Ethernet.dst = H.mac_b; src = H.mac_a; ethertype = Cio_frame.Ethernet.Ipv4; payload = ip }
+        O.Ethernet.build { O.Ethernet.dst = H.mac_b; src = H.mac_a; ethertype = Cio_frame.Ethernet.Ipv4; payload = ip }
       in
       let i = pos mod Bytes.length frame in
       Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor (1 lsl bit)));
@@ -443,6 +527,12 @@ let suite =
     Alcotest.test_case "tcp: duplication tolerated" `Slow test_duplication_tolerated;
     Alcotest.test_case "tcp: reordering reassembled" `Slow test_reordering_reassembled;
     Alcotest.test_case "tcp: combined impairment" `Slow test_combined_impairment;
+    Alcotest.test_case "tcp: retransmit after TX buffer reuse" `Slow
+      test_retransmit_after_tx_buffer_reuse;
+    Alcotest.test_case "tcp: out-of-order stash survives RX reuse" `Quick
+      test_ooo_stash_survives_rx_reuse;
+    Alcotest.test_case "udp: queued datagram survives RX reuse" `Quick
+      test_udp_queue_survives_rx_reuse;
     Alcotest.test_case "udp: roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "udp: unbound port" `Quick test_udp_unbound_port_dropped;
     Alcotest.test_case "stack: foreign frames ignored" `Quick test_stack_ignores_foreign_frames;
