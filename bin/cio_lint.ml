@@ -15,7 +15,7 @@ module Lint = Cio_lintlib.Lint
 module Json = Cio_lintlib.Json_lite
 
 let root_arg =
-  let doc = "Repository root (directory containing lib/)." in
+  let doc = "Repository root (the directory holding the lib tree)." in
   Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc)
 
 let json_arg =
@@ -40,7 +40,6 @@ let write_file path contents =
   close_out oc
 
 let run root json baseline update rules =
-  Cio_tcb.Tcb.set_repo_root root;
   let findings = Lint.scan ~root in
   let findings =
     match rules with

@@ -29,7 +29,6 @@ type t = {
   ring_slots : int;          (* per direction, power of two *)
   positioning : positioning;
   rx_strategy : rx_strategy;
-  checksum_offload : bool;   (* fixed: the guest always owns checksums *)
   use_notifications : bool;  (* false = pure polling (the default) *)
   pad_frames : bool;
       (* pad every TX frame to the MTU before it reaches shared memory:
@@ -44,7 +43,6 @@ let default =
     ring_slots = 64;
     positioning = Inline { data_capacity = 4096 };
     rx_strategy = Copy_in;
-    checksum_offload = false;
     use_notifications = false;
     pad_frames = false;
   }

@@ -16,7 +16,6 @@ type t = {
   ring_slots : int;
   positioning : positioning;
   rx_strategy : rx_strategy;
-  checksum_offload : bool;
   use_notifications : bool;
   pad_frames : bool;
 }

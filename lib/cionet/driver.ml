@@ -47,7 +47,7 @@ let write_config region (c : Config.t) =
   done;
   Bytes.set_uint16_le b 6 c.Config.mtu;
   Bytes.set_uint16_le b 8 c.Config.ring_slots;
-  Bytes.set b 10 (if c.Config.checksum_offload then '\001' else '\000');
+  (* Byte 10 (checksum offload) stays 0: the guest always owns checksums. *)
   Bytes.set b 11 (if c.Config.use_notifications then '\001' else '\000');
   Region.guest_write region ~off:0 b
 

@@ -34,8 +34,6 @@ type domain = {
   mutable incarnation : int;  (* bumped on every restart *)
 }
 
-let domain_name d = d.dname
-let domain_id d = d.id
 let domain_alive d = d.alive
 let domain_incarnation d = d.incarnation
 

@@ -8,9 +8,6 @@ exception Access_violation of string
 
 type domain
 
-val domain_name : domain -> string
-val domain_id : domain -> int
-
 val domain_alive : domain -> bool
 
 val domain_incarnation : domain -> int

@@ -35,7 +35,6 @@ type t = {
   mutable raw_in : bytes list;  (* harvested stream bytes, newest first *)
   inbox : bytes Queue.t;
   mutable failed : Session.error option;
-  mutable sent_messages : int;
   mutable received_messages : int;
 }
 
@@ -55,14 +54,12 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
     raw_in = [];
     inbox = Queue.create ();
     failed = None;
-    sent_messages = 0;
     received_messages = 0;
   }
 
 let session t = t.session
 let conn t = t.conn
 let error t = t.failed
-let sent_messages t = t.sent_messages
 let received_messages t = t.received_messages
 
 let fail t e = if t.failed = None then t.failed <- Some e
@@ -135,7 +132,6 @@ let send t payload =
           Error e
       | Ok wire ->
           queue_wire t wire;
-          t.sent_messages <- t.sent_messages + 1;
           Ok ())
 
 type send_outcome =

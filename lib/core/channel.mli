@@ -24,7 +24,6 @@ val create :
 val session : t -> Session.t
 val conn : t -> Tcp.conn
 val error : t -> Session.error option
-val sent_messages : t -> int
 val received_messages : t -> int
 
 val start_handshake : t -> (unit, Session.error) result

@@ -12,9 +12,9 @@
    - dual-boundary   this work: cionet + quarantined stack + mandatory
                      TLS at a compartment-gated L5.
 
-   Each run reports the TEE's counted work (cycles, by category), the
-   host-observability tap, and the configuration's TCB profile — the
-   three axes of Figure 5. *)
+   Each run reports the TEE's counted work (cycles, by category) and the
+   host-observability tap; [tcb] names the guest components each wiring
+   trusts. Together they are the three axes of Figure 5. *)
 
 open Cio_util
 open Cio_netsim
@@ -24,6 +24,7 @@ module Compartment = Cio_compartment.Compartment
 module Trace = Cio_telemetry.Trace
 module Metrics = Cio_telemetry.Metrics
 module Kind_ = Cio_telemetry.Kind
+module Tcb = Cio_tcb.Tcb
 
 type kind = Syscall_l5 | Passthrough_l2 | Hardened_virtio | Tunneled | Dual_boundary
 
@@ -47,8 +48,6 @@ type metrics = {
   tap : Cio_observe.Observe.t;
   link_frames : int;
   link_bytes : int;
-  tcb_core_loc : int;
-  tcb_quarantined_loc : int;
   crossings : int;       (* L5 boundary crossings (dual only) *)
 }
 
@@ -330,6 +329,24 @@ let make_endpoint ?cionet_config bed = function
   | Tunneled -> make_tunneled bed
   | Syscall_l5 -> make_syscall bed
 
+type tcb = { core : Tcb.component list; quarantined : Tcb.component list }
+
+(* The guest components each builder above runs, split by what their
+   compromise exposes: core code sees application data, quarantined code
+   sits behind the L5 compartment gate and yields observability only.
+   Host models and harness code are in neither list. *)
+let tcb = function
+  | Syscall_l5 ->
+      (* The host runs the stack; the TEE keeps the TLS endpoint. *)
+      { core = [ Tls; Crypto ]; quarantined = [] }
+  | Passthrough_l2 ->
+      { core = [ Tcpip_stack; Virtio_queue; Virtio_unhardened; Tls; Crypto ]; quarantined = [] }
+  | Hardened_virtio ->
+      { core = [ Tcpip_stack; Virtio_queue; Virtio_hardened; Tls; Crypto ]; quarantined = [] }
+  | Tunneled -> { core = [ Tcpip_stack; Cionet_driver; Tunnel; Tls; Crypto ]; quarantined = [] }
+  | Dual_boundary ->
+      { core = [ Tls; Crypto; Compartment_runtime ]; quarantined = [ Tcpip_stack; Cionet_driver ] }
+
 (* The echo loop: [messages] application messages of [msg_size] bytes,
    each echoed back by the peer, with a small pipelining window.
    [on_send] and [on_echo] observe each send and each echo; the result is
@@ -419,7 +436,6 @@ let run_echo ?(seed = 1L) ?(msg_size = 1024) ?(messages = 50) ?cionet_config kin
     | None -> ()
   in
   let echoes = echo_loop bed ep ~msg_size ~messages ~on_send ~on_echo in
-  let tcb_name = kind_name kind in
   {
     kind;
     completed = echoes >= messages;
@@ -431,7 +447,5 @@ let run_echo ?(seed = 1L) ?(msg_size = 1024) ?(messages = 50) ?cionet_config kin
     tap = bed.tap;
     link_frames = Link.frames_sent bed.link ~src:Link.A + Link.frames_sent bed.link ~src:Link.B;
     link_bytes = Link.bytes_sent bed.link ~src:Link.A + Link.bytes_sent bed.link ~src:Link.B;
-    tcb_core_loc = Cio_tcb.Tcb.core_loc tcb_name;
-    tcb_quarantined_loc = Cio_tcb.Tcb.quarantined_loc tcb_name;
     crossings = ep.crossings ();
   }

@@ -21,10 +21,15 @@ type metrics = {
   tap : Cio_observe.Observe.t;
   link_frames : int;
   link_bytes : int;
-  tcb_core_loc : int;
-  tcb_quarantined_loc : int;
   crossings : int;
 }
+
+type tcb = { core : Cio_tcb.Tcb.component list; quarantined : Cio_tcb.Tcb.component list }
+
+val tcb : kind -> tcb
+(** The guest components a configuration's wiring runs: [core] sees
+    application data, [quarantined] sits behind the L5 compartment gate
+    (dual boundary only). Figure 5 and E6 count their lines. *)
 
 val cycles_per_byte : metrics -> float
 (** The performance axis: TEE cycles per application byte (lower is

@@ -105,7 +105,6 @@ let driver t = t.driver
 let stack t = t.stack
 let world t = t.world
 let app_domain t = t.app
-let io_domain t = t.io
 let crossings t = (Compartment.counters t.world).Compartment.crossings
 let recovery t = t.recovery
 let overload t = t.plane

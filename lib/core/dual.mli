@@ -39,7 +39,6 @@ val driver : t -> Cio_cionet.Driver.t
 val stack : t -> Stack.t
 val world : t -> Compartment.t
 val app_domain : t -> Compartment.domain
-val io_domain : t -> Compartment.domain
 val crossings : t -> int
 
 val recovery : t -> Cio_observe.Recovery.t

@@ -8,6 +8,7 @@ open Cio_core
 module C = Configurations
 module Trace = Cio_telemetry.Trace
 module Kind_ = Cio_telemetry.Kind
+module Tcb = Cio_tcb.Tcb
 
 let fp = Format.fprintf
 
@@ -58,10 +59,11 @@ let fig5 ppf () =
   let runs = fig5_runs () in
   List.iter
     (fun (kind, m) ->
+      let tcb = C.tcb kind in
       fp ppf "  %-16s %10.1f %9.2f %9d %12d %11d%s@." (C.kind_name kind) (C.cycles_per_byte m)
         (Cio_observe.Observe.score m.C.tap)
         (Cio_observe.Observe.kinds m.C.tap)
-        m.C.tcb_core_loc m.C.tcb_quarantined_loc
+        (Tcb.sum tcb.C.core) (Tcb.sum tcb.C.quarantined)
         (if m.C.completed then "" else "  [INCOMPLETE]"))
     runs;
   fp ppf "  shape: dual-boundary = fastest datapath, small core TCB, network-level@.";
@@ -178,8 +180,8 @@ let e2 ppf () =
 
 (* --- E3: hardening tax at the transport ------------------------------- *)
 
-let virtio_frame_cost ~hardened ~count =
-  let transport = Cio_virtio.Transport.create ~name:"e3" () in
+let virtio_frame_cost ?model ~hardened ~count () =
+  let transport = Cio_virtio.Transport.create ?model ~name:"e3" () in
   let dev =
     Cio_virtio.Device.create ~rx:(Cio_virtio.Transport.rx transport)
       ~tx:(Cio_virtio.Transport.tx transport) ~transmit:(fun _ -> ())
@@ -214,8 +216,8 @@ let e3 ppf () =
   let count = 64 in
   let rows =
     [
-      ("virtio-unhardened", virtio_frame_cost ~hardened:false ~count);
-      ("virtio-hardened", virtio_frame_cost ~hardened:true ~count);
+      ("virtio-unhardened", virtio_frame_cost ~hardened:false ~count ());
+      ("virtio-hardened", virtio_frame_cost ~hardened:true ~count ());
       ( "cionet (this work)",
         cionet_pair_cost ~name:"e3c" ~count Cio_cionet.Config.default (Bytes.make 1500 'f') );
     ]
@@ -271,9 +273,15 @@ let e5 ppf () =
 
 let e6 ppf () =
   fp ppf "E6: confidential-core TCB by configuration (LoC measured on this repo)@.";
+  let names cs = String.concat "+" (List.map Tcb.component_name cs) in
   List.iter
-    (fun p -> fp ppf "  %a@." Cio_tcb.Tcb.pp_profile p.Cio_tcb.Tcb.config)
-    Cio_tcb.Tcb.profiles;
+    (fun kind ->
+      let { C.core; quarantined } = C.tcb kind in
+      fp ppf "  %-16s core=%5d LoC (%s)" (C.kind_name kind) (Tcb.sum core) (names core);
+      if quarantined <> [] then
+        fp ppf " | quarantined=%d LoC (%s)" (Tcb.sum quarantined) (names quarantined);
+      fp ppf "@.")
+    C.all_kinds;
   fp ppf "  shape: the dual boundary removes the whole stack+driver from the core@.";
   fp ppf "  TCB; compromising the quarantined stack yields observability only (E4).@."
 
@@ -592,37 +600,7 @@ let e14 ppf () =
       in
       let cost_of f = float_of_int (Cost.total f) in
       (* Re-run the E3 micro-workload under the scaled model. *)
-      let virtio hardened =
-        let transport = Cio_virtio.Transport.create ~model ~name:"e14" () in
-        let dev =
-          Cio_virtio.Device.create ~rx:(Cio_virtio.Transport.rx transport)
-            ~tx:(Cio_virtio.Transport.tx transport) ~transmit:(fun _ -> ())
-        in
-        let m = Cio_mem.Region.meter (Cio_virtio.Transport.region transport) in
-        let payload = Bytes.make 1500 'f' in
-        if hardened then begin
-          let drv = Cio_virtio.Driver_hardened.create transport in
-          let before = Cost.snapshot m in
-          for _ = 1 to 16 do
-            ignore (Cio_virtio.Driver_hardened.transmit drv payload);
-            Cio_virtio.Device.deliver_rx dev payload;
-            Cio_virtio.Device.poll dev;
-            ignore (Cio_virtio.Driver_hardened.poll drv)
-          done;
-          Cost.diff ~before ~after:(Cost.snapshot m)
-        end
-        else begin
-          let drv = Cio_virtio.Driver_unhardened.create transport in
-          let before = Cost.snapshot m in
-          for _ = 1 to 16 do
-            ignore (Cio_virtio.Driver_unhardened.transmit drv payload);
-            Cio_virtio.Device.deliver_rx dev payload;
-            Cio_virtio.Device.poll dev;
-            ignore (Cio_virtio.Driver_unhardened.poll drv)
-          done;
-          Cost.diff ~before ~after:(Cost.snapshot m)
-        end
-      in
+      let virtio hardened = virtio_frame_cost ~model ~hardened ~count:16 () in
       let cionet =
         cionet_pair_cost ~model ~name:"e14c" ~count:16 Cio_cionet.Config.default
           (Bytes.make 1500 'f')

@@ -77,7 +77,10 @@ let random_kind rng =
   let c = coverage rng in
   c.(Rng.int rng (Array.length c))
 
-let generate ?(count = 6) ?(first_at = 6_000) ?(spacing = 26_000) ~seed () =
+let first_at = 6_000
+let spacing = 26_000
+
+let generate ?(count = 6) ~seed () =
   let rng = Rng.create seed in
   let base = coverage rng in
   let kinds =

@@ -24,10 +24,10 @@ type t = { seed : int64; injections : injection list }
 val kind_name : kind -> string
 val pp_kind : Format.formatter -> kind -> unit
 
-val generate : ?count:int -> ?first_at:int -> ?spacing:int -> seed:int64 -> unit -> t
+val generate : ?count:int -> seed:int64 -> unit -> t
 (** Derive a plan from [seed] alone. The first [6] faults cover one of
     each layer class (order shuffled by the seed); extras are drawn at
-    random. Injection steps are spaced [spacing] pump steps apart so each
-    fault resolves before the next lands. *)
+    random. Injections start near step 6000 and are spaced 26000 pump
+    steps apart so each fault resolves before the next lands. *)
 
 val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ val mac_to_string : mac -> string
 type ipv4 = int32
 
 val ipv4_of_octets : int -> int -> int -> int -> ipv4
-val ipv4_octet : ipv4 -> int -> int
 val pp_ipv4 : Format.formatter -> ipv4 -> unit
 val ipv4_to_string : ipv4 -> string
 val ipv4_of_string : string -> ipv4 option

@@ -65,13 +65,13 @@ let rule_of_name = function
   | "SI" -> Some SI
   | _ -> None
 
-type role = Trusted | Corpus | Host_model | Other
+type role = Trusted | Corpus | Host_model | Harness
 
 let role_name = function
   | Trusted -> "trusted"
   | Corpus -> "corpus"
   | Host_model -> "host-model"
-  | Other -> "unclassified"
+  | Harness -> "harness"
 
 type finding = {
   f_rule : rule;
@@ -89,44 +89,21 @@ let key f =
 
 (* --- file classification --------------------------------------------- *)
 
-(* The analyzer's living test corpus: intentionally-trusting drivers kept
-   as the proof that the rules still fire. Exempt from the trusted gate;
-   protected by the regression side of the gate instead. *)
-let corpus_files = [ "lib/virtio/driver_unhardened.ml" ]
+module Tcb = Cio_tcb.Tcb
 
-(* Host-side simulators: they *play the untrusted host*, so the guest
-   interface-safety rules do not apply to them (they are the adversary
-   the rules defend against). Skipped entirely. *)
-let host_model_files =
-  [ "lib/virtio/device.ml"; "lib/cionet/host_model.ml"; "lib/netsim/adversary.ml" ]
-
-let host_model_dirs = [ "lib/attack" ]
-
-(* Trusted = every directory that appears in some Figure-5 core TCB
-   (derived live from [Tcb.profiles], so the lint gate and the TCB
-   accounting can never disagree about what is core), plus the
-   quarantined-but-safety-critical cionet ring modules, the shared-memory
-   protection layer in lib/mem (it *is* the boundary every rule reasons
-   about), and the shared substrate in lib/util. *)
-let trusted_dirs () =
-  let profile_dirs =
-    List.concat_map
-      (fun p -> List.concat_map Cio_tcb.Tcb.component_dirs p.Cio_tcb.Tcb.core)
-      Cio_tcb.Tcb.profiles
-  in
-  List.sort_uniq compare (profile_dirs @ [ "lib/cionet"; "lib/mem"; "lib/util" ])
-
-let starts_with prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
+(* Roles come from [Tcb.table], the one place that says which actor runs
+   each file, so the lint gate and the TCB accounting cannot disagree.
+   Guest files are gated. The trusting virtio driver is the analyzer's
+   living test corpus: exempt from the trusted gate, protected by the
+   regression side of the gate instead. Host models play the untrusted
+   host and the harness is the simulated world: the guest rules do not
+   apply to either, so both are skipped. *)
 let classify rel =
-  if List.mem rel corpus_files then Corpus
-  else if
-    List.mem rel host_model_files
-    || List.exists (fun d -> starts_with (d ^ "/") rel) host_model_dirs
-  then Host_model
-  else if List.exists (fun d -> starts_with (d ^ "/") rel) (trusted_dirs ()) then Trusted
-  else Other
+  match Tcb.role rel with
+  | Tcb.Guest Tcb.Virtio_unhardened -> Corpus
+  | Tcb.Guest _ -> Trusted
+  | Tcb.Host_model -> Host_model
+  | Tcb.Harness -> Harness
 
 (* --- name tables ------------------------------------------------------ *)
 
@@ -667,8 +644,7 @@ let parse_file path =
 (* SI applies to the guest-side cionet ring modules: the paper's
    stateless-interface principle says their mutable state must never
    derive from anything the host wrote. *)
-let in_cionet_ring rel =
-  starts_with "lib/cionet/" rel && not (List.mem rel host_model_files)
+let in_cionet_ring rel = Tcb.role rel = Tcb.Guest Tcb.Cionet_driver
 
 let rec analyze_structure ~file ~role ~in_ring str =
   List.concat_map
@@ -696,34 +672,13 @@ let rec analyze_structure ~file ~role ~in_ring str =
     str
 
 let scan_file ~root rel =
-  let role = classify rel in
-  if role = Host_model then []
-  else begin
-    let str = parse_file (Filename.concat root rel) in
-    analyze_structure ~file:rel ~role ~in_ring:(in_cionet_ring rel) str
-  end
+  match classify rel with
+  | Host_model | Harness -> []
+  | role ->
+      let str = parse_file (Filename.concat root rel) in
+      analyze_structure ~file:rel ~role ~in_ring:(in_cionet_ring rel) str
 
-let ml_files ~root =
-  let out = ref [] in
-  let rec go rel_dir =
-    let abs = Filename.concat root rel_dir in
-    match Sys.readdir abs with
-    | exception Sys_error _ -> ()
-    | entries ->
-        Array.sort compare entries;
-        Array.iter
-          (fun entry ->
-            let rel = Filename.concat rel_dir entry in
-            let abs_entry = Filename.concat root rel in
-            if Sys.is_directory abs_entry then go rel
-            else if Filename.check_suffix entry ".ml" then out := rel :: !out)
-          entries
-  in
-  go "lib";
-  List.rev !out
-
-let scan ~root =
-  List.concat_map (fun rel -> scan_file ~root rel) (ml_files ~root)
+let scan ~root = List.concat_map (fun rel -> scan_file ~root rel) (Tcb.ml_files ~root)
 
 (* --- reporting -------------------------------------------------------- *)
 
@@ -809,7 +764,7 @@ let gate ~baseline findings =
   in
   let corpus_missing =
     List.filter
-      (fun b -> List.mem b.b_file corpus_files && not (List.mem b.b_key current_keys))
+      (fun b -> classify b.b_file = Corpus && not (List.mem b.b_key current_keys))
       baseline
   in
   let corpus_now = List.filter (fun f -> f.f_role = Corpus) findings in

@@ -20,14 +20,15 @@ val rule_category : rule -> Cio_data.Hardening.category
     eventually be fixed by. *)
 
 type role =
-  | Trusted  (** core-TCB dirs (from [Tcb.profiles]) + cionet ring + util *)
+  | Trusted  (** guest code: every [Tcb.Guest] file except the corpus *)
   | Corpus  (** intentionally-vulnerable living test corpus *)
   | Host_model  (** plays the adversary; guest-side rules do not apply *)
-  | Other
+  | Harness  (** the simulated world and tooling; not scanned *)
 
 val role_name : role -> string
 val classify : string -> role
-(** Classify a repo-relative [.ml] path. *)
+(** Classify a repo-relative [.ml] path from [Cio_tcb.Tcb.table]; raises
+    [Invalid_argument] on a path the table does not cover. *)
 
 type finding = {
   f_rule : rule;
@@ -42,7 +43,8 @@ val key : finding -> string
 (** Line-number-free identity used for baseline comparison. *)
 
 val scan_file : root:string -> string -> finding list
-(** Analyze one repo-relative [.ml] file. Host-model files yield []. *)
+(** Analyze one repo-relative [.ml] file. Host-model and harness files
+    yield []. *)
 
 val scan : root:string -> finding list
 (** Analyze every [.ml] under [root]/lib, in path order. *)

@@ -51,7 +51,6 @@ type t = {
   model : Cost.model;
   mutable log : event list;  (* newest first *)
   mutable log_enabled : bool;
-  mutable host_write_hook : (off:int -> len:int -> unit) option;
   mutable guest_read_hook : (off:int -> len:int -> unit) option;
       (* fired after each guest read of shared memory: lets the attack
          harness model a host racing the guest between two fetches *)
@@ -87,7 +86,6 @@ let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~
     model;
     log = [];
     log_enabled = true;
-    host_write_hook = None;
     guest_read_hook = None;
     san = None;
   }
@@ -197,21 +195,15 @@ let read_into t actor ~off dst =
   Bytes.blit t.data off dst 0 len;
   read_end t ~off ~len due
 
-(* Writes: check, log, the write itself, then the host write hook. *)
+(* Writes: check and log, then the write itself. *)
 let write_begin t actor ~off ~len =
   check_access t actor off len ~write:true;
   log t (Write { actor; off; len })
 
-let write_end t actor ~off ~len =
-  match (actor, t.host_write_hook) with
-  | Host, Some hook -> hook ~off ~len
-  | _ -> ()
-
 let write t actor ~off src =
   let len = Bytes.length src in
   write_begin t actor ~off ~len;
-  Bytes.blit src 0 t.data off len;
-  write_end t actor ~off ~len
+  Bytes.blit src 0 t.data off len
 
 let guest_read t ~off ~len = read t Guest ~off ~len
 let guest_write t ~off src = write t Guest ~off src
@@ -251,23 +243,19 @@ let read_u64 t actor ~off =
 
 let write_u8 t actor ~off v =
   write_begin t actor ~off ~len:1;
-  Bytes.set_uint8 t.data off (v land 0xFF);
-  write_end t actor ~off ~len:1
+  Bytes.set_uint8 t.data off (v land 0xFF)
 
 let write_u16 t actor ~off v =
   write_begin t actor ~off ~len:2;
-  Bytes.set_uint16_le t.data off (v land 0xFFFF);
-  write_end t actor ~off ~len:2
+  Bytes.set_uint16_le t.data off (v land 0xFFFF)
 
 let write_u32 t actor ~off v =
   write_begin t actor ~off ~len:4;
-  Bytes.set_int32_le t.data off (Int32.of_int (v land 0xFFFFFFFF));
-  write_end t actor ~off ~len:4
+  Bytes.set_int32_le t.data off (Int32.of_int (v land 0xFFFFFFFF))
 
 let write_u64 t actor ~off v =
   write_begin t actor ~off ~len:8;
-  Bytes.set_int64_le t.data off v;
-  write_end t actor ~off ~len:8
+  Bytes.set_int64_le t.data off v
 
 (* Page sharing / revocation. Unsharing is the paper's §3.2 "revocation"
    primitive: the guest reclaims a page from the host on the fly instead of
@@ -348,7 +336,6 @@ let copy_out t ~off src =
   guest_write t ~off src;
   Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length src))
 
-let set_host_write_hook t hook = t.host_write_hook <- hook
 let set_guest_read_hook t hook = t.guest_read_hook <- hook
 
 (* Sanitizer control surface. Enabling is idempotent (a campaign may

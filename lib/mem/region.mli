@@ -101,10 +101,6 @@ val copy_in_into : t -> off:int -> bytes -> unit
 val copy_out : t -> off:int -> bytes -> unit
 (** Guest publish of private bytes; charges [Copy]. *)
 
-val set_host_write_hook : t -> (off:int -> len:int -> unit) option -> unit
-(** Install an adversary callback fired after every host write (used by
-    the attack harness to interleave mutations deterministically). *)
-
 val set_guest_read_hook : t -> (off:int -> len:int -> unit) option -> unit
 (** Install an adversary callback fired after every guest read of shared
     memory: models a host core racing the guest between two fetches. *)

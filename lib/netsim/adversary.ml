@@ -37,23 +37,23 @@ type t = {
   stats : stats;
   mutable held : bytes option;     (* frame being reordered *)
   mutable memory : bytes list;     (* replay source, newest first *)
-  memory_limit : int;
 }
 
-let create ?(memory_limit = 32) ~rng profile =
+let memory_limit = 32
+
+let create ~rng profile =
   {
     profile;
     rng;
     stats = { seen = 0; dropped = 0; duplicated = 0; corrupted = 0; reordered = 0; replayed = 0 };
     held = None;
     memory = [];
-    memory_limit;
   }
 
 let stats t = t.stats
 
 let remember t frame =
-  t.memory <- frame :: (if List.length t.memory >= t.memory_limit then List.filteri (fun i _ -> i < t.memory_limit - 1) t.memory else t.memory)
+  t.memory <- frame :: (if List.length t.memory >= memory_limit then List.filteri (fun i _ -> i < memory_limit - 1) t.memory else t.memory)
 
 let corrupt_frame t frame =
   let frame = Bytes.copy frame in

@@ -26,7 +26,7 @@ type stats = {
 
 type t
 
-val create : ?memory_limit:int -> rng:Rng.t -> profile -> t
+val create : rng:Rng.t -> profile -> t
 val stats : t -> stats
 
 val tamper : t -> Link.tamper

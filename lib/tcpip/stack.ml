@@ -202,7 +202,6 @@ let udp_bind t ~port =
   s
 
 let udp_recv s = if Queue.is_empty s.rxq then None else Some (Queue.take s.rxq)
-let udp_port s = s.uport
 
 let drop t reason =
   t.counters.dropped <- t.counters.dropped + 1;
@@ -257,7 +256,9 @@ let handle_frame t frame =
    timers, then flush coalesced TX. Flushing last means segments generated
    while handling this quantum's RX (ACKs, echoes) leave in the same poll,
    as one burst. Drivers are polled, never notify. *)
-let poll ?(budget = 64) t =
+let rx_budget = 64
+
+let poll t =
   let rec go n =
     if n > 0 then begin
       match t.netif.Netif.poll () with
@@ -270,7 +271,7 @@ let poll ?(budget = 64) t =
           go (n - 1)
     end
   in
-  go budget;
+  go rx_budget;
   Tcp.tick t.tcp;
   (* Only bounded stacks observe queue depth — the classic stack keeps
      its metric stream byte-identical to the pre-overload build. *)

@@ -61,14 +61,13 @@ val send_udp : t -> src_port:int -> dst:Addr.ipv4 -> dst_port:int -> bytes -> un
 
 val udp_bind : t -> port:int -> udp_socket
 val udp_recv : udp_socket -> (Addr.ipv4 * int * bytes) option
-val udp_port : udp_socket -> int
 
 val handle_frame : t -> bytes -> unit
 (** Inject one raw Ethernet frame (normally called via {!poll}). The
     frame is only read during the call. *)
 
-val poll : ?budget:int -> t -> unit
-(** Drain up to [budget] received frames, run TCP timers, then flush
+val poll : t -> unit
+(** Drain up to 64 received frames, run TCP timers, then flush
     coalesced TX (when [tx_burst] was given). *)
 
 val flush_tx : t -> unit

@@ -63,7 +63,6 @@ type retx_entry = {
 let retx_len e = e.rlen + (if e.rsyn then 1 else 0) + if e.rfin then 1 else 0
 
 type conn = {
-  id : int;
   local_port : int;
   remote_ip : Addr.ipv4;
   remote_port : int;
@@ -108,16 +107,12 @@ type t = {
   rng : Rng.t;
   meter : Cost.meter;
   model : Cost.model;
-  default_mss : int;
-  base_rto_ns : int64;
-  max_retries : int;
   (* Shared retry budget (overload plane): every retransmit — RTO or
      fast — spends from it, so a lossy episode cannot turn into a
      self-synchronised retry storm across connections. *)
   retry_budget : Cio_overload.Retry_budget.t option;
   mutable conns : conn list;
   mutable listeners : listener list;
-  mutable next_id : int;
   mutable next_ephemeral : int;
   mutable segments_in : int;
   mutable segments_out : int;
@@ -138,8 +133,11 @@ let note_retransmit t =
   if Cio_telemetry.Trace.on () then
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.tcp "retransmit"
 
-let create ?(default_mss = 1460) ?(base_rto_ns = 200_000_000L) ?(max_retries = 8)
-    ?(model = Cost.default) ?meter ?retry_budget ~local_ip ~send_segment ~now ~rng () =
+let default_mss = 1460
+let base_rto_ns = 200_000_000L
+let max_retries = 8
+
+let create ?(model = Cost.default) ?meter ?retry_budget ~local_ip ~send_segment ~now ~rng () =
   {
     local_ip;
     send_segment;
@@ -147,13 +145,9 @@ let create ?(default_mss = 1460) ?(base_rto_ns = 200_000_000L) ?(max_retries = 8
     rng;
     meter = (match meter with Some m -> m | None -> Cost.meter ());
     model;
-    default_mss;
-    base_rto_ns;
-    max_retries;
     retry_budget;
     conns = [];
     listeners = [];
-    next_id = 0;
     (* Randomised ephemeral-port start (deterministic per rng seed): a
        restarted stack must not march through the same port sequence as
        its dead predecessor, or its first SYN collides with the peer's
@@ -171,7 +165,6 @@ let retransmits t = t.retransmits
 
 let conn_state c = c.state
 let conn_error c = c.error
-let conn_id c = c.id
 let conn_remote c = (c.remote_ip, c.remote_port)
 
 (* Every segment processed charges stack work: the cycles that live inside
@@ -183,16 +176,16 @@ let charge_stack t nbytes =
 (* Send one segment of [conn]. Its [len] payload bytes, if any, are the
    send queue's bytes from sequence number [seq] on; the stack copies
    them once, straight into the frame. *)
-let emit t conn ?(len = 0) ?(syn = false) ?(fin = false) ?(rst = false) ?(ack = true) ~seq () =
+let emit t conn ?(len = 0) ?(syn = false) ?(fin = false) ?(ack = true) ~seq () =
   let seg =
     {
       Tcp_wire.src_port = conn.local_port;
       dst_port = conn.remote_port;
       seq;
       ack = (if ack then conn.rcv_nxt else 0l);
-      flags = { Tcp_wire.syn; fin; rst; ack; psh = len > 0 };
+      flags = { Tcp_wire.syn; fin; rst = false; ack; psh = len > 0 };
       window = max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
-      mss = (if syn then Some t.default_mss else None);
+      mss = (if syn then Some default_mss else None);
       payload_off = (if len = 0 then 0 else Tcp_wire.seq_diff seq conn.snd_qseq);
       payload_len = len;
     }
@@ -241,12 +234,9 @@ let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
 let isn t = Rng.next_int64 t.rng |> Int64.to_int32
 
 let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
   let iss = isn t in
   let c =
     {
-      id;
       local_port;
       remote_ip;
       remote_port;
@@ -266,10 +256,10 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
       recv_buf = Byteq.create 4096;
       ooo = [];
       fin_rcvd = false;
-      mss = t.default_mss;
-      cwnd = 2 * t.default_mss;
+      mss = default_mss;
+      cwnd = 2 * default_mss;
       ssthresh = 65535;
-      rto_ns = t.base_rto_ns;
+      rto_ns = base_rto_ns;
       rtx_deadline = None;
       timewait_deadline = None;
       error = None;
@@ -381,14 +371,6 @@ let close t c =
       c.state <- Closed
   | _ -> ()
 
-let abort t c =
-  (match c.state with
-  | Established | Syn_received | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-      emit t c ~rst:true ~seq:c.snd_nxt ()
-  | _ -> ());
-  c.state <- Closed;
-  c.error <- Some "aborted"
-
 (* Insert an out-of-order segment keeping the stash sorted and bounded. *)
 let stash_ooo c seq payload =
   if List.length c.ooo < 64 then begin
@@ -476,7 +458,7 @@ let process_ack t c (seg : Tcp_wire.t) =
     (* Congestion control: slow start then additive increase. *)
     if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.mss
     else c.cwnd <- c.cwnd + max 1 (c.mss * c.mss / c.cwnd);
-    c.rto_ns <- t.base_rto_ns;
+    c.rto_ns <- base_rto_ns;
     c.rtx_deadline <- (if Queue.is_empty c.retx then None else Some (Int64.add (t.now ()) c.rto_ns));
     (* Forward progress pays back into the shared retry budget. *)
     (match t.retry_budget with
@@ -534,7 +516,7 @@ let handle_synsent t c (seg : Tcp_wire.t) =
       c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
       c.snd_una <- seg.Tcp_wire.ack;
       c.snd_wnd <- seg.Tcp_wire.window;
-      (match seg.Tcp_wire.mss with Some m -> c.mss <- min m t.default_mss | None -> ());
+      (match seg.Tcp_wire.mss with Some m -> c.mss <- min m default_mss | None -> ());
       c.cwnd <- 2 * c.mss;
       Queue.clear c.retx;
       c.rtx_deadline <- None;
@@ -652,7 +634,7 @@ let input t ~src buf (seg : Tcp_wire.t) =
               ~remote_port:seg.Tcp_wire.src_port ~state:Syn_received
           in
           c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
-          (match seg.Tcp_wire.mss with Some m -> c.mss <- min m t.default_mss | None -> ());
+          (match seg.Tcp_wire.mss with Some m -> c.mss <- min m default_mss | None -> ());
           c.cwnd <- 2 * c.mss;
           c.snd_wnd <- seg.Tcp_wire.window;
           let seq = c.snd_nxt in
@@ -673,7 +655,7 @@ let tick t =
           match Queue.peek_opt c.retx with
           | None -> c.rtx_deadline <- None
           | Some e ->
-              if e.retries >= t.max_retries then begin
+              if e.retries >= max_retries then begin
                 c.state <- Closed;
                 c.error <- Some "retransmission limit exceeded";
                 c.rtx_deadline <- None

@@ -29,9 +29,6 @@ type listener
 type t
 
 val create :
-  ?default_mss:int ->
-  ?base_rto_ns:int64 ->
-  ?max_retries:int ->
   ?model:Cost.model ->
   ?meter:Cost.meter ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
@@ -41,9 +38,10 @@ val create :
   rng:Rng.t ->
   unit ->
   t
-(** [send_segment ~dst seg q] sends one segment; its payload is the
-    [seg.payload_len] bytes of [q] from position [seg.payload_off]. [q]
-    is only read during the call. *)
+(** MSS 1460 and initial RTO 200 ms; a connection fails after 8
+    retransmits of one segment. [send_segment ~dst seg q] sends one
+    segment; its payload is the [seg.payload_len] bytes of [q] from
+    position [seg.payload_off]. [q] is only read during the call. *)
 
 val meter : t -> Cost.meter
 val segments_in : t -> int
@@ -54,7 +52,6 @@ val retransmits : t -> int
 
 val conn_state : conn -> state
 val conn_error : conn -> string option
-val conn_id : conn -> int
 
 val conn_remote : conn -> Addr.ipv4 * int
 (** Remote (ip, port) — what a reconnect after an I/O-stack restart needs
@@ -80,7 +77,6 @@ val eof : conn -> bool
 (** Peer FIN received and the reassembly buffer fully drained. *)
 
 val close : t -> conn -> unit
-val abort : t -> conn -> unit
 
 val input : t -> src:Addr.ipv4 -> bytes -> Tcp_wire.t -> unit
 (** [input t ~src buf seg] processes one inbound segment (already

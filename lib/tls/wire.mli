@@ -4,7 +4,6 @@
 type content_type = Handshake | Data | Alert | Rekey
 
 val content_code : content_type -> int
-val content_of_code : int -> content_type option
 val content_name : content_type -> string
 
 val header_len : int

@@ -1,5 +1,5 @@
-(* Hex encoding/decoding and hexdump, used by tests (RFC vectors) and by
-   trace output. *)
+(* Hex encoding/decoding, used by tests (RFC vectors) and by trace
+   output. *)
 
 let of_bytes b =
   let n = Bytes.length b in
@@ -35,27 +35,3 @@ let to_bytes s =
   out
 
 let to_string s = Bytes.to_string (to_bytes s)
-
-let dump ?(width = 16) b =
-  let n = Bytes.length b in
-  let buf = Buffer.create (n * 4) in
-  let rec line off =
-    if off < n then begin
-      Buffer.add_string buf (Printf.sprintf "%08x  " off);
-      let stop = min (off + width) n in
-      for i = off to off + width - 1 do
-        if i < stop then
-          Buffer.add_string buf (Printf.sprintf "%02x " (Char.code (Bytes.get b i)))
-        else Buffer.add_string buf "   "
-      done;
-      Buffer.add_string buf " |";
-      for i = off to stop - 1 do
-        let c = Bytes.get b i in
-        Buffer.add_char buf (if c >= ' ' && c <= '~' then c else '.')
-      done;
-      Buffer.add_string buf "|\n";
-      line (off + width)
-    end
-  in
-  line 0;
-  Buffer.contents buf

@@ -1,5 +1,4 @@
-(** Hex encoding, decoding (whitespace-tolerant, for RFC test vectors) and
-    hexdump formatting. *)
+(** Hex encoding and decoding (whitespace-tolerant, for RFC test vectors). *)
 
 val of_bytes : bytes -> string
 val of_string : string -> string
@@ -9,6 +8,3 @@ val to_bytes : string -> bytes
     Whitespace is ignored. *)
 
 val to_string : string -> string
-
-val dump : ?width:int -> bytes -> string
-(** Classic offset/hex/ASCII dump. *)

@@ -96,9 +96,8 @@ type transport = {
   tx_buf_base : int;
 }
 
-let create_transport ?(queue_size = 64) ?(buf_size = 2048) ?(model = Cost.default) ?meter ~name () =
-  if not (Bitops.is_power_of_two queue_size) then
-    invalid_arg "Packed.create_transport: queue_size must be a power of two";
+let create_transport ?(model = Cost.default) ?meter ~name () =
+  let queue_size = 64 and buf_size = 2048 in
   let ring_bytes = Bitops.align_up (queue_footprint queue_size) ~align:64 in
   let rx_base = 0 and tx_base = ring_bytes in
   let rx_buf_base = 2 * ring_bytes in

@@ -26,8 +26,6 @@ val used_flags : wrap:bool -> int
 type transport
 
 val create_transport :
-  ?queue_size:int ->
-  ?buf_size:int ->
   ?model:Cost.model ->
   ?meter:Cost.meter ->
   name:string ->

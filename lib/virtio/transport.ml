@@ -14,11 +14,8 @@ type t = {
   tx_buf_base : int;
 }
 
-let create ?(queue_size = 64) ?(buf_size = 2048) ?(model = Cost.default) ?meter ~name () =
-  if not (Bitops.is_power_of_two queue_size) then
-    invalid_arg "Transport.create: queue_size must be a power of two";
-  if not (Bitops.is_power_of_two buf_size) then
-    invalid_arg "Transport.create: buf_size must be a power of two";
+let create ?(model = Cost.default) ?meter ~name () =
+  let queue_size = 64 and buf_size = 2048 in
   let ring_bytes = Bitops.align_up (Vring.bytes_needed queue_size) ~align:64 in
   let rx_base = 0 in
   let tx_base = ring_bytes in

@@ -7,13 +7,12 @@ open Cio_mem
 type t
 
 val create :
-  ?queue_size:int ->
-  ?buf_size:int ->
   ?model:Cost.model ->
   ?meter:Cost.meter ->
   name:string ->
   unit ->
   t
+(** 64 slots per ring, 2048-byte buffers. *)
 
 val region : t -> Region.t
 val rx : t -> Vring.t

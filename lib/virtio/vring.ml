@@ -101,7 +101,6 @@ let used_entry t actor slot =
 (* Field offsets, for precisely targeted attack hooks. *)
 let used_len_field_off t slot = t.used_off + 4 + (8 * (slot land (t.size - 1))) + 4
 let desc_addr_field_off t i = desc_slot t i
-let desc_len_field_off t i = desc_slot t i + 8
 
 let set_used_entry t actor slot ~id ~len =
   let off = t.used_off + 4 + (8 * (slot land (t.size - 1))) in

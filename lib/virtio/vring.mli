@@ -37,4 +37,3 @@ val set_used_entry : t -> Region.actor -> int -> id:int -> len:int -> unit
 
 val used_len_field_off : t -> int -> int
 val desc_addr_field_off : t -> int -> int
-val desc_len_field_off : t -> int -> int

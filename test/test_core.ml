@@ -45,12 +45,14 @@ let test_observability_ordering () =
   Alcotest.(check bool) "dual > tunneled" true (dual > tun)
 
 let test_tcb_ordering () =
-  Cio_tcb.Tcb.set_repo_root ".";
-  let dual = run_quick C.Dual_boundary and pass = run_quick C.Passthrough_l2 in
+  Cio_tcb.Tcb.set_repo_root (Helpers.repo_root ());
+  let core kind = Cio_tcb.Tcb.sum (C.tcb kind).C.core
+  and quarantined kind = Cio_tcb.Tcb.sum (C.tcb kind).C.quarantined in
   Alcotest.(check bool) "dual core TCB < passthrough core TCB" true
-    (dual.C.tcb_core_loc < pass.C.tcb_core_loc);
-  Alcotest.(check bool) "dual quarantines the stack" true (dual.C.tcb_quarantined_loc > 0);
-  Alcotest.(check int) "single-boundary designs quarantine nothing" 0 pass.C.tcb_quarantined_loc
+    (core C.Dual_boundary < core C.Passthrough_l2);
+  Alcotest.(check bool) "dual quarantines the stack" true (quarantined C.Dual_boundary > 0);
+  Alcotest.(check int) "single-boundary designs quarantine nothing" 0
+    (quarantined C.Passthrough_l2)
 
 let test_dual_crossings_bounded () =
   let m = run_quick C.Dual_boundary in

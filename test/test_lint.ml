@@ -76,8 +76,29 @@ let test_classify () =
   check "lib/virtio/device.ml" "host-model";
   check "lib/cionet/host_model.ml" "host-model";
   check "lib/attack/attack.ml" "host-model";
-  check "lib/experiments/experiments.ml" "unclassified";
-  check "lib/fault/campaign.ml" "unclassified"
+  check "lib/experiments/experiments.ml" "harness";
+  check "lib/fault/campaign.ml" "harness"
+
+(* Lint gates exactly the files the role table gives to the guest, and at
+   least everything it gated before the table existed. *)
+let test_gates_exactly_guest_files () =
+  let gated rel = match Lint.classify rel with Lint.Trusted | Lint.Corpus -> true | _ -> false in
+  let files = Cio_tcb.Tcb.ml_files ~root:(root ()) in
+  List.iter
+    (fun rel ->
+      let guest = match Cio_tcb.Tcb.role rel with Cio_tcb.Tcb.Guest _ -> true | _ -> false in
+      Alcotest.(check bool) (rel ^ " gated iff guest") guest (gated rel))
+    files;
+  let always_gated rel =
+    List.exists
+      (fun dir -> Filename.dirname rel = dir)
+      [ "lib/tcpip"; "lib/frame"; "lib/tls"; "lib/crypto"; "lib/compartment"; "lib/mem"; "lib/util" ]
+    || (Filename.dirname rel = "lib/virtio" && rel <> "lib/virtio/device.ml")
+    || (Filename.dirname rel = "lib/cionet" && rel <> "lib/cionet/host_model.ml")
+  in
+  let previously_gated = List.filter always_gated files in
+  Alcotest.(check bool) "previously gated files found" true (List.length previously_gated > 40);
+  List.iter (fun rel -> Alcotest.(check bool) (rel ^ " still gated") true (gated rel)) previously_gated
 
 let test_host_model_skipped () =
   (* The device plays the adversary: reading guest memory twice is its
@@ -226,6 +247,7 @@ let suite =
     Alcotest.test_case "lint: trusted tree clean" `Quick test_trusted_tree_clean;
     Alcotest.test_case "lint: classify roles" `Quick test_classify;
     Alcotest.test_case "lint: host model skipped" `Quick test_host_model_skipped;
+    Alcotest.test_case "lint: gates exactly the guest files" `Quick test_gates_exactly_guest_files;
     Alcotest.test_case "lint: baseline gate ok" `Quick test_baseline_gate_ok;
     Alcotest.test_case "lint: gate fails on new trusted finding" `Quick
       test_gate_fails_on_new_trusted_finding;

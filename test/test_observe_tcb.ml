@@ -2,6 +2,7 @@
 
 open Cio_observe
 open Cio_tcb
+module C = Cio_core.Configurations
 
 let test_tap_records () =
   let t = Observe.create "tap" in
@@ -44,68 +45,101 @@ let test_more_kinds_more_score () =
   Alcotest.(check bool) "richer vocabulary scores higher" true
     (Observe.score many > Observe.score few)
 
-let test_tcb_components_measured () =
-  Tcb.set_repo_root ".";
-  List.iter
-    (fun name -> Alcotest.(check bool) (name ^ " nonzero") true (Tcb.loc name > 0))
-    [ "tcpip-stack"; "virtio-driver"; "cionet-driver"; "tls"; "crypto"; "compartment-runtime" ]
+(* Every TCB test counts the real tree: under [dune runtest] the working
+   directory has no lib/, and a missing tree raises. *)
+let use_real_tree () = Tcb.set_repo_root (Helpers.repo_root ())
 
-let test_tcb_unknown_component () =
-  Alcotest.check_raises "unknown" (Invalid_argument "Tcb.loc: unknown component nonesuch")
-    (fun () -> ignore (Tcb.loc "nonesuch"))
+let profile_components kind =
+  let t = C.tcb kind in
+  t.C.core @ t.C.quarantined
+
+let test_tcb_components_measured () =
+  use_real_tree ();
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Tcb.component_name c ^ " nonzero") true (Tcb.loc c > 0))
+    (List.sort_uniq compare (List.concat_map profile_components C.all_kinds))
+
+let test_tcb_unmapped_path_and_missing_tree_raise () =
+  Alcotest.check_raises "unmapped path"
+    (Invalid_argument "Tcb.role: no role for lib/nonesuch/x.ml") (fun () ->
+      ignore (Tcb.role "lib/nonesuch/x.ml"));
+  Tcb.set_repo_root (Filename.concat (Helpers.repo_root ()) "nonesuch");
+  let raised = match Tcb.loc Tcb.Tls with _ -> false | exception Sys_error _ -> true in
+  use_real_tree ();
+  Alcotest.(check bool) "missing tree raises" true raised
 
 let test_tcb_profiles_complete () =
+  use_real_tree ();
   List.iter
-    (fun config ->
-      let p = Tcb.profile config in
-      Alcotest.(check bool) (config ^ " has a core") true (p.Tcb.core <> []);
-      Alcotest.(check bool) (config ^ " core loc > 0") true (Tcb.core_loc config > 0))
-    [ "syscall-l5"; "passthrough-l2"; "hardened-virtio"; "tunneled"; "dual-boundary" ]
+    (fun kind ->
+      let config = C.kind_name kind and t = C.tcb kind in
+      Alcotest.(check bool) (config ^ " has a core") true (t.C.core <> []);
+      Alcotest.(check bool) (config ^ " core loc > 0") true (Tcb.sum t.C.core > 0))
+    C.all_kinds
 
 let test_tcb_dual_smallest_l2_core () =
-  Tcb.set_repo_root ".";
-  Alcotest.(check bool) "dual < passthrough" true
-    (Tcb.core_loc "dual-boundary" < Tcb.core_loc "passthrough-l2");
-  Alcotest.(check bool) "dual quarantined > 0" true (Tcb.quarantined_loc "dual-boundary" > 0);
-  Alcotest.(check int) "passthrough quarantines nothing" 0 (Tcb.quarantined_loc "passthrough-l2")
+  use_real_tree ();
+  let core kind = Tcb.sum (C.tcb kind).C.core in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("dual < " ^ C.kind_name kind) true
+        (core C.Dual_boundary < core kind))
+    [ C.Passthrough_l2; C.Hardened_virtio; C.Tunneled ];
+  Alcotest.(check bool) "dual quarantined > 0" true
+    (Tcb.sum (C.tcb C.Dual_boundary).C.quarantined > 0);
+  Alcotest.(check int) "passthrough quarantines nothing" 0
+    (Tcb.sum (C.tcb C.Passthrough_l2).C.quarantined)
 
 let test_tcb_stack_outside_dual_core () =
-  let p = Tcb.profile "dual-boundary" in
-  Alcotest.(check bool) "stack quarantined" true (List.mem "tcpip-stack" p.Tcb.quarantined);
-  Alcotest.(check bool) "stack not in core" false (List.mem "tcpip-stack" p.Tcb.core)
+  let t = C.tcb C.Dual_boundary in
+  Alcotest.(check bool) "stack quarantined" true (List.mem Tcb.Tcpip_stack t.C.quarantined);
+  Alcotest.(check bool) "stack not in core" false (List.mem Tcb.Tcpip_stack t.C.core)
 
-(* Every component a profile names must resolve against the *real* source
-   tree: its directories exist, contain OCaml, and count to a nonzero LoC
-   without the fallback. A renamed lib/ directory or a typo in a profile
-   would otherwise silently fall back to canned numbers and skew Fig. 5
-   (and cio_lint's trusted-file set, which derives from the same dirs). *)
-let test_tcb_profiles_resolve_against_tree () =
+(* The role table covers the tree exactly: every lib/**/*.ml resolves to
+   one role, and every entry names a path that exists, once. *)
+let test_tcb_every_file_has_one_role () =
   let root = Helpers.repo_root () in
-  Tcb.set_repo_root root;
-  let referenced =
-    List.concat_map (fun p -> p.Tcb.core @ p.Tcb.quarantined) Tcb.profiles
-    |> List.sort_uniq compare
-  in
-  Alcotest.(check bool) "profiles reference components" true (referenced <> []);
+  let files = Tcb.ml_files ~root in
+  Alcotest.(check bool) "tree has sources" true (files <> []);
   List.iter
-    (fun name ->
-      Alcotest.(check bool)
-        (name ^ " is a declared component") true
-        (List.mem name Tcb.component_names);
+    (fun rel ->
+      match Tcb.role rel with
+      | _ -> ()
+      | exception Invalid_argument msg -> Alcotest.fail msg)
+    files;
+  List.iter
+    (fun (path, _) ->
+      Alcotest.(check bool) (path ^ " exists") true (Sys.file_exists (Filename.concat root path)))
+    Tcb.table;
+  let paths = List.map fst Tcb.table in
+  Alcotest.(check int) "no path listed twice" (List.length paths)
+    (List.length (List.sort_uniq compare paths))
+
+(* Host models play the adversary and the harness is the simulated world:
+   neither may count in any configuration's TCB. *)
+let test_tcb_only_guest_code_counted () =
+  use_real_tree ();
+  List.iter
+    (fun kind ->
+      let counted = List.concat_map Tcb.files (profile_components kind) in
       List.iter
-        (fun dir ->
-          let abs = Filename.concat root dir in
-          Alcotest.(check bool) (dir ^ " exists") true
-            (Sys.file_exists abs && Sys.is_directory abs);
-          let mls =
-            Array.to_list (Sys.readdir abs)
-            |> List.filter (fun f -> Filename.check_suffix f ".ml")
-          in
-          Alcotest.(check bool) (dir ^ " has OCaml sources") true (mls <> []))
-        (Tcb.component_dirs name);
-      Alcotest.(check bool) (name ^ " counts real LoC") true (Tcb.loc name > 0))
-    referenced;
-  Tcb.set_repo_root "."
+        (fun rel ->
+          Alcotest.(check bool)
+            (C.kind_name kind ^ ": " ^ rel ^ " is guest code")
+            true
+            (match Tcb.role rel with Tcb.Guest _ -> true | Tcb.Host_model | Tcb.Harness -> false))
+        counted;
+      List.iter
+        (fun host ->
+          Alcotest.(check bool) (C.kind_name kind ^ " excludes " ^ host) false
+            (List.mem host counted))
+        [ "lib/virtio/device.ml"; "lib/cionet/host_model.ml"; "lib/core/configurations.ml" ])
+    C.all_kinds;
+  Alcotest.(check bool) "tunneled runs no virtio" false
+    (List.exists
+       (fun c -> List.mem c [ Tcb.Virtio_queue; Tcb.Virtio_unhardened; Tcb.Virtio_hardened ])
+       (profile_components C.Tunneled))
 
 let suite =
   [
@@ -115,10 +149,12 @@ let suite =
     Alcotest.test_case "observe: clear" `Quick test_clear;
     Alcotest.test_case "observe: kind richness" `Quick test_more_kinds_more_score;
     Alcotest.test_case "tcb: components measured" `Quick test_tcb_components_measured;
-    Alcotest.test_case "tcb: unknown component" `Quick test_tcb_unknown_component;
+    Alcotest.test_case "tcb: unmapped path or tree raises" `Quick
+      test_tcb_unmapped_path_and_missing_tree_raise;
     Alcotest.test_case "tcb: profiles complete" `Quick test_tcb_profiles_complete;
     Alcotest.test_case "tcb: dual smallest L2 core" `Quick test_tcb_dual_smallest_l2_core;
     Alcotest.test_case "tcb: stack quarantined in dual" `Quick test_tcb_stack_outside_dual_core;
-    Alcotest.test_case "tcb: profiles resolve against the tree" `Quick
-      test_tcb_profiles_resolve_against_tree;
+    Alcotest.test_case "tcb: every lib file has one role" `Quick
+      test_tcb_every_file_has_one_role;
+    Alcotest.test_case "tcb: only guest code counted" `Quick test_tcb_only_guest_code_counted;
   ]
