@@ -135,14 +135,18 @@ let campaign_cmd =
     Fmt.pr "overload campaign, plane ON:@.%a@." Campaign.pp on;
     (match json with
     | Some file ->
-        let buf = Buffer.create 4096 in
-        Printf.bprintf buf "{\"schema\":\"cio-campaign-v1\",\"seed\":%Ld,\"off\":" seed;
-        Campaign.to_json buf off;
-        Buffer.add_string buf ",\"on\":";
-        Campaign.to_json buf on;
-        Buffer.add_string buf "}\n";
+        let module Json = Cio_util.Json_lite in
+        let report =
+          Json.Obj
+            [
+              ("schema", Json.Str "cio-campaign-v1");
+              ("seed", Json.Num (Int64.to_float seed));
+              ("off", Campaign.to_json off);
+              ("on", Campaign.to_json on);
+            ]
+        in
         let oc = open_out file in
-        Buffer.output_buffer oc buf;
+        output_string oc (Json.to_string report ^ "\n");
         close_out oc;
         Fmt.pr "report: %s@." file
     | None -> ());

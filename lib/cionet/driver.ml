@@ -87,7 +87,6 @@ let create ?(model = Cost.default) ?meter ?host_meter ~name (config : Config.t) 
   }
 
 let region t = t.inst.region
-let config t = t.config
 let tx_ring t = t.inst.tx
 let rx_ring t = t.inst.rx
 let host_meter t = t.host_meter
@@ -125,14 +124,6 @@ let kick t n =
     if n > 1 then Metrics.add m_kicks_coalesced (n - 1);
     if Trace.on () then Trace.instant ~cat:Kind.l2 Kind.kick
   end
-
-(* Backpressure surface: TX-ring occupancy, from the guest-private
-   cursors (see Ring.occupancy). *)
-let tx_occupancy t = Ring.occupancy t.inst.tx
-
-let tx_pressure t =
-  Cio_overload.Pressure.level_of_occupancy ~used:(Ring.occupancy t.inst.tx)
-    ~capacity:(Ring.slots t.inst.tx)
 
 (* Transmit: one ring crossing, one doorbell, for the whole batch.
    Size padding ([pad_frames]) shows the host uniform frames; receivers

@@ -15,7 +15,6 @@ val create :
   t
 
 val region : t -> Region.t
-val config : t -> Config.t
 val tx_ring : t -> Ring.t
 val rx_ring : t -> Ring.t
 val host_meter : t -> Cost.meter
@@ -37,12 +36,6 @@ val transmit : t -> bytes -> bool
 (** [transmit t f] is [transmit_burst t [| f |] = 1]. *)
 
 val poll : t -> bytes option
-
-val tx_occupancy : t -> int
-(** TX-ring slots in flight (guest-private cursors; host-independent). *)
-
-val tx_pressure : t -> Cio_overload.Pressure.level
-(** TX-ring occupancy mapped to Nominal/Soft/Hard. *)
 
 val transmit_burst : t -> bytes array -> int
 (** Place up to a whole batch in one ring crossing with at most one

@@ -161,12 +161,6 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
 let counters t = t.counters
 let slots t = t.slots
 
-(* Occupancy from the private cursors: both live in guest-private memory
-   (the producer's and consumer's own bookkeeping, never the shared
-   region), so the reading costs nothing and cannot be lied to by the
-   host. This is the root backpressure signal the overload plane
-   propagates upward. *)
-let occupancy t = t.prod_next - t.cons_next
 let region t = t.region
 let header_offset t slot = t.base + t.lay.hdr_off + (header_bytes * (slot land (t.slots - 1)))
 let capacity t = t.lay.unit_size

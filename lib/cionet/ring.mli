@@ -8,8 +8,6 @@
 open Cio_util
 open Cio_mem
 
-val header_bytes : int
-
 type layout = {
   total : int;
   hdr_off : int;
@@ -52,11 +50,6 @@ val counters : t -> counters
 val slots : t -> int
 val region : t -> Region.t
 
-val occupancy : t -> int
-(** Slots currently in flight (produced, not yet consumed), computed
-    from the private cursors — trusted, host-independent, and free. The
-    root of the overload plane's backpressure signal. *)
-
 val header_offset : t -> int -> int
 (** Absolute region offset of a slot's header — exposed for the attack
     harness, which pokes shared memory as the host. *)
@@ -64,7 +57,6 @@ val header_offset : t -> int -> int
 val capacity : t -> int
 (** Maximum payload bytes per message. *)
 
-val consumer : t -> Region.actor
 val data_arena : t -> int * int
 (** (offset, size) of the payload arena within the region. *)
 

@@ -57,7 +57,6 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
     received_messages = 0;
   }
 
-let session t = t.session
 let conn t = t.conn
 let error t = t.failed
 let received_messages t = t.received_messages

@@ -21,7 +21,6 @@ val create :
   unit ->
   t
 
-val session : t -> Session.t
 val conn : t -> Tcp.conn
 val error : t -> Session.error option
 val received_messages : t -> int

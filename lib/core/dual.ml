@@ -24,15 +24,12 @@ type t = {
   driver : Cio_cionet.Driver.t;
   mutable stack : Stack.t;
   meter : Cost.meter;
-  model : Cost.model;
   ip : Cio_frame.Addr.ipv4;
   neighbors : (Cio_frame.Addr.ipv4 * Cio_frame.Addr.mac) list;
   now : unit -> int64;
   psk : bytes;
   psk_id : string;
   rng : Rng.t;
-  zero_copy_send : bool;
-  copy_on_recv : bool;
   recovery : Cio_observe.Recovery.t;
   (* The unit's overload-control plane; [None] = classic unguarded unit.
      The plane survives I/O-stack restarts (it guards the app-side
@@ -50,8 +47,8 @@ let enter_io t f = Compartment.call t.world ~caller:t.app ~callee:t.io f
    [driver] (whose instance is swapped in place on hot swap), so burst TX
    and buffer recycling survive restarts; the overload plane, if any,
    bounds TX coalescing and shares its retry budget with TCP. *)
-let make_stack ~model ~meter ~driver ~plane ~ip ~neighbors ~now ~rng =
-  Stack.create ~model ~meter
+let make_stack ~meter ~driver ~plane ~ip ~neighbors ~now ~rng =
+  Stack.create ~meter
     ~tx_burst:(fun frames -> Cio_cionet.Driver.transmit_burst driver frames)
     ~recycle:(fun f -> Cio_cionet.Driver.recycle driver f)
     ?tx_queue_limit:
@@ -60,25 +57,24 @@ let make_stack ~model ~meter ~driver ~plane ~ip ~neighbors ~now ~rng =
     ~netif:(Cio_cionet.Driver.to_netif driver)
     ~ip ~neighbors ~now ~rng ()
 
-let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?(model = Cost.default)
-    ?(crossing = Compartment.Gate) ?(zero_copy_send = true) ?(copy_on_recv = true) ?overload
-    ~name ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
+let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?overload ~name ~ip ~neighbors ~psk
+    ~psk_id ~rng ~now () =
   let cionet_config =
     match mac with
     | Some mac -> { cionet_config with Cio_cionet.Config.mac }
     | None -> cionet_config
   in
   let meter = Cost.meter () in
-  let world = Compartment.create ~model ~meter ~crossing () in
+  let world = Compartment.create ~meter ~crossing:Compartment.Gate () in
   let app = Compartment.add_domain world ~name:"app" in
   let io = Compartment.add_domain world ~name:"iostack" in
-  let driver = Cio_cionet.Driver.create ~model ~meter ~name cionet_config in
+  let driver = Cio_cionet.Driver.create ~meter ~name cionet_config in
   let plane =
     Option.map
       (fun config -> Cio_overload.Plane.create ~config ~rng:(Rng.split rng) ~now ())
       overload
   in
-  let stack = make_stack ~model ~meter ~driver ~plane ~ip ~neighbors ~now ~rng in
+  let stack = make_stack ~meter ~driver ~plane ~ip ~neighbors ~now ~rng in
   {
     world;
     app;
@@ -86,15 +82,12 @@ let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?(model = Cost.defa
     driver;
     stack;
     meter;
-    model;
     ip;
     neighbors;
     now;
     psk;
     psk_id;
     rng;
-    zero_copy_send;
-    copy_on_recv;
     recovery = Cio_observe.Recovery.create ();
     plane;
     channels = [];
@@ -104,7 +97,6 @@ let meter t = t.meter
 let driver t = t.driver
 let stack t = t.stack
 let world t = t.world
-let app_domain t = t.app
 let crossings t = (Compartment.counters t.world).Compartment.crossings
 let recovery t = t.recovery
 let overload t = t.plane
@@ -134,17 +126,14 @@ let restart_io t =
   Cio_observe.Recovery.reset t.recovery;
   t.channels <- [];
   t.stack <-
-    make_stack ~model:t.model ~meter:t.meter ~driver:t.driver ~plane:t.plane ~ip:t.ip
-      ~neighbors:t.neighbors ~now:t.now ~rng:t.rng
+    make_stack ~meter:t.meter ~driver:t.driver ~plane:t.plane ~ip:t.ip ~neighbors:t.neighbors
+      ~now:t.now ~rng:t.rng
 
 let make_channel t ~role ~conn =
-  let session =
-    Session.create ~model:t.model ~meter:t.meter ~role ~psk:t.psk ~psk_id:t.psk_id ~rng:t.rng ()
-  in
+  let session = Session.create ~meter:t.meter ~role ~psk:t.psk ~psk_id:t.psk_id ~rng:t.rng () in
   let ch =
-    Channel.create ~zero_copy_send:t.zero_copy_send ~copy_on_recv:t.copy_on_recv
-      ~enter_io:(fun f -> enter_io t f) ~model:t.model ?overload:t.plane ~meter:t.meter
-      ~session ~stack:t.stack ~conn ()
+    Channel.create ~zero_copy_send:true ~copy_on_recv:true ~enter_io:(fun f -> enter_io t f)
+      ?overload:t.plane ~meter:t.meter ~session ~stack:t.stack ~conn ()
   in
   t.channels <- ch :: t.channels;
   ch

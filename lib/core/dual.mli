@@ -13,10 +13,6 @@ type listener
 val create :
   ?cionet_config:Cio_cionet.Config.t ->
   ?mac:Addr.mac ->
-  ?model:Cost.model ->
-  ?crossing:Compartment.crossing ->
-  ?zero_copy_send:bool ->
-  ?copy_on_recv:bool ->
   ?overload:Cio_overload.Plane.config ->
   name:string ->
   ip:Addr.ipv4 ->
@@ -27,18 +23,18 @@ val create :
   now:(unit -> int64) ->
   unit ->
   t
-(** [crossing] selects the L5 boundary mechanism (compartment gate by
-    default; [Tee_switch] models the two-enclave alternative for E8).
-    [overload] stands up the unit's overload-control plane: bounded TX
-    coalescing, admission control on channel sends, a shared retry
-    budget wired into TCP, and a circuit breaker the caller can attach
-    to a {!Cio_cionet.Watchdog.t}. Omitted = classic unguarded unit. *)
+(** The L5 boundary is a compartment gate, and channels send zero-copy
+    and copy on receive (E7 and E8 measure the alternatives on bare
+    channels and compartments). [overload] stands up the unit's
+    overload-control plane: bounded TX coalescing, admission control on
+    channel sends, a shared retry budget wired into TCP, and a circuit
+    breaker the caller can attach to a {!Cio_cionet.Watchdog.t}.
+    Omitted = classic unguarded unit. *)
 
 val meter : t -> Cost.meter
 val driver : t -> Cio_cionet.Driver.t
 val stack : t -> Stack.t
 val world : t -> Compartment.t
-val app_domain : t -> Compartment.domain
 val crossings : t -> int
 
 val recovery : t -> Cio_observe.Recovery.t

@@ -12,7 +12,6 @@ open Cio_tls
 type t = {
   stack : Stack.t;
   meter : Cost.meter;
-  model : Cost.model;
   psk : bytes;
   psk_id : string;
   rng : Rng.t;
@@ -22,13 +21,12 @@ type t = {
   mutable echoed : int;
 }
 
-let create_with_netif ?(model = Cost.default) ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
+let create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
   let meter = Cost.meter () in
-  let stack = Stack.create ~model ~meter ~netif ~ip ~neighbors ~now ~rng () in
+  let stack = Stack.create ~meter ~netif ~ip ~neighbors ~now ~rng () in
   {
     stack;
     meter;
-    model;
     psk;
     psk_id;
     rng;
@@ -38,8 +36,7 @@ let create_with_netif ?(model = Cost.default) ~netif ~ip ~neighbors ~psk ~psk_id
     echoed = 0;
   }
 
-let create ?(model = Cost.default) ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id
-    ~rng ~now () =
+let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~now () =
   let rxq = Queue.create () in
   Link.attach link endpoint (fun frame -> Queue.add frame rxq);
   let encode, decode =
@@ -60,17 +57,15 @@ let create ?(model = Cost.default) ?frame_codec ~link ~endpoint ~ip ~mac ~neighb
           end);
     }
   in
-  create_with_netif ~model ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now ()
+  create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now ()
 
 let stack t = t.stack
 let meter t = t.meter
 let echoed t = t.echoed
 
 let make_channel t ~role ~conn =
-  let session =
-    Session.create ~model:t.model ~meter:t.meter ~role ~psk:t.psk ~psk_id:t.psk_id ~rng:t.rng ()
-  in
-  let ch = Channel.create ~model:t.model ~meter:t.meter ~session ~stack:t.stack ~conn () in
+  let session = Session.create ~meter:t.meter ~role ~psk:t.psk ~psk_id:t.psk_id ~rng:t.rng () in
+  let ch = Channel.create ~meter:t.meter ~session ~stack:t.stack ~conn () in
   t.channels <- ch :: t.channels;
   ch
 

@@ -9,7 +9,6 @@ open Cio_tcpip
 type t
 
 val create_with_netif :
-  ?model:Cost.model ->
   netif:Cio_tcpip.Netif.t ->
   ip:Addr.ipv4 ->
   neighbors:(Addr.ipv4 * Addr.mac) list ->
@@ -22,7 +21,6 @@ val create_with_netif :
 (** A peer over an arbitrary netif (e.g. a {!Cio_netsim.Switch} port). *)
 
 val create :
-  ?model:Cost.model ->
   ?frame_codec:(bytes -> bytes) * (bytes -> bytes option) ->
   link:Link.t ->
   endpoint:Link.endpoint ->

@@ -24,7 +24,6 @@ let init ~key =
   { inner; okey = xor_pad key 0x5c }
 
 let feed_bytes t b = Sha256.feed_bytes t.inner b
-let feed_string t s = Sha256.feed_string t.inner s
 
 let finish t =
   let inner_digest = Sha256.finish t.inner in

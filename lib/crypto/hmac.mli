@@ -4,7 +4,6 @@ type t
 
 val init : key:bytes -> t
 val feed_bytes : t -> bytes -> unit
-val feed_string : t -> string -> unit
 val finish : t -> bytes
 
 val digest_bytes : key:bytes -> bytes -> bytes

@@ -493,42 +493,37 @@ let pp ppf t =
 
 (* Machine-readable report (cio-campaign-v1 payload): every counted
    quantity, flat, for CI artifacts and offline diffing. *)
-let to_json buf t =
-  let field name value = Printf.bprintf buf "\"%s\":%s" name value in
-  let int_field name v = field name (string_of_int v) in
-  let str_field name v = field name (Json_lite.to_string (Json_lite.Str v)) in
-  Buffer.add_char buf '{';
-  field "seed" (Printf.sprintf "%Ld" t.seed);
-  Buffer.add_char buf ',';
-  int_field "steps" t.steps; Buffer.add_char buf ',';
-  int_field "sent" t.sent; Buffer.add_char buf ',';
-  int_field "echoes" t.echoes; Buffer.add_char buf ',';
-  int_field "lost" t.lost; Buffer.add_char buf ',';
-  int_field "integrity_failures" t.integrity_failures; Buffer.add_char buf ',';
-  int_field "leaks" t.leaks; Buffer.add_char buf ',';
-  int_field "confined" t.confined; Buffer.add_char buf ',';
-  int_field "stalls_detected" t.stalls_detected; Buffer.add_char buf ',';
-  int_field "resets" t.resets; Buffer.add_char buf ',';
-  int_field "reconnects" t.reconnects; Buffer.add_char buf ',';
-  int_field "crashes" t.crashes; Buffer.add_char buf ',';
-  int_field "restarts" t.restarts; Buffer.add_char buf ',';
-  int_field "admitted" t.admitted; Buffer.add_char buf ',';
-  int_field "shed" t.shed; Buffer.add_char buf ',';
-  int_field "breaker_transitions" t.breaker_transitions; Buffer.add_char buf ',';
-  str_field "breaker_state" t.breaker_state; Buffer.add_char buf ',';
-  Printf.bprintf buf "\"faults\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '{';
-      str_field "kind" (Format.asprintf "%a" Plan.pp_kind f.kind);
-      Buffer.add_char buf ',';
-      int_field "injected_at" f.injected_at; Buffer.add_char buf ',';
-      field "detected" (if f.detected then "true" else "false"); Buffer.add_char buf ',';
-      field "recovered_in_steps"
-        (match f.recovered_in_steps with Some s -> string_of_int s | None -> "null");
-      Buffer.add_char buf '}')
-    t.faults;
-  Buffer.add_string buf "],";
-  field "survived" (if t.survived then "true" else "false");
-  Buffer.add_char buf '}'
+let to_json t =
+  let int v = Json_lite.Num (float_of_int v) in
+  let fault f =
+    Json_lite.Obj
+      [
+        ("kind", Json_lite.Str (Format.asprintf "%a" Plan.pp_kind f.kind));
+        ("injected_at", int f.injected_at);
+        ("detected", Json_lite.Bool f.detected);
+        ( "recovered_in_steps",
+          match f.recovered_in_steps with Some s -> int s | None -> Json_lite.Null );
+      ]
+  in
+  Json_lite.Obj
+    [
+      ("seed", Json_lite.Num (Int64.to_float t.seed));
+      ("steps", int t.steps);
+      ("sent", int t.sent);
+      ("echoes", int t.echoes);
+      ("lost", int t.lost);
+      ("integrity_failures", int t.integrity_failures);
+      ("leaks", int t.leaks);
+      ("confined", int t.confined);
+      ("stalls_detected", int t.stalls_detected);
+      ("resets", int t.resets);
+      ("reconnects", int t.reconnects);
+      ("crashes", int t.crashes);
+      ("restarts", int t.restarts);
+      ("admitted", int t.admitted);
+      ("shed", int t.shed);
+      ("breaker_transitions", int t.breaker_transitions);
+      ("breaker_state", Json_lite.Str t.breaker_state);
+      ("faults", Json_lite.List (List.map fault t.faults));
+      ("survived", Json_lite.Bool t.survived);
+    ]

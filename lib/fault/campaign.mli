@@ -71,6 +71,6 @@ val run : ?config:config -> Plan.t -> t
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : Buffer.t -> t -> unit
-(** Append the report as one flat JSON object (the [cio-campaign-v1]
-    payload): counted quantities only, deterministic per seed. *)
+val to_json : t -> Cio_util.Json_lite.t
+(** The report as one flat JSON object (the [cio-campaign-v1] payload):
+    counted quantities only, deterministic per seed. *)

@@ -1,4 +1,4 @@
-(* RFC 1071 Internet checksum, shared by IPv4/UDP/TCP. *)
+(* RFC 1071 Internet checksum, shared by IPv4 and TCP. *)
 
 (* The bulk is added four big-endian 32-bit words per step. A 32-bit word
    is two 16-bit words times 2^16 and 1, and 2^16 = 1 mod 0xFFFF, so the

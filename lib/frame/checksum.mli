@@ -14,5 +14,5 @@ val verify : bytes -> pos:int -> len:int -> bool
 (** True iff the range (including its checksum field) sums to 0xFFFF. *)
 
 val pseudo_sum : src:int32 -> dst:int32 -> proto:int -> length:int -> int
-(** Folded sum of the 12-byte IPv4 pseudo-header for UDP/TCP checksums,
+(** Folded sum of the 12-byte IPv4 pseudo-header for TCP checksums,
     to pass as [init]. Computed arithmetically; allocates nothing. *)

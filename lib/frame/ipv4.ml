@@ -3,10 +3,10 @@
    a deliberate safe-interface simplification (§3.2: eliminate error-prone
    protocol corners that the deployment does not need). *)
 
-type protocol = Tcp | Udp | Unknown of int
+type protocol = Tcp | Unknown of int
 
-let protocol_code = function Tcp -> 6 | Udp -> 17 | Unknown c -> c
-let protocol_of_code = function 6 -> Tcp | 17 -> Udp | c -> Unknown c
+let protocol_code = function Tcp -> 6 | Unknown c -> c
+let protocol_of_code = function 6 -> Tcp | c -> Unknown c
 
 type t = {
   src : Addr.ipv4;

@@ -1,6 +1,6 @@
 (** IPv4 header codec (no options, no fragmentation), in place. *)
 
-type protocol = Tcp | Udp | Unknown of int
+type protocol = Tcp | Unknown of int
 
 val protocol_code : protocol -> int
 val protocol_of_code : int -> protocol

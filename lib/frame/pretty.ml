@@ -1,5 +1,5 @@
 (* One-line human-readable frame decoding, for traces, demos and
-   debugging: ethernet -> ipv4 -> tcp/udp, falling back gracefully on
+   debugging: ethernet -> ipv4 -> tcp, falling back gracefully on
    anything unparseable (which, on a confidential wire, is most bytes). *)
 
 let tcp_summary ~src_ip ~dst_ip b ~off ~len =
@@ -11,13 +11,6 @@ let tcp_summary ~src_ip ~dst_ip b ~off ~len =
         seg.Tcp_wire.flags seg.Tcp_wire.seq seg.Tcp_wire.ack seg.Tcp_wire.window
         seg.Tcp_wire.payload_len
 
-let udp_summary ~src_ip ~dst_ip b ~off ~len =
-  match Udp.decode ~src_ip ~dst_ip b ~off ~len with
-  | Error e -> Printf.sprintf "udp? (%s)" e
-  | Ok dgram ->
-      Fmt.str "%a:%d > %a:%d udp len=%d" Addr.pp_ipv4 src_ip dgram.Udp.src_port Addr.pp_ipv4
-        dst_ip dgram.Udp.dst_port dgram.Udp.payload_len
-
 let ip_summary_at b ~off ~len =
   match Ipv4.decode b ~off ~len with
   | Error e -> Printf.sprintf "ipv4? (%s)" e
@@ -26,7 +19,6 @@ let ip_summary_at b ~off ~len =
       let off = ip.Ipv4.payload_off and len = ip.Ipv4.payload_len in
       match ip.Ipv4.protocol with
       | Ipv4.Tcp -> tcp_summary ~src_ip ~dst_ip b ~off ~len
-      | Ipv4.Udp -> udp_summary ~src_ip ~dst_ip b ~off ~len
       | Ipv4.Unknown p ->
           Fmt.str "%a > %a proto=%d len=%d" Addr.pp_ipv4 src_ip Addr.pp_ipv4 dst_ip p len)
 

@@ -46,7 +46,6 @@ type t = {
   class_retained : (int, int ref) Hashtbl.t;     (* pow2 class -> retained count *)
   cap : int;                                     (* max retained per size class *)
   mutable retained_count : int;                  (* free buffers held right now *)
-  mutable high_watermark : int;                  (* most ever held at once *)
   stats : stats;
 }
 
@@ -57,13 +56,10 @@ let create ?(cap = 256) () =
     class_retained = Hashtbl.create 16;
     cap;
     retained_count = 0;
-    high_watermark = 0;
     stats = { fresh = 0; reused = 0; recycled = 0; dropped = 0 };
   }
 
 let stats t = t.stats
-let cap t = t.cap
-let high_watermark t = t.high_watermark
 
 let retained t =
   Hashtbl.fold (fun _ r acc -> acc + !r) t.class_retained 0
@@ -122,12 +118,9 @@ let recycle t b =
       incr q.in_class;
       t.stats.recycled <- t.stats.recycled + 1;
       t.retained_count <- t.retained_count + 1;
-      if t.retained_count > t.high_watermark then begin
-        t.high_watermark <- t.retained_count;
-        if t.retained_count > !global_high then begin
-          global_high := t.retained_count;
-          Cio_telemetry.Metrics.set m_retained_high t.retained_count
-        end
+      if t.retained_count > !global_high then begin
+        global_high := t.retained_count;
+        Cio_telemetry.Metrics.set m_retained_high t.retained_count
       end;
       push q b
     end

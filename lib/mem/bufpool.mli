@@ -30,12 +30,8 @@ val recycle : t -> bytes -> unit
     Zero-length buffers and returns beyond the class cap are dropped. *)
 
 val stats : t -> stats
-val cap : t -> int
 
 val retained : t -> int
-(** Free buffers currently held across all buckets. *)
-
-val high_watermark : t -> int
-(** Most free buffers this pool ever held at once. The process-wide
+(** Free buffers currently held across all buckets. The process-wide
     maximum across pools is exported as the [bufpool.retained_high]
     gauge; cap-rejected returns count under [bufpool.dropped]. *)

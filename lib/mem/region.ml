@@ -90,7 +90,6 @@ let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~
     san = None;
   }
 
-let name t = t.name
 let size t = Bytes.length t.data
 let page_size t = t.page_size
 let page_count t = Array.length t.prot

@@ -8,8 +8,6 @@ open Cio_util
 
 type actor = Guest | Host
 
-val actor_name : actor -> string
-
 type prot = Private | Shared
 
 type fault =
@@ -40,7 +38,6 @@ val create :
     protection of every page (default [Shared]). An optional [meter]
     shares cycle accounting with the caller. *)
 
-val name : t -> string
 val size : t -> int
 val page_size : t -> int
 val page_count : t -> int
@@ -53,7 +50,6 @@ val clear_log : t -> unit
 val events : t -> event list
 (** Oldest first. *)
 
-val page_of : t -> int -> int
 val prot_of_page : t -> int -> prot
 
 val range_shared : t -> int -> int -> bool

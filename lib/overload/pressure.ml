@@ -7,15 +7,9 @@
    silent paths with explicit, typed outcomes at each crossing: every
    producer learns *why* it was refused (admission, deadline blown,
    breaker open, retry budget spent), and every refusal, a full ring or
-   bounded queue included, is counted.
-
-   [level] is the continuous companion to the binary outcome: a queue's
-   occupancy mapped to Nominal / Soft / Hard so upper layers can react
-   before the hard edge (coalesce more, shed bulk traffic first). *)
+   bounded queue included, is counted. *)
 
 module Metrics = Cio_telemetry.Metrics
-
-type level = Nominal | Soft | Hard
 
 type reason =
   | Admission        (* token bucket had no token for this class *)
@@ -24,15 +18,6 @@ type reason =
   | Retry_exhausted  (* retry budget refused to amplify load *)
 
 type outcome = Accepted | Backpressure of reason
-
-(* Soft at half occupancy, hard at 7/8 — the same shape real NIC drivers
-   use for ring-occupancy thresholds (start coalescing early, refuse
-   late). Integer arithmetic only: called on the datapath. *)
-let level_of_occupancy ~used ~capacity =
-  if capacity <= 0 || used <= 0 then Nominal
-  else if used * 8 >= capacity * 7 then Hard
-  else if used * 2 >= capacity then Soft
-  else Nominal
 
 (* Backpressure *events* (a producer bounced off a full ring or bounded
    queue) are module-level metrics: they can fire in layers that hold no

@@ -2,10 +2,6 @@
     the overload-control plane. A producer that cannot make progress
     returns [Backpressure reason] instead of silently queueing. *)
 
-type level = Nominal | Soft | Hard
-(** Occupancy pressure of a bounded resource: [Soft] from half full,
-    [Hard] from 7/8 full. *)
-
 type reason =
   | Admission        (** token bucket had no token for this class *)
   | Deadline         (** the request outlived its latency budget *)
@@ -13,8 +9,6 @@ type reason =
   | Retry_exhausted  (** retry budget refused to amplify load *)
 
 type outcome = Accepted | Backpressure of reason
-
-val level_of_occupancy : used:int -> capacity:int -> level
 
 val note_ring_full : unit -> unit
 (** Count one ring-full backpressure event ([overload.bp.ring_full]). *)

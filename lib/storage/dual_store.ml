@@ -44,10 +44,10 @@ let error_to_string = function
   | Store_error e -> "store: " ^ File.error_to_string e
   | Integrity s -> "integrity: " ^ s
 
-let create ?(crossing = Compartment.Gate) ~dev ~key () =
+let create ~dev ~key () =
   if Bytes.length key <> Aead.key_len then invalid_arg "Dual_store.create: bad key size";
   let meter = Blockdev.meter dev in
-  let world = Compartment.create ~meter ~crossing () in
+  let world = Compartment.create ~meter ~crossing:Compartment.Gate () in
   let app = Compartment.add_domain world ~name:"app" in
   let store = Compartment.add_domain world ~name:"storage-stack" in
   (* The quarantined file layer runs in Plain mode: it only ever sees

@@ -10,7 +10,7 @@ type error = Store_error of File.error | Integrity of string
 
 val error_to_string : error -> string
 
-val create : ?crossing:Compartment.crossing -> dev:Blockdev.t -> key:bytes -> unit -> t
+val create : dev:Blockdev.t -> key:bytes -> unit -> t
 
 val world : t -> Compartment.t
 val app_domain : t -> Compartment.domain

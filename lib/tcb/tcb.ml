@@ -87,7 +87,7 @@ let table =
     ("lib/experiments", Harness);
     (* harness: fault plans, campaigns and load generators *)
     ("lib/fault", Harness);
-    (* guest: Ethernet/IPv4/TCP/UDP codecs of the in-TEE stack *)
+    (* guest: Ethernet/IPv4/TCP codecs of the in-TEE stack *)
     ("lib/frame", Guest Tcpip_stack);
     (* harness: the interface-safety linter *)
     ("lib/lint", Harness);

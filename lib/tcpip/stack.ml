@@ -1,4 +1,4 @@
-(* IP stack facade: binds a polling netif to the TCP and UDP layers.
+(* IP stack facade: binds a polling netif to the TCP layer.
 
    Address resolution is a static neighbour table fixed at construction —
    the §3.2 zero-negotiation principle applied to the stack itself (no ARP
@@ -14,11 +14,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let m_txq_depth =
   Cio_telemetry.Metrics.histogram Cio_telemetry.Metrics.default "overload.txq.depth"
 
-type udp_socket = {
-  uport : int;
-  rxq : (Addr.ipv4 * int * bytes) Queue.t;
-}
-
 type counters = {
   mutable frames_in : int;
   mutable frames_out : int;
@@ -32,7 +27,6 @@ type t = {
   ttl : int;
   neighbors : (Addr.ipv4 * Addr.mac) list;
   tcp : Tcp.t;
-  mutable udp_socks : udp_socket list;
   meter : Cost.meter;
   model : Cost.model;
   now : unit -> int64;
@@ -57,9 +51,10 @@ type t = {
   recycle : (bytes -> unit) option;
 }
 
-let no_neighbour t =
+let drop t reason =
   t.counters.dropped <- t.counters.dropped + 1;
-  t.counters.last_drop_reason <- "no neighbour entry"
+  t.counters.last_drop_reason <- reason;
+  Log.debug (fun m -> m "drop: %s" reason)
 
 (* Emit one built frame: queue for the next burst flush when coalescing,
    transmit immediately otherwise. Counters and charges are identical
@@ -135,7 +130,7 @@ let send_frame t frame ~dst_mac ~dst ~protocol ~l4_len =
    queue straight into the frame. *)
 let send_tcp t ~dst (seg : Tcp_wire.t) q =
   match List.assoc dst t.neighbors with
-  | exception Not_found -> no_neighbour t
+  | exception Not_found -> drop t "no neighbour entry"
   | dst_mac ->
       let hdr_len = Tcp_wire.header_len seg in
       let len = seg.Tcp_wire.payload_len in
@@ -158,7 +153,6 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
           Tcp.create ~model ~meter ?retry_budget ~local_ip:ip
             ~send_segment:(fun ~dst seg q -> send_tcp (Lazy.force t) ~dst seg q)
             ~now ~rng ();
-        udp_socks = [];
         meter;
         model;
         now;
@@ -173,40 +167,9 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
   Lazy.force t
 
 let tcp t = t.tcp
-let ip t = t.ip
 let counters t = t.counters
 let meter t = t.meter
 let tx_backlog t = Queue.length t.txq
-
-let tx_pressure t =
-  match t.tx_queue_limit with
-  | None -> Cio_overload.Pressure.Nominal
-  | Some lim ->
-      Cio_overload.Pressure.level_of_occupancy ~used:(Queue.length t.txq) ~capacity:lim
-
-let send_udp t ~src_port ~dst ~dst_port payload =
-  match List.assoc dst t.neighbors with
-  | exception Not_found -> no_neighbour t
-  | dst_mac ->
-      let payload_len = Bytes.length payload in
-      let frame = frame_buffer t ~l4_len:(Udp.header_len + payload_len) in
-      Bytes.blit payload 0 frame (l4_off + Udp.header_len) payload_len;
-      Udp.encode frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst ~src_port ~dst_port ~payload_len;
-      send_frame t frame ~dst_mac ~dst ~protocol:Ipv4.Udp ~l4_len:(Udp.header_len + payload_len)
-
-let udp_bind t ~port =
-  if List.exists (fun s -> s.uport = port) t.udp_socks then
-    invalid_arg "Stack.udp_bind: port already bound";
-  let s = { uport = port; rxq = Queue.create () } in
-  t.udp_socks <- s :: t.udp_socks;
-  s
-
-let udp_recv s = if Queue.is_empty s.rxq then None else Some (Queue.take s.rxq)
-
-let drop t reason =
-  t.counters.dropped <- t.counters.dropped + 1;
-  t.counters.last_drop_reason <- reason;
-  Log.debug (fun m -> m "drop: %s" reason)
 
 (* Each layer decodes a view into [frame]; nothing is copied until a
    consumer keeps bytes past this call. *)
@@ -234,20 +197,6 @@ let handle_frame t frame =
                       match Tcp_wire.decode ~src_ip ~dst_ip frame ~off ~len with
                       | Error e -> drop t e
                       | Ok seg -> Tcp.input t.tcp ~src:src_ip frame seg)
-                  | Ipv4.Udp -> (
-                      match Udp.decode ~src_ip ~dst_ip frame ~off ~len with
-                      | Error e -> drop t e
-                      | Ok dgram -> (
-                          match List.find_opt (fun s -> s.uport = dgram.Udp.dst_port) t.udp_socks with
-                          | None -> drop t "udp: no socket bound"
-                          | Some s ->
-                              if Queue.length s.rxq < 1024 then
-                                Queue.add
-                                  ( src_ip,
-                                    dgram.Udp.src_port,
-                                    Bytes.sub frame dgram.Udp.payload_off dgram.Udp.payload_len )
-                                  s.rxq
-                              else drop t "udp: socket queue full"))
                   | Ipv4.Unknown _ -> drop t "ipv4: unhandled protocol"
                 end)
       end

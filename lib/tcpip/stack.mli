@@ -1,11 +1,9 @@
-(** IP stack facade: Ethernet/IPv4 demux over a polling {!Netif.t}, UDP
-    sockets, and a {!Tcp.t} instance. Neighbour resolution is a static
-    table (zero-negotiation principle). *)
+(** IP stack facade: Ethernet/IPv4 demux over a polling {!Netif.t} into
+    a {!Tcp.t} instance. Neighbour resolution is a static table
+    (zero-negotiation principle). *)
 
 open Cio_util
 open Cio_frame
-
-type udp_socket
 
 type counters = {
   mutable frames_in : int;
@@ -47,20 +45,11 @@ val create :
     shared overload-plane budget. *)
 
 val tcp : t -> Tcp.t
-val ip : t -> Addr.ipv4
 val counters : t -> counters
 val meter : t -> Cost.meter
 
 val tx_backlog : t -> int
 (** Frames waiting in the TX coalescing queue. *)
-
-val tx_pressure : t -> Cio_overload.Pressure.level
-(** Queue occupancy vs [tx_queue_limit]; [Nominal] when unbounded. *)
-
-val send_udp : t -> src_port:int -> dst:Addr.ipv4 -> dst_port:int -> bytes -> unit
-
-val udp_bind : t -> port:int -> udp_socket
-val udp_recv : udp_socket -> (Addr.ipv4 * int * bytes) option
 
 val handle_frame : t -> bytes -> unit
 (** Inject one raw Ethernet frame (normally called via {!poll}). The
@@ -69,7 +58,3 @@ val handle_frame : t -> bytes -> unit
 val poll : t -> unit
 (** Drain up to 64 received frames, run TCP timers, then flush
     coalesced TX (when [tx_burst] was given). *)
-
-val flush_tx : t -> unit
-(** Push any coalesced pending TX frames out as bursts now. No-op
-    without [tx_burst]. *)

@@ -158,7 +158,6 @@ let create ?(model = Cost.default) ?meter ?retry_budget ~local_ip ~send_segment 
     retransmits = 0;
   }
 
-let meter t = t.meter
 let segments_in t = t.segments_in
 let segments_out t = t.segments_out
 let retransmits t = t.retransmits

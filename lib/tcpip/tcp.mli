@@ -43,7 +43,6 @@ val create :
     segment; its payload is the [seg.payload_len] bytes of [q] from
     position [seg.payload_off]. [q] is only read during the call. *)
 
-val meter : t -> Cost.meter
 val segments_in : t -> int
 val segments_out : t -> int
 

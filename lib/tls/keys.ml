@@ -11,12 +11,10 @@ open Cio_crypto
 type direction_keys = { key : bytes; iv : bytes }
 
 type t = {
-  handshake_secret : bytes;
   client : direction_keys;
   server : direction_keys;
   client_finished_key : bytes;
   server_finished_key : bytes;
-  mutable generation : int;
 }
 
 let derive_direction ~prk ~label =
@@ -28,30 +26,14 @@ let derive_direction ~prk ~label =
 let derive ~psk ~client_random ~server_random =
   let early = Hkdf.extract ~ikm:psk () in
   let context = Bytes.cat client_random server_random in
-  let handshake_secret = Hkdf.expand_label ~prk:early ~label:"hs" ~context ~len:32 in
+  (* The handshake secret: every key below derives from it, and it is
+     not kept afterwards. *)
+  let hs = Hkdf.expand_label ~prk:early ~label:"hs" ~context ~len:32 in
   {
-    handshake_secret;
-    client = derive_direction ~prk:handshake_secret ~label:"c ap";
-    server = derive_direction ~prk:handshake_secret ~label:"s ap";
-    client_finished_key =
-      Hkdf.expand_label ~prk:handshake_secret ~label:"c fin" ~context:Bytes.empty ~len:32;
-    server_finished_key =
-      Hkdf.expand_label ~prk:handshake_secret ~label:"s fin" ~context:Bytes.empty ~len:32;
-    generation = 0;
-  }
-
-(* Forward-secret-style ratchet for KeyUpdate: the new generation's
-   secret is derived from the old one, and the old one is unrecoverable
-   from the new. *)
-let rekey t =
-  let next = Hkdf.expand_label ~prk:t.handshake_secret ~label:"upd" ~context:Bytes.empty ~len:32 in
-  {
-    handshake_secret = next;
-    client = derive_direction ~prk:next ~label:"c ap";
-    server = derive_direction ~prk:next ~label:"s ap";
-    client_finished_key = t.client_finished_key;
-    server_finished_key = t.server_finished_key;
-    generation = t.generation + 1;
+    client = derive_direction ~prk:hs ~label:"c ap";
+    server = derive_direction ~prk:hs ~label:"s ap";
+    client_finished_key = Hkdf.expand_label ~prk:hs ~label:"c fin" ~context:Bytes.empty ~len:32;
+    server_finished_key = Hkdf.expand_label ~prk:hs ~label:"s fin" ~context:Bytes.empty ~len:32;
   }
 
 (* Per-record nonce: IV xor big-endian sequence number (RFC 8446 §5.3). *)

@@ -3,18 +3,13 @@
 type direction_keys = { key : bytes; iv : bytes }
 
 type t = {
-  handshake_secret : bytes;
   client : direction_keys;
   server : direction_keys;
   client_finished_key : bytes;
   server_finished_key : bytes;
-  mutable generation : int;
 }
 
 val derive : psk:bytes -> client_random:bytes -> server_random:bytes -> t
-
-val rekey : t -> t
-(** Next key generation; the old secret cannot be recovered from it. *)
 
 val nonce : iv:bytes -> seq:int64 -> bytes
 (** Per-record nonce: IV xor big-endian sequence (RFC 8446 §5.3). *)

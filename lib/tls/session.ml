@@ -75,11 +75,8 @@ let create ?(model = Cost.default) ?meter ~role ~psk ~psk_id ~rng () =
   }
 
 let is_established t = t.state = Established
-let last_error t = t.last_error
-let generation t = match t.keys with Some k -> k.Keys.generation | None -> -1
 let records_sent t = t.records_sent
 let records_received t = t.records_received
-let meter t = t.meter
 
 let die t err =
   t.state <- Dead;
@@ -273,17 +270,6 @@ let process_record t (r : Wire.record) =
               Ok ([], [])))
   | Established, Wire.Data -> (
       match open_record t r with Ok pt -> Ok ([], [ pt ]) | Error e -> Error e)
-  | Established, Wire.Rekey -> (
-      match open_record t r with
-      | Error e -> Error e
-      | Ok _ ->
-          (match t.keys with
-          | Some k ->
-              t.keys <- Some (Keys.rekey k);
-              t.send_seq <- 0L;
-              t.recv_seq <- 0L
-          | None -> ());
-          Ok ([], []))
   | _, Wire.Alert -> Error Peer_alert
   | st, ct ->
       ignore st;
@@ -319,20 +305,3 @@ let send_data t payload =
   match t.state with
   | Established -> seal_record t ~ctype:Wire.Data payload
   | _ -> Error (Bad_state "not established")
-
-let initiate_rekey t =
-  match t.state with
-  | Established -> (
-      match seal_record t ~ctype:Wire.Rekey Bytes.empty with
-      | Error e -> Error e
-      | Ok record ->
-          (match t.keys with
-          | Some k ->
-              t.keys <- Some (Keys.rekey k);
-              t.send_seq <- 0L;
-              t.recv_seq <- 0L
-          | None -> ());
-          Ok record)
-  | _ -> Error (Bad_state "not established")
-
-let alert _t = Wire.encode { Wire.ctype = Wire.Alert; body = Bytes.make 1 '\002' }

@@ -1,6 +1,7 @@
 (** L5 secure-channel session: PSK handshake, AEAD-protected records,
-    strict ordering and replay rejection, key updates. All failures are
-    fatal (fail-closed; no error-recovery surface). *)
+    strict ordering and replay rejection. All failures are fatal
+    (fail-closed; no error-recovery surface); the only way forward is a
+    fresh session. *)
 
 open Cio_util
 
@@ -27,13 +28,8 @@ val create :
   t
 
 val is_established : t -> bool
-val last_error : t -> error option
-val generation : t -> int
-(** Key generation (increments on rekey); -1 before key derivation. *)
-
 val records_sent : t -> int
 val records_received : t -> int
-val meter : t -> Cost.meter
 
 val initiate : t -> (bytes list, error) result
 (** Client only: the opening flight (wire bytes). *)
@@ -49,10 +45,3 @@ val feed : t -> bytes -> feed_result
 
 val send_data : t -> bytes -> (bytes, error) result
 (** Seal one application payload into wire bytes. *)
-
-val initiate_rekey : t -> (bytes, error) result
-(** Switch both directions to the next key generation. Both peers must be
-    quiescent (no records in flight). *)
-
-val alert : t -> bytes
-(** A fatal alert record (plaintext). *)

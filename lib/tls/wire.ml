@@ -8,22 +8,20 @@
 
 open Cio_util
 
-type content_type = Handshake | Data | Alert | Rekey
+type content_type = Handshake | Data | Alert
 
-let content_code = function Handshake -> 22 | Data -> 23 | Alert -> 21 | Rekey -> 24
+let content_code = function Handshake -> 22 | Data -> 23 | Alert -> 21
 
 let content_of_code = function
   | 22 -> Some Handshake
   | 23 -> Some Data
   | 21 -> Some Alert
-  | 24 -> Some Rekey
   | _ -> None
 
 let content_name = function
   | Handshake -> "handshake"
   | Data -> "data"
   | Alert -> "alert"
-  | Rekey -> "rekey"
 
 let header_len = 4
 let max_body = 16384 + 256  (* plaintext limit + AEAD expansion headroom *)

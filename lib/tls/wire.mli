@@ -1,7 +1,7 @@
 (** Record framing and a defensive record splitter for the untrusted byte
     stream the I/O stack delivers. *)
 
-type content_type = Handshake | Data | Alert | Rekey
+type content_type = Handshake | Data | Alert
 
 val content_code : content_type -> int
 val content_name : content_type -> string

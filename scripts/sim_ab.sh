@@ -5,14 +5,15 @@
 #
 # Exports PARENT_REV (default HEAD) and the working tree (tracked and
 # untracked, non-ignored files, uncommitted edits included) into two
-# directories under a fresh temporary directory and builds cio_sim and
-# cio_lint in each. In both trees it then captures:
+# directories under a fresh temporary directory and builds cio_sim,
+# cio_lint and the examples in each. In both trees it then captures:
 #
 #   all            `cio_sim all` (every experiment, TCB rows included)
 #   campaign       `cio_sim campaign --json` stdout and its JSON report
 #   trace-e2       `cio_sim trace e2` stdout and its Chrome trace JSON
 #   trace-e16      `cio_sim trace e16` stdout and its Chrome trace JSON
 #   lint           `cio_lint --json` with line numbers stripped
+#   examples       stdout of every `examples/*.exe`, one after another
 #
 # It prints a unified diff for every capture that differs and exits 1 if
 # any does, 0 otherwise. The simulator is deterministic, so any
@@ -50,13 +51,16 @@ git -C "$root" archive "$parent_sha" | tar -x -C "$tmp/parent"
 (cd "$root" && git ls-files -z --cached --others --exclude-standard \
   | tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -x -C "$tmp/change"
 
-captures="all campaign campaign-json trace-e2 trace-e16 lint"
+captures="all campaign campaign-json trace-e2 trace-e16 lint examples"
 
 capture() { # side
   local dir="$tmp/$1" out="$tmp/$1.out"
   mkdir -p "$out"
   echo "sim_ab: building and running $1" >&2
-  (cd "$dir" && dune build --root . ./bin/cio_sim.exe ./bin/cio_lint.exe 2>"$out/build.stderr")
+  local examples ex
+  examples=$(cd "$dir/examples" && ls -- *.ml | sed 's/\.ml$//')
+  (cd "$dir" && dune build --root . ./bin/cio_sim.exe ./bin/cio_lint.exe \
+    $(for ex in $examples; do echo "./examples/$ex.exe"; done) 2>"$out/build.stderr")
   local sim="$dir/_build/default/bin/cio_sim.exe" lint="$dir/_build/default/bin/cio_lint.exe"
   (cd "$dir" \
     && "$sim" all >"$out/all" \
@@ -65,6 +69,10 @@ capture() { # side
     && { "$sim" trace e2 -o trace-e2.json && cat trace-e2.json; } >"$out/trace-e2" \
     && { "$sim" trace e16 -o trace-e16.json && cat trace-e16.json; } >"$out/trace-e16" \
     && { "$lint" --json || true; } | sed -E -e 's/"line":[0-9]+/"line":_/g' -e 's/\},\{/},\n{/g' >"$out/lint")
+  (cd "$dir" && for ex in $examples; do
+    echo "== examples/$ex"
+    "$dir/_build/default/examples/$ex.exe"
+  done) >"$out/examples"
 }
 
 capture parent

@@ -9,7 +9,7 @@ open Cio_frame
 module Checksum = struct
   include Checksum
 
-  (* Pseudo-header contribution for UDP/TCP checksums. *)
+  (* Pseudo-header contribution for TCP checksums. *)
   let pseudo_header ~src ~dst ~proto ~length =
     let b = Bytes.create 12 in
     Bytes.set_int32_be b 0 src;
@@ -66,7 +66,7 @@ module Ethernet = struct
 end
 
 module Ipv4 = struct
-  type protocol = Ipv4.protocol = Tcp | Udp | Unknown of int
+  type protocol = Ipv4.protocol = Tcp | Unknown of int
 
   let protocol_code = Ipv4.protocol_code
   let protocol_of_code = Ipv4.protocol_of_code
@@ -237,54 +237,6 @@ module Tcp_wire = struct
               payload = Bytes.sub b data_off (len - data_off);
             }
         end
-      end
-    end
-end
-
-module Udp = struct
-  type t = { src_port : int; dst_port : int; payload : bytes }
-
-  let header_len = 8
-
-  let build ~src_ip ~dst_ip { src_port; dst_port; payload } =
-    let total = header_len + Bytes.length payload in
-    if total > 0xFFFF then invalid_arg "Udp.build: datagram too large";
-    let b = Bytes.make total '\000' in
-    Bytes.set_uint16_be b 0 src_port;
-    Bytes.set_uint16_be b 2 dst_port;
-    Bytes.set_uint16_be b 4 total;
-    Bytes.blit payload 0 b header_len (Bytes.length payload);
-    let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:17 ~length:total in
-    let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-    let csum = Checksum.finish (Checksum.ones_complement_sum b ~pos:0 ~len:total ~init) in
-    (* All-zero checksums are transmitted as 0xFFFF per the RFC. *)
-    Bytes.set_uint16_be b 6 (if csum = 0 then 0xFFFF else csum);
-    b
-
-  let parse ~src_ip ~dst_ip b =
-    let len = Bytes.length b in
-    if len < header_len then Error "udp: truncated header"
-    else begin
-      let total = Bytes.get_uint16_be b 4 in
-      if total < header_len || total > len then Error "udp: bad length"
-      else begin
-        let declared_csum = Bytes.get_uint16_be b 6 in
-        let ok =
-          if declared_csum = 0 then true  (* checksum disabled by sender *)
-          else begin
-            let pseudo = Checksum.pseudo_header ~src:src_ip ~dst:dst_ip ~proto:17 ~length:total in
-            let init = Checksum.ones_complement_sum pseudo ~pos:0 ~len:12 ~init:0 in
-            Checksum.ones_complement_sum b ~pos:0 ~len:total ~init = 0xFFFF
-          end
-        in
-        if not ok then Error "udp: checksum mismatch"
-        else
-          Ok
-            {
-              src_port = Bytes.get_uint16_be b 0;
-              dst_port = Bytes.get_uint16_be b 2;
-              payload = Bytes.sub b header_len (total - header_len);
-            }
       end
     end
 end

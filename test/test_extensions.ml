@@ -104,14 +104,33 @@ let test_padding_preserves_ip_payload () =
     Cio_tcpip.Stack.create ~netif:nif_b ~ip:Helpers.ip_b
       ~neighbors:[ (Helpers.ip_a, Helpers.mac_a) ] ~now ~rng:(Rng.split rng) ()
   in
-  let sock = Cio_tcpip.Stack.udp_bind stack_b ~port:9 in
-  Cio_tcpip.Stack.send_udp stack_a ~src_port:8 ~dst:Helpers.ip_b ~dst_port:9
-    (Bytes.of_string "small payload");
-  Host_model.poll host;
-  Cio_tcpip.Stack.poll stack_b;
-  match Cio_tcpip.Stack.udp_recv sock with
-  | Some (_, _, payload) -> Helpers.check_bytes "padding stripped" (Bytes.of_string "small payload") payload
-  | None -> Alcotest.fail "padded datagram not delivered"
+  (* A TCP exchange: the SYN, the handshake ACK and the data segment all
+     leave through the padding driver. *)
+  let module Tcp = Cio_tcpip.Tcp in
+  let tcp_a = Cio_tcpip.Stack.tcp stack_a and tcp_b = Cio_tcpip.Stack.tcp stack_b in
+  let listener = Tcp.listen tcp_b ~port:9 () in
+  let client = Tcp.connect tcp_a ~dst:Helpers.ip_b ~dst_port:9 () in
+  let payload = Bytes.of_string "small payload" in
+  let sent = ref false and server = ref None in
+  let got = Buffer.create 16 in
+  for _ = 1 to 20 do
+    if (not !sent) && Tcp.conn_state client = Tcp.Established then begin
+      sent := Tcp.send tcp_a client payload = Bytes.length payload;
+      Tcp.flush tcp_a client
+    end;
+    Host_model.poll host;
+    Cio_tcpip.Stack.poll stack_b;
+    Queue.iter (Host_model.deliver_rx host) b_out;
+    Queue.clear b_out;
+    Host_model.poll host;
+    Cio_tcpip.Stack.poll stack_a;
+    clock := Int64.add !clock 1_000_000L;
+    if !server = None then server := Tcp.accept listener;
+    Option.iter (fun conn -> Buffer.add_bytes got (Tcp.recv tcp_b conn ~max:64)) !server
+  done;
+  Alcotest.(check int) "no frame dropped" 0
+    (Cio_tcpip.Stack.counters stack_b).Cio_tcpip.Stack.dropped;
+  Helpers.check_bytes "padding stripped" payload (Buffer.to_bytes got)
 
 (* --- multi-queue ----------------------------------------------------------- *)
 

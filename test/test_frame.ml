@@ -1,4 +1,4 @@
-(* Codec tests: addresses, checksums, Ethernet/IPv4/UDP/TCP round trips,
+(* Codec tests: addresses, checksums, Ethernet/IPv4/TCP round trips,
    malformed-input rejection, and equivalence with the allocate-per-layer
    oracle codecs (test/frame_oracle.ml). *)
 
@@ -53,15 +53,10 @@ let eth_build ?(ethertype = Ethernet.Ipv4) payload =
   encode_with ~hdr:Ethernet.header_len ~len:(Ethernet.frame_len ~payload_len) payload (fun b ->
       Ethernet.encode b ~off:0 ~dst:Helpers.mac_b ~src:Helpers.mac_a ~ethertype ~payload_len)
 
-let ipv4_build ?(protocol = Ipv4.Udp) payload =
+let ipv4_build ?(protocol = Ipv4.Unknown 17) payload =
   let payload_len = Bytes.length payload in
   encode_with ~hdr:Ipv4.header_len ~len:(Ipv4.header_len + payload_len) payload (fun b ->
       Ipv4.encode b ~off:0 ~src:ip_a ~dst:ip_b ~protocol ~ttl:64 ~payload_len)
-
-let udp_build ~src_port ~dst_port payload =
-  let payload_len = Bytes.length payload in
-  encode_with ~hdr:Udp.header_len ~len:(Udp.header_len + payload_len) payload (fun b ->
-      Udp.encode b ~off:0 ~src_ip:ip_a ~dst_ip:ip_b ~src_port ~dst_port ~payload_len)
 
 let tcp_build seg payload =
   let seg = { seg with Tcp_wire.payload_len = Bytes.length payload } in
@@ -73,7 +68,6 @@ let tcp_build seg payload =
 let whole f b = f b ~off:0 ~len:(Bytes.length b)
 let eth_decode = whole Ethernet.decode
 let ipv4_decode = whole Ipv4.decode
-let udp_decode ?(src_ip = ip_a) ?(dst_ip = ip_b) = whole (Udp.decode ~src_ip ~dst_ip)
 let tcp_decode = whole (Tcp_wire.decode ~src_ip:ip_a ~dst_ip:ip_b)
 let view b ~off ~len = Bytes.sub b off len
 
@@ -150,37 +144,6 @@ let test_ipv4_rejects_bad_version () =
   | Error "ipv4: not version 4" -> ()
   | _ -> Alcotest.fail "bad version must be rejected"
 
-let test_udp_roundtrip () =
-  let payload = Bytes.of_string "query" in
-  let b = udp_build ~src_port:5353 ~dst_port:53 payload in
-  match udp_decode b with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-      Alcotest.(check int) "sport" 5353 p.Udp.src_port;
-      Alcotest.(check int) "dport" 53 p.Udp.dst_port;
-      Helpers.check_bytes "payload" payload (view b ~off:p.Udp.payload_off ~len:p.Udp.payload_len)
-
-let test_udp_checksum_includes_pseudo_header () =
-  let b = udp_build ~src_port:1 ~dst_port:2 (Bytes.of_string "x") in
-  (* The same datagram verified against a different address must fail:
-     the pseudo-header binds it to its endpoints. (Swapping src and dst
-     would NOT fail — the one's-complement sum is order-independent —
-     which is itself worth pinning down.) *)
-  let other = Cio_frame.Addr.ipv4_of_octets 10 0 0 3 in
-  (match udp_decode ~src_ip:other ~dst_ip:ip_b b with
-  | Error "udp: checksum mismatch" -> ()
-  | _ -> Alcotest.fail "pseudo-header must be bound");
-  match udp_decode ~src_ip:ip_b ~dst_ip:ip_a b with
-  | Ok _ -> ()  (* order-independence of the internet checksum *)
-  | Error e -> Alcotest.fail ("swap unexpectedly failed: " ^ e)
-
-let test_udp_corrupted_rejected () =
-  let b = udp_build ~src_port:1 ~dst_port:2 (Bytes.of_string "data") in
-  Bytes.set b (Bytes.length b - 1) '\xFF';
-  match udp_decode b with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corruption must be detected"
-
 let tcp_seg ?(mss = None) ?(flags = Tcp_wire.flags_none) () =
   {
     Tcp_wire.src_port = 1000;
@@ -222,6 +185,20 @@ let test_tcp_checksum_enforced () =
   | Error "tcp: checksum mismatch" -> ()
   | _ -> Alcotest.fail "corruption must be rejected"
 
+let test_tcp_checksum_includes_pseudo_header () =
+  let b = tcp_build (tcp_seg ()) (Bytes.of_string "x") in
+  (* The same segment verified against a different address must fail:
+     the pseudo-header binds it to its endpoints. (Swapping src and dst
+     would NOT fail — the one's-complement sum is order-independent —
+     which is itself worth pinning down.) *)
+  let other = Cio_frame.Addr.ipv4_of_octets 10 0 0 3 in
+  (match whole (Tcp_wire.decode ~src_ip:other ~dst_ip:ip_b) b with
+  | Error "tcp: checksum mismatch" -> ()
+  | _ -> Alcotest.fail "pseudo-header must be bound");
+  match whole (Tcp_wire.decode ~src_ip:ip_b ~dst_ip:ip_a) b with
+  | Ok _ -> ()  (* order-independence of the internet checksum *)
+  | Error e -> Alcotest.fail ("swap unexpectedly failed: " ^ e)
+
 let test_tcp_seq_arithmetic_wraps () =
   Alcotest.(check bool) "wrap lt" true (Tcp_wire.seq_lt 0xFFFFFFF0l 5l);
   Alcotest.(check bool) "not lt" false (Tcp_wire.seq_lt 5l 0xFFFFFFF0l);
@@ -255,13 +232,6 @@ let prop_ipv4_roundtrip =
       let b = ipv4_build p in
       match ipv4_decode b with
       | Ok parsed -> Bytes.equal (view b ~off:parsed.Ipv4.payload_off ~len:parsed.Ipv4.payload_len) p
-      | Error _ -> false)
-
-let prop_udp_roundtrip =
-  QCheck.Test.make ~name:"udp parse . build = id" ~count:200 payload_arb (fun p ->
-      let b = udp_build ~src_port:9 ~dst_port:10 p in
-      match udp_decode b with
-      | Ok parsed -> Bytes.equal (view b ~off:parsed.Udp.payload_off ~len:parsed.Udp.payload_len) p
       | Error _ -> false)
 
 let prop_tcp_roundtrip =
@@ -355,18 +325,18 @@ let prop_checksum_compute_verify_roundtrip =
 
 (* One header of one layer, from random field material. *)
 type unit_case = {
-  layer : int;  (* 0 Ethernet, 1 IPv4, 2 TCP, 3 UDP *)
+  layer : int;  (* 0 Ethernet, 1 IPv4, 2 TCP *)
   f : int array;  (* header field material *)
   payload : bytes;
   pre : bytes;  (* what sits before the unit in the larger buffer *)
   post : bytes;  (* and after it *)
 }
 
-let layer_name = [| "ethernet"; "ipv4"; "tcp"; "udp" |]
+let layer_name = [| "ethernet"; "ipv4"; "tcp" |]
 
 let gen_unit_case =
   let open QCheck.Gen in
-  let* layer = int_bound 3 in
+  let* layer = int_bound 2 in
   let* f = array_size (return 12) (int_bound (1 lsl 30 - 1)) in
   let* payload = map Bytes.of_string (string_size (oneof [ int_range 0 64; int_range 0 1500 ])) in
   let* pre = map Bytes.of_string (string_size (int_range 0 37)) in
@@ -388,7 +358,10 @@ let case_ethertype c =
   | _ -> Ethernet.Unknown (c.f.(5) land 0xFFFF)
 
 let case_protocol c =
-  match c.f.(4) mod 3 with 0 -> Ipv4.Tcp | 1 -> Ipv4.Udp | _ -> Ipv4.Unknown (c.f.(5) land 0xFF)
+  match c.f.(4) mod 3 with
+  | 0 -> Ipv4.Tcp
+  | 1 -> Ipv4.Unknown 17  (* UDP, which the stack drops at IPv4 *)
+  | _ -> Ipv4.Unknown (c.f.(5) land 0xFF)
 
 let case_flags c =
   let b = c.f.(6) in
@@ -421,15 +394,12 @@ let oracle_build c =
   | 1 ->
       O.Ipv4.build
         { O.Ipv4.src; dst; protocol = case_protocol c; ttl = c.f.(6) land 0xFF; payload = c.payload }
-  | 2 ->
+  | _ ->
       let h = case_tcp c in
       O.Tcp_wire.build ~src_ip:src ~dst_ip:dst
         { O.Tcp_wire.src_port = h.Tcp_wire.src_port; dst_port = h.Tcp_wire.dst_port;
           seq = h.Tcp_wire.seq; ack = h.Tcp_wire.ack; flags = h.Tcp_wire.flags;
           window = h.Tcp_wire.window; mss = h.Tcp_wire.mss; payload = c.payload }
-  | _ ->
-      O.Udp.build ~src_ip:src ~dst_ip:dst
-        { O.Udp.src_port = c.f.(2) land 0xFFFF; dst_port = c.f.(3) land 0xFFFF; payload = c.payload }
 
 (* The library's encoding of the same unit at [off] in [b], around the
    payload already placed there. Returns the header length. *)
@@ -444,14 +414,10 @@ let library_encode c b ~off =
   | 1 ->
       Bytes.blit c.payload 0 b (off + Ipv4.header_len) payload_len;
       Ipv4.encode b ~off ~src ~dst ~protocol:(case_protocol c) ~ttl:(c.f.(6) land 0xFF) ~payload_len
-  | 2 ->
+  | _ ->
       let h = case_tcp c in
       Bytes.blit c.payload 0 b (off + Tcp_wire.header_len h) payload_len;
       Tcp_wire.encode b ~off ~src_ip:src ~dst_ip:dst h
-  | _ ->
-      Bytes.blit c.payload 0 b (off + Udp.header_len) payload_len;
-      Udp.encode b ~off ~src_ip:src ~dst_ip:dst ~src_port:(c.f.(2) land 0xFFFF)
-        ~dst_port:(c.f.(3) land 0xFFFF) ~payload_len
 
 (* Both decoders' results in one comparable shape: the header fields as
    text (the oracle and the library share the field types) and the
@@ -468,16 +434,12 @@ let oracle_decode c ~src ~dst u =
         (fun i -> (Fmt.str "%ld %ld %d %d" i.O.Ipv4.src i.O.Ipv4.dst
                      (Ipv4.protocol_code i.O.Ipv4.protocol) i.O.Ipv4.ttl, i.O.Ipv4.payload))
         (O.Ipv4.parse u)
-  | 2 ->
+  | _ ->
       Result.map
         (fun s -> (Fmt.str "%d %d %ld %ld %a %d %a" s.O.Tcp_wire.src_port s.O.Tcp_wire.dst_port
                      s.O.Tcp_wire.seq s.O.Tcp_wire.ack Tcp_wire.pp_flags s.O.Tcp_wire.flags
                      s.O.Tcp_wire.window Fmt.(option int) s.O.Tcp_wire.mss, s.O.Tcp_wire.payload))
         (O.Tcp_wire.parse ~src_ip:src ~dst_ip:dst u)
-  | _ ->
-      Result.map
-        (fun d -> (Fmt.str "%d %d" d.O.Udp.src_port d.O.Udp.dst_port, d.O.Udp.payload))
-        (O.Udp.parse ~src_ip:src ~dst_ip:dst u)
 
 let library_decode c ~src ~dst b ~off ~len =
   match c.layer with
@@ -492,18 +454,13 @@ let library_decode c ~src ~dst b ~off ~len =
         (fun i -> (Fmt.str "%ld %ld %d %d" i.Ipv4.src i.Ipv4.dst (Ipv4.protocol_code i.Ipv4.protocol)
                      i.Ipv4.ttl, view b ~off:i.Ipv4.payload_off ~len:i.Ipv4.payload_len))
         (Ipv4.decode b ~off ~len)
-  | 2 ->
+  | _ ->
       Result.map
         (fun s -> (Fmt.str "%d %d %ld %ld %a %d %a" s.Tcp_wire.src_port s.Tcp_wire.dst_port
                      s.Tcp_wire.seq s.Tcp_wire.ack Tcp_wire.pp_flags s.Tcp_wire.flags
                      s.Tcp_wire.window Fmt.(option int) s.Tcp_wire.mss,
                    view b ~off:s.Tcp_wire.payload_off ~len:s.Tcp_wire.payload_len))
         (Tcp_wire.decode ~src_ip:src ~dst_ip:dst b ~off ~len)
-  | _ ->
-      Result.map
-        (fun d -> (Fmt.str "%d %d" d.Udp.src_port d.Udp.dst_port,
-                   view b ~off:d.Udp.payload_off ~len:d.Udp.payload_len))
-        (Udp.decode ~src_ip:src ~dst_ip:dst b ~off ~len)
 
 (* How a valid unit is damaged before decoding: XOR bytes (mostly in the
    headers), truncate it, or check it against other pseudo-header
@@ -591,19 +548,16 @@ let suite =
     Alcotest.test_case "ipv4: fragments rejected" `Quick test_ipv4_rejects_fragments;
     Alcotest.test_case "ipv4: link padding tolerated" `Quick test_ipv4_tolerates_link_padding;
     Alcotest.test_case "ipv4: version checked" `Quick test_ipv4_rejects_bad_version;
-    Alcotest.test_case "udp: roundtrip" `Quick test_udp_roundtrip;
-    Alcotest.test_case "udp: pseudo-header bound" `Quick test_udp_checksum_includes_pseudo_header;
-    Alcotest.test_case "udp: corruption rejected" `Quick test_udp_corrupted_rejected;
     Alcotest.test_case "tcp: roundtrip" `Quick test_tcp_roundtrip;
     Alcotest.test_case "tcp: mss option" `Quick test_tcp_mss_option;
     Alcotest.test_case "tcp: checksum enforced" `Quick test_tcp_checksum_enforced;
+    Alcotest.test_case "tcp: pseudo-header bound" `Quick test_tcp_checksum_includes_pseudo_header;
     Alcotest.test_case "tcp: sequence arithmetic wraps" `Quick test_tcp_seq_arithmetic_wraps;
     Alcotest.test_case "tcp: bad data offset" `Quick test_tcp_bad_data_offset_rejected;
     Alcotest.test_case "pretty: tcp one-liner" `Quick test_pretty_tcp;
     Alcotest.test_case "pretty: degrades gracefully" `Quick test_pretty_degrades;
     Helpers.qtest prop_eth_roundtrip;
     Helpers.qtest prop_ipv4_roundtrip;
-    Helpers.qtest prop_udp_roundtrip;
     Helpers.qtest prop_tcp_roundtrip;
     Helpers.qtest prop_ipv4_bitflip_rejected_or_equal;
     Helpers.qtest prop_checksum_matches_reference;

@@ -252,36 +252,35 @@ let test_ooo_stash_survives_rx_reuse () =
   Alcotest.(check bool) "second segment overtook the first" true !swapped;
   H.check_bytes "stashed bytes drained intact" data got
 
-let test_udp_queue_survives_rx_reuse () =
-  let pair = reuse_pair () in
-  let sock = Stack.udp_bind pair.H.stack_b ~port:5000 in
-  Stack.send_udp pair.H.stack_a ~src_port:4000 ~dst:H.ip_b ~dst_port:5000 (Bytes.of_string "ping");
-  Stack.send_udp pair.H.stack_a ~src_port:4000 ~dst:H.ip_b ~dst_port:5000 (Bytes.of_string "pong");
-  H.step pair;
-  let next () = Option.map (fun (_, _, p) -> Bytes.to_string p) (Stack.udp_recv sock) in
-  let first = next () in
-  let second = next () in
-  Alcotest.(check (list (option string))) "queued datagrams intact" [ Some "ping"; Some "pong" ]
-    [ first; second ]
-
-let test_udp_roundtrip () =
-  let pair = H.make_stack_pair () in
-  let sock_b = Stack.udp_bind pair.H.stack_b ~port:5000 in
-  Stack.send_udp pair.H.stack_a ~src_port:4000 ~dst:H.ip_b ~dst_port:5000 (Bytes.of_string "ping");
-  H.step pair;
-  match Stack.udp_recv sock_b with
-  | Some (src, sport, payload) ->
-      Alcotest.(check int32) "src ip" H.ip_a src;
-      Alcotest.(check int) "src port" 4000 sport;
-      H.check_bytes "payload" (Bytes.of_string "ping") payload
-  | None -> Alcotest.fail "datagram not delivered"
-
+(* UDP (IPv4 protocol 17) has no decoder in the stack: a datagram to any
+   port is dropped at IPv4, before any transport parse. *)
 let test_udp_unbound_port_dropped () =
   let pair = H.make_stack_pair () in
-  Stack.send_udp pair.H.stack_a ~src_port:1 ~dst:H.ip_b ~dst_port:12345 (Bytes.of_string "x");
-  H.step pair;
-  Alcotest.(check string) "drop reason" "udp: no socket bound"
-    (Stack.counters pair.H.stack_b).Stack.last_drop_reason
+  let datagram = Bytes.make 12 'x' in
+  let packet =
+    Frame_oracle.Ipv4.build
+      {
+        Frame_oracle.Ipv4.src = H.ip_a;
+        dst = H.ip_b;
+        protocol = Cio_frame.Ipv4.Unknown 17;
+        ttl = 64;
+        payload = datagram;
+      }
+  in
+  let frame =
+    Frame_oracle.Ethernet.build
+      {
+        Frame_oracle.Ethernet.dst = H.mac_b;
+        src = H.mac_a;
+        ethertype = Cio_frame.Ethernet.Ipv4;
+        payload = packet;
+      }
+  in
+  let counters = Stack.counters pair.H.stack_b in
+  let dropped = counters.Stack.dropped in
+  Stack.handle_frame pair.H.stack_b frame;
+  Alcotest.(check string) "drop reason" "ipv4: unhandled protocol" counters.Stack.last_drop_reason;
+  Alcotest.(check int) "one more dropped" (dropped + 1) counters.Stack.dropped
 
 let test_stack_ignores_foreign_frames () =
   let pair = H.make_stack_pair () in
@@ -489,11 +488,15 @@ let make_coalescing_stack ~accept =
   in
   (stack, bursts)
 
+(* [n] frames queued for TX: one SYN per new connection. *)
+let queue_syns stack n =
+  for i = 1 to n do
+    ignore (Tcp.connect (Stack.tcp stack) ~dst:H.ip_b ~dst_port:(7000 + i) ())
+  done
+
 let test_stack_tx_coalesces_quantum () =
   let stack, bursts = make_coalescing_stack ~accept:(fun () -> max_int) in
-  for i = 1 to 5 do
-    Stack.send_udp stack ~src_port:1000 ~dst:H.ip_b ~dst_port:7 (Bytes.make (32 + i) 'u')
-  done;
+  queue_syns stack 5;
   Alcotest.(check (list int)) "nothing leaves before the flush" [] !bursts;
   Stack.poll stack;
   Alcotest.(check (list int)) "one burst carries the whole quantum" [ 5 ] !bursts;
@@ -502,9 +505,7 @@ let test_stack_tx_coalesces_quantum () =
 let test_stack_tx_partial_burst_requeues () =
   let cap = ref 3 in
   let stack, bursts = make_coalescing_stack ~accept:(fun () -> !cap) in
-  for _ = 1 to 5 do
-    Stack.send_udp stack ~src_port:1000 ~dst:H.ip_b ~dst_port:7 (Bytes.make 32 'u')
-  done;
+  queue_syns stack 5;
   Stack.poll stack;
   Alcotest.(check (list int)) "ring-full tail held back" [ 3 ] !bursts;
   cap := max_int;
@@ -531,9 +532,6 @@ let suite =
       test_retransmit_after_tx_buffer_reuse;
     Alcotest.test_case "tcp: out-of-order stash survives RX reuse" `Quick
       test_ooo_stash_survives_rx_reuse;
-    Alcotest.test_case "udp: queued datagram survives RX reuse" `Quick
-      test_udp_queue_survives_rx_reuse;
-    Alcotest.test_case "udp: roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "udp: unbound port" `Quick test_udp_unbound_port_dropped;
     Alcotest.test_case "stack: foreign frames ignored" `Quick test_stack_ignores_foreign_frames;
     Alcotest.test_case "stack: garbage counted" `Quick test_stack_counts_garbage;
