@@ -308,9 +308,11 @@ let write_json ~file ~mode ~smoke ~experiments ~micro =
   Fmt.pr "wrote %s@." file
 
 (* Fast, information-dense subset for CI smoke runs. e6 pins the TCB rows:
-   a change that moves guest code moves them, and its baseline with it. *)
+   a change that moves guest code moves them, and its baseline with it.
+   e4 and e15 pin the attack matrices the host fault models drive. *)
 let smoke_ids =
-  [ "fig2"; "fig3"; "fig4"; "e1"; "e2"; "e5"; "e6"; "e11"; "e12"; "e13"; "e17"; "e18"; "e21"; "e22" ]
+  [ "fig2"; "fig3"; "fig4"; "e1"; "e2"; "e4"; "e5"; "e6"; "e11"; "e12"; "e13"; "e15"; "e17"; "e18";
+    "e21"; "e22" ]
 
 (* Run one experiment, teeing its output to stdout and into the
    accumulator for --json. *)

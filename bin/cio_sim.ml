@@ -109,6 +109,7 @@ let campaign_cmd =
   in
   let run seed json =
     let open Cio_fault in
+    let module Host_model = Cio_cionet.Host_model in
     (* A host-health plan: a stall and a one-directional ring freeze,
        the two faults the breaker + retry budget are about. *)
     let plan =
@@ -116,8 +117,8 @@ let campaign_cmd =
         Plan.seed;
         injections =
           [
-            { Plan.at_step = 2_000; kind = Plan.Host_stall 600 };
-            { Plan.at_step = 9_000; kind = Plan.Host_ring_freeze 600 };
+            { Plan.at_step = 2_000; kind = Plan.Host (Host_model.Stall 600) };
+            { Plan.at_step = 9_000; kind = Plan.Host (Host_model.Ring_freeze 600) };
           ];
       }
     in

@@ -59,11 +59,12 @@ let target_name = function
 
 let all_targets = [ Virtio_unhardened; Virtio_hardened; Cionet; Dual ]
 
+(* One §2.5 attack class, named by the fault each host model commits. *)
 type scenario = {
   sname : string;
   description : string;
-  virtio_inject : Device.t -> unit;
-  cionet_inject : Host_model.t -> unit;
+  virtio : Device.misbehavior;
+  cionet : Host_model.misbehavior;
 }
 
 let canary = "CANARY-SECRET-0xDEADBEEF-CANARY-SECRET"
@@ -73,52 +74,52 @@ let scenarios =
     {
       sname = "lie-used-len";
       description = "device reports a completion length larger than the posted buffer";
-      virtio_inject = (fun d -> Device.inject d (Device.Lie_used_len 6000));
-      cionet_inject = (fun h -> Host_model.inject h (Host_model.Lie_len 6000));
+      virtio = Device.Lie_used_len 6000;
+      cionet = Host_model.Lie_len 6000;
     };
     {
       sname = "bogus-id";
       description = "device completes a buffer id outside the ring";
-      virtio_inject = (fun d -> Device.inject d (Device.Bogus_used_id 5000));
-      cionet_inject = (fun h -> Host_model.inject h (Host_model.Bad_index 5000));
+      virtio = Device.Bogus_used_id 5000;
+      cionet = Host_model.Bad_index 5000;
     };
     {
       sname = "double-fetch-race";
       description = "host rewrites the length field between the driver's two fetches";
-      virtio_inject = (fun d -> Device.inject d (Device.Race_used_len 6000));
-      cionet_inject = (fun h -> Host_model.inject h (Host_model.Race_header 6000));
+      virtio = Device.Race_used_len 6000;
+      cionet = Host_model.Race_header 6000;
     };
     {
       sname = "desc-loop";
       description = "host rewrites a descriptor chain into a cycle";
-      virtio_inject = (fun d -> Device.inject d Device.Desc_chain_loop);
-      cionet_inject = (fun h -> Host_model.inject h (Host_model.Garbage_state 7));
+      virtio = Device.Desc_chain_loop;
+      cionet = Host_model.Garbage_state 7;
       (* cionet has no chains; the closest expressible corruption is a
          malformed state word, which the stateless slot protocol skips. *)
     };
     {
       sname = "redirect-buffer";
       description = "after DMA, host repoints the descriptor at other memory";
-      virtio_inject = (fun d -> Device.inject d (Device.Redirect_desc_addr 0));
-      cionet_inject = (fun h -> Host_model.inject h (Host_model.Bad_index 3));
+      virtio = Device.Redirect_desc_addr 0;
+      cionet = Host_model.Bad_index 3;
     };
     {
       sname = "replay-completion";
       description = "host publishes the same completion twice";
-      virtio_inject = (fun d -> Device.inject d Device.Replay_completion);
-      cionet_inject = (fun h -> Host_model.inject h Host_model.Replay_slot);
+      virtio = Device.Replay_completion;
+      cionet = Host_model.Replay_slot;
     };
     {
       sname = "corrupt-payload";
       description = "host flips bits in the delivered payload";
-      virtio_inject = (fun d -> Device.inject d Device.Corrupt_payload);
-      cionet_inject = (fun h -> Host_model.inject h Host_model.Corrupt_payload);
+      virtio = Device.Corrupt_payload;
+      cionet = Host_model.Corrupt_payload;
     };
     {
       sname = "used-idx-jump";
       description = "device advances used.idx without writing entries (stale reaps)";
-      virtio_inject = (fun d -> Device.inject d (Device.Jump_used_idx 3));
-      cionet_inject = (fun h -> Host_model.inject h (Host_model.Lie_len 0));
+      virtio = Device.Jump_used_idx 3;
+      cionet = Host_model.Lie_len 0;
       (* cionet has no free-running completion index to lie about; the
          nearest expressible attack is a zero-length payload claim. *)
     };
@@ -165,6 +166,28 @@ type virtio_driver =
   | Unhardened of Driver_unhardened.t
   | Hardened of Driver_hardened.t
 
+(* What the driver handed up, judged against the one honest frame the
+   host was given. *)
+type drained = {
+  leaked : bool;          (* canary bytes in some frame *)
+  duplicates : bool;      (* the honest frame more than once *)
+  silently_wrong : bool;  (* honest-sized, canary-free, but not honest *)
+  phantom : bool;         (* a frame of the wrong size *)
+}
+
+let inspect ~honest frames =
+  let is_honest f = Bytes.equal f honest in
+  let n = Bytes.length honest in
+  {
+    leaked = List.exists contains_canary frames;
+    duplicates = List.length (List.filter is_honest frames) > 1;
+    silently_wrong =
+      List.exists
+        (fun f -> (not (is_honest f)) && (not (contains_canary f)) && Bytes.length f = n)
+        frames;
+    phantom = List.exists (fun f -> Bytes.length f <> n) frames;
+  }
+
 let virtio_poll = function
   | Unhardened d -> Driver_unhardened.poll d
   | Hardened d -> Driver_hardened.poll d
@@ -182,7 +205,7 @@ let run_virtio ~hardened scenario =
   in
   plant_virtio_canaries transport;
   let honest = Bytes.of_string "honest-frame-payload" in
-  scenario.virtio_inject device;
+  Device.inject device scenario.virtio;
   Device.deliver_rx device honest;
   Device.poll device;
   let classify_frames () =
@@ -198,19 +221,9 @@ let run_virtio ~hardened scenario =
       end
     in
     drain 8;
-    let leaked = List.exists contains_canary !frames in
-    let got_honest = List.exists (fun f -> Bytes.equal f honest) !frames in
-    let duplicates = List.length (List.filter (fun f -> Bytes.equal f honest) !frames) > 1 in
-    let silently_wrong =
-      List.exists
-        (fun f ->
-          (not (Bytes.equal f honest)) && (not (contains_canary f))
-          && Bytes.length f = Bytes.length honest)
-        !frames
-    in
-    (* Frames of the wrong size that the defense did not account for:
-       stale/phantom completions surfacing as receptions. *)
-    let phantom = List.exists (fun f -> Bytes.length f <> Bytes.length honest) !frames in
+    (* Phantom frames are wrong-size frames the defense did not account
+       for: stale completions surfacing as receptions. *)
+    let { leaked; duplicates; silently_wrong; phantom } = inspect ~honest !frames in
     if leaked then Leak "driver returned adjacent-buffer bytes to the stack"
     else if duplicates then Desync "completion replayed: same frame delivered twice"
     else begin
@@ -231,7 +244,7 @@ let run_virtio ~hardened scenario =
       | Unhardened _ ->
           if silently_wrong then Desync "corrupted payload accepted as genuine"
           else if phantom then Desync "phantom/stale completion accepted as a reception"
-          else if got_honest then No_effect
+          else if List.exists (Bytes.equal honest) !frames then No_effect
           else Desync "frame lost or mangled"
     end
   in
@@ -267,7 +280,7 @@ let run_cionet scenario =
   let host = Host_model.create ~driver ~transmit:(fun _ -> ()) in
   plant_cionet_canaries driver;
   let honest = Bytes.of_string "honest-frame-payload" in
-  scenario.cionet_inject host;
+  Host_model.inject host scenario.cionet;
   Host_model.deliver_rx host honest;
   Host_model.poll host;
   let frames = ref [] in
@@ -281,16 +294,7 @@ let run_cionet scenario =
   match drain 8 with
   | () ->
       let c = Ring.counters (Driver.rx_ring driver) in
-      let leaked = List.exists contains_canary !frames in
-      let duplicates = List.length (List.filter (fun f -> Bytes.equal f honest) !frames) > 1 in
-      let silently_wrong =
-        List.exists
-          (fun f ->
-            (not (Bytes.equal f honest)) && (not (contains_canary f))
-            && Bytes.length f = Bytes.length honest)
-          !frames
-      in
-      let phantom = List.exists (fun f -> Bytes.length f <> Bytes.length honest) !frames in
+      let { leaked; duplicates; silently_wrong; phantom } = inspect ~honest !frames in
       if leaked then Leak "safe ring leaked adjacent bytes"
       else if duplicates then
         Desync "slot replayed: same payload delivered twice (L2 cannot distinguish; see dual)"
@@ -354,7 +358,7 @@ let run_dual scenario =
   if not (Session.is_established tee) then Crash "handshake did not complete"
   else begin
     (* Attack the data path. *)
-    scenario.cionet_inject host;
+    Host_model.inject host scenario.cionet;
     let secret_msg = Bytes.of_string "application-secret-message" in
     let wire = match Session.send_data remote secret_msg with Ok w -> w | Error _ -> assert false in
     to_tee wire;
@@ -390,7 +394,6 @@ let run_dual scenario =
           let c = Ring.counters (Driver.rx_ring driver) in
           if c.Ring.len_clamped > 0 || c.Ring.index_masked > 0 || c.Ring.state_skipped > 0 then
             Confined "confined at L2; record layer undisturbed"
-          else if received = [] then No_effect
           else No_effect
         end
     | exception Failure msg -> Fail_closed ("record layer detected tampering: " ^ msg)

@@ -27,8 +27,8 @@ val all_targets : target list
 type scenario = {
   sname : string;
   description : string;
-  virtio_inject : Cio_virtio.Device.t -> unit;
-  cionet_inject : Cio_cionet.Host_model.t -> unit;
+  virtio : Cio_virtio.Device.misbehavior;  (** the fault both virtio targets face *)
+  cionet : Cio_cionet.Host_model.misbehavior;  (** the fault cionet and dual face *)
 }
 
 val scenarios : scenario list

@@ -32,8 +32,6 @@ type misbehavior =
   | Ring_freeze of int      (* keep draining TX but withhold RX for n polls *)
 
 type stats = {
-  mutable tx_forwarded : int;
-  mutable rx_injected : int;
   mutable faults : int;  (* host accesses refused by memory protection *)
   mutable rx_dropped : int;  (* frames silently discarded (Silent_drop) *)
 }
@@ -44,7 +42,7 @@ type t = {
   transmit : bytes -> unit;
   pool : Bufpool.t;  (* staging buffers for pending RX frames *)
   pending_rx : bytes Queue.t;
-  mutable misbehaviors : misbehavior list;
+  one_shot : misbehavior Host_fault.queue;  (* header/payload faults *)
   (* Modal faults: unlike the one-shot header sabotage, these describe a
      host *condition* that persists for a counted number of polls/frames.
      A stalled or frozen host is indistinguishable from a dead one to the
@@ -67,12 +65,12 @@ let create ~(driver : Driver.t) ~transmit =
     transmit;
     pool = Bufpool.create ();
     pending_rx = Queue.create ();
-    misbehaviors = [];
+    one_shot = Host_fault.queue ();
     stall_polls = 0;
     freeze_polls = 0;
     drop_frames = 0;
     service_quota = None;
-    stats = { tx_forwarded = 0; rx_injected = 0; faults = 0; rx_dropped = 0 };
+    stats = { faults = 0; rx_dropped = 0 };
   }
 
 let set_service_quota t q = t.service_quota <- q
@@ -96,6 +94,16 @@ let misbehavior_name = function
   | Silent_drop _ -> "silent-drop"
   | Ring_freeze _ -> "ring-freeze"
 
+let pp_misbehavior ppf m =
+  let name = misbehavior_name m in
+  match m with
+  | Stall n -> Format.fprintf ppf "host-stall(%d polls)" n
+  | Ring_freeze n -> Format.fprintf ppf "%s(%d polls)" name n
+  | Silent_drop n -> Format.fprintf ppf "%s(%d frames)" name n
+  | Garbage_state v -> Format.fprintf ppf "%s(%#x)" name v
+  | Lie_len v | Bad_index v | Race_header v -> Format.fprintf ppf "%s(%d)" name v
+  | Corrupt_payload | Replay_slot -> Format.pp_print_string ppf name
+
 let inject t m =
   Metrics.inc m_injected;
   if Trace.on () then
@@ -104,17 +112,7 @@ let inject t m =
   | Stall n -> t.stall_polls <- t.stall_polls + max 0 n
   | Silent_drop n -> t.drop_frames <- t.drop_frames + max 0 n
   | Ring_freeze n -> t.freeze_polls <- t.freeze_polls + max 0 n
-  | _ -> t.misbehaviors <- t.misbehaviors @ [ m ]
-
-let take t pred =
-  let rec go acc = function
-    | [] -> None
-    | m :: rest when pred m ->
-        t.misbehaviors <- List.rev_append acc rest;
-        Some m
-    | m :: rest -> go (m :: acc) rest
-  in
-  go [] t.misbehaviors
+  | _ -> Host_fault.push t.one_shot m
 
 let deliver_rx t frame =
   (* Zero-length frames are meaningless on the ring (and rejected by it);
@@ -129,57 +127,31 @@ let deliver_rx t frame =
 
 (* Post-produce header corruption for the attack experiments: the honest
    produce path wrote a well-formed slot; the hostile host then scribbles
-   over the shared words. All writes go through the Host actor, so memory
-   protection and the region log both apply. *)
+   over one of its shared header words. At most one header fault lands
+   per produced slot, so queued faults hit successive messages in the
+   order they were injected. All writes go through the Host actor, so
+   memory protection and the region log both apply. *)
 let sabotage t =
-  (* Apply at most one header corruption per produced slot, so queued
-     misbehaviours land on successive messages rather than piling onto
-     the same slot. *)
   let ring = t.driver_rx in
   let region = Ring.region ring in
-  let last_slot () = ((Ring.counters ring).Ring.produced - 1) land (Ring.slots ring - 1) in
-  let applied = ref false in
-  let try_take pred f =
-    if not !applied then begin
-      match take t pred with
-      | Some m ->
-          applied := true;
-          f m
-      | None -> ()
-    end
-  in
-  try_take
-    (function Lie_len _ -> true | _ -> false)
-    (function
-      | Lie_len v -> Region.write_u32 region Host ~off:(Ring.header_offset ring (last_slot ()) + 4) v
-      | _ -> ());
-  try_take
-    (function Bad_index _ -> true | _ -> false)
-    (function
-      | Bad_index v -> Region.write_u32 region Host ~off:(Ring.header_offset ring (last_slot ()) + 8) v
-      | _ -> ());
-  try_take
-    (function Garbage_state _ -> true | _ -> false)
-    (function
-      | Garbage_state v -> Region.write_u32 region Host ~off:(Ring.header_offset ring (last_slot ())) v
-      | _ -> ());
-  try_take
-    (function Race_header _ -> true | _ -> false)
-    (function
-      | Race_header v ->
-          (* Rewrite the len field the instant the guest touches the
-             header. The guest's single 16-byte fetch has already captured
-             the honest words by then, so by construction there is no
-             second fetch for the lie to reach. *)
-          let target = Ring.header_offset ring (last_slot ()) in
-          Region.set_guest_read_hook region
-            (Some
-               (fun ~off ~len:_ ->
-                 if off = target then begin
-                   Region.set_guest_read_hook region None;
-                   Region.write_u32 region Host ~off:(target + 4) v
-                 end))
-      | _ -> ())
+  let slot = ((Ring.counters ring).Ring.produced - 1) land (Ring.slots ring - 1) in
+  let header = Ring.header_offset ring slot in
+  match
+    Host_fault.take t.one_shot (function
+      | Garbage_state v -> Some (`Word (0, v))
+      | Lie_len v -> Some (`Word (4, v))
+      | Bad_index v -> Some (`Word (8, v))
+      | Race_header v -> Some (`Race v)
+      | _ -> None)
+  with
+  | Some (`Word (field, v)) -> Region.write_u32 region Host ~off:(header + field) v
+  | Some (`Race v) ->
+      (* Rewrite the len field the instant the guest touches the header.
+         The guest's single 16-byte fetch has already captured the honest
+         words by then, so by construction there is no second fetch for
+         the lie to reach. *)
+      Host_fault.race_word region ~watch:header ~off:(header + 4) v
+  | None -> ()
 
 (* Region faults are absorbed: from the host's view a revoked page is
    simply unmapped. *)
@@ -200,7 +172,6 @@ let rec drain_tx t left =
     | frames ->
         List.iter
           (fun frame ->
-            t.stats.tx_forwarded <- t.stats.tx_forwarded + 1;
             Metrics.inc m_tx_forwarded;
             t.transmit frame)
           frames;
@@ -237,7 +208,7 @@ let rec fill_rx t ~batch left =
     if k > 0 then begin
       let frames = Array.init k (fun _ -> Queue.take t.pending_rx) in
       let staged =
-        match take t (function Corrupt_payload -> true | _ -> false) with
+        match Host_fault.take t.one_shot (function Corrupt_payload -> Some () | _ -> None) with
         | Some _ ->
             let s = Array.copy frames in
             s.(0) <- corrupt frames.(0);
@@ -246,14 +217,13 @@ let rec fill_rx t ~batch left =
       in
       match Ring.try_produce_burst t.driver_rx staged with
       | n ->
-          t.stats.rx_injected <- t.stats.rx_injected + n;
           Metrics.add m_rx_injected n;
           for i = 0 to n - 2 do
             Bufpool.recycle t.pool frames.(i)
           done;
-          if n > 0 && t.misbehaviors <> [] then begin
+          if n > 0 && not (Host_fault.is_empty t.one_shot) then begin
             sabotage t;
-            match take t (function Replay_slot -> true | _ -> false) with
+            match Host_fault.take t.one_shot (function Replay_slot -> Some () | _ -> None) with
             | Some _ ->
                 (* Republish the same payload: a temporal attack. The safe
                    ring makes this indistinguishable from the host licitly
@@ -298,7 +268,7 @@ let poll t =
       let region = Ring.region t.driver_rx in
       let batch =
         if
-          t.misbehaviors = [] && t.drop_frames = 0
+          Host_fault.is_empty t.one_shot && t.drop_frames = 0
           && Region.range_shared region 0 (Region.size region)
         then 64
         else 1

@@ -14,10 +14,8 @@ type misbehavior =
   | Ring_freeze of int  (** keep draining TX but produce nothing into RX for [n] polls *)
 
 type stats = {
-  mutable tx_forwarded : int;
-  mutable rx_injected : int;
-  mutable faults : int;
-  mutable rx_dropped : int;
+  mutable faults : int;  (** host accesses refused by memory protection *)
+  mutable rx_dropped : int;  (** frames discarded by [Silent_drop] *)
 }
 
 type t
@@ -29,8 +27,12 @@ val reattach : t -> driver:Driver.t -> unit
 
 val stats : t -> stats
 
+val pp_misbehavior : Format.formatter -> misbehavior -> unit
+(** With its parameter, as fault-campaign reports print it. *)
+
 val inject : t -> misbehavior -> unit
-(** Header/payload sabotage queues one-shot; [Stall]/[Silent_drop]/
+(** Header/payload sabotage queues one-shot on a {!Cio_mem.Host_fault}
+    queue, applied in injection order; [Stall]/[Silent_drop]/
     [Ring_freeze] extend the corresponding modal fault duration. *)
 
 val set_service_quota : t -> int option -> unit

@@ -149,9 +149,8 @@ type frec = {
   mutable f_resolved : (int * snap) option;
 }
 
-let classify kind ~d_recovery ~d_confined ~d_crashes =
+let classify ~d_recovery ~d_confined ~d_crashes =
   let open Cio_observe in
-  ignore kind;
   if d_crashes > 0 then ("crash contained; I/O domain restarted behind L5", true)
   else if d_recovery.Recovery.reconnects > 0 then
     ("fail-closed at L5; fresh TCP + PSK session", true)
@@ -279,15 +278,7 @@ let run ?(config = default_config) (plan : Plan.t) =
     Cio_observe.Recovery.fault_injected recovery;
     if Trace.on () then Trace.span_begin ~cat:Kind.fault (fault_span_name r.f_kind);
     match r.f_kind with
-    | Plan.Host_stall n -> Host_model.inject host (Host_model.Stall n)
-    | Plan.Host_ring_freeze n -> Host_model.inject host (Host_model.Ring_freeze n)
-    | Plan.Host_silent_drop n -> Host_model.inject host (Host_model.Silent_drop n)
-    | Plan.Host_lie_len v -> Host_model.inject host (Host_model.Lie_len v)
-    | Plan.Host_bad_index v -> Host_model.inject host (Host_model.Bad_index v)
-    | Plan.Host_garbage_state v -> Host_model.inject host (Host_model.Garbage_state v)
-    | Plan.Host_race_header v -> Host_model.inject host (Host_model.Race_header v)
-    | Plan.Host_corrupt_payload -> Host_model.inject host Host_model.Corrupt_payload
-    | Plan.Host_replay_slot -> Host_model.inject host Host_model.Replay_slot
+    | Plan.Host m -> Host_model.inject host m
     | Plan.Link_burst n ->
         Link.set_tamper link ~src:Link.A (Some (Adversary.tamper adversary));
         burst_until := r.f_at + n
@@ -411,7 +402,7 @@ let run ?(config = default_config) (plan : Plan.t) =
         let classification, detected =
           if not r.f_applied then ("never injected (campaign ended first)", false)
           else
-            classify r.f_kind ~d_recovery
+            classify ~d_recovery
               ~d_confined:(s1.s_confined - s0.s_confined)
               ~d_crashes:(s1.s_crashes - s0.s_crashes)
         in

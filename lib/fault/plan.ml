@@ -9,16 +9,10 @@
 
 open Cio_util
 
+module Host_model = Cio_cionet.Host_model
+
 type kind =
-  | Host_stall of int        (* host stops servicing the device for n polls *)
-  | Host_ring_freeze of int  (* host drains TX but withholds RX for n polls *)
-  | Host_silent_drop of int  (* host discards the next n inbound frames *)
-  | Host_lie_len of int      (* header sabotage: lying length word *)
-  | Host_bad_index of int    (* header sabotage: wild pool index *)
-  | Host_garbage_state of int
-  | Host_race_header of int  (* rewrite len on the guest's header fetch *)
-  | Host_corrupt_payload
-  | Host_replay_slot
+  | Host of Host_model.misbehavior  (* the cionet host model's own menu *)
   | Link_burst of int        (* hostile link adversary for n pump steps *)
   | Record_tamper            (* flip one bit inside the next TLS record *)
   | Stack_crash of int       (* crash the I/O domain; restart after n steps *)
@@ -27,30 +21,8 @@ type injection = { at_step : int; kind : kind }
 
 type t = { seed : int64; injections : injection list }
 
-let kind_name = function
-  | Host_stall _ -> "host-stall"
-  | Host_ring_freeze _ -> "ring-freeze"
-  | Host_silent_drop _ -> "silent-drop"
-  | Host_lie_len _ -> "lie-len"
-  | Host_bad_index _ -> "bad-index"
-  | Host_garbage_state _ -> "garbage-state"
-  | Host_race_header _ -> "race-header"
-  | Host_corrupt_payload -> "corrupt-payload"
-  | Host_replay_slot -> "replay-slot"
-  | Link_burst _ -> "link-burst"
-  | Record_tamper -> "record-tamper"
-  | Stack_crash _ -> "stack-crash"
-
 let pp_kind ppf = function
-  | Host_stall n -> Format.fprintf ppf "host-stall(%d polls)" n
-  | Host_ring_freeze n -> Format.fprintf ppf "ring-freeze(%d polls)" n
-  | Host_silent_drop n -> Format.fprintf ppf "silent-drop(%d frames)" n
-  | Host_lie_len v -> Format.fprintf ppf "lie-len(%d)" v
-  | Host_bad_index v -> Format.fprintf ppf "bad-index(%d)" v
-  | Host_garbage_state v -> Format.fprintf ppf "garbage-state(%#x)" v
-  | Host_race_header v -> Format.fprintf ppf "race-header(%d)" v
-  | Host_corrupt_payload -> Format.fprintf ppf "corrupt-payload"
-  | Host_replay_slot -> Format.fprintf ppf "replay-slot"
+  | Host m -> Host_model.pp_misbehavior ppf m
   | Link_burst n -> Format.fprintf ppf "link-burst(%d steps)" n
   | Record_tamper -> Format.fprintf ppf "record-tamper"
   | Stack_crash n -> Format.fprintf ppf "stack-crash(restart after %d steps)" n
@@ -58,16 +30,18 @@ let pp_kind ppf = function
 (* One fault per layer class, parameters drawn from the plan RNG. *)
 let coverage rng =
   [|
-    Host_stall (3_000 + Rng.int rng 3_000);
-    (if Rng.bool rng then Host_ring_freeze (3_000 + Rng.int rng 3_000)
-     else Host_silent_drop (1 + Rng.int rng 3));
-    (match Rng.int rng 6 with
-    | 0 -> Host_lie_len (64 + Rng.int rng 1_000_000)
-    | 1 -> Host_bad_index (Rng.int rng 100_000)
-    | 2 -> Host_garbage_state (2 + Rng.int rng 0xFFFE)
-    | 3 -> Host_race_header (64 + Rng.int rng 1_000_000)
-    | 4 -> Host_corrupt_payload
-    | _ -> Host_replay_slot);
+    Host (Host_model.Stall (3_000 + Rng.int rng 3_000));
+    Host
+      (if Rng.bool rng then Host_model.Ring_freeze (3_000 + Rng.int rng 3_000)
+       else Host_model.Silent_drop (1 + Rng.int rng 3));
+    Host
+      (match Rng.int rng 6 with
+      | 0 -> Host_model.Lie_len (64 + Rng.int rng 1_000_000)
+      | 1 -> Host_model.Bad_index (Rng.int rng 100_000)
+      | 2 -> Host_model.Garbage_state (2 + Rng.int rng 0xFFFE)
+      | 3 -> Host_model.Race_header (64 + Rng.int rng 1_000_000)
+      | 4 -> Host_model.Corrupt_payload
+      | _ -> Host_model.Replay_slot);
     Link_burst (400 + Rng.int rng 1_200);
     Record_tamper;
     Stack_crash (200 + Rng.int rng 400);

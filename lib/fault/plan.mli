@@ -4,15 +4,8 @@
     compartment crash. *)
 
 type kind =
-  | Host_stall of int
-  | Host_ring_freeze of int
-  | Host_silent_drop of int
-  | Host_lie_len of int
-  | Host_bad_index of int
-  | Host_garbage_state of int
-  | Host_race_header of int
-  | Host_corrupt_payload
-  | Host_replay_slot
+  | Host of Cio_cionet.Host_model.misbehavior
+      (** a fault from the cionet host model's menu, injected as is *)
   | Link_burst of int
   | Record_tamper
   | Stack_crash of int
@@ -21,7 +14,6 @@ type injection = { at_step : int; kind : kind }
 
 type t = { seed : int64; injections : injection list }
 
-val kind_name : kind -> string
 val pp_kind : Format.formatter -> kind -> unit
 
 val generate : ?count:int -> seed:int64 -> unit -> t

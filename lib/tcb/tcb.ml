@@ -93,6 +93,8 @@ let table =
     ("lib/lint", Harness);
     (* guest: shared-memory regions and buffer pools, the boundary itself *)
     ("lib/mem", Guest Mem_protection);
+    (* host: the one-shot fault queue every host device model shares *)
+    ("lib/mem/host_fault.ml", Host_model);
     (* harness: the simulated network, clock and switch *)
     ("lib/netsim", Harness);
     (* host: the on-path network adversary *)

@@ -24,9 +24,6 @@ type misbehavior =
                                  the driver reaps stale/zero entries *)
 
 type stats = {
-  mutable tx_frames : int;   (* guest->network frames forwarded *)
-  mutable rx_frames : int;   (* network->guest frames completed *)
-  mutable rx_dropped : int;
   mutable guest_faults : int;  (* guest-posted descriptors the device refused *)
 }
 
@@ -39,7 +36,7 @@ type t = {
   mutable rx_used_next : int;
   mutable tx_used_next : int;
   pending_rx : bytes Queue.t;
-  mutable misbehaviors : misbehavior list;  (* consumed one-shot, in order *)
+  faults : misbehavior Host_fault.queue;
   stats : stats;
   max_chain : int;
 }
@@ -54,24 +51,15 @@ let create ~rx ~tx ~transmit =
     rx_used_next = 0;
     tx_used_next = 0;
     pending_rx = Queue.create ();
-    misbehaviors = [];
-    stats = { tx_frames = 0; rx_frames = 0; rx_dropped = 0; guest_faults = 0 };
+    faults = Host_fault.queue ();
+    stats = { guest_faults = 0 };
     max_chain = 16;
   }
 
 let stats t = t.stats
 
-let inject t m = t.misbehaviors <- t.misbehaviors @ [ m ]
-
-let take_misbehavior t pred =
-  let rec go acc = function
-    | [] -> None
-    | m :: rest when pred m ->
-        t.misbehaviors <- List.rev_append acc rest;
-        Some m
-    | m :: rest -> go (m :: acc) rest
-  in
-  go [] t.misbehaviors
+let inject t m = Host_fault.push t.faults m
+let take t applies = Host_fault.take t.faults applies
 
 let deliver_rx t frame = Queue.add (Bytes.copy frame) t.pending_rx
 
@@ -95,68 +83,49 @@ let read_chain t vring head =
   go head 0
 
 let complete t vring ~used_next ~id ~len =
-  let id =
-    match take_misbehavior t (function Bogus_used_id _ -> true | _ -> false) with
-    | Some (Bogus_used_id bogus) -> bogus
-    | _ -> id
-  in
-  let len =
-    match take_misbehavior t (function Lie_used_len _ -> true | _ -> false) with
-    | Some (Lie_used_len lie) -> lie
-    | _ -> len
-  in
+  let id = Option.value ~default:id (take t (function Bogus_used_id b -> Some b | _ -> None)) in
+  let len = Option.value ~default:len (take t (function Lie_used_len l -> Some l | _ -> None)) in
   Vring.set_used_entry vring Host used_next ~id ~len;
   Vring.set_used_idx vring Host (used_next + 1);
-  (match take_misbehavior t (function Replay_completion -> true | _ -> false) with
-  | Some Replay_completion ->
+  match take t (function Replay_completion -> Some () | _ -> None) with
+  | Some () ->
       (* Publish the same buffer a second time: a classic completion-path
          temporal violation. *)
       Vring.set_used_entry vring Host (used_next + 1) ~id ~len;
       Vring.set_used_idx vring Host (used_next + 2)
-  | _ -> ())
+  | None -> ()
 
 let arm_race t vring ~used_slot =
-  (* Install a guest-read hook that rewrites the used.len field the moment
-     the guest first fetches it — a deterministic model of a host core
-     racing the driver between its two reads. *)
-  match take_misbehavior t (function Race_used_len _ -> true | _ -> false) with
-  | Some (Race_used_len newlen) ->
-      let region = Vring.region vring in
+  (* Rewrite the used.len field the moment the guest first fetches it:
+     the host core racing the driver between its two reads. *)
+  match take t (function Race_used_len l -> Some l | _ -> None) with
+  | Some newlen ->
       let target = Vring.used_len_field_off vring used_slot in
-      Region.set_guest_read_hook region
-        (Some
-           (fun ~off ~len:_ ->
-             if off = target then begin
-               Region.set_guest_read_hook region None;
-               Region.write_u32 region Host ~off:target newlen
-             end))
-  | _ -> ()
+      Host_fault.race_word (Vring.region vring) ~watch:target ~off:target newlen
+  | None -> ()
 
 let process_tx t =
   let vring = t.tx in
-  let region = Vring.region vring in
   let avail = Vring.avail_idx vring Host in
   while t.tx_last_avail <> avail land 0xFFFF do
     let id = Vring.avail_entry vring Host t.tx_last_avail in
     (match read_chain t vring id with
     | Some frame ->
-        t.stats.tx_frames <- t.stats.tx_frames + 1;
         let frame =
-          match take_misbehavior t (function Corrupt_payload -> true | _ -> false) with
-          | Some Corrupt_payload ->
+          match take t (function Corrupt_payload -> Some () | _ -> None) with
+          | Some () ->
               let f = Bytes.copy frame in
               if Bytes.length f > 14 then
                 Bytes.set f 14 (Char.chr (Char.code (Bytes.get f 14) lxor 0xFF));
               f
-          | _ -> frame
+          | None -> frame
         in
         t.transmit frame
     | None -> t.stats.guest_faults <- t.stats.guest_faults + 1);
     complete t vring ~used_next:t.tx_used_next ~id ~len:0;
     t.tx_used_next <- (t.tx_used_next + 1) land 0xFFFF;
     t.tx_last_avail <- (t.tx_last_avail + 1) land 0xFFFF
-  done;
-  ignore region
+  done
 
 let process_rx t =
   let vring = t.rx in
@@ -175,37 +144,34 @@ let process_rx t =
     else begin
       let len = min (Bytes.length frame) d.Vring.len in
       let payload =
-        match take_misbehavior t (function Corrupt_payload -> true | _ -> false) with
-        | Some Corrupt_payload ->
+        match take t (function Corrupt_payload -> Some () | _ -> None) with
+        | Some () ->
             let f = Bytes.sub frame 0 len in
             if Bytes.length f > 0 then
               Bytes.set f 0 (Char.chr (Char.code (Bytes.get f 0) lxor 0xFF));
             f
-        | _ -> Bytes.sub frame 0 len
+        | None -> Bytes.sub frame 0 len
       in
       (match Region.host_write region ~off:d.Vring.addr payload with
       | () ->
-          t.stats.rx_frames <- t.stats.rx_frames + 1;
-          (match take_misbehavior t (function Desc_chain_loop -> true | _ -> false) with
-          | Some Desc_chain_loop ->
+          (match take t (function Desc_chain_loop -> Some () | _ -> None) with
+          | Some () ->
               (* Point the descriptor's NEXT at itself: a driver that
                  walks chains from shared memory spins forever. *)
               let d = Vring.read_desc vring Host id in
               Vring.write_desc vring Host id
                 { d with Vring.flags = d.Vring.flags lor Vring.flag_next; next = id }
-          | _ -> ());
-          (match take_misbehavior t (function Redirect_desc_addr _ -> true | _ -> false) with
-          | Some (Redirect_desc_addr target) ->
+          | None -> ());
+          (match take t (function Redirect_desc_addr a -> Some a | _ -> None) with
+          | Some target ->
               (* After honest DMA, repoint the shared descriptor: a driver
                  that re-reads it copies from attacker-chosen memory. *)
               Region.write_u64 region Host ~off:(Vring.desc_addr_field_off vring id)
                 (Int64.of_int target)
-          | _ -> ());
+          | None -> ());
           arm_race t vring ~used_slot:t.rx_used_next;
           complete t vring ~used_next:t.rx_used_next ~id ~len
-      | exception Region.Fault _ ->
-          t.stats.guest_faults <- t.stats.guest_faults + 1;
-          t.stats.rx_dropped <- t.stats.rx_dropped + 1);
+      | exception Region.Fault _ -> t.stats.guest_faults <- t.stats.guest_faults + 1);
       t.rx_used_next <- (t.rx_used_next + 1) land 0xFFFF;
       t.rx_last_avail <- (t.rx_last_avail + 1) land 0xFFFF
     end;
@@ -213,12 +179,12 @@ let process_rx t =
   done
 
 let poll t =
-  (match take_misbehavior t (function Jump_used_idx _ -> true | _ -> false) with
-  | Some (Jump_used_idx n) ->
+  (match take t (function Jump_used_idx n -> Some n | _ -> None) with
+  | Some n ->
       (* Pure index lie on the RX used ring: no entries are written. *)
       Vring.set_used_idx t.rx Host (t.rx_used_next + n);
       t.rx_used_next <- (t.rx_used_next + n) land 0xFFFF
-  | _ -> ());
+  | None -> ());
   process_tx t;
   process_rx t
 

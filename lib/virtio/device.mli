@@ -13,12 +13,7 @@ type misbehavior =
   | Desc_chain_loop
   | Jump_used_idx of int
 
-type stats = {
-  mutable tx_frames : int;
-  mutable rx_frames : int;
-  mutable rx_dropped : int;
-  mutable guest_faults : int;
-}
+type stats = { mutable guest_faults : int }
 
 type t
 
@@ -26,7 +21,8 @@ val create : rx:Vring.t -> tx:Vring.t -> transmit:(bytes -> unit) -> t
 val stats : t -> stats
 
 val inject : t -> misbehavior -> unit
-(** Queue a one-shot misbehaviour, applied at the next matching point. *)
+(** Queue a one-shot misbehaviour on a {!Cio_mem.Host_fault} queue,
+    applied at the next matching point. *)
 
 val deliver_rx : t -> bytes -> unit
 (** Hand the device a frame arriving from the network. *)

@@ -128,7 +128,6 @@ type misbehavior =
                                with the right timing it forges availability
                                on the next lap (wrap confusion) *)
   | P_premature_used        (* mark used before writing the data *)
-  | P_corrupt_payload
 
 type device = {
   dt : transport;
@@ -138,10 +137,7 @@ type device = {
   mutable rx_wrap : bool;
   mutable tx_wrap : bool;
   pending_rx : bytes Queue.t;
-  mutable dmis : misbehavior list;
-  mutable dev_tx_frames : int;
-  mutable dev_rx_frames : int;
-  mutable dev_faults : int;
+  faults : misbehavior Host_fault.queue;
   mutable last_used : (int * element) option;
 }
 
@@ -154,27 +150,13 @@ let create_device ~transport ~transmit =
     rx_wrap = true;
     tx_wrap = true;
     pending_rx = Queue.create ();
-    dmis = [];
-    dev_tx_frames = 0;
-    dev_rx_frames = 0;
-    dev_faults = 0;
+    faults = Host_fault.queue ();
     last_used = None;
   }
 
-let device_inject d m = d.dmis <- d.dmis @ [ m ]
+let device_inject d m = Host_fault.push d.faults m
 let device_deliver_rx d frame = Queue.add (Bytes.copy frame) d.pending_rx
-let device_tx_frames d = d.dev_tx_frames
-let device_rx_frames d = d.dev_rx_frames
-
-let dtake d pred =
-  let rec go acc = function
-    | [] -> None
-    | m :: rest when pred m ->
-        d.dmis <- List.rev_append acc rest;
-        Some m
-    | m :: rest -> go (m :: acc) rest
-  in
-  go [] d.dmis
+let dtake d applies = Host_fault.take d.faults applies
 
 let advance_device_cursor d ~tx =
   if tx then begin
@@ -193,24 +175,18 @@ let advance_device_cursor d ~tx =
   end
 
 let device_complete d q slot ~id ~len ~wrap =
-  let id = match dtake d (function P_bogus_id _ -> true | _ -> false) with
-    | Some (P_bogus_id b) -> b
-    | _ -> id
-  in
-  let len = match dtake d (function P_lie_len _ -> true | _ -> false) with
-    | Some (P_lie_len l) -> l
-    | _ -> len
-  in
+  let id = Option.value ~default:id (dtake d (function P_bogus_id b -> Some b | _ -> None)) in
+  let len = Option.value ~default:len (dtake d (function P_lie_len l -> Some l | _ -> None)) in
   let e = { addr = 0; len; id; flags = used_flags ~wrap } in
   write_elem q Host slot e;
-  (match dtake d (function P_wrap_replay -> true | _ -> false) with
-  | Some P_wrap_replay ->
+  (match dtake d (function P_wrap_replay -> Some () | _ -> None) with
+  | Some () ->
       (* Republish a used element verbatim into the *next* slot: a stale
          element whose flag bits satisfy a wrap-unaware driver's
          completion check, making it swallow a phantom completion. *)
       let stale = match d.last_used with Some (_, prev) -> prev | None -> e in
       write_elem q Host ((slot + 1) land (d.dt.queue_size - 1)) stale
-  | _ -> ());
+  | None -> ());
   d.last_used <- Some (slot, e)
 
 let device_poll d =
@@ -220,10 +196,8 @@ let device_poll d =
     let e = read_elem d.dt.tx Host d.tx_next in
     if is_avail e.flags ~wrap:d.tx_wrap then begin
       (match Region.host_read d.dt.region ~off:e.addr ~len:e.len with
-      | frame ->
-          d.dev_tx_frames <- d.dev_tx_frames + 1;
-          d.transmit frame
-      | exception Region.Fault _ -> d.dev_faults <- d.dev_faults + 1);
+      | frame -> d.transmit frame
+      | exception Region.Fault _ -> () (* an unshared buffer: the frame is lost *));
       let slot = d.tx_next and wrap = d.tx_wrap in
       advance_device_cursor d ~tx:true;
       device_complete d d.dt.tx slot ~id:e.id ~len:0 ~wrap
@@ -236,16 +210,8 @@ let device_poll d =
     let e = read_elem d.dt.rx Host d.rx_next in
     if is_avail e.flags ~wrap:d.rx_wrap then begin
       let frame = Queue.take d.pending_rx in
-      let frame =
-        match dtake d (function P_corrupt_payload -> true | _ -> false) with
-        | Some P_corrupt_payload ->
-            let f = Bytes.copy frame in
-            if Bytes.length f > 0 then Bytes.set f 0 (Char.chr (Char.code (Bytes.get f 0) lxor 0xFF));
-            f
-        | _ -> frame
-      in
       let len = min (Bytes.length frame) e.len in
-      let premature = dtake d (function P_premature_used -> true | _ -> false) <> None in
+      let premature = dtake d (function P_premature_used -> Some () | _ -> None) <> None in
       let slot = d.rx_next and wrap = d.rx_wrap in
       advance_device_cursor d ~tx:false;
       if premature then
@@ -257,10 +223,8 @@ let device_poll d =
         device_complete d d.dt.rx slot ~id:e.id ~len ~wrap
       else begin
         match Region.host_write d.dt.region ~off:e.addr (Bytes.sub frame 0 len) with
-        | () ->
-            d.dev_rx_frames <- d.dev_rx_frames + 1;
-            device_complete d d.dt.rx slot ~id:e.id ~len ~wrap
-        | exception Region.Fault _ -> d.dev_faults <- d.dev_faults + 1
+        | () -> device_complete d d.dt.rx slot ~id:e.id ~len ~wrap
+        | exception Region.Fault _ -> ()
       end
     end
     else continue := false

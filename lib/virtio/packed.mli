@@ -42,7 +42,6 @@ type misbehavior =
   | P_bogus_id of int
   | P_wrap_replay
   | P_premature_used
-  | P_corrupt_payload
 
 type device
 
@@ -50,8 +49,6 @@ val create_device : transport:transport -> transmit:(bytes -> unit) -> device
 val device_inject : device -> misbehavior -> unit
 val device_deliver_rx : device -> bytes -> unit
 val device_poll : device -> unit
-val device_tx_frames : device -> int
-val device_rx_frames : device -> int
 
 type driver
 

@@ -187,6 +187,22 @@ let test_garbage_state_skipped () =
   Alcotest.(check int) "skipped exactly once" 1
     (Ring.counters (Driver.rx_ring drv)).Ring.state_skipped
 
+let test_queued_faults_land_in_injection_order () =
+  (* One header fault per produced slot, oldest first: the state lie hits
+     the first message (skipped), the length lie the second (clamped). *)
+  let drv, host, _ = make () in
+  Host_model.inject host (Host_model.Garbage_state 7);
+  Host_model.inject host (Host_model.Lie_len 6000);
+  Host_model.deliver_rx host (Bytes.of_string "first");
+  Host_model.deliver_rx host (Bytes.of_string "second");
+  Host_model.poll host;
+  let survivors = List.filter_map (fun () -> Driver.poll drv) [ (); (); (); () ] in
+  let c = Ring.counters (Driver.rx_ring drv) in
+  Alcotest.(check int) "first message skipped" 1 c.Ring.state_skipped;
+  Alcotest.(check int) "second message clamped" 1 c.Ring.len_clamped;
+  Alcotest.(check (list string)) "only the second survives" [ "second" ]
+    (List.map (fun f -> Bytes.sub_string f 0 (min 6 (Bytes.length f))) survivors)
+
 let test_race_header_defeated_by_single_fetch () =
   let drv, host, _ = make () in
   Host_model.inject host (Host_model.Race_header 100000);
@@ -850,6 +866,8 @@ let suite =
     Alcotest.test_case "hostile: lie-len confined" `Quick test_lie_len_confined;
     Alcotest.test_case "hostile: bad index masked" `Quick test_bad_index_masked_in_pool_mode;
     Alcotest.test_case "hostile: garbage state skipped" `Quick test_garbage_state_skipped;
+    Alcotest.test_case "hostile: queued faults land in injection order" `Quick
+      test_queued_faults_land_in_injection_order;
     Alcotest.test_case "hostile: header race defeated" `Quick test_race_header_defeated_by_single_fetch;
     Alcotest.test_case "hostile: dataflow survives burst" `Quick test_dataflow_survives_attack_burst;
     Alcotest.test_case "hostile: corrupt payload confined to L2" `Quick

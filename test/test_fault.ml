@@ -5,6 +5,7 @@
 
 open Cio_core
 open Cio_fault
+module Host_model = Cio_cionet.Host_model
 open Cio_compartment
 
 (* --- plans --------------------------------------------------------------- *)
@@ -21,10 +22,11 @@ let test_plan_covers_every_layer () =
     List.map
       (fun { Plan.kind; _ } ->
         match kind with
-        | Plan.Host_stall _ -> `Stall
-        | Plan.Host_ring_freeze _ | Plan.Host_silent_drop _ -> `Starve
-        | Plan.Host_lie_len _ | Plan.Host_bad_index _ | Plan.Host_garbage_state _
-        | Plan.Host_race_header _ | Plan.Host_corrupt_payload | Plan.Host_replay_slot ->
+        | Plan.Host (Host_model.Stall _) -> `Stall
+        | Plan.Host (Host_model.Ring_freeze _ | Host_model.Silent_drop _) -> `Starve
+        | Plan.Host
+            ( Host_model.Lie_len _ | Host_model.Bad_index _ | Host_model.Garbage_state _
+            | Host_model.Race_header _ | Host_model.Corrupt_payload | Host_model.Replay_slot ) ->
             `Sabotage
         | Plan.Link_burst _ -> `Link
         | Plan.Record_tamper -> `Record
@@ -37,6 +39,23 @@ let test_plan_covers_every_layer () =
   let steps = List.map (fun i -> i.Plan.at_step) plan.Plan.injections in
   Alcotest.(check bool) "injection steps strictly increasing" true
     (List.sort compare steps = steps && List.sort_uniq compare steps = steps)
+
+let test_plan_prints_host_faults () =
+  (* Reports name a host fault by the host model's own printer. *)
+  List.iter
+    (fun (m, expected) ->
+      Alcotest.(check string) expected expected (Format.asprintf "%a" Plan.pp_kind (Plan.Host m)))
+    [
+      (Host_model.Stall 600, "host-stall(600 polls)");
+      (Host_model.Ring_freeze 600, "ring-freeze(600 polls)");
+      (Host_model.Silent_drop 2, "silent-drop(2 frames)");
+      (Host_model.Lie_len 999_999, "lie-len(999999)");
+      (Host_model.Bad_index 5000, "bad-index(5000)");
+      (Host_model.Garbage_state 7, "garbage-state(0x7)");
+      (Host_model.Race_header 6000, "race-header(6000)");
+      (Host_model.Corrupt_payload, "corrupt-payload");
+      (Host_model.Replay_slot, "replay-slot");
+    ]
 
 (* --- campaigns ----------------------------------------------------------- *)
 
@@ -52,7 +71,7 @@ let test_campaign_deterministic () =
   let plan =
     { Plan.seed = 5L;
       injections =
-        [ { Plan.at_step = 800; kind = Plan.Host_stall 300 };
+        [ { Plan.at_step = 800; kind = Plan.Host (Host_model.Stall 300) };
           { Plan.at_step = 25_000; kind = Plan.Record_tamper };
           { Plan.at_step = 50_000; kind = Plan.Stack_crash 120 } ] }
   in
@@ -62,7 +81,7 @@ let test_campaign_deterministic () =
   Alcotest.(check string) "same seed, byte-identical report" a b
 
 let test_campaign_stall_watchdog_recovery () =
-  let r = run_injections ~seed:21L [ { Plan.at_step = 700; kind = Plan.Host_stall 400 } ] in
+  let r = run_injections ~seed:21L [ { Plan.at_step = 700; kind = Plan.Host (Host_model.Stall 400) } ] in
   Alcotest.(check bool) "stall detected" true (r.Campaign.stalls_detected >= 1);
   Alcotest.(check bool) "ring reset" true (r.Campaign.resets >= 1);
   Alcotest.(check bool) "recovered" true (Campaign.all_recovered r);
@@ -89,7 +108,7 @@ let test_campaign_record_tamper_fail_closed () =
 let test_campaign_sabotage_confined () =
   let r =
     run_injections ~seed:24L
-      [ { Plan.at_step = 500; kind = Plan.Host_lie_len 999_999 } ]
+      [ { Plan.at_step = 500; kind = Plan.Host (Host_model.Lie_len 999_999) } ]
   in
   Alcotest.(check bool) "confined at L2" true (r.Campaign.confined >= 1);
   Alcotest.(check bool) "survived" true r.Campaign.survived
@@ -188,7 +207,7 @@ let test_dual_survives_io_stack_crash () =
   Alcotest.(check bool) "io dead" false (Dual.io_alive unit_);
   for _ = 1 to 200 do step () done;
   Dual.restart_io unit_;
-  Cio_cionet.Host_model.reattach host ~driver:(Dual.driver unit_);
+  Host_model.reattach host ~driver:(Dual.driver unit_);
   ch := Dual.reconnect unit_ !ch;
   Alcotest.(check bool) "re-established after restart" true
     (wait (fun () -> Channel.is_established !ch));
@@ -201,6 +220,7 @@ let suite =
   [
     Alcotest.test_case "plan: deterministic" `Quick test_plan_deterministic;
     Alcotest.test_case "plan: covers every layer" `Quick test_plan_covers_every_layer;
+    Alcotest.test_case "plan: prints host faults as reports do" `Quick test_plan_prints_host_faults;
     Alcotest.test_case "campaign: byte-identical reports" `Slow test_campaign_deterministic;
     Alcotest.test_case "campaign: stall -> watchdog recovery" `Slow
       test_campaign_stall_watchdog_recovery;

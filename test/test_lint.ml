@@ -10,6 +10,7 @@
 open Cio_mem
 open Cio_virtio
 open Cio_fault
+module Host_model = Cio_cionet.Host_model
 module Lint = Cio_lintlib.Lint
 
 let root () = Helpers.repo_root ()
@@ -75,6 +76,7 @@ let test_classify () =
   check "lib/virtio/driver_unhardened.ml" "corpus";
   check "lib/virtio/device.ml" "host-model";
   check "lib/cionet/host_model.ml" "host-model";
+  check "lib/mem/host_fault.ml" "host-model";
   check "lib/attack/attack.ml" "host-model";
   check "lib/experiments/experiments.ml" "harness";
   check "lib/fault/campaign.ml" "harness"
@@ -97,6 +99,7 @@ let test_gates_exactly_guest_files () =
     List.mem (Filename.dirname rel) dirs
     && rel <> "lib/virtio/device.ml"
     && rel <> "lib/cionet/host_model.ml"
+    && rel <> "lib/mem/host_fault.ml"
   in
   let previously_gated = List.filter always_gated files in
   List.iter
@@ -240,7 +243,7 @@ let test_campaign_sanitized_safe_path_clean () =
   in
   let r =
     Campaign.run ~config
-      { Plan.seed = 77L; injections = [ { Plan.at_step = 700; kind = Plan.Host_lie_len 999_999 } ] }
+      { Plan.seed = 77L; injections = [ { Plan.at_step = 700; kind = Plan.Host (Host_model.Lie_len 999_999) } ] }
   in
   Alcotest.(check bool) "campaign survived" true r.Campaign.survived;
   Alcotest.(check int) "safe path: no double fetches" 0 r.Campaign.sanitizer_double_fetches;

@@ -312,8 +312,8 @@ let prop_composed_faults_breaker_recloses =
           Plan.seed = Int64.of_int seed;
           injections =
             [
-              { Plan.at_step = 2_000; kind = Plan.Host_stall 600 };
-              { Plan.at_step = 9_000; kind = Plan.Host_ring_freeze 600 };
+              { Plan.at_step = 2_000; kind = Plan.Host (Host_model.Stall 600) };
+              { Plan.at_step = 9_000; kind = Plan.Host (Host_model.Ring_freeze 600) };
             ];
         }
       in
