@@ -39,7 +39,7 @@ let test_ring_roundtrip positioning name =
     (Staged.stage (fun () ->
          ignore (Cio_cionet.Driver.transmit drv payload);
          Cio_cionet.Host_model.poll host;
-         Cio_cionet.Host_model.deliver_rx host payload;
+         Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
          Cio_cionet.Host_model.poll host;
          ignore (Cio_cionet.Driver.poll drv)))
 
@@ -58,7 +58,7 @@ let test_ring_burst positioning name ~depth =
     (Staged.stage (fun () ->
          ignore (Cio_cionet.Driver.transmit_burst drv batch);
          Cio_cionet.Host_model.poll host;
-         Array.iter (Cio_cionet.Host_model.deliver_rx host) batch;
+         Array.iter (fun f -> Cio_cionet.Host_model.deliver_rx host (Bytes.copy f)) batch;
          Cio_cionet.Host_model.poll host;
          List.iter (Cio_cionet.Driver.recycle drv) (Cio_cionet.Driver.poll_burst ~max:depth drv)))
 
@@ -69,7 +69,7 @@ let test_cionet_revoke () =
   let payload = Bytes.make 4096 'r' in
   Test.make ~name:"cionet-rx-revoke"
     (Staged.stage (fun () ->
-         Cio_cionet.Host_model.deliver_rx host payload;
+         Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
          Cio_cionet.Host_model.poll host;
          ignore (Cio_cionet.Driver.poll drv)))
 

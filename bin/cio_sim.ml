@@ -110,6 +110,9 @@ let campaign_cmd =
   let run seed json =
     let open Cio_fault in
     let module Host_model = Cio_cionet.Host_model in
+    (* Buffer-pool checking on: a double recycle anywhere in the run
+       fails it. The report is the same either way. *)
+    Cio_mem.Bufpool.set_checking true;
     (* A host-health plan: a stall and a one-directional ring freeze,
        the two faults the breaker + retry budget are about. *)
     let plan =

@@ -281,7 +281,7 @@ let run_cionet scenario =
   plant_cionet_canaries driver;
   let honest = Bytes.of_string "honest-frame-payload" in
   Host_model.inject host scenario.cionet;
-  Host_model.deliver_rx host honest;
+  Host_model.deliver_rx host (Bytes.copy honest);
   Host_model.poll host;
   let frames = ref [] in
   let drain n =

@@ -40,7 +40,9 @@ type t = {
   mutable driver_tx : Ring.t;  (* we consume *)
   mutable driver_rx : Ring.t;  (* we produce *)
   transmit : bytes -> unit;
-  pool : Bufpool.t;  (* staging buffers for pending RX frames *)
+  (* Frame buffers the host owns: what [drain_tx] consumes into and
+     gives to [transmit], and where produced RX frames go back. *)
+  pool : Bufpool.t;
   pending_rx : bytes Queue.t;
   one_shot : misbehavior Host_fault.queue;  (* header/payload faults *)
   (* Modal faults: unlike the one-shot header sabotage, these describe a
@@ -114,16 +116,11 @@ let inject t m =
   | Ring_freeze n -> t.freeze_polls <- t.freeze_polls + max 0 n
   | _ -> Host_fault.push t.one_shot m
 
-let deliver_rx t frame =
-  (* Zero-length frames are meaningless on the ring (and rejected by it);
-     a real device would not generate them either. The staging copy comes
-     from the host's pool so steady-state forwarding reuses buffers. *)
-  if Bytes.length frame > 0 then begin
-    let len = Bytes.length frame in
-    let copy = Bufpool.acquire t.pool len in
-    Bytes.blit frame 0 copy 0 len;
-    Queue.add copy t.pending_rx
-  end
+(* The delivered frame is the host's now: it is staged as it is, and
+   its buffer joins the host's pool once produced. Zero-length frames
+   are meaningless on the ring (and rejected by it); a real device would
+   not generate them either. *)
+let deliver_rx t frame = if Bytes.length frame > 0 then Queue.add frame t.pending_rx
 
 (* Post-produce header corruption for the attack experiments: the honest
    produce path wrote a well-formed slot; the hostile host then scribbles
@@ -160,14 +157,15 @@ let note_fault t =
   Metrics.inc m_faults;
   if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
 
-(* TX direction: drain the guest's ring in bursts and forward in FIFO
-   order, up to [left] frames. A fault mid-burst (revoked pages, e.g. a
-   hot swap racing the drain) loses the in-flight batch, exactly like a
-   cable pull. *)
+(* TX direction: drain the guest's ring in bursts into the host's pool
+   and forward in FIFO order, up to [left] frames; [transmit] owns each
+   frame it is given. A fault mid-burst (revoked pages, e.g. a hot swap
+   racing the drain) loses the in-flight batch, exactly like a cable
+   pull. *)
 let rec drain_tx t left =
   let k = min 64 left in
   if k > 0 then
-    match Ring.try_consume_burst ~max:k t.driver_tx with
+    match Ring.try_consume_burst ~pool:t.pool ~max:k t.driver_tx with
     | [] -> ()
     | frames ->
         List.iter
@@ -186,17 +184,15 @@ let corrupt frame =
 (* RX direction: push pending frames into the guest's RX ring, [batch]
    frames per ring crossing, up to [left] frames. With [batch = 1] every
    frame can take its detour: silent drop, payload corruption, header
-   sabotage of the slot it landed in, replay. Produced staging buffers
-   go back to the pool except the newest of each batch, which is left to
-   the GC (recycling it as well measured a higher heap top on the 8 KiB
-   echo), so a batch of one recycles nothing. A fault loses the frames
-   in flight. *)
+   sabotage of the slot it landed in, replay. Every produced staging
+   buffer goes back to the pool once any replay has re-produced it. A
+   fault loses the frames in flight. *)
 let rec fill_rx t ~batch left =
   if t.drop_frames > 0 && not (Queue.is_empty t.pending_rx) then begin
     (* Silent drop: the frame vanishes without any ring activity, as if
        the wire had eaten it. Nothing to detect at L2; TCP's timers own
        this failure. *)
-    ignore (Queue.take t.pending_rx);
+    Bufpool.recycle t.pool (Queue.take t.pending_rx);
     t.drop_frames <- t.drop_frames - 1;
     t.stats.rx_dropped <- t.stats.rx_dropped + 1;
     Metrics.inc m_rx_dropped;
@@ -218,9 +214,6 @@ let rec fill_rx t ~batch left =
       match Ring.try_produce_burst t.driver_rx staged with
       | n ->
           Metrics.add m_rx_injected n;
-          for i = 0 to n - 2 do
-            Bufpool.recycle t.pool frames.(i)
-          done;
           if n > 0 && not (Host_fault.is_empty t.one_shot) then begin
             sabotage t;
             match Host_fault.take t.one_shot (function Replay_slot -> Some () | _ -> None) with
@@ -233,6 +226,9 @@ let rec fill_rx t ~batch left =
                 ignore (Ring.try_produce t.driver_rx staged.(n - 1))
             | None -> ()
           end;
+          for i = 0 to n - 1 do
+            Bufpool.recycle t.pool frames.(i)
+          done;
           if n < k then begin
             (* Ring full: put the unproduced tail back at the head. *)
             let leftovers = Queue.create () in

@@ -21,6 +21,9 @@ type stats = {
 type t
 
 val create : driver:Driver.t -> transmit:(bytes -> unit) -> t
+(** [transmit] receives each frame drained from the guest's TX ring and
+    owns it: the buffer comes from the host's pool and is not touched by
+    the host again. *)
 
 val reattach : t -> driver:Driver.t -> unit
 (** Re-attach to a driver after {!Driver.hot_swap}. *)
@@ -41,6 +44,9 @@ val set_service_quota : t -> int option -> unit
     overload experiments. *)
 
 val deliver_rx : t -> bytes -> unit
+(** Queue a frame for the guest's RX ring. The host takes the buffer:
+    it is produced as it is and then recycled into the host's pool, so
+    the caller must not touch it afterwards. *)
 
 val poll : t -> unit
 (** Drain the guest's TX ring (forwarding frames) and fill the RX ring

@@ -184,21 +184,20 @@ let desc_off t d = t.base + t.lay.desc_off + (8 * (d land (max t.lay.desc_count 
 let ring_word_cost t ~amortized =
   if amortized then t.model.Cost.ring_burst_op else t.model.Cost.ring_op
 
+(* Word [i] of the last header fetch: 0 state, 1 len, 2 info, 3 tag. *)
+let hdr_word t i = Int32.to_int (Bytes.get_int32_le t.hdr (4 * i)) land 0xFFFFFFFF
+
 (* Single-fetch header read: one 16-byte pull into the ring's private
-   fetch buffer, decoded before the next fetch can reuse it. The buffer
-   is not shared memory, so a host racing through the read hook cannot
-   change what is decoded. *)
+   fetch buffer; returns the state word, and the caller decodes len and
+   info with [hdr_word] before the next fetch reuses the buffer. The
+   buffer is not shared memory, so a host racing through the read hook
+   cannot change what is decoded. *)
 let read_header ?(amortized = false) t actor slot =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
-  let b = t.hdr in
   (match actor with
-  | Region.Guest -> Region.guest_read_into t.region ~off:(hdr_off t slot) b
-  | Region.Host -> Region.host_read_into t.region ~off:(hdr_off t slot) b);
-  let state = Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF in
-  let len = Int32.to_int (Bytes.get_int32_le b 4) land 0xFFFFFFFF in
-  let info = Int32.to_int (Bytes.get_int32_le b 8) land 0xFFFFFFFF in
-  let tag = Int32.to_int (Bytes.get_int32_le b 12) land 0xFFFFFFFF in
-  (state, len, info, tag)
+  | Region.Guest -> Region.guest_read_into t.region ~off:(hdr_off t slot) t.hdr
+  | Region.Host -> Region.host_read_into t.region ~off:(hdr_off t slot) t.hdr);
+  hdr_word t 0
 
 let write_word ?(amortized = false) t actor ~off v =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
@@ -240,8 +239,7 @@ let produce_one t ~amortized payload =
   if len > t.lay.unit_size then invalid_arg "Ring.try_produce: payload larger than slot capacity";
   if len = 0 then invalid_arg "Ring.try_produce: messages carry at least one byte";
   let slot = t.prod_next land (t.slots - 1) in
-  let state, _, _, _ = read_header t ~amortized actor slot in
-  if state <> state_empty then begin
+  if read_header t ~amortized actor slot <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
     Metrics.inc m_full_misses;
     false
@@ -380,7 +378,8 @@ type consume_result = Cr_empty | Cr_skip | Cr_frame of bytes
 let consume_one ?pool t ~amortized =
   let actor = consumer t in
   let slot = t.cons_next land (t.slots - 1) in
-  let state, len, info, _tag = read_header t ~amortized actor slot in
+  let state = read_header t ~amortized actor slot in
+  let len = hdr_word t 1 and info = hdr_word t 2 in
   if state = state_empty then begin
     t.counters.empty_polls <- t.counters.empty_polls + 1;
     Metrics.inc m_empty_polls;
@@ -457,7 +456,8 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
     let mask = t.slots - 1 in
     let start = t.cons_next land mask in
     let limit = min max (t.slots - start) in
-    let state, len, _info, _tag = read_header t actor start in
+    let state = read_header t actor start in
+    let len = hdr_word t 1 in
     if state = state_empty then begin
       t.counters.empty_polls <- t.counters.empty_polls + 1;
       Metrics.inc m_empty_polls;
@@ -483,9 +483,9 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
         let k = ref 1 in
         let scanning = ref true in
         while !scanning && !k < limit do
-          let state, len, _info, _tag = read_header t ~amortized:true actor (start + !k) in
           let len =
-            if state = state_full then clamp t actor len
+            if read_header t ~amortized:true actor (start + !k) = state_full then
+              clamp t actor (hdr_word t 1)
             else begin
               charge t actor Cost.Check t.model.Cost.check;
               0

@@ -81,7 +81,7 @@ let cionet_pair_cost ?model ~name ~count cfg payload =
   for _ = 1 to count do
     ignore (Cio_cionet.Driver.transmit drv payload);
     Cio_cionet.Host_model.poll host;
-    Cio_cionet.Host_model.deliver_rx host payload;
+    Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
     Cio_cionet.Host_model.poll host;
     ignore (Cio_cionet.Driver.poll drv)
   done;
@@ -138,7 +138,7 @@ let rx_cost ?(model = Cost.default) ~strategy ~msg_size ~count () =
   let m = Cio_cionet.Driver.guest_meter drv in
   let before = Cost.snapshot m in
   for _ = 1 to count do
-    Cio_cionet.Host_model.deliver_rx host payload;
+    Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
     Cio_cionet.Host_model.poll host;
     ignore (Cio_cionet.Driver.poll drv)
   done;

@@ -106,10 +106,26 @@ let push q b =
   q.free.(q.count) <- b;
   q.count <- q.count + 1
 
+(* Checking mode: a recycle of a buffer that is already free in this
+   pool would hand it to two owners, so it fails; the buffer kept is
+   poisoned, so an owner still reading it reads garbage. Off, it is one
+   branch per recycle. *)
+let checking = ref false
+let set_checking on = checking := on
+
+let poison = '\xDB'
+
+let audit q b =
+  for i = 0 to q.count - 1 do
+    if q.free.(i) == b then invalid_arg "Bufpool.recycle: buffer is already free in this pool"
+  done;
+  Bytes.fill b 0 (Bytes.length b) poison
+
 let recycle t b =
   let len = Bytes.length b in
   if len > 0 then begin
     let q = bucket t len in
+    if !checking then audit q b;
     if !(q.in_class) >= t.cap then begin
       t.stats.dropped <- t.stats.dropped + 1;
       Cio_telemetry.Metrics.inc m_dropped

@@ -27,7 +27,13 @@ val acquire : t -> int -> bytes
 
 val recycle : t -> bytes -> unit
 (** Return a buffer for reuse. The caller must not touch it afterwards.
-    Zero-length buffers and returns beyond the class cap are dropped. *)
+    Zero-length buffers and returns beyond the class cap are dropped.
+    In checking mode a buffer that is already free in [t] raises
+    [Invalid_argument], and the recycled buffer is poisoned. *)
+
+val set_checking : bool -> unit
+(** Switch checking mode on or off for every pool (default off). The
+    test suite and [cio_sim campaign] run with it on. *)
 
 val stats : t -> stats
 

@@ -4,7 +4,11 @@
    duplicate, corrupt, delay, reorder and replay traffic. It cannot read
    TLS plaintext — cryptographic protection is the L5 boundary's job and
    is tested by aiming this adversary at it. All randomness is drawn from
-   an explicit RNG so attack runs replay deterministically. *)
+   an explicit RNG so attack runs replay deterministically.
+
+   Each frame it passes on goes to its receiver, who may reuse the
+   buffer, so what it delivers twice or keeps is a copy: the duplicate,
+   the replay memory and the replayed frame. *)
 
 open Cio_util
 
@@ -36,7 +40,7 @@ type t = {
   rng : Rng.t;
   stats : stats;
   mutable held : bytes option;     (* frame being reordered *)
-  mutable memory : bytes list;     (* replay source, newest first *)
+  mutable memory : bytes list;     (* replay source, newest first; copies *)
 }
 
 let memory_limit = 32
@@ -53,10 +57,10 @@ let create ~rng profile =
 let stats t = t.stats
 
 let remember t frame =
-  t.memory <- frame :: (if List.length t.memory >= memory_limit then List.filteri (fun i _ -> i < memory_limit - 1) t.memory else t.memory)
+  t.memory <- Bytes.copy frame :: (if List.length t.memory >= memory_limit then List.filteri (fun i _ -> i < memory_limit - 1) t.memory else t.memory)
 
+(* In place: the replay memory holds its own copy. *)
 let corrupt_frame t frame =
-  let frame = Bytes.copy frame in
   if Bytes.length frame > 0 then begin
     let i = Rng.int t.rng (Bytes.length frame) in
     Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor (1 lsl Rng.int t.rng 8)))
@@ -95,7 +99,7 @@ let tamper t : Link.tamper =
     emit f;
     if hit t t.profile.duplicate then begin
       t.stats.duplicated <- t.stats.duplicated + 1;
-      emit ~delay:1000L f
+      emit ~delay:1000L (Bytes.copy f)
     end
   end;
   if hit t t.profile.replay then begin
@@ -103,7 +107,7 @@ let tamper t : Link.tamper =
     | [] -> ()
     | frames ->
         t.stats.replayed <- t.stats.replayed + 1;
-        emit ~delay:2000L (Rng.pick t.rng (Array.of_list frames))
+        emit ~delay:2000L (Bytes.copy (Rng.pick t.rng (Array.of_list frames)))
   end;
   List.rev !out
 

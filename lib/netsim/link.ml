@@ -1,6 +1,11 @@
 (* Point-to-point duplex link with latency, serialization delay and FIFO
    queueing, plus optional in-transit tamper hooks (the adversary sits
-   there) and transit taps (the observer sits there). *)
+   there) and transit taps (the observer sits there).
+
+   A frame changes owner on the link: the sender gives away the buffer
+   it passes to [send], and the one receiver it is delivered to owns it.
+   Taps only read it. A tamper hook that delivers a frame twice, or
+   keeps it to deliver later as well, copies it. *)
 
 type endpoint = A | B
 
@@ -76,13 +81,12 @@ let send t ~src frame =
   let start = if dir.busy_until > now then dir.busy_until else now in
   let tx_done = Int64.add start (serialization_ns t (Bytes.length frame)) in
   dir.busy_until <- tx_done;
-  let deliveries =
-    match dir.tamper with
-    | None -> [ { extra_delay_ns = 0L; frame } ]
-    | Some f -> f frame
-  in
-  List.iter
-    (fun d ->
-      let arrival = Int64.add (Int64.add tx_done t.latency_ns) d.extra_delay_ns in
-      Engine.schedule_at t.engine ~time:arrival (fun () -> deliver t (peer src) d.frame))
-    deliveries
+  let arrival = Int64.add tx_done t.latency_ns and dst = peer src in
+  match dir.tamper with
+  | None -> Engine.schedule_at t.engine ~time:arrival (fun () -> deliver t dst frame)
+  | Some f ->
+      List.iter
+        (fun d ->
+          Engine.schedule_at t.engine ~time:(Int64.add arrival d.extra_delay_ns) (fun () ->
+              deliver t dst d.frame))
+        (f frame)

@@ -10,7 +10,9 @@ type delivery = { extra_delay_ns : int64; frame : bytes }
 
 type tamper = bytes -> delivery list
 (** Maps one in-flight frame to the frames actually delivered: [[]] drops,
-    several entries duplicate or inject. *)
+    several entries duplicate or inject. Each delivered buffer goes to
+    its receiver, so a hook that delivers one frame twice, or keeps it
+    for a later delivery, must copy it. *)
 
 type t
 
@@ -21,11 +23,14 @@ val set_tamper : t -> src:endpoint -> tamper option -> unit
 (** Install/remove the adversary on the [src]→peer direction. *)
 
 val set_transit_tap : t -> (time:int64 -> src:endpoint -> bytes -> unit) option -> unit
-(** Metadata tap fired for every frame entering the link. *)
+(** Metadata tap fired for every frame entering the link. It only reads
+    the frame during the call. *)
 
 val frames_sent : t -> src:endpoint -> int
 val bytes_sent : t -> src:endpoint -> int
 
 val send : t -> src:endpoint -> bytes -> unit
 (** Queue a frame; it arrives at the peer after serialization + latency
-    (+ tampering). *)
+    (+ tampering). The sender gives the buffer away: the receiver it is
+    delivered to owns it. Without a tamper hook this is one engine
+    event. *)

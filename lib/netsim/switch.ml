@@ -5,7 +5,8 @@
    to the learned port for the destination MAC, flood unknown/broadcast
    destinations to every other port. Per-port egress delivery goes through
    the engine with the configured latency, keeping multi-party runs
-   deterministic. *)
+   deterministic. As on a {!Link}, the frame's buffer changes owner; a
+   flood gives each port its own copy. *)
 
 type port = {
   pid : int;
@@ -77,7 +78,7 @@ let ingress t ~port frame =
     | false, Some _ -> ()  (* destination on the ingress port: filter *)
     | true, _ | false, None ->
         t.flooded <- t.flooded + 1;
-        Array.iter (fun q -> if q.pid <> port then deliver t q.pid frame) t.ports
+        Array.iter (fun q -> if q.pid <> port then deliver t q.pid (Bytes.copy frame)) t.ports
   end
 
 (* A netif-shaped endpoint bound to one switch port: transmit goes into

@@ -11,7 +11,8 @@ val attach : t -> port:int -> (bytes -> unit) -> unit
 (** Set the egress callback for a port. *)
 
 val ingress : t -> port:int -> bytes -> unit
-(** Inject a frame arriving on [port]. *)
+(** Inject a frame arriving on [port]. Its buffer goes to the egress
+    port; a flood gives each port its own copy. *)
 
 val learned_port : t -> mac:int -> int option
 val frames_in : t -> port:int -> int

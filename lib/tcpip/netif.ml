@@ -10,13 +10,13 @@ open Cio_frame
 type t = {
   mac : Addr.mac;
   mtu : int;
-  transmit : bytes -> unit;     (* raw Ethernet frame out *)
-  poll : unit -> bytes option;  (* next received raw Ethernet frame, if any *)
+  transmit : bytes -> unit;     (* raw Ethernet frame out; the netif keeps it *)
+  poll : unit -> bytes option;  (* next received frame, if any; the caller owns it *)
 }
 
 let loopback_pair ~mac_a ~mac_b ~mtu =
-  (* Two interfaces wired back-to-back through in-memory queues; used by
-     tests to exercise the stack without any driver or simulator. *)
+  (* Two interfaces wired back-to-back through in-memory queues, for
+     tests; [transmit] queues a copy, so a test may send a frame twice. *)
   let qa = Queue.create () and qb = Queue.create () in
   let mk mac inbox outbox =
     {

@@ -37,17 +37,16 @@ type t = {
      byte-identical to the uncoalesced stack. *)
   tx_burst : (bytes array -> int) option;
   txq : bytes Queue.t;
-  (* TX frame buffers under [tx_burst], which only borrows a frame for
-     the call: each accepted frame comes back here. Without it the netif
-     keeps what it is given, so every frame is a fresh buffer. *)
+  (* Every TX frame buffer comes from here: [tx_burst] only borrows a
+     frame for the call, [transmit] keeps it. *)
   tx_pool : Cio_mem.Bufpool.t;
   (* Overload plane: when set, the TX coalescing queue is bounded and
      new frames shed (counted, typed) instead of growing it without
      limit while the ring is full. *)
   tx_queue_limit : int option;
-  (* Frame-buffer return path: RX buffers go back to the driver's pool
-     once handled (the decoders return views into the frame, and what
-     outlives [handle_frame] is copied out of it first). *)
+  (* Frame-buffer return path: RX buffers go back to the driver's pool,
+     else to [tx_pool], once handled (the decoders return views into the
+     frame, and what outlives [handle_frame] is copied out first). *)
   recycle : (bytes -> unit) option;
 }
 
@@ -113,10 +112,7 @@ let flush_tx t =
 let l4_off = Ethernet.header_len + Ipv4.header_len
 
 let frame_buffer t ~l4_len =
-  let len = Ethernet.frame_len ~payload_len:(Ipv4.header_len + l4_len) in
-  match t.tx_burst with
-  | Some _ -> Cio_mem.Bufpool.acquire t.tx_pool len
-  | None -> Bytes.create len
+  Cio_mem.Bufpool.acquire t.tx_pool (Ethernet.frame_len ~payload_len:(Ipv4.header_len + l4_len))
 
 (* Put the IPv4 and Ethernet headers in front of the [l4_len]-byte
    transport segment at [l4_off], and emit the frame. *)
@@ -215,8 +211,8 @@ let poll t =
       | Some frame ->
           handle_frame t frame;
           (* Nothing holds a view into the frame any more; its buffer
-             can go back to the driver's pool. *)
-          (match t.recycle with Some r -> r frame | None -> ());
+             can be reused. *)
+          (match t.recycle with Some r -> r frame | None -> Cio_mem.Bufpool.recycle t.tx_pool frame);
           go (n - 1)
     end
   in

@@ -29,15 +29,17 @@ val create :
   rng:Rng.t ->
   unit ->
   t
-(** [tx_burst] enables TX coalescing: outgoing frames queue and flush as
+(** Every TX frame buffer comes from a pool the stack owns.
+    [tx_burst] enables TX coalescing: outgoing frames queue and flush as
     bursts at the end of each {!poll} (the function returns how many of
     the batch were accepted; the tail is retried next flush). It borrows
     the frames for the call only: the stack reuses each accepted frame's
     buffer afterwards. Without it, [netif.transmit] keeps every frame it
-    is given. [recycle] returns each drained RX frame buffer to the
-    driver's pool once {!handle_frame} is done with it; nothing the
-    stack keeps points into it. Omitting both yields the classic
-    frame-at-a-time stack.
+    is given. [netif.poll] gives the stack each frame it returns; once
+    {!handle_frame} is done with it (nothing the stack keeps points into
+    it), the buffer goes to [recycle], the driver's pool, when given and
+    into the stack's own TX pool otherwise. Omitting both yields the
+    classic frame-at-a-time stack.
     [tx_queue_limit] bounds the coalescing queue: a full queue sheds new
     frames (counted under [dropped] and [overload.bp.queue_full])
     instead of growing without limit while the ring is full.

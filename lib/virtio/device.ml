@@ -61,7 +61,7 @@ let stats t = t.stats
 let inject t m = Host_fault.push t.faults m
 let take t applies = Host_fault.take t.faults applies
 
-let deliver_rx t frame = Queue.add (Bytes.copy frame) t.pending_rx
+let deliver_rx t frame = Queue.add frame t.pending_rx
 
 (* Walk a descriptor chain as the device, defensively: the device also
    must not trust the guest (mutual distrust), so chains are bounded and

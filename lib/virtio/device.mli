@@ -25,7 +25,8 @@ val inject : t -> misbehavior -> unit
     applied at the next matching point. *)
 
 val deliver_rx : t -> bytes -> unit
-(** Hand the device a frame arriving from the network. *)
+(** Hand the device a frame arriving from the network. The device only
+    reads it, when it copies it into a posted RX buffer. *)
 
 val poll : t -> unit
 (** Process TX submissions and complete RX buffers. *)

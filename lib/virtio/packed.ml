@@ -155,7 +155,7 @@ let create_device ~transport ~transmit =
   }
 
 let device_inject d m = Host_fault.push d.faults m
-let device_deliver_rx d frame = Queue.add (Bytes.copy frame) d.pending_rx
+let device_deliver_rx d frame = Queue.add frame d.pending_rx
 let dtake d applies = Host_fault.take d.faults applies
 
 let advance_device_cursor d ~tx =

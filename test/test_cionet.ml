@@ -46,6 +46,24 @@ let test_inline_roundtrip () = roundtrip inline_cfg "inline"
 let test_pool_roundtrip () = roundtrip pool_cfg "pool"
 let test_indirect_roundtrip () = roundtrip indirect_cfg "indirect"
 
+(* A delivered frame is the host's: staged as it is, recycled once
+   produced, and the next TX frame of its length is drained into it. *)
+let test_host_reuses_delivered_buffer () =
+  let drv, host, sent = make () in
+  let delivered = Bytes.make 60 'r' in
+  Host_model.deliver_rx host delivered;
+  Host_model.poll host;
+  (match Driver.poll drv with
+  | Some f -> Helpers.check_bytes "rx content" (Bytes.make 60 'r') f
+  | None -> Alcotest.fail "no rx");
+  ignore (Driver.transmit drv (Bytes.make 60 't'));
+  Host_model.poll host;
+  match !sent with
+  | [ f ] ->
+      Alcotest.(check bool) "TX drained into the delivered buffer" true (f == delivered);
+      Helpers.check_bytes "tx content" (Bytes.make 60 't') f
+  | l -> Alcotest.failf "%d frames forwarded" (List.length l)
+
 let test_sustained_traffic_wraps () =
   let drv, host, sent = make () in
   for i = 1 to 500 do
@@ -713,7 +731,7 @@ let test_steady_state_zero_fresh_allocations () =
   let round () =
     ignore (Driver.transmit_burst drv batch);
     Host_model.poll host;
-    for _ = 1 to 8 do Host_model.deliver_rx host payload done;
+    for _ = 1 to 8 do Host_model.deliver_rx host (Bytes.copy payload) done;
     Host_model.poll host;
     List.iter (Driver.recycle drv) (Driver.poll_burst drv)
   in
@@ -874,6 +892,8 @@ let suite =
       test_corrupt_payload_confined_to_l2;
     Alcotest.test_case "hostile: corrupt payload, rest of poll per frame" `Quick
       test_corrupt_payload_rest_of_poll_per_frame;
+    Alcotest.test_case "host: delivered buffer reused for TX" `Quick
+      test_host_reuses_delivered_buffer;
     Alcotest.test_case "hostile: replay slot delivered twice" `Quick
       test_replay_slot_duplicate_delivery;
     Alcotest.test_case "hostile: stall services nothing" `Quick test_stall_services_nothing;

@@ -1,4 +1,7 @@
+(* The whole suite runs with buffer-pool checking on: a double recycle
+   fails, and a recycled buffer reads as poison. *)
 let () =
+  Cio_mem.Bufpool.set_checking true;
   Alcotest.run "cio"
     [
       ("util", Test_util.suite);

@@ -249,6 +249,37 @@ let test_bufpool_reuse_across_growth () =
   Alcotest.(check int) "no fresh buffer on reuse" 10 (Bufpool.stats p).Bufpool.fresh;
   Alcotest.(check int) "nothing retained" 0 (Bufpool.retained p)
 
+(* Checking mode, which the whole suite runs in: a second recycle of a
+   buffer that is still free would hand it to two owners. *)
+let test_bufpool_checking_double_recycle () =
+  Bufpool.set_checking true;
+  let p = Bufpool.create () in
+  let b = Bufpool.acquire p 32 in
+  Bytes.fill b 0 32 'k';
+  Bufpool.recycle p b;
+  Alcotest.(check bool) "recycled buffer poisoned" true (Bytes.for_all (fun c -> c <> 'k') b);
+  Alcotest.check_raises "second recycle fails"
+    (Invalid_argument "Bufpool.recycle: buffer is already free in this pool") (fun () ->
+      Bufpool.recycle p b);
+  Alcotest.(check int) "counted once" 1 (Bufpool.stats p).Bufpool.recycled;
+  (* Handed out again, it is owned again and may come back once more. *)
+  let again = Bufpool.acquire p 32 in
+  Alcotest.(check bool) "same buffer" true (again == b);
+  Bufpool.recycle p again;
+  (* Another pool knows nothing of it. *)
+  Bufpool.recycle (Bufpool.create ()) (Bufpool.acquire p 32)
+
+let test_bufpool_checking_off () =
+  Fun.protect ~finally:(fun () -> Bufpool.set_checking true) @@ fun () ->
+  Bufpool.set_checking false;
+  let p = Bufpool.create () in
+  let b = Bufpool.acquire p 32 in
+  Bytes.fill b 0 32 'k';
+  Bufpool.recycle p b;
+  Alcotest.(check bool) "contents untouched" true (Bytes.for_all (fun c -> c = 'k') b);
+  Bufpool.recycle p b;
+  Alcotest.(check int) "a second recycle is not detected" 2 (Bufpool.stats p).Bufpool.recycled
+
 let prop_bufpool_acquire_is_exact_and_balanced =
   QCheck.Test.make ~name:"bufpool acquires are exact-length; stats balance" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 40) (int_range 1 4096))
@@ -434,6 +465,9 @@ let suite =
       test_bufpool_reuse_allocates_nothing;
     Alcotest.test_case "bufpool: reuse across growth" `Quick
       test_bufpool_reuse_across_growth;
+    Alcotest.test_case "bufpool: checking mode catches a double recycle" `Quick
+      test_bufpool_checking_double_recycle;
+    Alcotest.test_case "bufpool: checking mode off" `Quick test_bufpool_checking_off;
     Alcotest.test_case "sanitizer: off by default, counts nothing" `Quick
       test_sanitizer_off_counts_nothing;
     Alcotest.test_case "sanitizer: overlapping fetch counted" `Quick

@@ -168,6 +168,67 @@ let test_adversary_reorder_holds_frame () =
   Helpers.check_bytes "released frame is the held one" (Bytes.of_string "one")
     (List.hd second).Link.frame
 
+(* --- frame ownership -------------------------------------------------- *)
+
+(* A link whose B end owns what it is given: it records each delivery
+   (time, buffer, contents), then scribbles over the buffer as a
+   receiver reusing it would. *)
+let scribbling_link ?tamper () =
+  let e = Engine.create () in
+  let link = Link.create ~latency_ns:1000L ~gbps:8.0 e in
+  let got = ref [] in
+  Link.attach link Link.B (fun f ->
+      got := (Engine.now e, f, Bytes.to_string f) :: !got;
+      Bytes.fill f 0 (Bytes.length f) '\xEE');
+  Option.iter (fun t -> Link.set_tamper link ~src:Link.A (Some t)) tamper;
+  (e, link, got)
+
+let test_link_untampered_delivers_once () =
+  let e, link, got = scribbling_link () in
+  let frame = Bytes.make 100 'x' in
+  Link.send link ~src:Link.A frame;
+  Alcotest.(check int) "one engine event" 1 (Engine.pending e);
+  Engine.run e;
+  match List.rev !got with
+  | [ (time, f, contents) ] ->
+      (* 100 B at 8 Gbit/s = 100 ns serialization + 1000 ns latency. *)
+      Alcotest.(check int64) "same arrival time" 1100L time;
+      Alcotest.(check bool) "the sender's buffer, handed over" true (f == frame);
+      Alcotest.(check string) "contents" (String.make 100 'x') contents
+  | l -> Alcotest.failf "%d deliveries" (List.length l)
+
+let test_adversary_duplicate_is_a_copy () =
+  let rng = Cio_util.Rng.create 4L in
+  let adv = Adversary.create ~rng { Adversary.benign with Adversary.duplicate = 1.0 } in
+  let e, link, got = scribbling_link ~tamper:(Adversary.tamper adv) () in
+  Link.send link ~src:Link.A (Bytes.make 60 'd');
+  Engine.run e;
+  match List.rev !got with
+  | [ (_, a, first); (_, b, second) ] ->
+      Alcotest.(check bool) "two distinct buffers" true (a != b);
+      Alcotest.(check string) "original" (String.make 60 'd') first;
+      Alcotest.(check string) "duplicate unharmed by the scribble" (String.make 60 'd') second
+  | l -> Alcotest.failf "%d deliveries" (List.length l)
+
+let test_adversary_replay_survives_scribble () =
+  let rng = Cio_util.Rng.create 5L in
+  let adv = Adversary.create ~rng { Adversary.benign with Adversary.replay = 1.0 } in
+  let e, link, got = scribbling_link ~tamper:(Adversary.tamper adv) () in
+  (* Each send delivers the frame and, 2 us later, a replay from memory;
+     the receiver has scribbled over every earlier delivery by then. *)
+  List.iter
+    (fun c ->
+      Link.send link ~src:Link.A (Bytes.make 60 c);
+      Engine.run e)
+    [ 'r'; 's'; 't' ];
+  Alcotest.(check int) "three frames, three replays" 6 (List.length !got);
+  Alcotest.(check int) "replays counted" 3 (Adversary.stats adv).Adversary.replayed;
+  List.iter
+    (fun (_, _, contents) ->
+      Alcotest.(check bool) "every delivery reads a sent frame" true
+        (List.mem contents (List.map (String.make 60) [ 'r'; 's'; 't' ])))
+    !got
+
 let suite =
   [
     Alcotest.test_case "engine: time ordering" `Quick test_engine_time_ordering;
@@ -182,6 +243,12 @@ let suite =
     Alcotest.test_case "link: tamper drop" `Quick test_link_tamper_drop;
     Alcotest.test_case "link: tamper duplicate" `Quick test_link_tamper_duplicate;
     Alcotest.test_case "link: transit tap" `Quick test_link_transit_tap;
+    Alcotest.test_case "link: untampered frame delivered once, handed over" `Quick
+      test_link_untampered_delivers_once;
+    Alcotest.test_case "adversary: duplicate is a distinct buffer" `Quick
+      test_adversary_duplicate_is_a_copy;
+    Alcotest.test_case "adversary: replay survives a receiver scribble" `Quick
+      test_adversary_replay_survives_scribble;
     Alcotest.test_case "adversary: benign passthrough" `Quick test_adversary_benign_passthrough;
     Alcotest.test_case "adversary: determinism" `Quick test_adversary_deterministic;
     Alcotest.test_case "adversary: drop rate" `Quick test_adversary_drop_rate;

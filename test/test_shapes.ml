@@ -16,7 +16,7 @@ let test_e1_positioning_order () =
     for _ = 1 to 16 do
       ignore (Cio_cionet.Driver.transmit drv payload);
       Cio_cionet.Host_model.poll host;
-      Cio_cionet.Host_model.deliver_rx host payload;
+      Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
       Cio_cionet.Host_model.poll host;
       ignore (Cio_cionet.Driver.poll drv)
     done;
@@ -50,7 +50,7 @@ let test_e2_crossover_exists () =
     let payload = Bytes.make size 'r' in
     let m = Cio_cionet.Driver.guest_meter drv in
     for _ = 1 to 8 do
-      Cio_cionet.Host_model.deliver_rx host payload;
+      Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
       Cio_cionet.Host_model.poll host;
       ignore (Cio_cionet.Driver.poll drv)
     done;
@@ -98,7 +98,7 @@ let test_e3_transport_order () =
     for _ = 1 to 16 do
       ignore (Cio_cionet.Driver.transmit drv payload);
       Cio_cionet.Host_model.poll host;
-      Cio_cionet.Host_model.deliver_rx host payload;
+      Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
       Cio_cionet.Host_model.poll host;
       ignore (Cio_cionet.Driver.poll drv)
     done;
@@ -130,7 +130,7 @@ let test_e11_polling_cheaper () =
     for _ = 1 to 16 do
       ignore (Cio_cionet.Driver.transmit drv payload);
       Cio_cionet.Host_model.poll host;
-      Cio_cionet.Host_model.deliver_rx host payload;
+      Cio_cionet.Host_model.deliver_rx host (Bytes.copy payload);
       Cio_cionet.Host_model.poll host;
       ignore (Cio_cionet.Driver.poll drv)
     done;

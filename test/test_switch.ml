@@ -32,13 +32,22 @@ let test_flood_then_learn () =
 let test_broadcast () =
   let engine = Engine.create () in
   let sw = Switch.create ~ports:4 engine in
-  let got = Array.make 4 0 in
+  let got = Array.make 4 0 and bufs = ref [] in
   for p = 0 to 3 do
-    Switch.attach sw ~port:p (fun _ -> got.(p) <- got.(p) + 1)
+    Switch.attach sw ~port:p (fun f ->
+        got.(p) <- got.(p) + 1;
+        bufs := f :: !bufs)
   done;
-  Switch.ingress sw ~port:2 (frame ~dst:Addr.mac_broadcast ~src:(mac 2) (Bytes.make 30 'b'));
+  let sent = frame ~dst:Addr.mac_broadcast ~src:(mac 2) (Bytes.make 30 'b') in
+  Switch.ingress sw ~port:2 (Bytes.copy sent);
   Engine.run engine;
-  Alcotest.(check (list int)) "all but ingress" [ 1; 1; 0; 1 ] (Array.to_list got)
+  Alcotest.(check (list int)) "all but ingress" [ 1; 1; 0; 1 ] (Array.to_list got);
+  (* Each receiver owns what it gets, so no two share a buffer. *)
+  List.iter
+    (fun f ->
+      Helpers.check_bytes "intact" sent f;
+      Alcotest.(check int) "its own buffer" 1 (List.length (List.filter (( == ) f) !bufs)))
+    !bufs
 
 let test_same_port_filtered () =
   let engine = Engine.create () in

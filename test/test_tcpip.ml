@@ -252,6 +252,43 @@ let test_ooo_stash_survives_rx_reuse () =
   Alcotest.(check bool) "second segment overtook the first" true !swapped;
   H.check_bytes "stashed bytes drained intact" data got
 
+(* Without [recycle] a handled RX frame goes into the stack's own TX
+   pool: B answers in buffers it received, none of them still queued. *)
+let test_rx_frames_refill_tx_pool () =
+  let nif_a, nif_b = Netif.loopback_pair ~mac_a:H.mac_a ~mac_b:H.mac_b ~mtu:1500 in
+  let received = ref [] and reused = ref 0 in
+  let nif_b =
+    {
+      nif_b with
+      Netif.poll =
+        (fun () ->
+          let r = nif_b.Netif.poll () in
+          Option.iter (fun f -> received := f :: !received) r;
+          r);
+      transmit =
+        (fun f ->
+          if List.memq f !received then incr reused;
+          nif_b.Netif.transmit f);
+    }
+  in
+  let clock = ref 0L in
+  let now () = !clock in
+  let rng = Cio_util.Rng.create 17L in
+  let mk netif ip peer_ip peer_mac =
+    Stack.create ~netif ~ip ~neighbors:[ (peer_ip, peer_mac) ] ~now ~rng:(Cio_util.Rng.split rng) ()
+  in
+  let pair =
+    { H.stack_a = mk nif_a H.ip_a H.ip_b H.mac_b; stack_b = mk nif_b H.ip_b H.ip_a H.mac_a; clock }
+  in
+  let client, server = H.connect pair in
+  let data = Bytes.init 6000 (fun i -> Char.chr ((i * 5) land 0xFF)) in
+  let got =
+    H.transfer pair ~src_tcp:(Stack.tcp pair.H.stack_a) ~src_conn:client
+      ~dst_tcp:(Stack.tcp pair.H.stack_b) ~dst_conn:server data
+  in
+  H.check_bytes "transfer intact" data got;
+  Alcotest.(check bool) "B transmitted in received buffers" true (!reused > 0)
+
 (* UDP (IPv4 protocol 17) has no decoder in the stack: a datagram to any
    port is dropped at IPv4, before any transport parse. *)
 let test_udp_unbound_port_dropped () =
@@ -532,6 +569,7 @@ let suite =
       test_retransmit_after_tx_buffer_reuse;
     Alcotest.test_case "tcp: out-of-order stash survives RX reuse" `Quick
       test_ooo_stash_survives_rx_reuse;
+    Alcotest.test_case "stack: RX frames refill the TX pool" `Quick test_rx_frames_refill_tx_pool;
     Alcotest.test_case "udp: unbound port" `Quick test_udp_unbound_port_dropped;
     Alcotest.test_case "stack: foreign frames ignored" `Quick test_stack_ignores_foreign_frames;
     Alcotest.test_case "stack: garbage counted" `Quick test_stack_counts_garbage;
