@@ -43,6 +43,8 @@ type t = {
   (* Frame buffers the host owns: what [drain_tx] consumes into and
      gives to [transmit], and where produced RX frames go back. *)
   pool : Bufpool.t;
+  some_pool : Bufpool.t option;  (* [Some pool], built once: passing it boxes nothing *)
+  batch : bytes array;  (* [drain_tx]'s burst, forwarded once the whole burst is in *)
   pending_rx : bytes Queue.t;
   one_shot : misbehavior Host_fault.queue;  (* header/payload faults *)
   (* Modal faults: unlike the one-shot header sabotage, these describe a
@@ -60,12 +62,17 @@ type t = {
   stats : stats;
 }
 
+let tx_burst = 64
+
 let create ~(driver : Driver.t) ~transmit =
+  let pool = Bufpool.create () in
   {
     driver_tx = Driver.tx_ring driver;
     driver_rx = Driver.rx_ring driver;
     transmit;
-    pool = Bufpool.create ();
+    pool;
+    some_pool = Some pool;
+    batch = Array.make tx_burst Bytes.empty;
     pending_rx = Queue.create ();
     one_shot = Host_fault.queue ();
     stall_polls = 0;
@@ -163,17 +170,18 @@ let note_fault t =
    racing the drain) loses the in-flight batch, exactly like a cable
    pull. *)
 let rec drain_tx t left =
-  let k = min 64 left in
+  let k = Int.min tx_burst left in
   if k > 0 then
-    match Ring.try_consume_burst ~pool:t.pool ~max:k t.driver_tx with
-    | [] -> ()
-    | frames ->
-        List.iter
-          (fun frame ->
-            Metrics.inc m_tx_forwarded;
-            t.transmit frame)
-          frames;
-        drain_tx t (left - List.length frames)
+    match Ring.try_consume_burst_into ?pool:t.some_pool t.driver_tx t.batch ~max:k with
+    | 0 -> ()
+    | n ->
+        for i = 0 to n - 1 do
+          let frame = t.batch.(i) in
+          t.batch.(i) <- Bytes.empty;
+          Metrics.inc m_tx_forwarded;
+          t.transmit frame
+        done;
+        drain_tx t (left - n)
     | exception Region.Fault _ -> note_fault t
 
 let corrupt frame =
@@ -200,7 +208,7 @@ let rec fill_rx t ~batch left =
     fill_rx t ~batch left
   end
   else begin
-    let k = min (min batch left) (Queue.length t.pending_rx) in
+    let k = Int.min (Int.min batch left) (Queue.length t.pending_rx) in
     if k > 0 then begin
       let frames = Array.init k (fun _ -> Queue.take t.pending_rx) in
       let staged =
@@ -250,7 +258,7 @@ let poll t =
        means its reset loses nothing the transport cannot replay. *)
     t.stall_polls <- t.stall_polls - 1
   else begin
-    let quota = match t.service_quota with Some q -> max 0 q | None -> max_int in
+    let quota = match t.service_quota with Some q -> Int.max 0 q | None -> max_int in
     drain_tx t quota;
     if t.freeze_polls > 0 then
       (* Ring freeze: the host still drains TX (the guest sees forward

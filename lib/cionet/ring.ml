@@ -192,14 +192,14 @@ let hdr_word t i = Int32.to_int (Bytes.get_int32_le t.hdr (4 * i)) land 0xFFFFFF
    info with [hdr_word] before the next fetch reuses the buffer. The
    buffer is not shared memory, so a host racing through the read hook
    cannot change what is decoded. *)
-let read_header ?(amortized = false) t actor slot =
+let read_header ~amortized t actor slot =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
   (match actor with
   | Region.Guest -> Region.guest_read_into t.region ~off:(hdr_off t slot) t.hdr
   | Region.Host -> Region.host_read_into t.region ~off:(hdr_off t slot) t.hdr);
   hdr_word t 0
 
-let write_word ?(amortized = false) t actor ~off v =
+let write_word ~amortized t actor ~off v =
   charge t actor Cost.Ring (ring_word_cost t ~amortized);
   Region.write_u32 t.region actor ~off v
 
@@ -212,7 +212,7 @@ let write_payload t actor ~off payload =
 
 (* The consumer's one early copy. With a [pool] the destination buffer is
    recycled instead of freshly allocated — same charges either way. *)
-let read_payload ?pool t actor ~off ~len =
+let read_payload pool t actor ~off ~len =
   let b =
     match pool with Some p -> Bufpool.acquire p len | None -> Bytes.create len
   in
@@ -239,7 +239,7 @@ let produce_one t ~amortized payload =
   if len > t.lay.unit_size then invalid_arg "Ring.try_produce: payload larger than slot capacity";
   if len = 0 then invalid_arg "Ring.try_produce: messages carry at least one byte";
   let slot = t.prod_next land (t.slots - 1) in
-  if read_header t ~amortized actor slot <> state_empty then begin
+  if read_header ~amortized t actor slot <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
     Metrics.inc m_full_misses;
     false
@@ -299,14 +299,12 @@ let try_produce t payload = produce_one t ~amortized:false payload
    first full slot (or exhausted pool) and returns how many went in —
    per-slot publish order is unchanged, so the safety argument is exactly
    the single-slot one, N times over. *)
-let try_produce_burst t frames =
-  let n = Array.length frames in
-  let rec go i =
-    if i >= n then i
-    else if produce_one t ~amortized:(i > 0) frames.(i) then go (i + 1)
-    else i
-  in
-  go 0
+let rec produce_from t frames i =
+  if i < Array.length frames && produce_one t ~amortized:(i > 0) frames.(i) then
+    produce_from t frames (i + 1)
+  else i
+
+let try_produce_burst t frames = produce_from t frames 0
 
 (* Confine an untrusted length to the payload unit, counting every clamp.
    One check charge per call, clamped or not. *)
@@ -322,7 +320,7 @@ let clamp t actor len =
 
 (* Skip a malformed slot: count it, return it to EMPTY and advance the
    cursor. There is no error path — the skip is the whole handling. *)
-let skip ?(amortized = false) ?arg t actor slot =
+let skip ~amortized ~arg t actor slot =
   t.counters.state_skipped <- t.counters.state_skipped + 1;
   Metrics.inc m_state_skipped;
   if Trace.on () then Trace.instant ?arg ~cat:Kind.l2 "slot-skip";
@@ -331,7 +329,7 @@ let skip ?(amortized = false) ?arg t actor slot =
 
 (* Resolve the payload location for a consumed slot, confining every
    untrusted value by masking/clamping. *)
-let locate ?(amortized = false) t actor slot ~len ~info =
+let locate ~amortized t actor slot ~len ~info =
   match t.positioning with
   | Config.Inline _ -> (unit_off t slot, clamp t actor len)
   | Config.Pool _ ->
@@ -369,16 +367,16 @@ let locate ?(amortized = false) t actor slot ~len ~info =
         Metrics.inc m_index_masked;
         if Trace.on () then Trace.instant ~arg:raw_off ~cat:Kind.l2 "slot-mask"
       end;
-      (t.base + t.lay.data_off + confined, clamp t actor (min len dlen))
+      (t.base + t.lay.data_off + confined, clamp t actor (Int.min len dlen))
 
 (* One consume step. [Cr_skip] means a malformed slot was skipped and the
    cursor advanced — progress was made but no message came out. *)
 type consume_result = Cr_empty | Cr_skip | Cr_frame of bytes
 
-let consume_one ?pool t ~amortized =
+let consume_one pool t ~amortized =
   let actor = consumer t in
   let slot = t.cons_next land (t.slots - 1) in
-  let state = read_header t ~amortized actor slot in
+  let state = read_header ~amortized t actor slot in
   let len = hdr_word t 1 and info = hdr_word t 2 in
   if state = state_empty then begin
     t.counters.empty_polls <- t.counters.empty_polls + 1;
@@ -386,7 +384,7 @@ let consume_one ?pool t ~amortized =
     Cr_empty
   end
   else if state <> state_full then begin
-    skip ~amortized ~arg:state t actor slot;
+    skip ~amortized ~arg:(Some state) t actor slot;
     Cr_skip
   end
   else begin
@@ -395,11 +393,11 @@ let consume_one ?pool t ~amortized =
       (* A message carries at least one byte by contract: a zero-length
          claim is malformed, so the slot is skipped like any other
          malformed slot (no error path). *)
-      skip ~amortized t actor slot;
+      skip ~amortized ~arg:None t actor slot;
       Cr_skip
     end
     else begin
-      let payload = read_payload ?pool t actor ~off ~len in
+      let payload = read_payload pool t actor ~off ~len in
       write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
       t.cons_next <- t.cons_next + 1;
       t.counters.consumed <- t.counters.consumed + 1;
@@ -410,7 +408,7 @@ let consume_one ?pool t ~amortized =
   end
 
 let try_consume ?pool t =
-  match consume_one ?pool t ~amortized:false with
+  match consume_one pool t ~amortized:false with
   | Cr_frame b -> Some b
   | Cr_empty | Cr_skip -> None
 
@@ -419,20 +417,19 @@ let try_consume ?pool t =
    single-slot path — each skip writes EMPTY and advances, so the loop
    terminates — without poisoning the rest of the batch. Only the first
    header access of the crossing pays full ring cost. *)
-let try_consume_burst ?pool ?(max = 64) t =
-  let ops = ref 0 in
-  let rec go n acc =
-    if n >= max then List.rev acc
-    else begin
-      let amortized = !ops > 0 in
-      incr ops;
-      match consume_one ?pool t ~amortized with
-      | Cr_empty -> List.rev acc
-      | Cr_skip -> go n acc
-      | Cr_frame b -> go (n + 1) (b :: acc)
-    end
-  in
-  if max <= 0 then [] else go 0 []
+let rec consume_into pool t dst ~max ~ops n =
+  if n >= max then n
+  else
+    match consume_one pool t ~amortized:(ops > 0) with
+    | Cr_empty -> n
+    | Cr_skip -> consume_into pool t dst ~max ~ops:(ops + 1) n
+    | Cr_frame b ->
+        dst.(n) <- b;
+        consume_into pool t dst ~max ~ops:(ops + 1) (n + 1)
+
+let try_consume_burst_into ?pool t dst ~max =
+  if max > Array.length dst then invalid_arg "Ring.try_consume_burst_into: max exceeds the array";
+  consume_into pool t dst ~max ~ops:0 0
 
 (* Zero-copy consume by revocation (guest consumer, Inline positioning):
    one unshare/share pair (one shootdown each way) covers a contiguous
@@ -455,8 +452,8 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
   else begin
     let mask = t.slots - 1 in
     let start = t.cons_next land mask in
-    let limit = min max (t.slots - start) in
-    let state = read_header t actor start in
+    let limit = Int.min max (t.slots - start) in
+    let state = read_header ~amortized:false t actor start in
     let len = hdr_word t 1 in
     if state = state_empty then begin
       t.counters.empty_polls <- t.counters.empty_polls + 1;
@@ -464,13 +461,13 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
       None
     end
     else if state <> state_full then begin
-      skip ~arg:state t actor start;
+      skip ~amortized:false ~arg:(Some state) t actor start;
       None
     end
     else begin
       let first_len = clamp t actor len in
       if first_len = 0 then begin
-        skip t actor start;
+        skip ~amortized:false ~arg:None t actor start;
         None
       end
       else begin
@@ -484,7 +481,7 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
         let scanning = ref true in
         while !scanning && !k < limit do
           let len =
-            if read_header t ~amortized:true actor (start + !k) = state_full then
+            if read_header ~amortized:true t actor (start + !k) = state_full then
               clamp t actor (hdr_word t 1)
             else begin
               charge t actor Cost.Check t.model.Cost.check;

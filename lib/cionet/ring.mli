@@ -76,11 +76,13 @@ val try_consume : ?pool:Bufpool.t -> t -> bytes option
     With [pool], the destination buffer is recycled from the pool instead
     of freshly allocated. *)
 
-val try_consume_burst : ?pool:Bufpool.t -> ?max:int -> t -> bytes list
-(** Drain up to [max] (default 64) messages in one crossing, in FIFO
-    order. Malformed slots inside the batch are skipped-and-counted
-    without ending the batch; an EMPTY slot ends it. Header/word costs
-    amortize after the first access. *)
+val try_consume_burst_into : ?pool:Bufpool.t -> t -> bytes array -> max:int -> int
+(** Drain up to [max] messages ([max] at most the array's length) in one
+    crossing into the first slots of the array, in FIFO order, and return
+    how many it wrote. Malformed slots inside the batch are
+    skipped-and-counted without ending the batch; an EMPTY slot ends it.
+    Header/word costs amortize after the first access. Allocates nothing
+    when the ring is empty. *)
 
 type zero_copy_burst = { frames : bytes list; release : unit -> unit }
 

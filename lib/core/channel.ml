@@ -32,105 +32,133 @@ type t = {
   meter : Cost.meter;
   model : Cost.model;
   outbox : Byteq.t;     (* sealed wire bytes awaiting TCP *)
-  mutable raw_in : bytes list;  (* harvested stream bytes, newest first *)
+  (* Harvested stream bytes, each chunk behind its 4-byte length: the app
+     side copies (and pays for) them chunk by chunk, as harvested. *)
+  raw_in : Byteq.t;
   inbox : bytes Queue.t;
   mutable failed : Session.error option;
   mutable received_messages : int;
+  io_step : unit -> unit;  (* one [io_pump], built once for [pump] *)
 }
 
-let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f -> f ())
-    ?(model = Cost.default) ?overload ~meter ~session ~stack ~conn () =
-  {
-    session;
-    stack;
-    conn;
-    enter_io;
-    overload;
-    zero_copy_send;
-    copy_on_recv;
-    meter;
-    model;
-    outbox = Byteq.create 4096;
-    raw_in = [];
-    inbox = Queue.create ();
-    failed = None;
-    received_messages = 0;
-  }
-
-let conn t = t.conn
-let error t = t.failed
-let received_messages t = t.received_messages
-
-let fail t e = if t.failed = None then t.failed <- Some e
-
-(* App side: queue sealed bytes for the I/O domain. The non-zero-copy
-   path pays the L5 crossing copy here. *)
-let queue_wire t wire =
-  if not t.zero_copy_send then
-    Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length wire));
-  Byteq.add_bytes t.outbox wire
+let chunk_header = 4
 
 (* I/O-domain half: must be called within the I/O domain (the caller
    decides how the boundary is crossed). Returns whether any bytes moved
    across the L5 boundary, so the caller can charge handoff crossings. *)
 let io_pump t =
-  let moved = ref false in
+  let tcp = Stack.tcp t.stack in
   (* Flush as much of the outbox as TCP will take, straight from the
      outbox's storage. *)
-  let tcp = Stack.tcp t.stack in
-  if Byteq.length t.outbox > 0 then begin
+  let queued = Byteq.length t.outbox in
+  let sent =
+    queued > 0
+    &&
     let accepted =
-      Byteq.consume t.outbox (fun buf off len -> Tcp.send_sub tcp t.conn buf ~off ~len)
+      Tcp.send_sub tcp t.conn (Byteq.storage t.outbox) ~off:(Byteq.front t.outbox) ~len:queued
     in
-    if accepted > 0 then begin
-      moved := true;
-      Tcp.flush tcp t.conn
-    end
-  end;
+    Byteq.drop t.outbox accepted;
+    accepted > 0
+    && begin
+         Tcp.flush tcp t.conn;
+         true
+       end
+  in
   (* Harvest inbound stream bytes. *)
-  let b = Tcp.recv tcp t.conn ~max:65536 in
-  if Bytes.length b > 0 then begin
-    moved := true;
-    t.raw_in <- b :: t.raw_in
+  let n = Int.min 65536 (Tcp.recv_available t.conn) in
+  if n > 0 then begin
+    let at = Byteq.extend t.raw_in chunk_header in
+    Bytes.set_int32_le (Byteq.storage t.raw_in) at (Int32.of_int n);
+    ignore (Tcp.recv_into tcp t.conn t.raw_in ~max:n)
   end;
-  !moved
+  sent || n > 0
 
-(* App-side half: move harvested bytes through the record layer. *)
-let app_pump t =
-  let chunks = List.rev t.raw_in in
-  t.raw_in <- [];
-  List.iter
-    (fun b ->
-      if t.copy_on_recv then
-        (* Copy out of the I/O domain's reach before parsing. *)
-        Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model (Bytes.length b));
-      if t.failed = None then begin
-        let result = Session.feed t.session b in
-        List.iter (fun w -> queue_wire t w) result.Session.outputs;
-        List.iter
-          (fun msg ->
-            t.received_messages <- t.received_messages + 1;
-            Queue.add msg t.inbox)
-          result.Session.app_data;
-        match result.Session.err with Some e -> fail t e | None -> ()
-      end)
-    chunks
+let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f -> f ())
+    ?(model = Cost.default) ?overload ~meter ~session ~stack ~conn () =
+  let outbox = Byteq.create 4096 and raw_in = Byteq.create 4096 and inbox = Queue.create () in
+  let rec t =
+    {
+      session;
+      stack;
+      conn;
+      enter_io;
+      overload;
+      zero_copy_send;
+      copy_on_recv;
+      meter;
+      model;
+      outbox;
+      raw_in;
+      inbox;
+      failed = None;
+      received_messages = 0;
+      io_step = (fun () -> ignore (io_pump t));
+    }
+  in
+  t
+
+let conn t = t.conn
+let error t = t.failed
+let received_messages t = t.received_messages
+
+let fail t e = match t.failed with None -> t.failed <- Some e | Some _ -> ()
+
+let charge_crossing_copy t len =
+  if not t.zero_copy_send then Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model len)
+
+(* App side: queue sealed bytes for the I/O domain. The non-zero-copy
+   path pays the L5 crossing copy here. *)
+let queue_wire t wire =
+  charge_crossing_copy t (Bytes.length wire);
+  Byteq.add_bytes t.outbox wire
+
+let rec queue_flights t = function
+  | [] -> ()
+  | wire :: rest ->
+      queue_wire t wire;
+      queue_flights t rest
+
+(* App-side half: move harvested bytes through the record layer, one
+   harvested chunk at a time. *)
+let rec app_pump t =
+  let q = t.raw_in in
+  if Byteq.length q > 0 then begin
+    let buf = Byteq.storage q and front = Byteq.front q in
+    let len = Int32.to_int (Bytes.get_int32_le buf front) in
+    if t.copy_on_recv then
+      (* Copy out of the I/O domain's reach before parsing. *)
+      Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model len);
+    (match t.failed with
+    | Some _ -> ()
+    | None -> (
+        let before = Queue.length t.inbox in
+        let err =
+          Session.feed_into t.session buf ~off:(front + chunk_header) ~len t.inbox
+        in
+        queue_flights t (Session.take_flights t.session);
+        t.received_messages <- t.received_messages + (Queue.length t.inbox - before);
+        match err with Some e -> fail t e | None -> ()));
+    Byteq.drop q (chunk_header + len);
+    app_pump t
+  end
 
 (* Standalone pump for single-boundary users. *)
 let pump t =
-  t.enter_io (fun () -> ignore (io_pump t));
+  t.enter_io t.io_step;
   app_pump t
 
+(* Seal straight into the outbox: the record's bytes are written once. *)
 let send t payload =
   match t.failed with
   | Some e -> Error e
   | None -> (
-      match Session.send_data t.session payload with
+      let before = Byteq.length t.outbox in
+      match Session.send_data_into t.session payload t.outbox with
       | Error e ->
           fail t e;
           Error e
-      | Ok wire ->
-          queue_wire t wire;
+      | Ok () ->
+          charge_crossing_copy t (Byteq.length t.outbox - before);
           Ok ())
 
 type send_outcome =
@@ -159,7 +187,7 @@ let is_established t = Session.is_established t.session
 let start_handshake t =
   match Session.initiate t.session with
   | Ok flights ->
-      List.iter (fun w -> queue_wire t w) flights;
+      queue_flights t flights;
       Ok ()
   | Error e ->
       fail t e;

@@ -170,14 +170,18 @@ let accept l =
    does not cross the L5 boundary; what costs a gate round trip is each
    *data handoff* between the app and the I/O domain, which is what the
    paper's latency argument is about. *)
+let rec pump_io world = function
+  | [] -> ()
+  | ch :: rest ->
+      if Channel.io_pump ch then Compartment.charge_crossing world;
+      pump_io world rest
+
 let poll t =
   (* Crash containment: with the I/O domain dead, its polling loop simply
      does not run. The app side keeps scheduling (and its data stays
      sealed); there is nothing below L5 to talk to until restart_io. *)
   if Compartment.domain_alive t.io then begin
     Stack.poll t.stack;
-    List.iter
-      (fun ch -> if Channel.io_pump ch then Compartment.charge_crossing t.world)
-      t.channels;
+    pump_io t.world t.channels;
     List.iter Channel.app_pump t.channels
   end

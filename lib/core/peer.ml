@@ -81,32 +81,38 @@ let serve t ~port mode =
 
 let serve_echo t ~port = serve t ~port `Echo
 
+let rec accept_all t l mode =
+  match Tcp.accept l with
+  | None -> ()
+  | Some conn ->
+      let ch = make_channel t ~role:Session.Server ~conn in
+      (match mode with `Echo -> t.echo_channels <- ch :: t.echo_channels | `Sink -> ());
+      accept_all t l mode
+
+let rec accept_listeners t = function
+  | [] -> ()
+  | (l, mode) :: rest ->
+      accept_all t l mode;
+      accept_listeners t rest
+
+(* Echo service: bounce every received message straight back. *)
+let rec echo t ch =
+  match Channel.recv ch with
+  | Some msg ->
+      t.echoed <- t.echoed + 1;
+      ignore (Channel.send ch msg);
+      echo t ch
+  | None -> ()
+
+let rec echo_all t = function
+  | [] -> ()
+  | ch :: rest ->
+      echo t ch;
+      echo_all t rest
+
 let poll t =
   Stack.poll t.stack;
   (* Accept pending connections on every listener. *)
-  List.iter
-    (fun (l, mode) ->
-      let rec accept_all () =
-        match Tcp.accept l with
-        | None -> ()
-        | Some conn ->
-            let ch = make_channel t ~role:Session.Server ~conn in
-            (match mode with `Echo -> t.echo_channels <- ch :: t.echo_channels | `Sink -> ());
-            accept_all ()
-      in
-      accept_all ())
-    t.listeners;
+  accept_listeners t t.listeners;
   List.iter Channel.pump t.channels;
-  (* Echo service: bounce every received message straight back. *)
-  List.iter
-    (fun ch ->
-      let rec echo () =
-        match Channel.recv ch with
-        | Some msg ->
-            t.echoed <- t.echoed + 1;
-            ignore (Channel.send ch msg);
-            echo ()
-        | None -> ()
-      in
-      echo ())
-    t.echo_channels
+  echo_all t t.echo_channels

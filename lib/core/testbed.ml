@@ -77,8 +77,10 @@ let attach_dual ?cionet_config ?overload bed =
 
 let connect d = Dual.connect d.unit_ ~dst:ip_peer ~dst_port:echo_port
 
+(* [step] with the unit and its host model, called directly so that a
+   quantum builds no closure. *)
 let pump d ~by =
-  step d.bed
-    ~guest:(fun () -> Dual.poll d.unit_)
-    ~host:(fun () -> Cio_cionet.Host_model.poll d.host)
-    ~by
+  Dual.poll d.unit_;
+  Cio_cionet.Host_model.poll d.host;
+  Peer.poll d.bed.peer;
+  Engine.advance d.bed.engine ~by

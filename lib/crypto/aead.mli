@@ -30,3 +30,19 @@ val open_into :
     the tag matches, writes the [len - tag_len] plaintext bytes into [dst]
     at [dst_off]. Returns [false], with [dst] untouched, on authentication
     failure or when [len < tag_len]. In-place use as for {!seal_into}. *)
+
+type scratch
+(** Working memory for one AEAD call at a time: blocks, MAC state and a
+    keystream buffer. A holder that seals or opens in sequence reuses one. *)
+
+val scratch : unit -> scratch
+
+val seal_with :
+  scratch ->
+  key:bytes -> nonce:bytes -> aad:bytes -> bytes -> src_off:int -> len:int -> bytes -> dst_off:int -> unit
+(** {!seal_into} in the given scratch. Allocates nothing. *)
+
+val open_with :
+  scratch ->
+  key:bytes -> nonce:bytes -> aad:bytes -> bytes -> src_off:int -> len:int -> bytes -> dst_off:int -> bool
+(** {!open_into} in the given scratch. Allocates nothing. *)

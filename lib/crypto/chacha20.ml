@@ -9,9 +9,10 @@
    feed-forward XORs each keystream word straight into the destination,
    so a full block never passes through a keystream buffer. The
    keystream alone is the XOR of a shared zero block, which is only ever
-   read; a last partial block goes through a 64-byte keystream buffer
-   owned by the call, 4 bytes at a time and bytewise only for the last
-   0-3. There is no mutable shared state, so the cipher is reentrant. *)
+   read; a last partial block goes through a 64-byte keystream buffer,
+   the caller's scratch or one owned by the call, 4 bytes at a time and
+   bytewise only for the last 0-3. There is no mutable shared state, so
+   the cipher is reentrant. *)
 
 let[@inline] ( +% ) a b = Int32.add a b
 let[@inline] ( ^% ) a b = Int32.logxor a b
@@ -75,14 +76,20 @@ let xor_block ~key ~nonce ~counter src s dst d =
 (* XORing this block yields the bare keystream. Never written. *)
 let zero_block = Bytes.make 64 '\000'
 
-let block ~key ~nonce ~counter =
+let block_into ~key ~nonce ~counter dst ~dst_off =
   check ~key ~nonce;
+  if dst_off < 0 || dst_off > Bytes.length dst - 64 then
+    invalid_arg "Chacha20.block_into: range out of bounds";
+  xor_block ~key ~nonce ~counter:(Int32.to_int counter) zero_block 0 dst dst_off
+
+let block ~key ~nonce ~counter =
   let ks = Bytes.create 64 in
-  xor_block ~key ~nonce ~counter:(Int32.to_int counter) zero_block 0 ks 0;
+  block_into ~key ~nonce ~counter ks ~dst_off:0;
   ks
 
-let xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
+let xor_into_with ~ks ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
   check ~key ~nonce;
+  if Bytes.length ks < 64 then invalid_arg "Chacha20.xor_into_with: keystream buffer too short";
   if len < 0 || src_off < 0 || src_off > Bytes.length src - len || dst_off < 0
      || dst_off > Bytes.length dst - len
   then invalid_arg "Chacha20.xor_into: range out of bounds";
@@ -94,7 +101,6 @@ let xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
   done;
   let tail = len - (64 * full) in
   if tail > 0 then begin
-    let ks = Bytes.create 64 in
     xor_block ~key ~nonce ~counter:(counter + full) zero_block 0 ks 0;
     let s = src_off + (64 * full) and d = dst_off + (64 * full) in
     let words = tail / 4 in
@@ -105,6 +111,11 @@ let xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
       Bytes.set_uint8 dst (d + i) (Bytes.get_uint8 src (s + i) lxor Bytes.get_uint8 ks i)
     done
   end
+
+let xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
+  (* Whole blocks never touch [ks]: the shared zero block stands in. *)
+  let ks = if len land 63 = 0 then zero_block else Bytes.create 64 in
+  xor_into_with ~ks ~counter ~key ~nonce src ~src_off dst ~dst_off ~len
 
 let encrypt ?(counter = 1l) ~key ~nonce data =
   let n = Bytes.length data in

@@ -21,6 +21,24 @@ val xor_into :
     [len] is a multiple of 64, and one 64-byte keystream buffer
     otherwise. *)
 
+val xor_into_with :
+  ks:bytes ->
+  counter:int32 ->
+  key:bytes ->
+  nonce:bytes ->
+  bytes ->
+  src_off:int ->
+  bytes ->
+  dst_off:int ->
+  len:int ->
+  unit
+(** {!xor_into} with [ks], at least 64 bytes, as the keystream buffer
+    of a last partial block (overwritten; untouched when [len] is a
+    multiple of 64). Allocates nothing. *)
+
+val block_into : key:bytes -> nonce:bytes -> counter:int32 -> bytes -> dst_off:int -> unit
+(** {!block} written into the buffer at [dst_off]. Allocates nothing. *)
+
 val encrypt : ?counter:int32 -> key:bytes -> nonce:bytes -> bytes -> bytes
 (** XOR with the keystream starting at [counter] (default 1, the AEAD
     convention). *)

@@ -4,14 +4,16 @@
    products are at most 52 bits and a row of five fits comfortably in
    OCaml's 63-bit ints, so no big-number library is needed. The limbs
    live in the state record's int fields and message words are read
-   straight from the caller's buffer, so feeding allocates nothing. *)
+   straight from the caller's buffer, so feeding allocates nothing, and
+   [reset] re-keys a state for the next message in place. *)
 
 type t = {
-  r0 : int; r1 : int; r2 : int; r3 : int; r4 : int;  (* clamped key limbs *)
-  s1 : int; s2 : int; s3 : int; s4 : int;            (* 5 * r1..r4, for the mod-p fold *)
-  pad0 : int; pad1 : int; pad2 : int; pad3 : int;    (* final addend s, 32-bit words *)
+  (* clamped key limbs; 5 * r1..r4, for the mod-p fold; final addend s *)
+  mutable r0 : int; mutable r1 : int; mutable r2 : int; mutable r3 : int; mutable r4 : int;
+  mutable s1 : int; mutable s2 : int; mutable s3 : int; mutable s4 : int;
+  mutable pad0 : int; mutable pad1 : int; mutable pad2 : int; mutable pad3 : int;
   mutable h0 : int; mutable h1 : int; mutable h2 : int; mutable h3 : int; mutable h4 : int;
-  buf : bytes;                                       (* 16-byte partial-block buffer *)
+  buf : bytes;  (* 16-byte partial-block buffer *)
   mutable fill : int;
 }
 
@@ -19,25 +21,38 @@ let mask26 = (1 lsl 26) - 1
 let mask32 = 0xFFFF_FFFF
 let[@inline] u32 b off = Int32.to_int (Bytes.get_int32_le b off) land mask32
 
-let init ~key =
-  if Bytes.length key <> 32 then invalid_arg "Poly1305.init: key must be 32 bytes";
+let reset t key ~off =
+  if off < 0 || off > Bytes.length key - 32 then invalid_arg "Poly1305.reset: key range out of bounds";
   (* Clamp r per the RFC. *)
-  let k0 = u32 key 0 land 0x0FFFFFFF in
-  let k1 = u32 key 4 land 0x0FFFFFFC in
-  let k2 = u32 key 8 land 0x0FFFFFFC in
-  let k3 = u32 key 12 land 0x0FFFFFFC in
+  let k0 = u32 key off land 0x0FFFFFFF in
+  let k1 = u32 key (off + 4) land 0x0FFFFFFC in
+  let k2 = u32 key (off + 8) land 0x0FFFFFFC in
+  let k3 = u32 key (off + 12) land 0x0FFFFFFC in
   let r1 = ((k0 lsr 26) lor (k1 lsl 6)) land mask26 in
   let r2 = ((k1 lsr 20) lor (k2 lsl 12)) land mask26 in
   let r3 = ((k2 lsr 14) lor (k3 lsl 18)) land mask26 in
   let r4 = k3 lsr 8 in
-  {
-    r0 = k0 land mask26; r1; r2; r3; r4;
-    s1 = 5 * r1; s2 = 5 * r2; s3 = 5 * r3; s4 = 5 * r4;
-    pad0 = u32 key 16; pad1 = u32 key 20; pad2 = u32 key 24; pad3 = u32 key 28;
-    h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0;
-    buf = Bytes.create 16;
-    fill = 0;
-  }
+  t.r0 <- k0 land mask26; t.r1 <- r1; t.r2 <- r2; t.r3 <- r3; t.r4 <- r4;
+  t.s1 <- 5 * r1; t.s2 <- 5 * r2; t.s3 <- 5 * r3; t.s4 <- 5 * r4;
+  t.pad0 <- u32 key (off + 16); t.pad1 <- u32 key (off + 20);
+  t.pad2 <- u32 key (off + 24); t.pad3 <- u32 key (off + 28);
+  t.h0 <- 0; t.h1 <- 0; t.h2 <- 0; t.h3 <- 0; t.h4 <- 0;
+  t.fill <- 0
+
+let init ~key =
+  if Bytes.length key <> 32 then invalid_arg "Poly1305.init: key must be 32 bytes";
+  let t =
+    {
+      r0 = 0; r1 = 0; r2 = 0; r3 = 0; r4 = 0;
+      s1 = 0; s2 = 0; s3 = 0; s4 = 0;
+      pad0 = 0; pad1 = 0; pad2 = 0; pad3 = 0;
+      h0 = 0; h1 = 0; h2 = 0; h3 = 0; h4 = 0;
+      buf = Bytes.create 16;
+      fill = 0;
+    }
+  in
+  reset t key ~off:0;
+  t
 
 (* Absorb the 16 bytes of [src] at [off], with [hibit] (2^128 for a full
    block, already padded in for a final partial one) as bit 24 of limb 4. *)
@@ -74,7 +89,7 @@ let feed t src ~pos ~len =
     invalid_arg "Poly1305.feed: range out of bounds";
   let pos = ref pos and remaining = ref len in
   if t.fill > 0 then begin
-    let take = min !remaining (16 - t.fill) in
+    let take = Int.min !remaining (16 - t.fill) in
     Bytes.blit src !pos t.buf t.fill take;
     t.fill <- t.fill + take;
     pos := !pos + take;

@@ -20,7 +20,7 @@ type t = {
 let header_len = 14
 let min_payload = 46  (* classic Ethernet minimum; we pad on encode *)
 
-let frame_len ~payload_len = header_len + max payload_len min_payload
+let frame_len ~payload_len = header_len + Int.max payload_len min_payload
 
 let set_mac b off m =
   Bytes.set_uint16_be b off (m lsr 32);

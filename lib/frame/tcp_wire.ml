@@ -25,7 +25,7 @@ type t = {
 
 let base_header_len = 20
 
-let header_len t = if t.mss = None then base_header_len else base_header_len + 4
+let header_len t = if Option.is_none t.mss then base_header_len else base_header_len + 4
 
 (* Modular sequence arithmetic. *)
 let seq_lt a b = Int32.compare (Int32.sub a b) 0l < 0

@@ -41,9 +41,18 @@ type bucket = {
   mutable count : int;
 }
 
+(* Lengths key the tables: a monomorphic hash and equality, so a lookup
+   never calls the generic compare or hash. *)
+module Len_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash n = n land max_int
+end)
+
 type t = {
-  buckets : (int, bucket) Hashtbl.t;             (* exact length -> free buffers *)
-  class_retained : (int, int ref) Hashtbl.t;     (* pow2 class -> retained count *)
+  buckets : bucket Len_tbl.t;                    (* exact length -> free buffers *)
+  class_retained : int ref Len_tbl.t;            (* pow2 class -> retained count *)
   cap : int;                                     (* max retained per size class *)
   mutable retained_count : int;                  (* free buffers held right now *)
   stats : stats;
@@ -52,8 +61,8 @@ type t = {
 let create ?(cap = 256) () =
   if cap < 0 then invalid_arg "Bufpool.create: cap must be non-negative";
   {
-    buckets = Hashtbl.create 16;
-    class_retained = Hashtbl.create 16;
+    buckets = Len_tbl.create 16;
+    class_retained = Len_tbl.create 16;
     cap;
     retained_count = 0;
     stats = { fresh = 0; reused = 0; recycled = 0; dropped = 0 };
@@ -62,11 +71,11 @@ let create ?(cap = 256) () =
 let stats t = t.stats
 
 let retained t =
-  Hashtbl.fold (fun _ r acc -> acc + !r) t.class_retained 0
+  Len_tbl.fold (fun _ r acc -> acc + !r) t.class_retained 0
 
 let acquire t len =
   if len <= 0 then invalid_arg "Bufpool.acquire: length must be positive";
-  match Hashtbl.find t.buckets len with
+  match Len_tbl.find t.buckets len with
   | q when q.count > 0 ->
       t.stats.reused <- t.stats.reused + 1;
       decr q.in_class;
@@ -80,26 +89,26 @@ let acquire t len =
       Bytes.create len
 
 let bucket t len =
-  match Hashtbl.find t.buckets len with
+  match Len_tbl.find t.buckets len with
   | q -> q
   | exception Not_found ->
       let cls = Bitops.next_power_of_two len in
       let in_class =
-        match Hashtbl.find t.class_retained cls with
+        match Len_tbl.find t.class_retained cls with
         | r -> r
         | exception Not_found ->
             let r = ref 0 in
-            Hashtbl.add t.class_retained cls r;
+            Len_tbl.add t.class_retained cls r;
             r
       in
       let q = { in_class; free = [||]; count = 0 } in
-      Hashtbl.add t.buckets len q;
+      Len_tbl.add t.buckets len q;
       q
 
 (* Push [b] on [q], doubling the array when it is full. *)
 let push q b =
   if q.count = Array.length q.free then begin
-    let free = Array.make (max 4 (2 * q.count)) Bytes.empty in
+    let free = Array.make (Int.max 4 (2 * q.count)) Bytes.empty in
     Array.blit q.free 0 free 0 q.count;
     q.free <- free
   end;

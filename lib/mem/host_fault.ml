@@ -6,7 +6,7 @@ type 'a queue = 'a list ref
 
 let queue () = ref []
 let push q m = q := !q @ [ m ]
-let is_empty q = !q = []
+let is_empty q = match !q with [] -> true | _ :: _ -> false
 
 let take q applies =
   let rec go acc = function

@@ -100,6 +100,8 @@ let set_logging t flag = t.log_enabled <- flag
 let clear_log t = t.log <- []
 let events t = List.rev t.log
 
+(* Callers on the per-access path test [log_enabled] first, so that with
+   the log off no event is built. *)
 let log t e = if t.log_enabled then t.log <- e :: t.log
 
 let page_of t off = off / t.page_size
@@ -167,7 +169,7 @@ let san_note t ~off ~len =
    the hook performs. *)
 let read_begin t actor ~off ~len =
   check_access t actor off len ~write:false;
-  log t (Read { actor; off; len });
+  if t.log_enabled then log t (Read { actor; off; len });
   match actor with
   | Host -> false
   | Guest ->
@@ -197,7 +199,7 @@ let read_into t actor ~off dst =
 (* Writes: check and log, then the write itself. *)
 let write_begin t actor ~off ~len =
   check_access t actor off len ~write:true;
-  log t (Write { actor; off; len })
+  if t.log_enabled then log t (Write { actor; off; len })
 
 let write t actor ~off src =
   let len = Bytes.length src in

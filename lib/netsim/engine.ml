@@ -62,48 +62,50 @@ let schedule t ~after action = schedule_at t ~time:(Int64.add t.now after) actio
 
 let pending t = t.size
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    Some top
+(* Drop the earliest event from the heap. *)
+let remove_top t =
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
   end
 
 let step t =
-  match pop t with
-  | None -> false
-  | Some ev ->
-      t.now <- ev.time;
-      ev.action ();
-      true
+  if t.size = 0 then false
+  else begin
+    let ev = t.heap.(0) in
+    remove_top t;
+    t.now <- ev.time;
+    ev.action ();
+    true
+  end
 
 let stop t = t.stopped <- true
 
-let peek t = if t.size = 0 then None else Some t.heap.(0)
+(* Run events in time order until the agenda is empty, [stop] is called,
+   or (when [bounded]) the next event lies after [horizon]. A bounded run
+   that was not stopped ends with the clock at [horizon]. The loop builds
+   no closure and no option, so advancing an idle engine allocates only
+   the new clock value. *)
+let rec drain t ~bounded horizon =
+  if (not t.stopped) && t.size > 0 then begin
+    let ev = t.heap.(0) in
+    if (not bounded) || ev.time <= horizon then begin
+      remove_top t;
+      t.now <- ev.time;
+      ev.action ();
+      drain t ~bounded horizon
+    end
+  end
+
+let run_to t ~bounded horizon =
+  t.stopped <- false;
+  drain t ~bounded horizon;
+  if bounded && (not t.stopped) && horizon > t.now then t.now <- horizon
 
 let run ?until t =
-  t.stopped <- false;
-  let in_horizon ev = match until with None -> true | Some h -> ev.time <= h in
-  let rec loop () =
-    if t.stopped then ()
-    else begin
-      match peek t with
-      | None -> (match until with None -> () | Some h -> t.now <- max t.now h)
-      | Some ev ->
-          if in_horizon ev then begin
-            ignore (pop t);
-            t.now <- ev.time;
-            ev.action ();
-            loop ()
-          end
-          else t.now <- (match until with Some h -> max t.now h | None -> t.now)
-    end
-  in
-  loop ()
+  match until with
+  | None -> run_to t ~bounded:false 0L
+  | Some h -> run_to t ~bounded:true h
 
-let advance t ~by = run ~until:(Int64.add t.now by) t
+let advance t ~by = run_to t ~bounded:true (Int64.add t.now by)

@@ -64,7 +64,7 @@ let try_retry t =
     false
   end
 
-let on_success t = t.tokens_c <- min t.capacity_c (t.tokens_c + t.refill_c)
+let on_success t = t.tokens_c <- Int.min t.capacity_c (t.tokens_c + t.refill_c)
 
 (* Decorrelated jitter: v ~ U[base, min(cap, 3 * prev)]. Monotone in
    expectation while climbing, hard-capped always, and collapses back to

@@ -143,7 +143,7 @@ let serve disk raw =
               resp
           | Block_wire.Write ->
               disk.writes <- disk.writes + 1;
-              Bytes.blit raw Block_wire.header_len disk.data (lba * block_size) (min len block_size);
+              Bytes.blit raw Block_wire.header_len disk.data (lba * block_size) (Int.min len block_size);
               stage disk Block_wire.Ok_ ~lba ~len:0
         end
       in

@@ -35,6 +35,7 @@ type t = {
   key : bytes;
   names : (string, known) Hashtbl.t;  (* app-private: anti-rollback *)
   nonce : bytes;                      (* per-operation nonce *)
+  aead : Aead.scratch;                (* per-operation AEAD working memory *)
   meter : Cost.meter;
 }
 
@@ -61,6 +62,7 @@ let create ~dev ~key () =
     key;
     names = Hashtbl.create 16;
     nonce = Bytes.create Aead.nonce_len;
+    aead = Aead.scratch ();
     meter;
   }
 
@@ -91,10 +93,11 @@ let write_file t ~name content =
     | Some k -> (k.version + 1, k.name_nonce)
     | None -> (1, Bytes.sub (Sha256.digest_string name) 0 Aead.nonce_len)
   in
-  charge_crypto t (Bytes.length content);
-  let sealed =
-    Aead.seal ~key:t.key ~nonce:(nonce t ~name_nonce ~version) ~aad:(aad ~name ~version) content
-  in
+  let len = Bytes.length content in
+  charge_crypto t len;
+  let sealed = Bytes.create (len + Aead.tag_len) in
+  Aead.seal_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce ~version) ~aad:(aad ~name ~version)
+    content ~src_off:0 ~len sealed ~dst_off:0;
   match enter_store t (fun () -> File.write_file t.fs ~name sealed) with
   | Ok () ->
       (match known with
@@ -113,9 +116,13 @@ let read_file t ~name =
           charge_crypto t (Bytes.length sealed);
           (* Unseal in the app domain against app-private name+version:
              wrong file, stale version or corrupt bytes all land here. *)
-          match Aead.open_ ~key:t.key ~nonce:(nonce t ~name_nonce ~version) ~aad:(aad ~name ~version) sealed with
-          | Some content -> Ok content
-          | None -> Error (Integrity "file failed authentication (corrupt/swapped/rolled back)")))
+          let len = Bytes.length sealed in
+          let content = Bytes.create (Int.max 0 (len - Aead.tag_len)) in
+          if
+            Aead.open_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce ~version)
+              ~aad:(aad ~name ~version) sealed ~src_off:0 ~len content ~dst_off:0
+          then Ok content
+          else Error (Integrity "file failed authentication (corrupt/swapped/rolled back)")))
 
 let delete t ~name =
   match enter_store t (fun () -> File.delete t.fs name) with

@@ -34,6 +34,7 @@ type t = {
   versions : int array;      (* per-block write version (guest-private) *)
   nonce : bytes;             (* per-block AEAD nonce *)
   aad : bytes;               (* per-block AAD: lba + version *)
+  aead : Aead.scratch;       (* per-block AEAD working memory *)
 }
 
 type error = Not_found_ | No_space | Io_error of string | Integrity of string
@@ -57,6 +58,7 @@ let create ~dev ~mode =
     versions = Array.make blocks 0;
     nonce = Bytes.create Aead.nonce_len;
     aad = Bytes.create 8;
+    aead = Aead.scratch ();
   }
 
 let alloc_block t =
@@ -103,7 +105,7 @@ let write_chunk t ~lba content ~off ~len =
           Bytes.set_int32_le b o (Int32.of_int version);
           Bytes.blit t.nonce 0 b (o + nonce_off) Aead.nonce_len;
           Bytes.set_uint16_le b (o + len_off) (len + Aead.tag_len);
-          Aead.seal_into ~key ~nonce:t.nonce ~aad:t.aad content ~src_off:off ~len b
+          Aead.seal_with t.aead ~key ~nonce:t.nonce ~aad:t.aad content ~src_off:off ~len b
             ~dst_off:(o + ct_off))
 
 let auth_failed = Integrity "block failed authentication (corrupt/remap/rollback)"
@@ -115,7 +117,7 @@ let place_chunk t ~lba b ~off ~len out ~pos =
   let room = Bytes.length out - pos in
   match t.mode with
   | Plain ->
-      let n = min (min Blockdev.block_size len) room in
+      let n = Int.min (Int.min Blockdev.block_size len) room in
       Bytes.blit b off out pos n;
       Ok n
   | Sealed key ->
@@ -127,16 +129,16 @@ let place_chunk t ~lba b ~off ~len out ~pos =
         let expected_version = t.versions.(lba) in
         Bytes.blit b (off + nonce_off) t.nonce 0 Aead.nonce_len;
         let declared = Bytes.get_uint16_le b (off + len_off) in
-        let clen = min declared (len - seal_overhead + Aead.tag_len) in
+        let clen = Int.min declared (len - seal_overhead + Aead.tag_len) in
         charge_crypto t clen;
         set_aad t ~lba ~version:expected_version;
-        let plain = max 0 (clen - Aead.tag_len) in
+        let plain = Int.max 0 (clen - Aead.tag_len) in
         (* A block authenticates only under the (lba, version) it was
            sealed with, and holds exactly the chunk sealed then, which
            fits: a longer claim cannot authenticate. *)
         if plain <= room
-           && Aead.open_into ~key ~nonce:t.nonce ~aad:t.aad b ~src_off:(off + ct_off) ~len:clen out
-                ~dst_off:pos
+           && Aead.open_with t.aead ~key ~nonce:t.nonce ~aad:t.aad b ~src_off:(off + ct_off) ~len:clen
+                out ~dst_off:pos
         then Ok plain
         else Error auth_failed
       end
@@ -166,7 +168,7 @@ let write_file t ~name content =
           Error No_space
       | Some lba -> (
           let off = i * chunk in
-          match write_chunk t ~lba content ~off ~len:(min chunk (size - off)) with
+          match write_chunk t ~lba content ~off ~len:(Int.min chunk (size - off)) with
           | Blockdev.Write_ok -> place (i + 1) (lba :: acc)
           | Blockdev.Failed e ->
               List.iter (free_block t) (lba :: acc);

@@ -37,6 +37,9 @@ type t = {
      byte-identical to the uncoalesced stack. *)
   tx_burst : (bytes array -> int) option;
   txq : bytes Queue.t;
+  (* [bursts.(k)] is the array a [k]-frame burst is lent in, made on
+     first use and emptied after each flush. *)
+  bursts : bytes array array;
   (* Every TX frame buffer comes from here: [tx_burst] only borrows a
      frame for the call, [transmit] keeps it. *)
   tx_pool : Cio_mem.Bufpool.t;
@@ -79,32 +82,43 @@ let emit t frame =
       Cost.charge t.meter Cost.Stack 150;
       t.netif.Netif.transmit frame
 
+let max_burst = 64
+
+let burst_array t k =
+  let a = t.bursts.(k) in
+  if Array.length a = k then a
+  else begin
+    let a = Array.make k Bytes.empty in
+    t.bursts.(k) <- a;
+    a
+  end
+
 (* Flush pending TX as bursts. A partial burst means the ring is full:
    requeue the tail and stop — the next poll retries. *)
-let flush_tx t =
-  match t.tx_burst with
-  | None -> ()
-  | Some burst ->
-      let rec go () =
-        let k = min 64 (Queue.length t.txq) in
-        if k > 0 then begin
-          let frames = Array.init k (fun _ -> Queue.take t.txq) in
-          let n = burst frames in
-          for i = 0 to n - 1 do
-            Cio_mem.Bufpool.recycle t.tx_pool frames.(i)
-          done;
-          if n < k then begin
-            let leftovers = Queue.create () in
-            for i = n to k - 1 do
-              Queue.add frames.(i) leftovers
-            done;
-            Queue.transfer t.txq leftovers;
-            Queue.transfer leftovers t.txq
-          end
-          else go ()
-        end
-      in
-      go ()
+let rec flush_with t burst =
+  let k = Int.min max_burst (Queue.length t.txq) in
+  if k > 0 then begin
+    let frames = burst_array t k in
+    for i = 0 to k - 1 do
+      frames.(i) <- Queue.take t.txq
+    done;
+    let n = burst frames in
+    for i = 0 to n - 1 do
+      Cio_mem.Bufpool.recycle t.tx_pool frames.(i)
+    done;
+    if n < k then begin
+      let leftovers = Queue.create () in
+      for i = n to k - 1 do
+        Queue.add frames.(i) leftovers
+      done;
+      Queue.transfer t.txq leftovers;
+      Queue.transfer leftovers t.txq
+    end;
+    Array.fill frames 0 k Bytes.empty;
+    if n = k then flush_with t burst
+  end
+
+let flush_tx t = match t.tx_burst with None -> () | Some burst -> flush_with t burst
 
 (* Every outgoing frame is one buffer of its exact length: the transport
    header and payload go in at [l4_off], then the IPv4 and Ethernet
@@ -122,11 +136,17 @@ let send_frame t frame ~dst_mac ~dst ~protocol ~l4_len =
     ~payload_len:(Ipv4.header_len + l4_len);
   emit t frame
 
+(* The static neighbour table, searched with a monomorphic compare; -1
+   (never a 48-bit MAC) when [dst] has no entry. *)
+let rec neighbor_mac dst = function
+  | [] -> -1
+  | (ip, mac) :: rest -> if Int32.equal ip dst then mac else neighbor_mac dst rest
+
 (* A TCP segment: its payload is copied once, from the connection's send
    queue straight into the frame. *)
 let send_tcp t ~dst (seg : Tcp_wire.t) q =
-  match List.assoc dst t.neighbors with
-  | exception Not_found -> drop t "no neighbour entry"
+  match neighbor_mac dst t.neighbors with
+  | -1 -> drop t "no neighbour entry"
   | dst_mac ->
       let hdr_len = Tcp_wire.header_len seg in
       let len = seg.Tcp_wire.payload_len in
@@ -155,6 +175,7 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         counters = { frames_in = 0; frames_out = 0; dropped = 0; last_drop_reason = "" };
         tx_burst;
         txq = Queue.create ();
+        bursts = Array.make (max_burst + 1) [||];
         tx_pool = Cio_mem.Bufpool.create ();
         tx_queue_limit;
         recycle;
@@ -203,23 +224,24 @@ let handle_frame t frame =
    as one burst. Drivers are polled, never notify. *)
 let rx_budget = 64
 
+let rec poll_rx t n =
+  if n > 0 then begin
+    match t.netif.Netif.poll () with
+    | None -> ()
+    | Some frame ->
+        handle_frame t frame;
+        (* Nothing holds a view into the frame any more; its buffer
+           can be reused. *)
+        (match t.recycle with Some r -> r frame | None -> Cio_mem.Bufpool.recycle t.tx_pool frame);
+        poll_rx t (n - 1)
+  end
+
 let poll t =
-  let rec go n =
-    if n > 0 then begin
-      match t.netif.Netif.poll () with
-      | None -> ()
-      | Some frame ->
-          handle_frame t frame;
-          (* Nothing holds a view into the frame any more; its buffer
-             can be reused. *)
-          (match t.recycle with Some r -> r frame | None -> Cio_mem.Bufpool.recycle t.tx_pool frame);
-          go (n - 1)
-    end
-  in
-  go rx_budget;
+  poll_rx t rx_budget;
   Tcp.tick t.tcp;
   (* Only bounded stacks observe queue depth — the classic stack keeps
      its metric stream byte-identical to the pre-overload build. *)
-  if t.tx_queue_limit <> None then
-    Cio_telemetry.Metrics.observe m_txq_depth (Queue.length t.txq);
+  (match t.tx_queue_limit with
+  | Some _ -> Cio_telemetry.Metrics.observe m_txq_depth (Queue.length t.txq)
+  | None -> ());
   flush_tx t

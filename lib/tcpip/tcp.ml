@@ -183,7 +183,7 @@ let emit t conn ?(len = 0) ?(syn = false) ?(fin = false) ?(ack = true) ~seq () =
       seq;
       ack = (if ack then conn.rcv_nxt else 0l);
       flags = { Tcp_wire.syn; fin; rst = false; ack; psh = len > 0 };
-      window = max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
+      window = Int.max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
       mss = (if syn then Some default_mss else None);
       payload_off = (if len = 0 then 0 else Tcp_wire.seq_diff seq conn.snd_qseq);
       payload_len = len;
@@ -267,16 +267,39 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
   t.conns <- c :: t.conns;
   c
 
+let rec find_in conns ~local_port ~remote_ip ~remote_port =
+  match conns with
+  | [] -> None
+  | c :: rest ->
+      if
+        c.local_port = local_port && Int32.equal c.remote_ip remote_ip
+        && c.remote_port = remote_port && c.state <> Closed && c.state <> Listen
+      then Some c
+      else find_in rest ~local_port ~remote_ip ~remote_port
+
 let find_conn t ~local_port ~remote_ip ~remote_port =
-  List.find_opt
-    (fun c ->
-      c.local_port = local_port && c.remote_ip = remote_ip && c.remote_port = remote_port
-      && c.state <> Closed && c.state <> Listen)
-    t.conns
+  find_in t.conns ~local_port ~remote_ip ~remote_port
 
-let find_listener t ~port = List.find_opt (fun l -> l.lport = port) t.listeners
+let rec find_port listeners ~port =
+  match listeners with
+  | [] -> None
+  | l :: rest -> if l.lport = port then Some l else find_port rest ~port
 
-let arm_rtx t c = if c.rtx_deadline = None then c.rtx_deadline <- Some (Int64.add (t.now ()) c.rto_ns)
+let find_listener t ~port = find_port t.listeners ~port
+
+(* Entering CLOSED stops both timers: nothing is retransmitted and
+   nothing waits out TIME-WAIT for a connection that is gone. The next
+   [tick] drops it from the table; a holder of the record still reads
+   its [error]. *)
+let enter_closed c =
+  c.state <- Closed;
+  c.rtx_deadline <- None;
+  c.timewait_deadline <- None
+
+let arm_rtx t c =
+  match c.rtx_deadline with
+  | None -> c.rtx_deadline <- Some (Int64.add (t.now ()) c.rto_ns)
+  | Some _ -> ()
 
 let record_retx t c ~seq ~len ~syn ~fin =
   Queue.add { rseq = seq; rlen = len; rsyn = syn; rfin = fin; sent_at = t.now (); retries = 0 } c.retx;
@@ -289,11 +312,11 @@ let in_flight c = Tcp_wire.seq_diff c.snd_nxt c.snd_una
 let rec output t c =
   match c.state with
   | Established | Close_wait ->
-      let window = min c.snd_wnd c.cwnd in
+      let window = Int.min c.snd_wnd c.cwnd in
       let usable = window - in_flight c in
       let queued = Byteq.length c.snd_queue - c.snd_sent in
       if queued > 0 && usable > 0 then begin
-        let len = min (min queued usable) c.mss in
+        let len = Int.min (Int.min queued usable) c.mss in
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt len;
         c.snd_sent <- c.snd_sent + len;
@@ -301,7 +324,7 @@ let rec output t c =
         emit t c ~len ~seq ();
         output t c
       end
-      else if queued = 0 && c.fin_pending && c.fin_seq = None then begin
+      else if queued = 0 && c.fin_pending && Option.is_none c.fin_seq then begin
         (* All data segmented: send FIN. *)
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
@@ -343,7 +366,7 @@ let send_sub _t c data ~off ~len =
   | Established | Close_wait ->
       if c.fin_pending then 0
       else begin
-        let n = min (262144 - (Byteq.length c.snd_queue - c.snd_sent)) len in
+        let n = Int.min (262144 - (Byteq.length c.snd_queue - c.snd_sent)) len in
         Byteq.add_subbytes c.snd_queue data off n;
         n
       end
@@ -354,8 +377,13 @@ let send t c data = send_sub t c data ~off:0 ~len:(Bytes.length data)
 let flush t c = output t c
 
 let recv _t c ~max =
-  let n = min max (Byteq.length c.recv_buf) in
+  let n = Int.min max (Byteq.length c.recv_buf) in
   if n = 0 then Bytes.empty else Byteq.take c.recv_buf n
+
+let recv_into _t c q ~max =
+  let n = Int.min max (Byteq.length c.recv_buf) in
+  Byteq.transfer c.recv_buf q n;
+  n
 
 let recv_available c = Byteq.length c.recv_buf
 
@@ -366,8 +394,7 @@ let close t c =
   | Established | Close_wait | Syn_received ->
       c.fin_pending <- true;
       output t c
-  | Syn_sent | Listen ->
-      c.state <- Closed
+  | Syn_sent | Listen -> enter_closed c
   | _ -> ()
 
 (* Insert an out-of-order segment keeping the stash sorted and bounded. *)
@@ -404,7 +431,7 @@ let deliver_payload c buf (seg : Tcp_wire.t) =
   if len > 0 then begin
     if seg.seq = c.rcv_nxt then begin
       let room = c.rcv_capacity - Byteq.length c.recv_buf in
-      let take = min len room in
+      let take = Int.min len room in
       Byteq.add_subbytes c.recv_buf buf seg.payload_off take;
       c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
       drain_ooo c
@@ -418,7 +445,7 @@ let deliver_payload c buf (seg : Tcp_wire.t) =
       let skip = Tcp_wire.seq_diff c.rcv_nxt seg.seq in
       if skip < len then begin
         let room = c.rcv_capacity - Byteq.length c.recv_buf in
-        let take = min (len - skip) room in
+        let take = Int.min (len - skip) room in
         Byteq.add_subbytes c.recv_buf buf (seg.payload_off + skip) take;
         c.rcv_nxt <- Tcp_wire.seq_add c.rcv_nxt take;
         drain_ooo c
@@ -440,7 +467,7 @@ let release_acked c ack =
   in
   pop ();
   let front = match Queue.peek_opt c.retx with Some e -> e.rseq | None -> ack in
-  let n = min (Tcp_wire.seq_diff front c.snd_qseq) c.snd_sent in
+  let n = Int.min (Tcp_wire.seq_diff front c.snd_qseq) c.snd_sent in
   Byteq.drop c.snd_queue n;
   c.snd_qseq <- Tcp_wire.seq_add c.snd_qseq n;
   c.snd_sent <- c.snd_sent - n
@@ -455,8 +482,8 @@ let process_ack t c (seg : Tcp_wire.t) =
     c.snd_wnd <- seg.Tcp_wire.window;
     release_acked c ack;
     (* Congestion control: slow start then additive increase. *)
-    if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + min acked c.mss
-    else c.cwnd <- c.cwnd + max 1 (c.mss * c.mss / c.cwnd);
+    if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min acked c.mss
+    else c.cwnd <- c.cwnd + Int.max 1 (c.mss * c.mss / c.cwnd);
     c.rto_ns <- base_rto_ns;
     c.rtx_deadline <- (if Queue.is_empty c.retx then None else Some (Int64.add (t.now ()) c.rto_ns));
     (* Forward progress pays back into the shared retry budget. *)
@@ -471,7 +498,7 @@ let process_ack t c (seg : Tcp_wire.t) =
         | Closing ->
             c.state <- Time_wait;
             c.timewait_deadline <- Some (Int64.add (t.now ()) (Int64.mul 2L c.rto_ns))
-        | Last_ack -> c.state <- Closed
+        | Last_ack -> enter_closed c
         | _ -> ())
     | _ -> ());
     output t c
@@ -491,8 +518,8 @@ let process_ack t c (seg : Tcp_wire.t) =
       in
       match Queue.peek_opt c.retx with
       | Some e when budget_ok ->
-          let flight = max (in_flight c) c.mss in
-          c.ssthresh <- max (flight / 2) (2 * c.mss);
+          let flight = Int.max (in_flight c) c.mss in
+          c.ssthresh <- Int.max (flight / 2) (2 * c.mss);
           c.cwnd <- c.ssthresh;
           e.retries <- e.retries + 1;
           e.sent_at <- t.now ();
@@ -506,7 +533,7 @@ let process_ack t c (seg : Tcp_wire.t) =
 let handle_synsent t c (seg : Tcp_wire.t) =
   if seg.Tcp_wire.flags.Tcp_wire.rst then begin
     if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
-      c.state <- Closed;
+      enter_closed c;
       c.error <- Some "connection refused"
     end
   end
@@ -515,7 +542,7 @@ let handle_synsent t c (seg : Tcp_wire.t) =
       c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
       c.snd_una <- seg.Tcp_wire.ack;
       c.snd_wnd <- seg.Tcp_wire.window;
-      (match seg.Tcp_wire.mss with Some m -> c.mss <- min m default_mss | None -> ());
+      (match seg.Tcp_wire.mss with Some m -> c.mss <- Int.min m default_mss | None -> ());
       c.cwnd <- 2 * c.mss;
       Queue.clear c.retx;
       c.rtx_deadline <- None;
@@ -566,7 +593,7 @@ let handle_established t c buf (seg : Tcp_wire.t) =
     (* Unacceptable: ACK and drop (protects against old/replayed data). *)
     emit t c ~seq:c.snd_nxt ()
   else if seg.Tcp_wire.flags.Tcp_wire.rst then begin
-    c.state <- Closed;
+    enter_closed c;
     c.error <- Some "connection reset by peer"
   end
   else if seg.Tcp_wire.flags.Tcp_wire.syn && Tcp_wire.seq_lt seg.Tcp_wire.seq c.rcv_nxt then
@@ -589,7 +616,7 @@ let handle_established t c buf (seg : Tcp_wire.t) =
   end
 
 let handle_synreceived t c l buf (seg : Tcp_wire.t) =
-  if seg.Tcp_wire.flags.Tcp_wire.rst then c.state <- Closed
+  if seg.Tcp_wire.flags.Tcp_wire.rst then enter_closed c
   else if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
     c.snd_una <- seg.Tcp_wire.ack;
     c.snd_wnd <- seg.Tcp_wire.window;
@@ -633,7 +660,7 @@ let input t ~src buf (seg : Tcp_wire.t) =
               ~remote_port:seg.Tcp_wire.src_port ~state:Syn_received
           in
           c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
-          (match seg.Tcp_wire.mss with Some m -> c.mss <- min m default_mss | None -> ());
+          (match seg.Tcp_wire.mss with Some m -> c.mss <- Int.min m default_mss | None -> ());
           c.cwnd <- 2 * c.mss;
           c.snd_wnd <- seg.Tcp_wire.window;
           let seq = c.snd_nxt in
@@ -642,57 +669,59 @@ let input t ~src buf (seg : Tcp_wire.t) =
           emit t c ~syn:true ~seq ()
       | _ -> send_rst t ~dst:src ~to_seg:seg)
 
-let tick t =
-  let now = t.now () in
-  List.iter
-    (fun c ->
-      (match c.timewait_deadline with
-      | Some d when d <= now -> c.state <- Closed
-      | _ -> ());
-      match c.rtx_deadline with
-      | Some d when d <= now -> (
-          match Queue.peek_opt c.retx with
-          | None -> c.rtx_deadline <- None
-          | Some e ->
-              if e.retries >= max_retries then begin
-                c.state <- Closed;
-                c.error <- Some "retransmission limit exceeded";
-                c.rtx_deadline <- None
-              end
-              else begin
-                match t.retry_budget with
-                | Some rb when not (Cio_overload.Retry_budget.try_retry rb) ->
-                    (* Budget dry: defer without spending a retry or
-                       touching cwnd. The decorrelated-jitter backoff
-                       paces the re-attempt so a fleet of starved
-                       connections cannot retry in lockstep. *)
-                    c.rtx_deadline <-
-                      Some (Int64.add now (Cio_overload.Retry_budget.backoff_ns rb))
-                | budget ->
-                    e.retries <- e.retries + 1;
-                    e.sent_at <- now;
-                    (* Exponential backoff and multiplicative decrease. *)
-                    c.rto_ns <- Int64.mul 2L c.rto_ns;
-                    c.ssthresh <- max (in_flight c / 2) (2 * c.mss);
-                    c.cwnd <- c.mss;
-                    (* With a budget attached, pacing takes the worse of
-                       the per-connection RTO and the shared jittered
-                       backoff. *)
-                    let pace =
-                      match budget with
-                      | Some rb ->
-                          Int64.max c.rto_ns (Cio_overload.Retry_budget.backoff_ns rb)
-                      | None -> c.rto_ns
-                    in
-                    c.rtx_deadline <- Some (Int64.add now pace);
-                    note_retransmit t;
-                    if e.rsyn && c.state = Syn_sent then
-                      emit t c ~len:e.rlen ~syn:true ~ack:false ~seq:e.rseq ()
-                    else emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-              end)
-      | _ -> ())
-    t.conns;
-  (* Garbage-collect closed connections. *)
-  t.conns <- List.filter (fun c -> c.state <> Closed || c.error <> None) t.conns
+(* One connection's timers at [now]. *)
+let tick_conn t now c =
+  (match c.timewait_deadline with
+  | Some d when d <= now -> enter_closed c
+  | _ -> ());
+  match c.rtx_deadline with
+  | Some d when d <= now -> (
+      match Queue.peek_opt c.retx with
+      | None -> c.rtx_deadline <- None
+      | Some e ->
+          if e.retries >= max_retries then begin
+            enter_closed c;
+            c.error <- Some "retransmission limit exceeded"
+          end
+          else begin
+            match t.retry_budget with
+            | Some rb when not (Cio_overload.Retry_budget.try_retry rb) ->
+                (* Budget dry: defer without spending a retry or
+                   touching cwnd. The decorrelated-jitter backoff
+                   paces the re-attempt so a fleet of starved
+                   connections cannot retry in lockstep. *)
+                c.rtx_deadline <- Some (Int64.add now (Cio_overload.Retry_budget.backoff_ns rb))
+            | budget ->
+                e.retries <- e.retries + 1;
+                e.sent_at <- now;
+                (* Exponential backoff and multiplicative decrease. *)
+                c.rto_ns <- Int64.mul 2L c.rto_ns;
+                c.ssthresh <- Int.max (in_flight c / 2) (2 * c.mss);
+                c.cwnd <- c.mss;
+                (* With a budget attached, pacing takes the worse of
+                   the per-connection RTO and the shared jittered
+                   backoff. *)
+                let pace =
+                  match budget with
+                  | Some rb -> Int64.max c.rto_ns (Cio_overload.Retry_budget.backoff_ns rb)
+                  | None -> c.rto_ns
+                in
+                c.rtx_deadline <- Some (Int64.add now pace);
+                note_retransmit t;
+                if e.rsyn && c.state = Syn_sent then
+                  emit t c ~len:e.rlen ~syn:true ~ack:false ~seq:e.rseq ()
+                else emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
+          end)
+  | _ -> ()
 
-let gc t = t.conns <- List.filter (fun c -> c.state <> Closed) t.conns
+let rec tick_all t now = function
+  | [] -> ()
+  | c :: rest ->
+      tick_conn t now c;
+      tick_all t now rest
+
+let rec any_closed = function [] -> false | c :: rest -> c.state = Closed || any_closed rest
+
+let tick t =
+  tick_all t (t.now ()) t.conns;
+  if any_closed t.conns then t.conns <- List.filter (fun c -> c.state <> Closed) t.conns

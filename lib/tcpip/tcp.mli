@@ -70,6 +70,11 @@ val send_sub : t -> conn -> bytes -> off:int -> len:int -> int
 val flush : t -> conn -> unit
 
 val recv : t -> conn -> max:int -> bytes
+
+val recv_into : t -> conn -> Byteq.t -> max:int -> int
+(** Move up to [max] received bytes to the back of the queue; returns
+    how many moved. *)
+
 val recv_available : conn -> int
 
 val eof : conn -> bool
@@ -84,7 +89,6 @@ val input : t -> src:Addr.ipv4 -> bytes -> Tcp_wire.t -> unit
     receive buffer, and out-of-order ones into the reassembly stash. *)
 
 val tick : t -> unit
-(** Run retransmission / TIME-WAIT timers against the [now] clock. *)
-
-val gc : t -> unit
-(** Drop all closed connections, including errored ones. *)
+(** Run retransmission / TIME-WAIT timers against the [now] clock, then
+    drop every closed connection from the table (a holder of its
+    {!conn} still reads {!conn_error}). *)

@@ -62,7 +62,7 @@ let histogram t name =
 (* Bucket i holds values in (2^(i-1), 2^i]; bucket 0 holds v <= 1.
    Bitops.log2 demands an exact power of two, hence the round-up. *)
 let bucket_of v =
-  if v <= 1 then 0 else min (buckets - 1) (Bitops.log2 (Bitops.next_power_of_two v))
+  if v <= 1 then 0 else Int.min (buckets - 1) (Bitops.log2 (Bitops.next_power_of_two v))
 
 let observe h v =
   let v = if v < 0 then 0 else v in

@@ -36,16 +36,12 @@ let derive ~psk ~client_random ~server_random =
     server_finished_key = Hkdf.expand_label ~prk:hs ~label:"s fin" ~context:Bytes.empty ~len:32;
   }
 
-(* Per-record nonce: IV xor big-endian sequence number (RFC 8446 §5.3). *)
-let nonce ~iv ~seq =
-  let n = Bytes.copy iv in
-  let len = Bytes.length n in
-  let seqb = Bytes.create 8 in
-  Bytes.set_int64_be seqb 0 seq;
-  for i = 0 to 7 do
-    let j = len - 8 + i in
-    Bytes.set n j (Char.chr (Char.code (Bytes.get n j) lxor Char.code (Bytes.get seqb i)))
-  done;
-  n
+(* Per-record nonce: IV xor big-endian sequence number (RFC 8446 §5.3),
+   written into [dst]. *)
+let nonce_into ~iv ~seq dst =
+  let len = Bytes.length iv in
+  if Bytes.length dst <> len || len < 8 then invalid_arg "Keys.nonce_into: bad nonce buffer";
+  Bytes.blit iv 0 dst 0 (len - 8);
+  Bytes.set_int64_be dst (len - 8) (Int64.logxor (Bytes.get_int64_be iv (len - 8)) (Int64.of_int seq))
 
 let finished_mac ~finished_key ~transcript = Hmac.digest_bytes ~key:finished_key transcript

@@ -11,7 +11,8 @@ type t = {
 
 val derive : psk:bytes -> client_random:bytes -> server_random:bytes -> t
 
-val nonce : iv:bytes -> seq:int64 -> bytes
-(** Per-record nonce: IV xor big-endian sequence (RFC 8446 §5.3). *)
+val nonce_into : iv:bytes -> seq:int -> bytes -> unit
+(** Per-record nonce: IV xor big-endian sequence (RFC 8446 §5.3), written
+    into the buffer, which has the IV's length. Allocates nothing. *)
 
 val finished_mac : finished_key:bytes -> transcript:bytes -> bytes

@@ -46,11 +46,18 @@ type t = {
   mutable peer_random : bytes;
   mutable transcript : Buffer.t;
   mutable keys : Keys.t option;
-  mutable send_seq : int64;
-  mutable recv_seq : int64;
+  mutable send_seq : int;
+  mutable recv_seq : int;
   mutable last_error : error option;
   mutable records_sent : int;
   mutable records_received : int;
+  (* Handshake records to send, newest first, until [take_flights]. *)
+  mutable flights : bytes list;
+  (* Per-record scratch: the nonce, the header as authenticated, and the
+     AEAD's blocks and MAC state, rewritten by every seal and open. *)
+  nonce : bytes;
+  aad : bytes;
+  aead : Aead.scratch;
 }
 
 let create ?(model = Cost.default) ?meter ~role ~psk ~psk_id ~rng () =
@@ -67,20 +74,27 @@ let create ?(model = Cost.default) ?meter ~role ~psk ~psk_id ~rng () =
     peer_random = Bytes.empty;
     transcript = Buffer.create 128;
     keys = None;
-    send_seq = 0L;
-    recv_seq = 0L;
+    send_seq = 0;
+    recv_seq = 0;
     last_error = None;
     records_sent = 0;
     records_received = 0;
+    flights = [];
+    nonce = Bytes.create Aead.nonce_len;
+    aad = Bytes.create Wire.header_len;
+    aead = Aead.scratch ();
   }
 
 let is_established t = t.state = Established
 let records_sent t = t.records_sent
 let records_received t = t.records_received
 
-let die t err =
+let kill t err =
   t.state <- Dead;
-  t.last_error <- Some err;
+  t.last_error <- Some err
+
+let die t err =
+  kill t err;
   Error err
 
 let send_keys t (k : Keys.t) =
@@ -91,43 +105,54 @@ let recv_keys t (k : Keys.t) =
 
 let charge_aead t nbytes = Cost.charge t.meter Cost.Crypto (Cost.aead_cost t.model nbytes)
 
-(* Seal a plaintext into a protected wire record. The header (with the
-   ciphertext length) is the AAD, so length tampering is also caught; the
-   ciphertext and tag are sealed straight in behind it. *)
+let record_len len = Wire.header_len + len + Aead.tag_len
+
+(* Seal [len] plaintext bytes of [src] from [src_off] as one protected
+   record at [dst_off] of [dst]: the header, then the ciphertext and tag.
+   The header (with the ciphertext length) is the AAD, so length
+   tampering is also caught. *)
+let seal_at t k ~ctype src ~src_off ~len dst ~dst_off =
+  let dk = send_keys t k in
+  Wire.write_header t.aad ~off:0 ~ctype ~len:(len + Aead.tag_len);
+  Bytes.blit t.aad 0 dst dst_off Wire.header_len;
+  Keys.nonce_into ~iv:dk.Keys.iv ~seq:t.send_seq t.nonce;
+  Aead.seal_with t.aead ~key:dk.Keys.key ~nonce:t.nonce ~aad:t.aad src ~src_off ~len dst
+    ~dst_off:(dst_off + Wire.header_len);
+  charge_aead t len;
+  t.send_seq <- t.send_seq + 1;
+  t.records_sent <- t.records_sent + 1
+
 let seal_record t ~ctype plaintext =
   match t.keys with
   | None -> Error (Bad_state "no keys yet")
   | Some k ->
-      let dk = send_keys t k in
       let len = Bytes.length plaintext in
-      let aad = Wire.header ~ctype ~len:(len + Aead.tag_len) in
-      let nonce = Keys.nonce ~iv:dk.Keys.iv ~seq:t.send_seq in
-      let record = Bytes.create (Wire.header_len + len + Aead.tag_len) in
-      Bytes.blit aad 0 record 0 Wire.header_len;
-      Aead.seal_into ~key:dk.Keys.key ~nonce ~aad plaintext ~src_off:0 ~len record
-        ~dst_off:Wire.header_len;
-      charge_aead t len;
-      t.send_seq <- Int64.add t.send_seq 1L;
-      t.records_sent <- t.records_sent + 1;
+      let record = Bytes.create (record_len len) in
+      seal_at t k ~ctype plaintext ~src_off:0 ~len record ~dst_off:0;
       Ok record
 
-let open_record t (r : Wire.record) =
+(* Open the record in view [v] into a plaintext buffer of its own. The
+   sequence number only advances on success: a replayed or reordered
+   record authenticates against the wrong nonce and lands here as
+   Auth_failed. *)
+let open_record t v =
   match t.keys with
   | None -> Error (Bad_state "protected record before key derivation")
   | Some k ->
-      let dk = recv_keys t k in
-      let aad = Wire.header ~ctype:r.Wire.ctype ~len:(Bytes.length r.Wire.body) in
-      let nonce = Keys.nonce ~iv:dk.Keys.iv ~seq:t.recv_seq in
-      charge_aead t (Bytes.length r.Wire.body);
-      (match Aead.open_ ~key:dk.Keys.key ~nonce ~aad r.Wire.body with
-      | Some plaintext ->
-          (* The sequence number only advances on success: a replayed or
-             reordered record authenticates against the wrong nonce and
-             lands here as Auth_failed. *)
-          t.recv_seq <- Int64.add t.recv_seq 1L;
-          t.records_received <- t.records_received + 1;
-          Ok plaintext
-      | None -> Error Auth_failed)
+      let dk = recv_keys t k and len = v.Wire.len in
+      Wire.write_header t.aad ~off:0 ~ctype:v.Wire.kind ~len;
+      Keys.nonce_into ~iv:dk.Keys.iv ~seq:t.recv_seq t.nonce;
+      charge_aead t len;
+      let plaintext = Bytes.create (Int.max 0 (len - Aead.tag_len)) in
+      if
+        Aead.open_with t.aead ~key:dk.Keys.key ~nonce:t.nonce ~aad:t.aad v.Wire.buf
+          ~src_off:v.Wire.off ~len plaintext ~dst_off:0
+      then begin
+        t.recv_seq <- t.recv_seq + 1;
+        t.records_received <- t.records_received + 1;
+        Ok plaintext
+      end
+      else Error Auth_failed
 
 (* Handshake message bodies. *)
 
@@ -183,14 +208,6 @@ let initiate t =
   | Client, _ -> die t (Bad_state "initiate called twice")
   | Server, _ -> die t (Bad_state "server cannot initiate")
 
-type feed_result = {
-  outputs : bytes list;   (* wire bytes to hand to the transport *)
-  app_data : bytes list;  (* decrypted application payloads *)
-  err : error option;
-}
-
-let no_result = { outputs = []; app_data = []; err = None }
-
 let handle_client_hello t body =
   if Bytes.length body < 34 then Error (Bad_format "short ClientHello")
   else begin
@@ -234,74 +251,107 @@ let verify_finished t plaintext =
     if Ct.equal (Bytes.sub expected 1 32) (Bytes.sub plaintext 1 32) then Ok () else Error Auth_failed
   end
 
-let process_record t (r : Wire.record) =
-  match (t.state, r.Wire.ctype) with
-  | Dead, _ -> Error (Bad_state "session dead")
+let push_flights t records = t.flights <- List.rev_append records t.flights
+
+let take_flights t =
+  match t.flights with
+  | [] -> []
+  | newest_first ->
+      t.flights <- [];
+      List.rev newest_first
+
+let view_body v = Bytes.sub v.Wire.buf v.Wire.off v.Wire.len
+let first_byte v = Bytes.get_uint8 v.Wire.buf v.Wire.off
+
+(* One record, in place in the splitter: [None], or the error that is to
+   kill the session. Handshake records to send join [flights]; opened
+   application data joins [inbox]. *)
+let process_record t v inbox =
+  match (t.state, v.Wire.kind) with
+  | Dead, _ -> Some (Bad_state "session dead")
+  | Established, Wire.Data -> (
+      match open_record t v with
+      | Ok plaintext ->
+          Queue.add plaintext inbox;
+          None
+      | Error e -> Some e)
   | Start, Wire.Handshake
-    when t.role = Server
-         && Bytes.length r.Wire.body > 0
-         && Char.code (Bytes.get r.Wire.body 0) = msg_client_hello -> (
-      match handle_client_hello t r.Wire.body with Ok outs -> Ok (outs, []) | Error e -> Error e)
-  | Start, _ -> Error (Bad_state "no handshake yet")
-  | Wait_server_hello, Wire.Handshake when Bytes.length r.Wire.body > 0
-      && Char.code (Bytes.get r.Wire.body 0) = msg_server_hello -> (
-      match handle_server_hello t r.Wire.body with Ok outs -> Ok (outs, []) | Error e -> Error e)
+    when t.role = Server && v.Wire.len > 0 && first_byte v = msg_client_hello -> (
+      match handle_client_hello t (view_body v) with
+      | Ok outs ->
+          push_flights t outs;
+          None
+      | Error e -> Some e)
+  | Start, _ -> Some (Bad_state "no handshake yet")
+  | Wait_server_hello, Wire.Handshake
+    when v.Wire.len > 0 && first_byte v = msg_server_hello -> (
+      match handle_server_hello t (view_body v) with Ok _ -> None | Error e -> Some e)
   | Wait_server_finished, Wire.Handshake -> (
       (* Protected server Finished. *)
-      match open_record t r with
-      | Error e -> Error e
+      match open_record t v with
+      | Error e -> Some e
       | Ok plaintext -> (
           match verify_finished t plaintext with
-          | Error e -> Error e
+          | Error e -> Some e
           | Ok () -> (
               match seal_record t ~ctype:Wire.Handshake (finished_body t ~own:true) with
-              | Error e -> Error e
+              | Error e -> Some e
               | Ok fin ->
                   t.state <- Established;
-                  Ok ([ fin ], []))))
+                  push_flights t [ fin ];
+                  None)))
   | Wait_client_finished, Wire.Handshake -> (
-      match open_record t r with
-      | Error e -> Error e
+      match open_record t v with
+      | Error e -> Some e
       | Ok plaintext -> (
           match verify_finished t plaintext with
-          | Error e -> Error e
+          | Error e -> Some e
           | Ok () ->
               t.state <- Established;
-              Ok ([], [])))
-  | Established, Wire.Data -> (
-      match open_record t r with Ok pt -> Ok ([], [ pt ]) | Error e -> Error e)
-  | _, Wire.Alert -> Error Peer_alert
-  | st, ct ->
-      ignore st;
-      Error (Bad_state (Printf.sprintf "unexpected %s record" (Wire.content_name ct)))
+              None))
+  | _, Wire.Alert -> Some Peer_alert
+  | _, ct -> Some (Bad_state (Printf.sprintf "unexpected %s record" (Wire.content_name ct)))
+
+let rec process_all t inbox =
+  if Wire.next t.splitter then
+    match process_record t (Wire.view t.splitter) inbox with
+    | None -> process_all t inbox
+    | Some e ->
+        kill t e;
+        t.last_error
+  else None
+
+let feed_into t src ~off ~len inbox =
+  if t.state = Dead then t.last_error
+  else
+    match Wire.push t.splitter src ~off ~len with
+    | Some e ->
+        kill t (Bad_format e);
+        t.last_error
+    | None -> process_all t inbox
+
+type feed_result = {
+  outputs : bytes list;   (* wire bytes to hand to the transport *)
+  app_data : bytes list;  (* decrypted application payloads *)
+  err : error option;
+}
 
 let feed t stream_bytes =
-  if t.state = Dead then { no_result with err = t.last_error }
-  else begin
-    match Wire.feed t.splitter stream_bytes with
-    | Wire.Malformed e -> (
-        match die t (Bad_format e) with
-        | Error err -> { no_result with err = Some err }
-        | Ok _ -> assert false)
-    | Wire.Records records ->
-        let outputs = ref [] and app = ref [] and err = ref None in
-        let rec go = function
-          | [] -> ()
-          | r :: rest -> (
-              match process_record t r with
-              | Ok (outs, data) ->
-                  outputs := List.rev_append outs !outputs;
-                  app := List.rev_append data !app;
-                  go rest
-              | Error e ->
-                  ignore (die t e);
-                  err := Some e)
-        in
-        go records;
-        { outputs = List.rev !outputs; app_data = List.rev !app; err = !err }
-  end
+  let inbox = Queue.create () in
+  let err = feed_into t stream_bytes ~off:0 ~len:(Bytes.length stream_bytes) inbox in
+  { outputs = take_flights t; app_data = List.of_seq (Queue.to_seq inbox); err }
 
 let send_data t payload =
   match t.state with
   | Established -> seal_record t ~ctype:Wire.Data payload
+  | _ -> Error (Bad_state "not established")
+
+let send_data_into t payload q =
+  match (t.state, t.keys) with
+  | Established, Some k ->
+      let len = Bytes.length payload in
+      let at = Byteq.extend q (record_len len) in
+      seal_at t k ~ctype:Wire.Data payload ~src_off:0 ~len (Byteq.storage q) ~dst_off:at;
+      Ok ()
+  | Established, None -> Error (Bad_state "no keys yet")
   | _ -> Error (Bad_state "not established")

@@ -34,6 +34,18 @@ val records_received : t -> int
 val initiate : t -> (bytes list, error) result
 (** Client only: the opening flight (wire bytes). *)
 
+val feed_into : t -> bytes -> off:int -> len:int -> bytes Queue.t -> error option
+(** [feed_into t src ~off ~len inbox] processes [len] stream bytes of
+    [src] from [off], as they come from the (untrusted) transport. Each
+    record is opened in place in the session's own buffer; each
+    application payload joins [inbox] in a buffer of its own, and
+    handshake records to send wait for {!take_flights}. Returns the
+    error that killed the session, now or earlier, if any. *)
+
+val take_flights : t -> bytes list
+(** Handshake records the session has to send, oldest first, and
+    forgets them. *)
+
 type feed_result = {
   outputs : bytes list;
   app_data : bytes list;
@@ -41,7 +53,12 @@ type feed_result = {
 }
 
 val feed : t -> bytes -> feed_result
-(** Process stream bytes from the (untrusted) transport. *)
+(** {!feed_into} of all the bytes, with the records to send and the
+    payloads returned as lists. *)
 
 val send_data : t -> bytes -> (bytes, error) result
 (** Seal one application payload into wire bytes. *)
+
+val send_data_into : t -> bytes -> Byteq.t -> (unit, error) result
+(** {!send_data}, sealed straight onto the back of the queue. Allocates
+    nothing once the queue has grown to the traffic. *)

@@ -11,16 +11,36 @@ val max_body : int
 
 type record = { ctype : content_type; body : bytes }
 
-val header : ctype:content_type -> len:int -> bytes
+val write_header : bytes -> off:int -> ctype:content_type -> len:int -> unit
+(** Write a record header for a [len]-byte body into the buffer at [off]. *)
+
 val encode : record -> bytes
 
 type splitter
 
 val splitter : unit -> splitter
 
-type split_result = Records of record list | Malformed of string
+val push : splitter -> bytes -> off:int -> len:int -> string option
+(** [push sp src ~off ~len] appends [len] stream bytes of [src] from
+    [off] and validates the header of every record that is now complete,
+    and of the first incomplete one once its header is in. Returns the
+    reason when one is malformed: the splitter is then poisoned for good
+    (fail-closed, no error recovery path) and none of the records this
+    push completed is handed out. Allocates nothing on the accepting
+    path once the buffer has grown to the traffic. *)
 
-val feed : splitter -> bytes -> split_result
-(** Accumulate stream bytes; emit complete records. Malformed input
-    poisons the splitter permanently (fail-closed, no error recovery
-    path). *)
+type view = private {
+  mutable kind : content_type;
+  mutable buf : bytes;
+  mutable off : int;
+  mutable len : int;
+}
+(** A complete record in place: its body is the [len] bytes of [buf]
+    from [off]. *)
+
+val next : splitter -> bool
+(** Hand out the oldest complete, validated record as the splitter's
+    {!view}; [false] when there is none or the splitter is poisoned.
+    The view is valid until the next {!next} or {!push}. *)
+
+val view : splitter -> view

@@ -8,22 +8,36 @@
 
 type t = { mutable buf : bytes; mutable off : int; mutable len : int }
 
-let create n = { buf = Bytes.create (max n 16); off = 0; len = 0 }
+let create n = { buf = Bytes.create (Int.max n 16); off = 0; len = 0 }
 let length t = t.len
+
+(* Make room for [n] more bytes at the back. *)
+let ensure t n =
+  let cap = Bytes.length t.buf in
+  if t.off + t.len + n > cap then begin
+    let need = t.len + n in
+    let dst = if need <= cap / 2 then t.buf else Bytes.create (Int.max need (2 * cap)) in
+    Bytes.blit t.buf t.off dst 0 t.len;
+    t.buf <- dst;
+    t.off <- 0
+  end
 
 let add_subbytes t src pos n =
   if pos < 0 || n < 0 || pos > Bytes.length src - n then
     invalid_arg "Byteq.add_subbytes: range out of bounds";
-  let cap = Bytes.length t.buf in
-  if t.off + t.len + n > cap then begin
-    let need = t.len + n in
-    let dst = if need <= cap / 2 then t.buf else Bytes.create (max need (2 * cap)) in
-    Bytes.blit t.buf t.off dst 0 t.len;
-    t.buf <- dst;
-    t.off <- 0
-  end;
+  ensure t n;
   Bytes.blit src pos t.buf (t.off + t.len) n;
   t.len <- t.len + n
+
+let extend t n =
+  if n < 0 then invalid_arg "Byteq.extend: negative count";
+  ensure t n;
+  let at = t.off + t.len in
+  t.len <- t.len + n;
+  at
+
+let storage t = t.buf
+let front t = t.off
 
 let add_bytes t src = add_subbytes t src 0 (Bytes.length src)
 
@@ -47,7 +61,7 @@ let take t n =
   drop t n;
   out
 
-let consume t f =
-  let n = f t.buf t.off t.len in
-  drop t n;
-  n
+let transfer t dst n =
+  if n < 0 || n > t.len then invalid_arg "Byteq.transfer: count out of bounds";
+  add_subbytes dst t.buf t.off n;
+  drop t n

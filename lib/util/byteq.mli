@@ -27,7 +27,19 @@ val drop : t -> int -> unit
 val take : t -> int -> bytes
 (** Remove [n] bytes from the front and return them in a fresh buffer. *)
 
-val consume : t -> (bytes -> int -> int -> int) -> int
-(** [consume q f] calls [f buf off len] on the queued bytes in place
-    ([buf] is the queue's own storage: [f] must not keep or write it) and
-    drops the number of bytes [f] returns, which it also returns. *)
+val transfer : t -> t -> int -> unit
+(** [transfer q dst n] moves the [n] front bytes of [q] to the back of
+    [dst]. *)
+
+val extend : t -> int -> int
+(** [extend q n] appends [n] bytes, left for the caller to write, and
+    returns where they start in {!storage}. *)
+
+val storage : t -> bytes
+(** The queue's own buffer: the queued bytes are its [length q] bytes
+    from {!front}. Valid until the next append, which may move them. A
+    caller may read it in place and write only bytes it has just
+    {!extend}ed. *)
+
+val front : t -> int
+(** Offset of the front byte in {!storage}. *)

@@ -794,7 +794,7 @@ let prop_burst_of_one_equals_single_slot =
      (cycles and event counts per category), bit for bit — including when
      the host lies about the length. The RX side is received through the
      driver, so under Copy_in it is [try_consume] against
-     [try_consume_burst ~max:1] and under Revoke the one-slot revocation
+     [try_consume_burst_into ~max:1] and under Revoke the one-slot revocation
      run of both receive entry points. (A malformed slot is where the two
      differ by contract: a burst keeps scanning past a skip.) *)
   QCheck.Test.make ~name:"burst of one ≡ single-slot (counters and cost)" ~count:60
@@ -810,7 +810,11 @@ let prop_burst_of_one_equals_single_slot =
         in
         let tx_ok = produce tx in
         let forwarded =
-          if burst then Ring.try_consume_burst ~max:1 tx else Option.to_list (Ring.try_consume tx)
+          if burst then begin
+            let dst = [| Bytes.empty |] in
+            Array.to_list (Array.sub dst 0 (Ring.try_consume_burst_into tx dst ~max:1))
+          end
+          else Option.to_list (Ring.try_consume tx)
         in
         let rx_ok = produce rx in
         Option.iter

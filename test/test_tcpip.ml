@@ -80,6 +80,37 @@ let test_connection_refused () =
   Alcotest.(check bool) "closed by RST" true ok;
   Alcotest.(check (option string)) "refused" (Some "connection refused") (Tcp.conn_error conn)
 
+(* A refused connection is over: no SYN goes out after the RST, its
+   error stays "connection refused" however long the clock runs, and the
+   table does not keep it (200 refused connects leave the Tcp.t about
+   the size one did). *)
+let test_refused_connection_released () =
+  let pair = H.make_stack_pair () in
+  let tcp_a = Stack.tcp pair.H.stack_a in
+  let refuse () =
+    let conn = Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:9999 () in
+    Alcotest.(check bool) "closed by RST" true
+      (H.run_until pair (fun () -> Tcp.conn_state conn = Tcp.Closed));
+    H.step pair;
+    conn
+  in
+  let conn = refuse () in
+  let sent = Tcp.segments_out tcp_a and words = Obj.reachable_words (Obj.repr tcp_a) in
+  (* Past every retransmission deadline: 200 ms doubling over 8 tries. *)
+  for _ = 1 to 60 do
+    H.step ~ms:1000 pair
+  done;
+  Alcotest.(check int) "no SYN after the RST" sent (Tcp.segments_out tcp_a);
+  Alcotest.(check (option string)) "still refused" (Some "connection refused") (Tcp.conn_error conn);
+  for _ = 1 to 199 do
+    ignore (refuse ())
+  done;
+  let grown = Obj.reachable_words (Obj.repr tcp_a) in
+  Alcotest.(check bool)
+    (Printf.sprintf "table released: %d words after 200 refusals, %d after one" grown words)
+    true
+    (grown <= 2 * words)
+
 let test_data_after_close_rejected () =
   let pair, client, _server = H.connected_pair () in
   let tcp_a = Stack.tcp pair.H.stack_a in
@@ -578,6 +609,7 @@ let suite =
     Alcotest.test_case "stack: partial burst requeued" `Quick test_stack_tx_partial_burst_requeues;
     Alcotest.test_case "tcp: ten concurrent connections" `Quick test_ten_concurrent_connections;
     Alcotest.test_case "tcp: half-close data flow" `Quick test_half_close_data_still_flows;
+    Alcotest.test_case "tcp: refused connection released" `Quick test_refused_connection_released;
     Helpers.qtest prop_stack_survives_random_frames;
     Helpers.qtest prop_stack_survives_mutated_real_frames;
   ]

@@ -189,6 +189,165 @@ let test_max_size_record () =
   let r = feed_ok "server" s wire in
   Helpers.check_bytes "16K record" big (List.hd r.S.app_data)
 
+(* Sealing and opening a 64-byte record in place allocates the returned
+   plaintext (a header word, and 9 words for its 64 bytes and the padding
+   byte) and a fixed constant: the open's result box and the inbox cell,
+   5 words. *)
+let test_record_allocation () =
+  let c, s = Helpers.tls_pair () in
+  let payload = Bytes.make 64 'r' in
+  let q = Cio_util.Byteq.create 4096 and inbox = Queue.create () in
+  let round () =
+    (match S.send_data_into c payload q with Ok () -> () | Error _ -> Alcotest.fail "seal");
+    (match
+       S.feed_into s (Cio_util.Byteq.storage q) ~off:(Cio_util.Byteq.front q)
+         ~len:(Cio_util.Byteq.length q) inbox
+     with
+    | None -> ()
+    | Some e -> Alcotest.fail (S.error_to_string e));
+    Cio_util.Byteq.drop q (Cio_util.Byteq.length q);
+    ignore (Queue.take inbox)
+  in
+  for _ = 1 to 4 do
+    round ()
+  done;
+  let rounds = 16 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per 64-byte record <= 10 + 5" per) true
+    (per <= 15.)
+
+(* --- the in-place record path against the verbatim oracle ------------- *)
+
+module O = Record_oracle
+
+let oracle_psk = Bytes.of_string "0123456789abcdef0123456789abcdef"
+
+(* Established client/server pairs of both implementations, their
+   handshakes drawn from equal generators, so that they hold equal keys. *)
+let both_pairs seed =
+  let rng = Cio_util.Rng.create seed and orng = Cio_util.Rng.create seed in
+  let c = S.create ~role:S.Client ~psk:oracle_psk ~psk_id:"oracle" ~rng () in
+  let s = S.create ~role:S.Server ~psk:oracle_psk ~psk_id:"oracle" ~rng () in
+  let oc = O.Session.create ~role:O.Session.Client ~psk:oracle_psk ~psk_id:"oracle" ~rng:orng () in
+  let os = O.Session.create ~role:O.Session.Server ~psk:oracle_psk ~psk_id:"oracle" ~rng:orng () in
+  let f1 = match S.initiate c with Ok o -> cat o | Error _ -> Alcotest.fail "initiate" in
+  let o1 = match O.Session.initiate oc with Ok o -> cat o | Error _ -> Alcotest.fail "initiate" in
+  let r1 = S.feed s f1 and q1 = O.Session.feed os o1 in
+  let r2 = S.feed c (cat r1.S.outputs) and q2 = O.Session.feed oc (cat q1.O.Session.outputs) in
+  ignore (S.feed s (cat r2.S.outputs));
+  ignore (O.Session.feed os (cat q2.O.Session.outputs));
+  if not (Bytes.equal f1 o1 && Bytes.equal (cat r1.S.outputs) (cat q1.O.Session.outputs)) then
+    Alcotest.fail "handshake flights differ from the oracle's";
+  ((c, s), (oc, os))
+
+let same_error (a : S.error option) (b : O.Session.error option) =
+  match (a, b) with
+  | None, None -> true
+  | Some S.Auth_failed, Some O.Session.Auth_failed | Some S.Peer_alert, Some O.Session.Peer_alert
+    ->
+      true
+  | Some (S.Bad_format x), Some (O.Session.Bad_format y)
+  | Some (S.Bad_state x), Some (O.Session.Bad_state y) ->
+      String.equal x y
+  | _ -> false
+
+let same_result (r : S.feed_result) (o : O.Session.feed_result) =
+  List.equal Bytes.equal r.S.outputs o.O.Session.outputs
+  && List.equal Bytes.equal r.S.app_data o.O.Session.app_data
+  && same_error r.S.err o.O.Session.err
+
+let seal_both (c, oc) payload =
+  match (S.send_data c payload, O.Session.send_data oc payload) with
+  | Ok w, Ok ow ->
+      if not (Bytes.equal w ow) then Alcotest.fail "record differs from the oracle's";
+      w
+  | _ -> Alcotest.fail "seal"
+
+(* Payload sizes: mostly small, some up to the 16 KiB plaintext limit. *)
+let size_gen = QCheck.Gen.(frequency [ (3, int_range 0 300); (1, int_range 0 16384) ])
+
+let prop_record_bytes_match_oracle =
+  QCheck.Test.make ~name:"record path: wire bytes and plaintext match the oracle" ~count:60
+    QCheck.(triple (make size_gen) (int_range 0 40) int)
+    (fun (size, skip, seed) ->
+      let (c, s), (oc, os) = both_pairs (Int64.of_int seed) in
+      let payload = Cio_util.Rng.bytes (Cio_util.Rng.create (Int64.of_int size)) size in
+      (* Random sequence numbers: [skip] records first, on both sides. *)
+      for i = 1 to skip do
+        let w = seal_both (c, oc) (Bytes.make (i mod 7) 's') in
+        ignore (S.feed s w);
+        ignore (O.Session.feed os w)
+      done;
+      let w = seal_both (c, oc) payload in
+      (* The same record sealed straight into a queue. *)
+      let q = Cio_util.Byteq.create 16 in
+      let ow = match O.Session.send_data oc payload with Ok w -> w | Error _ -> Bytes.empty in
+      let into_ok = S.send_data_into c payload q = Ok () in
+      let qw = Cio_util.Byteq.take q (Cio_util.Byteq.length q) in
+      into_ok && Bytes.equal qw ow
+      && same_result (S.feed s (Bytes.cat w qw)) (O.Session.feed os (Bytes.cat w ow)))
+
+(* Tampered, truncated, replayed, reordered and malformed streams, cut
+   into random chunks, fail (or pend) exactly as the oracle's do, chunk
+   for chunk. *)
+let prop_record_attacks_match_oracle =
+  QCheck.Test.make ~name:"record path: attacks fail like the oracle's" ~count:200
+    QCheck.(triple (int_range 0 4) (int_range 1 4) int)
+    (fun (attack, n, seed) ->
+      let rng = Cio_util.Rng.create (Int64.of_int seed) in
+      let (c, s), (oc, os) = both_pairs (Int64.of_int seed) in
+      let records =
+        Array.init n (fun _ -> seal_both (c, oc) (Cio_util.Rng.bytes rng (Cio_util.Rng.int rng 200)))
+      in
+      let pick () = Cio_util.Rng.int rng n in
+      let stream =
+        match attack with
+        | 0 ->
+            (* tamper: one bit anywhere *)
+            let b = cat (Array.to_list records) in
+            let i = Cio_util.Rng.int rng (Bytes.length b) in
+            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl Cio_util.Rng.int rng 8));
+            b
+        | 1 ->
+            (* truncate, then splice junk in *)
+            let b = cat (Array.to_list records) in
+            let keep = Cio_util.Rng.int rng (Bytes.length b) in
+            Bytes.cat (Bytes.sub b 0 keep) (Cio_util.Rng.bytes rng (Cio_util.Rng.int rng 64))
+        | 2 ->
+            (* replay one record *)
+            cat (Array.to_list records @ [ records.(pick ()) ])
+        | 3 ->
+            (* reorder two records *)
+            let i = pick () and j = pick () in
+            let r = Array.copy records in
+            r.(i) <- records.(j);
+            r.(j) <- records.(i);
+            cat (Array.to_list r)
+        | _ ->
+            (* a malformed header behind good records *)
+            let r = Array.copy records in
+            let i = pick () in
+            let bad = Bytes.copy r.(i) in
+            Bytes.set_uint8 bad 0 (Cio_util.Rng.int rng 256);
+            r.(i) <- bad;
+            cat (Array.to_list r)
+      in
+      let len = Bytes.length stream in
+      let cuts = List.sort_uniq Int.compare (List.init 3 (fun _ -> Cio_util.Rng.int rng (len + 1))) in
+      let rec feed_chunks from = function
+        | [] ->
+            let chunk = Bytes.sub stream from (len - from) in
+            same_result (S.feed s chunk) (O.Session.feed os chunk)
+        | cut :: rest ->
+            let chunk = Bytes.sub stream from (cut - from) in
+            same_result (S.feed s chunk) (O.Session.feed os chunk) && feed_chunks cut rest
+      in
+      feed_chunks 0 cuts)
+
 let prop_any_bitflip_fatal =
   QCheck.Test.make ~name:"any record bit flip is fatal, never wrong data" ~count:150
     QCheck.(pair (string_of_size Gen.(int_range 1 200)) small_nat)
@@ -220,18 +379,33 @@ let prop_roundtrip_any_payload =
           r.S.err = None && r.S.app_data = [ msg ])
 
 let prop_splitter_never_crashes =
-  (* Fuzz the record splitter with arbitrary chunked garbage: it must
-     classify, never raise — the untrusted stack feeds it directly. *)
+  (* Fuzz the record splitter with arbitrary chunked garbage, some of it
+     well-formed records: it must classify, never raise — the untrusted
+     stack feeds it directly — and a malformed push hands nothing out,
+     not even the records it completed before the bad header. *)
   QCheck.Test.make ~name:"record splitter survives arbitrary input" ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 10) (string_of_size Gen.(int_range 0 200)))
-    (fun chunks ->
+    QCheck.(
+      list_of_size Gen.(int_range 1 10)
+        (list_of_size Gen.(int_range 1 3) (pair bool (string_of_size Gen.(int_range 0 200)))))
+    (fun pieces ->
+      let piece (framed, s) =
+        if framed then Bytes.to_string (Wire.encode { Wire.ctype = Wire.Data; body = Bytes.of_string s })
+        else s
+      in
+      let chunks = List.map (fun ps -> String.concat "" (List.map piece ps)) pieces in
       let sp = Wire.splitter () in
+      let rec views_ok () =
+        (not (Wire.next sp))
+        ||
+        let v = Wire.view sp in
+        v.Wire.len <= Wire.max_body && v.Wire.off + v.Wire.len <= Bytes.length v.Wire.buf && views_ok ()
+      in
       List.for_all
         (fun chunk ->
-          match Wire.feed sp (Bytes.of_string chunk) with
-          | Wire.Records rs ->
-              List.for_all (fun r -> Bytes.length r.Wire.body <= Wire.max_body) rs
-          | Wire.Malformed _ -> true)
+          let b = Bytes.of_string chunk in
+          match Wire.push sp b ~off:0 ~len:(Bytes.length b) with
+          | Some _ -> not (Wire.next sp)
+          | None -> views_ok ())
         chunks)
 
 let prop_session_survives_garbage =
@@ -265,6 +439,9 @@ let suite =
     Alcotest.test_case "send before established" `Quick test_send_before_established;
     Alcotest.test_case "alert kills peer" `Quick test_alert_kills_peer;
     Alcotest.test_case "16K record" `Quick test_max_size_record;
+    Alcotest.test_case "64-byte record allocation" `Quick test_record_allocation;
+    Helpers.qtest prop_record_bytes_match_oracle;
+    Helpers.qtest prop_record_attacks_match_oracle;
     Helpers.qtest prop_any_bitflip_fatal;
     Helpers.qtest prop_roundtrip_any_payload;
     Helpers.qtest prop_splitter_never_crashes;

@@ -210,7 +210,13 @@ let prop_percentile_bounded =
 
 (* Byteq against a string model: appends, takes, drops and in-place
    consumes in any order keep the same FIFO contents. *)
-type byteq_op = Add of string | Take of int | Drop of int | Consume of int
+type byteq_op =
+  | Add of string
+  | Extend of string
+  | Take of int
+  | Drop of int
+  | Peek of int
+  | Transfer of int
 
 let byteq_op_gen =
   QCheck.Gen.(
@@ -219,14 +225,18 @@ let byteq_op_gen =
         (3, map (fun s -> Add s) (string_size (int_range 0 200)));
         (2, map (fun n -> Take n) (int_range 0 150));
         (1, map (fun n -> Drop n) (int_range 0 150));
-        (1, map (fun n -> Consume n) (int_range 0 150));
+        (1, map (fun s -> Extend s) (string_size (int_range 0 200)));
+        (1, map (fun n -> Peek n) (int_range 0 150));
+        (1, map (fun n -> Transfer n) (int_range 0 150));
       ])
 
 let print_byteq_op = function
   | Add s -> Printf.sprintf "Add %d" (String.length s)
   | Take n -> Printf.sprintf "Take %d" n
   | Drop n -> Printf.sprintf "Drop %d" n
-  | Consume n -> Printf.sprintf "Consume %d" n
+  | Extend s -> Printf.sprintf "Extend %d" (String.length s)
+  | Peek n -> Printf.sprintf "Peek %d" n
+  | Transfer n -> Printf.sprintf "Transfer %d" n
 
 let prop_byteq_matches_model =
   QCheck.Test.make ~name:"byteq behaves as a FIFO string" ~count:300
@@ -258,15 +268,24 @@ let prop_byteq_matches_model =
                 Byteq.drop q n;
                 ignore (cut n);
                 true
-            | Consume n ->
-                let seen = ref "" in
-                let got =
-                  Byteq.consume q (fun b off len ->
-                      let k = min n len in
-                      seen := Bytes.sub_string b off k;
-                      k)
-                in
-                got = String.length !seen && !seen = cut got
+            | Extend s ->
+                (* Append by writing into the queue's own storage. *)
+                let at = Byteq.extend q (String.length s) in
+                Bytes.blit_string s 0 (Byteq.storage q) at (String.length s);
+                model := !model ^ s;
+                true
+            | Peek n ->
+                (* Read the front in place, then drop what was read. *)
+                let n = min n (Byteq.length q) in
+                let seen = Bytes.sub_string (Byteq.storage q) (Byteq.front q) n in
+                Byteq.drop q n;
+                seen = cut n
+            | Transfer n ->
+                let n = min n (Byteq.length q) in
+                let dst = Byteq.create 1 in
+                Byteq.add_bytes dst (Bytes.of_string "x");
+                Byteq.transfer q dst n;
+                Bytes.to_string (Byteq.take dst (n + 1)) = "x" ^ cut n
           in
           ok
           && Byteq.length q = String.length !model
