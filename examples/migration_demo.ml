@@ -73,7 +73,6 @@ let () =
           Fmt.pr "@.>>> hot swap at echo 12: revoking the old device wholesale <<<@.";
           tracing := true;
           Cio_cionet.Driver.hot_swap (Dual.driver unit_);
-          Cio_cionet.Host_model.reattach host ~driver:(Dual.driver unit_);
           Fmt.pr "    device generation: %d; old region unmapped from the host@."
             (Cio_cionet.Driver.generation (Dual.driver unit_))
         end;

@@ -89,11 +89,7 @@ let () =
      (generation bump — the interface is stateless, so nothing needs to
      be renegotiated with anyone), and traffic resumes. *)
   let watchdog =
-    Cio_cionet.Watchdog.create ~poll_budget:200
-      ~recovery:(Dual.recovery unit_)
-      ~on_reset:(fun () ->
-        Cio_cionet.Host_model.reattach host ~driver:(Dual.driver unit_))
-      (Dual.driver unit_)
+    Cio_cionet.Watchdog.create ~poll_budget:200 (Dual.driver unit_)
   in
   Cio_cionet.Host_model.inject host (Cio_cionet.Host_model.Stall 600);
   let message2 = Bytes.of_string "hello again, after the host stalled" in
@@ -121,8 +117,10 @@ let () =
   let meter = Dual.meter unit_ in
   Fmt.pr "TEE work: %d cycles (%a)@." (Cost.total meter) Cost.pp_meter meter;
   Fmt.pr "L5 compartment handoffs: %d@." (Dual.crossings unit_);
-  Fmt.pr "recovery: %a@." Cio_observe.Recovery.pp
-    (Cio_observe.Recovery.snapshot (Dual.recovery unit_));
+  Fmt.pr "recovery: stalls detected %d, resets %d, reconnects %d@."
+    (Cio_cionet.Watchdog.stalls_detected watchdog)
+    (Cio_cionet.Driver.generation (Dual.driver unit_))
+    (Dual.reconnects unit_);
   Fmt.pr "frames on the wire: %d out, %d in — all the host ever observed.@."
     (Link.frames_sent link ~src:Link.A)
     (Link.frames_sent link ~src:Link.B)

@@ -29,8 +29,8 @@ val hot_swap : t -> unit
 (** Replace the device instance wholesale (live migration by hot swap,
     §3.2): the zero-negotiation interface has no state to transfer. The
     old region is fully revoked from the host; in-flight frames are lost
-    like a cable pull and the upper layers recover. The host must
-    re-attach (see {!Host_model.reattach}). *)
+    like a cable pull and the upper layers recover. The host serves the
+    new instance from its next poll on (see {!Host_model.create}). *)
 
 val transmit : t -> bytes -> bool
 (** [transmit t f] is [transmit_burst t [| f |] = 1]. *)

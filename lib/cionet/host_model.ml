@@ -37,8 +37,10 @@ type stats = {
 }
 
 type t = {
-  mutable driver_tx : Ring.t;  (* we consume *)
-  mutable driver_rx : Ring.t;  (* we produce *)
+  (* The device the host serves: always the driver's current instance,
+     as a hypervisor serves whatever the guest has just mapped. We
+     consume its TX ring and produce into its RX ring. *)
+  driver : Driver.t;
   transmit : bytes -> unit;
   (* Frame buffers the host owns: what [drain_tx] consumes into and
      gives to [transmit], and where produced RX frames go back. *)
@@ -67,8 +69,7 @@ let tx_burst = 64
 let create ~(driver : Driver.t) ~transmit =
   let pool = Bufpool.create () in
   {
-    driver_tx = Driver.tx_ring driver;
-    driver_rx = Driver.rx_ring driver;
+    driver;
     transmit;
     pool;
     some_pool = Some pool;
@@ -83,12 +84,6 @@ let create ~(driver : Driver.t) ~transmit =
   }
 
 let set_service_quota t q = t.service_quota <- q
-
-(* After a hot swap the old rings are revoked; the host re-attaches to the
-   new instance (in deployment: the hypervisor maps the new device). *)
-let reattach t ~(driver : Driver.t) =
-  t.driver_tx <- Driver.tx_ring driver;
-  t.driver_rx <- Driver.rx_ring driver
 
 let stats t = t.stats
 
@@ -136,7 +131,7 @@ let deliver_rx t frame = if Bytes.length frame > 0 then Queue.add frame t.pendin
    order they were injected. All writes go through the Host actor, so
    memory protection and the region log both apply. *)
 let sabotage t =
-  let ring = t.driver_rx in
+  let ring = Driver.rx_ring t.driver in
   let region = Ring.region ring in
   let slot = ((Ring.counters ring).Ring.produced - 1) land (Ring.slots ring - 1) in
   let header = Ring.header_offset ring slot in
@@ -166,13 +161,13 @@ let note_fault t =
 
 (* TX direction: drain the guest's ring in bursts into the host's pool
    and forward in FIFO order, up to [left] frames; [transmit] owns each
-   frame it is given. A fault mid-burst (revoked pages, e.g. a hot swap
-   racing the drain) loses the in-flight batch, exactly like a cable
-   pull. *)
+   frame it is given. A fault mid-burst (pages the guest has revoked)
+   loses the in-flight batch, exactly like a cable pull. *)
 let rec drain_tx t left =
   let k = Int.min tx_burst left in
   if k > 0 then
-    match Ring.try_consume_burst_into ?pool:t.some_pool t.driver_tx t.batch ~max:k with
+    match Ring.try_consume_burst_into ?pool:t.some_pool (Driver.tx_ring t.driver) t.batch ~max:k
+    with
     | 0 -> ()
     | n ->
         for i = 0 to n - 1 do
@@ -219,7 +214,8 @@ let rec fill_rx t ~batch left =
             s
         | None -> frames
       in
-      match Ring.try_produce_burst t.driver_rx staged with
+      let rx = Driver.rx_ring t.driver in
+      match Ring.try_produce_burst rx staged with
       | n ->
           Metrics.add m_rx_injected n;
           if n > 0 && not (Host_fault.is_empty t.one_shot) then begin
@@ -231,7 +227,7 @@ let rec fill_rx t ~batch left =
                    delivering the same bytes twice — exactly the paper's
                    point that L2 cannot and need not stop replays; the L5
                    record layer must (and does, see cio_tls tests). *)
-                ignore (Ring.try_produce t.driver_rx staged.(n - 1))
+                ignore (Ring.try_produce rx staged.(n - 1))
             | None -> ()
           end;
           for i = 0 to n - 1 do
@@ -269,7 +265,7 @@ let poll t =
       (* The batch size is fixed once per poll: whole batches for an
          honest host over a fully shared region, where no frame can take
          a detour or fault slot by slot; otherwise one frame at a time. *)
-      let region = Ring.region t.driver_rx in
+      let region = Ring.region (Driver.rx_ring t.driver) in
       let batch =
         if
           Host_fault.is_empty t.one_shot && t.drop_frames = 0

@@ -14,19 +14,21 @@ type misbehavior =
   | Ring_freeze of int  (** keep draining TX but produce nothing into RX for [n] polls *)
 
 type stats = {
-  mutable faults : int;  (** host accesses refused by memory protection *)
+  mutable faults : int;
+      (** host accesses refused by memory protection (pages the guest
+          has revoked), absorbed: a poll that faults raises nothing *)
   mutable rx_dropped : int;  (** frames discarded by [Silent_drop] *)
 }
 
 type t
 
 val create : driver:Driver.t -> transmit:(bytes -> unit) -> t
-(** [transmit] receives each frame drained from the guest's TX ring and
-    owns it: the buffer comes from the host's pool and is not touched by
-    the host again. *)
-
-val reattach : t -> driver:Driver.t -> unit
-(** Re-attach to a driver after {!Driver.hot_swap}. *)
+(** The host serves [driver]'s current rings: after a {!Driver.hot_swap}
+    it drains and fills the new instance with no call from anyone, as a
+    hypervisor serves the device the guest has just mapped. [transmit]
+    receives each frame drained from the guest's TX ring and owns it:
+    the buffer comes from the host's pool and is not touched by the host
+    again. *)
 
 val stats : t -> stats
 

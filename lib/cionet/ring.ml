@@ -407,10 +407,15 @@ let consume_one pool t ~amortized =
     end
   end
 
-let try_consume ?pool t =
-  match consume_one pool t ~amortized:false with
+(* A burst of one, exactly as [try_consume_burst_into ~max:1]: a skipped
+   slot does not end the call, and the header reads after it amortize. *)
+let rec consume_from pool t ~amortized =
+  match consume_one pool t ~amortized with
   | Cr_frame b -> Some b
-  | Cr_empty | Cr_skip -> None
+  | Cr_empty -> None
+  | Cr_skip -> consume_from pool t ~amortized:true
+
+let try_consume ?pool t = consume_from pool t ~amortized:false
 
 (* Burst consume: drain up to [max] messages in one crossing. Malformed
    slots inside the batch are skipped-and-counted exactly as in the

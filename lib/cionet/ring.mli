@@ -74,7 +74,10 @@ val try_produce_burst : t -> bytes array -> int
 val try_consume : ?pool:Bufpool.t -> t -> bytes option
 (** Consumer side, copy strategy: one early copy into private memory.
     With [pool], the destination buffer is recycled from the pool instead
-    of freshly allocated. *)
+    of freshly allocated. Malformed slots are skipped-and-counted without
+    ending the call. A burst of one: exactly
+    {!try_consume_burst_into} [~max:1] (same result, charges and
+    counters). *)
 
 val try_consume_burst_into : ?pool:Bufpool.t -> t -> bytes array -> max:int -> int
 (** Drain up to [max] messages ([max] at most the array's length) in one

@@ -32,8 +32,6 @@ type t = {
   driver : Driver.t;
   poll_budget : int;
   max_backoff : int;
-  on_reset : unit -> unit;
-  recovery : Cio_observe.Recovery.t;
   (* Overload plane (both optional; absent = classic watchdog):
      [breaker] tracks host health — deadline trips and ring-full windows
      are failures, progress is success, and while the breaker is Open
@@ -47,21 +45,16 @@ type t = {
   mutable tx_idle : int;
   mutable rx_idle : int;
   mutable backoff : int;  (* budget multiplier; doubles per consecutive reset *)
-  mutable stalls_detected : int;
-  mutable resets : int;
+  mutable stalls_detected : int;  (* trips acted on: one ring reset each *)
   mutable last_full_misses : int;
   mutable full_streak : int;  (* ticks with fresh full-misses and no progress *)
 }
 
-let create ?(poll_budget = 2048) ?(max_backoff = 32) ?recovery ?(on_reset = fun () -> ())
-    ?breaker ?retry_budget driver =
+let create ?(poll_budget = 2048) ?(max_backoff = 32) ?breaker ?retry_budget driver =
   {
     driver;
     poll_budget = max 1 poll_budget;
     max_backoff = max 1 max_backoff;
-    on_reset;
-    recovery =
-      (match recovery with Some r -> r | None -> Cio_observe.Recovery.create ());
     breaker;
     retry_budget;
     last_tx_consumed = 0;
@@ -70,27 +63,22 @@ let create ?(poll_budget = 2048) ?(max_backoff = 32) ?recovery ?(on_reset = fun 
     rx_idle = 0;
     backoff = 1;
     stalls_detected = 0;
-    resets = 0;
     last_full_misses = 0;
     full_streak = 0;
   }
 
 let stalls_detected t = t.stalls_detected
-let resets t = t.resets
 let current_backoff t = t.backoff
 
 let budget t = t.poll_budget * t.backoff
 
 let reset_now t =
   t.stalls_detected <- t.stalls_detected + 1;
-  Cio_observe.Recovery.stall_detected t.recovery;
   if Cio_telemetry.Trace.on () then begin
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.l2 "stall-detected";
     Cio_telemetry.Trace.span_begin ~cat:Cio_telemetry.Kind.l2 "watchdog-reset"
   end;
   Driver.hot_swap t.driver;
-  t.resets <- t.resets + 1;
-  Cio_observe.Recovery.reset t.recovery;
   (* Fresh rings: every cursor is back at zero. *)
   t.last_tx_consumed <- 0;
   t.last_rx_produced <- 0;
@@ -99,7 +87,6 @@ let reset_now t =
   t.last_full_misses <- 0;
   t.full_streak <- 0;
   t.backoff <- min (t.backoff * 2) t.max_backoff;
-  t.on_reset ();
   if Cio_telemetry.Trace.on () then
     Cio_telemetry.Trace.span_end ~cat:Cio_telemetry.Kind.l2 "watchdog-reset"
 

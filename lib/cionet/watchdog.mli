@@ -7,17 +7,15 @@ type t
 val create :
   ?poll_budget:int ->
   ?max_backoff:int ->
-  ?recovery:Cio_observe.Recovery.t ->
-  ?on_reset:(unit -> unit) ->
   ?breaker:Cio_overload.Breaker.t ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
   Driver.t ->
   t
 (** [poll_budget] is the deadline in observation ticks without progress
     (default 2048); [max_backoff] caps the exponential budget multiplier
-    (default 32). [on_reset] runs after each {!Driver.hot_swap} — in the
-    simulator it re-attaches the host model; in deployment the host
-    notices the generation bump itself.
+    (default 32). A reset is {!Driver.hot_swap} and nothing else: the
+    host serves the driver's new rings on its own (in the simulator,
+    {!Host_model} follows the driver it was created with).
 
     With [breaker], deadline trips and ring-full windows are recorded as
     host-health failures, progress as success, and resets are skipped
@@ -32,7 +30,8 @@ val tick : ?expecting_rx:bool -> t -> unit
     counts while [expecting_rx] (the caller knows a response is owed). *)
 
 val stalls_detected : t -> int
-val resets : t -> int
+(** Deadline trips that reset the rings. {!Driver.generation} counts
+    these resets together with any other hot swap of the driver. *)
 
 val current_backoff : t -> int
 (** Current budget multiplier (1 after any progress). *)

@@ -30,7 +30,7 @@ type t = {
   psk : bytes;
   psk_id : string;
   rng : Rng.t;
-  recovery : Cio_observe.Recovery.t;
+  mutable reconnects : int;
   (* The unit's overload-control plane; [None] = classic unguarded unit.
      The plane survives I/O-stack restarts (it guards the app-side
      boundary and its breaker/budget describe the *host*, which a stack
@@ -88,7 +88,7 @@ let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?overload ~name ~ip
     psk;
     psk_id;
     rng;
-    recovery = Cio_observe.Recovery.create ();
+    reconnects = 0;
     plane;
     channels = [];
   }
@@ -98,7 +98,7 @@ let driver t = t.driver
 let stack t = t.stack
 let world t = t.world
 let crossings t = (Compartment.counters t.world).Compartment.crossings
-let recovery t = t.recovery
+let reconnects t = t.reconnects
 let overload t = t.plane
 let io_alive t = Compartment.domain_alive t.io
 
@@ -123,7 +123,6 @@ let restart_io t =
   (* The old instance's shared region is revoked wholesale; the dead
      stack's connections are unreachable garbage. *)
   Cio_cionet.Driver.hot_swap t.driver;
-  Cio_observe.Recovery.reset t.recovery;
   t.channels <- [];
   t.stack <-
     make_stack ~meter:t.meter ~driver:t.driver ~plane:t.plane ~ip:t.ip ~neighbors:t.neighbors
@@ -150,7 +149,7 @@ let connect t ~dst ~dst_port =
 let reconnect t ch =
   let dst, dst_port = Tcp.conn_remote (Channel.conn ch) in
   t.channels <- List.filter (fun c -> c != ch) t.channels;
-  Cio_observe.Recovery.reconnect t.recovery;
+  t.reconnects <- t.reconnects + 1;
   if Cio_telemetry.Trace.on () then
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.l5 "reconnect";
   connect t ~dst ~dst_port

@@ -37,8 +37,10 @@ val stack : t -> Stack.t
 val world : t -> Compartment.t
 val crossings : t -> int
 
-val recovery : t -> Cio_observe.Recovery.t
-(** Fault/recovery counters (resets, reconnects) for this unit. *)
+val reconnects : t -> int
+(** Channels replaced by {!reconnect}. Ring resets are
+    {!Cio_cionet.Driver.generation} of {!driver}; crashes and restarts
+    are {!Compartment.counters} of {!world}. *)
 
 val overload : t -> Cio_overload.Plane.t option
 (** The unit's overload plane (present iff [?overload] was given). It
@@ -53,7 +55,7 @@ val crash_io : t -> unit
 
 val restart_io : t -> unit
 (** Stand the I/O stack back up: fresh device instance (generation bump,
-    old region revoked — the host must re-attach), fresh TCP stack, and
+    old region revoked; the host serves the new rings), fresh TCP stack, and
     an empty channel list. Existing channels are dead; use {!reconnect}. *)
 
 val connect : t -> dst:Addr.ipv4 -> dst_port:int -> Channel.t

@@ -8,18 +8,6 @@ open Cio_tcpip
 
 type t
 
-val create_with_netif :
-  netif:Cio_tcpip.Netif.t ->
-  ip:Addr.ipv4 ->
-  neighbors:(Addr.ipv4 * Addr.mac) list ->
-  psk:bytes ->
-  psk_id:string ->
-  rng:Rng.t ->
-  now:(unit -> int64) ->
-  unit ->
-  t
-(** A peer over an arbitrary netif (e.g. a {!Cio_netsim.Switch} port). *)
-
 val create :
   ?frame_codec:(bytes -> bytes) * (bytes -> bytes option) ->
   link:Link.t ->

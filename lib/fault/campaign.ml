@@ -134,7 +134,8 @@ let tamper_tls_record frame =
       | _ -> None)
 
 type snap = {
-  s_recovery : Cio_observe.Recovery.counts;
+  s_stalls : int;
+  s_reconnects : int;
   s_confined : int;
   s_crashes : int;
   s_cycles : int;
@@ -149,12 +150,10 @@ type frec = {
   mutable f_resolved : (int * snap) option;
 }
 
-let classify ~d_recovery ~d_confined ~d_crashes =
-  let open Cio_observe in
+let classify ~d_stalls ~d_reconnects ~d_confined ~d_crashes =
   if d_crashes > 0 then ("crash contained; I/O domain restarted behind L5", true)
-  else if d_recovery.Recovery.reconnects > 0 then
-    ("fail-closed at L5; fresh TCP + PSK session", true)
-  else if d_recovery.Recovery.stalls_detected > 0 then
+  else if d_reconnects > 0 then ("fail-closed at L5; fresh TCP + PSK session", true)
+  else if d_stalls > 0 then
     ("stall detected; watchdog generation-bump reset", true)
   else if d_confined > 0 then ("confined at L2 by construction", true)
   else ("tolerated silently (transport absorbed it)", false)
@@ -168,10 +167,8 @@ let run ?(config = default_config) (plan : Plan.t) =
   let engine = bed.Testbed.engine and link = bed.Testbed.link and rng = bed.Testbed.rng in
   let unit_ = d.Testbed.unit_ and host = d.Testbed.host in
   let plane = Dual.overload unit_ in
-  let recovery = Dual.recovery unit_ in
   let wd =
-    Watchdog.create ~poll_budget:config.watchdog_budget ~recovery
-      ~on_reset:(fun () -> Host_model.reattach host ~driver:(Dual.driver unit_))
+    Watchdog.create ~poll_budget:config.watchdog_budget
       ?breaker:(Option.map Cio_overload.Plane.breaker plane)
       ?retry_budget:(Option.map Cio_overload.Plane.retry_budget plane)
       (Dual.driver unit_)
@@ -229,7 +226,8 @@ let run ?(config = default_config) (plan : Plan.t) =
   let comp () = Cio_compartment.Compartment.counters (Dual.world unit_) in
   let snap () =
     {
-      s_recovery = Cio_observe.Recovery.snapshot recovery;
+      s_stalls = Watchdog.stalls_detected wd;
+      s_reconnects = Dual.reconnects unit_;
       s_confined = !confined_acc;
       s_crashes = (comp ()).Cio_compartment.Compartment.crashes;
       s_cycles = Cost.total (Dual.meter unit_);
@@ -275,7 +273,6 @@ let run ?(config = default_config) (plan : Plan.t) =
     r.f_applied <- true;
     r.f_sent0 <- !sent;
     r.f_snap <- Some (snap ());
-    Cio_observe.Recovery.fault_injected recovery;
     if Trace.on () then Trace.span_begin ~cat:Kind.fault (fault_span_name r.f_kind);
     match r.f_kind with
     | Plan.Host m -> Host_model.inject host m
@@ -289,7 +286,6 @@ let run ?(config = default_config) (plan : Plan.t) =
           ~after:(Int64.mul (Int64.of_int n) config.quantum_ns)
           (fun () ->
             Dual.restart_io unit_;
-            Host_model.reattach host ~driver:(Dual.driver unit_);
             drop_outstanding ();
             ch := Dual.reconnect unit_ !ch)
   in
@@ -396,13 +392,12 @@ let run ?(config = default_config) (plan : Plan.t) =
           | Some (step, s1) -> (s1, Some (step - r.f_at))
           | None -> (end_snap, None)
         in
-        let d_recovery =
-          Cio_observe.Recovery.diff ~before:s0.s_recovery ~after:s1.s_recovery
-        in
         let classification, detected =
           if not r.f_applied then ("never injected (campaign ended first)", false)
           else
-            classify ~d_recovery
+            classify
+              ~d_stalls:(s1.s_stalls - s0.s_stalls)
+              ~d_reconnects:(s1.s_reconnects - s0.s_reconnects)
               ~d_confined:(s1.s_confined - s0.s_confined)
               ~d_crashes:(s1.s_crashes - s0.s_crashes)
         in
@@ -418,7 +413,6 @@ let run ?(config = default_config) (plan : Plan.t) =
       records
   in
   (match !san_region with Some r -> bank_sanitizer r | None -> ());
-  let rec_ = Cio_observe.Recovery.snapshot recovery in
   let c = comp () in
   {
     seed = plan.Plan.seed;
@@ -431,9 +425,9 @@ let run ?(config = default_config) (plan : Plan.t) =
     confined = !confined_acc;
     sanitizer_double_fetches = !san_double;
     sanitizer_mutated_fetches = !san_mutated;
-    stalls_detected = rec_.Cio_observe.Recovery.stalls_detected;
-    resets = rec_.Cio_observe.Recovery.resets;
-    reconnects = rec_.Cio_observe.Recovery.reconnects;
+    stalls_detected = Watchdog.stalls_detected wd;
+    resets = Driver.generation (Dual.driver unit_);
+    reconnects = Dual.reconnects unit_;
     crashes = c.Cio_compartment.Compartment.crashes;
     restarts = c.Cio_compartment.Compartment.restarts;
     admitted = (match plane with Some p -> Cio_overload.Plane.admitted p | None -> 0);

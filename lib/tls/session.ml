@@ -107,6 +107,11 @@ let charge_aead t nbytes = Cost.charge t.meter Cost.Crypto (Cost.aead_cost t.mod
 
 let record_len len = Wire.header_len + len + Aead.tag_len
 
+(* The largest payload the peer's splitter accepts. A larger one is
+   refused before a byte is sealed or a sequence number used. *)
+let max_payload = Wire.max_body - Aead.tag_len
+let too_large len = Bad_format (Printf.sprintf "payload of %d bytes over the record limit" len)
+
 (* Seal [len] plaintext bytes of [src] from [src_off] as one protected
    record at [dst_off] of [dst]: the header, then the ciphertext and tag.
    The header (with the ciphertext length) is the AAD, so length
@@ -125,6 +130,7 @@ let seal_at t k ~ctype src ~src_off ~len dst ~dst_off =
 let seal_record t ~ctype plaintext =
   match t.keys with
   | None -> Error (Bad_state "no keys yet")
+  | Some _ when Bytes.length plaintext > max_payload -> Error (too_large (Bytes.length plaintext))
   | Some k ->
       let len = Bytes.length plaintext in
       let record = Bytes.create (record_len len) in
@@ -348,6 +354,8 @@ let send_data t payload =
 
 let send_data_into t payload q =
   match (t.state, t.keys) with
+  | Established, Some _ when Bytes.length payload > max_payload ->
+      Error (too_large (Bytes.length payload))
   | Established, Some k ->
       let len = Bytes.length payload in
       let at = Byteq.extend q (record_len len) in

@@ -57,8 +57,11 @@ val feed : t -> bytes -> feed_result
     payloads returned as lists. *)
 
 val send_data : t -> bytes -> (bytes, error) result
-(** Seal one application payload into wire bytes. *)
+(** Seal one application payload into wire bytes. A payload over
+    the record limit ([Wire.max_body] less the AEAD tag) is refused with [Bad_format]; the session is left as
+    it was (nothing sealed, no sequence number used). *)
 
 val send_data_into : t -> bytes -> Byteq.t -> (unit, error) result
 (** {!send_data}, sealed straight onto the back of the queue. Allocates
-    nothing once the queue has grown to the traffic. *)
+    nothing once the queue has grown to the traffic. An oversized payload
+    is refused as by {!send_data}, with nothing queued. *)

@@ -16,8 +16,11 @@ Three checks:
   with --strict). The Bechamel runs are time-boxed, so two runs of the
   same tree already differ; the `metrics` section is not compared for
   the same reason.
-- batching win: a burst micro of depth d must cost less per frame than
-  d times its single-slot counterpart wherever both are present.
+- batching win: a burst micro of depth d warns (exit 1 with --strict)
+  unless it costs less per frame than its single-slot counterpart. The
+  gate on this property is test_shapes' `E21 shape: burst amortizes`,
+  which compares guest cycles per frame; wall-clock ns on a shared
+  machine can invert the order between two runs of the same tree.
 
 Always fails on a malformed file.
 """
@@ -128,17 +131,13 @@ def check_regressions(current, baseline):
     return warnings
 
 
-GATED_DEPTH = 16
-
-
 def check_batching_wins(current):
-    """Burst micros must beat single-slot per frame: the whole point of
-    the batched datapath. cio/cionet-burst-d16-inline amortizes over 16
-    frames of the same roundtrip that cio/cionet-inline does once. Only
-    depth 16 — the sweet spot where the amortization curve has flattened
-    (E21) — is a hard gate; deeper batches trade cache locality for
-    little extra amortization and only warn."""
-    errors = 0
+    """Burst micros should beat single-slot per frame: the whole point
+    of the batched datapath. cio/cionet-burst-d16-inline amortizes over
+    16 frames of the same roundtrip that cio/cionet-inline does once.
+    Reported as warnings like the other timings; the deterministic gate
+    is the cycle-count shape test."""
+    warnings = 0
     burst_re = re.compile(rf"^{re.escape(PREFIX)}-burst-d(\d+)-(\w+)$")
     for name, ns in sorted(current.items()):
         m = burst_re.match(name)
@@ -150,18 +149,16 @@ def check_batching_wins(current):
             continue
         per_frame = ns / depth
         if per_frame >= single:
-            gated = depth == GATED_DEPTH
             print(
-                f"{'error' if gated else 'warning'}: {name}:"
-                f" {per_frame:.0f} ns/frame at depth {depth}"
+                f"warning: {name}: {per_frame:.0f} ns/frame at depth {depth}"
                 f" is not below single-slot {single:.0f}"
             )
-            errors += 1 if gated else 0
+            warnings += 1
         else:
             print(
                 f"ok: {name}: {per_frame:.0f} ns/frame < single-slot {single:.0f}"
             )
-    return errors
+    return warnings
 
 
 def main(argv):
@@ -176,19 +173,18 @@ def main(argv):
     if loaded is None:
         # No baseline to compare against: still run the self-contained
         # batching check, which needs only the current run.
-        errors = check_batching_wins(current)
-        if errors:
+        if check_batching_wins(current) and strict:
             sys.exit(1)
         print("bench baseline check passed (no baseline file; comparison skipped)")
         return
     baseline_doc, baseline = loaded
     errors = check_experiment_text(current_doc, baseline_doc)
     warnings = check_regressions(current, baseline)
-    errors += check_batching_wins(current)
+    warnings += check_batching_wins(current)
     if errors:
         sys.exit(1)
     if warnings:
-        print(f"{warnings} regression warning(s) vs baseline")
+        print(f"{warnings} timing warning(s)")
         if strict:
             sys.exit(1)
     print("bench baseline check passed")

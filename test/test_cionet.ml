@@ -344,16 +344,23 @@ let test_ring_freeze_tx_progresses_rx_withheld () =
   | Some f -> Helpers.check_bytes "rx flows after freeze" (Bytes.of_string "rx") f
   | None -> Alcotest.fail "rx lost after freeze"
 
+(* Pages the guest has revoked are unmapped from the host's view: a host
+   poll that runs into them counts a fault and raises nothing, and the
+   frame it was producing is lost like a cable pull. *)
+let test_host_fault_absorbed () =
+  let drv, host, _ = make () in
+  let off, len = Ring.data_arena (Driver.rx_ring drv) in
+  Region.unshare_range (Driver.region drv) ~off ~len;
+  Host_model.deliver_rx host (Bytes.of_string "into a revoked arena");
+  Host_model.poll host;
+  Alcotest.(check int) "fault counted" 1 (Host_model.stats host).Host_model.faults;
+  Alcotest.(check int) "frame lost" 0 (Host_model.pending_rx_count host)
+
 (* --- watchdog ----------------------------------------------------------- *)
 
 let make_watched ?(poll_budget = 8) () =
   let drv, host, sent = make () in
-  let wd =
-    Watchdog.create ~poll_budget
-      ~on_reset:(fun () -> Host_model.reattach host ~driver:drv)
-      drv
-  in
-  (drv, host, sent, wd)
+  (drv, host, sent, Watchdog.create ~poll_budget drv)
 
 let test_watchdog_no_false_positive () =
   let drv, host, _, wd = make_watched () in
@@ -364,7 +371,8 @@ let test_watchdog_no_false_positive () =
     ignore (Driver.poll drv);
     Watchdog.tick wd ~expecting_rx:true
   done;
-  Alcotest.(check int) "no resets under benign traffic" 0 (Watchdog.resets wd)
+  Alcotest.(check int) "no resets under benign traffic" 0 (Watchdog.stalls_detected wd);
+  Alcotest.(check int) "same rings throughout" 0 (Driver.generation drv)
 
 let test_watchdog_detects_tx_stall () =
   let drv, host, sent, wd = make_watched () in
@@ -391,7 +399,7 @@ let test_watchdog_detects_ring_freeze () =
   Alcotest.(check int) "freeze detected via rx deadline" 1 (Watchdog.stalls_detected wd)
 
 let test_watchdog_backoff_doubles_and_caps () =
-  let _drv, host, _, wd = make_watched ~poll_budget:2 () in
+  let drv, host, _, wd = make_watched ~poll_budget:2 () in
   Host_model.inject host (Host_model.Stall 200);
   let seen = ref [] in
   for _ = 1 to 200 do
@@ -399,8 +407,9 @@ let test_watchdog_backoff_doubles_and_caps () =
     Watchdog.tick wd ~expecting_rx:true;
     seen := Watchdog.current_backoff wd :: !seen
   done;
-  Alcotest.(check bool) "several resets, not one per budget" true
-    (Watchdog.resets wd >= 3 && Watchdog.resets wd < 50);
+  let resets = Watchdog.stalls_detected wd in
+  Alcotest.(check bool) "several resets, not one per budget" true (resets >= 3 && resets < 50);
+  Alcotest.(check int) "one generation per reset" resets (Driver.generation drv);
   Alcotest.(check bool) "backoff grew" true (List.exists (fun b -> b >= 8) !seen);
   Alcotest.(check bool) "backoff capped at 32" true (List.for_all (fun b -> b <= 32) !seen);
   (* The stall has expired by now; progress resets the multiplier. *)
@@ -526,11 +535,7 @@ let prop_hot_swap_preserves_invariants =
        QCheck.Gen.(list_size (int_range 1 60) swap_op_gen))
     (fun ops ->
       let drv, host, _ = make () in
-      let wd =
-        Watchdog.create ~poll_budget:4
-          ~on_reset:(fun () -> Host_model.reattach host ~driver:drv)
-          drv
-      in
+      let wd = Watchdog.create ~poll_budget:4 drv in
       let cap = Ring.capacity (Driver.rx_ring drv) in
       let ok = ref true in
       let last_gen = ref (Driver.generation drv) in
@@ -548,7 +553,6 @@ let prop_hot_swap_preserves_invariants =
               let old_region = Driver.region drv in
               let off, _ = Ring.data_arena (Driver.rx_ring drv) in
               Driver.hot_swap drv;
-              Host_model.reattach host ~driver:drv;
               (* No slot reuse across generations: the pre-swap region is
                  dead to the host, not aliased into the new rings. *)
               (match Region.host_read old_region ~off ~len:16 with
@@ -617,7 +621,6 @@ let prop_range_shared_across_hot_swap =
               Region.unshare_range r ~off ~len
           | `Swap ->
               Driver.hot_swap drv;
-              Host_model.reattach host ~driver:drv;
               retired := r :: !retired);
           List.for_all
             (fun r -> Helpers.range_shared_agrees r queries)
@@ -788,40 +791,96 @@ let test_multiqueue_transmit_matches_steering () =
 
 (* --- batched-path properties -------------------------------------------- *)
 
+(* A burst of one is *exactly* the single-slot ring operation, on both
+   sides of the ring: every call returns the same thing and leaves the
+   guest meter where the other entry point leaves it (cycles and event
+   counts per category), and the counters and host meter end the same —
+   including when the host lies about a length or leaves a malformed slot
+   ahead of a valid one, which both skip without ending the call. The RX
+   side is received through the driver, so under Copy_in it is
+   [try_consume] against [try_consume_burst_into ~max:1] and under Revoke
+   the one-slot revocation run of both receive entry points. *)
+let burst_of_one_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun n -> `Tx (1 + (n mod 2047))) small_nat);
+        (2, return `Host_poll);
+        (3, map (fun n -> `Rx (1 + (n mod 2047))) small_nat);
+        (1, map (fun v -> `Rx_lie v) (int_range 1 100_000));
+        (1, map (fun v -> `Rx_bad_state v) (int_range 2 0xFFFF));
+        (1, return `Rx_zero_len);
+        (4, return `Guest_poll);
+      ])
+
+let burst_of_one_op_print = function
+  | `Tx n -> Printf.sprintf "Tx %d" n
+  | `Host_poll -> "Host_poll"
+  | `Rx n -> Printf.sprintf "Rx %d" n
+  | `Rx_lie v -> Printf.sprintf "Rx_lie %d" v
+  | `Rx_bad_state v -> Printf.sprintf "Rx_bad_state %d" v
+  | `Rx_zero_len -> "Rx_zero_len"
+  | `Guest_poll -> "Guest_poll"
+
 let prop_burst_of_one_equals_single_slot =
-  (* A burst of one is *exactly* the single-slot ring operation, on both
-     sides of the ring: same counters, same guest and host meters
-     (cycles and event counts per category), bit for bit — including when
-     the host lies about the length. The RX side is received through the
-     driver, so under Copy_in it is [try_consume] against
-     [try_consume_burst_into ~max:1] and under Revoke the one-slot revocation
-     run of both receive entry points. (A malformed slot is where the two
-     differ by contract: a burst keeps scanning past a skip.) *)
   QCheck.Test.make ~name:"burst of one ≡ single-slot (counters and cost)" ~count:60
-    QCheck.(triple (int_range 1 2047) (option (int_range 1 100_000)) bool)
-    (fun (len, lie, revoke) ->
-      let payload = Bytes.make len 'q' in
+    (QCheck.pair
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map burst_of_one_op_print ops))
+          QCheck.Gen.(list_size (int_range 1 40) burst_of_one_op_gen))
+       QCheck.bool)
+    (fun (ops, revoke) ->
       let rx_strategy = if revoke then Config.Revoke else Config.Copy_in in
       let run ~burst =
         let drv = Driver.create ~name:"burst-of-one" { inline_cfg with Config.rx_strategy } in
         let tx = Driver.tx_ring drv and rx = Driver.rx_ring drv in
-        let produce r =
+        let produce r payload =
           if burst then Ring.try_produce_burst r [| payload |] = 1 else Ring.try_produce r payload
         in
-        let tx_ok = produce tx in
-        let forwarded =
-          if burst then begin
-            let dst = [| Bytes.empty |] in
-            Array.to_list (Array.sub dst 0 (Ring.try_consume_burst_into tx dst ~max:1))
-          end
-          else Option.to_list (Ring.try_consume tx)
+        (* Host scribbles over a header word of the RX slot it just filled. *)
+        let scribble field v =
+          let slot = ((Ring.counters rx).Ring.produced - 1) land (Ring.slots rx - 1) in
+          Region.write_u32 (Driver.region drv) Region.Host
+            ~off:(Ring.header_offset rx slot + field) v
         in
-        let rx_ok = produce rx in
-        Option.iter
-          (fun v ->
-            Region.write_u32 (Driver.region drv) Region.Host ~off:(Ring.header_offset rx 0 + 4) v)
-          lie;
-        let got = if burst then Driver.poll_burst ~max:1 drv else Option.to_list (Driver.poll drv) in
+        let produce_rx n = produce rx (Bytes.make n 'r') in
+        let meter m =
+          List.concat_map (fun c -> [ Cost.cycles_of m c; Cost.count_of m c ]) Cost.all_categories
+        in
+        let call op =
+          let result =
+            match op with
+            | `Tx n -> [ string_of_bool (produce tx (Bytes.make n 't')) ]
+            | `Host_poll ->
+                if burst then begin
+                  let dst = [| Bytes.empty |] in
+                  Array.to_list
+                    (Array.map Bytes.to_string
+                       (Array.sub dst 0 (Ring.try_consume_burst_into tx dst ~max:1)))
+                end
+                else List.map Bytes.to_string (Option.to_list (Ring.try_consume tx))
+            | `Rx n -> [ string_of_bool (produce_rx n) ]
+            | `Rx_lie v ->
+                let ok = produce_rx 64 in
+                if ok then scribble 4 v;
+                [ string_of_bool ok ]
+            | `Rx_bad_state v ->
+                let ok = produce_rx 64 in
+                if ok then scribble 0 v;
+                [ string_of_bool ok ]
+            | `Rx_zero_len ->
+                let ok = produce_rx 64 in
+                if ok then scribble 4 0;
+                [ string_of_bool ok ]
+            | `Guest_poll ->
+                let got =
+                  if burst then Driver.poll_burst ~max:1 drv else Option.to_list (Driver.poll drv)
+                in
+                List.map Bytes.to_string got
+          in
+          (result, meter (Driver.guest_meter drv))
+        in
+        let calls = List.map call ops in
         let counters r =
           let k = Ring.counters r in
           Ring.
@@ -830,12 +889,7 @@ let prop_burst_of_one_equals_single_slot =
               k.state_skipped;
             ]
         in
-        let meter m =
-          List.concat_map (fun c -> [ Cost.cycles_of m c; Cost.count_of m c ]) Cost.all_categories
-        in
-        ( (tx_ok, rx_ok, List.map Bytes.to_string (forwarded @ got)),
-          (counters tx, counters rx),
-          (meter (Driver.guest_meter drv), meter (Driver.host_meter drv)) )
+        (calls, (counters tx, counters rx), meter (Driver.host_meter drv))
       in
       run ~burst:true = run ~burst:false)
 
@@ -905,6 +959,7 @@ let suite =
       test_silent_drop_no_ring_activity;
     Alcotest.test_case "hostile: ring freeze is one-directional" `Quick
       test_ring_freeze_tx_progresses_rx_withheld;
+    Alcotest.test_case "host: revoked arena fault absorbed" `Quick test_host_fault_absorbed;
     Alcotest.test_case "watchdog: no false positives" `Quick test_watchdog_no_false_positive;
     Alcotest.test_case "watchdog: tx stall detected" `Quick test_watchdog_detects_tx_stall;
     Alcotest.test_case "watchdog: ring freeze detected" `Quick test_watchdog_detects_ring_freeze;

@@ -13,19 +13,27 @@ let make_pair () =
   (drv, host, sent)
 
 let test_hot_swap_revokes_old_region () =
-  let drv, host, _ = make_pair () in
+  let drv, _, _ = make_pair () in
   let old_region = Driver.region drv in
   Driver.hot_swap drv;
   (* The entire old region is gone from the host's view. *)
   (match Cio_mem.Region.host_read old_region ~off:0 ~len:16 with
   | _ -> Alcotest.fail "old region must be revoked wholesale"
   | exception Cio_mem.Region.Fault _ -> ());
-  Alcotest.(check int) "generation bumped" 1 (Driver.generation drv);
-  (* A host still holding the old rings faults harmlessly. *)
+  Alcotest.(check int) "generation bumped" 1 (Driver.generation drv)
+
+(* The host serves whatever instance the driver has mapped: a frame it
+   was handed before the swap lands on the new rings, with no call from
+   anyone but the driver. *)
+let test_hot_swap_host_follows_driver () =
+  let drv, host, _ = make_pair () in
   Host_model.deliver_rx host (Bytes.of_string "late");
+  Driver.hot_swap drv;
   Host_model.poll host;
-  Alcotest.(check bool) "stale host faults absorbed" ((Host_model.stats host).Host_model.faults > 0)
-    true
+  Alcotest.(check int) "no host fault" 0 (Host_model.stats host).Host_model.faults;
+  match Driver.poll drv with
+  | Some f -> Helpers.check_bytes "late frame on the new rings" (Bytes.of_string "late") f
+  | None -> Alcotest.fail "late frame lost across the swap"
 
 let test_hot_swap_traffic_resumes () =
   let drv, host, sent = make_pair () in
@@ -33,7 +41,6 @@ let test_hot_swap_traffic_resumes () =
   Host_model.poll host;
   Alcotest.(check int) "pre-swap tx" 1 (List.length !sent);
   Driver.hot_swap drv;
-  Host_model.reattach host ~driver:drv;
   ignore (Driver.transmit drv (Bytes.of_string "after"));
   Host_model.poll host;
   Alcotest.(check int) "post-swap tx" 2 (List.length !sent);
@@ -48,7 +55,6 @@ let test_hot_swap_repeated () =
   let drv, host, sent = make_pair () in
   for g = 1 to 5 do
     Driver.hot_swap drv;
-    Host_model.reattach host ~driver:drv;
     Alcotest.(check int) "generation" g (Driver.generation drv);
     ignore (Driver.transmit drv (Bytes.of_string (Printf.sprintf "gen-%d" g)));
     Host_model.poll host
@@ -232,6 +238,7 @@ let test_experiment_registry_complete () =
 let suite =
   [
     Alcotest.test_case "hot swap: old region revoked" `Quick test_hot_swap_revokes_old_region;
+    Alcotest.test_case "hot swap: host follows the driver" `Quick test_hot_swap_host_follows_driver;
     Alcotest.test_case "hot swap: traffic resumes" `Quick test_hot_swap_traffic_resumes;
     Alcotest.test_case "hot swap: repeated generations" `Quick test_hot_swap_repeated;
     Alcotest.test_case "hot swap: meter continuity" `Quick test_hot_swap_meter_continuity;

@@ -205,8 +205,7 @@ let test_hot_swap_under_traffic () =
         (match Channel.recv ch with Some _ -> incr echoes | None -> ());
         if !echoes = 8 && not !swapped then begin
           swapped := true;
-          Cio_cionet.Driver.hot_swap (Dual.driver w.unit_);
-          Cio_cionet.Host_model.reattach w.host ~driver:(Dual.driver w.unit_)
+          Cio_cionet.Driver.hot_swap (Dual.driver w.unit_)
         end;
         !echoes >= 20)
       300_000

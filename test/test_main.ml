@@ -26,7 +26,6 @@ let () =
       ("lint", Test_lint.suite);
       ("extensions", Test_extensions.suite);
       ("integration", Test_integration.suite);
-      ("switch", Test_switch.suite);
       ("shapes", Test_shapes.suite);
       ("overload", Test_overload.suite);
     ]

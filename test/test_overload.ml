@@ -262,9 +262,7 @@ let prop_watchdog_backoff_under_budget =
       let breaker = Breaker.create ~threshold:3 ~cooldown:4 () in
       let rb = Retry_budget.create ~capacity:3 ~refill_percent:50 ~rng:(Rng.create 5L) () in
       let wd =
-        Watchdog.create ~poll_budget:2 ~max_backoff:8 ~breaker ~retry_budget:rb
-          ~on_reset:(fun () -> Host_model.reattach host ~driver:drv)
-          drv
+        Watchdog.create ~poll_budget:2 ~max_backoff:8 ~breaker ~retry_budget:rb drv
       in
       let ok = ref true in
       let prev = ref (Watchdog.current_backoff wd) in

@@ -160,6 +160,52 @@ let test_e20_scaling () =
   Alcotest.(check bool) "2 queues >= 1.9x faster critical path" true
     (float_of_int one /. float_of_int two >= 1.9)
 
+(* E21: a depth-16 burst costs the guest fewer cycles per frame than the
+   single-slot round trip, for every positioning. The same two datapaths
+   as bench's cionet-<variant> and cionet-burst-d16-<variant> micros, on
+   the cycle meter instead of the wall clock. *)
+let test_e21_burst_amortizes () =
+  let module D = Cio_cionet.Driver in
+  let module H = Cio_cionet.Host_model in
+  let depth = 16 and rounds = 8 in
+  let per_frame positioning ~burst =
+    let cfg = { Cio_cionet.Config.default with Cio_cionet.Config.positioning; ring_slots = 128 } in
+    let drv = D.create ~name:"shape-e21" cfg in
+    let host = H.create ~driver:drv ~transmit:(fun _ -> ()) in
+    let payload = Bytes.make 1024 'b' in
+    let batch = Array.make depth payload in
+    for _ = 1 to rounds do
+      if burst then begin
+        ignore (D.transmit_burst drv batch);
+        H.poll host;
+        Array.iter (fun f -> H.deliver_rx host (Bytes.copy f)) batch;
+        H.poll host;
+        List.iter (D.recycle drv) (D.poll_burst ~max:depth drv)
+      end
+      else
+        for _ = 1 to depth do
+          ignore (D.transmit drv payload);
+          H.poll host;
+          H.deliver_rx host (Bytes.copy payload);
+          H.poll host;
+          Option.iter (D.recycle drv) (D.poll drv)
+        done
+    done;
+    float_of_int (Cost.total (D.guest_meter drv)) /. float_of_int (rounds * depth)
+  in
+  List.iter
+    (fun (name, positioning) ->
+      let single = per_frame positioning ~burst:false and burst = per_frame positioning ~burst:true in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: burst %.1f < single-slot %.1f cycles/frame" name burst single)
+        true (burst < single))
+    [
+      ("inline", Cio_cionet.Config.Inline { data_capacity = 4096 });
+      ("pool", Cio_cionet.Config.Pool { pool_slots = 256; pool_slot_size = 2048 });
+      ( "indirect",
+        Cio_cionet.Config.Indirect { desc_count = 256; pool_slots = 256; pool_slot_size = 2048 } );
+    ]
+
 (* F3/F4: dataset invariants the figures hinge on. *)
 let test_figure_data_shapes () =
   let open Cio_data in
@@ -177,5 +223,6 @@ let suite =
     Alcotest.test_case "E8 shape: boundary gap" `Quick test_e8_boundary_gap;
     Alcotest.test_case "E11 shape: polling cheaper" `Quick test_e11_polling_cheaper;
     Alcotest.test_case "E20 shape: multi-queue scaling" `Quick test_e20_scaling;
+    Alcotest.test_case "E21 shape: burst amortizes" `Quick test_e21_burst_amortizes;
     Alcotest.test_case "F2-F4 shape: dataset invariants" `Quick test_figure_data_shapes;
   ]

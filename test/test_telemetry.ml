@@ -85,24 +85,6 @@ let prop_quantile_extremes =
       List.iter (Metrics.observe h) vs;
       Metrics.quantile h 0.0 = Metrics.hmin h && Metrics.quantile h 1.0 = Metrics.hmax h)
 
-(* --- recovery snapshots are immutable ------------------------------- *)
-
-let test_recovery_snapshot_immutable () =
-  let r = Cio_observe.Recovery.create () in
-  Cio_observe.Recovery.fault_injected r;
-  let before = Cio_observe.Recovery.snapshot r in
-  Cio_observe.Recovery.fault_injected r;
-  Cio_observe.Recovery.reset r;
-  Cio_observe.Recovery.reconnect r;
-  check_int "old snapshot unaffected by later mutation" 1
-    before.Cio_observe.Recovery.faults_injected;
-  check_int "old snapshot resets" 0 before.Cio_observe.Recovery.resets;
-  let after = Cio_observe.Recovery.snapshot r in
-  let d = Cio_observe.Recovery.diff ~before ~after in
-  check_int "diff faults" 1 d.Cio_observe.Recovery.faults_injected;
-  check_int "diff resets" 1 d.Cio_observe.Recovery.resets;
-  check_int "diff reconnects" 1 d.Cio_observe.Recovery.reconnects
-
 (* --- trace recorder -------------------------------------------------- *)
 
 let with_tracing ?capacity f =
@@ -193,8 +175,6 @@ let suite =
     Helpers.qtest prop_count_conservation;
     Helpers.qtest prop_quantiles_monotone;
     Helpers.qtest prop_quantile_extremes;
-    Alcotest.test_case "recovery snapshot immutable" `Quick
-      test_recovery_snapshot_immutable;
     Alcotest.test_case "trace disabled records nothing" `Quick
       test_trace_disabled_records_nothing;
     Alcotest.test_case "trace span pairing" `Quick test_trace_span_pairing;

@@ -189,6 +189,31 @@ let test_max_size_record () =
   let r = feed_ok "server" s wire in
   Helpers.check_bytes "16K record" big (List.hd r.S.app_data)
 
+(* A payload over the record limit is refused at the sender, before a
+   byte is queued or a sequence number used; sealed, it would reach the
+   peer as a malformed record and kill its session. The largest payload
+   that fits still goes through. *)
+let test_oversized_payload_refused () =
+  let c, s = Helpers.tls_pair () in
+  let limit = Wire.max_body - Cio_crypto.Aead.tag_len in
+  (match S.send_data c (Bytes.make 20_000 'X') with
+  | Error (S.Bad_format _) -> ()
+  | Error e -> Alcotest.fail (S.error_to_string e)
+  | Ok _ -> Alcotest.fail "20000-byte payload sealed");
+  let q = Cio_util.Byteq.create 64 in
+  (match S.send_data_into c (Bytes.make (limit + 1) 'X') q with
+  | Error (S.Bad_format _) -> ()
+  | Error e -> Alcotest.fail (S.error_to_string e)
+  | Ok () -> Alcotest.fail "payload one over the limit queued");
+  Alcotest.(check int) "nothing queued" 0 (Cio_util.Byteq.length q);
+  let fits = Bytes.make limit 'F' in
+  let wire = match S.send_data c fits with Ok w -> w | Error e -> Alcotest.fail (S.error_to_string e) in
+  let r = feed_ok "server" s wire in
+  Helpers.check_bytes "largest payload, first sequence number" fits (List.hd r.S.app_data);
+  let wire = match S.send_data c (Bytes.of_string "after") with Ok w -> w | Error _ -> assert false in
+  let r = feed_ok "server" s wire in
+  Helpers.check_bytes "session intact" (Bytes.of_string "after") (List.hd r.S.app_data)
+
 (* Sealing and opening a 64-byte record in place allocates the returned
    plaintext (a header word, and 9 words for its 64 bytes and the padding
    byte) and a fixed constant: the open's result box and the inbox cell,
@@ -439,6 +464,8 @@ let suite =
     Alcotest.test_case "send before established" `Quick test_send_before_established;
     Alcotest.test_case "alert kills peer" `Quick test_alert_kills_peer;
     Alcotest.test_case "16K record" `Quick test_max_size_record;
+    Alcotest.test_case "oversized payload refused at the sender" `Quick
+      test_oversized_payload_refused;
     Alcotest.test_case "64-byte record allocation" `Quick test_record_allocation;
     Helpers.qtest prop_record_bytes_match_oracle;
     Helpers.qtest prop_record_attacks_match_oracle;
