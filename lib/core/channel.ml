@@ -147,7 +147,10 @@ let pump t =
   t.enter_io t.io_step;
   app_pump t
 
-(* Seal straight into the outbox: the record's bytes are written once. *)
+(* Seal straight into the outbox: the record's bytes are written once.
+   A payload over the record limit is refused with nothing sealed and
+   the session intact, so the channel lives on; any other error fails
+   it. *)
 let send t payload =
   match t.failed with
   | Some e -> Error e
@@ -155,7 +158,8 @@ let send t payload =
       let before = Byteq.length t.outbox in
       match Session.send_data_into t.session payload t.outbox with
       | Error e ->
-          fail t e;
+          if not (Session.is_established t.session && Bytes.length payload > Session.max_payload)
+          then fail t e;
           Error e
       | Ok () ->
           charge_crossing_copy t (Byteq.length t.outbox - before);

@@ -29,7 +29,9 @@ val start_handshake : t -> (unit, Session.error) result
 (** Client side: emit the opening flight. *)
 
 val send : t -> bytes -> (unit, Session.error) result
-(** Seal and queue one message (app side; no boundary crossing). *)
+(** Seal and queue one message (app side; no boundary crossing). A
+    message over {!Session.max_payload} is refused and the channel stays
+    usable; any other error fails the channel for good. *)
 
 type send_outcome =
   | Sent

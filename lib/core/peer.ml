@@ -49,12 +49,7 @@ let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~n
       Netif.mac;
       mtu = 1500;
       transmit = (fun frame -> Link.send link ~src:endpoint (encode frame));
-      poll =
-        (fun () ->
-          if Queue.is_empty rxq then None
-          else begin
-            match decode (Queue.take rxq) with Some f -> Some f | None -> None
-          end);
+      poll = (fun () -> if Queue.is_empty rxq then None else decode (Queue.take rxq));
     }
   in
   create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now ()

@@ -101,19 +101,20 @@ let all_recovered t =
    fail-closed — by the L5 AEAD. *)
 let tamper_tls_record frame =
   let open Cio_frame in
-  match Ethernet.decode frame ~off:0 ~len:(Bytes.length frame) with
+  let eth = Ethernet.create () and ip = Ipv4.create () and seg = Tcp_wire.create () in
+  match Ethernet.decode eth frame ~off:0 ~len:(Bytes.length frame) with
   | Error _ -> None
-  | Ok eth -> (
+  | Ok () -> (
       match eth.Ethernet.ethertype with
       | Ethernet.Ipv4 -> (
-          match Ipv4.decode frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len with
-          | Ok ip when ip.Ipv4.protocol = Ipv4.Tcp -> (
+          match Ipv4.decode ip frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len with
+          | Ok () when ip.Ipv4.protocol = Ipv4.Tcp -> (
               let src_ip = ip.Ipv4.src and dst_ip = ip.Ipv4.dst in
               match
-                Tcp_wire.decode ~src_ip ~dst_ip frame ~off:ip.Ipv4.payload_off
+                Tcp_wire.decode seg ~src_ip ~dst_ip frame ~off:ip.Ipv4.payload_off
                   ~len:ip.Ipv4.payload_len
               with
-              | Ok seg when seg.Tcp_wire.payload_len > 5 ->
+              | Ok () when seg.Tcp_wire.payload_len > 5 ->
                   (* A fresh frame: the caller's is left untouched. *)
                   let tcp_off = Ethernet.header_len + Ipv4.header_len in
                   let pay_off = tcp_off + Tcp_wire.header_len seg in

@@ -18,16 +18,14 @@ let pp_mac ppf m =
 
 let mac_to_string m = Fmt.str "%a" pp_mac m
 
-type ipv4 = int32
+type ipv4 = int  (* 32 bits in a native int *)
 
 let ipv4_of_octets a b c d =
-  Int32.logor
-    (Int32.shift_left (Int32.of_int (a land 0xFF)) 24)
-    (Int32.of_int (((b land 0xFF) lsl 16) lor ((c land 0xFF) lsl 8) lor (d land 0xFF)))
+  ((a land 0xFF) lsl 24) lor ((b land 0xFF) lsl 16) lor ((c land 0xFF) lsl 8) lor (d land 0xFF)
 
 let ipv4_octet ip i =
   if i < 0 || i > 3 then invalid_arg "Addr.ipv4_octet";
-  Int32.to_int (Int32.shift_right_logical ip (8 * (3 - i))) land 0xFF
+  (ip lsr (8 * (3 - i))) land 0xFF
 
 let pp_ipv4 ppf ip =
   Fmt.pf ppf "%d.%d.%d.%d" (ipv4_octet ip 0) (ipv4_octet ip 1) (ipv4_octet ip 2) (ipv4_octet ip 3)
@@ -43,3 +41,6 @@ let ipv4_of_string s =
           Some (ipv4_of_octets a b c d)
       | _ -> None)
   | _ -> None
+
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)

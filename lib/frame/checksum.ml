@@ -38,8 +38,8 @@ let verify b ~pos ~len = ones_complement_sum b ~pos ~len ~init:0 = 0xFFFF
    without building them: two 16-bit words from each address, then the
    zero/protocol word and the 16-bit length. *)
 let pseudo_sum ~src ~dst ~proto ~length =
-  let w32 x = Int32.to_int x land 0xFFFFFFFF in
-  let s = (w32 src lsr 16) + (w32 src land 0xFFFF) + (w32 dst lsr 16) + (w32 dst land 0xFFFF) in
+  let src = src land 0xFFFFFFFF and dst = dst land 0xFFFFFFFF in
+  let s = (src lsr 16) + (src land 0xFFFF) + (dst lsr 16) + (dst land 0xFFFF) in
   let s = ref (s + (proto land 0xFF) + (length land 0xFFFF)) in
   while !s lsr 16 <> 0 do
     s := (!s land 0xFFFF) + (!s lsr 16)

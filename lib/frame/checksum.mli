@@ -13,6 +13,7 @@ val compute : bytes -> pos:int -> len:int -> int
 val verify : bytes -> pos:int -> len:int -> bool
 (** True iff the range (including its checksum field) sums to 0xFFFF. *)
 
-val pseudo_sum : src:int32 -> dst:int32 -> proto:int -> length:int -> int
+val pseudo_sum : src:int -> dst:int -> proto:int -> length:int -> int
 (** Folded sum of the 12-byte IPv4 pseudo-header for TCP checksums,
-    to pass as [init]. Computed arithmetically; allocates nothing. *)
+    to pass as [init], from the low 32 bits of each address. Computed
+    arithmetically; allocates nothing. *)

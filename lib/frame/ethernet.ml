@@ -1,7 +1,8 @@
 (* Ethernet II framing. 14-byte header; the simulated FCS is handled by
    the link layer when enabled, not here. The codec works in place: the
    encoder writes a header in front of a payload the caller already put
-   in the buffer, and the decoder returns where the payload lies. *)
+   in the buffer, and the decoder fills a header record its caller owns
+   with the fields and where the payload lies. *)
 
 type ethertype = Ipv4 | Arp | Unknown of int
 
@@ -10,12 +11,14 @@ let ethertype_code = function Ipv4 -> 0x0800 | Arp -> 0x0806 | Unknown c -> c
 let ethertype_of_code = function 0x0800 -> Ipv4 | 0x0806 -> Arp | c -> Unknown c
 
 type t = {
-  dst : Addr.mac;
-  src : Addr.mac;
-  ethertype : ethertype;
-  payload_off : int;
-  payload_len : int;
+  mutable dst : Addr.mac;
+  mutable src : Addr.mac;
+  mutable ethertype : ethertype;
+  mutable payload_off : int;
+  mutable payload_len : int;
 }
+
+let create () = { dst = 0; src = 0; ethertype = Ipv4; payload_off = 0; payload_len = 0 }
 
 let header_len = 14
 let min_payload = 46  (* classic Ethernet minimum; we pad on encode *)
@@ -24,10 +27,9 @@ let frame_len ~payload_len = header_len + Int.max payload_len min_payload
 
 let set_mac b off m =
   Bytes.set_uint16_be b off (m lsr 32);
-  Bytes.set_int32_be b (off + 2) (Int32.of_int m)
+  Addr.set_u32 b (off + 2) m
 
-let get_mac b off =
-  (Bytes.get_uint16_be b off lsl 32) lor (Int32.to_int (Bytes.get_int32_be b (off + 2)) land 0xFFFFFFFF)
+let get_mac b off = (Bytes.get_uint16_be b off lsl 32) lor Addr.get_u32 b (off + 2)
 
 let encode b ~off ~dst ~src ~ethertype ~payload_len =
   let stop = off + frame_len ~payload_len in
@@ -37,16 +39,15 @@ let encode b ~off ~dst ~src ~ethertype ~payload_len =
   let pad = off + header_len + payload_len in
   Bytes.fill b pad (stop - pad) '\000'
 
-let decode b ~off ~len =
+let decode h b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Ethernet.decode: range out of bounds";
   if len < header_len then Error "ethernet: frame shorter than header"
-  else
-    Ok
-      {
-        dst = get_mac b off;
-        src = get_mac b (off + 6);
-        ethertype = ethertype_of_code (Bytes.get_uint16_be b (off + 12));
-        payload_off = off + header_len;
-        payload_len = len - header_len;
-      }
+  else begin
+    h.dst <- get_mac b off;
+    h.src <- get_mac b (off + 6);
+    h.ethertype <- ethertype_of_code (Bytes.get_uint16_be b (off + 12));
+    h.payload_off <- off + header_len;
+    h.payload_len <- len - header_len;
+    Ok ()
+  end

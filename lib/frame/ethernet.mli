@@ -6,13 +6,16 @@ val ethertype_code : ethertype -> int
 val ethertype_of_code : int -> ethertype
 
 type t = {
-  dst : Addr.mac;
-  src : Addr.mac;
-  ethertype : ethertype;
-  payload_off : int;  (** where the payload starts in the decoded buffer *)
-  payload_len : int;  (** everything after the header, link padding included *)
+  mutable dst : Addr.mac;
+  mutable src : Addr.mac;
+  mutable ethertype : ethertype;
+  mutable payload_off : int;  (** where the payload starts in the decoded buffer *)
+  mutable payload_len : int;  (** everything after the header, link padding included *)
 }
-(** A decoded header and a view of its payload. *)
+(** A header and a view of its payload, filled by {!decode}. Its owner
+    reuses it frame after frame. *)
+
+val create : unit -> t
 
 val header_len : int
 val min_payload : int
@@ -28,6 +31,7 @@ val encode :
     already at [off + header_len], and zero the padding up to
     [off + frame_len ~payload_len]. *)
 
-val decode : bytes -> off:int -> len:int -> (t, string) result
-(** Decode the frame in [len] bytes at [off]. The view is valid as long
-    as the buffer is. *)
+val decode : t -> bytes -> off:int -> len:int -> (unit, string) result
+(** [decode h b ~off ~len] decodes the frame in [len] bytes at [off] into
+    [h]. The view is valid as long as the buffer is; on [Error] [h] is
+    left as it was. Allocates nothing for an IPv4 or ARP frame. *)

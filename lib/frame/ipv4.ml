@@ -9,13 +9,15 @@ let protocol_code = function Tcp -> 6 | Unknown c -> c
 let protocol_of_code = function 6 -> Tcp | c -> Unknown c
 
 type t = {
-  src : Addr.ipv4;
-  dst : Addr.ipv4;
-  protocol : protocol;
-  ttl : int;
-  payload_off : int;
-  payload_len : int;
+  mutable src : Addr.ipv4;
+  mutable dst : Addr.ipv4;
+  mutable protocol : protocol;
+  mutable ttl : int;
+  mutable payload_off : int;
+  mutable payload_len : int;
 }
+
+let create () = { src = 0; dst = 0; protocol = Tcp; ttl = 0; payload_off = 0; payload_len = 0 }
 
 let header_len = 20
 
@@ -30,11 +32,11 @@ let encode b ~off ~src ~dst ~protocol ~ttl ~payload_len =
   Bytes.set b (off + 8) (Char.chr (ttl land 0xFF));
   Bytes.set b (off + 9) (Char.chr (protocol_code protocol));
   Bytes.set_uint16_be b (off + 10) 0;
-  Bytes.set_int32_be b (off + 12) src;
-  Bytes.set_int32_be b (off + 16) dst;
+  Addr.set_u32 b (off + 12) src;
+  Addr.set_u32 b (off + 16) dst;
   Bytes.set_uint16_be b (off + 10) (Checksum.compute b ~pos:off ~len:header_len)
 
-let decode b ~off ~len =
+let decode h b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Ipv4.decode: range out of bounds";
   if len < header_len then Error "ipv4: truncated header"
@@ -53,16 +55,15 @@ let decode b ~off ~len =
         let more_fragments = frag land 0x2000 <> 0 in
         let frag_offset = frag land 0x1FFF in
         if more_fragments || frag_offset <> 0 then Error "ipv4: fragmentation unsupported"
-        else
-          Ok
-            {
-              src = Bytes.get_int32_be b (off + 12);
-              dst = Bytes.get_int32_be b (off + 16);
-              protocol = protocol_of_code (Char.code (Bytes.get b (off + 9)));
-              ttl = Char.code (Bytes.get b (off + 8));
-              payload_off = off + ihl;
-              payload_len = total - ihl;
-            }
+        else begin
+          h.src <- Addr.get_u32 b (off + 12);
+          h.dst <- Addr.get_u32 b (off + 16);
+          h.protocol <- protocol_of_code (Char.code (Bytes.get b (off + 9)));
+          h.ttl <- Char.code (Bytes.get b (off + 8));
+          h.payload_off <- off + ihl;
+          h.payload_len <- total - ihl;
+          Ok ()
+        end
       end
     end
   end

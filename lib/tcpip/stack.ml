@@ -36,7 +36,11 @@ type t = {
      doorbell). Without [tx_burst] every frame transmits immediately —
      byte-identical to the uncoalesced stack. *)
   tx_burst : (bytes array -> int) option;
-  txq : bytes Queue.t;
+  (* The coalescing queue: a ring of [txq_len] frames from [txq_head],
+     grown (by doubling) only when full. *)
+  mutable txq : bytes array;
+  mutable txq_head : int;
+  mutable txq_len : int;
   (* [bursts.(k)] is the array a [k]-frame burst is lent in, made on
      first use and emptied after each flush. *)
   bursts : bytes array array;
@@ -51,12 +55,32 @@ type t = {
      else to [tx_pool], once handled (the decoders return views into the
      frame, and what outlives [handle_frame] is copied out first). *)
   recycle : (bytes -> unit) option;
+  (* The RX headers: each frame is decoded into these, layer by layer,
+     and read before the next frame is. *)
+  rx_eth : Ethernet.t;
+  rx_ip : Ipv4.t;
+  rx_seg : Tcp_wire.t;
 }
 
 let drop t reason =
   t.counters.dropped <- t.counters.dropped + 1;
   t.counters.last_drop_reason <- reason;
   Log.debug (fun m -> m "drop: %s" reason)
+
+let txq_slot t i = (t.txq_head + i) land (Array.length t.txq - 1)
+
+let txq_push t frame =
+  let n = Array.length t.txq in
+  if t.txq_len = n then begin
+    let grown = Array.make (2 * n) Bytes.empty in
+    for i = 0 to n - 1 do
+      grown.(i) <- t.txq.(txq_slot t i)
+    done;
+    t.txq <- grown;
+    t.txq_head <- 0
+  end;
+  t.txq.(txq_slot t t.txq_len) <- frame;
+  t.txq_len <- t.txq_len + 1
 
 (* Emit one built frame: queue for the next burst flush when coalescing,
    transmit immediately otherwise. Counters and charges are identical
@@ -68,7 +92,7 @@ let emit t frame =
   match t.tx_burst with
   | Some _ -> (
       match t.tx_queue_limit with
-      | Some lim when Queue.length t.txq >= lim ->
+      | Some lim when t.txq_len >= lim ->
           t.counters.dropped <- t.counters.dropped + 1;
           t.counters.last_drop_reason <- "tx backpressure: queue full";
           Cio_overload.Pressure.note_queue_full ();
@@ -76,7 +100,7 @@ let emit t frame =
       | _ ->
           t.counters.frames_out <- t.counters.frames_out + 1;
           Cost.charge t.meter Cost.Stack 150;
-          Queue.add frame t.txq)
+          txq_push t frame)
   | None ->
       t.counters.frames_out <- t.counters.frames_out + 1;
       Cost.charge t.meter Cost.Stack 150;
@@ -94,26 +118,21 @@ let burst_array t k =
   end
 
 (* Flush pending TX as bursts. A partial burst means the ring is full:
-   requeue the tail and stop — the next poll retries. *)
+   the tail stays queued, in order, and the next poll retries. *)
 let rec flush_with t burst =
-  let k = Int.min max_burst (Queue.length t.txq) in
+  let k = Int.min max_burst t.txq_len in
   if k > 0 then begin
     let frames = burst_array t k in
     for i = 0 to k - 1 do
-      frames.(i) <- Queue.take t.txq
+      frames.(i) <- t.txq.(txq_slot t i)
     done;
     let n = burst frames in
     for i = 0 to n - 1 do
-      Cio_mem.Bufpool.recycle t.tx_pool frames.(i)
+      Cio_mem.Bufpool.recycle t.tx_pool frames.(i);
+      t.txq.(txq_slot t i) <- Bytes.empty
     done;
-    if n < k then begin
-      let leftovers = Queue.create () in
-      for i = n to k - 1 do
-        Queue.add frames.(i) leftovers
-      done;
-      Queue.transfer t.txq leftovers;
-      Queue.transfer leftovers t.txq
-    end;
+    t.txq_head <- txq_slot t n;
+    t.txq_len <- t.txq_len - n;
     Array.fill frames 0 k Bytes.empty;
     if n = k then flush_with t burst
   end
@@ -136,11 +155,11 @@ let send_frame t frame ~dst_mac ~dst ~protocol ~l4_len =
     ~payload_len:(Ipv4.header_len + l4_len);
   emit t frame
 
-(* The static neighbour table, searched with a monomorphic compare; -1
-   (never a 48-bit MAC) when [dst] has no entry. *)
+(* The static neighbour table; -1 (never a 48-bit MAC) when [dst] has no
+   entry. *)
 let rec neighbor_mac dst = function
   | [] -> -1
-  | (ip, mac) :: rest -> if Int32.equal ip dst then mac else neighbor_mac dst rest
+  | (ip, mac) :: rest -> if ip = dst then mac else neighbor_mac dst rest
 
 (* A TCP segment: its payload is copied once, from the connection's send
    queue straight into the frame. *)
@@ -174,11 +193,16 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         now;
         counters = { frames_in = 0; frames_out = 0; dropped = 0; last_drop_reason = "" };
         tx_burst;
-        txq = Queue.create ();
+        txq = Array.make 16 Bytes.empty;
+        txq_head = 0;
+        txq_len = 0;
         bursts = Array.make (max_burst + 1) [||];
         tx_pool = Cio_mem.Bufpool.create ();
         tx_queue_limit;
         recycle;
+        rx_eth = Ethernet.create ();
+        rx_ip = Ipv4.create ();
+        rx_seg = Tcp_wire.create ();
       }
   in
   Lazy.force t
@@ -186,34 +210,37 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
 let tcp t = t.tcp
 let counters t = t.counters
 let meter t = t.meter
-let tx_backlog t = Queue.length t.txq
+let tx_backlog t = t.txq_len
 
-(* Each layer decodes a view into [frame]; nothing is copied until a
-   consumer keeps bytes past this call. *)
+(* Each layer decodes into the stack's own header for it, with a view
+   into [frame]; nothing is copied until a consumer keeps bytes past
+   this call. *)
 let handle_frame t frame =
   t.counters.frames_in <- t.counters.frames_in + 1;
   Cost.charge t.meter Cost.Stack 150;
-  match Ethernet.decode frame ~off:0 ~len:(Bytes.length frame) with
+  let eth = t.rx_eth in
+  match Ethernet.decode eth frame ~off:0 ~len:(Bytes.length frame) with
   | Error e -> drop t e
-  | Ok eth ->
+  | Ok () ->
       if eth.Ethernet.dst <> t.netif.Netif.mac && eth.Ethernet.dst <> Addr.mac_broadcast then
         drop t "ethernet: not for us"
       else begin
         match eth.Ethernet.ethertype with
         | Ethernet.Arp | Ethernet.Unknown _ -> drop t "ethernet: unhandled ethertype"
         | Ethernet.Ipv4 -> (
-            match Ipv4.decode frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len with
+            let ip = t.rx_ip in
+            match Ipv4.decode ip frame ~off:eth.Ethernet.payload_off ~len:eth.Ethernet.payload_len with
             | Error e -> drop t e
-            | Ok ip ->
+            | Ok () ->
                 if ip.Ipv4.dst <> t.ip then drop t "ipv4: not our address"
                 else begin
                   let src_ip = ip.Ipv4.src and dst_ip = ip.Ipv4.dst in
                   let off = ip.Ipv4.payload_off and len = ip.Ipv4.payload_len in
                   match ip.Ipv4.protocol with
                   | Ipv4.Tcp -> (
-                      match Tcp_wire.decode ~src_ip ~dst_ip frame ~off ~len with
+                      match Tcp_wire.decode t.rx_seg ~src_ip ~dst_ip frame ~off ~len with
                       | Error e -> drop t e
-                      | Ok seg -> Tcp.input t.tcp ~src:src_ip frame seg)
+                      | Ok () -> Tcp.input t.tcp ~src:src_ip frame t.rx_seg)
                   | Ipv4.Unknown _ -> drop t "ipv4: unhandled protocol"
                 end)
       end
@@ -242,6 +269,6 @@ let poll t =
   (* Only bounded stacks observe queue depth — the classic stack keeps
      its metric stream byte-identical to the pre-overload build. *)
   (match t.tx_queue_limit with
-  | Some _ -> Cio_telemetry.Metrics.observe m_txq_depth (Queue.length t.txq)
+  | Some _ -> Cio_telemetry.Metrics.observe m_txq_depth t.txq_len
   | None -> ());
   flush_tx t

@@ -52,15 +52,54 @@ let state_name = function
 (* A sent segment awaiting its ACK. Its payload stays in the send queue,
    at [rseq]'s distance from the queue's front sequence number. *)
 type retx_entry = {
-  rseq : int32;
-  rlen : int;  (* payload bytes *)
-  rsyn : bool;
-  rfin : bool;
-  mutable sent_at : int64;
+  mutable rseq : int;
+  mutable rlen : int;  (* payload bytes *)
+  mutable rsyn : bool;
+  mutable rfin : bool;
   mutable retries : int;
 }
 
 let retx_len e = e.rlen + (if e.rsyn then 1 else 0) + if e.rfin then 1 else 0
+
+(* The retransmit queue, oldest first: a ring of entries that are
+   rewritten segment after segment. It only allocates when it is full
+   and doubles. *)
+module Retxq = struct
+  type t = { mutable slots : retx_entry array; mutable head : int; mutable len : int }
+
+  let entry _ = { rseq = 0; rlen = 0; rsyn = false; rfin = false; retries = 0 }
+  let create () = { slots = Array.init 4 entry; head = 0; len = 0 }
+  let is_empty q = q.len = 0
+  let clear q = q.len <- 0
+
+  (* The oldest entry; the queue must not be empty. *)
+  let peek q = q.slots.(q.head)
+
+  let drop q =
+    q.head <- (q.head + 1) land (Array.length q.slots - 1);
+    q.len <- q.len - 1
+
+  let grow q =
+    let n = Array.length q.slots in
+    q.slots <-
+      Array.init (2 * n) (fun i -> if i < n then q.slots.((q.head + i) land (n - 1)) else entry i);
+    q.head <- 0
+
+  let push q ~seq ~len ~syn ~fin =
+    if q.len = Array.length q.slots then grow q;
+    let e = q.slots.((q.head + q.len) land (Array.length q.slots - 1)) in
+    e.rseq <- seq;
+    e.rlen <- len;
+    e.rsyn <- syn;
+    e.rfin <- fin;
+    e.retries <- 0;
+    q.len <- q.len + 1
+end
+
+(* Sequence numbers are native ints holding 32 bits; [no_seq] is none.
+   Deadlines are ns on the [now] clock; [no_deadline] never comes. *)
+let no_seq = -1
+let no_deadline = max_int
 
 type conn = {
   local_port : int;
@@ -68,33 +107,33 @@ type conn = {
   remote_port : int;
   mutable state : state;
   (* send side *)
-  mutable snd_una : int32;
-  mutable snd_nxt : int32;
+  mutable snd_una : int;
+  mutable snd_nxt : int;
   mutable snd_wnd : int;
   (* App data not yet acknowledged: the first [snd_sent] bytes are in
      flight (retransmits read them from here), the rest not yet
      segmented. The front byte has sequence number [snd_qseq]. *)
   snd_queue : Byteq.t;
-  mutable snd_qseq : int32;
+  mutable snd_qseq : int;
   mutable snd_sent : int;
-  retx : retx_entry Queue.t; (* oldest first *)
+  retx : Retxq.t;
   mutable dup_acks : int;
   mutable fin_pending : bool;
-  mutable fin_seq : int32 option;
+  mutable fin_seq : int;  (* [no_seq] until the FIN is sent *)
   (* receive side *)
-  mutable rcv_nxt : int32;
+  mutable rcv_nxt : int;
   rcv_capacity : int;
   recv_buf : Byteq.t;   (* in-order stream awaiting the app *)
-  mutable ooo : (int32 * bytes) list;  (* out-of-order stash, seq-sorted *)
+  mutable ooo : (int * bytes) list;  (* out-of-order stash, seq-sorted *)
   mutable fin_rcvd : bool;
   (* congestion control *)
   mutable mss : int;
   mutable cwnd : int;
   mutable ssthresh : int;
-  (* timers *)
-  mutable rto_ns : int64;
-  mutable rtx_deadline : int64 option;
-  mutable timewait_deadline : int64 option;
+  (* timers, in ns *)
+  mutable rto_ns : int;
+  mutable rtx_deadline : int;
+  mutable timewait_deadline : int;
   mutable error : string option;
 }
 
@@ -103,6 +142,9 @@ type listener = { lport : int; backlog : int; accept_queue : conn Queue.t }
 type t = {
   local_ip : Addr.ipv4;
   send_segment : dst:Addr.ipv4 -> Tcp_wire.t -> Byteq.t -> unit;
+  (* The header every outgoing segment is built in, then handed to
+     [send_segment] for the call only. *)
+  tx : Tcp_wire.t;
   now : unit -> int64;
   rng : Rng.t;
   meter : Cost.meter;
@@ -134,13 +176,14 @@ let note_retransmit t =
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.tcp "retransmit"
 
 let default_mss = 1460
-let base_rto_ns = 200_000_000L
+let base_rto_ns = 200_000_000
 let max_retries = 8
 
 let create ?(model = Cost.default) ?meter ?retry_budget ~local_ip ~send_segment ~now ~rng () =
   {
     local_ip;
     send_segment;
+    tx = Tcp_wire.create ();
     now;
     rng;
     meter = (match meter with Some m -> m | None -> Cost.meter ());
@@ -166,71 +209,79 @@ let conn_state c = c.state
 let conn_error c = c.error
 let conn_remote c = (c.remote_ip, c.remote_port)
 
+let now_ns t = Int64.to_int (t.now ())
+
 (* Every segment processed charges stack work: the cycles that live inside
    the TEE's I/O stack TCB. This is what the dual-boundary design pushes
    out of the core TCB. *)
 let charge_stack t nbytes =
   Cost.charge t.meter Cost.Stack (300 + Cost.copy_cost t.model nbytes)
 
-(* Send one segment of [conn]. Its [len] payload bytes, if any, are the
-   send queue's bytes from sequence number [seq] on; the stack copies
-   them once, straight into the frame. *)
-let emit t conn ?(len = 0) ?(syn = false) ?(fin = false) ?(ack = true) ~seq () =
-  let seg =
-    {
-      Tcp_wire.src_port = conn.local_port;
-      dst_port = conn.remote_port;
-      seq;
-      ack = (if ack then conn.rcv_nxt else 0l);
-      flags = { Tcp_wire.syn; fin; rst = false; ack; psh = len > 0 };
-      window = Int.max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
-      mss = (if syn then Some default_mss else None);
-      payload_off = (if len = 0 then 0 else Tcp_wire.seq_diff seq conn.snd_qseq);
-      payload_len = len;
-    }
-  in
+(* Send one segment of [conn], built in [t.tx]. Its [len] payload bytes,
+   if any, are the send queue's bytes from sequence number [seq] on; the
+   stack copies them once, straight into the frame. *)
+let emit t conn ~len ~syn ~fin ~ack ~seq =
+  let seg = t.tx in
+  seg.Tcp_wire.src_port <- conn.local_port;
+  seg.dst_port <- conn.remote_port;
+  seg.seq <- seq;
+  seg.ack <- (if ack then conn.rcv_nxt else 0);
+  seg.flags <-
+    (if syn then Tcp_wire.syn else 0)
+    lor (if fin then Tcp_wire.fin else 0)
+    lor (if ack then Tcp_wire.ack else 0)
+    lor if len > 0 then Tcp_wire.psh else 0;
+  seg.window <- Int.max 0 (conn.rcv_capacity - Byteq.length conn.recv_buf);
+  seg.mss <- (if syn then default_mss else Tcp_wire.no_mss);
+  seg.payload_off <- (if len = 0 then 0 else Tcp_wire.seq_diff seq conn.snd_qseq);
+  seg.payload_len <- len;
   t.segments_out <- t.segments_out + 1;
   Cio_telemetry.Metrics.inc m_segments_out;
   Cio_telemetry.Metrics.observe m_segment_bytes len;
   charge_stack t len;
   t.send_segment ~dst:conn.remote_ip seg conn.snd_queue
 
+(* A bare ACK of everything received so far. *)
+let send_ack t c = emit t c ~len:0 ~syn:false ~fin:false ~ack:true ~seq:c.snd_nxt
+
+(* The oldest unacknowledged segment again, as it was first sent. *)
+let resend t c e = emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~ack:true ~seq:e.rseq
+
 (* The payload store of segments that carry none. *)
 let no_payload = Byteq.create 0
 
 let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
   (* RFC 9293 §3.10.7.1 reset generation for segments with no connection. *)
-  if not to_seg.Tcp_wire.flags.Tcp_wire.rst then begin
-    let seq, ack, ack_flag =
-      if to_seg.Tcp_wire.flags.Tcp_wire.ack then (to_seg.Tcp_wire.ack, 0l, false)
-      else
-        ( 0l,
-          Tcp_wire.seq_add to_seg.Tcp_wire.seq
-            (to_seg.Tcp_wire.payload_len
-            + (if to_seg.Tcp_wire.flags.Tcp_wire.syn then 1 else 0)
-            + if to_seg.Tcp_wire.flags.Tcp_wire.fin then 1 else 0),
-          true )
-    in
-    let seg =
-      {
-        Tcp_wire.src_port = to_seg.Tcp_wire.dst_port;
-        dst_port = to_seg.Tcp_wire.src_port;
-        seq;
-        ack;
-        flags = { Tcp_wire.flags_none with rst = true; ack = ack_flag };
-        window = 0;
-        mss = None;
-        payload_off = 0;
-        payload_len = 0;
-      }
-    in
+  let flags = to_seg.Tcp_wire.flags in
+  if not (Tcp_wire.has flags Tcp_wire.rst) then begin
+    let seg = t.tx in
+    seg.Tcp_wire.src_port <- to_seg.Tcp_wire.dst_port;
+    seg.dst_port <- to_seg.Tcp_wire.src_port;
+    if Tcp_wire.has flags Tcp_wire.ack then begin
+      seg.seq <- to_seg.Tcp_wire.ack;
+      seg.ack <- 0;
+      seg.flags <- Tcp_wire.rst
+    end
+    else begin
+      seg.seq <- 0;
+      seg.ack <-
+        Tcp_wire.seq_add to_seg.Tcp_wire.seq
+          (to_seg.Tcp_wire.payload_len
+          + (if Tcp_wire.has flags Tcp_wire.syn then 1 else 0)
+          + if Tcp_wire.has flags Tcp_wire.fin then 1 else 0);
+      seg.flags <- Tcp_wire.rst lor Tcp_wire.ack
+    end;
+    seg.window <- 0;
+    seg.mss <- Tcp_wire.no_mss;
+    seg.payload_off <- 0;
+    seg.payload_len <- 0;
     t.segments_out <- t.segments_out + 1;
     Cio_telemetry.Metrics.inc m_segments_out;
     charge_stack t 0;
     t.send_segment ~dst seg no_payload
   end
 
-let isn t = Rng.next_int64 t.rng |> Int64.to_int32
+let isn t = Int64.to_int (Rng.next_int64 t.rng) land 0xFFFFFFFF
 
 let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
   let iss = isn t in
@@ -246,11 +297,11 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
       snd_queue = Byteq.create 4096;
       snd_qseq = Tcp_wire.seq_add iss 1;
       snd_sent = 0;
-      retx = Queue.create ();
+      retx = Retxq.create ();
       dup_acks = 0;
       fin_pending = false;
-      fin_seq = None;
-      rcv_nxt = 0l;
+      fin_seq = no_seq;
+      rcv_nxt = 0;
       rcv_capacity = 65535;
       recv_buf = Byteq.create 4096;
       ooo = [];
@@ -259,26 +310,13 @@ let fresh_conn t ~local_port ~remote_ip ~remote_port ~state =
       cwnd = 2 * default_mss;
       ssthresh = 65535;
       rto_ns = base_rto_ns;
-      rtx_deadline = None;
-      timewait_deadline = None;
+      rtx_deadline = no_deadline;
+      timewait_deadline = no_deadline;
       error = None;
     }
   in
   t.conns <- c :: t.conns;
   c
-
-let rec find_in conns ~local_port ~remote_ip ~remote_port =
-  match conns with
-  | [] -> None
-  | c :: rest ->
-      if
-        c.local_port = local_port && Int32.equal c.remote_ip remote_ip
-        && c.remote_port = remote_port && c.state <> Closed && c.state <> Listen
-      then Some c
-      else find_in rest ~local_port ~remote_ip ~remote_port
-
-let find_conn t ~local_port ~remote_ip ~remote_port =
-  find_in t.conns ~local_port ~remote_ip ~remote_port
 
 let rec find_port listeners ~port =
   match listeners with
@@ -293,17 +331,12 @@ let find_listener t ~port = find_port t.listeners ~port
    its [error]. *)
 let enter_closed c =
   c.state <- Closed;
-  c.rtx_deadline <- None;
-  c.timewait_deadline <- None
-
-let arm_rtx t c =
-  match c.rtx_deadline with
-  | None -> c.rtx_deadline <- Some (Int64.add (t.now ()) c.rto_ns)
-  | Some _ -> ()
+  c.rtx_deadline <- no_deadline;
+  c.timewait_deadline <- no_deadline
 
 let record_retx t c ~seq ~len ~syn ~fin =
-  Queue.add { rseq = seq; rlen = len; rsyn = syn; rfin = fin; sent_at = t.now (); retries = 0 } c.retx;
-  arm_rtx t c
+  Retxq.push c.retx ~seq ~len ~syn ~fin;
+  if c.rtx_deadline = no_deadline then c.rtx_deadline <- now_ns t + c.rto_ns
 
 let in_flight c = Tcp_wire.seq_diff c.snd_nxt c.snd_una
 
@@ -321,16 +354,16 @@ let rec output t c =
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt len;
         c.snd_sent <- c.snd_sent + len;
         record_retx t c ~seq ~len ~syn:false ~fin:false;
-        emit t c ~len ~seq ();
+        emit t c ~len ~syn:false ~fin:false ~ack:true ~seq;
         output t c
       end
-      else if queued = 0 && c.fin_pending && Option.is_none c.fin_seq then begin
+      else if queued = 0 && c.fin_pending && c.fin_seq = no_seq then begin
         (* All data segmented: send FIN. *)
         let seq = c.snd_nxt in
         c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
-        c.fin_seq <- Some seq;
+        c.fin_seq <- seq;
         record_retx t c ~seq ~len:0 ~syn:false ~fin:true;
-        emit t c ~fin:true ~seq ();
+        emit t c ~len:0 ~syn:false ~fin:true ~ack:true ~seq;
         c.state <- (match c.state with Established -> Fin_wait_1 | _ -> Last_ack)
       end
   | _ -> ()
@@ -348,7 +381,7 @@ let connect t ?src_port ~dst ~dst_port () =
   let seq = c.snd_nxt in
   c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
   record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
-  emit t c ~syn:true ~ack:false ~seq ();
+  emit t c ~len:0 ~syn:true ~fin:false ~ack:false ~seq;
   c
 
 let listen t ~port ?(backlog = 16) () =
@@ -457,16 +490,18 @@ let deliver_payload c buf (seg : Tcp_wire.t) =
    (they were queued in sequence order), then release the send-queue
    bytes in front of the oldest segment still unacknowledged. A partially
    acknowledged segment keeps all its bytes: it is resent whole. *)
+let rec pop_acked q ack =
+  if not (Retxq.is_empty q) then begin
+    let e = Retxq.peek q in
+    if Tcp_wire.seq_leq (Tcp_wire.seq_add e.rseq (retx_len e)) ack then begin
+      Retxq.drop q;
+      pop_acked q ack
+    end
+  end
+
 let release_acked c ack =
-  let rec pop () =
-    match Queue.peek_opt c.retx with
-    | Some e when Tcp_wire.seq_leq (Tcp_wire.seq_add e.rseq (retx_len e)) ack ->
-        ignore (Queue.take c.retx);
-        pop ()
-    | _ -> ()
-  in
-  pop ();
-  let front = match Queue.peek_opt c.retx with Some e -> e.rseq | None -> ack in
+  pop_acked c.retx ack;
+  let front = if Retxq.is_empty c.retx then ack else (Retxq.peek c.retx).rseq in
   let n = Int.min (Tcp_wire.seq_diff front c.snd_qseq) c.snd_sent in
   Byteq.drop c.snd_queue n;
   c.snd_qseq <- Tcp_wire.seq_add c.snd_qseq n;
@@ -485,25 +520,24 @@ let process_ack t c (seg : Tcp_wire.t) =
     if c.cwnd < c.ssthresh then c.cwnd <- c.cwnd + Int.min acked c.mss
     else c.cwnd <- c.cwnd + Int.max 1 (c.mss * c.mss / c.cwnd);
     c.rto_ns <- base_rto_ns;
-    c.rtx_deadline <- (if Queue.is_empty c.retx then None else Some (Int64.add (t.now ()) c.rto_ns));
+    c.rtx_deadline <- (if Retxq.is_empty c.retx then no_deadline else now_ns t + c.rto_ns);
     (* Forward progress pays back into the shared retry budget. *)
     (match t.retry_budget with
     | Some rb -> Cio_overload.Retry_budget.on_success rb
     | None -> ());
     (* FIN acked? *)
-    (match c.fin_seq with
-    | Some fs when Tcp_wire.seq_lt fs ack -> (
-        match c.state with
-        | Fin_wait_1 -> c.state <- Fin_wait_2
-        | Closing ->
-            c.state <- Time_wait;
-            c.timewait_deadline <- Some (Int64.add (t.now ()) (Int64.mul 2L c.rto_ns))
-        | Last_ack -> enter_closed c
-        | _ -> ())
-    | _ -> ());
+    if c.fin_seq <> no_seq && Tcp_wire.seq_lt c.fin_seq ack then begin
+      match c.state with
+      | Fin_wait_1 -> c.state <- Fin_wait_2
+      | Closing ->
+          c.state <- Time_wait;
+          c.timewait_deadline <- now_ns t + (2 * c.rto_ns)
+      | Last_ack -> enter_closed c
+      | _ -> ()
+    end;
     output t c
   end
-  else if ack = c.snd_una && seg.Tcp_wire.payload_len = 0 && not (Queue.is_empty c.retx) then begin
+  else if ack = c.snd_una && seg.Tcp_wire.payload_len = 0 && not (Retxq.is_empty c.retx) then begin
     (* Duplicate ACK. *)
     c.snd_wnd <- seg.Tcp_wire.window;
     c.dup_acks <- c.dup_acks + 1;
@@ -516,43 +550,47 @@ let process_ack t c (seg : Tcp_wire.t) =
         | Some rb -> Cio_overload.Retry_budget.try_retry rb
         | None -> true
       in
-      match Queue.peek_opt c.retx with
-      | Some e when budget_ok ->
-          let flight = Int.max (in_flight c) c.mss in
-          c.ssthresh <- Int.max (flight / 2) (2 * c.mss);
-          c.cwnd <- c.ssthresh;
-          e.retries <- e.retries + 1;
-          e.sent_at <- t.now ();
-          note_retransmit t;
-          emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-      | _ -> ()
+      if budget_ok then begin
+        let e = Retxq.peek c.retx in
+        let flight = Int.max (in_flight c) c.mss in
+        c.ssthresh <- Int.max (flight / 2) (2 * c.mss);
+        c.cwnd <- c.ssthresh;
+        e.retries <- e.retries + 1;
+        note_retransmit t;
+        resend t c e
+      end
     end
   end
   else if ack = c.snd_una then c.snd_wnd <- seg.Tcp_wire.window
 
+(* Take the peer's MSS option, if its SYN carried one. *)
+let take_mss c (seg : Tcp_wire.t) =
+  if seg.Tcp_wire.mss <> Tcp_wire.no_mss then c.mss <- Int.min seg.Tcp_wire.mss default_mss
+
 let handle_synsent t c (seg : Tcp_wire.t) =
-  if seg.Tcp_wire.flags.Tcp_wire.rst then begin
-    if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
+  let flags = seg.Tcp_wire.flags in
+  if Tcp_wire.has flags Tcp_wire.rst then begin
+    if Tcp_wire.has flags Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
       enter_closed c;
       c.error <- Some "connection refused"
     end
   end
-  else if seg.Tcp_wire.flags.Tcp_wire.syn && seg.Tcp_wire.flags.Tcp_wire.ack then begin
+  else if Tcp_wire.has flags Tcp_wire.syn && Tcp_wire.has flags Tcp_wire.ack then begin
     if seg.Tcp_wire.ack = c.snd_nxt then begin
       c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
       c.snd_una <- seg.Tcp_wire.ack;
       c.snd_wnd <- seg.Tcp_wire.window;
-      (match seg.Tcp_wire.mss with Some m -> c.mss <- Int.min m default_mss | None -> ());
+      take_mss c seg;
       c.cwnd <- 2 * c.mss;
-      Queue.clear c.retx;
-      c.rtx_deadline <- None;
+      Retxq.clear c.retx;
+      c.rtx_deadline <- no_deadline;
       c.state <- Established;
-      emit t c ~seq:c.snd_nxt ();  (* ACK completing the handshake *)
+      send_ack t c;  (* ACK completing the handshake *)
       output t c
     end
     else send_rst t ~dst:c.remote_ip ~to_seg:seg
   end
-  else if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack <> c.snd_nxt then
+  else if Tcp_wire.has flags Tcp_wire.ack && seg.Tcp_wire.ack <> c.snd_nxt then
     (* RFC 9293 §3.10.7.3: an unacceptable ACK in SYN-SENT gets a RST.
        This is the ghost-busting path: if our 4-tuple collides with a
        stale connection at the peer (e.g. after an I/O-stack restart),
@@ -583,45 +621,47 @@ let handle_fin t c (seg : Tcp_wire.t) =
     | Fin_wait_1 -> c.state <- Closing
     | Fin_wait_2 ->
         c.state <- Time_wait;
-        c.timewait_deadline <- Some (Int64.add (t.now ()) (Int64.mul 2L c.rto_ns))
+        c.timewait_deadline <- now_ns t + (2 * c.rto_ns)
     | _ -> ());
-    emit t c ~seq:c.snd_nxt ()
+    send_ack t c
   end
 
 let handle_established t c buf (seg : Tcp_wire.t) =
+  let flags = seg.Tcp_wire.flags in
   if not (seq_acceptable c seg) then
     (* Unacceptable: ACK and drop (protects against old/replayed data). *)
-    emit t c ~seq:c.snd_nxt ()
-  else if seg.Tcp_wire.flags.Tcp_wire.rst then begin
+    send_ack t c
+  else if Tcp_wire.has flags Tcp_wire.rst then begin
     enter_closed c;
     c.error <- Some "connection reset by peer"
   end
-  else if seg.Tcp_wire.flags.Tcp_wire.syn && Tcp_wire.seq_lt seg.Tcp_wire.seq c.rcv_nxt then
+  else if Tcp_wire.has flags Tcp_wire.syn && Tcp_wire.seq_lt seg.Tcp_wire.seq c.rcv_nxt then
     (* Retransmitted handshake SYN: re-ACK. *)
-    emit t c ~seq:c.snd_nxt ()
-  else if seg.Tcp_wire.flags.Tcp_wire.syn then
+    send_ack t c
+  else if Tcp_wire.has flags Tcp_wire.syn then
     (* RFC 5961 §4: an in-window SYN on a synchronized connection gets a
        challenge ACK, never silence. If the SYN is a new incarnation of
        the 4-tuple, the sender answers the challenge with a RST and the
        stale connection dies. *)
-    emit t c ~seq:c.snd_nxt ()
+    send_ack t c
   else begin
-    if seg.Tcp_wire.flags.Tcp_wire.ack then process_ack t c seg;
+    if Tcp_wire.has flags Tcp_wire.ack then process_ack t c seg;
     let before = c.rcv_nxt in
     deliver_payload c buf seg;
-    if seg.Tcp_wire.flags.Tcp_wire.fin then handle_fin t c seg
+    if Tcp_wire.has flags Tcp_wire.fin then handle_fin t c seg
     else if c.rcv_nxt <> before || seg.Tcp_wire.payload_len > 0 then
       (* Data arrived (in order or not): ACK immediately. *)
-      emit t c ~seq:c.snd_nxt ()
+      send_ack t c
   end
 
 let handle_synreceived t c l buf (seg : Tcp_wire.t) =
-  if seg.Tcp_wire.flags.Tcp_wire.rst then enter_closed c
-  else if seg.Tcp_wire.flags.Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
+  let flags = seg.Tcp_wire.flags in
+  if Tcp_wire.has flags Tcp_wire.rst then enter_closed c
+  else if Tcp_wire.has flags Tcp_wire.ack && seg.Tcp_wire.ack = c.snd_nxt then begin
     c.snd_una <- seg.Tcp_wire.ack;
     c.snd_wnd <- seg.Tcp_wire.window;
-    Queue.clear c.retx;
-    c.rtx_deadline <- None;
+    Retxq.clear c.retx;
+    c.rtx_deadline <- no_deadline;
     c.state <- Established;
     (match l with
     | Some l when Queue.length l.accept_queue < l.backlog -> Queue.add c l.accept_queue
@@ -629,90 +669,96 @@ let handle_synreceived t c l buf (seg : Tcp_wire.t) =
     (* The completing ACK may already carry data. *)
     if seg.Tcp_wire.payload_len > 0 then handle_established t c buf seg
   end
-  else if seg.Tcp_wire.flags.Tcp_wire.syn && seg.Tcp_wire.payload_len = 0 then
+  else if Tcp_wire.has flags Tcp_wire.syn && seg.Tcp_wire.payload_len = 0 then
     (* Retransmitted SYN: resend SYN-ACK. *)
-    match Queue.peek_opt c.retx with
-    | Some e -> emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-    | None -> ()
+    if not (Retxq.is_empty c.retx) then resend t c (Retxq.peek c.retx)
+
+let input_conn t ~src c buf (seg : Tcp_wire.t) =
+  match c.state with
+  | Syn_sent -> handle_synsent t c seg
+  | Syn_received -> handle_synreceived t c (find_listener t ~port:c.local_port) buf seg
+  | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
+      handle_established t c buf seg
+  | Time_wait -> if Tcp_wire.has seg.Tcp_wire.flags Tcp_wire.fin then send_ack t c
+  | Listen | Closed -> send_rst t ~dst:src ~to_seg:seg
+
+(* A segment no connection claims: a new one if it is a SYN for a
+   listener, a RST otherwise. *)
+let input_unclaimed t ~src (seg : Tcp_wire.t) =
+  let flags = seg.Tcp_wire.flags in
+  match find_listener t ~port:seg.Tcp_wire.dst_port with
+  | Some _ when Tcp_wire.has flags Tcp_wire.syn && not (Tcp_wire.has flags Tcp_wire.ack) ->
+      let c =
+        fresh_conn t ~local_port:seg.Tcp_wire.dst_port ~remote_ip:src
+          ~remote_port:seg.Tcp_wire.src_port ~state:Syn_received
+      in
+      c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
+      take_mss c seg;
+      c.cwnd <- 2 * c.mss;
+      c.snd_wnd <- seg.Tcp_wire.window;
+      let seq = c.snd_nxt in
+      c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
+      record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
+      emit t c ~len:0 ~syn:true ~fin:false ~ack:true ~seq
+  | _ -> send_rst t ~dst:src ~to_seg:seg
+
+(* Hand the segment to the live connection of its 4-tuple, walking the
+   table without building an option. *)
+let rec demux t ~src buf (seg : Tcp_wire.t) = function
+  | [] -> input_unclaimed t ~src seg
+  | c :: rest ->
+      if
+        c.local_port = seg.Tcp_wire.dst_port && c.remote_ip = src
+        && c.remote_port = seg.Tcp_wire.src_port && c.state <> Closed && c.state <> Listen
+      then input_conn t ~src c buf seg
+      else demux t ~src buf seg rest
 
 let input t ~src buf (seg : Tcp_wire.t) =
   t.segments_in <- t.segments_in + 1;
   Cio_telemetry.Metrics.inc m_segments_in;
   charge_stack t seg.Tcp_wire.payload_len;
-  match
-    find_conn t ~local_port:seg.Tcp_wire.dst_port ~remote_ip:src ~remote_port:seg.Tcp_wire.src_port
-  with
-  | Some c -> (
-      match c.state with
-      | Syn_sent -> handle_synsent t c seg
-      | Syn_received ->
-          handle_synreceived t c (find_listener t ~port:c.local_port) buf seg
-      | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-          handle_established t c buf seg
-      | Time_wait ->
-          if seg.Tcp_wire.flags.Tcp_wire.fin then emit t c ~seq:c.snd_nxt ()
-      | Listen | Closed -> send_rst t ~dst:src ~to_seg:seg)
-  | None -> (
-      match find_listener t ~port:seg.Tcp_wire.dst_port with
-      | Some _ when seg.Tcp_wire.flags.Tcp_wire.syn && not seg.Tcp_wire.flags.Tcp_wire.ack ->
-          let c =
-            fresh_conn t ~local_port:seg.Tcp_wire.dst_port ~remote_ip:src
-              ~remote_port:seg.Tcp_wire.src_port ~state:Syn_received
-          in
-          c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
-          (match seg.Tcp_wire.mss with Some m -> c.mss <- Int.min m default_mss | None -> ());
-          c.cwnd <- 2 * c.mss;
-          c.snd_wnd <- seg.Tcp_wire.window;
-          let seq = c.snd_nxt in
-          c.snd_nxt <- Tcp_wire.seq_add c.snd_nxt 1;
-          record_retx t c ~seq ~len:0 ~syn:true ~fin:false;
-          emit t c ~syn:true ~seq ()
-      | _ -> send_rst t ~dst:src ~to_seg:seg)
+  demux t ~src buf seg t.conns
 
 (* One connection's timers at [now]. *)
 let tick_conn t now c =
-  (match c.timewait_deadline with
-  | Some d when d <= now -> enter_closed c
-  | _ -> ());
-  match c.rtx_deadline with
-  | Some d when d <= now -> (
-      match Queue.peek_opt c.retx with
-      | None -> c.rtx_deadline <- None
-      | Some e ->
-          if e.retries >= max_retries then begin
-            enter_closed c;
-            c.error <- Some "retransmission limit exceeded"
-          end
-          else begin
-            match t.retry_budget with
-            | Some rb when not (Cio_overload.Retry_budget.try_retry rb) ->
-                (* Budget dry: defer without spending a retry or
-                   touching cwnd. The decorrelated-jitter backoff
-                   paces the re-attempt so a fleet of starved
-                   connections cannot retry in lockstep. *)
-                c.rtx_deadline <- Some (Int64.add now (Cio_overload.Retry_budget.backoff_ns rb))
-            | budget ->
-                e.retries <- e.retries + 1;
-                e.sent_at <- now;
-                (* Exponential backoff and multiplicative decrease. *)
-                c.rto_ns <- Int64.mul 2L c.rto_ns;
-                c.ssthresh <- Int.max (in_flight c / 2) (2 * c.mss);
-                c.cwnd <- c.mss;
-                (* With a budget attached, pacing takes the worse of
-                   the per-connection RTO and the shared jittered
-                   backoff. *)
-                let pace =
-                  match budget with
-                  | Some rb -> Int64.max c.rto_ns (Cio_overload.Retry_budget.backoff_ns rb)
-                  | None -> c.rto_ns
-                in
-                c.rtx_deadline <- Some (Int64.add now pace);
-                note_retransmit t;
-                if e.rsyn && c.state = Syn_sent then
-                  emit t c ~len:e.rlen ~syn:true ~ack:false ~seq:e.rseq ()
-                else emit t c ~len:e.rlen ~syn:e.rsyn ~fin:e.rfin ~seq:e.rseq ()
-          end)
-  | _ -> ()
+  if c.timewait_deadline <= now then enter_closed c;
+  if c.rtx_deadline <= now then begin
+    if Retxq.is_empty c.retx then c.rtx_deadline <- no_deadline
+    else begin
+      let e = Retxq.peek c.retx in
+      if e.retries >= max_retries then begin
+        enter_closed c;
+        c.error <- Some "retransmission limit exceeded"
+      end
+      else begin
+        match t.retry_budget with
+        | Some rb when not (Cio_overload.Retry_budget.try_retry rb) ->
+            (* Budget dry: defer without spending a retry or touching
+               cwnd. The decorrelated-jitter backoff paces the re-attempt
+               so a fleet of starved connections cannot retry in
+               lockstep. *)
+            c.rtx_deadline <- now + Int64.to_int (Cio_overload.Retry_budget.backoff_ns rb)
+        | budget ->
+            e.retries <- e.retries + 1;
+            (* Exponential backoff and multiplicative decrease. *)
+            c.rto_ns <- 2 * c.rto_ns;
+            c.ssthresh <- Int.max (in_flight c / 2) (2 * c.mss);
+            c.cwnd <- c.mss;
+            (* With a budget attached, pacing takes the worse of the
+               per-connection RTO and the shared jittered backoff. *)
+            let pace =
+              match budget with
+              | Some rb -> Int.max c.rto_ns (Int64.to_int (Cio_overload.Retry_budget.backoff_ns rb))
+              | None -> c.rto_ns
+            in
+            c.rtx_deadline <- now + pace;
+            note_retransmit t;
+            if e.rsyn && c.state = Syn_sent then
+              emit t c ~len:e.rlen ~syn:true ~fin:false ~ack:false ~seq:e.rseq
+            else resend t c e
+      end
+    end
+  end
 
 let rec tick_all t now = function
   | [] -> ()
@@ -723,5 +769,5 @@ let rec tick_all t now = function
 let rec any_closed = function [] -> false | c :: rest -> c.state = Closed || any_closed rest
 
 let tick t =
-  tick_all t (t.now ()) t.conns;
+  tick_all t (now_ns t) t.conns;
   if any_closed t.conns then t.conns <- List.filter (fun c -> c.state <> Closed) t.conns

@@ -41,7 +41,8 @@ val create :
 (** MSS 1460 and initial RTO 200 ms; a connection fails after 8
     retransmits of one segment. [send_segment ~dst seg q] sends one
     segment; its payload is the [seg.payload_len] bytes of [q] from
-    position [seg.payload_off]. [q] is only read during the call. *)
+    position [seg.payload_off]. [seg] is the one header every segment
+    is built in, and it and [q] are only read during the call. *)
 
 val segments_in : t -> int
 val segments_out : t -> int
@@ -85,8 +86,9 @@ val close : t -> conn -> unit
 val input : t -> src:Addr.ipv4 -> bytes -> Tcp_wire.t -> unit
 (** [input t ~src buf seg] processes one inbound segment (already
     IP-demultiplexed) whose payload view points into [buf]. Nothing
-    keeps [buf] past the call: delivered bytes are copied into the
-    receive buffer, and out-of-order ones into the reassembly stash. *)
+    keeps [buf] or [seg] past the call: delivered bytes are copied into
+    the receive buffer, and out-of-order ones into the reassembly
+    stash. A segment on an established connection allocates nothing. *)
 
 val tick : t -> unit
 (** Run retransmission / TIME-WAIT timers against the [now] clock, then

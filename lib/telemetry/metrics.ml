@@ -66,7 +66,8 @@ let bucket_of v =
 
 let observe h v =
   let v = if v < 0 then 0 else v in
-  h.counts.(bucket_of v) <- h.counts.(bucket_of v) + 1;
+  let i = bucket_of v in
+  h.counts.(i) <- h.counts.(i) + 1;
   h.n <- h.n + 1;
   if v < h.lo then h.lo <- v;
   if v > h.hi then h.hi <- v

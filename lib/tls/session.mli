@@ -56,9 +56,13 @@ val feed : t -> bytes -> feed_result
 (** {!feed_into} of all the bytes, with the records to send and the
     payloads returned as lists. *)
 
+val max_payload : int
+(** The largest application payload one record carries ([Wire.max_body]
+    less the AEAD tag). *)
+
 val send_data : t -> bytes -> (bytes, error) result
 (** Seal one application payload into wire bytes. A payload over
-    the record limit ([Wire.max_body] less the AEAD tag) is refused with [Bad_format]; the session is left as
+    {!max_payload} is refused with [Bad_format]; the session is left as
     it was (nothing sealed, no sequence number used). *)
 
 val send_data_into : t -> bytes -> Byteq.t -> (unit, error) result

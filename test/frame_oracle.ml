@@ -1,10 +1,17 @@
 (* Reference oracle: the original allocate-per-layer frame codecs, kept
-   verbatim (test-only) so the view-based library codecs can be checked
+   verbatim (test-only) so the in-place library codecs can be checked
    against them by equivalence properties: every [build] returns a fresh
-   exact-length buffer, every [parse] a fresh payload copy. Not part of
-   any library; nothing outside the tests may call it. *)
+   exact-length buffer, every [parse] a fresh record and payload copy.
+   The oracle keeps the original field types too: IPv4 addresses and
+   sequence numbers are [int32], flags a record of booleans, MSS an
+   option. Not part of any library; nothing outside the tests may call
+   it. *)
 
 open Cio_frame
+
+type ipv4 = int32
+
+let of_addr (ip : Addr.ipv4) : ipv4 = Int32.of_int ip
 
 module Checksum = struct
   include Checksum
@@ -72,8 +79,8 @@ module Ipv4 = struct
   let protocol_of_code = Ipv4.protocol_of_code
 
   type t = {
-    src : Addr.ipv4;
-    dst : Addr.ipv4;
+    src : ipv4;
+    dst : ipv4;
     protocol : protocol;
     ttl : int;
     payload : bytes;
@@ -130,7 +137,9 @@ module Ipv4 = struct
 end
 
 module Tcp_wire = struct
-  type flags = Tcp_wire.flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
+  type flags = { syn : bool; ack : bool; fin : bool; rst : bool; psh : bool }
+
+  let flags_none = { syn = false; ack = false; fin = false; rst = false; psh = false }
 
   type t = {
     src_port : int;

@@ -126,7 +126,8 @@ let test_tamper_helper_only_touches_payload () =
       flags = { Tcp_wire.syn = false; ack = true; fin = false; rst = false; psh = false };
       window = 65535; payload; mss = None }
   in
-  let src = Cio_frame.Addr.ipv4_of_octets 10 0 0 1 and dst = Cio_frame.Addr.ipv4_of_octets 10 0 0 2 in
+  let src = of_addr (Cio_frame.Addr.ipv4_of_octets 10 0 0 1)
+  and dst = of_addr (Cio_frame.Addr.ipv4_of_octets 10 0 0 2) in
   let frame_of seg =
     let tcp = Tcp_wire.build ~src_ip:src ~dst_ip:dst seg in
     let ip = Ipv4.build { Ipv4.src; dst; protocol = Ipv4.Tcp; ttl = 64; payload = tcp } in

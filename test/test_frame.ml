@@ -1,6 +1,6 @@
 (* Codec tests: addresses, checksums, Ethernet/IPv4/TCP round trips,
-   malformed-input rejection, and equivalence with the allocate-per-layer
-   oracle codecs (test/frame_oracle.ml). *)
+   malformed-input rejection, sequence arithmetic, and equivalence with
+   the allocate-per-layer oracle codecs (test/frame_oracle.ml). *)
 
 open Cio_frame
 module O = Frame_oracle
@@ -64,11 +64,18 @@ let tcp_build seg payload =
   encode_with ~hdr ~len:(hdr + Bytes.length payload) payload (fun b ->
       Tcp_wire.encode b ~off:0 ~src_ip:ip_a ~dst_ip:ip_b seg)
 
-(* Decode a whole buffer; a view's payload as a copy. *)
-let whole f b = f b ~off:0 ~len:(Bytes.length b)
-let eth_decode = whole Ethernet.decode
-let ipv4_decode = whole Ipv4.decode
-let tcp_decode = whole (Tcp_wire.decode ~src_ip:ip_a ~dst_ip:ip_b)
+(* Decode a whole buffer into a fresh header, returned on success; a
+   view's payload as a copy. *)
+let whole create decode b =
+  let h = create () in
+  Result.map (fun () -> h) (decode h b ~off:0 ~len:(Bytes.length b))
+
+let eth_decode = whole Ethernet.create Ethernet.decode
+let ipv4_decode = whole Ipv4.create Ipv4.decode
+
+let tcp_decode ?(src_ip = ip_a) ?(dst_ip = ip_b) b =
+  whole Tcp_wire.create (fun h -> Tcp_wire.decode h ~src_ip ~dst_ip) b
+
 let view b ~off ~len = Bytes.sub b off len
 
 let test_ethernet_roundtrip () =
@@ -104,8 +111,8 @@ let test_ipv4_roundtrip () =
   match ipv4_decode (ipv4_build (Bytes.make 64 'd')) with
   | Error e -> Alcotest.fail e
   | Ok p ->
-      Alcotest.(check int32) "src" ip_a p.Ipv4.src;
-      Alcotest.(check int32) "dst" ip_b p.Ipv4.dst;
+      Alcotest.(check int) "src" ip_a p.Ipv4.src;
+      Alcotest.(check int) "dst" ip_b p.Ipv4.dst;
       Alcotest.(check int) "ttl" 64 p.Ipv4.ttl;
       Alcotest.(check int) "payload" 64 p.Ipv4.payload_len
 
@@ -144,12 +151,12 @@ let test_ipv4_rejects_bad_version () =
   | Error "ipv4: not version 4" -> ()
   | _ -> Alcotest.fail "bad version must be rejected"
 
-let tcp_seg ?(mss = None) ?(flags = Tcp_wire.flags_none) () =
+let tcp_seg ?(mss = Tcp_wire.no_mss) ?(flags = 0) () =
   {
     Tcp_wire.src_port = 1000;
     dst_port = 2000;
-    seq = 42l;
-    ack = 7l;
+    seq = 42;
+    ack = 7;
     flags;
     window = 512;
     mss;
@@ -159,23 +166,27 @@ let tcp_seg ?(mss = None) ?(flags = Tcp_wire.flags_none) () =
 
 let test_tcp_roundtrip () =
   let payload = Bytes.of_string "segment data" in
-  let seg = tcp_seg ~flags:{ Tcp_wire.flags_none with Tcp_wire.ack = true; psh = true } () in
+  let seg = tcp_seg ~flags:(Tcp_wire.ack lor Tcp_wire.psh) () in
   let b = tcp_build seg payload in
   match tcp_decode b with
   | Error e -> Alcotest.fail e
   | Ok p ->
-      Alcotest.(check int32) "seq" 42l p.Tcp_wire.seq;
-      Alcotest.(check int32) "ack" 7l p.Tcp_wire.ack;
-      Alcotest.(check bool) "ack flag" true p.Tcp_wire.flags.Tcp_wire.ack;
-      Alcotest.(check bool) "psh flag" true p.Tcp_wire.flags.Tcp_wire.psh;
+      Alcotest.(check int) "seq" 42 p.Tcp_wire.seq;
+      Alcotest.(check int) "ack" 7 p.Tcp_wire.ack;
+      Alcotest.(check bool) "ack flag" true (Tcp_wire.has p.Tcp_wire.flags Tcp_wire.ack);
+      Alcotest.(check bool) "psh flag" true (Tcp_wire.has p.Tcp_wire.flags Tcp_wire.psh);
+      Alcotest.(check bool) "no syn flag" false (Tcp_wire.has p.Tcp_wire.flags Tcp_wire.syn);
       Alcotest.(check int) "window" 512 p.Tcp_wire.window;
       Helpers.check_bytes "payload" payload
         (view b ~off:p.Tcp_wire.payload_off ~len:p.Tcp_wire.payload_len)
 
 let test_tcp_mss_option () =
-  let seg = tcp_seg ~mss:(Some 1460) ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true } () in
-  match tcp_decode (tcp_build seg Bytes.empty) with
-  | Ok p -> Alcotest.(check (option int)) "mss" (Some 1460) p.Tcp_wire.mss
+  let seg = tcp_seg ~mss:1460 ~flags:Tcp_wire.syn () in
+  (match tcp_decode (tcp_build seg Bytes.empty) with
+  | Ok p -> Alcotest.(check int) "mss" 1460 p.Tcp_wire.mss
+  | Error e -> Alcotest.fail e);
+  match tcp_decode (tcp_build (tcp_seg ()) Bytes.empty) with
+  | Ok p -> Alcotest.(check int) "no mss" Tcp_wire.no_mss p.Tcp_wire.mss
   | Error e -> Alcotest.fail e
 
 let test_tcp_checksum_enforced () =
@@ -192,18 +203,40 @@ let test_tcp_checksum_includes_pseudo_header () =
      would NOT fail — the one's-complement sum is order-independent —
      which is itself worth pinning down.) *)
   let other = Cio_frame.Addr.ipv4_of_octets 10 0 0 3 in
-  (match whole (Tcp_wire.decode ~src_ip:other ~dst_ip:ip_b) b with
+  (match tcp_decode ~src_ip:other ~dst_ip:ip_b b with
   | Error "tcp: checksum mismatch" -> ()
   | _ -> Alcotest.fail "pseudo-header must be bound");
-  match whole (Tcp_wire.decode ~src_ip:ip_b ~dst_ip:ip_a) b with
+  match tcp_decode ~src_ip:ip_b ~dst_ip:ip_a b with
   | Ok _ -> ()  (* order-independence of the internet checksum *)
   | Error e -> Alcotest.fail ("swap unexpectedly failed: " ^ e)
 
 let test_tcp_seq_arithmetic_wraps () =
-  Alcotest.(check bool) "wrap lt" true (Tcp_wire.seq_lt 0xFFFFFFF0l 5l);
-  Alcotest.(check bool) "not lt" false (Tcp_wire.seq_lt 5l 0xFFFFFFF0l);
-  Alcotest.(check int32) "add wraps" 4l (Tcp_wire.seq_add 0xFFFFFFFFl 5);
-  Alcotest.(check int) "diff across wrap" 21 (Tcp_wire.seq_diff 5l 0xFFFFFFF0l)
+  Alcotest.(check bool) "wrap lt" true (Tcp_wire.seq_lt 0xFFFFFFF0 5);
+  Alcotest.(check bool) "not lt" false (Tcp_wire.seq_lt 5 0xFFFFFFF0);
+  Alcotest.(check int) "add wraps" 4 (Tcp_wire.seq_add 0xFFFFFFFF 5);
+  Alcotest.(check int) "diff across wrap" 21 (Tcp_wire.seq_diff 5 0xFFFFFFF0)
+
+(* The native-int sequence operations against the Int32 ones they
+   replaced, on pairs drawn anywhere, near the 2^32 wrap and near the
+   2^31 half-way distance where the order flips. *)
+let prop_seq_arith_matches_int32 =
+  let u32 = QCheck.Gen.int_range 0 0xFFFFFFFF in
+  let near x = QCheck.Gen.map (fun d -> (x + d) land 0xFFFFFFFF) (QCheck.Gen.int_range (-300) 300) in
+  let gen =
+    QCheck.Gen.(
+      let* a = oneof [ u32; near 0; near 0x80000000 ] in
+      let* b = oneof [ u32; near a; near (a + 0x80000000); near (a - 0x80000000) ] in
+      let* n = oneof [ int_range (-70000) 70000; int_range (-(1 lsl 33)) (1 lsl 33) ] in
+      return (a, b, n))
+  in
+  QCheck.Test.make ~name:"tcp: native-int sequence arithmetic == Int32 reference" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(triple int int int) gen)
+    (fun (a, b, n) ->
+      let a32 = Int32.of_int a and b32 = Int32.of_int b in
+      Tcp_wire.seq_lt a b = (Int32.compare (Int32.sub a32 b32) 0l < 0)
+      && Tcp_wire.seq_leq a b = (Int32.compare (Int32.sub a32 b32) 0l <= 0)
+      && Tcp_wire.seq_diff a b = Int32.to_int (Int32.sub a32 b32)
+      && Tcp_wire.seq_add a n = Int32.to_int (Int32.add a32 (Int32.of_int n)) land 0xFFFFFFFF)
 
 let test_tcp_bad_data_offset_rejected () =
   let b = tcp_build (tcp_seg ()) Bytes.empty in
@@ -258,9 +291,7 @@ let prop_ipv4_bitflip_rejected_or_equal =
           parsed.Ipv4.payload_len <= Bytes.length p)
 
 let test_pretty_tcp () =
-  let seg =
-    tcp_build (tcp_seg ~flags:{ Tcp_wire.flags_none with Tcp_wire.syn = true } ()) (Bytes.of_string "xy")
-  in
+  let seg = tcp_build (tcp_seg ~flags:Tcp_wire.syn ()) (Bytes.of_string "xy") in
   let frame = eth_build (ipv4_build ~protocol:Ipv4.Tcp seg) in
   let s = Pretty.frame_summary frame in
   List.iter
@@ -270,6 +301,34 @@ let test_pretty_tcp () =
          let rec go i = i + c <= n && (String.equal (String.sub s i c) needle || go (i + 1)) in
          go 0))
     [ "10.0.0.1:1000"; "10.0.0.2:2000"; "S"; "len=2" ]
+
+(* The one-liner's text for three frames the oracle builds, as printed
+   when sequence numbers were int32 shown with [%lu]: a SYN with MSS, a
+   data segment with both numbers at or above 2^31, and a RST. *)
+let test_pretty_pinned () =
+  let frame ~seq ~ack ~flags ~mss payload =
+    let src = 0x0A000001l and dst = 0x0A000002l in
+    let seg =
+      O.Tcp_wire.build ~src_ip:src ~dst_ip:dst
+        { O.Tcp_wire.src_port = 49152; dst_port = 443; seq; ack; flags; window = 4096; mss;
+          payload = Bytes.of_string payload }
+    in
+    let ip = O.Ipv4.build { O.Ipv4.src; dst; protocol = Ipv4.Tcp; ttl = 64; payload = seg } in
+    O.Ethernet.build
+      { O.Ethernet.dst = Helpers.mac_b; src = Helpers.mac_a; ethertype = Ethernet.Ipv4; payload = ip }
+  in
+  let f = O.Tcp_wire.flags_none in
+  List.iter
+    (fun (expected, fr) -> Alcotest.(check string) "summary" expected (Pretty.frame_summary fr))
+    [
+      ( "10.0.0.1:49152 > 10.0.0.2:443 [S] seq=305419896 ack=0 win=4096 len=0",
+        frame ~seq:0x12345678l ~ack:0l ~flags:{ f with syn = true } ~mss:(Some 1460) "" );
+      ( "10.0.0.1:49152 > 10.0.0.2:443 [AP] seq=4275878552 ack=2147483649 win=4096 len=5",
+        frame ~seq:0xFEDCBA98l ~ack:0x80000001l ~flags:{ f with ack = true; psh = true } ~mss:None
+          "hello" );
+      ( "10.0.0.1:49152 > 10.0.0.2:443 [R] seq=2147483648 ack=0 win=4096 len=0",
+        frame ~seq:0x80000000l ~ack:0l ~flags:{ f with rst = true } ~mss:None "" );
+    ]
 
 let test_pretty_degrades () =
   Alcotest.(check bool) "opaque bytes summarised" true
@@ -348,7 +407,7 @@ let print_unit_case c =
     (String.concat ";" (Array.to_list (Array.map string_of_int c.f)))
     (Bytes.length c.payload) (Bytes.length c.pre) (Bytes.length c.post)
 
-let case_ips c = (Int32.of_int (c.f.(0) lsl 2), Int32.of_int c.f.(1))
+let case_ips c = (c.f.(0) lsl 2, c.f.(1))
 let case_mac c i = (c.f.(i) lsl 18) lxor c.f.(i + 1)
 
 let case_ethertype c =
@@ -363,29 +422,32 @@ let case_protocol c =
   | 1 -> Ipv4.Unknown 17  (* UDP, which the stack drops at IPv4 *)
   | _ -> Ipv4.Unknown (c.f.(5) land 0xFF)
 
-let case_flags c =
-  let b = c.f.(6) in
-  { Tcp_wire.fin = b land 1 <> 0; syn = b land 2 <> 0; rst = b land 4 <> 0; psh = b land 8 <> 0;
-    ack = b land 16 <> 0 }
-
-let case_mss c = if c.f.(6) land 32 <> 0 then Some (c.f.(7) land 0xFFFF) else None
+let case_mss c = if c.f.(6) land 32 <> 0 then c.f.(7) land 0xFFFF else Tcp_wire.no_mss
 
 let case_tcp c =
   {
     Tcp_wire.src_port = c.f.(2) land 0xFFFF;
     dst_port = c.f.(3) land 0xFFFF;
-    seq = Int32.of_int (c.f.(8) lsl 2);
-    ack = Int32.of_int (c.f.(9) lsl 2);
-    flags = case_flags c;
+    seq = c.f.(8) lsl 2;
+    ack = c.f.(9) lsl 2;
+    flags = c.f.(6) land 0x1F;
     window = c.f.(10) land 0xFFFF;
     mss = case_mss c;
     payload_off = 0;
     payload_len = Bytes.length c.payload;
   }
 
+(* The oracle's flags record for a flag bitmask, and back. *)
+let oracle_flags b =
+  { O.Tcp_wire.fin = b land 1 <> 0; syn = b land 2 <> 0; rst = b land 4 <> 0; psh = b land 8 <> 0;
+    ack = b land 16 <> 0 }
+
+let oracle_mss m = if m = Tcp_wire.no_mss then None else Some m
+
 (* The oracle's serialisation of the case's unit. *)
 let oracle_build c =
   let src, dst = case_ips c in
+  let src = O.of_addr src and dst = O.of_addr dst in
   match c.layer with
   | 0 ->
       O.Ethernet.build
@@ -398,8 +460,9 @@ let oracle_build c =
       let h = case_tcp c in
       O.Tcp_wire.build ~src_ip:src ~dst_ip:dst
         { O.Tcp_wire.src_port = h.Tcp_wire.src_port; dst_port = h.Tcp_wire.dst_port;
-          seq = h.Tcp_wire.seq; ack = h.Tcp_wire.ack; flags = h.Tcp_wire.flags;
-          window = h.Tcp_wire.window; mss = h.Tcp_wire.mss; payload = c.payload }
+          seq = Int32.of_int h.Tcp_wire.seq; ack = Int32.of_int h.Tcp_wire.ack;
+          flags = oracle_flags h.Tcp_wire.flags; window = h.Tcp_wire.window;
+          mss = oracle_mss h.Tcp_wire.mss; payload = c.payload }
 
 (* The library's encoding of the same unit at [off] in [b], around the
    payload already placed there. Returns the header length. *)
@@ -419,9 +482,10 @@ let library_encode c b ~off =
       Bytes.blit c.payload 0 b (off + Tcp_wire.header_len h) payload_len;
       Tcp_wire.encode b ~off ~src_ip:src ~dst_ip:dst h
 
-(* Both decoders' results in one comparable shape: the header fields as
-   text (the oracle and the library share the field types) and the
-   payload bytes, or the error string. *)
+(* Both decoders' results in one comparable shape: every header field
+   as text and the payload bytes, or the error string. The oracle's
+   int32 fields print unsigned, as the library's 32-bit ints do; its
+   flags print as their bits and an absent MSS as [Tcp_wire.no_mss]. *)
 let oracle_decode c ~src ~dst u =
   match c.layer with
   | 0 ->
@@ -431,36 +495,56 @@ let oracle_decode c ~src ~dst u =
         (O.Ethernet.parse u)
   | 1 ->
       Result.map
-        (fun i -> (Fmt.str "%ld %ld %d %d" i.O.Ipv4.src i.O.Ipv4.dst
+        (fun i -> (Fmt.str "%lu %lu %d %d" i.O.Ipv4.src i.O.Ipv4.dst
                      (Ipv4.protocol_code i.O.Ipv4.protocol) i.O.Ipv4.ttl, i.O.Ipv4.payload))
         (O.Ipv4.parse u)
   | _ ->
       Result.map
-        (fun s -> (Fmt.str "%d %d %ld %ld %a %d %a" s.O.Tcp_wire.src_port s.O.Tcp_wire.dst_port
-                     s.O.Tcp_wire.seq s.O.Tcp_wire.ack Tcp_wire.pp_flags s.O.Tcp_wire.flags
-                     s.O.Tcp_wire.window Fmt.(option int) s.O.Tcp_wire.mss, s.O.Tcp_wire.payload))
-        (O.Tcp_wire.parse ~src_ip:src ~dst_ip:dst u)
+        (fun s -> (Fmt.str "%d %d %lu %lu %d %d %d" s.O.Tcp_wire.src_port s.O.Tcp_wire.dst_port
+                     s.O.Tcp_wire.seq s.O.Tcp_wire.ack (O.Tcp_wire.flag_bits s.O.Tcp_wire.flags)
+                     s.O.Tcp_wire.window
+                     (Option.value s.O.Tcp_wire.mss ~default:Tcp_wire.no_mss), s.O.Tcp_wire.payload))
+        (O.Tcp_wire.parse ~src_ip:(O.of_addr src) ~dst_ip:(O.of_addr dst) u)
 
-let library_decode c ~src ~dst b ~off ~len =
+(* The library decodes into one header per layer, reused case after
+   case as the stack reuses its own: a field a decode failed to write
+   would show its previous case's value. *)
+let lib_eth = Ethernet.create ()
+let lib_ip = Ipv4.create ()
+let lib_seg = Tcp_wire.create ()
+
+(* The reused header's fields, and its view's bounds. *)
+let library_header c =
   match c.layer with
   | 0 ->
-      Result.map
-        (fun e -> (Fmt.str "%d %d %d" e.Ethernet.dst e.Ethernet.src
-                     (Ethernet.ethertype_code e.Ethernet.ethertype),
-                   view b ~off:e.Ethernet.payload_off ~len:e.Ethernet.payload_len))
-        (Ethernet.decode b ~off ~len)
+      let e = lib_eth in
+      ( Fmt.str "%d %d %d" e.Ethernet.dst e.Ethernet.src (Ethernet.ethertype_code e.Ethernet.ethertype),
+        (e.Ethernet.payload_off, e.Ethernet.payload_len) )
   | 1 ->
-      Result.map
-        (fun i -> (Fmt.str "%ld %ld %d %d" i.Ipv4.src i.Ipv4.dst (Ipv4.protocol_code i.Ipv4.protocol)
-                     i.Ipv4.ttl, view b ~off:i.Ipv4.payload_off ~len:i.Ipv4.payload_len))
-        (Ipv4.decode b ~off ~len)
+      let i = lib_ip in
+      ( Fmt.str "%d %d %d %d" i.Ipv4.src i.Ipv4.dst (Ipv4.protocol_code i.Ipv4.protocol) i.Ipv4.ttl,
+        (i.Ipv4.payload_off, i.Ipv4.payload_len) )
   | _ ->
-      Result.map
-        (fun s -> (Fmt.str "%d %d %ld %ld %a %d %a" s.Tcp_wire.src_port s.Tcp_wire.dst_port
-                     s.Tcp_wire.seq s.Tcp_wire.ack Tcp_wire.pp_flags s.Tcp_wire.flags
-                     s.Tcp_wire.window Fmt.(option int) s.Tcp_wire.mss,
-                   view b ~off:s.Tcp_wire.payload_off ~len:s.Tcp_wire.payload_len))
-        (Tcp_wire.decode ~src_ip:src ~dst_ip:dst b ~off ~len)
+      let s = lib_seg in
+      ( Fmt.str "%d %d %d %d %d %d %d" s.Tcp_wire.src_port s.Tcp_wire.dst_port s.Tcp_wire.seq
+          s.Tcp_wire.ack s.Tcp_wire.flags s.Tcp_wire.window s.Tcp_wire.mss,
+        (s.Tcp_wire.payload_off, s.Tcp_wire.payload_len) )
+
+(* The library's decode, and whether a rejected unit left the header as
+   it was. *)
+let library_decode c ~src ~dst b ~off ~len =
+  let before = library_header c in
+  let r =
+    match c.layer with
+    | 0 -> Ethernet.decode lib_eth b ~off ~len
+    | 1 -> Ipv4.decode lib_ip b ~off ~len
+    | _ -> Tcp_wire.decode lib_seg ~src_ip:src ~dst_ip:dst b ~off ~len
+  in
+  match r with
+  | Ok () ->
+      let fields, (off, len) = library_header c in
+      (Ok (fields, view b ~off ~len), true)
+  | Error e -> (Error e, library_header c = before)
 
 (* How a valid unit is damaged before decoding: XOR bytes (mostly in the
    headers), truncate it, or check it against other pseudo-header
@@ -502,11 +586,16 @@ let prop_decoders_match_oracle =
           (oracle_build c) damage
       in
       let src, dst = case_ips c in
-      let src, dst = if List.mem Other_ips damage then (dst, Int32.add src 1l) else (src, dst) in
+      let src, dst =
+        if List.mem Other_ips damage then (dst, (src + 1) land 0xFFFFFFFF) else (src, dst)
+      in
       let b = Bytes.concat Bytes.empty [ c.pre; u; c.post ] in
       let expected = oracle_decode c ~src ~dst (Bytes.copy u) in
-      let got = library_decode c ~src ~dst b ~off:(Bytes.length c.pre) ~len:(Bytes.length u) in
-      if got = expected then true
+      let got, kept =
+        library_decode c ~src ~dst b ~off:(Bytes.length c.pre) ~len:(Bytes.length u)
+      in
+      if not kept then QCheck.Test.fail_reportf "a rejected unit changed the header"
+      else if got = expected then true
       else
         QCheck.Test.fail_reportf "library %s, oracle %s"
           (match got with Ok (h, _) -> "Ok " ^ h | Error e -> "Error " ^ e)
@@ -529,7 +618,8 @@ let prop_pseudo_sum_matches_header =
     QCheck.(quad int32 int32 (int_bound 255) (int_bound 0xFFFF))
     (fun (src, dst, proto, length) ->
       let hdr = O.Checksum.pseudo_header ~src ~dst ~proto ~length in
-      Checksum.pseudo_sum ~src ~dst ~proto ~length
+      let u32 x = Int32.to_int x land 0xFFFFFFFF in
+      Checksum.pseudo_sum ~src:(u32 src) ~dst:(u32 dst) ~proto ~length
       = Checksum.ones_complement_sum hdr ~pos:0 ~len:12 ~init:0)
 
 let suite =
@@ -553,8 +643,10 @@ let suite =
     Alcotest.test_case "tcp: checksum enforced" `Quick test_tcp_checksum_enforced;
     Alcotest.test_case "tcp: pseudo-header bound" `Quick test_tcp_checksum_includes_pseudo_header;
     Alcotest.test_case "tcp: sequence arithmetic wraps" `Quick test_tcp_seq_arithmetic_wraps;
+    Helpers.qtest prop_seq_arith_matches_int32;
     Alcotest.test_case "tcp: bad data offset" `Quick test_tcp_bad_data_offset_rejected;
     Alcotest.test_case "pretty: tcp one-liner" `Quick test_pretty_tcp;
+    Alcotest.test_case "pretty: pinned summaries" `Quick test_pretty_pinned;
     Alcotest.test_case "pretty: degrades gracefully" `Quick test_pretty_degrades;
     Helpers.qtest prop_eth_roundtrip;
     Helpers.qtest prop_ipv4_roundtrip;
