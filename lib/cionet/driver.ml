@@ -160,7 +160,7 @@ let transmit_burst t frames =
             end)
           frames
     in
-    let n = Ring.try_produce_burst t.inst.tx staged in
+    let n = Ring.try_produce_burst t.inst.tx staged ~len:n_in in
     if t.config.Config.pad_frames then
       Array.iteri
         (fun i b -> if b != frames.(i) then Bufpool.recycle t.pool b)

@@ -9,6 +9,7 @@
    attack classes at the safe interface and show each one bouncing off a
    specific construction principle. *)
 
+open Cio_util
 open Cio_mem
 module Trace = Cio_telemetry.Trace
 module Metrics = Cio_telemetry.Metrics
@@ -47,7 +48,8 @@ type t = {
   pool : Bufpool.t;
   some_pool : Bufpool.t option;  (* [Some pool], built once: passing it boxes nothing *)
   batch : bytes array;  (* [drain_tx]'s burst, forwarded once the whole burst is in *)
-  pending_rx : bytes Queue.t;
+  pending_rx : bytes Fifo.t;
+  staged : bytes array;  (* [fill_rx]'s burst: the front of [pending_rx], as produced *)
   one_shot : misbehavior Host_fault.queue;  (* header/payload faults *)
   (* Modal faults: unlike the one-shot header sabotage, these describe a
      host *condition* that persists for a counted number of polls/frames.
@@ -65,6 +67,7 @@ type t = {
 }
 
 let tx_burst = 64
+let rx_burst = 64
 
 let create ~(driver : Driver.t) ~transmit =
   let pool = Bufpool.create () in
@@ -74,7 +77,8 @@ let create ~(driver : Driver.t) ~transmit =
     pool;
     some_pool = Some pool;
     batch = Array.make tx_burst Bytes.empty;
-    pending_rx = Queue.create ();
+    pending_rx = Fifo.create Bytes.empty;
+    staged = Array.make rx_burst Bytes.empty;
     one_shot = Host_fault.queue ();
     stall_polls = 0;
     freeze_polls = 0;
@@ -122,7 +126,7 @@ let inject t m =
    its buffer joins the host's pool once produced. Zero-length frames
    are meaningless on the ring (and rejected by it); a real device would
    not generate them either. *)
-let deliver_rx t frame = if Bytes.length frame > 0 then Queue.add frame t.pending_rx
+let deliver_rx t frame = if Bytes.length frame > 0 then Fifo.push t.pending_rx frame
 
 (* Post-produce header corruption for the attack experiments: the honest
    produce path wrote a well-formed slot; the hostile host then scribbles
@@ -187,15 +191,18 @@ let corrupt frame =
 (* RX direction: push pending frames into the guest's RX ring, [batch]
    frames per ring crossing, up to [left] frames. With [batch = 1] every
    frame can take its detour: silent drop, payload corruption, header
-   sabotage of the slot it landed in, replay. Every produced staging
-   buffer goes back to the pool once any replay has re-produced it. A
-   fault loses the frames in flight. *)
+   sabotage of the slot it landed in, replay. A burst is staged from the
+   front of the queue and leaves it only once produced, so a full ring
+   leaves the tail queued in order. Every produced buffer goes back to
+   the pool once any replay has re-produced it. A fault loses the frames
+   in flight. *)
 let rec fill_rx t ~batch left =
-  if t.drop_frames > 0 && not (Queue.is_empty t.pending_rx) then begin
+  let q = t.pending_rx in
+  if t.drop_frames > 0 && not (Fifo.is_empty q) then begin
     (* Silent drop: the frame vanishes without any ring activity, as if
        the wire had eaten it. Nothing to detect at L2; TCP's timers own
        this failure. *)
-    Bufpool.recycle t.pool (Queue.take t.pending_rx);
+    Bufpool.recycle t.pool (Fifo.pop q);
     t.drop_frames <- t.drop_frames - 1;
     t.stats.rx_dropped <- t.stats.rx_dropped + 1;
     Metrics.inc m_rx_dropped;
@@ -203,19 +210,16 @@ let rec fill_rx t ~batch left =
     fill_rx t ~batch left
   end
   else begin
-    let k = Int.min (Int.min batch left) (Queue.length t.pending_rx) in
+    let k = Int.min (Int.min batch left) (Fifo.length q) in
     if k > 0 then begin
-      let frames = Array.init k (fun _ -> Queue.take t.pending_rx) in
-      let staged =
-        match Host_fault.take t.one_shot (function Corrupt_payload -> Some () | _ -> None) with
-        | Some _ ->
-            let s = Array.copy frames in
-            s.(0) <- corrupt frames.(0);
-            s
-        | None -> frames
-      in
+      for i = 0 to k - 1 do
+        t.staged.(i) <- Fifo.get q i
+      done;
+      (match Host_fault.take t.one_shot (function Corrupt_payload -> Some () | _ -> None) with
+      | Some _ -> t.staged.(0) <- corrupt t.staged.(0)
+      | None -> ());
       let rx = Driver.rx_ring t.driver in
-      match Ring.try_produce_burst rx staged with
+      match Ring.try_produce_burst rx t.staged ~len:k with
       | n ->
           Metrics.add m_rx_injected n;
           if n > 0 && not (Host_fault.is_empty t.one_shot) then begin
@@ -227,23 +231,18 @@ let rec fill_rx t ~batch left =
                    delivering the same bytes twice — exactly the paper's
                    point that L2 cannot and need not stop replays; the L5
                    record layer must (and does, see cio_tls tests). *)
-                ignore (Ring.try_produce rx staged.(n - 1))
+                ignore (Ring.try_produce rx t.staged.(n - 1))
             | None -> ()
           end;
-          for i = 0 to n - 1 do
-            Bufpool.recycle t.pool frames.(i)
+          for _ = 1 to n do
+            Bufpool.recycle t.pool (Fifo.pop q)
           done;
-          if n < k then begin
-            (* Ring full: put the unproduced tail back at the head. *)
-            let leftovers = Queue.create () in
-            for i = n to k - 1 do
-              Queue.add frames.(i) leftovers
-            done;
-            Queue.transfer t.pending_rx leftovers;
-            Queue.transfer leftovers t.pending_rx
-          end
-          else fill_rx t ~batch (left - n)
-      | exception Region.Fault _ -> note_fault t
+          if n = k then fill_rx t ~batch (left - n)
+      | exception Region.Fault _ ->
+          for _ = 1 to k do
+            ignore (Fifo.pop q)
+          done;
+          note_fault t
     end
   end
 
@@ -270,11 +269,11 @@ let poll t =
         if
           Host_fault.is_empty t.one_shot && t.drop_frames = 0
           && Region.range_shared region 0 (Region.size region)
-        then 64
+        then rx_burst
         else 1
       in
       fill_rx t ~batch quota
     end
   end
 
-let pending_rx_count t = Queue.length t.pending_rx
+let pending_rx_count t = Fifo.length t.pending_rx

@@ -294,17 +294,17 @@ let produce_one t ~amortized payload =
 
 let try_produce t payload = produce_one t ~amortized:false payload
 
-(* Burst produce: up to [Array.length frames] messages in one crossing.
+(* Burst produce: up to [len] messages in one crossing.
    The first slot pays full ring cost; the rest amortize. Stops at the
    first full slot (or exhausted pool) and returns how many went in —
    per-slot publish order is unchanged, so the safety argument is exactly
    the single-slot one, N times over. *)
-let rec produce_from t frames i =
-  if i < Array.length frames && produce_one t ~amortized:(i > 0) frames.(i) then
-    produce_from t frames (i + 1)
+let rec produce_from t frames len i =
+  if i < len && produce_one t ~amortized:(i > 0) frames.(i) then
+    produce_from t frames len (i + 1)
   else i
 
-let try_produce_burst t frames = produce_from t frames 0
+let try_produce_burst t frames ~len = produce_from t frames len 0
 
 (* Confine an untrusted length to the payload unit, counting every clamp.
    One check charge per call, clamped or not. *)

@@ -64,12 +64,12 @@ val try_produce : t -> bytes -> bool
 (** Producer side: place one message; [false] when the ring (or the
     payload pool) is full. *)
 
-val try_produce_burst : t -> bytes array -> int
-(** Place up to [Array.length frames] messages in one crossing, stopping
-    at the first full slot; returns how many went in. Slots after the
-    first pay the amortized [ring_burst_op] cost for header/word work.
-    A burst of one is exactly {!try_produce} (same charges, same
-    counters). *)
+val try_produce_burst : t -> bytes array -> len:int -> int
+(** Place up to [frames.(0)] .. [frames.(len - 1)] in one crossing,
+    stopping at the first full slot; returns how many went in. Slots
+    after the first pay the amortized [ring_burst_op] cost for
+    header/word work. A burst of one is exactly {!try_produce} (same
+    charges, same counters). *)
 
 val try_consume : ?pool:Bufpool.t -> t -> bytes option
 (** Consumer side, copy strategy: one early copy into private memory.

@@ -37,8 +37,8 @@ let create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
   }
 
 let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~now () =
-  let rxq = Queue.create () in
-  Link.attach link endpoint (fun frame -> Queue.add frame rxq);
+  let rxq = Fifo.create Bytes.empty in
+  Link.attach link endpoint (Fifo.push rxq);
   let encode, decode =
     match frame_codec with
     | Some (e, d) -> (e, d)
@@ -49,7 +49,7 @@ let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~n
       Netif.mac;
       mtu = 1500;
       transmit = (fun frame -> Link.send link ~src:endpoint (encode frame));
-      poll = (fun () -> if Queue.is_empty rxq then None else decode (Queue.take rxq));
+      poll = (fun () -> if Fifo.is_empty rxq then None else decode (Fifo.pop rxq));
     }
   in
   create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now ()

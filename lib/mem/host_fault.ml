@@ -8,17 +8,18 @@ let queue () = ref []
 let push q m = q := !q @ [ m ]
 let is_empty q = match !q with [] -> true | _ :: _ -> false
 
-let take q applies =
-  let rec go acc = function
-    | [] -> None
-    | m :: rest -> (
-        match applies m with
-        | Some _ as r ->
-            q := List.rev_append acc rest;
-            r
-        | None -> go (m :: acc) rest)
-  in
-  go [] !q
+(* A top-level loop: taking from an empty queue, as an honest host does
+   on every burst, allocates nothing. *)
+let rec take_from q applies acc = function
+  | [] -> None
+  | m :: rest -> (
+      match applies m with
+      | Some _ as r ->
+          q := List.rev_append acc rest;
+          r
+      | None -> take_from q applies (m :: acc) rest)
+
+let take q applies = take_from q applies [] !q
 
 let race_word region ~watch ~off v =
   Region.set_guest_read_hook region

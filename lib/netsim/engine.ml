@@ -3,28 +3,42 @@
    A single virtual clock (nanoseconds) and a binary-heap agenda. Ties are
    broken by insertion order so runs are fully deterministic. All network
    latency/bandwidth behaviour in the reproduction is expressed as events
-   on this engine. *)
+   on this engine.
 
-type event = { time : int64; seq : int; action : unit -> unit }
+   The agenda is an array of event slots allocated once and reused: the
+   first [size] form the heap, the rest are free. Scheduling fills a free
+   slot, and a slot that fires goes back to the free part, so a steady
+   stream of events allocates nothing. Times are native ints inside; the
+   [int64] interface converts at the boundary, and [now] boxes the clock
+   once per value read, not once per event. *)
+
+type slot = { mutable time : int; mutable seq : int; mutable action : unit -> unit }
 
 type t = {
-  mutable now : int64;
-  mutable heap : event array;
+  mutable now : int;
+  mutable now_boxed : int64;  (* the last clock value [now] returned *)
+  mutable heap : slot array;
   mutable size : int;
   mutable next_seq : int;
   mutable stopped : bool;
 }
 
-let create () = { now = 0L; heap = Array.make 64 { time = 0L; seq = 0; action = ignore }; size = 0; next_seq = 0; stopped = false }
+let free_slot _ = { time = 0; seq = 0; action = ignore }
 
-let now t = t.now
+let create () =
+  { now = 0; now_boxed = 0L; heap = Array.init 64 free_slot; size = 0; next_seq = 0; stopped = false }
+
+let now_ns t = t.now
+
+let now t =
+  if Int64.to_int t.now_boxed <> t.now then t.now_boxed <- Int64.of_int t.now;
+  t.now_boxed
 
 let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let grow t =
-  let bigger = Array.make (2 * Array.length t.heap) t.heap.(0) in
-  Array.blit t.heap 0 bigger 0 t.size;
-  t.heap <- bigger
+  let n = Array.length t.heap in
+  t.heap <- Array.init (2 * n) (fun i -> if i < n then t.heap.(i) else free_slot i)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -42,41 +56,47 @@ let rec sift_up t i =
 
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+  let smallest = if l < t.size && earlier t.heap.(l) t.heap.(i) then l else i in
+  let smallest = if r < t.size && earlier t.heap.(r) t.heap.(smallest) then r else smallest in
+  if smallest <> i then begin
+    swap t i smallest;
+    sift_down t smallest
   end
 
-let schedule_at t ~time action =
+let schedule_at_ns t ~time action =
   if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
   if t.size = Array.length t.heap then grow t;
-  t.heap.(t.size) <- { time; seq = t.next_seq; action };
+  let s = t.heap.(t.size) in
+  s.time <- time;
+  s.seq <- t.next_seq;
+  s.action <- action;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let schedule t ~after action = schedule_at t ~time:(Int64.add t.now after) action
+let schedule_at t ~time action = schedule_at_ns t ~time:(Int64.to_int time) action
+let schedule t ~after action = schedule_at_ns t ~time:(t.now + Int64.to_int after) action
 
 let pending t = t.size
 
-(* Drop the earliest event from the heap. *)
-let remove_top t =
+(* Take the earliest event off the heap, advance the clock to it and run
+   it. Its slot joins the free part before the action runs, so the
+   action may reuse it. *)
+let fire t =
+  let s = t.heap.(0) in
   t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
-  end
+  t.heap.(0) <- t.heap.(t.size);
+  t.heap.(t.size) <- s;
+  if t.size > 0 then sift_down t 0;
+  let action = s.action in
+  s.action <- ignore;
+  t.now <- s.time;
+  action ()
 
 let step t =
   if t.size = 0 then false
   else begin
-    let ev = t.heap.(0) in
-    remove_top t;
-    t.now <- ev.time;
-    ev.action ();
+    fire t;
     true
   end
 
@@ -85,17 +105,12 @@ let stop t = t.stopped <- true
 (* Run events in time order until the agenda is empty, [stop] is called,
    or (when [bounded]) the next event lies after [horizon]. A bounded run
    that was not stopped ends with the clock at [horizon]. The loop builds
-   no closure and no option, so advancing an idle engine allocates only
-   the new clock value. *)
+   no closure and no option, and the clock is a native int, so advancing
+   the engine allocates nothing. *)
 let rec drain t ~bounded horizon =
-  if (not t.stopped) && t.size > 0 then begin
-    let ev = t.heap.(0) in
-    if (not bounded) || ev.time <= horizon then begin
-      remove_top t;
-      t.now <- ev.time;
-      ev.action ();
-      drain t ~bounded horizon
-    end
+  if (not t.stopped) && t.size > 0 && ((not bounded) || t.heap.(0).time <= horizon) then begin
+    fire t;
+    drain t ~bounded horizon
   end
 
 let run_to t ~bounded horizon =
@@ -105,7 +120,7 @@ let run_to t ~bounded horizon =
 
 let run ?until t =
   match until with
-  | None -> run_to t ~bounded:false 0L
-  | Some h -> run_to t ~bounded:true h
+  | None -> run_to t ~bounded:false 0
+  | Some h -> run_to t ~bounded:true (Int64.to_int h)
 
-let advance t ~by = run_to t ~bounded:true (Int64.add t.now by)
+let advance t ~by = run_to t ~bounded:true (t.now + Int64.to_int by)

@@ -5,7 +5,18 @@
    A frame changes owner on the link: the sender gives away the buffer
    it passes to [send], and the one receiver it is delivered to owns it.
    Taps only read it. A tamper hook that delivers a frame twice, or
-   keeps it to deliver later as well, copies it. *)
+   keeps it to deliver later as well, copies it.
+
+   Each direction keeps its frames in flight in one ring, ordered by
+   arrival time and, at equal times, by send order. Every delivery
+   schedules one engine event running the direction's [deliver], built
+   once in [create], which hands the ring's front frame to the receiver.
+   The engine runs a direction's events in exactly that order, so the
+   front frame is always the one arriving. An untampered frame joins at
+   the back; a tampered one, which may arrive after frames sent later,
+   is inserted after every frame arriving no later than it. *)
+
+open Cio_util
 
 type endpoint = A | B
 
@@ -20,18 +31,20 @@ type delivery = { extra_delay_ns : int64; frame : bytes }
 type tamper = bytes -> delivery list
 
 type direction_state = {
-  mutable busy_until : int64;  (* serialization FIFO *)
+  mutable busy_until : int;  (* serialization FIFO *)
   mutable tamper : tamper option;
   mutable frames : int;
   mutable bytes : int;
+  mutable rx : bytes -> unit;  (* the receiving endpoint's *)
+  arrivals : int Fifo.t;  (* ns, ascending, one per frame in flight *)
+  in_flight : bytes Fifo.t;
+  deliver : unit -> unit;
 }
 
 type t = {
   engine : Engine.t;
-  latency_ns : int64;
+  latency_ns : int;
   gbps : float;
-  mutable rx_a : (bytes -> unit) option;
-  mutable rx_b : (bytes -> unit) option;
   a_to_b : direction_state;
   b_to_a : direction_state;
   mutable on_transit : (time:int64 -> src:endpoint -> bytes -> unit) option;
@@ -39,20 +52,39 @@ type t = {
 
 let direction t src = match src with A -> t.a_to_b | B -> t.b_to_a
 
+(* A frame for an unattached endpoint is lost on the floor. *)
+let unattached (_ : bytes) = ()
+
+let direction_state () =
+  let arrivals = Fifo.create 0 and in_flight = Fifo.create Bytes.empty in
+  let rec dir =
+    {
+      busy_until = 0;
+      tamper = None;
+      frames = 0;
+      bytes = 0;
+      rx = unattached;
+      arrivals;
+      in_flight;
+      deliver =
+        (fun () ->
+          ignore (Fifo.pop arrivals);
+          dir.rx (Fifo.pop in_flight));
+    }
+  in
+  dir
+
 let create ?(latency_ns = 10_000L) ?(gbps = 10.0) engine =
-  let dir () = { busy_until = 0L; tamper = None; frames = 0; bytes = 0 } in
   {
     engine;
-    latency_ns;
+    latency_ns = Int64.to_int latency_ns;
     gbps;
-    rx_a = None;
-    rx_b = None;
-    a_to_b = dir ();
-    b_to_a = dir ();
+    a_to_b = direction_state ();
+    b_to_a = direction_state ();
     on_transit = None;
   }
 
-let attach t ep rx = match ep with A -> t.rx_a <- Some rx | B -> t.rx_b <- Some rx
+let attach t ep rx = (direction t (peer ep)).rx <- rx
 
 let set_tamper t ~src tamper = (direction t src).tamper <- tamper
 let set_transit_tap t tap = t.on_transit <- tap
@@ -62,13 +94,19 @@ let bytes_sent t ~src = (direction t src).bytes
 
 let serialization_ns t nbytes =
   (* bytes * 8 bits / (gbps bits per ns) *)
-  Int64.of_float (float_of_int (nbytes * 8) /. t.gbps)
+  int_of_float (float_of_int (nbytes * 8) /. t.gbps)
 
-let deliver t dst frame =
-  let rx = match dst with A -> t.rx_a | B -> t.rx_b in
-  match rx with
-  | Some rx -> rx frame
-  | None -> ()  (* unattached endpoint: frame lost on the floor *)
+(* Position for a frame arriving at [arrival]: after every frame in
+   flight that arrives no later. *)
+let rec position dir arrival i =
+  if i > 0 && Fifo.get dir.arrivals (i - 1) > arrival then position dir arrival (i - 1) else i
+
+(* Schedule first: a time in the past raises before anything is queued. *)
+let enqueue t dir arrival frame =
+  Engine.schedule_at_ns t.engine ~time:arrival dir.deliver;
+  let i = position dir arrival (Fifo.length dir.arrivals) in
+  Fifo.insert dir.arrivals i arrival;
+  Fifo.insert dir.in_flight i frame
 
 let send t ~src frame =
   let dir = direction t src in
@@ -77,16 +115,14 @@ let send t ~src frame =
   (match t.on_transit with
   | Some tap -> tap ~time:(Engine.now t.engine) ~src frame
   | None -> ());
-  let now = Engine.now t.engine in
+  let now = Engine.now_ns t.engine in
   let start = if dir.busy_until > now then dir.busy_until else now in
-  let tx_done = Int64.add start (serialization_ns t (Bytes.length frame)) in
+  let tx_done = start + serialization_ns t (Bytes.length frame) in
   dir.busy_until <- tx_done;
-  let arrival = Int64.add tx_done t.latency_ns and dst = peer src in
+  let arrival = tx_done + t.latency_ns in
   match dir.tamper with
-  | None -> Engine.schedule_at t.engine ~time:arrival (fun () -> deliver t dst frame)
+  | None -> enqueue t dir arrival frame
   | Some f ->
       List.iter
-        (fun d ->
-          Engine.schedule_at t.engine ~time:(Int64.add arrival d.extra_delay_ns) (fun () ->
-              deliver t dst d.frame))
+        (fun d -> enqueue t dir (arrival + Int64.to_int d.extra_delay_ns) d.frame)
         (f frame)

@@ -33,4 +33,4 @@ val send : t -> src:endpoint -> bytes -> unit
 (** Queue a frame; it arrives at the peer after serialization + latency
     (+ tampering). The sender gives the buffer away: the receiver it is
     delivered to owns it. Without a tamper hook this is one engine
-    event. *)
+    event and allocates nothing once the link's rings have grown. *)

@@ -159,6 +159,7 @@ type t = {
   mutable segments_in : int;
   mutable segments_out : int;
   mutable retransmits : int;
+  mutable mss_clamps : int;
 }
 
 let m_segments_in = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.segments_in"
@@ -176,6 +177,10 @@ let note_retransmit t =
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.tcp "retransmit"
 
 let default_mss = 1460
+
+(* Floor for a peer's MSS: the segment every IPv4 host must accept (RFC
+   9293 §3.7.1, RFC 6691). A forged 0 would leave [cwnd] at 0. *)
+let min_mss = 536
 let base_rto_ns = 200_000_000
 let max_retries = 8
 
@@ -199,11 +204,13 @@ let create ?(model = Cost.default) ?meter ?retry_budget ~local_ip ~send_segment 
     segments_in = 0;
     segments_out = 0;
     retransmits = 0;
+    mss_clamps = 0;
   }
 
 let segments_in t = t.segments_in
 let segments_out t = t.segments_out
 let retransmits t = t.retransmits
+let mss_clamps t = t.mss_clamps
 
 let conn_state c = c.state
 let conn_error c = c.error
@@ -563,9 +570,12 @@ let process_ack t c (seg : Tcp_wire.t) =
   end
   else if ack = c.snd_una then c.snd_wnd <- seg.Tcp_wire.window
 
-(* Take the peer's MSS option, if its SYN carried one. *)
-let take_mss c (seg : Tcp_wire.t) =
-  if seg.Tcp_wire.mss <> Tcp_wire.no_mss then c.mss <- Int.min seg.Tcp_wire.mss default_mss
+(* Take the peer's MSS option, if its SYN carried one, clamped to
+   [min_mss, default_mss]; each raise to the floor is counted. *)
+let take_mss t c (seg : Tcp_wire.t) =
+  let mss = seg.Tcp_wire.mss in
+  if mss <> Tcp_wire.no_mss && mss < min_mss then t.mss_clamps <- t.mss_clamps + 1;
+  if mss <> Tcp_wire.no_mss then c.mss <- Int.max min_mss (Int.min mss default_mss)
 
 let handle_synsent t c (seg : Tcp_wire.t) =
   let flags = seg.Tcp_wire.flags in
@@ -580,7 +590,7 @@ let handle_synsent t c (seg : Tcp_wire.t) =
       c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
       c.snd_una <- seg.Tcp_wire.ack;
       c.snd_wnd <- seg.Tcp_wire.window;
-      take_mss c seg;
+      take_mss t c seg;
       c.cwnd <- 2 * c.mss;
       Retxq.clear c.retx;
       c.rtx_deadline <- no_deadline;
@@ -693,7 +703,7 @@ let input_unclaimed t ~src (seg : Tcp_wire.t) =
           ~remote_port:seg.Tcp_wire.src_port ~state:Syn_received
       in
       c.rcv_nxt <- Tcp_wire.seq_add seg.Tcp_wire.seq 1;
-      take_mss c seg;
+      take_mss t c seg;
       c.cwnd <- 2 * c.mss;
       c.snd_wnd <- seg.Tcp_wire.window;
       let seq = c.snd_nxt in

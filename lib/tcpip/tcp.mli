@@ -50,6 +50,10 @@ val segments_out : t -> int
 val retransmits : t -> int
 (** Segments re-sent by either recovery path (fast retransmit or RTO). *)
 
+val mss_clamps : t -> int
+(** Peer MSS options below the floor of 536 (RFC 9293 §3.7.1), each
+    raised to it. *)
+
 val conn_state : conn -> state
 val conn_error : conn -> string option
 

@@ -835,7 +835,7 @@ let prop_burst_of_one_equals_single_slot =
         let drv = Driver.create ~name:"burst-of-one" { inline_cfg with Config.rx_strategy } in
         let tx = Driver.tx_ring drv and rx = Driver.rx_ring drv in
         let produce r payload =
-          if burst then Ring.try_produce_burst r [| payload |] = 1 else Ring.try_produce r payload
+          if burst then Ring.try_produce_burst r [| payload |] ~len:1 = 1 else Ring.try_produce r payload
         in
         (* Host scribbles over a header word of the RX slot it just filled. *)
         let scribble field v =

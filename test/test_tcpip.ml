@@ -660,6 +660,48 @@ let test_segment_allocation () =
     (Tcp.segments_in tcp_a + Tcp.segments_in tcp_b - segs0);
   Alcotest.(check bool) (Printf.sprintf "%.1f words per exchange <= 4.4" per) true (per <= 4.4)
 
+(* A host that forges the listener's SYN-ACK to carry an MSS option of 0
+   (checksum fixed up). Taken as is, that MSS leaves the client's
+   congestion window at 0: the connection reads ESTABLISHED but never
+   sends a byte and never fails. The client clamps it to the floor and
+   its data arrives. *)
+let test_zero_mss_clamped () =
+  let nif_a, nif_b = Netif.loopback_pair ~mac_a:H.mac_a ~mac_b:H.mac_b ~mtu:1500 in
+  let seg = Cio_frame.Tcp_wire.create () in
+  let forge frame =
+    let ip = 14 in
+    let ihl = (Bytes.get_uint8 frame ip land 0xF) * 4 in
+    let src_ip = Cio_frame.Addr.get_u32 frame (ip + 12)
+    and dst_ip = Cio_frame.Addr.get_u32 frame (ip + 16) in
+    let off = ip + ihl and len = Bytes.get_uint16_be frame (ip + 2) - ihl in
+    match Cio_frame.Tcp_wire.decode seg ~src_ip ~dst_ip frame ~off ~len with
+    | Ok () when Cio_frame.Tcp_wire.(has seg.flags syn && has seg.flags ack) ->
+        seg.Cio_frame.Tcp_wire.mss <- 0;
+        Cio_frame.Tcp_wire.encode frame ~off ~src_ip ~dst_ip seg
+    | _ -> ()
+  in
+  let nif_b =
+    { nif_b with Netif.transmit = (fun f -> forge f; nif_b.Netif.transmit f) }
+  in
+  let clock = ref 0L in
+  let now () = !clock in
+  let rng = Cio_util.Rng.create 18L in
+  let mk netif ip peer_ip peer_mac =
+    Stack.create ~netif ~ip ~neighbors:[ (peer_ip, peer_mac) ] ~now ~rng:(Cio_util.Rng.split rng) ()
+  in
+  let pair =
+    { H.stack_a = mk nif_a H.ip_a H.ip_b H.mac_b; stack_b = mk nif_b H.ip_b H.ip_a H.mac_a; clock }
+  in
+  let client, server = H.connect pair in
+  let tcp_a = Stack.tcp pair.H.stack_a in
+  let data = Bytes.init 3000 (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  let got =
+    H.transfer pair ~src_tcp:tcp_a ~src_conn:client ~dst_tcp:(Stack.tcp pair.H.stack_b)
+      ~dst_conn:server data
+  in
+  H.check_bytes "data delivered" data got;
+  Alcotest.(check int) "one clamp counted" 1 (Tcp.mss_clamps tcp_a)
+
 let suite =
   [
     Alcotest.test_case "tcp: three-way handshake" `Quick test_handshake;
@@ -691,6 +733,7 @@ let suite =
     Alcotest.test_case "tcp: half-close data flow" `Quick test_half_close_data_still_flows;
     Alcotest.test_case "tcp: refused connection released" `Quick test_refused_connection_released;
     Alcotest.test_case "tcp: steady-state segment allocation" `Quick test_segment_allocation;
+    Alcotest.test_case "tcp: forged zero MSS clamped" `Quick test_zero_mss_clamped;
     Helpers.qtest prop_stack_survives_random_frames;
     Helpers.qtest prop_stack_survives_mutated_real_frames;
   ]
