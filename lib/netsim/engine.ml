@@ -26,7 +26,14 @@ type t = {
 let free_slot _ = { time = 0; seq = 0; action = ignore }
 
 let create () =
-  { now = 0; now_boxed = 0L; heap = Array.init 64 free_slot; size = 0; next_seq = 0; stopped = false }
+  {
+    now = 0;
+    now_boxed = 0L;
+    heap = Array.init 64 free_slot;
+    size = 0;
+    next_seq = 0;
+    stopped = false;
+  }
 
 let now_ns t = t.now
 
@@ -40,27 +47,27 @@ let grow t =
   let n = Array.length t.heap in
   t.heap <- Array.init (2 * n) (fun i -> if i < n then t.heap.(i) else free_slot i)
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Both sifts move a hole rather than swapping: each step moves one
+   slot into the hole, and [s] is written once, where the hole stops. *)
+let rec sift_up heap s i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && earlier s heap.(parent) then begin
+    heap.(i) <- heap.(parent);
+    sift_up heap s parent
   end
+  else heap.(i) <- s
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.size && earlier t.heap.(l) t.heap.(i) then l else i in
-  let smallest = if r < t.size && earlier t.heap.(r) t.heap.(smallest) then r else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
+(* Over the first [size] slots. *)
+let rec sift_down heap size s i =
+  let l = (2 * i) + 1 in
+  if l >= size then heap.(i) <- s
+  else begin
+    let c = if l + 1 < size && earlier heap.(l + 1) heap.(l) then l + 1 else l in
+    if earlier heap.(c) s then begin
+      heap.(i) <- heap.(c);
+      sift_down heap size s c
+    end
+    else heap.(i) <- s
   end
 
 let schedule_at_ns t ~time action =
@@ -72,7 +79,7 @@ let schedule_at_ns t ~time action =
   s.action <- action;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t.heap s (t.size - 1)
 
 let schedule_at t ~time action = schedule_at_ns t ~time:(Int64.to_int time) action
 let schedule t ~after action = schedule_at_ns t ~time:(t.now + Int64.to_int after) action
@@ -81,17 +88,16 @@ let pending t = t.size
 
 (* Take the earliest event off the heap, advance the clock to it and run
    it. Its slot joins the free part before the action runs, so the
-   action may reuse it. *)
+   action may reuse it; the action is read before it runs. A free slot
+   keeps its last action until it is reused. *)
 let fire t =
   let s = t.heap.(0) in
   t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
+  let last = t.heap.(t.size) in
   t.heap.(t.size) <- s;
-  if t.size > 0 then sift_down t 0;
-  let action = s.action in
-  s.action <- ignore;
+  if t.size > 0 then sift_down t.heap t.size last 0;
   t.now <- s.time;
-  action ()
+  s.action ()
 
 let step t =
   if t.size = 0 then false

@@ -409,7 +409,9 @@ let link_trace (module N : NET) ~echo cmds =
     try N.Link.send link ~src f with Invalid_argument m -> note m
   in
   let receiver ep f =
-    note (Printf.sprintf "%s got %s at %Ld" (Link.endpoint_name ep) (Bytes.to_string f) (N.Engine.now e));
+    note
+      (Printf.sprintf "%s got %s at %Ld" (Link.endpoint_name ep) (Bytes.to_string f)
+         (N.Engine.now e));
     if echo && ep = Link.B then send Link.B (Bytes.length f)
   in
   N.Link.attach link Link.A (receiver Link.A);

@@ -292,6 +292,63 @@ let prop_byteq_matches_model =
           && String.init (Byteq.length q) (Byteq.get q) = !model)
         ops)
 
+(* Fifo against a list model: pushes, pops and inserts at any position,
+   across wraps and growth, keep the same contents in the same order;
+   out-of-range positions and an empty pop are refused. *)
+type fifo_op = Push of int | Pop | Insert of int * int
+
+let prop_fifo_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun x -> Push x) nat);
+          (2, return Pop);
+          (1, map2 (fun i x -> Insert (i, x)) (int_range (-1) 40) nat);
+        ])
+  in
+  let print = function
+    | Push x -> Printf.sprintf "push %d" x
+    | Pop -> "pop"
+    | Insert (i, x) -> Printf.sprintf "insert %d %d" i x
+  in
+  QCheck.Test.make ~name:"fifo behaves as a list" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let q = Fifo.create (-1) in
+      let model = ref [] in
+      let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push x ->
+                Fifo.push q x;
+                model := !model @ [ x ];
+                true
+            | Pop -> (
+                match !model with
+                | [] -> refused (fun () -> Fifo.pop q)
+                | x :: rest ->
+                    model := rest;
+                    Fifo.pop q = x)
+            | Insert (i, x) ->
+                if i < 0 || i > List.length !model then refused (fun () -> Fifo.insert q i x)
+                else begin
+                  Fifo.insert q i x;
+                  let before = List.filteri (fun j _ -> j < i) !model
+                  and after = List.filteri (fun j _ -> j >= i) !model in
+                  model := before @ (x :: after);
+                  true
+                end
+          in
+          ok
+          && Fifo.length q = List.length !model
+          && Fifo.is_empty q = (!model = [])
+          && List.init (Fifo.length q) (Fifo.get q) = !model
+          && refused (fun () -> Fifo.get q (Fifo.length q)))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "rng: determinism" `Quick test_rng_determinism;
@@ -315,6 +372,7 @@ let suite =
     Alcotest.test_case "crc32: incremental" `Quick test_crc32_incremental;
     Alcotest.test_case "hex: roundtrip" `Quick test_hex_roundtrip;
     Helpers.qtest prop_byteq_matches_model;
+    Helpers.qtest prop_fifo_matches_model;
     Alcotest.test_case "hex: invalid input" `Quick test_hex_invalid;
     Alcotest.test_case "cost: meter accumulates" `Quick test_cost_meter_accumulates;
     Alcotest.test_case "cost: snapshot diff" `Quick test_cost_snapshot_diff;
