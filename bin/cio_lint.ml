@@ -4,15 +4,23 @@
      cio-lint --json               machine-readable report (cio-lint-v1)
      cio-lint --baseline FILE      two-sided gate against a committed baseline
      cio-lint --update-baseline F  rewrite the baseline from the current scan
+     cio-lint --exports            export gate over the typed trees of a
+                                   [dune build @check] (exit 1 on a finding)
 
    The gate is two-sided: it fails on any *new* finding in a trusted
    component (hardening must not regress) and it fails if the living
    corpus (driver_unhardened.ml) stops producing its recorded findings
-   (the rules must not regress). *)
+   (the rules must not regress).
+
+   The export gate is separate and has no baseline: every [lib] export
+   must be referenced by another compilation unit ([dead-export]), and
+   every export of the dual-boundary core by production code
+   ([test-only-export]). *)
 
 open Cmdliner
 module Lint = Cio_lintlib.Lint
 module Json = Cio_lintlib.Json_lite
+module Xref = Cio_lintlib.Xref
 
 let root_arg =
   let doc = "Repository root (the directory holding the lib tree)." in
@@ -34,10 +42,23 @@ let rules_arg =
   let doc = "Only report these comma-separated rules (DF,UV,UW,UC,SI)." in
   Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"RULES" ~doc)
 
+let exports_arg =
+  let doc =
+    "Run the export gate instead: index the .cmt/.cmti files of a dune build @check under \
+     ROOT/_build/default and report every dead-export and test-only-export; exit 1 on any."
+  in
+  Arg.(value & flag & info [ "exports" ] ~doc)
+
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
+
+let run_exports root =
+  let index = Xref.read ~root in
+  let findings = Xref.check index in
+  Xref.pp_report Fmt.stdout (index, findings);
+  if findings = [] then 0 else 1
 
 let run root json baseline update rules =
   let findings = Lint.scan ~root in
@@ -79,6 +100,9 @@ let main =
   let doc = "interface-safety lint over the cio simulator sources (Fig. 3/4 taxonomy as rules)" in
   Cmd.v
     (Cmd.info "cio-lint" ~version:"1.0.0" ~doc)
-    Term.(const run $ root_arg $ json_arg $ baseline_arg $ update_arg $ rules_arg)
+    Term.(
+      const (fun root json baseline update rules exports ->
+          if exports then run_exports root else run root json baseline update rules)
+      $ root_arg $ json_arg $ baseline_arg $ update_arg $ rules_arg $ exports_arg)
 
 let () = exit (Cmd.eval' main)

@@ -311,6 +311,14 @@ let run_cionet scenario =
 
 (* --- dual target: cionet + mandatory L5 ------------------------------ *)
 
+(* Feed one stream chunk to a session: the records it answers with.
+   Opened payloads join [inbox]; an error that kills the session is
+   raised as [Failure]. *)
+let feed_exn session inbox b =
+  match Cio_tls.Session.feed_into session b ~off:0 ~len:(Bytes.length b) inbox with
+  | Some e -> raise (Failure (Cio_tls.Session.error_to_string e))
+  | None -> Cio_tls.Session.take_flights session
+
 (* The L5 layer rides directly on cionet messages here (one record per
    message) so the experiment isolates the boundary question from TCP. *)
 let run_dual scenario =
@@ -324,29 +332,21 @@ let run_dual scenario =
   plant_cionet_canaries driver;
   (* Handshake through the attacked path: remote -> host -> ring -> tee. *)
   let to_tee wire = Host_model.deliver_rx host wire in
+  let inbox = Queue.create () in
   let pump_tee () =
     Host_model.poll host;
     let outs = ref [] in
     let rec drain () =
       match Driver.poll driver with
       | Some frame ->
-          let r = Session.feed tee frame in
-          outs := !outs @ r.Session.outputs;
-          (match r.Session.err with Some e -> raise (Failure (Session.error_to_string e)) | None -> ());
+          outs := !outs @ feed_exn tee inbox frame;
           drain ()
       | None -> ()
     in
     drain ();
     !outs
   in
-  let feed_remote wires =
-    List.concat_map
-      (fun w ->
-        let r = Session.feed remote w in
-        (match r.Session.err with Some e -> raise (Failure (Session.error_to_string e)) | None -> ());
-        r.Session.outputs)
-      wires
-  in
+  let feed_remote wires = List.concat_map (feed_exn remote inbox) wires in
   (try
      (match Session.initiate remote with
      | Ok flight -> List.iter to_tee flight
@@ -360,26 +360,22 @@ let run_dual scenario =
     (* Attack the data path. *)
     Host_model.inject host scenario.cionet;
     let secret_msg = Bytes.of_string "application-secret-message" in
-    let wire = match Session.send_data remote secret_msg with Ok w -> w | Error _ -> assert false in
-    to_tee wire;
+    let sealed = Byteq.create 64 in
+    (match Session.send_data_into remote secret_msg sealed with Ok () -> () | Error _ -> assert false);
+    to_tee (Byteq.take sealed (Byteq.length sealed));
     match
       Host_model.poll host;
-      let received = ref [] in
       let rec drain n =
         if n > 0 then begin
           match Driver.poll driver with
           | Some frame ->
-              let r = Session.feed tee frame in
-              received := !received @ r.Session.app_data;
-              (match r.Session.err with
-              | Some e -> raise (Failure (Session.error_to_string e))
-              | None -> ());
+              ignore (feed_exn tee inbox frame);
               drain (n - 1)
           | None -> ()
         end
       in
       drain 8;
-      !received
+      List.of_seq (Queue.to_seq inbox)
     with
     | received ->
         let leaked = List.exists contains_canary received in
@@ -444,9 +440,12 @@ let run_stack_compromise () =
   (* Establish honestly first. *)
   let cat l = List.fold_left Bytes.cat Bytes.empty l in
   let f1 = match Session.initiate remote with Ok o -> cat o | Error _ -> Bytes.empty in
-  let r1 = Session.feed tee f1 in
-  let r2 = Session.feed remote (cat r1.Session.outputs) in
-  ignore (Session.feed tee (cat r2.Session.outputs));
+  let inbox = Queue.create () in
+  let feed s b =
+    ignore (Session.feed_into s b ~off:0 ~len:(Bytes.length b) inbox);
+    cat (Session.take_flights s)
+  in
+  ignore (feed tee (feed remote (feed tee f1)));
   let forged_stream =
     if not (Session.is_established tee) then Crash "handshake failed"
     else begin
@@ -454,11 +453,10 @@ let run_stack_compromise () =
       let forged =
         Wire.encode { Wire.ctype = Wire.Data; body = Bytes.make 64 '\xAA' }
       in
-      let r = Session.feed tee forged in
-      match r.Session.err with
+      match Session.feed_into tee forged ~off:0 ~len:(Bytes.length forged) inbox with
       | Some e -> Fail_closed ("record layer: " ^ Session.error_to_string e)
       | None ->
-          if r.Session.app_data = [] then No_effect
+          if Queue.is_empty inbox then No_effect
           else Desync "forged bytes accepted as application data"
     end
   in

@@ -35,6 +35,3 @@ val stalls_detected : t -> int
 
 val current_backoff : t -> int
 (** Current budget multiplier (1 after any progress). *)
-
-val budget : t -> int
-(** Effective deadline in ticks, i.e. poll budget x current backoff. *)

@@ -10,10 +10,12 @@
    for a dual-distrust boundary nobody needs. E8 reproduces exactly that
    comparison by flipping [crossing].
 
-   Memory is modelled as domain-owned buffers with explicit grants; any
-   access without ownership or a grant raises, which is how the attack
-   harness shows that a compromised I/O stack cannot reach application
-   memory. *)
+   Memory is modelled as domain-owned buffers; any access by another
+   domain raises, which is how the attack harness shows that a
+   compromised I/O stack cannot reach application memory. Data crosses
+   the boundary only through the L5 channel's mailbox, where §3.2's
+   "trusted component allocates" is [Channel]'s [zero_copy_send]
+   (E7). *)
 
 open Cio_util
 module Trace = Cio_telemetry.Trace
@@ -35,19 +37,10 @@ type domain = {
 }
 
 let domain_alive d = d.alive
-let domain_incarnation d = d.incarnation
 
 type crossing = Gate | Tee_switch
 
-type grant = { g_domain : int; g_write : bool }
-
-type buf = {
-  b_id : int;
-  owner : int;
-  data : bytes;
-  mutable grants : grant list;
-  mutable freed : bool;
-}
+type buf = { b_id : int; owner : int; data : bytes }
 
 type counters = {
   mutable crossings : int;
@@ -88,10 +81,10 @@ let add_domain t ~name =
   d
 
 (* Crash containment (§3.1's quarantine made operational): a crashed
-   domain can neither be entered nor touch any buffer — its grants are
-   dead capabilities until a restart stands up a fresh incarnation. The
-   crash is contained by construction: nothing the dead domain owned is
-   reachable *from* it, and peers merely observe refused calls. *)
+   domain can neither be entered nor touch any buffer until a restart
+   stands up a fresh incarnation. The crash is contained by construction:
+   nothing the dead domain owned is reachable *from* it, and peers merely
+   observe refused calls. *)
 let crash_domain t d =
   if d.alive then begin
     d.alive <- false;
@@ -158,47 +151,21 @@ let call t ~caller ~callee f =
 let alloc t ~owner size =
   t.counters.allocs <- t.counters.allocs + 1;
   Cost.charge t.meter Cost.Alloc t.model.Cost.alloc;
-  let b = { b_id = t.next_buf; owner = owner.id; data = Bytes.make size '\000'; grants = []; freed = false } in
+  let b = { b_id = t.next_buf; owner = owner.id; data = Bytes.make size '\000' } in
   t.next_buf <- t.next_buf + 1;
   b
 
-(* "Trusted component allocates" [34]: the trusted side allocates in its
-   own domain and grants the less-trusted side access to exactly this
-   buffer — the untrusted side never gets to name arbitrary memory. *)
-let alloc_granted t ~owner ~reader ?(write = false) size =
-  let b = alloc t ~owner size in
-  b.grants <- { g_domain = reader.id; g_write = write } :: b.grants;
-  b
-
-let grant _t b ~to_ ?(write = false) () =
-  b.grants <- { g_domain = to_.id; g_write = write } :: b.grants
-
-let revoke _t b ~from =
-  b.grants <- List.filter (fun g -> g.g_domain <> from.id) b.grants
-
-let free _t b = b.freed <- true
-
-let buf_size b = Bytes.length b.data
-
 let check_access t ~as_ b ~write =
   require_alive t as_ ~doing:"memory access";
-  if b.freed then begin
-    t.counters.denied <- t.counters.denied + 1;
-    Metrics.inc m_denied;
-    raise (Access_violation (Printf.sprintf "%s: use after free of buffer %d" as_.dname b.b_id))
-  end;
   if as_.id <> b.owner then begin
     Cost.charge t.meter Cost.Check t.model.Cost.check;
-    match List.find_opt (fun g -> g.g_domain = as_.id && ((not write) || g.g_write)) b.grants with
-    | Some _ -> ()
-    | None ->
-        t.counters.denied <- t.counters.denied + 1;
-        Metrics.inc m_denied;
-        raise
-          (Access_violation
-             (Printf.sprintf "%s: %s access to buffer %d owned by domain %d denied" as_.dname
-                (if write then "write" else "read")
-                b.b_id b.owner))
+    t.counters.denied <- t.counters.denied + 1;
+    Metrics.inc m_denied;
+    raise
+      (Access_violation
+         (Printf.sprintf "%s: %s access to buffer %d owned by domain %d denied" as_.dname
+            (if write then "write" else "read")
+            b.b_id b.owner))
   end
 
 let read t ~as_ b ~pos ~len =
@@ -212,8 +179,3 @@ let write t ~as_ b ~pos src =
   if pos < 0 || pos + Bytes.length src > Bytes.length b.data then
     raise (Access_violation (Printf.sprintf "%s: out-of-bounds write of buffer %d" as_.dname b.b_id));
   Bytes.blit src 0 b.data pos (Bytes.length src)
-
-let copy_between t ~as_ ~src ~dst ~src_pos ~dst_pos ~len =
-  let chunk = read t ~as_ src ~pos:src_pos ~len in
-  write t ~as_ dst ~pos:dst_pos chunk;
-  Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model len)

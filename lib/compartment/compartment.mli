@@ -1,6 +1,5 @@
-(** Intra-TEE compartments: domain-owned buffers with explicit grants and
-    cost-metered boundary crossings (MPK-class gate or full TEE switch —
-    the E8 comparison). *)
+(** Intra-TEE compartments: owner-only buffers and cost-metered boundary
+    crossings (MPK-class gate or full TEE switch — the E8 comparison). *)
 
 open Cio_util
 
@@ -9,9 +8,6 @@ exception Access_violation of string
 type domain
 
 val domain_alive : domain -> bool
-
-val domain_incarnation : domain -> int
-(** 0 at creation; bumped by every {!restart_domain}. *)
 
 type crossing = Gate | Tee_switch
 
@@ -52,19 +48,7 @@ val charge_crossing : t -> unit
 
 val alloc : t -> owner:domain -> int -> buf
 
-val alloc_granted : t -> owner:domain -> reader:domain -> ?write:bool -> int -> buf
-(** "Trusted component allocates": allocate in [owner] and grant [reader]
-    access to exactly this buffer. *)
-
-val grant : t -> buf -> to_:domain -> ?write:bool -> unit -> unit
-val revoke : t -> buf -> from:domain -> unit
-val free : t -> buf -> unit
-val buf_size : buf -> int
-
 val read : t -> as_:domain -> buf -> pos:int -> len:int -> bytes
-(** Raises {!Access_violation} without ownership or a grant. *)
+(** Raises {!Access_violation} unless [as_] owns the buffer. *)
 
 val write : t -> as_:domain -> buf -> pos:int -> bytes -> unit
-
-val copy_between :
-  t -> as_:domain -> src:buf -> dst:buf -> src_pos:int -> dst_pos:int -> len:int -> unit

@@ -185,7 +185,6 @@ let send_admitted ?(klass = Cio_overload.Admission.Interactive) ?deadline t payl
 
 let outbox_bytes t = Byteq.length t.outbox
 let recv t = if Queue.is_empty t.inbox then None else Some (Queue.take t.inbox)
-let pending t = Queue.length t.inbox
 let is_established t = Session.is_established t.session
 
 let start_handshake t =

@@ -62,5 +62,4 @@ val pump : t -> unit
     {!app_pump}. *)
 
 val recv : t -> bytes option
-val pending : t -> int
 val is_established : t -> bool

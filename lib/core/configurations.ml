@@ -260,6 +260,7 @@ let make_syscall (bed : Testbed.t) =
     Cio_observe.Observe.record bed.tap ~time:(Engine.now bed.engine) ~kind ~size
   in
   let inbox = Queue.create () in
+  let sealed = Byteq.create 4096 in
   let outbox = Buffer.create 4096 in
   let failed = ref false in
   let push_wire wire =
@@ -293,10 +294,9 @@ let make_syscall (bed : Testbed.t) =
         Cost.charge guest_meter Cost.Copy (Cost.copy_cost model (Bytes.length b));
         Cio_observe.Observe.record bed.tap ~time:(Engine.now bed.engine) ~kind:Kind_.sys_recv_data
           ~size:(Bytes.length b);
-        let result = Session.feed session b in
-        List.iter push_wire result.Session.outputs;
-        List.iter (fun m -> Queue.add m inbox) result.Session.app_data;
-        (match result.Session.err with Some _ -> failed := true | None -> ());
+        let err = Session.feed_into session b ~off:0 ~len:(Bytes.length b) inbox in
+        List.iter push_wire (Session.take_flights session);
+        if Option.is_some err then failed := true;
         flush_outbox ()
       end
     end
@@ -307,9 +307,9 @@ let make_syscall (bed : Testbed.t) =
     host_pump;
     send =
       (fun msg ->
-        match Session.send_data session msg with
-        | Ok wire ->
-            push_wire wire;
+        match Session.send_data_into session msg sealed with
+        | Ok () ->
+            push_wire (Byteq.take sealed (Byteq.length sealed));
             true
         | Error _ ->
             failed := true;

@@ -18,7 +18,6 @@ type t = {
   mutable channels : Channel.t list;
   mutable echo_channels : Channel.t list;
   mutable listeners : (Tcp.listener * [ `Echo | `Sink ]) list;
-  mutable echoed : int;
 }
 
 let create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
@@ -33,7 +32,6 @@ let create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
     channels = [];
     echo_channels = [];
     listeners = [];
-    echoed = 0;
   }
 
 let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~now () =
@@ -53,10 +51,6 @@ let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~n
     }
   in
   create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now ()
-
-let stack t = t.stack
-let meter t = t.meter
-let echoed t = t.echoed
 
 let make_channel t ~role ~conn =
   let session = Session.create ~meter:t.meter ~role ~psk:t.psk ~psk_id:t.psk_id ~rng:t.rng () in
@@ -91,23 +85,22 @@ let rec accept_listeners t = function
       accept_listeners t rest
 
 (* Echo service: bounce every received message straight back. *)
-let rec echo t ch =
+let rec echo ch =
   match Channel.recv ch with
   | Some msg ->
-      t.echoed <- t.echoed + 1;
       ignore (Channel.send ch msg);
-      echo t ch
+      echo ch
   | None -> ()
 
-let rec echo_all t = function
+let rec echo_all = function
   | [] -> ()
   | ch :: rest ->
-      echo t ch;
-      echo_all t rest
+      echo ch;
+      echo_all rest
 
 let poll t =
   Stack.poll t.stack;
   (* Accept pending connections on every listener. *)
   accept_listeners t t.listeners;
   List.iter Channel.pump t.channels;
-  echo_all t t.echo_channels
+  echo_all t.echo_channels

@@ -4,7 +4,6 @@
 open Cio_util
 open Cio_frame
 open Cio_netsim
-open Cio_tcpip
 
 type t
 
@@ -21,10 +20,6 @@ val create :
   now:(unit -> int64) ->
   unit ->
   t
-
-val stack : t -> Stack.t
-val meter : t -> Cost.meter
-val echoed : t -> int
 
 val connect : t -> dst:Addr.ipv4 -> dst_port:int -> Channel.t
 val serve_echo : t -> port:int -> unit

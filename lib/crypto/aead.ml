@@ -91,28 +91,8 @@ let seal_into ~key ~nonce ~aad src ~src_off ~len dst ~dst_off =
 let open_into ~key ~nonce ~aad src ~src_off ~len dst ~dst_off =
   open_with (scratch ()) ~key ~nonce ~aad src ~src_off ~len dst ~dst_off
 
-let encrypt ~key ~nonce ~aad plaintext =
-  check ~fn:"Aead.encrypt" ~key ~nonce;
-  let n = Bytes.length plaintext in
-  let ciphertext = Bytes.create n and tag = Bytes.create tag_len in
-  seal_parts (scratch ()) ~key ~nonce ~aad plaintext ~src_off:0 ~len:n ciphertext ~ct_off:0 tag
-    ~tag_off:0;
-  (ciphertext, tag)
-
-let decrypt ~key ~nonce ~aad ~tag ciphertext =
-  check ~fn:"Aead.decrypt" ~key ~nonce;
-  if Bytes.length tag <> tag_len then None
-  else begin
-    let n = Bytes.length ciphertext in
-    let out = Bytes.create n in
-    if open_parts (scratch ()) ~key ~nonce ~aad ciphertext ~ct_off:0 ~len:n tag ~tag_off:0 out
-         ~dst_off:0
-    then Some out
-    else None
-  end
-
 let seal ~key ~nonce ~aad plaintext =
-  check ~fn:"Aead.encrypt" ~key ~nonce;
+  check ~fn:"Aead.seal" ~key ~nonce;
   let n = Bytes.length plaintext in
   let out = Bytes.create (n + tag_len) in
   seal_parts (scratch ()) ~key ~nonce ~aad plaintext ~src_off:0 ~len:n out ~ct_off:0 out ~tag_off:n;
@@ -122,7 +102,7 @@ let open_ ~key ~nonce ~aad sealed =
   let n = Bytes.length sealed - tag_len in
   if n < 0 then None
   else begin
-    check ~fn:"Aead.decrypt" ~key ~nonce;
+    check ~fn:"Aead.open_" ~key ~nonce;
     let out = Bytes.create n in
     if open_parts (scratch ()) ~key ~nonce ~aad sealed ~ct_off:0 ~len:n sealed ~tag_off:n out
          ~dst_off:0

@@ -4,16 +4,12 @@ val tag_len : int
 val key_len : int
 val nonce_len : int
 
-val encrypt : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes * bytes
-(** [(ciphertext, tag)]. *)
-
-val decrypt : key:bytes -> nonce:bytes -> aad:bytes -> tag:bytes -> bytes -> bytes option
-(** [None] on authentication failure; no plaintext is released. *)
-
 val seal : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes
 (** Ciphertext with the tag appended. *)
 
 val open_ : key:bytes -> nonce:bytes -> aad:bytes -> bytes -> bytes option
+(** The plaintext of ciphertext-and-tag, or [None] on authentication
+    failure; no plaintext is released. *)
 
 val seal_into :
   key:bytes -> nonce:bytes -> aad:bytes -> bytes -> src_off:int -> len:int -> bytes -> dst_off:int -> unit

@@ -9,9 +9,9 @@
    feed-forward XORs each keystream word straight into the destination,
    so a full block never passes through a keystream buffer. The
    keystream alone is the XOR of a shared zero block, which is only ever
-   read; a last partial block goes through a 64-byte keystream buffer,
-   the caller's scratch or one owned by the call, 4 bytes at a time and
-   bytewise only for the last 0-3. There is no mutable shared state, so
+   read; a last partial block goes through the caller's 64-byte
+   keystream buffer, 4 bytes at a time and bytewise only for the last
+   0-3. There is no mutable shared state, so
    the cipher is reentrant. *)
 
 let[@inline] ( +% ) a b = Int32.add a b
@@ -82,17 +82,12 @@ let block_into ~key ~nonce ~counter dst ~dst_off =
     invalid_arg "Chacha20.block_into: range out of bounds";
   xor_block ~key ~nonce ~counter:(Int32.to_int counter) zero_block 0 dst dst_off
 
-let block ~key ~nonce ~counter =
-  let ks = Bytes.create 64 in
-  block_into ~key ~nonce ~counter ks ~dst_off:0;
-  ks
-
 let xor_into_with ~ks ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
   check ~key ~nonce;
   if Bytes.length ks < 64 then invalid_arg "Chacha20.xor_into_with: keystream buffer too short";
   if len < 0 || src_off < 0 || src_off > Bytes.length src - len || dst_off < 0
      || dst_off > Bytes.length dst - len
-  then invalid_arg "Chacha20.xor_into: range out of bounds";
+  then invalid_arg "Chacha20.xor_into_with: range out of bounds";
   let counter = Int32.to_int counter in
   let full = len / 64 in
   for b = 0 to full - 1 do
@@ -111,16 +106,3 @@ let xor_into_with ~ks ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
       Bytes.set_uint8 dst (d + i) (Bytes.get_uint8 src (s + i) lxor Bytes.get_uint8 ks i)
     done
   end
-
-let xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len =
-  (* Whole blocks never touch [ks]: the shared zero block stands in. *)
-  let ks = if len land 63 = 0 then zero_block else Bytes.create 64 in
-  xor_into_with ~ks ~counter ~key ~nonce src ~src_off dst ~dst_off ~len
-
-let encrypt ?(counter = 1l) ~key ~nonce data =
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  xor_into ~counter ~key ~nonce data ~src_off:0 out ~dst_off:0 ~len:n;
-  out
-
-let decrypt = encrypt

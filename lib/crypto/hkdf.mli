@@ -4,11 +4,9 @@ val extract : ?salt:bytes -> ikm:bytes -> unit -> bytes
 (** Pseudorandom key from input keying material. Default salt is 32 zero
     bytes. *)
 
-val expand : prk:bytes -> info:bytes -> len:int -> bytes
-(** Raises [Invalid_argument] if [len > 255 * 32]. *)
-
 val derive : ?salt:bytes -> ikm:bytes -> info:bytes -> len:int -> unit -> bytes
-(** [extract] then [expand]. *)
+(** [extract], then HKDF-Expand to [len] bytes. Raises [Invalid_argument]
+    if [len > 255 * 32]. *)
 
 val expand_label : prk:bytes -> label:string -> context:bytes -> len:int -> bytes
 (** HKDF-Expand-Label with a simulator-scoped protocol prefix. *)

@@ -17,24 +17,24 @@ let xor_pad key byte =
 
 type t = { inner : Sha256.t; okey : bytes }
 
+let sha_feed h b = Sha256.feed h b ~pos:0 ~len:(Bytes.length b)
+
 let init ~key =
   let key = normalize_key key in
   let inner = Sha256.init () in
-  Sha256.feed_bytes inner (xor_pad key 0x36);
+  sha_feed inner (xor_pad key 0x36);
   { inner; okey = xor_pad key 0x5c }
 
-let feed_bytes t b = Sha256.feed_bytes t.inner b
+let feed_bytes t b = sha_feed t.inner b
 
 let finish t =
   let inner_digest = Sha256.finish t.inner in
   let outer = Sha256.init () in
-  Sha256.feed_bytes outer t.okey;
-  Sha256.feed_bytes outer inner_digest;
+  sha_feed outer t.okey;
+  sha_feed outer inner_digest;
   Sha256.finish outer
 
 let digest_bytes ~key msg =
   let t = init ~key in
   feed_bytes t msg;
   finish t
-
-let digest_string ~key msg = digest_bytes ~key:(Bytes.of_string key) (Bytes.of_string msg)

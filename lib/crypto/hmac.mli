@@ -7,4 +7,3 @@ val feed_bytes : t -> bytes -> unit
 val finish : t -> bytes
 
 val digest_bytes : key:bytes -> bytes -> bytes
-val digest_string : key:string -> string -> bytes

@@ -109,8 +109,6 @@ let feed t src ~pos ~len =
     t.fill <- t.fill + !remaining
   end
 
-let feed_bytes t b = feed t b ~pos:0 ~len:(Bytes.length b)
-
 (* [g]'s limb where [m] is all ones, [h]'s where it is zero. *)
 let[@inline] select m h g = (h land lnot m) lor (g land mask26 land m)
 
@@ -151,13 +149,3 @@ let finish_into t dst ~off =
   Bytes.set_int32_le dst (off + 4) (Int32.of_int f1);
   Bytes.set_int32_le dst (off + 8) (Int32.of_int f2);
   Bytes.set_int32_le dst (off + 12) (Int32.of_int f3)
-
-let finish t =
-  let out = Bytes.create 16 in
-  finish_into t out ~off:0;
-  out
-
-let mac ~key msg =
-  let t = init ~key in
-  feed_bytes t msg;
-  finish t

@@ -106,9 +106,6 @@ let feed t src ~pos ~len =
     t.fill <- t.fill + !remaining
   end
 
-let feed_bytes t b = feed t b ~pos:0 ~len:(Bytes.length b)
-let feed_string t s = feed_bytes t (Bytes.of_string s)
-
 let finish t =
   let bitlen = Int64.mul t.total 8L in
   let pad_start = t.fill in
@@ -129,9 +126,7 @@ let finish t =
 
 let digest_bytes b =
   let t = init () in
-  feed_bytes t b;
+  feed t b ~pos:0 ~len:(Bytes.length b);
   finish t
 
 let digest_string s = digest_bytes (Bytes.of_string s)
-
-let hex_digest_string s = Cio_util.Hex.of_bytes (digest_string s)

@@ -4,12 +4,9 @@ type t
 
 val init : unit -> t
 val feed : t -> bytes -> pos:int -> len:int -> unit
-val feed_bytes : t -> bytes -> unit
-val feed_string : t -> string -> unit
 
 val finish : t -> bytes
 (** 32-byte digest. The state must not be reused afterwards. *)
 
 val digest_bytes : bytes -> bytes
 val digest_string : string -> bytes
-val hex_digest_string : string -> string

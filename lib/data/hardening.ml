@@ -141,6 +141,3 @@ let revert_count subsystem =
 let dominant_category subsystem =
   let dist = distribution subsystem in
   fst (List.fold_left (fun (bc, bn) (c, n) -> if n > bn then (c, n) else (bc, bn)) (List.hd dist) dist)
-
-let pp_bar ppf (category, n) =
-  Fmt.pf ppf "%-18s %-22s %d" (category_name category) (String.make n '#') n

@@ -10,12 +10,9 @@ type category =
   | Design_change
   | Amend_previous
 
-val all_categories : category list
 val category_name : category -> string
 
 type subsystem = Netvsc | Virtio
-
-val subsystem_name : subsystem -> string
 
 type commit = {
   id : string;
@@ -27,9 +24,7 @@ type commit = {
 }
 
 val corpus : commit list
-val commits_of : subsystem -> commit list
 
-val count : subsystem -> category -> int
 val total : subsystem -> int
 val distribution : subsystem -> (category * int) list
 val percentage : subsystem -> category -> float
@@ -41,5 +36,3 @@ val amend_rate : subsystem -> float
 
 val revert_count : subsystem -> int
 val dominant_category : subsystem -> category
-
-val pp_bar : Format.formatter -> category * int -> unit

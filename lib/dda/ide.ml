@@ -13,7 +13,6 @@ type t = {
   mutable recv_seq : int64;
   model : Cost.model;
   meter : Cost.meter;
-  mutable tampered_rejected : int;
 }
 
 let create ?(model = Cost.default) ?meter ~key () =
@@ -24,11 +23,7 @@ let create ?(model = Cost.default) ?meter ~key () =
     recv_seq = 0L;
     model;
     meter = (match meter with Some m -> m | None -> Cost.meter ());
-    tampered_rejected = 0;
   }
-
-let meter t = t.meter
-let tampered_rejected t = t.tampered_rejected
 
 let nonce_of_seq seq =
   let n = Bytes.make Aead.nonce_len '\000' in
@@ -49,6 +44,4 @@ let open_tlp t sealed =
   | Some payload ->
       t.recv_seq <- Int64.add t.recv_seq 1L;
       Some payload
-  | None ->
-      t.tampered_rejected <- t.tampered_rejected + 1;
-      None
+  | None -> None

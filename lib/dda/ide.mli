@@ -6,8 +6,6 @@ open Cio_util
 type t
 
 val create : ?model:Cost.model -> ?meter:Cost.meter -> key:bytes -> unit -> t
-val meter : t -> Cost.meter
-val tampered_rejected : t -> int
 
 val seal_tlp : t -> bytes -> bytes
 val open_tlp : t -> bytes -> bytes option

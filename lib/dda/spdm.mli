@@ -3,8 +3,6 @@
 
 open Cio_util
 
-val protocol_version : int
-
 type device
 
 val make_device : root_key:bytes -> device_id:string -> measurement:bytes -> device
@@ -13,9 +11,6 @@ val make_counterfeit : device_id:string -> measurement:bytes -> device
 type error = Version_mismatch | Bad_signature | Unknown_measurement
 
 val error_to_string : error -> string
-
-val get_measurements : device -> nonce:bytes -> bytes * bytes
-val key_exchange : device -> req_nonce:bytes -> bytes * bytes
 
 val attest :
   root_key:bytes -> reference_measurements:bytes list -> rng:Rng.t -> device -> (bytes, error) result

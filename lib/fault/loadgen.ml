@@ -179,9 +179,3 @@ let run ?(config = default_config) ~seed () =
       | Some p -> Cio_overload.Breaker.transitions (Cio_overload.Plane.breaker p)
       | None -> 0);
   }
-
-let pp ppf r =
-  Format.fprintf ppf
-    "offered %5d  sent %5d  shed %5d  echoes %5d  timely %5d  p50 %3d  p99 %4d  queued %4d  outbox %6dB  txq %4d"
-    r.offered r.sent r.shed r.echoes r.timely r.p50_rtt_steps r.p99_rtt_steps r.queued
-    r.backlog_bytes r.tx_backlog

@@ -35,5 +35,3 @@ type report = {
 }
 
 val run : ?config:config -> seed:int64 -> unit -> report
-
-val pp : Format.formatter -> report -> unit

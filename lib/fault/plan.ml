@@ -71,9 +71,3 @@ let generate ?(count = 6) ~seed () =
          kinds)
   in
   { seed; injections }
-
-let pp ppf t =
-  Format.fprintf ppf "plan seed=%Ld: %d faults@." t.seed (List.length t.injections);
-  List.iter
-    (fun { at_step; kind } -> Format.fprintf ppf "    step %6d  %a@." at_step pp_kind kind)
-    t.injections

@@ -21,5 +21,3 @@ val generate : ?count:int -> seed:int64 -> unit -> t
     each layer class (order shuffled by the seed); extras are drawn at
     random. Injections start near step 6000 and are spaced 26000 pump
     steps apart so each fault resolves before the next lands. *)
-
-val pp : Format.formatter -> t -> unit

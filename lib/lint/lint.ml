@@ -41,13 +41,6 @@ let all_rules = [ DF; UV; UW; UC; SI ]
 
 let rule_name = function DF -> "DF" | UV -> "UV" | UW -> "UW" | UC -> "UC" | SI -> "SI"
 
-let rule_title = function
-  | DF -> "double fetch of shared memory"
-  | UV -> "unvalidated device-controlled value"
-  | UW -> "unbounded work over device-written state"
-  | UC -> "unsafe code in a trusted component"
-  | SI -> "stateless-interface drift"
-
 (* Each rule's primary Figure 3/4 hardening-commit category (the class of
    retrofit commit that fixes what the rule detects). *)
 let rule_category = function

@@ -10,9 +10,6 @@ type rule =
   | UC  (** unsafe code in a trusted component -> "add checks" *)
   | SI  (** stateless-interface drift -> "design changes" *)
 
-val all_rules : rule list
-val rule_name : rule -> string
-val rule_title : rule -> string
 val rule_of_name : string -> rule option
 
 val rule_category : rule -> Cio_data.Hardening.category

@@ -3,7 +3,6 @@
 
 type endpoint = A | B
 
-val peer : endpoint -> endpoint
 val endpoint_name : endpoint -> string
 
 type delivery = { extra_delay_ns : int64; frame : bytes }

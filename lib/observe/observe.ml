@@ -20,8 +20,6 @@ type t = {
 
 let create name = { name; events = []; count = 0 }
 
-let name t = t.name
-
 let record t ~time ~kind ~size =
   t.events <- { time; kind; size } :: t.events;
   t.count <- t.count + 1

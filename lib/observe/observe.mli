@@ -7,7 +7,6 @@ type event = { time : int64; kind : string; size : int }
 type t
 
 val create : string -> t
-val name : t -> string
 val record : t -> time:int64 -> kind:string -> size:int -> unit
 val count : t -> int
 val events : t -> event list

@@ -20,11 +20,6 @@
 
 type klass = Control | Interactive | Bulk
 
-let klass_name = function
-  | Control -> "control"
-  | Interactive -> "interactive"
-  | Bulk -> "bulk"
-
 let klass_index = function Control -> 0 | Interactive -> 1 | Bulk -> 2
 
 type t = {
@@ -100,7 +95,6 @@ let tokens t =
   refill t;
   Int64.to_int (Int64.div t.tokens unit_)
 
-let admitted_of t klass = t.admitted.(klass_index klass)
 let shed_of t klass = t.shed.(klass_index klass)
 let admitted_total t = Array.fold_left ( + ) 0 t.admitted
 let shed_total t = Array.fold_left ( + ) 0 t.shed

@@ -5,8 +5,6 @@
 
 type klass = Control | Interactive | Bulk
 
-val klass_name : klass -> string
-
 type t
 
 val create :
@@ -27,7 +25,6 @@ val admit : t -> klass -> Pressure.outcome
 val tokens : t -> int
 (** Whole tokens currently available (after refill). *)
 
-val admitted_of : t -> klass -> int
 val shed_of : t -> klass -> int
 val admitted_total : t -> int
 val shed_total : t -> int

@@ -86,7 +86,6 @@ let create ?(config = default_config) ~rng ~now () =
   }
 
 let config t = t.config
-let admission t = t.admission
 let retry_budget t = t.retry
 let breaker t = t.breaker
 
@@ -119,4 +118,3 @@ let admit ?(deadline = Deadline.none) t klass =
 let admitted t = Admission.admitted_total t.admission
 let shed t = Admission.shed_total t.admission + t.deadline_shed + t.breaker_shed
 let deadline_shed t = t.deadline_shed
-let breaker_shed t = t.breaker_shed

@@ -31,7 +31,6 @@ val deadline : t -> Deadline.t
 (** A fresh deadline for a request admitted now. *)
 
 val config : t -> config
-val admission : t -> Admission.t
 val retry_budget : t -> Retry_budget.t
 val breaker : t -> Breaker.t
 
@@ -40,4 +39,3 @@ val shed : t -> int
 (** Total sheds across admission, deadline and breaker reasons. *)
 
 val deadline_shed : t -> int
-val breaker_shed : t -> int

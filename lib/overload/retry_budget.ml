@@ -77,6 +77,5 @@ let backoff_ns t =
 
 let reset_backoff t = t.prev_ns <- t.base_ns
 
-let tokens t = t.tokens_c / 100
 let granted t = t.granted
 let denied t = t.denied

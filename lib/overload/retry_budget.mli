@@ -33,6 +33,5 @@ val backoff_ns : t -> int64
 val reset_backoff : t -> unit
 (** Collapse the jitter anchor back to [base_ns] (call on recovery). *)
 
-val tokens : t -> int
 val granted : t -> int
 val denied : t -> int

@@ -25,8 +25,6 @@ type disk = {
   resp_ring : Ring.t;        (* host produces, guest consumes *)
   host_pool : Bufpool.t;     (* consumed requests and staged responses *)
   mutable misbehaviors : misbehavior list;
-  mutable reads : int;
-  mutable writes : int;
   mutable malformed : int;
   mutable access_log : (Block_wire.op * int) list;
       (* newest first: everything a passive host learns even when the
@@ -68,8 +66,6 @@ let create ?(model = Cost.default) ?meter ~name ~blocks () =
       resp_ring;
       host_pool = Bufpool.create ();
       misbehaviors = [];
-      reads = 0;
-      writes = 0;
       malformed = 0;
       access_log = [];
     }
@@ -96,8 +92,6 @@ let take disk pred =
   in
   go [] disk.misbehaviors
 
-let disk_reads d = d.reads
-let disk_writes d = d.writes
 let disk_access_log d = List.rev d.access_log
 let disk_clear_log d = d.access_log <- []
 
@@ -123,7 +117,6 @@ let serve disk raw =
         else begin
           match op with
           | Block_wire.Read ->
-              disk.reads <- disk.reads + 1;
               (* Wrong_lba: serve a *different* block's content while
                  claiming it is the requested one. *)
               let src_lba =
@@ -142,7 +135,6 @@ let serve disk raw =
               | None -> ());
               resp
           | Block_wire.Write ->
-              disk.writes <- disk.writes + 1;
               Bytes.blit raw Block_wire.header_len disk.data (lba * block_size) (Int.min len block_size);
               stage disk Block_wire.Ok_ ~lba ~len:0
         end
@@ -221,5 +213,4 @@ let read_block t ~lba = read_with t ~lba Bytes.sub
 let write_block t ~lba payload = write_sub t ~lba payload ~off:0 ~len:(Bytes.length payload)
 
 let meter t = t.meter
-let disk t = t.disk
 let blocks t = t.disk.blocks

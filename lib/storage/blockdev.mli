@@ -15,9 +15,6 @@ val create :
   ?model:Cost.model -> ?meter:Cost.meter -> name:string -> blocks:int -> unit -> t * disk
 
 val disk_inject : disk -> misbehavior -> unit
-val disk_poll : disk -> unit
-val disk_reads : disk -> int
-val disk_writes : disk -> int
 
 val disk_access_log : disk -> (Block_wire.op * int) list
 (** (op, lba) per request, oldest first: the access-pattern side channel a
@@ -62,5 +59,4 @@ val read_block : t -> lba:int -> result
 val write_block : t -> lba:int -> bytes -> result
 
 val meter : t -> Cost.meter
-val disk : t -> disk
 val blocks : t -> int

@@ -66,9 +66,6 @@ let create ~dev ~key () =
     meter;
   }
 
-let world t = t.world
-let app_domain t = t.app
-let store_domain t = t.store
 let meter t = t.meter
 let crossings t = (Compartment.counters t.world).Compartment.crossings
 
@@ -130,8 +127,6 @@ let delete t ~name =
       Hashtbl.remove t.names name;
       Ok ()
   | Error e -> Error (Store_error e)
-
-let list_files t = enter_store t (fun () -> File.list_files t.fs)
 
 (* What a fully compromised storage domain can and cannot do: it cannot
    touch app memory (compartment), and anything it fabricates fails the

@@ -36,11 +36,8 @@ type t = {
      doorbell). Without [tx_burst] every frame transmits immediately —
      byte-identical to the uncoalesced stack. *)
   tx_burst : (bytes array -> int) option;
-  (* The coalescing queue: a ring of [txq_len] frames from [txq_head],
-     grown (by doubling) only when full. *)
-  mutable txq : bytes array;
-  mutable txq_head : int;
-  mutable txq_len : int;
+  (* The coalescing queue, oldest frame first. *)
+  txq : bytes Fifo.t;
   (* [bursts.(k)] is the array a [k]-frame burst is lent in, made on
      first use and emptied after each flush. *)
   bursts : bytes array array;
@@ -67,21 +64,6 @@ let drop t reason =
   t.counters.last_drop_reason <- reason;
   Log.debug (fun m -> m "drop: %s" reason)
 
-let txq_slot t i = (t.txq_head + i) land (Array.length t.txq - 1)
-
-let txq_push t frame =
-  let n = Array.length t.txq in
-  if t.txq_len = n then begin
-    let grown = Array.make (2 * n) Bytes.empty in
-    for i = 0 to n - 1 do
-      grown.(i) <- t.txq.(txq_slot t i)
-    done;
-    t.txq <- grown;
-    t.txq_head <- 0
-  end;
-  t.txq.(txq_slot t t.txq_len) <- frame;
-  t.txq_len <- t.txq_len + 1
-
 (* Emit one built frame: queue for the next burst flush when coalescing,
    transmit immediately otherwise. Counters and charges are identical
    either way. With [tx_queue_limit] set, a full queue sheds the frame
@@ -92,7 +74,7 @@ let emit t frame =
   match t.tx_burst with
   | Some _ -> (
       match t.tx_queue_limit with
-      | Some lim when t.txq_len >= lim ->
+      | Some lim when Fifo.length t.txq >= lim ->
           t.counters.dropped <- t.counters.dropped + 1;
           t.counters.last_drop_reason <- "tx backpressure: queue full";
           Cio_overload.Pressure.note_queue_full ();
@@ -100,7 +82,7 @@ let emit t frame =
       | _ ->
           t.counters.frames_out <- t.counters.frames_out + 1;
           Cost.charge t.meter Cost.Stack 150;
-          txq_push t frame)
+          Fifo.push t.txq frame)
   | None ->
       t.counters.frames_out <- t.counters.frames_out + 1;
       Cost.charge t.meter Cost.Stack 150;
@@ -120,19 +102,16 @@ let burst_array t k =
 (* Flush pending TX as bursts. A partial burst means the ring is full:
    the tail stays queued, in order, and the next poll retries. *)
 let rec flush_with t burst =
-  let k = Int.min max_burst t.txq_len in
+  let k = Int.min max_burst (Fifo.length t.txq) in
   if k > 0 then begin
     let frames = burst_array t k in
     for i = 0 to k - 1 do
-      frames.(i) <- t.txq.(txq_slot t i)
+      frames.(i) <- Fifo.get t.txq i
     done;
     let n = burst frames in
-    for i = 0 to n - 1 do
-      Cio_mem.Bufpool.recycle t.tx_pool frames.(i);
-      t.txq.(txq_slot t i) <- Bytes.empty
+    for _ = 1 to n do
+      Cio_mem.Bufpool.recycle t.tx_pool (Fifo.pop t.txq)
     done;
-    t.txq_head <- txq_slot t n;
-    t.txq_len <- t.txq_len - n;
     Array.fill frames 0 k Bytes.empty;
     if n = k then flush_with t burst
   end
@@ -193,9 +172,7 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
         now;
         counters = { frames_in = 0; frames_out = 0; dropped = 0; last_drop_reason = "" };
         tx_burst;
-        txq = Array.make 16 Bytes.empty;
-        txq_head = 0;
-        txq_len = 0;
+        txq = Fifo.create Bytes.empty;
         bursts = Array.make (max_burst + 1) [||];
         tx_pool = Cio_mem.Bufpool.create ();
         tx_queue_limit;
@@ -210,7 +187,7 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
 let tcp t = t.tcp
 let counters t = t.counters
 let meter t = t.meter
-let tx_backlog t = t.txq_len
+let tx_backlog t = Fifo.length t.txq
 
 (* Each layer decodes into the stack's own header for it, with a view
    into [frame]; nothing is copied until a consumer keeps bytes past
@@ -269,6 +246,6 @@ let poll t =
   (* Only bounded stacks observe queue depth — the classic stack keeps
      its metric stream byte-identical to the pre-overload build. *)
   (match t.tx_queue_limit with
-  | Some _ -> Cio_telemetry.Metrics.observe m_txq_depth t.txq_len
+  | Some _ -> Cio_telemetry.Metrics.observe m_txq_depth (Fifo.length t.txq)
   | None -> ());
   flush_tx t

@@ -17,9 +17,6 @@ let tunnel = "tunnel"
 
 let tap ~base ~dir = base ^ "-" ^ dir
 
-let frame_out = tap ~base:frame ~dir:dir_out
-let frame_in = tap ~base:frame ~dir:dir_in
-
 let kick = "kick"
 let irq = "irq"
 let sys_send = "sys-send"

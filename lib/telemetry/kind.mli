@@ -34,9 +34,6 @@ val tunnel : string
 val tap : base:string -> dir:string -> string
 (** [tap ~base ~dir] is ["<base>-<dir>"], e.g. ["frame-out"]. *)
 
-val frame_out : string
-val frame_in : string
-
 val kick : string
 val irq : string
 val sys_send : string

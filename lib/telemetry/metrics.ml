@@ -23,7 +23,6 @@ type t = { tbl : (string, instr) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 64 }
 let default = create ()
-let reset t = Hashtbl.reset t.tbl
 
 let counter t name =
   match Hashtbl.find_opt t.tbl name with
@@ -135,21 +134,6 @@ let snapshot t =
       (name, v) :: acc)
     t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  let items = snapshot t in
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i (name, instr) ->
-      if i > 0 then Format.fprintf ppf "@,";
-      match instr with
-      | Counter v -> Format.fprintf ppf "%-40s %d" name v
-      | Gauge v -> Format.fprintf ppf "%-40s %d (gauge)" name v
-      | Histogram { n; p50; p90; p99; min; max } ->
-          Format.fprintf ppf "%-40s n=%d p50=%d p90=%d p99=%d min=%d max=%d"
-            name n p50 p90 p99 min max)
-    items;
-  Format.fprintf ppf "@]"
 
 let to_json buf t =
   Buffer.add_char buf '{';

@@ -20,10 +20,6 @@ val create : unit -> t
 val default : t
 (** The process-wide registry used by the instrumented stack. *)
 
-val reset : t -> unit
-(** Drop every instrument. Fresh handles must be re-created; handles
-    obtained before [reset] keep counting into detached instruments. *)
-
 (** {1 Counters} *)
 
 type counter
@@ -74,8 +70,6 @@ type instrument =
 
 val snapshot : t -> (string * instrument) list
 (** Name-sorted view of every instrument. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_json : Buffer.t -> t -> unit
 (** Append a JSON object [{"name": ...}] describing [snapshot]. *)

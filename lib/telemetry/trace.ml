@@ -41,19 +41,6 @@ let reset_clock () = clock := default_clock
 
 let on () = !enabled
 
-let clear () =
-  next := 0;
-  logical := 0L;
-  Array.iter
-    (fun s ->
-      s.s_ts <- 0L;
-      s.s_seq <- 0;
-      s.s_phase <- I;
-      s.s_cat <- "";
-      s.s_name <- "";
-      s.s_arg <- no_arg)
-    !ring
-
 let enable ?(capacity = 65536) () =
   let cap = Cio_util.Bitops.next_power_of_two (max 2 capacity) in
   ring :=

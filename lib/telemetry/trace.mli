@@ -21,7 +21,6 @@ val enable : ?capacity:int -> unit -> unit
     (default 65536, rounded up to a power of two). *)
 
 val disable : unit -> unit
-val clear : unit -> unit
 
 val set_clock : (unit -> int64) -> unit
 (** Timestamp source in nanoseconds. Survives [enable]/[disable]. *)
@@ -53,8 +52,6 @@ type event = {
   name : string;
   arg : int; (* min_int means "no arg" *)
 }
-
-val no_arg : int
 
 val events : unit -> event list
 (** Oldest-first contents of the ring. *)

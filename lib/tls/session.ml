@@ -336,22 +336,6 @@ let feed_into t src ~off ~len inbox =
         t.last_error
     | None -> process_all t inbox
 
-type feed_result = {
-  outputs : bytes list;   (* wire bytes to hand to the transport *)
-  app_data : bytes list;  (* decrypted application payloads *)
-  err : error option;
-}
-
-let feed t stream_bytes =
-  let inbox = Queue.create () in
-  let err = feed_into t stream_bytes ~off:0 ~len:(Bytes.length stream_bytes) inbox in
-  { outputs = take_flights t; app_data = List.of_seq (Queue.to_seq inbox); err }
-
-let send_data t payload =
-  match t.state with
-  | Established -> seal_record t ~ctype:Wire.Data payload
-  | _ -> Error (Bad_state "not established")
-
 let send_data_into t payload q =
   match (t.state, t.keys) with
   | Established, Some _ when Bytes.length payload > max_payload ->

@@ -46,26 +46,13 @@ val take_flights : t -> bytes list
 (** Handshake records the session has to send, oldest first, and
     forgets them. *)
 
-type feed_result = {
-  outputs : bytes list;
-  app_data : bytes list;
-  err : error option;
-}
-
-val feed : t -> bytes -> feed_result
-(** {!feed_into} of all the bytes, with the records to send and the
-    payloads returned as lists. *)
-
 val max_payload : int
 (** The largest application payload one record carries ([Wire.max_body]
     less the AEAD tag). *)
 
-val send_data : t -> bytes -> (bytes, error) result
-(** Seal one application payload into wire bytes. A payload over
-    {!max_payload} is refused with [Bad_format]; the session is left as
-    it was (nothing sealed, no sequence number used). *)
-
 val send_data_into : t -> bytes -> Byteq.t -> (unit, error) result
-(** {!send_data}, sealed straight onto the back of the queue. Allocates
-    nothing once the queue has grown to the traffic. An oversized payload
-    is refused as by {!send_data}, with nothing queued. *)
+(** Seal one application payload as one record straight onto the back of
+    the queue. Allocates nothing once the queue has grown to the traffic.
+    A payload over {!max_payload} is refused with [Bad_format]; the
+    session is left as it was (nothing queued, no sequence number
+    used). *)

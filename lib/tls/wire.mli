@@ -3,7 +3,6 @@
 
 type content_type = Handshake | Data | Alert
 
-val content_code : content_type -> int
 val content_name : content_type -> string
 
 val header_len : int

@@ -63,8 +63,6 @@ let copy_cost m nbytes = m.copy_base + ((nbytes * m.copy_per_byte_q2) / 4)
 let aead_cost m nbytes = m.aead_base + ((nbytes * m.aead_per_byte_q2) / 4)
 let dma_cost m nbytes = m.dma_base + ((nbytes * m.dma_per_byte_q2) / 4)
 
-let nanoseconds m cycles = float_of_int cycles /. m.cycles_per_ghz
-
 (* Categories let experiments report *where* a configuration spends its
    cycles, not just how many. *)
 type category =

@@ -35,9 +35,6 @@ val copy_cost : model -> int -> int
 val aead_cost : model -> int -> int
 val dma_cost : model -> int -> int
 
-val nanoseconds : model -> int -> float
-(** Convert a cycle count to simulated nanoseconds. *)
-
 type category =
   | Copy
   | Check
@@ -54,7 +51,6 @@ type category =
   | Stack
 
 val all_categories : category list
-val category_name : category -> string
 
 type meter
 

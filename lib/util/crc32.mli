@@ -5,5 +5,4 @@ val update : int32 -> bytes -> pos:int -> len:int -> int32
 (** [update crc b ~pos ~len] extends [crc] over the given range. Start
     from [0l]. *)
 
-val digest_bytes : bytes -> int32
 val digest_string : string -> int32

@@ -9,8 +9,6 @@ let of_bytes b =
   done;
   Buffer.contents out
 
-let of_string s = of_bytes (Bytes.of_string s)
-
 let nibble c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
@@ -33,5 +31,3 @@ let to_bytes s =
     Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
   done;
   out
-
-let to_string s = Bytes.to_string (to_bytes s)

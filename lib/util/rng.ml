@@ -56,9 +56,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let exponential t ~mean =
-  if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive";
-  let u = float t in
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u

@@ -27,8 +27,6 @@ val float : t -> float
 val range : t -> lo:int -> hi:int -> int
 (** Inclusive range draw. *)
 
-val byte : t -> int
-
 val bytes : t -> int -> bytes
 (** [bytes t n] is an [n]-byte uniformly random payload. *)
 
@@ -37,7 +35,3 @@ val pick : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean (for inter-arrival
-    times). *)

@@ -59,35 +59,24 @@ let summarize samples =
     p99 = percentile_of_sorted sorted 99.0;
   }
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
 (* Welford's online algorithm: lets long simulations accumulate statistics
    without retaining every sample. *)
 type online = {
   mutable n : int;
   mutable m : float;
   mutable m2 : float;
-  mutable lo : float;
-  mutable hi : float;
 }
 
-let online () = { n = 0; m = 0.0; m2 = 0.0; lo = infinity; hi = neg_infinity }
+let online () = { n = 0; m = 0.0; m2 = 0.0 }
 
 let add o x =
   o.n <- o.n + 1;
   let delta = x -. o.m in
   o.m <- o.m +. (delta /. float_of_int o.n);
-  o.m2 <- o.m2 +. (delta *. (x -. o.m));
-  if x < o.lo then o.lo <- x;
-  if x > o.hi then o.hi <- x
+  o.m2 <- o.m2 +. (delta *. (x -. o.m))
 
 let online_count o = o.n
 let online_mean o = if o.n = 0 then 0.0 else o.m
 
 let online_stddev o =
   if o.n < 2 then 0.0 else sqrt (o.m2 /. float_of_int (o.n - 1))
-
-let online_min o = o.lo
-let online_max o = o.hi

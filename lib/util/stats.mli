@@ -19,7 +19,6 @@ val stddev : float array -> float
 (** Sample standard deviation (Bessel-corrected). *)
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 (** {1 Streaming accumulator (Welford)} *)
 
@@ -30,5 +29,3 @@ val add : online -> float -> unit
 val online_count : online -> int
 val online_mean : online -> float
 val online_stddev : online -> float
-val online_min : online -> float
-val online_max : online -> float

@@ -187,5 +187,3 @@ let poll t =
   | None -> ());
   process_tx t;
   process_rx t
-
-let pending_rx_count t = Queue.length t.pending_rx

@@ -30,5 +30,3 @@ val deliver_rx : t -> bytes -> unit
 
 val poll : t -> unit
 (** Process TX submissions and complete RX buffers. *)
-
-val pending_rx_count : t -> int

@@ -8,7 +8,6 @@ open Cio_util
 open Cio_mem
 
 val flag_avail : int
-val flag_used : int
 val flag_write : int
 
 type element = { addr : int; len : int; id : int; flags : int }
@@ -33,7 +32,6 @@ val create_transport :
   transport
 
 val rx_buf_offset : transport -> int -> int
-val tx_buf_offset : transport -> int -> int
 val transport_region : transport -> Region.t
 val transport_buf_size : transport -> int
 

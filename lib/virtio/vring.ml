@@ -44,7 +44,6 @@ let create ~region ~base ~size =
     invalid_arg "Vring.create: ring does not fit in region";
   { region; base; size; desc_off; avail_off; used_off }
 
-let size t = t.size
 let region t = t.region
 
 (* Deliberately *not* wrapped: a descriptor index is data (a buffer id),

@@ -17,7 +17,6 @@ val bytes_needed : int -> int
 (** Shared-memory footprint of a queue of the given size. *)
 
 val create : region:Region.t -> base:int -> size:int -> t
-val size : t -> int
 val region : t -> Region.t
 
 val write_desc : t -> Region.actor -> int -> desc -> unit

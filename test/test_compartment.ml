@@ -1,5 +1,5 @@
-(* Compartment tests: grants, denials, crossing costs (gate vs TEE
-   switch), and the trusted-component-allocates pattern. *)
+(* Compartment tests: owner-only buffers, denials, and crossing costs
+   (gate vs TEE switch). *)
 
 open Cio_util
 open Cio_compartment
@@ -27,41 +27,6 @@ let test_foreign_access_denied () =
   | _ -> Alcotest.fail "write must be denied"
   | exception Compartment.Access_violation _ -> ());
   Alcotest.(check int) "denials counted" 2 (Compartment.counters w).Compartment.denied
-
-let test_read_grant () =
-  let w, app, io = world () in
-  let b = Compartment.alloc_granted w ~owner:app ~reader:io 64 in
-  Compartment.write w ~as_:app b ~pos:0 (Bytes.of_string "shared");
-  Helpers.check_bytes "grantee reads" (Bytes.of_string "shared")
-    (Compartment.read w ~as_:io b ~pos:0 ~len:6);
-  (* Read grant does not imply write. *)
-  match Compartment.write w ~as_:io b ~pos:0 (Bytes.of_string "x") with
-  | _ -> Alcotest.fail "write must still be denied"
-  | exception Compartment.Access_violation _ -> ()
-
-let test_write_grant () =
-  let w, app, io = world () in
-  let b = Compartment.alloc_granted w ~owner:app ~reader:io ~write:true 64 in
-  Compartment.write w ~as_:io b ~pos:0 (Bytes.of_string "io-wrote");
-  Helpers.check_bytes "owner sees it" (Bytes.of_string "io-wrote")
-    (Compartment.read w ~as_:app b ~pos:0 ~len:8)
-
-let test_revoke_grant () =
-  let w, app, io = world () in
-  let b = Compartment.alloc_granted w ~owner:app ~reader:io 64 in
-  ignore (Compartment.read w ~as_:io b ~pos:0 ~len:1);
-  Compartment.revoke w b ~from:io;
-  match Compartment.read w ~as_:io b ~pos:0 ~len:1 with
-  | _ -> Alcotest.fail "revoked grant must deny"
-  | exception Compartment.Access_violation _ -> ()
-
-let test_use_after_free_denied () =
-  let w, app, _ = world () in
-  let b = Compartment.alloc w ~owner:app 16 in
-  Compartment.free w b;
-  match Compartment.read w ~as_:app b ~pos:0 ~len:1 with
-  | _ -> Alcotest.fail "use after free must be denied"
-  | exception Compartment.Access_violation _ -> ()
 
 let test_out_of_bounds_denied () =
   let w, app, _ = world () in
@@ -108,16 +73,6 @@ let test_charge_crossing_mailbox () =
   Alcotest.(check int) "cycles" (4 * Cost.default.Cost.gate_crossing)
     (Cost.cycles_of (Compartment.meter w) Cost.Gate)
 
-let test_copy_between_buffers () =
-  let w, app, _ = world () in
-  let src = Compartment.alloc w ~owner:app 32 in
-  let dst = Compartment.alloc w ~owner:app 32 in
-  Compartment.write w ~as_:app src ~pos:0 (Bytes.of_string "payload!");
-  Compartment.copy_between w ~as_:app ~src ~dst ~src_pos:0 ~dst_pos:8 ~len:8;
-  Helpers.check_bytes "copied" (Bytes.of_string "payload!")
-    (Compartment.read w ~as_:app dst ~pos:8 ~len:8);
-  Alcotest.(check bool) "copy metered" (Cost.cycles_of (Compartment.meter w) Cost.Copy > 0) true
-
 let prop_no_grant_no_access =
   QCheck.Test.make ~name:"no grant => no access, ever" ~count:100
     QCheck.(pair (int_bound 63) bool)
@@ -135,16 +90,11 @@ let suite =
   [
     Alcotest.test_case "owner access" `Quick test_owner_access;
     Alcotest.test_case "foreign access denied" `Quick test_foreign_access_denied;
-    Alcotest.test_case "read grant" `Quick test_read_grant;
-    Alcotest.test_case "write grant" `Quick test_write_grant;
-    Alcotest.test_case "grant revocation" `Quick test_revoke_grant;
-    Alcotest.test_case "use after free" `Quick test_use_after_free_denied;
     Alcotest.test_case "out of bounds" `Quick test_out_of_bounds_denied;
     Alcotest.test_case "gate crossing cost" `Quick test_gate_crossing_cost;
     Alcotest.test_case "same-domain call free" `Quick test_same_domain_call_free;
     Alcotest.test_case "tee switch >> gate (E8)" `Quick test_tee_switch_much_more_expensive;
     Alcotest.test_case "crossing charged on exception" `Quick test_crossing_charged_on_exception;
     Alcotest.test_case "mailbox handoff charging" `Quick test_charge_crossing_mailbox;
-    Alcotest.test_case "copy between buffers" `Quick test_copy_between_buffers;
     Helpers.qtest prop_no_grant_no_access;
   ]

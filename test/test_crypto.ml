@@ -5,6 +5,41 @@ open Cio_crypto
 
 let hex = Helpers.hex
 
+(* The one-shot shapes the published vectors are written in, over the
+   library's in-place entry points. *)
+let chacha20_block ~key ~nonce ~counter =
+  let b = Bytes.create 64 in
+  Chacha20.block_into ~key ~nonce ~counter b ~dst_off:0;
+  b
+
+let chacha20 ?(counter = 1l) ~key ~nonce msg =
+  let n = Bytes.length msg in
+  let out = Bytes.create n in
+  Chacha20.xor_into_with ~ks:(Bytes.create 64) ~counter ~key ~nonce msg ~src_off:0 out ~dst_off:0
+    ~len:n;
+  out
+
+let poly1305 ~key msg =
+  let p = Poly1305.init ~key and tag = Bytes.create 16 in
+  Poly1305.feed p msg ~pos:0 ~len:(Bytes.length msg);
+  Poly1305.finish_into p tag ~off:0;
+  tag
+
+(* [(ciphertext, tag)] *)
+let aead_encrypt ~key ~nonce ~aad pt =
+  let n = Bytes.length pt in
+  let wire = Bytes.create (n + Aead.tag_len) in
+  Aead.seal_with (Aead.scratch ()) ~key ~nonce ~aad pt ~src_off:0 ~len:n wire ~dst_off:0;
+  (Bytes.sub wire 0 n, Bytes.sub wire n Aead.tag_len)
+
+let aead_decrypt ~key ~nonce ~aad ~tag ct =
+  let wire = Bytes.cat ct tag and out = Bytes.create (Bytes.length ct) in
+  if
+    Aead.open_with (Aead.scratch ()) ~key ~nonce ~aad wire ~src_off:0 ~len:(Bytes.length wire) out
+      ~dst_off:0
+  then Some out
+  else None
+
 (* --- SHA-256 (FIPS 180-4 / RFC 6234 vectors) -------------------------- *)
 
 let sha_vectors =
@@ -19,7 +54,7 @@ let sha_vectors =
 
 let test_sha256_vectors () =
   List.iter
-    (fun (msg, want) -> Alcotest.(check string) msg want (Sha256.hex_digest_string msg))
+    (fun (msg, want) -> Alcotest.(check string) msg want (Hex.of_bytes (Sha256.digest_string msg)))
     sha_vectors
 
 let test_sha256_million_a () =
@@ -40,7 +75,7 @@ let test_sha256_million_a () =
 let test_sha256_streaming_equals_oneshot () =
   let msg = "the quick brown fox jumps over the lazy dog, repeatedly and at length" in
   let t = Sha256.init () in
-  String.iter (fun c -> Sha256.feed_string t (String.make 1 c)) msg;
+  String.iteri (fun i _ -> Sha256.feed t (Bytes.of_string msg) ~pos:i ~len:1) msg;
   Alcotest.(check string) "streaming == one-shot"
     (Hex.of_bytes (Sha256.digest_string msg))
     (Hex.of_bytes (Sha256.finish t))
@@ -54,7 +89,7 @@ let test_hmac_rfc4231_case1 () =
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" (Hex.of_bytes tag)
 
 let test_hmac_rfc4231_case2 () =
-  let tag = Hmac.digest_string ~key:"Jefe" "what do ya want for nothing?" in
+  let tag = Hmac.digest_bytes ~key:(Bytes.of_string "Jefe") (Bytes.of_string "what do ya want for nothing?") in
   Alcotest.(check string) "case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" (Hex.of_bytes tag)
 
@@ -76,7 +111,7 @@ let test_hkdf_rfc5869_case1 () =
   let prk = Hkdf.extract ~salt ~ikm () in
   Alcotest.(check string) "prk"
     "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5" (Hex.of_bytes prk);
-  let okm = Hkdf.expand ~prk ~info ~len:42 in
+  let okm = Hkdf.derive ~salt ~ikm ~info ~len:42 () in
   Alcotest.(check string) "okm"
     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
     (Hex.of_bytes okm)
@@ -89,9 +124,9 @@ let test_hkdf_rfc5869_case3_no_salt () =
     (Hex.of_bytes okm)
 
 let test_hkdf_expand_limit () =
-  let prk = Bytes.make 32 'k' in
+  let ikm = Bytes.make 32 'k' in
   Alcotest.check_raises "over limit" (Invalid_argument "Hkdf.expand: invalid length") (fun () ->
-      ignore (Hkdf.expand ~prk ~info:Bytes.empty ~len:(255 * 32 + 1)))
+      ignore (Hkdf.derive ~ikm ~info:Bytes.empty ~len:(255 * 32 + 1) ()))
 
 let test_hkdf_expand_label_distinct () =
   let prk = Bytes.make 32 'k' in
@@ -104,7 +139,7 @@ let test_hkdf_expand_label_distinct () =
 let test_chacha20_block_vector () =
   let key = hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
   let nonce = hex "000000090000004a00000000" in
-  let block = Chacha20.block ~key ~nonce ~counter:1l in
+  let block = chacha20_block ~key ~nonce ~counter:1l in
   Alcotest.(check string) "first 16 bytes" "10f1e7e4d13b5915500fdd1fa32071c4"
     (Hex.of_bytes (Bytes.sub block 0 16))
 
@@ -114,38 +149,39 @@ let sunscreen =
 let test_chacha20_encrypt_vector () =
   let key = hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
   let nonce = hex "000000000000004a00000000" in
-  let ct = Chacha20.encrypt ~counter:1l ~key ~nonce (Bytes.of_string sunscreen) in
+  let ct = chacha20 ~counter:1l ~key ~nonce (Bytes.of_string sunscreen) in
   Alcotest.(check string) "ciphertext head" "6e2e359a2568f98041ba0728dd0d6981"
     (Hex.of_bytes (Bytes.sub ct 0 16));
   Alcotest.(check int) "ciphertext length" 114 (Bytes.length ct);
   (* Decrypting with the same parameters must restore the plaintext. *)
   Helpers.check_bytes "decrypts back" (Bytes.of_string sunscreen)
-    (Chacha20.decrypt ~counter:1l ~key ~nonce ct)
+    (chacha20 ~counter:1l ~key ~nonce ct)
 
 let test_chacha20_involution () =
   let key = Bytes.make 32 'K' and nonce = Bytes.make 12 'N' in
   let pt = Bytes.of_string "round trip data of odd length.." in
-  let back = Chacha20.decrypt ~key ~nonce (Chacha20.encrypt ~key ~nonce pt) in
+  let back = chacha20 ~key ~nonce (chacha20 ~key ~nonce pt) in
   Helpers.check_bytes "involution" pt back
 
 let test_chacha20_key_validation () =
   Alcotest.check_raises "short key" (Invalid_argument "Chacha20: key must be 32 bytes") (fun () ->
-      ignore (Chacha20.encrypt ~key:(Bytes.make 16 'k') ~nonce:(Bytes.make 12 'n') Bytes.empty))
+      ignore (chacha20 ~key:(Bytes.make 16 'k') ~nonce:(Bytes.make 12 'n') Bytes.empty))
 
 (* --- Poly1305 (RFC 8439 §2.5.2) -------------------------------------- *)
 
 let test_poly1305_vector () =
   let key = hex "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b" in
-  let tag = Poly1305.mac ~key (Bytes.of_string "Cryptographic Forum Research Group") in
+  let tag = poly1305 ~key (Bytes.of_string "Cryptographic Forum Research Group") in
   Alcotest.(check string) "tag" "a8061dc1305136c6c22b8baf0c0127a9" (Hex.of_bytes tag)
 
 let test_poly1305_streaming () =
   let key = hex "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b" in
-  let t = Poly1305.init ~key in
-  Poly1305.feed_bytes t (Bytes.of_string "Cryptographic Forum ");
-  Poly1305.feed_bytes t (Bytes.of_string "Research Group");
-  Alcotest.(check string) "streaming tag" "a8061dc1305136c6c22b8baf0c0127a9"
-    (Hex.of_bytes (Poly1305.finish t))
+  let t = Poly1305.init ~key and tag = Bytes.create 16 in
+  let feed s = Poly1305.feed t (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+  feed "Cryptographic Forum ";
+  feed "Research Group";
+  Poly1305.finish_into t tag ~off:0;
+  Alcotest.(check string) "streaming tag" "a8061dc1305136c6c22b8baf0c0127a9" (Hex.of_bytes tag)
 
 (* --- AEAD (RFC 8439 §2.8.2) ------------------------------------------ *)
 
@@ -154,37 +190,37 @@ let aead_nonce = hex "070000004041424344454647"
 let aead_aad = hex "50515253c0c1c2c3c4c5c6c7"
 
 let test_aead_vector () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string sunscreen) in
+  let ct, tag = aead_encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string sunscreen) in
   Alcotest.(check string) "tag" "1ae10b594f09e26a7e902ecbd0600691" (Hex.of_bytes tag);
   Alcotest.(check string) "ct head" "d31a8d34648e60db7b86afbc53ef7ec2"
     (Hex.of_bytes (Bytes.sub ct 0 16))
 
 let test_aead_roundtrip () =
   let pt = Bytes.of_string "attack at dawn" in
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt in
-  match Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct with
+  let ct, tag = aead_encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt in
+  match aead_decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct with
   | Some back -> Helpers.check_bytes "roundtrip" pt back
   | None -> Alcotest.fail "decrypt failed"
 
 let test_aead_rejects_tampered_ciphertext () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
+  let ct, tag = aead_encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
   Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 1));
   Alcotest.(check bool) "rejected" true
-    (Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct = None)
+    (aead_decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct = None)
 
 let test_aead_rejects_tampered_aad () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
+  let ct, tag = aead_encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
   let bad_aad = Bytes.copy aead_aad in
   Bytes.set bad_aad 0 'X';
   Alcotest.(check bool) "rejected" true
-    (Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:bad_aad ~tag ct = None)
+    (aead_decrypt ~key:aead_key ~nonce:aead_nonce ~aad:bad_aad ~tag ct = None)
 
 let test_aead_rejects_wrong_nonce () =
-  let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
+  let ct, tag = aead_encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad (Bytes.of_string "data") in
   let other = Bytes.copy aead_nonce in
   Bytes.set other 0 '\xFF';
   Alcotest.(check bool) "rejected" true
-    (Aead.decrypt ~key:aead_key ~nonce:other ~aad:aead_aad ~tag ct = None)
+    (aead_decrypt ~key:aead_key ~nonce:other ~aad:aead_aad ~tag ct = None)
 
 let test_aead_seal_open () =
   let pt = Bytes.of_string "sealed message" in
@@ -208,8 +244,8 @@ let bytes_arb = QCheck.make ~print:(fun b -> Hex.of_bytes b) bytes_gen
 
 let prop_aead_roundtrip =
   QCheck.Test.make ~name:"AEAD decrypt . encrypt = id" ~count:200 bytes_arb (fun pt ->
-      let ct, tag = Aead.encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt in
-      match Aead.decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct with
+      let ct, tag = aead_encrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad pt in
+      match aead_decrypt ~key:aead_key ~nonce:aead_nonce ~aad:aead_aad ~tag ct with
       | Some back -> Bytes.equal back pt
       | None -> false)
 
@@ -268,11 +304,11 @@ let prop_chacha20_matches_oracle =
        QCheck.Gen.(quad key_gen nonce_gen counter_gen msg_gen))
     (fun (key, nonce, counter, msg) ->
       Bytes.equal
-        (Chacha20.encrypt ~counter ~key ~nonce msg)
+        (chacha20 ~counter ~key ~nonce msg)
         (Oracle.Chacha20.encrypt ~counter ~key ~nonce msg)
-      && Bytes.equal (Chacha20.block ~key ~nonce ~counter) (Oracle.Chacha20.block ~key ~nonce ~counter))
+      && Bytes.equal (chacha20_block ~key ~nonce ~counter) (Oracle.Chacha20.block ~key ~nonce ~counter))
 
-(* [xor_into] at unaligned offsets, out of place and in place: the bytes
+(* [xor_into_with] at unaligned offsets, out of place and in place: the bytes
    in range are the oracle's, the bytes around them are untouched. *)
 let prop_chacha20_xor_into_offsets =
   QCheck.Test.make ~name:"chacha20 xor_into at offsets 0-7, in and out of place == oracle"
@@ -295,9 +331,11 @@ let prop_chacha20_xor_into_offsets =
       let src = framed src_off '\x5A' in
       let src_before = Bytes.copy src in
       let dst = Bytes.make (dst_off + n + 9) '\xC3' in
-      Chacha20.xor_into ~counter ~key ~nonce src ~src_off dst ~dst_off ~len:n;
+      let ks = Bytes.create 64 in
+      Chacha20.xor_into_with ~ks ~counter ~key ~nonce src ~src_off dst ~dst_off ~len:n;
       let inplace = framed src_off '\x5A' in
-      Chacha20.xor_into ~counter ~key ~nonce inplace ~src_off inplace ~dst_off:src_off ~len:n;
+      Chacha20.xor_into_with ~ks ~counter ~key ~nonce inplace ~src_off inplace ~dst_off:src_off
+        ~len:n;
       let untouched b off fill =
         Bytes.sub_string b 0 off = String.make off fill
         && Bytes.sub_string b (off + n) 9 = String.make 9 fill
@@ -436,11 +474,11 @@ let test_poly1305_feed_allocation_free () =
 
 let test_chacha20_xor_into_allocation_free () =
   let key = Bytes.make 32 'k' and nonce = Bytes.make 12 'n' in
-  let src = Bytes.make 8200 's' and dst = Bytes.create 8200 in
+  let src = Bytes.make 8200 's' and dst = Bytes.create 8200 and ks = Bytes.create 64 in
   (* Whole blocks at unaligned offsets, out of place and in place. *)
   let xor () =
-    Chacha20.xor_into ~counter:1l ~key ~nonce src ~src_off:3 dst ~dst_off:5 ~len:8192;
-    Chacha20.xor_into ~counter:7l ~key ~nonce dst ~src_off:0 dst ~dst_off:0 ~len:64
+    Chacha20.xor_into_with ~ks ~counter:1l ~key ~nonce src ~src_off:3 dst ~dst_off:5 ~len:8192;
+    Chacha20.xor_into_with ~ks ~counter:7l ~key ~nonce dst ~src_off:0 dst ~dst_off:0 ~len:64
   in
   Alcotest.(check int) "xor_into over whole blocks allocates nothing" 0 (minor_words xor)
 

@@ -12,6 +12,7 @@ open Cio_virtio
 open Cio_fault
 module Host_model = Cio_cionet.Host_model
 module Lint = Cio_lintlib.Lint
+module Xref = Cio_lintlib.Xref
 
 let root () = Helpers.repo_root ()
 
@@ -249,6 +250,83 @@ let test_campaign_sanitized_safe_path_clean () =
   Alcotest.(check int) "safe path: no double fetches" 0 r.Campaign.sanitizer_double_fetches;
   Alcotest.(check int) "safe path: no mutated fetches" 0 r.Campaign.sanitizer_mutated_fetches
 
+(* --- the export index and its two rules ---------------------------------- *)
+
+let export mli value = { Xref.x_unit = "Synthetic"; x_mli = mli; x_value = value }
+
+let rules index =
+  List.map (fun f -> (f.Xref.export.Xref.x_value, Xref.rule_name f.Xref.rule)) (Xref.check index)
+
+let test_xref_classifier () =
+  let session = "lib/tls/session.mli" and hex = "lib/util/hex.mli" in
+  let index =
+    [
+      (* its own implementation is no caller *)
+      (export hex "self_only", [ "lib/util/hex.ml" ]);
+      (export hex "unreferenced", []);
+      (* outside the core, a test caller keeps an export *)
+      (export hex "tested", [ "lib/util/hex.ml"; "test/test_util.ml" ]);
+      (* in the core it does not *)
+      (export session "tested", [ "lib/tls/session.ml"; "test/test_tls.ml" ]);
+      (* examples, perfbench, bench, bin and other lib units are production *)
+      (export session "example", [ "examples/quickstart.ml"; "test/test_tls.ml" ]);
+      (export session "perfbench", [ "perfbench/echo.ml" ]);
+      (export session "bench", [ "bench/main.ml" ]);
+      (export session "bin", [ "bin/cio_sim.ml" ]);
+      (export session "lib", [ "lib/core/channel.ml" ]);
+      (export "lib/crypto/aead.mli" "crypto", [ "test/test_crypto.ml" ]);
+      (export "lib/compartment/compartment.mli" "compartment", [ "test/test_compartment.ml" ]);
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "findings"
+    [
+      ("self_only", "dead-export");
+      ("unreferenced", "dead-export");
+      ("tested", "test-only-export");
+      ("crypto", "test-only-export");
+      ("compartment", "test-only-export");
+    ]
+    (rules index);
+  Alcotest.(check bool) "test tree is not production" false (Xref.is_production "test/helpers.ml")
+
+let test_xref_core_is_dual_boundary () =
+  let core = (Cio_core.Configurations.tcb Cio_core.Configurations.Dual_boundary).core in
+  Alcotest.(check (list string)) "test-only-export covers the dual-boundary core"
+    (List.map Cio_tcb.Tcb.component_name core)
+    (List.map Cio_tcb.Tcb.component_name Xref.core)
+
+(* A sample of the index over this tree's own typed trees, one entry per
+   way a name reaches its export. *)
+let test_xref_real_index () =
+  let index = Xref.read ~root:(root ()) in
+  let callers unit value =
+    match List.find_opt (fun (e, _) -> e.Xref.x_unit = unit && e.Xref.x_value = value) index with
+    | Some (_, files) -> files
+    | None -> Alcotest.failf "%s.%s is not indexed" unit value
+  in
+  let pin ~why unit value file =
+    Alcotest.(check bool) (Printf.sprintf "%s: %s.%s from %s" why unit value file) true
+      (List.mem file (callers unit value))
+  in
+  pin ~why:"module alias" "Cio_lintlib__Lint" "scan" "bin/cio_lint.ml";
+  pin ~why:"let module alias" "Cio_telemetry__Trace" "enable" "bin/cio_sim.ml";
+  pin ~why:"wrapped, inside the library" "Cio_tls__Wire" "write_header" "lib/tls/session.ml";
+  pin ~why:"wrapped, from another library" "Cio_tls__Session" "feed_into" "lib/core/channel.ml";
+  pin ~why:"re-export by include" "Cio_util__Json_lite" "of_string"
+    "perfbench/test/test_perfbench.ml";
+  pin ~why:"first-class module" "Cio_netsim__Engine" "step" "test/test_netsim.ml";
+  pin ~why:"through a local structure's include" "Cio_tls__Keys" "finished_mac"
+    "test/record_oracle.ml"
+
+(* The gate CI runs as [cio_lint --exports]: every lib export has a
+   caller, and the core's a production one. *)
+let test_xref_gate_clean () =
+  let index = Xref.read ~root:(root ()) in
+  let findings = Xref.check index in
+  if findings <> [] then Xref.pp_report Format.err_formatter (index, findings);
+  Alcotest.(check int) "no dead-export or test-only-export findings" 0 (List.length findings)
+
 let suite =
   [
     Alcotest.test_case "lint: corpus yields findings" `Quick test_corpus_yields_findings;
@@ -270,4 +348,9 @@ let suite =
       test_runtime_hardened_single_fetch;
     Alcotest.test_case "lint: sanitized campaign, safe path clean" `Slow
       test_campaign_sanitized_safe_path_clean;
+    Alcotest.test_case "exports: classifier on synthetic tables" `Quick test_xref_classifier;
+    Alcotest.test_case "exports: core is the dual-boundary core" `Quick
+      test_xref_core_is_dual_boundary;
+    Alcotest.test_case "exports: pinned sample of the real index" `Quick test_xref_real_index;
+    Alcotest.test_case "exports: gate clean on this tree" `Quick test_xref_gate_clean;
   ]

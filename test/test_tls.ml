@@ -3,13 +3,15 @@
    truncation, forgery, unknown record types). *)
 
 open Cio_tls
+
 module S = Session
+module L = Helpers.Session_lists
 
 let cat = Helpers.cat_bytes
 
 let feed_ok who s bytes =
-  let r = S.feed s bytes in
-  (match r.S.err with
+  let r = L.feed s bytes in
+  (match r.L.err with
   | Some e -> Alcotest.fail (who ^ ": " ^ S.error_to_string e)
   | None -> ());
   r
@@ -24,12 +26,12 @@ let test_wrong_psk_fails () =
   let c = S.create ~role:S.Client ~psk:(Bytes.make 32 'a') ~psk_id:"t" ~rng () in
   let s = S.create ~role:S.Server ~psk:(Bytes.make 32 'b') ~psk_id:"t" ~rng () in
   let f1 = match S.initiate c with Ok o -> cat o | Error _ -> Alcotest.fail "init" in
-  let r1 = S.feed s f1 in
+  let r1 = L.feed s f1 in
   (* The server answers (it cannot know yet), but the client must reject
      the server Finished, or vice versa. *)
-  let r2 = S.feed c (cat r1.S.outputs) in
+  let r2 = L.feed c (cat r1.L.outputs) in
   Alcotest.(check bool) "someone detects the mismatch" true
-    (r2.S.err <> None || r1.S.err <> None);
+    (r2.L.err <> None || r1.L.err <> None);
   Alcotest.(check bool) "never established" false (S.is_established c && S.is_established s)
 
 let test_wrong_psk_id_fails () =
@@ -38,25 +40,25 @@ let test_wrong_psk_id_fails () =
   let c = S.create ~role:S.Client ~psk ~psk_id:"tenant-A" ~rng () in
   let s = S.create ~role:S.Server ~psk ~psk_id:"tenant-B" ~rng () in
   let f1 = match S.initiate c with Ok o -> cat o | Error _ -> Alcotest.fail "init" in
-  let r1 = S.feed s f1 in
-  Alcotest.(check bool) "server rejects id" true (r1.S.err = Some S.Auth_failed)
+  let r1 = L.feed s f1 in
+  Alcotest.(check bool) "server rejects id" true (r1.L.err = Some S.Auth_failed)
 
 let test_data_roundtrip () =
   let c, s = Helpers.tls_pair () in
   let msg = Bytes.of_string "confidential payload" in
-  let wire = match S.send_data c msg with Ok w -> w | Error _ -> Alcotest.fail "send" in
+  let wire = match L.send_data c msg with Ok w -> w | Error _ -> Alcotest.fail "send" in
   let r = feed_ok "server" s wire in
-  Alcotest.(check int) "one message" 1 (List.length r.S.app_data);
-  Helpers.check_bytes "content" msg (List.hd r.S.app_data)
+  Alcotest.(check int) "one message" 1 (List.length r.L.app_data);
+  Helpers.check_bytes "content" msg (List.hd r.L.app_data)
 
 let test_many_messages_in_order () =
   let c, s = Helpers.tls_pair () in
   let baseline = S.records_received s in
   for i = 1 to 50 do
     let msg = Bytes.of_string (Printf.sprintf "message-%03d" i) in
-    let wire = match S.send_data c msg with Ok w -> w | Error _ -> Alcotest.fail "send" in
+    let wire = match L.send_data c msg with Ok w -> w | Error _ -> Alcotest.fail "send" in
     let r = feed_ok "server" s wire in
-    Helpers.check_bytes "in order" msg (List.hd r.S.app_data)
+    Helpers.check_bytes "in order" msg (List.hd r.L.app_data)
   done;
   Alcotest.(check int) "received count" 50 (S.records_received s - baseline)
 
@@ -64,12 +66,12 @@ let test_fragmented_delivery () =
   (* Records arriving byte-by-byte (TCP has no message boundaries). *)
   let c, s = Helpers.tls_pair () in
   let msg = Bytes.of_string "fragmented-record" in
-  let wire = match S.send_data c msg with Ok w -> w | Error _ -> Alcotest.fail "send" in
+  let wire = match L.send_data c msg with Ok w -> w | Error _ -> Alcotest.fail "send" in
   let collected = ref [] in
   Bytes.iter
     (fun ch ->
       let r = feed_ok "server" s (Bytes.make 1 ch) in
-      collected := !collected @ r.S.app_data)
+      collected := !collected @ r.L.app_data)
     wire;
   Alcotest.(check int) "one message" 1 (List.length !collected);
   Helpers.check_bytes "content" msg (List.hd !collected)
@@ -80,63 +82,63 @@ let test_coalesced_delivery () =
   let wires =
     List.map
       (fun i ->
-        match S.send_data c (Bytes.of_string (Printf.sprintf "m%d" i)) with
+        match L.send_data c (Bytes.of_string (Printf.sprintf "m%d" i)) with
         | Ok w -> w
         | Error _ -> Alcotest.fail "send")
       [ 1; 2; 3 ]
   in
   let r = feed_ok "server" s (cat wires) in
-  Alcotest.(check int) "three messages" 3 (List.length r.S.app_data)
+  Alcotest.(check int) "three messages" 3 (List.length r.L.app_data)
 
 let test_replay_fatal () =
   let c, s = Helpers.tls_pair () in
-  let wire = match S.send_data c (Bytes.of_string "once") with Ok w -> w | Error _ -> Alcotest.fail "send" in
+  let wire = match L.send_data c (Bytes.of_string "once") with Ok w -> w | Error _ -> Alcotest.fail "send" in
   ignore (feed_ok "server" s wire);
-  let r = S.feed s wire in
-  Alcotest.(check bool) "replay fatal" true (r.S.err = Some S.Auth_failed);
+  let r = L.feed s wire in
+  Alcotest.(check bool) "replay fatal" true (r.L.err = Some S.Auth_failed);
   (* Fail-closed: the session stays dead. *)
-  let r2 = S.feed s (Bytes.of_string "anything") in
-  Alcotest.(check bool) "poisoned" true (r2.S.err <> None)
+  let r2 = L.feed s (Bytes.of_string "anything") in
+  Alcotest.(check bool) "poisoned" true (r2.L.err <> None)
 
 let test_reorder_fatal () =
   let c, s = Helpers.tls_pair () in
-  let w1 = match S.send_data c (Bytes.of_string "first") with Ok w -> w | Error _ -> assert false in
-  let w2 = match S.send_data c (Bytes.of_string "second") with Ok w -> w | Error _ -> assert false in
-  let r = S.feed s (cat [ w2; w1 ]) in
-  Alcotest.(check bool) "reorder detected" true (r.S.err = Some S.Auth_failed)
+  let w1 = match L.send_data c (Bytes.of_string "first") with Ok w -> w | Error _ -> assert false in
+  let w2 = match L.send_data c (Bytes.of_string "second") with Ok w -> w | Error _ -> assert false in
+  let r = L.feed s (cat [ w2; w1 ]) in
+  Alcotest.(check bool) "reorder detected" true (r.L.err = Some S.Auth_failed)
 
 let test_tamper_fatal () =
   let c, s = Helpers.tls_pair () in
-  let wire = match S.send_data c (Bytes.of_string "integrity") with Ok w -> w | Error _ -> assert false in
+  let wire = match L.send_data c (Bytes.of_string "integrity") with Ok w -> w | Error _ -> assert false in
   Bytes.set wire (Bytes.length wire - 1) '\x00';
-  let r = S.feed s wire in
-  Alcotest.(check bool) "tamper detected" true (r.S.err = Some S.Auth_failed)
+  let r = L.feed s wire in
+  Alcotest.(check bool) "tamper detected" true (r.L.err = Some S.Auth_failed)
 
 let test_length_field_tamper_fatal () =
   let c, s = Helpers.tls_pair () in
-  let wire = match S.send_data c (Bytes.of_string "len") with Ok w -> w | Error _ -> assert false in
+  let wire = match L.send_data c (Bytes.of_string "len") with Ok w -> w | Error _ -> assert false in
   (* Grow the declared length: the header is AAD, so even a "plausible"
      length change breaks authentication (after the splitter waits for
      the extra bytes, which we supply as padding). *)
   Bytes.set_uint16_be wire 2 (Bytes.get_uint16_be wire 2 + 4);
-  let r = S.feed s (Bytes.cat wire (Bytes.make 4 '\x00')) in
-  Alcotest.(check bool) "length tamper detected" true (r.S.err <> None)
+  let r = L.feed s (Bytes.cat wire (Bytes.make 4 '\x00')) in
+  Alcotest.(check bool) "length tamper detected" true (r.L.err <> None)
 
 let test_truncation_then_garbage_fatal () =
   let c, s = Helpers.tls_pair () in
-  let wire = match S.send_data c (Bytes.of_string "whole") with Ok w -> w | Error _ -> assert false in
+  let wire = match L.send_data c (Bytes.of_string "whole") with Ok w -> w | Error _ -> assert false in
   let half = Bytes.sub wire 0 (Bytes.length wire / 2) in
-  let r = S.feed s half in
-  Alcotest.(check bool) "truncation alone pends" true (r.S.err = None && r.S.app_data = []);
+  let r = L.feed s half in
+  Alcotest.(check bool) "truncation alone pends" true (r.L.err = None && r.L.app_data = []);
   (* The attacker substitutes different bytes for the rest. *)
-  let r2 = S.feed s (Bytes.make (Bytes.length wire - Bytes.length half) '\xAB') in
-  Alcotest.(check bool) "spliced tail detected" true (r2.S.err <> None)
+  let r2 = L.feed s (Bytes.make (Bytes.length wire - Bytes.length half) '\xAB') in
+  Alcotest.(check bool) "spliced tail detected" true (r2.L.err <> None)
 
 let test_forged_record_fatal () =
   let _, s = Helpers.tls_pair () in
   let forged = Wire.encode { Wire.ctype = Wire.Data; body = Bytes.make 48 '\x42' } in
-  let r = S.feed s forged in
-  Alcotest.(check bool) "forgery detected" true (r.S.err = Some S.Auth_failed)
+  let r = L.feed s forged in
+  Alcotest.(check bool) "forgery detected" true (r.L.err = Some S.Auth_failed)
 
 (* Content types other than handshake (22), data (23) and alert (21),
    far from them (99) or next to them (24), are malformed input. *)
@@ -146,48 +148,46 @@ let test_unknown_content_type_fatal () =
       let _, s = Helpers.tls_pair () in
       let junk = Bytes.of_string "\x00\x00\x00\x04AAAA" in
       Bytes.set junk 0 (Char.chr code);
-      match (S.feed s junk).S.err with
+      match (L.feed s junk).L.err with
       | Some (S.Bad_format _) -> ()
       | _ -> Alcotest.failf "content type %d must poison the splitter" code)
     [ 99; 24 ]
 
 let test_oversized_record_fatal () =
   let _, s = Helpers.tls_pair () in
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr (Wire.content_code Wire.Data));
-  Bytes.set hdr 1 '\x00';
-  Bytes.set_uint16_be hdr 2 0xFFFF;
-  let r = S.feed s hdr in
-  match r.S.err with
+  let hdr = Bytes.create Wire.header_len in
+  Wire.write_header hdr ~off:0 ~ctype:Wire.Data ~len:0xFFFF;
+  let r = L.feed s hdr in
+  match r.L.err with
   | Some (S.Bad_format _) -> ()
   | _ -> Alcotest.fail "oversized declared length must be rejected"
 
 let test_bidirectional_traffic () =
   let c, s = Helpers.tls_pair () in
-  let w1 = match S.send_data c (Bytes.of_string "c->s") with Ok w -> w | Error _ -> assert false in
-  let w2 = match S.send_data s (Bytes.of_string "s->c") with Ok w -> w | Error _ -> assert false in
+  let w1 = match L.send_data c (Bytes.of_string "c->s") with Ok w -> w | Error _ -> assert false in
+  let w2 = match L.send_data s (Bytes.of_string "s->c") with Ok w -> w | Error _ -> assert false in
   let r1 = feed_ok "server" s w1 and r2 = feed_ok "client" c w2 in
-  Helpers.check_bytes "c->s" (Bytes.of_string "c->s") (List.hd r1.S.app_data);
-  Helpers.check_bytes "s->c" (Bytes.of_string "s->c") (List.hd r2.S.app_data)
+  Helpers.check_bytes "c->s" (Bytes.of_string "c->s") (List.hd r1.L.app_data);
+  Helpers.check_bytes "s->c" (Bytes.of_string "s->c") (List.hd r2.L.app_data)
 
 let test_send_before_established () =
   let rng = Cio_util.Rng.create 1L in
   let c = S.create ~role:S.Client ~psk:(Bytes.make 32 'k') ~psk_id:"t" ~rng () in
-  match S.send_data c (Bytes.of_string "early") with
+  match L.send_data c (Bytes.of_string "early") with
   | Error (S.Bad_state _) -> ()
   | _ -> Alcotest.fail "must refuse before establishment"
 
 let test_alert_kills_peer () =
   let _, s = Helpers.tls_pair () in
-  let r = S.feed s (Wire.encode { Wire.ctype = Wire.Alert; body = Bytes.make 1 '\002' }) in
-  Alcotest.(check bool) "peer alert fatal" true (r.S.err = Some S.Peer_alert)
+  let r = L.feed s (Wire.encode { Wire.ctype = Wire.Alert; body = Bytes.make 1 '\002' }) in
+  Alcotest.(check bool) "peer alert fatal" true (r.L.err = Some S.Peer_alert)
 
 let test_max_size_record () =
   let c, s = Helpers.tls_pair () in
   let big = Bytes.make 16384 'B' in
-  let wire = match S.send_data c big with Ok w -> w | Error _ -> assert false in
+  let wire = match L.send_data c big with Ok w -> w | Error _ -> assert false in
   let r = feed_ok "server" s wire in
-  Helpers.check_bytes "16K record" big (List.hd r.S.app_data)
+  Helpers.check_bytes "16K record" big (List.hd r.L.app_data)
 
 (* A payload over the record limit is refused at the sender, before a
    byte is queued or a sequence number used; sealed, it would reach the
@@ -196,7 +196,7 @@ let test_max_size_record () =
 let test_oversized_payload_refused () =
   let c, s = Helpers.tls_pair () in
   let limit = Wire.max_body - Cio_crypto.Aead.tag_len in
-  (match S.send_data c (Bytes.make 20_000 'X') with
+  (match L.send_data c (Bytes.make 20_000 'X') with
   | Error (S.Bad_format _) -> ()
   | Error e -> Alcotest.fail (S.error_to_string e)
   | Ok _ -> Alcotest.fail "20000-byte payload sealed");
@@ -207,12 +207,12 @@ let test_oversized_payload_refused () =
   | Ok () -> Alcotest.fail "payload one over the limit queued");
   Alcotest.(check int) "nothing queued" 0 (Cio_util.Byteq.length q);
   let fits = Bytes.make limit 'F' in
-  let wire = match S.send_data c fits with Ok w -> w | Error e -> Alcotest.fail (S.error_to_string e) in
+  let wire = match L.send_data c fits with Ok w -> w | Error e -> Alcotest.fail (S.error_to_string e) in
   let r = feed_ok "server" s wire in
-  Helpers.check_bytes "largest payload, first sequence number" fits (List.hd r.S.app_data);
-  let wire = match S.send_data c (Bytes.of_string "after") with Ok w -> w | Error _ -> assert false in
+  Helpers.check_bytes "largest payload, first sequence number" fits (List.hd r.L.app_data);
+  let wire = match L.send_data c (Bytes.of_string "after") with Ok w -> w | Error _ -> assert false in
   let r = feed_ok "server" s wire in
-  Helpers.check_bytes "session intact" (Bytes.of_string "after") (List.hd r.S.app_data)
+  Helpers.check_bytes "session intact" (Bytes.of_string "after") (List.hd r.L.app_data)
 
 (* Sealing and opening a 64-byte record in place allocates the returned
    plaintext (a header word, and 9 words for its 64 bytes and the padding
@@ -261,11 +261,11 @@ let both_pairs seed =
   let os = O.Session.create ~role:O.Session.Server ~psk:oracle_psk ~psk_id:"oracle" ~rng:orng () in
   let f1 = match S.initiate c with Ok o -> cat o | Error _ -> Alcotest.fail "initiate" in
   let o1 = match O.Session.initiate oc with Ok o -> cat o | Error _ -> Alcotest.fail "initiate" in
-  let r1 = S.feed s f1 and q1 = O.Session.feed os o1 in
-  let r2 = S.feed c (cat r1.S.outputs) and q2 = O.Session.feed oc (cat q1.O.Session.outputs) in
-  ignore (S.feed s (cat r2.S.outputs));
+  let r1 = L.feed s f1 and q1 = O.Session.feed os o1 in
+  let r2 = L.feed c (cat r1.L.outputs) and q2 = O.Session.feed oc (cat q1.O.Session.outputs) in
+  ignore (L.feed s (cat r2.L.outputs));
   ignore (O.Session.feed os (cat q2.O.Session.outputs));
-  if not (Bytes.equal f1 o1 && Bytes.equal (cat r1.S.outputs) (cat q1.O.Session.outputs)) then
+  if not (Bytes.equal f1 o1 && Bytes.equal (cat r1.L.outputs) (cat q1.O.Session.outputs)) then
     Alcotest.fail "handshake flights differ from the oracle's";
   ((c, s), (oc, os))
 
@@ -280,13 +280,13 @@ let same_error (a : S.error option) (b : O.Session.error option) =
       String.equal x y
   | _ -> false
 
-let same_result (r : S.feed_result) (o : O.Session.feed_result) =
-  List.equal Bytes.equal r.S.outputs o.O.Session.outputs
-  && List.equal Bytes.equal r.S.app_data o.O.Session.app_data
-  && same_error r.S.err o.O.Session.err
+let same_result (r : L.feed_result) (o : O.Session.feed_result) =
+  List.equal Bytes.equal r.L.outputs o.O.Session.outputs
+  && List.equal Bytes.equal r.L.app_data o.O.Session.app_data
+  && same_error r.L.err o.O.Session.err
 
 let seal_both (c, oc) payload =
-  match (S.send_data c payload, O.Session.send_data oc payload) with
+  match (L.send_data c payload, O.Session.send_data oc payload) with
   | Ok w, Ok ow ->
       if not (Bytes.equal w ow) then Alcotest.fail "record differs from the oracle's";
       w
@@ -304,7 +304,7 @@ let prop_record_bytes_match_oracle =
       (* Random sequence numbers: [skip] records first, on both sides. *)
       for i = 1 to skip do
         let w = seal_both (c, oc) (Bytes.make (i mod 7) 's') in
-        ignore (S.feed s w);
+        ignore (L.feed s w);
         ignore (O.Session.feed os w)
       done;
       let w = seal_both (c, oc) payload in
@@ -314,7 +314,7 @@ let prop_record_bytes_match_oracle =
       let into_ok = S.send_data_into c payload q = Ok () in
       let qw = Cio_util.Byteq.take q (Cio_util.Byteq.length q) in
       into_ok && Bytes.equal qw ow
-      && same_result (S.feed s (Bytes.cat w qw)) (O.Session.feed os (Bytes.cat w ow)))
+      && same_result (L.feed s (Bytes.cat w qw)) (O.Session.feed os (Bytes.cat w ow)))
 
 (* Tampered, truncated, replayed, reordered and malformed streams, cut
    into random chunks, fail (or pend) exactly as the oracle's do, chunk
@@ -366,10 +366,10 @@ let prop_record_attacks_match_oracle =
       let rec feed_chunks from = function
         | [] ->
             let chunk = Bytes.sub stream from (len - from) in
-            same_result (S.feed s chunk) (O.Session.feed os chunk)
+            same_result (L.feed s chunk) (O.Session.feed os chunk)
         | cut :: rest ->
             let chunk = Bytes.sub stream from (cut - from) in
-            same_result (S.feed s chunk) (O.Session.feed os chunk) && feed_chunks cut rest
+            same_result (L.feed s chunk) (O.Session.feed os chunk) && feed_chunks cut rest
       in
       feed_chunks 0 cuts)
 
@@ -379,15 +379,15 @@ let prop_any_bitflip_fatal =
     (fun (payload, flip) ->
       let c, s = Helpers.tls_pair () in
       let msg = Bytes.of_string payload in
-      match S.send_data c msg with
+      match L.send_data c msg with
       | Error _ -> false
       | Ok wire ->
           let i = flip mod Bytes.length wire in
           Bytes.set wire i (Char.chr (Char.code (Bytes.get wire i) lxor 0x04));
-          let r = S.feed s wire in
+          let r = L.feed s wire in
           (* Either detected (err) or — never — silently wrong data. *)
-          (match r.S.app_data with
-          | [] -> r.S.err <> None || true
+          (match r.L.app_data with
+          | [] -> r.L.err <> None || true
           | [ m ] -> Bytes.equal m msg  (* flips in padding-free encoding can't happen, but guard *)
           | _ -> false))
 
@@ -397,11 +397,11 @@ let prop_roundtrip_any_payload =
     (fun payload ->
       let c, s = Helpers.tls_pair () in
       let msg = Bytes.of_string payload in
-      match S.send_data c msg with
+      match L.send_data c msg with
       | Error _ -> false
       | Ok wire ->
-          let r = S.feed s wire in
-          r.S.err = None && r.S.app_data = [ msg ])
+          let r = L.feed s wire in
+          r.L.err = None && r.L.app_data = [ msg ])
 
 let prop_splitter_never_crashes =
   (* Fuzz the record splitter with arbitrary chunked garbage, some of it
@@ -438,10 +438,10 @@ let prop_session_survives_garbage =
     QCheck.(string_of_size Gen.(int_range 1 300))
     (fun garbage ->
       let _, s = Helpers.tls_pair () in
-      let r = S.feed s (Bytes.of_string garbage) in
+      let r = L.feed s (Bytes.of_string garbage) in
       (* Whatever the bytes were, they are not authentic records: nothing
          may surface as application data. *)
-      r.S.app_data = [])
+      r.L.app_data = [])
 
 let suite =
   [
