@@ -147,7 +147,7 @@ let test_crypto_primitives () =
   ]
 
 let test_packed ~hardened name =
-  let tr = Cio_virtio.Packed.create_transport ~name:("bench-" ^ name) () in
+  let tr = Cio_virtio.Packed.create_transport ~name:("bench-" ^ name) in
   let dev = Cio_virtio.Packed.create_device ~transport:tr ~transmit:(fun _ -> ()) in
   let drv = Cio_virtio.Packed.create_driver ~hardened tr in
   let payload = Bytes.make 1024 'p' in

@@ -15,7 +15,9 @@
    The export gate is separate and has no baseline: every [lib] export
    must be referenced by another compilation unit ([dead-export]), and
    every export of the dual-boundary core by production code
-   ([test-only-export]). *)
+   ([test-only-export]); every optional parameter of a [lib] export must
+   be supplied by some call ([unset-knob]) and left out by some
+   production call ([always-set-knob]). *)
 
 open Cmdliner
 module Lint = Cio_lintlib.Lint
@@ -45,7 +47,8 @@ let rules_arg =
 let exports_arg =
   let doc =
     "Run the export gate instead: index the .cmt/.cmti files of a dune build @check under \
-     ROOT/_build/default and report every dead-export and test-only-export; exit 1 on any."
+     ROOT/_build/default and report every dead-export, test-only-export, unset-knob and \
+     always-set-knob; exit 1 on any."
   in
   Arg.(value & flag & info [ "exports" ] ~doc)
 

@@ -73,7 +73,7 @@ let trace_cmd =
   let run repo_root id out timeline capacity =
     setup_tcb repo_root;
     let module Trace = Cio_telemetry.Trace in
-    Trace.enable ~capacity ();
+    Trace.enable ~capacity;
     if not (Cio_experiments.Experiments.run_one Fmt.stdout id) then begin
       Fmt.epr "unknown experiment id: %s@." id;
       1

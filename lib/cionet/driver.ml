@@ -33,7 +33,6 @@ type t = {
   mutable tx_frames : int;
   mutable rx_frames : int;
   pool : Bufpool.t;       (* RX/pad buffer recycling; stable across hot swaps *)
-  some_pool : Bufpool.t option;  (* [Some pool], built once: passing it boxes nothing *)
   mutable burst : bytes array;   (* [poll_burst]'s Copy_in burst; grows to the largest [max] *)
 }
 
@@ -75,7 +74,6 @@ let create ?(model = Cost.default) ?meter ?host_meter ~name (config : Config.t) 
   let meter = match meter with Some m -> m | None -> Cost.meter () in
   let host_meter = match host_meter with Some m -> m | None -> Cost.meter () in
   let inst = make_instance ~model ~meter ~host_meter ~name config in
-  let pool = Bufpool.create () in
   {
     config;
     inst;
@@ -86,8 +84,7 @@ let create ?(model = Cost.default) ?meter ?host_meter ~name (config : Config.t) 
     generation = 0;
     tx_frames = 0;
     rx_frames = 0;
-    pool;
-    some_pool = Some pool;
+    pool = Bufpool.create ();
     burst = [||];
   }
 
@@ -188,11 +185,11 @@ let got_rx t frame =
 let poll t =
   match t.config.Config.rx_strategy with
   | Config.Copy_in ->
-      let r = Ring.try_consume ?pool:t.some_pool t.inst.rx in
+      let r = Ring.try_consume ~pool:t.pool t.inst.rx in
       (match r with Some f -> got_rx t f | None -> ());
       r
   | Config.Revoke -> (
-      match Ring.try_consume_revoke_burst ?pool:t.some_pool ~max:1 t.inst.rx with
+      match Ring.try_consume_revoke_burst ~pool:t.pool ~max:1 t.inst.rx with
       | Some { Ring.frames = [ f ]; release } ->
           got_rx t f;
           (* The netif contract hands out an owned buffer, so release the
@@ -205,12 +202,12 @@ let poll t =
 (* Burst receive: drain up to [max] frames in one crossing. In [Revoke]
    mode the whole contiguous run is revoked with a single shootdown and
    released immediately — every returned buffer is a private snapshot. *)
-let poll_burst ?(max = 64) t =
+let poll_burst ~max t =
   let frames =
     match t.config.Config.rx_strategy with
     | Config.Copy_in ->
         if max > Array.length t.burst then t.burst <- Array.make max Bytes.empty;
-        let n = Ring.try_consume_burst_into ?pool:t.some_pool t.inst.rx t.burst ~max in
+        let n = Ring.try_consume_burst_into ~pool:t.pool t.inst.rx t.burst ~max in
         let rec take i acc =
           if i < 0 then acc
           else begin

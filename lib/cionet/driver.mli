@@ -45,8 +45,8 @@ val transmit_burst : t -> bytes array -> int
     buffers when [pad_frames] is set — no per-frame allocation in steady
     state. *)
 
-val poll_burst : ?max:int -> t -> bytes list
-(** Drain up to [max] (default 64) RX frames in one crossing, FIFO. In
+val poll_burst : max:int -> t -> bytes list
+(** Drain up to [max] RX frames in one crossing, FIFO. In
     [Revoke] mode the contiguous run is revoked under a single shootdown
     and released before returning; every buffer is an owned snapshot. *)
 

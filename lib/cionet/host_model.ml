@@ -46,7 +46,6 @@ type t = {
   (* Frame buffers the host owns: what [drain_tx] consumes into and
      gives to [transmit], and where produced RX frames go back. *)
   pool : Bufpool.t;
-  some_pool : Bufpool.t option;  (* [Some pool], built once: passing it boxes nothing *)
   batch : bytes array;  (* [drain_tx]'s burst, forwarded once the whole burst is in *)
   pending_rx : bytes Fifo.t;
   staged : bytes array;  (* [fill_rx]'s burst: the front of [pending_rx], as produced *)
@@ -70,12 +69,10 @@ let tx_burst = 64
 let rx_burst = 64
 
 let create ~(driver : Driver.t) ~transmit =
-  let pool = Bufpool.create () in
   {
     driver;
     transmit;
-    pool;
-    some_pool = Some pool;
+    pool = Bufpool.create ();
     batch = Array.make tx_burst Bytes.empty;
     pending_rx = Fifo.create Bytes.empty;
     staged = Array.make rx_burst Bytes.empty;
@@ -170,8 +167,7 @@ let note_fault t =
 let rec drain_tx t left =
   let k = Int.min tx_burst left in
   if k > 0 then
-    match Ring.try_consume_burst_into ?pool:t.some_pool (Driver.tx_ring t.driver) t.batch ~max:k
-    with
+    match Ring.try_consume_burst_into ~pool:t.pool (Driver.tx_ring t.driver) t.batch ~max:k with
     | 0 -> ()
     | n ->
         for i = 0 to n - 1 do

@@ -22,12 +22,12 @@ type t = {
   mutable rx_next : int;  (* round-robin drain cursor *)
 }
 
-let create ?(model = Cost.default) ?host_meter ~name ~queues (config : Config.t) =
+let create ~name ~queues (config : Config.t) =
   if queues < 1 then invalid_arg "Multiqueue.create: need at least one queue";
   {
     queues =
       Array.init queues (fun i ->
-          Driver.create ~model ?host_meter ~name:(Printf.sprintf "%s-q%d" name i) config);
+          Driver.create ~name:(Printf.sprintf "%s-q%d" name i) config);
     rx_next = 0;
   }
 
@@ -52,7 +52,7 @@ let transmit_burst t ~flow_hash frames =
    cursor, taking up to the remaining budget from each, so one busy queue
    cannot starve the others and a single poll can move a whole batch
    (the old one-frame-per-poll drain was the multi-queue bottleneck). *)
-let poll_burst ?(max = 64) t =
+let poll_burst ~max t =
   let n = Array.length t.queues in
   let left = ref max in
   let acc = ref [] in

@@ -3,12 +3,9 @@
     properties compose per queue; per-queue meters expose the parallel
     critical path. *)
 
-open Cio_util
-
 type t
 
-val create :
-  ?model:Cost.model -> ?host_meter:Cost.meter -> name:string -> queues:int -> Config.t -> t
+val create : name:string -> queues:int -> Config.t -> t
 
 val queue : t -> int -> Driver.t
 val queues : t -> Driver.t list
@@ -22,8 +19,8 @@ val transmit : t -> flow_hash:int -> bytes -> bool
 val transmit_burst : t -> flow_hash:int -> bytes array -> int
 (** Burst transmit on the flow's queue; see {!Driver.transmit_burst}. *)
 
-val poll_burst : ?max:int -> t -> bytes list
-(** Drain up to [max] (default 64) frames, visiting each queue at most
+val poll_burst : max:int -> t -> bytes list
+(** Drain up to [max] frames, visiting each queue at most
     once round-robin from the cursor. *)
 
 val total_cycles : t -> int

@@ -113,6 +113,8 @@ type t = {
   mutable next_tag : int;
   counters : counters;
   hdr : bytes;  (* [read_header]'s fetch buffer: private, decoded at once *)
+  desc : bytes;  (* [locate]'s descriptor fetch buffer, likewise *)
+  one : bytes array;  (* [try_consume]'s one-frame burst *)
 }
 
 let create ~region ~base ~slots ~positioning ~producer ~host_meter =
@@ -148,6 +150,8 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
           state_skipped = 0;
         };
       hdr = Bytes.create header_bytes;
+      desc = Bytes.create 8;
+      one = [| Bytes.empty |];
     }
   in
   (match positioning with
@@ -184,8 +188,10 @@ let desc_off t d = t.base + t.lay.desc_off + (8 * (d land (max t.lay.desc_count 
 let ring_word_cost t ~amortized =
   if amortized then t.model.Cost.ring_burst_op else t.model.Cost.ring_op
 
-(* Word [i] of the last header fetch: 0 state, 1 len, 2 info, 3 tag. *)
-let hdr_word t i = Int32.to_int (Bytes.get_int32_le t.hdr (4 * i)) land 0xFFFFFFFF
+(* Word [i] of a private fetch buffer. In the last header fetch: 0 state,
+   1 len, 2 info, 3 tag; in the last descriptor fetch: 0 offset, 1 len. *)
+let word b i = Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xFFFFFFFF
+let hdr_word t i = word t.hdr i
 
 (* Single-fetch header read: one 16-byte pull into the ring's private
    fetch buffer; returns the state word, and the caller decodes len and
@@ -210,12 +216,9 @@ let write_payload t actor ~off payload =
       Region.host_write t.region ~off payload;
       charge t actor Cost.Dma (Cost.dma_cost t.model (Bytes.length payload))
 
-(* The consumer's one early copy. With a [pool] the destination buffer is
-   recycled instead of freshly allocated — same charges either way. *)
+(* The consumer's one early copy, into a buffer recycled from [pool]. *)
 let read_payload pool t actor ~off ~len =
-  let b =
-    match pool with Some p -> Bufpool.acquire p len | None -> Bytes.create len
-  in
+  let b = Bufpool.acquire pool len in
   (match actor with
   | Region.Guest -> Region.copy_in_into t.region ~off b
   | Region.Host ->
@@ -327,11 +330,12 @@ let skip ~amortized ~arg t actor slot =
   write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
   t.cons_next <- t.cons_next + 1
 
-(* Resolve the payload location for a consumed slot, confining every
-   untrusted value by masking/clamping. *)
-let locate ~amortized t actor slot ~len ~info =
+(* Resolve the payload offset for a consumed slot, confining every
+   untrusted value by masking. An indirect slot's descriptor is left in
+   [t.desc]. *)
+let locate ~amortized t actor slot ~info =
   match t.positioning with
-  | Config.Inline _ -> (unit_off t slot, clamp t actor len)
+  | Config.Inline _ -> unit_off t slot
   | Config.Pool _ ->
       charge t actor Cost.Check t.model.Cost.check;
       let u = info land (t.lay.units - 1) in
@@ -340,7 +344,7 @@ let locate ~amortized t actor slot ~len ~info =
         Metrics.inc m_index_masked;
         if Trace.on () then Trace.instant ~arg:info ~cat:Kind.l2 "slot-mask"
       end;
-      (unit_off t u, clamp t actor len)
+      unit_off t u
   | Config.Indirect _ ->
       charge t actor Cost.Check t.model.Cost.check;
       let d = info land (t.lay.desc_count - 1) in
@@ -351,13 +355,10 @@ let locate ~amortized t actor slot ~len ~info =
       end;
       (* Single fetch of the descriptor. *)
       charge t actor Cost.Ring (ring_word_cost t ~amortized);
-      let db =
-        match actor with
-        | Region.Guest -> Region.guest_read t.region ~off:(desc_off t d) ~len:8
-        | Region.Host -> Region.host_read t.region ~off:(desc_off t d) ~len:8
-      in
-      let raw_off = Int32.to_int (Bytes.get_int32_le db 0) land 0xFFFFFFFF in
-      let dlen = Int32.to_int (Bytes.get_int32_le db 4) land 0xFFFFFFFF in
+      (match actor with
+      | Region.Guest -> Region.guest_read_into t.region ~off:(desc_off t d) t.desc
+      | Region.Host -> Region.host_read_into t.region ~off:(desc_off t d) t.desc);
+      let raw_off = word t.desc 0 in
       (* Confine the buffer offset: wrap into the arena, align down to a
          unit boundary. A hostile offset aliases a valid unit. *)
       charge t actor Cost.Check t.model.Cost.check;
@@ -367,13 +368,14 @@ let locate ~amortized t actor slot ~len ~info =
         Metrics.inc m_index_masked;
         if Trace.on () then Trace.instant ~arg:raw_off ~cat:Kind.l2 "slot-mask"
       end;
-      (t.base + t.lay.data_off + confined, clamp t actor (Int.min len dlen))
+      t.base + t.lay.data_off + confined
 
-(* One consume step. [Cr_skip] means a malformed slot was skipped and the
-   cursor advanced — progress was made but no message came out. *)
-type consume_result = Cr_empty | Cr_skip | Cr_frame of bytes
+(* One consume step, into [dst.(n)] when a message comes out. [Cr_skip]
+   means a malformed slot was skipped and the cursor advanced — progress
+   was made but no message came out. *)
+type consume_result = Cr_empty | Cr_skip | Cr_frame
 
-let consume_one pool t ~amortized =
+let consume_one pool t ~amortized dst n =
   let actor = consumer t in
   let slot = t.cons_next land (t.slots - 1) in
   let state = read_header ~amortized t actor slot in
@@ -388,7 +390,11 @@ let consume_one pool t ~amortized =
     Cr_skip
   end
   else begin
-    let off, len = locate ~amortized t actor slot ~len ~info in
+    let off = locate ~amortized t actor slot ~info in
+    let claimed =
+      match t.positioning with Config.Indirect _ -> Int.min len (word t.desc 1) | _ -> len
+    in
+    let len = clamp t actor claimed in
     if len = 0 then begin
       (* A message carries at least one byte by contract: a zero-length
          claim is malformed, so the slot is skipped like any other
@@ -397,25 +403,15 @@ let consume_one pool t ~amortized =
       Cr_skip
     end
     else begin
-      let payload = read_payload pool t actor ~off ~len in
+      dst.(n) <- read_payload pool t actor ~off ~len;
       write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
       t.cons_next <- t.cons_next + 1;
       t.counters.consumed <- t.counters.consumed + 1;
       Metrics.inc m_consumed;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-consume";
-      Cr_frame payload
+      Cr_frame
     end
   end
-
-(* A burst of one, exactly as [try_consume_burst_into ~max:1]: a skipped
-   slot does not end the call, and the header reads after it amortize. *)
-let rec consume_from pool t ~amortized =
-  match consume_one pool t ~amortized with
-  | Cr_frame b -> Some b
-  | Cr_empty -> None
-  | Cr_skip -> consume_from pool t ~amortized:true
-
-let try_consume ?pool t = consume_from pool t ~amortized:false
 
 (* Burst consume: drain up to [max] messages in one crossing. Malformed
    slots inside the batch are skipped-and-counted exactly as in the
@@ -425,16 +421,23 @@ let try_consume ?pool t = consume_from pool t ~amortized:false
 let rec consume_into pool t dst ~max ~ops n =
   if n >= max then n
   else
-    match consume_one pool t ~amortized:(ops > 0) with
+    match consume_one pool t ~amortized:(ops > 0) dst n with
     | Cr_empty -> n
     | Cr_skip -> consume_into pool t dst ~max ~ops:(ops + 1) n
-    | Cr_frame b ->
-        dst.(n) <- b;
-        consume_into pool t dst ~max ~ops:(ops + 1) (n + 1)
+    | Cr_frame -> consume_into pool t dst ~max ~ops:(ops + 1) (n + 1)
 
-let try_consume_burst_into ?pool t dst ~max =
+let try_consume_burst_into ~pool t dst ~max =
   if max > Array.length dst then invalid_arg "Ring.try_consume_burst_into: max exceeds the array";
   consume_into pool t dst ~max ~ops:0 0
+
+(* A burst of one, into the ring's own one-slot array. *)
+let try_consume ~pool t =
+  if consume_into pool t t.one ~max:1 ~ops:0 0 = 0 then None
+  else begin
+    let b = t.one.(0) in
+    t.one.(0) <- Bytes.empty;
+    Some b
+  end
 
 (* Zero-copy consume by revocation (guest consumer, Inline positioning):
    one unshare/share pair (one shootdown each way) covers a contiguous
@@ -446,7 +449,7 @@ let try_consume_burst_into ?pool t dst ~max =
    accounting. A run of one ([~max:1]) is the single-slot revocation. *)
 type zero_copy_burst = { frames : bytes list; release : unit -> unit }
 
-let try_consume_revoke_burst ?pool ?(max = 64) t =
+let try_consume_revoke_burst ~pool ~max t =
   let actor = consumer t in
   if actor <> Region.Guest then
     invalid_arg "Ring.try_consume_revoke_burst: guest-consumer rings only";
@@ -505,13 +508,9 @@ let try_consume_revoke_burst ?pool ?(max = 64) t =
         Region.unshare_range t.region ~off:span_off ~len:span_len;
         let frames =
           List.init k (fun i ->
-              let off = unit_off t (start + i) in
-              match pool with
-              | Some p ->
-                  let b = Bufpool.acquire p lens.(i) in
-                  Region.guest_read_into t.region ~off b;
-                  b
-              | None -> Region.guest_read t.region ~off ~len:lens.(i))
+              let b = Bufpool.acquire pool lens.(i) in
+              Region.guest_read_into t.region ~off:(unit_off t (start + i)) b;
+              b)
         in
         let released = ref false in
         let release () =

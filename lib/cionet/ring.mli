@@ -71,30 +71,30 @@ val try_produce_burst : t -> bytes array -> len:int -> int
     header/word work. A burst of one is exactly {!try_produce} (same
     charges, same counters). *)
 
-val try_consume : ?pool:Bufpool.t -> t -> bytes option
-(** Consumer side, copy strategy: one early copy into private memory.
-    With [pool], the destination buffer is recycled from the pool instead
-    of freshly allocated. Malformed slots are skipped-and-counted without
-    ending the call. A burst of one: exactly
+val try_consume : pool:Bufpool.t -> t -> bytes option
+(** Consumer side, copy strategy: one early copy into private memory, a
+    buffer taken from [pool]. Malformed slots are skipped-and-counted
+    without ending the call. A burst of one: exactly
     {!try_consume_burst_into} [~max:1] (same result, charges and
     counters). *)
 
-val try_consume_burst_into : ?pool:Bufpool.t -> t -> bytes array -> max:int -> int
+val try_consume_burst_into : pool:Bufpool.t -> t -> bytes array -> max:int -> int
 (** Drain up to [max] messages ([max] at most the array's length) in one
     crossing into the first slots of the array, in FIFO order, and return
     how many it wrote. Malformed slots inside the batch are
     skipped-and-counted without ending the batch; an EMPTY slot ends it.
     Header/word costs amortize after the first access. Allocates nothing
-    when the ring is empty. *)
+    but the buffers it takes from [pool]. *)
 
 type zero_copy_burst = { frames : bytes list; release : unit -> unit }
 
-val try_consume_revoke_burst : ?pool:Bufpool.t -> ?max:int -> t -> zero_copy_burst option
+val try_consume_revoke_burst : pool:Bufpool.t -> max:int -> t -> zero_copy_burst option
 (** Consumer side, revocation strategy (guest consumer, inline
     positioning): one unshare/share pair (one TLB shootdown each way)
-    covers a contiguous run of up to [max] (default 64) valid FULL slots,
+    covers a contiguous run of up to [max] valid FULL slots,
     read while the host is locked out. The run stops at a ring wrap or at
     the first non-FULL/malformed slot, which is left in place for the
     next call. [release] re-shares the whole span and returns every slot;
-    the [frames] are private snapshots owned by the caller. [~max:1] is
+    the [frames] are private snapshots in buffers taken from [pool],
+    owned by the caller. [~max:1] is
     the single-slot revocation. *)

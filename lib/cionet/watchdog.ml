@@ -50,7 +50,7 @@ type t = {
   mutable full_streak : int;  (* ticks with fresh full-misses and no progress *)
 }
 
-let create ?(poll_budget = 2048) ?(max_backoff = 32) ?breaker ?retry_budget driver =
+let create ~poll_budget ?(max_backoff = 32) ?breaker ?retry_budget driver =
   {
     driver;
     poll_budget = max 1 poll_budget;
@@ -93,7 +93,7 @@ let reset_now t =
 (* One observation per driver poll quantum. [expecting_rx] is the upper
    layer's statement that inbound data is owed (a request in flight); the
    watchdog cannot infer that from the rings alone. *)
-let tick ?(expecting_rx = false) t =
+let tick ~expecting_rx t =
   let txc = (Ring.counters (Driver.tx_ring t.driver)).Ring.consumed in
   let rxc = (Ring.counters (Driver.rx_ring t.driver)).Ring.produced in
   let tx_outstanding =

@@ -5,14 +5,14 @@
 type t
 
 val create :
-  ?poll_budget:int ->
+  poll_budget:int ->
   ?max_backoff:int ->
   ?breaker:Cio_overload.Breaker.t ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
   Driver.t ->
   t
-(** [poll_budget] is the deadline in observation ticks without progress
-    (default 2048); [max_backoff] caps the exponential budget multiplier
+(** [poll_budget] is the deadline in observation ticks without progress;
+    [max_backoff] caps the exponential budget multiplier
     (default 32). A reset is {!Driver.hot_swap} and nothing else: the
     host serves the driver's new rings on its own (in the simulator,
     {!Host_model} follows the driver it was created with).
@@ -24,7 +24,7 @@ val create :
     budget defers the reset ([overload.watchdog.deferred]). Neither
     changes the backoff multiplier's monotone-doubling behaviour. *)
 
-val tick : ?expecting_rx:bool -> t -> unit
+val tick : expecting_rx:bool -> t -> unit
 (** One observation per driver poll quantum. The TX deadline arms itself
     whenever produced-but-unconsumed TX frames exist; the RX deadline only
     counts while [expecting_rx] (the caller knows a response is owed). *)

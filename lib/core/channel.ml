@@ -173,7 +173,7 @@ type send_outcome =
 (* Admission-controlled send: the overload plane's decision point sits
    exactly at the L5 boundary, before any sealing work is spent — a shed
    request costs the app nothing but the call. *)
-let send_admitted ?(klass = Cio_overload.Admission.Interactive) ?deadline t payload =
+let send_admitted ~klass ?deadline t payload =
   match t.overload with
   | None -> (
       match send t payload with Ok () -> Sent | Error e -> Send_error e)

@@ -39,7 +39,7 @@ type send_outcome =
   | Send_error of Cio_tls.Session.error
 
 val send_admitted :
-  ?klass:Cio_overload.Admission.klass -> ?deadline:Cio_overload.Deadline.t -> t -> bytes ->
+  klass:Cio_overload.Admission.klass -> ?deadline:Cio_overload.Deadline.t -> t -> bytes ->
   send_outcome
 (** {!send} behind the overload plane's admission decision (when the
     channel has one): blown deadline, open breaker (control exempt),

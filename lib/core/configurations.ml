@@ -405,7 +405,7 @@ let run_echo_custom ~transport ~quarantined =
     float_of_int (Cost.total ep.guest_meter) /. float_of_int (max 1 (2 * msg_size * echoes)),
     ep.crossings () )
 
-let run_echo ?(seed = 1L) ?(msg_size = 1024) ?(messages = 50) ?cionet_config kind =
+let run_echo ?(seed = 1L) ?(msg_size = 1024) ~messages ?cionet_config kind =
   let peer_codec =
     match kind with
     | Tunneled ->

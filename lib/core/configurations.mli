@@ -38,7 +38,7 @@ val cycles_per_byte : metrics -> float
 val run_echo :
   ?seed:int64 ->
   ?msg_size:int ->
-  ?messages:int ->
+  messages:int ->
   ?cionet_config:Cio_cionet.Config.t ->
   kind ->
   metrics

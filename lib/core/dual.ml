@@ -57,13 +57,9 @@ let make_stack ~meter ~driver ~plane ~ip ~neighbors ~now ~rng =
     ~netif:(Cio_cionet.Driver.to_netif driver)
     ~ip ~neighbors ~now ~rng ()
 
-let create ?(cionet_config = Cio_cionet.Config.default) ?mac ?overload ~name ~ip ~neighbors ~psk
+let create ?(cionet_config = Cio_cionet.Config.default) ~mac ?overload ~name ~ip ~neighbors ~psk
     ~psk_id ~rng ~now () =
-  let cionet_config =
-    match mac with
-    | Some mac -> { cionet_config with Cio_cionet.Config.mac }
-    | None -> cionet_config
-  in
+  let cionet_config = { cionet_config with Cio_cionet.Config.mac } in
   let meter = Cost.meter () in
   let world = Compartment.create ~meter ~crossing:Compartment.Gate () in
   let app = Compartment.add_domain world ~name:"app" in
@@ -155,7 +151,7 @@ let reconnect t ch =
   connect t ~dst ~dst_port
 
 let listen t ~port =
-  { tcp_listener = enter_io t (fun () -> Tcp.listen (Stack.tcp t.stack) ~port ()); unit_ = t }
+  { tcp_listener = enter_io t (fun () -> Tcp.listen (Stack.tcp t.stack) ~port); unit_ = t }
 
 let accept l =
   let t = l.unit_ in

@@ -12,7 +12,7 @@ type listener
 
 val create :
   ?cionet_config:Cio_cionet.Config.t ->
-  ?mac:Addr.mac ->
+  mac:Addr.mac ->
   ?overload:Cio_overload.Plane.config ->
   name:string ->
   ip:Addr.ipv4 ->

@@ -17,22 +17,8 @@ type t = {
   rng : Rng.t;
   mutable channels : Channel.t list;
   mutable echo_channels : Channel.t list;
-  mutable listeners : (Tcp.listener * [ `Echo | `Sink ]) list;
+  mutable listeners : Tcp.listener list;  (* every one an echo service *)
 }
-
-let create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now () =
-  let meter = Cost.meter () in
-  let stack = Stack.create ~meter ~netif ~ip ~neighbors ~now ~rng () in
-  {
-    stack;
-    meter;
-    psk;
-    psk_id;
-    rng;
-    channels = [];
-    echo_channels = [];
-    listeners = [];
-  }
 
 let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~now () =
   let rxq = Fifo.create Bytes.empty in
@@ -50,7 +36,17 @@ let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~n
       poll = (fun () -> if Fifo.is_empty rxq then None else decode (Fifo.pop rxq));
     }
   in
-  create_with_netif ~netif ~ip ~neighbors ~psk ~psk_id ~rng ~now ()
+  let meter = Cost.meter () in
+  {
+    stack = Stack.create ~meter ~netif ~ip ~neighbors ~now ~rng ();
+    meter;
+    psk;
+    psk_id;
+    rng;
+    channels = [];
+    echo_channels = [];
+    listeners = [];
+  }
 
 let make_channel t ~role ~conn =
   let session = Session.create ~meter:t.meter ~role ~psk:t.psk ~psk_id:t.psk_id ~rng:t.rng () in
@@ -64,24 +60,20 @@ let connect t ~dst ~dst_port =
   ignore (Channel.start_handshake ch);
   ch
 
-let serve t ~port mode =
-  let l = Tcp.listen (Stack.tcp t.stack) ~port () in
-  t.listeners <- (l, mode) :: t.listeners
+let serve_echo t ~port = t.listeners <- Tcp.listen (Stack.tcp t.stack) ~port :: t.listeners
 
-let serve_echo t ~port = serve t ~port `Echo
-
-let rec accept_all t l mode =
+let rec accept_all t l =
   match Tcp.accept l with
   | None -> ()
   | Some conn ->
       let ch = make_channel t ~role:Session.Server ~conn in
-      (match mode with `Echo -> t.echo_channels <- ch :: t.echo_channels | `Sink -> ());
-      accept_all t l mode
+      t.echo_channels <- ch :: t.echo_channels;
+      accept_all t l
 
 let rec accept_listeners t = function
   | [] -> ()
-  | (l, mode) :: rest ->
-      accept_all t l mode;
+  | l :: rest ->
+      accept_all t l;
       accept_listeners t rest
 
 (* Echo service: bounce every received message straight back. *)

@@ -29,7 +29,7 @@ let error_to_string = function
 
 let reference_measurement = Sha256.digest_string "nic-firmware-v1.0-golden"
 
-let establish ?(model = Cost.default) ?(behavior = Honest) ?counterfeit:(fake = false) ~rng () =
+let establish ?(behavior = Honest) ?counterfeit:(fake = false) ~rng () =
   let root_key = Bytes.of_string "vendor-root-endorsement-key-32b." in
   let device =
     if fake then Spdm.make_counterfeit ~device_id:"nic0" ~measurement:reference_measurement
@@ -43,8 +43,8 @@ let establish ?(model = Cost.default) ?(behavior = Honest) ?counterfeit:(fake = 
         {
           device;
           behavior;
-          guest_link = Ide.create ~model ~meter ~key ();
-          device_link = Ide.create ~model ~key ();
+          guest_link = Ide.create ~meter ~key ();
+          device_link = Ide.create ~key ();
           meter;
         transfers = 0;
         }

@@ -12,7 +12,6 @@ type error = Attestation_failed of Spdm.error | Link_tampered
 val error_to_string : error -> string
 
 val establish :
-  ?model:Cost.model ->
   ?behavior:device_behavior ->
   ?counterfeit:bool ->
   rng:Rng.t ->

@@ -11,17 +11,15 @@ type t = {
   key : bytes;
   mutable send_seq : int64;
   mutable recv_seq : int64;
-  model : Cost.model;
   meter : Cost.meter;
 }
 
-let create ?(model = Cost.default) ?meter ~key () =
+let create ?meter ~key () =
   if Bytes.length key <> Aead.key_len then invalid_arg "Ide.create: bad key size";
   {
     key;
     send_seq = 0L;
     recv_seq = 0L;
-    model;
     meter = (match meter with Some m -> m | None -> Cost.meter ());
   }
 
@@ -34,12 +32,12 @@ let nonce_of_seq seq =
 let seal_tlp t payload =
   let nonce = nonce_of_seq t.send_seq in
   t.send_seq <- Int64.add t.send_seq 1L;
-  Cost.charge t.meter Cost.Dma (Cost.dma_cost t.model (Bytes.length payload));
+  Cost.charge t.meter Cost.Dma (Cost.dma_cost Cost.default (Bytes.length payload));
   Aead.seal ~key:t.key ~nonce ~aad:Bytes.empty payload
 
 let open_tlp t sealed =
   let nonce = nonce_of_seq t.recv_seq in
-  Cost.charge t.meter Cost.Dma (Cost.dma_cost t.model (Bytes.length sealed));
+  Cost.charge t.meter Cost.Dma (Cost.dma_cost Cost.default (Bytes.length sealed));
   match Aead.open_ ~key:t.key ~nonce ~aad:Bytes.empty sealed with
   | Some payload ->
       t.recv_seq <- Int64.add t.recv_seq 1L;

@@ -5,7 +5,7 @@ open Cio_util
 
 type t
 
-val create : ?model:Cost.model -> ?meter:Cost.meter -> key:bytes -> unit -> t
+val create : ?meter:Cost.meter -> key:bytes -> unit -> t
 
 val seal_tlp : t -> bytes -> bytes
 val open_tlp : t -> bytes -> bytes option

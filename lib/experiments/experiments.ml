@@ -301,7 +301,7 @@ let channel_copy_cycles ~zero_copy_send ~copy_on_recv =
   let rng = Rng.create 8L in
   let sa = Stack.create ~netif:nif_a ~ip:ip_a ~neighbors:[ (ip_b, mac_b) ] ~now ~rng () in
   let sb = Stack.create ~netif:nif_b ~ip:ip_b ~neighbors:[ (ip_a, mac_a) ] ~now ~rng () in
-  let listener = Tcp.listen (Stack.tcp sb) ~port:1 () in
+  let listener = Tcp.listen (Stack.tcp sb) ~port:1 in
   let conn = Tcp.connect (Stack.tcp sa) ~dst:ip_b ~dst_port:1 () in
   let step () =
     Stack.poll sa;
@@ -635,7 +635,7 @@ let e15 ppf () =
     (fun (check, unique) -> fp ppf "    [%s] %s@." (if unique then "format-specific" else "common ") check)
     Packed.hardened_check_inventory;
   let run_attack ~hardened inject expected_frame =
-    let tr = Packed.create_transport ~name:"e15" () in
+    let tr = Packed.create_transport ~name:"e15" in
     let dev = Packed.create_device ~transport:tr ~transmit:(fun _ -> ()) in
     let drv = Packed.create_driver ~hardened tr in
     Packed.device_inject dev inject;
@@ -700,7 +700,7 @@ let e16 ppf () =
   let reports =
     List.map
       (fun seed ->
-        let plan = Plan.generate ~seed () in
+        let plan = Plan.generate ~seed in
         let r = Campaign.run plan in
         fp ppf "%a" Campaign.pp r;
         r)
@@ -991,20 +991,7 @@ let e21 ppf () =
 let e22 ppf () =
   let open Cio_fault in
   fp ppf "E22: offered-load sweep, overload plane on vs off (slow host, quota=%d/poll)@."
-    Loadgen.default_config.Loadgen.host_quota;
-  let base = Loadgen.default_config in
-  (* Admission tuned to the measured service capacity (~0.5 msg/step at
-     quota 2): 50k tokens/s at a 10 us quantum is 0.5 admits/step. *)
-  let plane_cfg =
-    {
-      Cio_overload.Plane.default_config with
-      Cio_overload.Plane.admit_rate_per_sec = 50_000;
-      admit_burst = 8;
-      queue_limit = 64;
-      deadline_budget_ns =
-        Int64.mul (Int64.of_int base.Loadgen.deadline_steps) base.Loadgen.quantum_ns;
-    }
-  in
+    Loadgen.host_quota;
   let saturation = 500 in
   let rates = [ 250; 500; 1_000; 2_000 ] in
   fp ppf "  %-9s %-5s %7s %6s %6s %7s %7s %6s %8s@." "offered" "plane" "offered"
@@ -1014,14 +1001,8 @@ let e22 ppf () =
     (fun rate ->
       List.iter
         (fun on ->
-          let config =
-            {
-              base with
-              Loadgen.offered_per_mille = rate;
-              overload = (if on then Some plane_cfg else None);
-            }
-          in
-          let r = Loadgen.run ~config ~seed:7L () in
+          let config = { Loadgen.offered_per_mille = rate; overload = on } in
+          let r = Loadgen.run ~config ~seed:7L in
           results := ((rate, on), r) :: !results;
           fp ppf "  %-9s %-5s %7d %6d %6d %7d %7d %6d %8d@."
             (Printf.sprintf "%.2fx" (float_of_int rate /. float_of_int saturation))

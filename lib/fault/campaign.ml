@@ -37,13 +37,9 @@ module Region = Cio_mem.Region
 let fault_span_name kind = Format.asprintf "%a" Plan.pp_kind kind
 
 type config = {
-  quantum_ns : int64;      (* engine advance per pump step *)
   watchdog_budget : int;   (* watchdog deadline in poll ticks *)
   target_echoes : int;     (* minimum successful echoes overall *)
   max_steps : int;
-  payload_pad : int;       (* pad canary payloads up to this size *)
-  sanitize : bool;         (* arm Region's double-fetch sanitizer on the
-                              driver region, one epoch per pump step *)
   overload : Cio_overload.Plane.config option;
       (* stand up the overload-control plane on the unit (admission at
          the channel, bounded TX queue, shared retry budget, breaker on
@@ -51,8 +47,10 @@ type config = {
 }
 
 let default_config =
-  { quantum_ns = 10_000L; watchdog_budget = 1_500; target_echoes = 24;
-    max_steps = 400_000; payload_pad = 256; sanitize = false; overload = None }
+  { watchdog_budget = 1_500; target_echoes = 24; max_steps = 400_000; overload = None }
+
+let quantum_ns = 10_000L  (* engine advance per pump step *)
+let payload_pad = 256     (* canary payloads are padded up to this size *)
 
 type fault_report = {
   kind : Plan.kind;
@@ -74,8 +72,8 @@ type t = {
   confined : int; (* L2 constructions that fired: clamps + masks + skips *)
   sanitizer_double_fetches : int;
       (* overlapping same-epoch guest fetches seen by the runtime
-         sanitizer; 0 unless [config.sanitize], and expected to stay 0
-         over the safe cionet datapath (single fetch by construction) *)
+         sanitizer, expected to stay 0 over the safe cionet datapath
+         (single fetch by construction) *)
   sanitizer_mutated_fetches : int;
   stalls_detected : int;
   resets : int;
@@ -213,16 +211,14 @@ let run ?(config = default_config) (plan : Plan.t) =
     san_mutated := !san_mutated + s.Region.mutated_fetches
   in
   let sample_sanitizer () =
-    if config.sanitize then begin
-      let r = Driver.region (Dual.driver unit_) in
-      (match !san_region with
-      | Some r0 when r0 == r -> ()
-      | prev ->
-          (match prev with Some r0 -> bank_sanitizer r0 | None -> ());
-          Region.sanitizer_enable r;
-          san_region := Some r);
-      Region.sanitizer_epoch r
-    end
+    let r = Driver.region (Dual.driver unit_) in
+    (match !san_region with
+    | Some r0 when r0 == r -> ()
+    | prev ->
+        (match prev with Some r0 -> bank_sanitizer r0 | None -> ());
+        Region.sanitizer_enable r;
+        san_region := Some r);
+    Region.sanitizer_epoch r
   in
   let comp () = Cio_compartment.Compartment.counters (Dual.world unit_) in
   let snap () =
@@ -284,7 +280,7 @@ let run ?(config = default_config) (plan : Plan.t) =
     | Plan.Stack_crash n ->
         Dual.crash_io unit_;
         Engine.schedule engine
-          ~after:(Int64.mul (Int64.of_int n) config.quantum_ns)
+          ~after:(Int64.mul (Int64.of_int n) quantum_ns)
           (fun () ->
             Dual.restart_io unit_;
             drop_outstanding ();
@@ -293,13 +289,13 @@ let run ?(config = default_config) (plan : Plan.t) =
   List.iter
     (fun r ->
       Engine.schedule_at engine
-        ~time:(Int64.mul (Int64.of_int r.f_at) config.quantum_ns)
+        ~time:(Int64.mul (Int64.of_int r.f_at) quantum_ns)
         (fun () -> inject r))
     records;
   (* The pump. *)
   let payload seq =
     let base = Printf.sprintf "%s #%06d" Cio_attack.Attack.canary seq in
-    let b = Bytes.make (max config.payload_pad (String.length base)) '.' in
+    let b = Bytes.make (max payload_pad (String.length base)) '.' in
     Bytes.blit_string base 0 b 0 (String.length base);
     b
   in
@@ -310,7 +306,7 @@ let run ?(config = default_config) (plan : Plan.t) =
   while (not (done_ ())) && !steps < config.max_steps do
     incr steps;
     sample_sanitizer ();
-    Testbed.pump d ~by:config.quantum_ns;
+    Testbed.pump d ~by:quantum_ns;
     sample_confinement ();
     if Dual.io_alive unit_ then begin
       Watchdog.tick wd ~expecting_rx:(not (Queue.is_empty outstanding));

@@ -8,14 +8,9 @@
     report. *)
 
 type config = {
-  quantum_ns : int64;
   watchdog_budget : int;
   target_echoes : int;
   max_steps : int;
-  payload_pad : int;
-  sanitize : bool;
-      (** arm {!Cio_mem.Region}'s runtime double-fetch sanitizer on the
-          driver region, one epoch per pump step (default [false]) *)
   overload : Cio_overload.Plane.config option;
       (** stand up the unit's overload-control plane: admission control
           on sends, bounded TX coalescing, shared retry budget, circuit
@@ -44,8 +39,9 @@ type t = {
   confined : int;
   sanitizer_double_fetches : int;
       (** same-epoch overlapping guest fetches seen by the runtime
-          sanitizer (0 unless [config.sanitize]; the safe cionet datapath
-          is expected to keep it 0 — single fetch by construction) *)
+          sanitizer, armed on the driver region with one epoch per pump
+          step (the safe cionet datapath is expected to keep it 0 —
+          single fetch by construction) *)
   sanitizer_mutated_fetches : int;
   stalls_detected : int;
   resets : int;

@@ -22,29 +22,35 @@ open Cio_core
 open Cio_cionet
 
 type config = {
-  quantum_ns : int64;        (* engine advance per pump step *)
-  steps : int;               (* load steps (after channel establishment) *)
-  msg_size : int;            (* app payload bytes (>= 24) *)
   offered_per_mille : int;   (* offered messages per 1000 steps *)
-  deadline_steps : int;      (* a reply later than this is not goodput *)
-  host_quota : int;          (* Host_model frames serviced per poll *)
-  gen_queue_limit : int;     (* plane-on only: arrivals beyond this shed
-                                at the source instead of aging in queue *)
-  overload : Cio_overload.Plane.config option;
+  overload : bool;           (* stand up the unit's overload plane *)
 }
 
-let default_config =
+let quantum_ns = 10_000L     (* engine advance per pump step *)
+let steps = 2_000            (* load steps (after channel establishment) *)
+
+(* App payload bytes: big enough that one message is one TCP segment, so
+   the host's per-frame quota really is a per-message service rate. *)
+let msg_size = 1_024
+
+let deadline_steps = 64      (* a reply later than this is not goodput *)
+let host_quota = 1           (* Host_model frames serviced per poll *)
+
+(* Plane on only: arrivals beyond this queue depth shed at the source
+   instead of aging in queue. *)
+let gen_queue_limit = 16
+
+(* The plane tuned to the slow host: admission at the measured service
+   capacity (~0.5 msg/step; 50k tokens/s at a 10 us quantum is 0.5
+   admits/step), a short TX queue, and the goodput deadline as every
+   request's budget. *)
+let plane_config =
   {
-    quantum_ns = 10_000L;
-    steps = 2_000;
-    (* Big enough that one message is one TCP segment: the host's
-       per-frame quota then really is a per-message service rate. *)
-    msg_size = 1_024;
-    offered_per_mille = 500;
-    deadline_steps = 64;
-    host_quota = 1;
-    gen_queue_limit = 16;
-    overload = None;
+    Cio_overload.Plane.default_config with
+    Cio_overload.Plane.admit_rate_per_sec = 50_000;
+    admit_burst = 8;
+    queue_limit = 64;
+    deadline_budget_ns = Int64.mul (Int64.of_int deadline_steps) quantum_ns;
   }
 
 type report = {
@@ -63,7 +69,7 @@ type report = {
 
 (* Payload: "<seq:%06d> <birth:%08d> ...padding". The reply carries its
    own birth step, so RTT needs no side table. *)
-let payload ~msg_size ~seq ~birth =
+let payload ~seq ~birth =
   let hdr = Printf.sprintf "%06d %08d " seq birth in
   let b = Bytes.make (max msg_size (String.length hdr)) '.' in
   Bytes.blit_string hdr 0 b 0 (String.length hdr);
@@ -72,15 +78,16 @@ let payload ~msg_size ~seq ~birth =
 let parse_birth m =
   if Bytes.length m >= 16 then int_of_string_opt (Bytes.sub_string m 7 8) else None
 
-let run ?(config = default_config) ~seed () =
+let run ~config ~seed =
   let d =
-    Testbed.attach_dual ?overload:config.overload
+    Testbed.attach_dual
+      ?overload:(if config.overload then Some plane_config else None)
       (Testbed.create ~name:"overload-loadgen" ~psk_id:"overload-loadgen" ~seed ())
   in
   let unit_ = d.Testbed.unit_ and host = d.Testbed.host in
   let plane = Dual.overload unit_ in
   let ch = Testbed.connect d in
-  let pump () = Testbed.pump d ~by:config.quantum_ns in
+  let pump () = Testbed.pump d ~by:quantum_ns in
   (* Handshake warm-up, outside the measured window (unmetered host). *)
   Host_model.set_service_quota host None;
   let warm = ref 0 in
@@ -88,7 +95,7 @@ let run ?(config = default_config) ~seed () =
     incr warm;
     pump ()
   done;
-  Host_model.set_service_quota host (Some config.host_quota);
+  Host_model.set_service_quota host (Some host_quota);
   (* The measured open-loop window. *)
   let offered = ref 0 in
   let sent = ref 0 in
@@ -101,7 +108,7 @@ let run ?(config = default_config) ~seed () =
      plane stamped at generation time. *)
   let genq : (int * Cio_overload.Deadline.t) Queue.t = Queue.create () in
   let acc = ref 0 in
-  for step = 1 to config.steps do
+  for step = 1 to steps do
     (* Open-loop arrivals. With the plane on, the generator queue is
        bounded: beyond the limit an arrival is shed at the source (the
        backpressure signal has propagated all the way to the producer),
@@ -113,7 +120,7 @@ let run ?(config = default_config) ~seed () =
       incr offered;
       match plane with
       | Some p ->
-          if Queue.length genq >= config.gen_queue_limit then begin
+          if Queue.length genq >= gen_queue_limit then begin
             incr shed;
             Cio_overload.Pressure.note_queue_full ()
           end
@@ -130,7 +137,7 @@ let run ?(config = default_config) ~seed () =
       let birth, deadline = Queue.peek genq in
       match
         Channel.send_admitted ~klass:Cio_overload.Admission.Interactive ~deadline ch
-          (payload ~msg_size:config.msg_size ~seq:!sent ~birth)
+          (payload ~seq:!sent ~birth)
       with
       | Channel.Sent ->
           ignore (Queue.pop genq);
@@ -154,7 +161,7 @@ let run ?(config = default_config) ~seed () =
           | Some birth ->
               let rtt = step - birth in
               rtts := rtt :: !rtts;
-              if rtt <= config.deadline_steps then incr timely
+              if rtt <= deadline_steps then incr timely
           | None -> ());
           harvest ()
     in

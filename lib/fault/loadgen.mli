@@ -6,19 +6,19 @@
     or off. Same seed + config, byte-identical report. *)
 
 type config = {
-  quantum_ns : int64;
-  steps : int;
-  msg_size : int;
   offered_per_mille : int;  (** offered messages per 1000 steps *)
-  deadline_steps : int;     (** replies later than this are not goodput *)
-  host_quota : int;         (** {!Cio_cionet.Host_model} frames serviced per poll *)
-  gen_queue_limit : int;
-      (** plane-on only: arrivals beyond this queue depth are shed at the
-          source, keeping queue wait below the deadline for admitted load *)
-  overload : Cio_overload.Plane.config option;
+  overload : bool;
+      (** stand up the unit's overload plane, tuned to the slow host:
+          admission at its service rate, the deadline as every request's
+          budget, and arrivals beyond a queue depth of 16 shed at the
+          source *)
 }
 
-val default_config : config
+val deadline_steps : int
+(** Replies later than this many steps are not goodput. *)
+
+val host_quota : int
+(** {!Cio_cionet.Host_model} frames serviced per poll. *)
 
 type report = {
   offered : int;
@@ -34,4 +34,4 @@ type report = {
   breaker_transitions : int;
 }
 
-val run : ?config:config -> seed:int64 -> unit -> report
+val run : config:config -> seed:int64 -> report

@@ -47,19 +47,12 @@ let coverage rng =
     Stack_crash (200 + Rng.int rng 400);
   |]
 
-let random_kind rng =
-  let c = coverage rng in
-  c.(Rng.int rng (Array.length c))
-
 let first_at = 6_000
 let spacing = 26_000
 
-let generate ?(count = 6) ~seed () =
+let generate ~seed =
   let rng = Rng.create seed in
-  let base = coverage rng in
-  let kinds =
-    Array.init count (fun i -> if i < Array.length base then base.(i) else random_kind rng)
-  in
+  let kinds = coverage rng in
   (* Shuffle so different seeds exercise the layers in different orders
      (the schedule itself stays evenly spaced: each fault must resolve
      before the next lands for crisp attribution). *)

@@ -16,8 +16,7 @@ type t = { seed : int64; injections : injection list }
 
 val pp_kind : Format.formatter -> kind -> unit
 
-val generate : ?count:int -> seed:int64 -> unit -> t
-(** Derive a plan from [seed] alone. The first [6] faults cover one of
-    each layer class (order shuffled by the seed); extras are drawn at
-    random. Injections start near step 6000 and are spaced 26000 pump
+val generate : seed:int64 -> t
+(** Derive a plan from [seed] alone: six faults, one of each layer class
+    (order shuffled by the seed). Injections start near step 6000 and are spaced 26000 pump
     steps apart so each fault resolves before the next lands. *)

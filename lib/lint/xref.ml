@@ -1,5 +1,5 @@
-(* One typed cross-reference index over the build tree, and the two
-   export rules it gates.
+(* One typed cross-reference index over the build tree, and the export
+   and knob rules it gates.
 
    Every value a [lib] interface exports should have a caller in
    production code; an export nobody calls is surface (and, in a trusted
@@ -7,7 +7,10 @@
    is derived from the typed trees dune already writes ([.cmti] for what
    each [lib] interface exports, [.cmt] for every implementation's
    references), so "who calls what" comes from the compiler, not a
-   hand-kept list or a grep that misses [open].
+   hand-kept list or a grep that misses [open]. Likewise every optional
+   parameter should take more than one value: one no call supplies is a
+   constant, and one every production call supplies has a default that
+   never runs there.
 
    Names are resolved the way the type checker left them:
    - a dune wrapped library's alias module ([cio_tls.ml-gen]: [module
@@ -27,8 +30,10 @@
 
 open Typedtree
 
-type export = { x_unit : string; x_mli : string; x_value : string }
-type index = (export * string list) list
+type export = { x_unit : string; x_mli : string; x_value : string; x_knobs : string list }
+type supply = Value | Pass_through
+type use = Reference | Application of (string * supply) list
+type index = (export * (string * use) list) list
 
 (* --- reading the build tree ----------------------------------------- *)
 
@@ -100,14 +105,31 @@ let rec signature_names modtypes = function
       match Hashtbl.find_opt modtypes id with Some mty -> signature_names modtypes mty | None -> [])
   | _ -> []
 
+(* How an argument reaches an optional parameter, if it does. The type
+   checker fills an optional parameter with a constructor of its own (no
+   location on the constructor's name): [Some v] for a [~x:v], [None]
+   where the parameter is left out. A [?x:o] passes [o] as it is. *)
+let supply arg =
+  match arg.exp_desc with
+  | Texp_construct ({ loc; _ }, { Types.cstr_name; _ }, _) when loc = Location.none ->
+      if cstr_name = "Some" then Some Value else None
+  | _ -> Some Pass_through
+
+(* The optional parameters an application supplies. *)
+let supplied args =
+  List.filter_map
+    (function
+      | Asttypes.Optional l, Some arg -> Option.map (fun s -> (l, s)) (supply arg) | _ -> None)
+    args
+
 (* The value references of one implementation, each as the component
-   lists it may stand for, and its top-level modules and includes. A
-   module packed as a first-class module references each value of the
-   package's signature. *)
+   lists it may stand for with how it is used, and its top-level
+   modules and includes. A module packed as a first-class module
+   references each value of the package's signature. *)
 let scan_structure str =
   let locals = Hashtbl.create 16 and modtypes = Hashtbl.create 4 in
   let refs = ref [] in
-  let add targets = refs := targets :: !refs in
+  let add ?(use = Reference) targets = refs := (targets, use) :: !refs in
   let bind id me =
     match targets locals me with [] -> () | ts -> Hashtbl.replace locals id ts
   in
@@ -124,18 +146,24 @@ let scan_structure str =
           Tast_iterator.default_iterator.structure_item sub item);
       expr =
         (fun sub e ->
-          (match e.exp_desc with
-          | Texp_ident (p, _, _) -> add (flatten locals p)
-          | Texp_letmodule (Some id, _, _, me, _) -> bind id me
-          | Texp_pack me -> (
-              match (alias_target me, Types.get_desc e.exp_type) with
-              | Some p, Types.Tpackage (mty, _) ->
-                  List.iter
-                    (fun v -> add (flatten locals (Path.Pdot (p, v))))
-                    (signature_names modtypes (Types.Mty_ident mty))
-              | _ -> ())
-          | _ -> ());
-          Tast_iterator.default_iterator.expr sub e);
+          match e.exp_desc with
+          | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+              (* the function is applied here, not referenced bare *)
+              add ~use:(Application (supplied args)) (flatten locals p);
+              List.iter (fun (_, arg) -> Option.iter (sub.expr sub) arg) args
+          | _ ->
+              (match e.exp_desc with
+              | Texp_ident (p, _, _) -> add (flatten locals p)
+              | Texp_letmodule (Some id, _, _, me, _) -> bind id me
+              | Texp_pack me -> (
+                  match (alias_target me, Types.get_desc e.exp_type) with
+                  | Some p, Types.Tpackage (mty, _) ->
+                      List.iter
+                        (fun v -> add (flatten locals (Path.Pdot (p, v))))
+                        (signature_names modtypes (Types.Mty_ident mty))
+                  | _ -> ())
+              | _ -> ());
+              Tast_iterator.default_iterator.expr sub e);
     }
   in
   iter.structure iter str;
@@ -150,9 +178,19 @@ let scan_structure str =
   in
   (!refs, modules, includes locals str.str_items)
 
+(* The optional parameters of a value's declared type, in order. *)
+let rec knobs ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, ret, _) -> l :: knobs ret
+  | Types.Tarrow (_, _, ret, _) -> knobs ret
+  | _ -> []
+
 let signature_values sg =
   List.filter_map
-    (fun item -> match item.sig_desc with Tsig_value vd -> Some vd.val_name.txt | _ -> None)
+    (fun item ->
+      match item.sig_desc with
+      | Tsig_value vd -> Some (vd.val_name.txt, knobs vd.val_desc.ctyp_type)
+      | _ -> None)
     sg.sig_items
 
 let top_dir file = match String.index_opt file '/' with Some i -> String.sub file 0 i | None -> file
@@ -173,7 +211,9 @@ let read ~root =
       match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
       | Cmt_format.Interface sg, Some src when top_dir src = "lib" ->
           List.iter
-            (fun v -> exports := { x_unit = cmt.cmt_modname; x_mli = src; x_value = v } :: !exports)
+            (fun (v, knobs) ->
+              exports :=
+                { x_unit = cmt.cmt_modname; x_mli = src; x_value = v; x_knobs = knobs } :: !exports)
             (signature_values sg)
       | Cmt_format.Implementation str, Some src ->
           let refs, modules, includes = scan_structure str in
@@ -212,24 +252,32 @@ let read ~root =
                   | None -> List.find_map (fun inc -> resolve (depth + 1) u.u_dir (inc @ tl)) u.u_includes)))
       | _ -> None
   in
-  let callers = Hashtbl.create 1024 in
+  let uses = Hashtbl.create 1024 in
   List.iter
     (fun (src, dir, refs) ->
       List.iter
-        (fun targets ->
-          Option.iter (fun e -> Hashtbl.add callers e src) (List.find_map (resolve 0 dir) targets))
+        (fun (targets, use) ->
+          Option.iter
+            (fun e -> Hashtbl.add uses e (src, use))
+            (List.find_map (resolve 0 dir) targets))
         refs)
     !raw;
   List.sort compare !exports
-  |> List.map (fun e -> (e, List.sort_uniq compare (Hashtbl.find_all callers e)))
+  |> List.map (fun e -> (e, List.sort_uniq compare (Hashtbl.find_all uses e)))
 
-(* --- the two rules (pure) -------------------------------------------- *)
+(* --- the rules (pure) ------------------------------------------------ *)
 
-type rule = Dead_export | Test_only_export
+type rule = Dead_export | Test_only_export | Unset_knob | Always_set_knob
 
-let rule_name = function Dead_export -> "dead-export" | Test_only_export -> "test-only-export"
+let rules = [ Dead_export; Test_only_export; Unset_knob; Always_set_knob ]
 
-type finding = { rule : rule; export : export }
+let rule_name = function
+  | Dead_export -> "dead-export"
+  | Test_only_export -> "test-only-export"
+  | Unset_knob -> "unset-knob"
+  | Always_set_knob -> "always-set-knob"
+
+type finding = { rule : rule; export : export; knob : string option }
 
 let core = Cio_tcb.Tcb.[ Tls; Crypto; Compartment_runtime ]
 let production_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench" ]
@@ -241,21 +289,50 @@ let in_core e =
   | Cio_tcb.Tcb.Guest c -> List.mem c core
   | _ -> false
 
-let check index =
+(* Whether a use supplies knob [k]: any supply for [unset-knob], only a
+   [~k:v] for [always-set-knob]. A bare reference may supply a knob, but
+   it may also leave it out: where fewer optional parameters are expected
+   the type checker passes [None] for the rest, so it counts like a
+   pass-through. *)
+let sets ~pass k = function
+  | Reference -> pass
+  | Application args -> (
+      match List.assoc_opt k args with
+      | Some Value -> true
+      | Some Pass_through -> pass
+      | None -> false)
+
+let knob_findings e uses =
+  let production = List.filter (fun (f, _) -> is_production f) uses in
   List.filter_map
-    (fun (e, files) ->
-      let others = List.filter (fun f -> f <> implementation e) files in
-      if others = [] then Some { rule = Dead_export; export = e }
-      else if in_core e && not (List.exists is_production others) then
-        Some { rule = Test_only_export; export = e }
+    (fun k ->
+      let finding rule = Some { rule; export = e; knob = Some k } in
+      if not (List.exists (fun (_, u) -> sets ~pass:true k u) uses) then finding Unset_knob
+      else if production <> [] && List.for_all (fun (_, u) -> sets ~pass:false k u) production then
+        finding Always_set_knob
       else None)
+    e.x_knobs
+
+let check index =
+  List.concat_map
+    (fun (e, uses) ->
+      let others = List.filter (fun (f, _) -> f <> implementation e) uses in
+      let export_finding =
+        if others = [] then [ { rule = Dead_export; export = e; knob = None } ]
+        else if in_core e && not (List.exists (fun (f, _) -> is_production f) others) then
+          [ { rule = Test_only_export; export = e; knob = None } ]
+        else []
+      in
+      export_finding @ knob_findings e uses)
     index
 
 let pp_finding ppf f =
-  Format.fprintf ppf "%s: %s %s" f.export.x_mli (rule_name f.rule) f.export.x_value
+  Format.fprintf ppf "%s: %s %s%s" f.export.x_mli (rule_name f.rule) f.export.x_value
+    (match f.knob with Some k -> " ?" ^ k | None -> "")
 
 let pp_report ppf (index, findings) =
   List.iter (fun f -> Format.fprintf ppf "%a@." pp_finding f) findings;
   let count r = List.length (List.filter (fun f -> f.rule = r) findings) in
-  Format.fprintf ppf "exports: %d indexed, %d %s, %d %s@." (List.length index) (count Dead_export)
-    (rule_name Dead_export) (count Test_only_export) (rule_name Test_only_export)
+  Format.fprintf ppf "exports: %d indexed%a@." (List.length index)
+    (fun ppf -> List.iter (fun r -> Format.fprintf ppf ", %d %s" (count r) (rule_name r)))
+    rules

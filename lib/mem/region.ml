@@ -71,7 +71,7 @@ and san = {
   mutable s_epochs : int;
 }
 
-let create ?(page_size = 4096) ?(prot = Shared) ?(model = Cost.default) ?meter ~name size =
+let create ?(page_size = 4096) ~prot ~model ?meter ~name size =
   if size <= 0 then invalid_arg "Region.create: size must be positive";
   if not (Bitops.is_power_of_two page_size) then
     invalid_arg "Region.create: page size must be a power of two";

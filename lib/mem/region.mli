@@ -28,15 +28,15 @@ type t
 
 val create :
   ?page_size:int ->
-  ?prot:prot ->
-  ?model:Cost.model ->
+  prot:prot ->
+  model:Cost.model ->
   ?meter:Cost.meter ->
   name:string ->
   int ->
   t
-(** [create ~name size] makes a zeroed region. [prot] is the initial
-    protection of every page (default [Shared]). An optional [meter]
-    shares cycle accounting with the caller. *)
+(** [create ~prot ~model ~name size] makes a zeroed region. [prot] is
+    the initial protection of every page. An optional [meter] shares
+    cycle accounting with the caller. *)
 
 val size : t -> int
 val page_size : t -> int

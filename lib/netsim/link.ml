@@ -74,7 +74,7 @@ let direction_state () =
   in
   dir
 
-let create ?(latency_ns = 10_000L) ?(gbps = 10.0) engine =
+let create ~latency_ns ~gbps engine =
   {
     engine;
     latency_ns = Int64.to_int latency_ns;

@@ -15,7 +15,7 @@ type tamper = bytes -> delivery list
 
 type t
 
-val create : ?latency_ns:int64 -> ?gbps:float -> Engine.t -> t
+val create : latency_ns:int64 -> gbps:float -> Engine.t -> t
 val attach : t -> endpoint -> (bytes -> unit) -> unit
 
 val set_tamper : t -> src:endpoint -> tamper option -> unit

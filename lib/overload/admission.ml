@@ -35,16 +35,14 @@ type t = {
 
 let unit_ = 1_000_000_000L
 
-let create ?(rate_per_sec = 100_000) ?(burst = 64) ?(bulk_reserve_percent = 25)
-    ~now () =
+(* A quarter of the bucket is headroom bulk may not consume. *)
+let bulk_reserve_percent = 25
+
+let create ~rate_per_sec ~burst ~now =
   if rate_per_sec < 0 then invalid_arg "Admission.create: negative rate";
   if burst <= 0 then invalid_arg "Admission.create: burst must be positive";
   let burst_units = Int64.mul (Int64.of_int burst) unit_ in
-  let reserve_units =
-    Int64.div
-      (Int64.mul burst_units (Int64.of_int (max 0 (min 100 bulk_reserve_percent))))
-      100L
-  in
+  let reserve_units = Int64.div (Int64.mul burst_units (Int64.of_int bulk_reserve_percent)) 100L in
   {
     rate_per_sec;
     burst_units;

@@ -7,17 +7,10 @@ type klass = Control | Interactive | Bulk
 
 type t
 
-val create :
-  ?rate_per_sec:int ->
-  ?burst:int ->
-  ?bulk_reserve_percent:int ->
-  now:(unit -> int64) ->
-  unit ->
-  t
-(** [rate_per_sec] tokens per simulated second (default 100k), capped at
-    [burst] (default 64); [bulk_reserve_percent] of the burst (default
-    25) is headroom bulk traffic may not consume. The bucket starts
-    full. *)
+val create : rate_per_sec:int -> burst:int -> now:(unit -> int64) -> t
+(** [rate_per_sec] tokens per simulated second, capped at [burst]; 25%
+    of the burst is headroom bulk traffic may not consume. The bucket
+    starts full. *)
 
 val admit : t -> klass -> Pressure.outcome
 (** Spend one token for this class, or [Backpressure Admission]. *)

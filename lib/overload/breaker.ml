@@ -40,7 +40,7 @@ type t = {
   mutable transitions : int;
 }
 
-let create ?(threshold = 3) ?(cooldown = 4) () =
+let create ~threshold ~cooldown =
   if threshold <= 0 then invalid_arg "Breaker.create: threshold must be positive";
   if cooldown <= 0 then invalid_arg "Breaker.create: cooldown must be positive";
   Metrics.set m_state (state_code Closed);

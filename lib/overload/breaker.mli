@@ -11,9 +11,9 @@ val state_name : state -> string
 
 type t
 
-val create : ?threshold:int -> ?cooldown:int -> unit -> t
-(** [threshold] consecutive failures to open (default 3); [cooldown]
-    Open-state {!allow} calls before a Half_open probe (default 4). *)
+val create : threshold:int -> cooldown:int -> t
+(** [threshold] consecutive failures to open; [cooldown] Open-state
+    {!allow} calls before a Half_open probe. *)
 
 val failure : t -> unit
 (** Record one failed observation window (e.g. a watchdog trip or a

@@ -30,31 +30,27 @@ let m_shed_breaker = Metrics.counter Metrics.default "overload.shed.breaker"
 type config = {
   admit_rate_per_sec : int;   (* token-bucket refill rate *)
   admit_burst : int;          (* bucket depth, whole tokens *)
-  bulk_reserve_percent : int; (* headroom bulk may not consume *)
   queue_limit : int;          (* bound for the stack's TX coalescing queue *)
   deadline_budget_ns : int64; (* per-request latency budget; 0 = none *)
-  retry_capacity : int;
-  retry_refill_percent : int;
-  retry_base_ns : int64;
-  retry_cap_ns : int64;
   breaker_threshold : int;
-  breaker_cooldown : int;
 }
 
 let default_config =
   {
     admit_rate_per_sec = 100_000;
     admit_burst = 64;
-    bulk_reserve_percent = 25;
     queue_limit = 256;
     deadline_budget_ns = 50_000_000L;  (* 50 ms *)
-    retry_capacity = 16;
-    retry_refill_percent = 20;
-    retry_base_ns = 1_000_000L;
-    retry_cap_ns = 200_000_000L;
     breaker_threshold = 3;
-    breaker_cooldown = 4;
   }
+
+(* The settings no unit varies: 16 retry tokens, a fifth of one earned
+   back per success, with backoff jitter capped at 200 ms; an open
+   breaker grants its half-open probe on the fourth consultation. *)
+let retry_capacity = 16
+let retry_refill_percent = 20
+let retry_cap_ns = 200_000_000L
+let breaker_cooldown = 4
 
 type t = {
   config : config;
@@ -70,16 +66,11 @@ let create ?(config = default_config) ~rng ~now () =
   {
     config;
     admission =
-      Admission.create ~rate_per_sec:config.admit_rate_per_sec
-        ~burst:config.admit_burst ~bulk_reserve_percent:config.bulk_reserve_percent
-        ~now ();
+      Admission.create ~rate_per_sec:config.admit_rate_per_sec ~burst:config.admit_burst ~now;
     retry =
-      Retry_budget.create ~capacity:config.retry_capacity
-        ~refill_percent:config.retry_refill_percent ~base_ns:config.retry_base_ns
-        ~cap_ns:config.retry_cap_ns ~rng:(Rng.split rng) ();
-    breaker =
-      Breaker.create ~threshold:config.breaker_threshold
-        ~cooldown:config.breaker_cooldown ();
+      Retry_budget.create ~capacity:retry_capacity ~refill_percent:retry_refill_percent
+        ~cap_ns:retry_cap_ns ~rng:(Rng.split rng);
+    breaker = Breaker.create ~threshold:config.breaker_threshold ~cooldown:breaker_cooldown;
     now;
     deadline_shed = 0;
     breaker_shed = 0;

@@ -6,16 +6,14 @@
 type config = {
   admit_rate_per_sec : int;   (** token-bucket refill rate *)
   admit_burst : int;          (** bucket depth, whole tokens *)
-  bulk_reserve_percent : int; (** headroom bulk may not consume *)
   queue_limit : int;          (** bound for the stack's TX coalescing queue *)
   deadline_budget_ns : int64; (** per-request latency budget; 0 = none *)
-  retry_capacity : int;
-  retry_refill_percent : int;
-  retry_base_ns : int64;
-  retry_cap_ns : int64;
-  breaker_threshold : int;
-  breaker_cooldown : int;
+  breaker_threshold : int;    (** consecutive failures that open the breaker *)
 }
+(** The rest is fixed for every unit: 25% of the bucket is bulk
+    headroom; the retry budget holds 16 tokens, earns back 20% of one
+    per success and jitters backoff over [[1 ms, 200 ms]]; an open
+    breaker probes after 4 consultations. *)
 
 val default_config : config
 

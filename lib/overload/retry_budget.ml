@@ -24,7 +24,6 @@ let m_denied = Metrics.counter Metrics.default "overload.retry.denied"
 type t = {
   capacity_c : int;       (* centi-tokens: capacity * 100 *)
   refill_c : int;         (* centi-tokens earned per success *)
-  base_ns : int;
   cap_ns : int;
   rng : Rng.t;
   mutable tokens_c : int;
@@ -33,16 +32,16 @@ type t = {
   mutable denied : int;
 }
 
-let create ?(capacity = 16) ?(refill_percent = 20) ?(base_ns = 1_000_000L)
-    ?(cap_ns = 200_000_000L) ~rng () =
+(* The backoff floor: 1 ms of simulated time. *)
+let base_ns = 1_000_000
+
+let create ~capacity ~refill_percent ~cap_ns ~rng =
   if capacity <= 0 then invalid_arg "Retry_budget.create: capacity must be positive";
-  let base_ns = Int64.to_int base_ns and cap_ns = Int64.to_int cap_ns in
-  if base_ns <= 0 || cap_ns < base_ns then
-    invalid_arg "Retry_budget.create: need 0 < base_ns <= cap_ns";
+  let cap_ns = Int64.to_int cap_ns in
+  if cap_ns < base_ns then invalid_arg "Retry_budget.create: need cap_ns >= 1 ms";
   {
     capacity_c = capacity * 100;
     refill_c = max 1 refill_percent;
-    base_ns;
     cap_ns;
     rng;
     tokens_c = capacity * 100;
@@ -70,12 +69,12 @@ let on_success t = t.tokens_c <- Int.min t.capacity_c (t.tokens_c + t.refill_c)
    expectation while climbing, hard-capped always, and collapses back to
    [base] on [reset_backoff]. *)
 let backoff_ns t =
-  let hi = max t.base_ns (min t.cap_ns (t.prev_ns * 3)) in
-  let v = t.base_ns + Rng.int t.rng (hi - t.base_ns + 1) in
+  let hi = max base_ns (min t.cap_ns (t.prev_ns * 3)) in
+  let v = base_ns + Rng.int t.rng (hi - base_ns + 1) in
   t.prev_ns <- v;
   Int64.of_int v
 
-let reset_backoff t = t.prev_ns <- t.base_ns
+let reset_backoff t = t.prev_ns <- base_ns
 
 let granted t = t.granted
 let denied t = t.denied

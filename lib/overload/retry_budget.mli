@@ -5,18 +5,10 @@
 
 type t
 
-val create :
-  ?capacity:int ->
-  ?refill_percent:int ->
-  ?base_ns:int64 ->
-  ?cap_ns:int64 ->
-  rng:Cio_util.Rng.t ->
-  unit ->
-  t
-(** [capacity] whole retry tokens (default 16, starts full);
-    [refill_percent] of a token earned per {!on_success} (default 20);
-    backoff jitter ranges over [[base_ns, cap_ns]] (defaults 1 ms /
-    200 ms of simulated time). *)
+val create : capacity:int -> refill_percent:int -> cap_ns:int64 -> rng:Cio_util.Rng.t -> t
+(** [capacity] whole retry tokens (starts full); [refill_percent] of a
+    token earned per {!on_success}; backoff jitter ranges over
+    [[1 ms, cap_ns]] of simulated time. *)
 
 val try_retry : t -> bool
 (** Spend one token. [false] means the budget is exhausted: do not
@@ -31,7 +23,7 @@ val backoff_ns : t -> int64
     internal anchor. *)
 
 val reset_backoff : t -> unit
-(** Collapse the jitter anchor back to [base_ns] (call on recovery). *)
+(** Collapse the jitter anchor back to the 1 ms floor (call on recovery). *)
 
 val granted : t -> int
 val denied : t -> int

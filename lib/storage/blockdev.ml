@@ -24,7 +24,7 @@ type disk = {
   req_ring : Ring.t;         (* guest produces, host consumes *)
   resp_ring : Ring.t;        (* host produces, guest consumes *)
   host_pool : Bufpool.t;     (* consumed requests and staged responses *)
-  mutable misbehaviors : misbehavior list;
+  faults : misbehavior Host_fault.queue;
   mutable malformed : int;
   mutable access_log : (Block_wire.op * int) list;
       (* newest first: everything a passive host learns even when the
@@ -44,14 +44,14 @@ type t = {
 
 let positioning = Config.Inline { data_capacity = 8192 }
 
-let create ?(model = Cost.default) ?meter ~name ~blocks () =
+let create ~name ~blocks () =
   let host_meter = Cost.meter () in
   let page = 4096 in
   let lay = Ring.layout ~page_size:page ~slots:16 positioning in
   let req_base = page in
   let resp_base = Cio_util.Bitops.align_up (req_base + lay.Ring.total) ~align:page in
   let total = Cio_util.Bitops.align_up (resp_base + lay.Ring.total) ~align:page in
-  let region = Region.create ?meter ~model ~page_size:page ~prot:Region.Shared ~name total in
+  let region = Region.create ~model:Cost.default ~page_size:page ~prot:Region.Shared ~name total in
   let req_ring =
     Ring.create ~region ~base:req_base ~slots:16 ~positioning ~producer:Region.Guest ~host_meter
   in
@@ -65,7 +65,7 @@ let create ?(model = Cost.default) ?meter ~name ~blocks () =
       req_ring;
       resp_ring;
       host_pool = Bufpool.create ();
-      misbehaviors = [];
+      faults = Host_fault.queue ();
       malformed = 0;
       access_log = [];
     }
@@ -80,17 +80,13 @@ let create ?(model = Cost.default) ?meter ~name ~blocks () =
     },
     disk )
 
-let disk_inject disk m = disk.misbehaviors <- disk.misbehaviors @ [ m ]
+let disk_inject disk m = Host_fault.push disk.faults m
 
-let take disk pred =
-  let rec go acc = function
-    | [] -> None
-    | m :: rest when pred m ->
-        disk.misbehaviors <- List.rev_append acc rest;
-        Some m
-    | m :: rest -> go (m :: acc) rest
-  in
-  go [] disk.misbehaviors
+(* Take the oldest queued [m], if any: whether this hook point fires. An
+   honest disk's empty queue builds no closure. *)
+let take disk m =
+  (not (Host_fault.is_empty disk.faults))
+  && Host_fault.take disk.faults (fun q -> if q = m then Some () else None) <> None
 
 let disk_access_log d = List.rev d.access_log
 let disk_clear_log d = d.access_log <- []
@@ -119,38 +115,28 @@ let serve disk raw =
           | Block_wire.Read ->
               (* Wrong_lba: serve a *different* block's content while
                  claiming it is the requested one. *)
-              let src_lba =
-                match take disk (function Wrong_lba -> true | _ -> false) with
-                | Some _ -> (lba + 1) mod disk.blocks
-                | None -> lba
-              in
+              let src_lba = if take disk Wrong_lba then (lba + 1) mod disk.blocks else lba in
               let resp = stage disk Block_wire.Ok_ ~lba ~len:block_size in
               Bytes.blit disk.data (src_lba * block_size) resp Block_wire.header_len block_size;
-              (match take disk (function Corrupt_block -> true | _ -> false) with
-              | Some _ ->
-                  (* Flip a mid-payload byte: real bit rot / malice lands
-                     in data, not padding. *)
-                  let i = Block_wire.header_len + 64 in
-                  Bytes.set resp i (Char.chr (Char.code (Bytes.get resp i) lxor 0xFF))
-              | None -> ());
+              if take disk Corrupt_block then begin
+                (* Flip a mid-payload byte: real bit rot / malice lands
+                   in data, not padding. *)
+                let i = Block_wire.header_len + 64 in
+                Bytes.set resp i (Char.chr (Char.code (Bytes.get resp i) lxor 0xFF))
+              end;
               resp
           | Block_wire.Write ->
               Bytes.blit raw Block_wire.header_len disk.data (lba * block_size) (Int.min len block_size);
               stage disk Block_wire.Ok_ ~lba ~len:0
         end
       in
-      (match take disk (function Lie_response_len -> true | _ -> false) with
-      | Some _ ->
-          (* Corrupt the embedded length field upward. *)
-          Bytes.set_int32_le resp 5 (Int32.of_int 1_000_000)
-      | None -> ());
+      (* Lie_response_len: corrupt the embedded length field upward. *)
+      if take disk Lie_response_len then Bytes.set_int32_le resp 5 (Int32.of_int 1_000_000);
       ignore (Ring.try_produce disk.resp_ring resp);
       (* Replay: deliver the response just sent a second time. The ring
          copies it, so it is produced again before its buffer goes back
          to the pool, and nothing keeps it afterwards. *)
-      (match take disk (function Replay_response -> true | _ -> false) with
-      | Some _ -> ignore (Ring.try_produce disk.resp_ring resp)
-      | None -> ());
+      if take disk Replay_response then ignore (Ring.try_produce disk.resp_ring resp);
       Bufpool.recycle disk.host_pool resp
 
 (* Run the host disk: consume requests, produce responses. *)

@@ -11,8 +11,7 @@ type misbehavior = Corrupt_block | Lie_response_len | Wrong_lba | Replay_respons
 type disk
 type t
 
-val create :
-  ?model:Cost.model -> ?meter:Cost.meter -> name:string -> blocks:int -> unit -> t * disk
+val create : name:string -> blocks:int -> unit -> t * disk
 
 val disk_inject : disk -> misbehavior -> unit
 

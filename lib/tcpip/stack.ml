@@ -24,7 +24,6 @@ type counters = {
 type t = {
   netif : Netif.t;
   ip : Addr.ipv4;
-  ttl : int;
   neighbors : (Addr.ipv4 * Addr.mac) list;
   tcp : Tcp.t;
   meter : Cost.meter;
@@ -122,6 +121,7 @@ let flush_tx t = match t.tx_burst with None -> () | Some burst -> flush_with t b
    header and payload go in at [l4_off], then the IPv4 and Ethernet
    headers in front of them. *)
 let l4_off = Ethernet.header_len + Ipv4.header_len
+let ttl = 64  (* of every IPv4 packet the stack sends *)
 
 let frame_buffer t ~l4_len =
   Cio_mem.Bufpool.acquire t.tx_pool (Ethernet.frame_len ~payload_len:(Ipv4.header_len + l4_len))
@@ -129,7 +129,7 @@ let frame_buffer t ~l4_len =
 (* Put the IPv4 and Ethernet headers in front of the [l4_len]-byte
    transport segment at [l4_off], and emit the frame. *)
 let send_frame t frame ~dst_mac ~dst ~protocol ~l4_len =
-  Ipv4.encode frame ~off:Ethernet.header_len ~src:t.ip ~dst ~protocol ~ttl:t.ttl ~payload_len:l4_len;
+  Ipv4.encode frame ~off:Ethernet.header_len ~src:t.ip ~dst ~protocol ~ttl ~payload_len:l4_len;
   Ethernet.encode frame ~off:0 ~dst:dst_mac ~src:t.netif.Netif.mac ~ethertype:Ethernet.Ipv4
     ~payload_len:(Ipv4.header_len + l4_len);
   emit t frame
@@ -153,7 +153,7 @@ let send_tcp t ~dst (seg : Tcp_wire.t) q =
       Tcp_wire.encode frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst seg;
       send_frame t frame ~dst_mac ~dst ~protocol:Ipv4.Tcp ~l4_len:(hdr_len + len)
 
-let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_queue_limit
+let create ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_queue_limit
     ?retry_budget ~netif ~ip ~neighbors ~now ~rng () =
   let meter = match meter with Some m -> m | None -> Cost.meter () in
   let rec t =
@@ -161,7 +161,6 @@ let create ?(ttl = 64) ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_que
       {
         netif;
         ip;
-        ttl;
         neighbors;
         tcp =
           Tcp.create ~model ~meter ?retry_budget ~local_ip:ip

@@ -15,7 +15,6 @@ type counters = {
 type t
 
 val create :
-  ?ttl:int ->
   ?model:Cost.model ->
   ?meter:Cost.meter ->
   ?tx_burst:(bytes array -> int) ->

@@ -137,7 +137,7 @@ type conn = {
   mutable error : string option;
 }
 
-type listener = { lport : int; backlog : int; accept_queue : conn Queue.t }
+type listener = { lport : int; accept_queue : conn Queue.t }
 
 type t = {
   local_ip : Addr.ipv4;
@@ -183,15 +183,16 @@ let default_mss = 1460
 let min_mss = 536
 let base_rto_ns = 200_000_000
 let max_retries = 8
+let backlog = 16  (* established connections a listener holds until accepted *)
 
-let create ?(model = Cost.default) ?meter ?retry_budget ~local_ip ~send_segment ~now ~rng () =
+let create ~model ~meter ?retry_budget ~local_ip ~send_segment ~now ~rng () =
   {
     local_ip;
     send_segment;
     tx = Tcp_wire.create ();
     now;
     rng;
-    meter = (match meter with Some m -> m | None -> Cost.meter ());
+    meter;
     model;
     retry_budget;
     conns = [];
@@ -391,11 +392,11 @@ let connect t ?src_port ~dst ~dst_port () =
   emit t c ~len:0 ~syn:true ~fin:false ~ack:false ~seq;
   c
 
-let listen t ~port ?(backlog = 16) () =
+let listen t ~port =
   match find_listener t ~port with
   | Some _ -> invalid_arg "Tcp.listen: port already bound"
   | None ->
-      let l = { lport = port; backlog; accept_queue = Queue.create () } in
+      let l = { lport = port; accept_queue = Queue.create () } in
       t.listeners <- l :: t.listeners;
       l
 
@@ -674,7 +675,7 @@ let handle_synreceived t c l buf (seg : Tcp_wire.t) =
     c.rtx_deadline <- no_deadline;
     c.state <- Established;
     (match l with
-    | Some l when Queue.length l.accept_queue < l.backlog -> Queue.add c l.accept_queue
+    | Some l when Queue.length l.accept_queue < backlog -> Queue.add c l.accept_queue
     | _ -> ());
     (* The completing ACK may already carry data. *)
     if seg.Tcp_wire.payload_len > 0 then handle_established t c buf seg

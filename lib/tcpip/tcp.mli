@@ -29,8 +29,8 @@ type listener
 type t
 
 val create :
-  ?model:Cost.model ->
-  ?meter:Cost.meter ->
+  model:Cost.model ->
+  meter:Cost.meter ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
   local_ip:Addr.ipv4 ->
   send_segment:(dst:Addr.ipv4 -> Tcp_wire.t -> Byteq.t -> unit) ->
@@ -62,7 +62,10 @@ val conn_remote : conn -> Addr.ipv4 * int
     to re-dial. *)
 
 val connect : t -> ?src_port:int -> dst:Addr.ipv4 -> dst_port:int -> unit -> conn
-val listen : t -> port:int -> ?backlog:int -> unit -> listener
+val listen : t -> port:int -> listener
+(** A listener holds up to 16 established connections until they are
+    accepted. *)
+
 val accept : listener -> conn option
 
 val send : t -> conn -> bytes -> int

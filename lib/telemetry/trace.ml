@@ -41,7 +41,7 @@ let reset_clock () = clock := default_clock
 
 let on () = !enabled
 
-let enable ?(capacity = 65536) () =
+let enable ~capacity =
   let cap = Cio_util.Bitops.next_power_of_two (max 2 capacity) in
   ring :=
     Array.init cap (fun _ ->

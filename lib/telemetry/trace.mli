@@ -16,9 +16,9 @@
 val on : unit -> bool
 (** True when tracing is enabled. Hot call-sites must guard on this. *)
 
-val enable : ?capacity:int -> unit -> unit
-(** Start recording into a fresh ring of [capacity] slots
-    (default 65536, rounded up to a power of two). *)
+val enable : capacity:int -> unit
+(** Start recording into a fresh ring of [capacity] slots (rounded up
+    to a power of two). *)
 
 val disable : unit -> unit
 

@@ -96,14 +96,14 @@ type transport = {
   tx_buf_base : int;
 }
 
-let create_transport ?(model = Cost.default) ?meter ~name () =
+let create_transport ~name =
   let queue_size = 64 and buf_size = 2048 in
   let ring_bytes = Bitops.align_up (queue_footprint queue_size) ~align:64 in
   let rx_base = 0 and tx_base = ring_bytes in
   let rx_buf_base = 2 * ring_bytes in
   let tx_buf_base = rx_buf_base + (queue_size * buf_size) in
   let total = tx_buf_base + (queue_size * buf_size) in
-  let region = Region.create ?meter ~model ~prot:Region.Shared ~name total in
+  let region = Region.create ~model:Cost.default ~prot:Region.Shared ~name total in
   {
     region;
     rx = make_queue ~region ~base:rx_base ~size:queue_size;

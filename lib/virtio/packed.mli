@@ -4,7 +4,6 @@
     inventory — the §2.5 "each format has unique hardening needs"
     observation, made executable. *)
 
-open Cio_util
 open Cio_mem
 
 val flag_avail : int
@@ -24,12 +23,7 @@ val used_flags : wrap:bool -> int
 
 type transport
 
-val create_transport :
-  ?model:Cost.model ->
-  ?meter:Cost.meter ->
-  name:string ->
-  unit ->
-  transport
+val create_transport : name:string -> transport
 
 val rx_buf_offset : transport -> int -> int
 val transport_region : transport -> Region.t

@@ -54,7 +54,7 @@ let run_until ?(max_steps = 10_000) pair pred =
 (* An established TCP connection from A to B over [pair]. *)
 let connect pair =
   let tcp_a = Cio_tcpip.Stack.tcp pair.stack_a and tcp_b = Cio_tcpip.Stack.tcp pair.stack_b in
-  let listener = Cio_tcpip.Tcp.listen tcp_b ~port:7777 () in
+  let listener = Cio_tcpip.Tcp.listen tcp_b ~port:7777 in
   let client = Cio_tcpip.Tcp.connect tcp_a ~dst:ip_b ~dst_port:7777 () in
   let server = ref None in
   let ok =

@@ -163,7 +163,7 @@ module Link = struct
 
   let direction t src = match src with A -> t.a_to_b | B -> t.b_to_a
 
-  let create ?(latency_ns = 10_000L) ?(gbps = 10.0) engine =
+  let create ~latency_ns ~gbps engine =
     let dir () = { busy_until = 0L; tamper = None; frames = 0; bytes = 0 } in
     {
       engine;

@@ -109,7 +109,7 @@ let test_revoked_page_blocks_host () =
   let drv, host, _ = make ~cfg () in
   Host_model.deliver_rx host (Bytes.of_string "first");
   Host_model.poll host;
-  match Ring.try_consume_revoke_burst ~max:1 (Driver.rx_ring drv) with
+  match Ring.try_consume_revoke_burst ~pool:(Driver.pool drv) ~max:1 (Driver.rx_ring drv) with
   | None -> Alcotest.fail "no zero-copy rx"
   | Some zc ->
       (* While the guest holds the slot, its pages are private: the host
@@ -273,11 +273,11 @@ let test_corrupt_payload_rest_of_poll_per_frame () =
   let flip_first = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0xFF) else c) in
   Alcotest.(check (list string)) "frame 1 corrupted, frames 2-3 intact, in order"
     [ flip_first "frame-1"; "frame-2"; "frame-3" ]
-    (List.map Bytes.to_string (Driver.poll_burst drv));
+    (List.map Bytes.to_string (Driver.poll_burst ~max:64 drv));
   (* Reference host work: one empty TX drain, then three single-slot
      produces. *)
   let reference = Driver.create ~name:"reference" inline_cfg in
-  ignore (Ring.try_consume (Driver.tx_ring reference));
+  ignore (Ring.try_consume ~pool:(Driver.pool reference) (Driver.tx_ring reference));
   List.iter
     (fun f -> ignore (Ring.try_produce (Driver.rx_ring reference) (Bytes.of_string f)))
     frames;
@@ -381,7 +381,7 @@ let test_watchdog_detects_tx_stall () =
   let gen0 = Driver.generation drv in
   for _ = 1 to 9 do
     Host_model.poll host;
-    Watchdog.tick wd
+    Watchdog.tick wd ~expecting_rx:false
   done;
   Alcotest.(check int) "stall detected" 1 (Watchdog.stalls_detected wd);
   Alcotest.(check bool) "generation bumped" true (Driver.generation drv > gen0);
@@ -415,7 +415,7 @@ let test_watchdog_backoff_doubles_and_caps () =
   (* The stall has expired by now; progress resets the multiplier. *)
   Host_model.deliver_rx host (Bytes.of_string "alive");
   Host_model.poll host;
-  Watchdog.tick wd;
+  Watchdog.tick wd ~expecting_rx:false;
   Alcotest.(check int) "backoff back to 1 after progress" 1 (Watchdog.current_backoff wd)
 
 let prop_untrusted_len_never_escapes =
@@ -644,7 +644,7 @@ let test_burst_roundtrip () =
     Host_model.deliver_rx host (Bytes.of_string (Printf.sprintf "rx-%d" i))
   done;
   Host_model.poll host;
-  let got = Driver.poll_burst drv in
+  let got = Driver.poll_burst ~max:64 drv in
   Alcotest.(check int) "all drained in one burst" 4 (List.length got);
   List.iteri
     (fun i f -> Helpers.check_bytes "rx fifo" (Bytes.of_string (Printf.sprintf "rx-%d" (i + 1))) f)
@@ -680,7 +680,7 @@ let test_malformed_slot_inside_burst () =
     Host_model.deliver_rx host (Bytes.of_string (Printf.sprintf "m-%d" i))
   done;
   Host_model.poll host;
-  let got = Driver.poll_burst drv in
+  let got = Driver.poll_burst ~max:64 drv in
   Alcotest.(check int) "survivors delivered" 4 (List.length got);
   Alcotest.(check int) "skip counted once" 1
     (Ring.counters (Driver.rx_ring drv)).Ring.state_skipped;
@@ -696,7 +696,7 @@ let test_revoke_burst_roundtrip () =
   done;
   Host_model.poll host;
   let unshares_before = Cost.count_of (Driver.guest_meter drv) Cost.Unshare in
-  let got = Driver.poll_burst drv in
+  let got = Driver.poll_burst ~max:64 drv in
   Alcotest.(check int) "all drained" 6 (List.length got);
   List.iteri
     (fun i f -> Helpers.check_bytes "revoke fifo" (Bytes.of_string (Printf.sprintf "rv-%d" (i + 1))) f)
@@ -736,7 +736,7 @@ let test_steady_state_zero_fresh_allocations () =
     Host_model.poll host;
     for _ = 1 to 8 do Host_model.deliver_rx host (Bytes.copy payload) done;
     Host_model.poll host;
-    List.iter (Driver.recycle drv) (Driver.poll_burst drv)
+    List.iter (Driver.recycle drv) (Driver.poll_burst ~max:64 drv)
   in
   for _ = 1 to 4 do round () done;
   let fresh0 = (Bufpool.stats (Driver.pool drv)).Bufpool.fresh in
@@ -834,6 +834,7 @@ let prop_burst_of_one_equals_single_slot =
       let run ~burst =
         let drv = Driver.create ~name:"burst-of-one" { inline_cfg with Config.rx_strategy } in
         let tx = Driver.tx_ring drv and rx = Driver.rx_ring drv in
+        let pool = Cio_mem.Bufpool.create () in
         let produce r payload =
           if burst then Ring.try_produce_burst r [| payload |] ~len:1 = 1 else Ring.try_produce r payload
         in
@@ -856,9 +857,9 @@ let prop_burst_of_one_equals_single_slot =
                   let dst = [| Bytes.empty |] in
                   Array.to_list
                     (Array.map Bytes.to_string
-                       (Array.sub dst 0 (Ring.try_consume_burst_into tx dst ~max:1)))
+                       (Array.sub dst 0 (Ring.try_consume_burst_into ~pool tx dst ~max:1)))
                 end
-                else List.map Bytes.to_string (Option.to_list (Ring.try_consume tx))
+                else List.map Bytes.to_string (Option.to_list (Ring.try_consume ~pool tx))
             | `Rx n -> [ string_of_bool (produce_rx n) ]
             | `Rx_lie v ->
                 let ok = produce_rx 64 in

@@ -114,7 +114,7 @@ let test_padding_preserves_ip_payload () =
      leave through the padding driver. *)
   let module Tcp = Cio_tcpip.Tcp in
   let tcp_a = Cio_tcpip.Stack.tcp stack_a and tcp_b = Cio_tcpip.Stack.tcp stack_b in
-  let listener = Tcp.listen tcp_b ~port:9 () in
+  let listener = Tcp.listen tcp_b ~port:9 in
   let client = Tcp.connect tcp_a ~dst:Helpers.ip_b ~dst_port:9 () in
   let payload = Bytes.of_string "small payload" in
   let sent = ref false and server = ref None in
@@ -163,7 +163,7 @@ let test_multiqueue_roundtrip_all_queues () =
       (Multiqueue.transmit mq ~flow_hash:flow (Bytes.of_string (Printf.sprintf "tx-%d" flow)))
   done;
   List.iter Host_model.poll hosts;
-  let received = Multiqueue.poll_burst mq in
+  let received = Multiqueue.poll_burst ~max:64 mq in
   Alcotest.(check int) "all queue deliveries drained" 4 (List.length received);
   Alcotest.(check (list string)) "one frame from each queue, round-robin"
     [ "rx-q0"; "rx-q1"; "rx-q2"; "rx-q3" ]

@@ -12,13 +12,13 @@ open Cio_compartment
 (* --- plans --------------------------------------------------------------- *)
 
 let test_plan_deterministic () =
-  let a = Plan.generate ~seed:7L () and b = Plan.generate ~seed:7L () in
+  let a = Plan.generate ~seed:7L and b = Plan.generate ~seed:7L in
   Alcotest.(check bool) "same seed, same plan" true (a = b);
-  let c = Plan.generate ~seed:8L () in
+  let c = Plan.generate ~seed:8L in
   Alcotest.(check bool) "different seed, different plan" true (a <> c)
 
 let test_plan_covers_every_layer () =
-  let plan = Plan.generate ~seed:3L () in
+  let plan = Plan.generate ~seed:3L in
   let classes =
     List.map
       (fun { Plan.kind; _ } ->

@@ -239,8 +239,7 @@ let test_campaign_sanitized_safe_path_clean () =
     { Campaign.default_config with
       Campaign.watchdog_budget = 120;
       max_steps = 120_000;
-      target_echoes = 6;
-      sanitize = true }
+      target_echoes = 6 }
   in
   let r =
     Campaign.run ~config
@@ -252,30 +251,37 @@ let test_campaign_sanitized_safe_path_clean () =
 
 (* --- the export index and its two rules ---------------------------------- *)
 
-let export mli value = { Xref.x_unit = "Synthetic"; x_mli = mli; x_value = value }
+let export ?(knobs = []) mli value =
+  { Xref.x_unit = "Synthetic"; x_mli = mli; x_value = value; x_knobs = knobs }
+
+let refs files = List.map (fun f -> (f, Xref.Reference)) files
 
 let rules index =
-  List.map (fun f -> (f.Xref.export.Xref.x_value, Xref.rule_name f.Xref.rule)) (Xref.check index)
+  List.map
+    (fun f ->
+      let knob = match f.Xref.knob with Some k -> " ?" ^ k | None -> "" in
+      (f.Xref.export.Xref.x_value ^ knob, Xref.rule_name f.Xref.rule))
+    (Xref.check index)
 
 let test_xref_classifier () =
   let session = "lib/tls/session.mli" and hex = "lib/util/hex.mli" in
   let index =
     [
       (* its own implementation is no caller *)
-      (export hex "self_only", [ "lib/util/hex.ml" ]);
-      (export hex "unreferenced", []);
+      (export hex "self_only", refs [ "lib/util/hex.ml" ]);
+      (export hex "unreferenced", refs []);
       (* outside the core, a test caller keeps an export *)
-      (export hex "tested", [ "lib/util/hex.ml"; "test/test_util.ml" ]);
+      (export hex "tested", refs [ "lib/util/hex.ml"; "test/test_util.ml" ]);
       (* in the core it does not *)
-      (export session "tested", [ "lib/tls/session.ml"; "test/test_tls.ml" ]);
+      (export session "tested", refs [ "lib/tls/session.ml"; "test/test_tls.ml" ]);
       (* examples, perfbench, bench, bin and other lib units are production *)
-      (export session "example", [ "examples/quickstart.ml"; "test/test_tls.ml" ]);
-      (export session "perfbench", [ "perfbench/echo.ml" ]);
-      (export session "bench", [ "bench/main.ml" ]);
-      (export session "bin", [ "bin/cio_sim.ml" ]);
-      (export session "lib", [ "lib/core/channel.ml" ]);
-      (export "lib/crypto/aead.mli" "crypto", [ "test/test_crypto.ml" ]);
-      (export "lib/compartment/compartment.mli" "compartment", [ "test/test_compartment.ml" ]);
+      (export session "example", refs [ "examples/quickstart.ml"; "test/test_tls.ml" ]);
+      (export session "perfbench", refs [ "perfbench/echo.ml" ]);
+      (export session "bench", refs [ "bench/main.ml" ]);
+      (export session "bin", refs [ "bin/cio_sim.ml" ]);
+      (export session "lib", refs [ "lib/core/channel.ml" ]);
+      (export "lib/crypto/aead.mli" "crypto", refs [ "test/test_crypto.ml" ]);
+      (export "lib/compartment/compartment.mli" "compartment", refs [ "test/test_compartment.ml" ]);
     ]
   in
   Alcotest.(check (list (pair string string)))
@@ -290,6 +296,40 @@ let test_xref_classifier () =
     (rules index);
   Alcotest.(check bool) "test tree is not production" false (Xref.is_production "test/helpers.ml")
 
+let test_xref_knob_classifier () =
+  let m = "lib/util/m.mli" in
+  let f value = export ~knobs:[ "x" ] m value in
+  let app file args = (file, Xref.Application args) in
+  let v = [ ("x", Xref.Value) ] and pass = [ ("x", Xref.Pass_through) ] in
+  let index =
+    [
+      (* supplied nowhere, not even by a test: a constant *)
+      (f "never", [ app "lib/a.ml" []; app "test/t.ml" [] ]);
+      (* a pass-through may carry a value from further up *)
+      (f "passed", [ app "lib/a.ml" pass ]);
+      (* a test setting it keeps it optional *)
+      (f "test_set", [ app "lib/a.ml" []; app "test/t.ml" v ]);
+      (* every production call passes a value: required; tests do not count *)
+      (f "always", [ app "lib/a.ml" v; app "bench/b.ml" v; app "test/t.ml" [] ]);
+      (* a pass-through may pass [None], so the default can run *)
+      (f "always_but_passed", [ app "lib/a.ml" v; app "lib/b.ml" pass ]);
+      (* a bare reference may supply anything, or leave the knob out *)
+      (f "bare_only", refs [ "lib/a.ml" ]);
+      (f "bare_and_set", [ app "lib/a.ml" v; ("bin/c.ml", Xref.Reference) ]);
+      (* one production call without it lets the default run *)
+      (f "sometimes", [ app "lib/a.ml" v; app "examples/e.ml" [] ]);
+      (* only tests call it: no production call to require it of *)
+      (f "test_only", [ app "test/t.ml" v ]);
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "knob findings"
+    [
+      ("never ?x", "unset-knob");
+      ("always ?x", "always-set-knob");
+    ]
+    (rules index)
+
 let test_xref_core_is_dual_boundary () =
   let core = (Cio_core.Configurations.tcb Cio_core.Configurations.Dual_boundary).core in
   Alcotest.(check (list string)) "test-only-export covers the dual-boundary core"
@@ -302,7 +342,7 @@ let test_xref_real_index () =
   let index = Xref.read ~root:(root ()) in
   let callers unit value =
     match List.find_opt (fun (e, _) -> e.Xref.x_unit = unit && e.Xref.x_value = value) index with
-    | Some (_, files) -> files
+    | Some (_, uses) -> List.map fst uses
     | None -> Alcotest.failf "%s.%s is not indexed" unit value
   in
   let pin ~why unit value file =
@@ -319,13 +359,58 @@ let test_xref_real_index () =
   pin ~why:"through a local structure's include" "Cio_tls__Keys" "finished_mac"
     "test/record_oracle.ml"
 
+(* The knob census on this tree's own typed trees. *)
+let test_xref_real_knobs () =
+  let index = Xref.read ~root:(root ()) in
+  let entry unit value =
+    match List.find_opt (fun (e, _) -> e.Xref.x_unit = unit && e.Xref.x_value = value) index with
+    | Some entry -> entry
+    | None -> Alcotest.failf "%s.%s is not indexed" unit value
+  in
+  let supply file k uses =
+    List.find_map
+      (fun (f, use) ->
+        match use with Xref.Application args when f = file -> List.assoc_opt k args | _ -> None)
+      uses
+  in
+  (* [Channel.create ?model]: only perfbench sets it, and that is a setter *)
+  let channel, uses = entry "Cio_core__Channel" "create" in
+  Alcotest.(check bool) "perfbench passes ~model to Channel.create" true
+    (supply "perfbench/echo.ml" "model" uses = Some Xref.Value);
+  Alcotest.(check (list (pair string string))) "Channel.create ?model is set" []
+    (rules [ (channel, uses) ]);
+  (* [Testbed.attach_dual] hands its own [?cionet_config] to [Dual.create] *)
+  let dual, uses = entry "Cio_core__Dual" "create" in
+  Alcotest.(check bool) "the testbed passes ?cionet_config through" true
+    (supply "lib/core/testbed.ml" "cionet_config" uses = Some Xref.Pass_through);
+  (* With the testbed's call alone its pass-throughs ([?cionet_config],
+     [?overload]) are set for [unset-knob] but not for [always-set-knob];
+     had it passed values, both would be always set. *)
+  let testbed = List.filter (fun (f, _) -> f = "lib/core/testbed.ml") uses in
+  Alcotest.(check (list (pair string string))) "pass-throughs: neither rule" []
+    (rules [ (dual, testbed) ]);
+  let as_values =
+    List.map
+      (fun (f, use) ->
+        match use with
+        | Xref.Application args ->
+            (f, Xref.Application (List.map (fun (k, _) -> (k, Xref.Value)) args))
+        | Xref.Reference -> (f, use))
+      testbed
+  in
+  Alcotest.(check (list (pair string string))) "values: always set"
+    [ ("create ?cionet_config", "always-set-knob"); ("create ?overload", "always-set-knob") ]
+    (rules [ (dual, as_values) ])
+
 (* The gate CI runs as [cio_lint --exports]: every lib export has a
-   caller, and the core's a production one. *)
+   caller, the core's a production one, and every optional parameter a
+   setter and a production call that leaves it out. *)
 let test_xref_gate_clean () =
   let index = Xref.read ~root:(root ()) in
   let findings = Xref.check index in
   if findings <> [] then Xref.pp_report Format.err_formatter (index, findings);
-  Alcotest.(check int) "no dead-export or test-only-export findings" 0 (List.length findings)
+  Alcotest.(check int) "no dead-export, test-only-export, unset-knob or always-set-knob findings" 0
+    (List.length findings)
 
 let suite =
   [
@@ -352,5 +437,8 @@ let suite =
     Alcotest.test_case "exports: core is the dual-boundary core" `Quick
       test_xref_core_is_dual_boundary;
     Alcotest.test_case "exports: pinned sample of the real index" `Quick test_xref_real_index;
+    Alcotest.test_case "exports: knob classifier on synthetic tables" `Quick
+      test_xref_knob_classifier;
+    Alcotest.test_case "exports: knob census of the real index" `Quick test_xref_real_knobs;
     Alcotest.test_case "exports: gate clean on this tree" `Quick test_xref_gate_clean;
   ]

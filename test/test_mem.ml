@@ -5,7 +5,7 @@ open Cio_util
 open Cio_mem
 
 let make ?(prot = Region.Shared) ?(size = 4 * 4096) () =
-  Region.create ~prot ~name:"test" size
+  Region.create ~prot ~model:Cost.default ~name:"test" size
 
 let test_guest_rw_roundtrip () =
   let r = make () in
@@ -429,7 +429,7 @@ let prop_range_shared_equals_page_scan =
          quad bool (int_range 1 3000) (list_size (int_range 0 30) prot_op_gen) Helpers.range_query_gen))
     (fun (shared, size, ops, queries) ->
       let prot = if shared then Region.Shared else Region.Private in
-      let r = Region.create ~page_size:64 ~prot ~name:"prop" size in
+      let r = Region.create ~page_size:64 ~prot ~model:Cost.default ~name:"prop" size in
       Helpers.range_shared_agrees r queries
       && List.for_all
            (fun op ->

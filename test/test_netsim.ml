@@ -83,7 +83,7 @@ let test_link_fifo_serialization () =
 
 let test_link_counters () =
   let e = Engine.create () in
-  let link = Link.create e in
+  let link = Link.create ~latency_ns:10_000L ~gbps:10.0 e in
   Link.attach link Link.B ignore;
   Link.send link ~src:Link.A (Bytes.make 10 'x');
   Link.send link ~src:Link.A (Bytes.make 20 'x');
@@ -93,7 +93,7 @@ let test_link_counters () =
 
 let test_link_tamper_drop () =
   let e = Engine.create () in
-  let link = Link.create e in
+  let link = Link.create ~latency_ns:10_000L ~gbps:10.0 e in
   let got = ref 0 in
   Link.attach link Link.B (fun _ -> incr got);
   Link.set_tamper link ~src:Link.A (Some (fun _ -> []));
@@ -103,7 +103,7 @@ let test_link_tamper_drop () =
 
 let test_link_tamper_duplicate () =
   let e = Engine.create () in
-  let link = Link.create e in
+  let link = Link.create ~latency_ns:10_000L ~gbps:10.0 e in
   let got = ref 0 in
   Link.attach link Link.B (fun _ -> incr got);
   Link.set_tamper link ~src:Link.A
@@ -114,7 +114,7 @@ let test_link_tamper_duplicate () =
 
 let test_link_transit_tap () =
   let e = Engine.create () in
-  let link = Link.create e in
+  let link = Link.create ~latency_ns:10_000L ~gbps:10.0 e in
   Link.attach link Link.B ignore;
   let seen = ref [] in
   Link.set_transit_tap link (Some (fun ~time:_ ~src frame -> seen := (src, Bytes.length frame) :: !seen));
@@ -343,7 +343,7 @@ module type NET = sig
   module Link : sig
     type t
 
-    val create : ?latency_ns:int64 -> ?gbps:float -> Engine.t -> t
+    val create : latency_ns:int64 -> gbps:float -> Engine.t -> t
     val attach : t -> Link.endpoint -> (bytes -> unit) -> unit
     val set_tamper : t -> src:Link.endpoint -> Link.tamper option -> unit
     val set_transit_tap : t -> (time:int64 -> src:Link.endpoint -> bytes -> unit) option -> unit

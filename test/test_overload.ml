@@ -17,7 +17,7 @@ let accepted = function Pressure.Accepted -> true | Pressure.Backpressure _ -> f
 
 let test_admission_control_exempt () =
   let clock = ref 0L in
-  let a = Admission.create ~rate_per_sec:0 ~burst:4 ~now:(fun () -> !clock) () in
+  let a = Admission.create ~rate_per_sec:0 ~burst:4 ~now:(fun () -> !clock) in
   for _ = 1 to 4 do
     Alcotest.(check bool) "bucket token admits interactive" true
       (accepted (Admission.admit a Admission.Interactive))
@@ -34,10 +34,7 @@ let test_admission_bulk_shed_first () =
   (* burst 8, 25% reserve = 2 tokens: bulk may spend down to the reserve
      (6 admits), then sheds while interactive still has 2 tokens. *)
   let clock = ref 0L in
-  let a =
-    Admission.create ~rate_per_sec:0 ~burst:8 ~bulk_reserve_percent:25
-      ~now:(fun () -> !clock) ()
-  in
+  let a = Admission.create ~rate_per_sec:0 ~burst:8 ~now:(fun () -> !clock) in
   let bulk_ok = ref 0 in
   for _ = 1 to 10 do
     if accepted (Admission.admit a Admission.Bulk) then incr bulk_ok
@@ -51,7 +48,7 @@ let test_admission_bulk_shed_first () =
 let test_admission_refill_deterministic () =
   let run () =
     let clock = ref 0L in
-    let a = Admission.create ~rate_per_sec:1_000 ~burst:4 ~now:(fun () -> !clock) () in
+    let a = Admission.create ~rate_per_sec:1_000 ~burst:4 ~now:(fun () -> !clock) in
     let log = ref [] in
     for i = 1 to 40 do
       (* 1 ms of simulated time per iteration = exactly one token. *)
@@ -72,7 +69,7 @@ let test_admission_refill_deterministic () =
 (* --- breaker ------------------------------------------------------------ *)
 
 let test_breaker_state_walk () =
-  let b = Breaker.create ~threshold:2 ~cooldown:2 () in
+  let b = Breaker.create ~threshold:2 ~cooldown:2 in
   let transitions0 =
     Metrics.counter_value (Metrics.counter Metrics.default "overload.breaker.transitions")
   in
@@ -110,7 +107,9 @@ let test_breaker_state_walk () =
 (* --- retry budget ------------------------------------------------------- *)
 
 let test_retry_budget_exhaustion_and_refill () =
-  let rb = Retry_budget.create ~capacity:2 ~refill_percent:50 ~rng:(Rng.create 9L) () in
+  let rb =
+    Retry_budget.create ~capacity:2 ~refill_percent:50 ~cap_ns:200_000_000L ~rng:(Rng.create 9L)
+  in
   Alcotest.(check bool) "token 1" true (Retry_budget.try_retry rb);
   Alcotest.(check bool) "token 2" true (Retry_budget.try_retry rb);
   Alcotest.(check bool) "exhausted budget refuses" false (Retry_budget.try_retry rb);
@@ -122,9 +121,9 @@ let test_retry_budget_exhaustion_and_refill () =
   Alcotest.(check int) "grants counted" 3 (Retry_budget.granted rb)
 
 let test_retry_backoff_jitter_law () =
-  let base = 1_000_000L and cap = 8_000_000L in
+  let base = 1_000_000L (* the budget's fixed backoff floor *) and cap = 8_000_000L in
   let sample seed =
-    let rb = Retry_budget.create ~base_ns:base ~cap_ns:cap ~rng:(Rng.create seed) () in
+    let rb = Retry_budget.create ~capacity:16 ~refill_percent:20 ~cap_ns:cap ~rng:(Rng.create seed) in
     List.init 32 (fun _ -> Retry_budget.backoff_ns rb)
   in
   let s = sample 3L in
@@ -138,7 +137,7 @@ let test_retry_backoff_jitter_law () =
       prev := d)
     s;
   Alcotest.(check bool) "same seed, same jitter sequence" true (s = sample 3L);
-  let rb = Retry_budget.create ~base_ns:base ~cap_ns:cap ~rng:(Rng.create 3L) () in
+  let rb = Retry_budget.create ~capacity:16 ~refill_percent:20 ~cap_ns:cap ~rng:(Rng.create 3L) in
   List.iter (fun _ -> ignore (Retry_budget.backoff_ns rb)) s;
   Retry_budget.reset_backoff rb;
   Alcotest.(check bool) "reset collapses the anchor to base" true
@@ -259,8 +258,10 @@ let prop_watchdog_backoff_under_budget =
       let drv = Driver.create ~name:"test-overload-wd" cfg in
       let sent = ref 0 in
       let host = Host_model.create ~driver:drv ~transmit:(fun _ -> incr sent) in
-      let breaker = Breaker.create ~threshold:3 ~cooldown:4 () in
-      let rb = Retry_budget.create ~capacity:3 ~refill_percent:50 ~rng:(Rng.create 5L) () in
+      let breaker = Breaker.create ~threshold:3 ~cooldown:4 in
+      let rb =
+        Retry_budget.create ~capacity:3 ~refill_percent:50 ~cap_ns:200_000_000L ~rng:(Rng.create 5L)
+      in
       let wd =
         Watchdog.create ~poll_budget:2 ~max_backoff:8 ~breaker ~retry_budget:rb drv
       in
@@ -283,13 +284,13 @@ let prop_watchdog_backoff_under_budget =
               (* The host does not poll: pending TX makes the deadline arm. *)
               if tx_in_flight drv = 0 then
                 ignore (Driver.transmit drv (Bytes.make 8 's'));
-              Watchdog.tick wd;
+              Watchdog.tick wd ~expecting_rx:false;
               check_law false
           | `Progress ->
               Host_model.deliver_rx host (Bytes.make 8 'p');
               Host_model.poll host;
               ignore (Driver.poll drv);
-              Watchdog.tick wd;
+              Watchdog.tick wd ~expecting_rx:false;
               check_law true)
         ops;
       !ok)
@@ -344,34 +345,18 @@ let prop_composed_faults_breaker_recloses =
 
 (* --- E22: graceful degradation under offered load ------------------------ *)
 
-let e22_plane_cfg quantum_ns deadline_steps =
-  {
-    Plane.default_config with
-    Plane.admit_rate_per_sec = 50_000;
-    admit_burst = 8;
-    queue_limit = 64;
-    deadline_budget_ns = Int64.mul (Int64.of_int deadline_steps) quantum_ns;
-  }
-
 let test_loadgen_graceful_degradation () =
   let open Cio_fault in
-  let base = Loadgen.default_config in
-  let cfg ~rate ~on =
-    {
-      base with
-      Loadgen.offered_per_mille = rate;
-      overload = (if on then Some (e22_plane_cfg base.Loadgen.quantum_ns base.Loadgen.deadline_steps) else None);
-    }
-  in
-  let on_1x = Loadgen.run ~config:(cfg ~rate:500 ~on:true) ~seed:7L () in
-  let on_4x = Loadgen.run ~config:(cfg ~rate:2_000 ~on:true) ~seed:7L () in
-  let off_4x = Loadgen.run ~config:(cfg ~rate:2_000 ~on:false) ~seed:7L () in
+  let cfg ~rate ~on = { Loadgen.offered_per_mille = rate; overload = on } in
+  let on_1x = Loadgen.run ~config:(cfg ~rate:500 ~on:true) ~seed:7L in
+  let on_4x = Loadgen.run ~config:(cfg ~rate:2_000 ~on:true) ~seed:7L in
+  let off_4x = Loadgen.run ~config:(cfg ~rate:2_000 ~on:false) ~seed:7L in
   (* Plane on: goodput at 4x offered within 20% of the saturation level,
      latency bounded by the deadline, nothing stranded. *)
   Alcotest.(check bool) "plane on holds goodput at 4x offered" true
     (10 * on_4x.Loadgen.timely >= 8 * on_1x.Loadgen.timely);
   Alcotest.(check bool) "plane on bounds p99 by the deadline" true
-    (on_4x.Loadgen.p99_rtt_steps <= base.Loadgen.deadline_steps);
+    (on_4x.Loadgen.p99_rtt_steps <= Loadgen.deadline_steps);
   Alcotest.(check int) "plane on strands no sealed bytes" 0 on_4x.Loadgen.backlog_bytes;
   Alcotest.(check bool) "the excess was shed, not queued" true
     (on_4x.Loadgen.shed > on_4x.Loadgen.sent);
@@ -379,12 +364,12 @@ let test_loadgen_graceful_degradation () =
   Alcotest.(check bool) "plane off collapses goodput" true
     (2 * off_4x.Loadgen.timely < on_4x.Loadgen.timely);
   Alcotest.(check bool) "plane off latency blows through the deadline" true
-    (off_4x.Loadgen.p99_rtt_steps > 4 * base.Loadgen.deadline_steps);
+    (off_4x.Loadgen.p99_rtt_steps > 4 * Loadgen.deadline_steps);
   Alcotest.(check bool) "plane off strands sealed bytes in queues" true
     (off_4x.Loadgen.backlog_bytes > 0);
   Alcotest.(check int) "plane off sheds nothing (and pays for it)" 0 off_4x.Loadgen.shed;
   (* Determinism: same seed + config, byte-identical report. *)
-  let again = Loadgen.run ~config:(cfg ~rate:2_000 ~on:true) ~seed:7L () in
+  let again = Loadgen.run ~config:(cfg ~rate:2_000 ~on:true) ~seed:7L in
   Alcotest.(check bool) "same seed, identical report" true (again = on_4x)
 
 let suite =

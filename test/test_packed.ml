@@ -5,7 +5,7 @@
 open Cio_virtio
 
 let make ?(hardened = false) () =
-  let tr = Packed.create_transport ~name:"test-packed" () in
+  let tr = Packed.create_transport ~name:"test-packed" in
   let sent = ref [] in
   let dev = Packed.create_device ~transport:tr ~transmit:(fun f -> sent := f :: !sent) in
   let drv = Packed.create_driver ~hardened tr in
@@ -22,7 +22,9 @@ let test_flag_semantics () =
   Alcotest.(check bool) "used is not avail" false (Packed.is_avail u_true ~wrap:true)
 
 let test_element_roundtrip () =
-  let region = Cio_mem.Region.create ~name:"pq" 4096 in
+  let region =
+    Cio_mem.Region.create ~prot:Cio_mem.Region.Shared ~model:Cio_util.Cost.default ~name:"pq" 4096
+  in
   let q = Packed.make_queue ~region ~base:0 ~size:8 in
   let e = { Packed.addr = 0x200; len = 512; id = 5; flags = Packed.flag_avail lor Packed.flag_write } in
   Packed.write_elem q Cio_mem.Region.Guest 3 e;

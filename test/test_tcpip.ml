@@ -121,7 +121,7 @@ let test_data_after_close_rejected () =
 let test_listener_accept_queue () =
   let pair = H.make_stack_pair () in
   let tcp_a = Stack.tcp pair.H.stack_a and tcp_b = Stack.tcp pair.H.stack_b in
-  let listener = Tcp.listen tcp_b ~port:80 () in
+  let listener = Tcp.listen tcp_b ~port:80 in
   let c1 = Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:80 () in
   let c2 = Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:80 () in
   let accepted = ref [] in
@@ -137,9 +137,9 @@ let test_listener_accept_queue () =
 let test_duplicate_listen_rejected () =
   let pair = H.make_stack_pair () in
   let tcp_b = Stack.tcp pair.H.stack_b in
-  ignore (Tcp.listen tcp_b ~port:81 ());
+  ignore (Tcp.listen tcp_b ~port:81);
   Alcotest.check_raises "double bind" (Invalid_argument "Tcp.listen: port already bound") (fun () ->
-      ignore (Tcp.listen tcp_b ~port:81 ()))
+      ignore (Tcp.listen tcp_b ~port:81))
 
 (* A lossy/reordering netif wrapper for robustness tests. With [burst]
    A's stack coalesces TX through the same wrapper (a burst link copies
@@ -189,7 +189,7 @@ let lossy_pair ?(burst = false) ~seed ~drop ~dup ~reorder () =
 let transfer_under_impairment ?burst ~seed ~drop ~dup ~reorder () =
   let pair = lossy_pair ?burst ~seed ~drop ~dup ~reorder () in
   let tcp_a = Stack.tcp pair.H.stack_a and tcp_b = Stack.tcp pair.H.stack_b in
-  let listener = Tcp.listen tcp_b ~port:90 () in
+  let listener = Tcp.listen tcp_b ~port:90 in
   let client = Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:90 () in
   let server = ref None in
   let ok =
@@ -381,7 +381,7 @@ let test_stack_meter_charges () =
 let test_ten_concurrent_connections () =
   let pair = H.make_stack_pair () in
   let tcp_a = Stack.tcp pair.H.stack_a and tcp_b = Stack.tcp pair.H.stack_b in
-  let listener = Tcp.listen tcp_b ~port:7000 ~backlog:16 () in
+  let listener = Tcp.listen tcp_b ~port:7000 in
   let clients = List.init 10 (fun _ -> Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:7000 ()) in
   let servers = ref [] in
   let ok =
@@ -492,7 +492,7 @@ let test_stale_incarnation_recovers () =
   let stack_a = mk nif_a H.ip_a H.ip_b H.mac_b in
   let stack_b = mk nif_b H.ip_b H.ip_a H.mac_a in
   let tcp_b = Stack.tcp stack_b in
-  let listener = Tcp.listen tcp_b ~port:7777 () in
+  let listener = Tcp.listen tcp_b ~port:7777 in
   let live_a = ref stack_a in
   let run_until pred =
     let n = ref 0 in
@@ -626,7 +626,7 @@ let test_segment_allocation () =
   in
   let stack_a = mk nif_a H.ip_a H.ip_b H.mac_b and stack_b = mk nif_b H.ip_b H.ip_a H.mac_a in
   let tcp_a = Stack.tcp stack_a and tcp_b = Stack.tcp stack_b in
-  let listener = Tcp.listen tcp_b ~port:7777 () in
+  let listener = Tcp.listen tcp_b ~port:7777 in
   let ca = Tcp.connect tcp_a ~dst:H.ip_b ~dst_port:7777 () in
   let rec accept n =
     Stack.poll stack_a;

@@ -87,8 +87,8 @@ let prop_quantile_extremes =
 
 (* --- trace recorder -------------------------------------------------- *)
 
-let with_tracing ?capacity f =
-  Trace.enable ?capacity ();
+let with_tracing ?(capacity = 65536) f =
+  Trace.enable ~capacity;
   Fun.protect ~finally:(fun () ->
       Trace.disable ();
       Trace.reset_clock ())

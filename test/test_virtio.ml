@@ -20,7 +20,7 @@ let make_pair ?(hardened = false) () =
   (transport, device, sent, hardened)
 
 let test_vring_layout_bit_accurate () =
-  let region = Region.create ~name:"vr" 8192 in
+  let region = Region.create ~prot:Region.Shared ~model:Cio_util.Cost.default ~name:"vr" 8192 in
   let v = Vring.create ~region ~base:0 ~size:4 in
   Vring.write_desc v Region.Guest 2 { Vring.addr = 0x1000; len = 256; flags = 3; next = 1 };
   (* Descriptor 2 starts at byte 32: addr u64 LE, len u32, flags u16, next u16. *)
@@ -30,7 +30,7 @@ let test_vring_layout_bit_accurate () =
   Alcotest.(check int) "next" 1 (Region.read_u16 region Region.Guest ~off:46)
 
 let test_vring_avail_used_idx () =
-  let region = Region.create ~name:"vr" 8192 in
+  let region = Region.create ~prot:Region.Shared ~model:Cio_util.Cost.default ~name:"vr" 8192 in
   let v = Vring.create ~region ~base:0 ~size:8 in
   Vring.set_avail_idx v Region.Guest 5;
   Alcotest.(check int) "avail idx cross-actor" 5 (Vring.avail_idx v Region.Host);
@@ -40,13 +40,13 @@ let test_vring_avail_used_idx () =
   Alcotest.(check int) "used len" 99 len
 
 let test_vring_ring_positions_wrap () =
-  let region = Region.create ~name:"vr" 8192 in
+  let region = Region.create ~prot:Region.Shared ~model:Cio_util.Cost.default ~name:"vr" 8192 in
   let v = Vring.create ~region ~base:0 ~size:4 in
   Vring.set_avail_entry v Region.Guest 6 42 (* position 6 wraps to slot 2 *);
   Alcotest.(check int) "wrapped position" 42 (Vring.avail_entry v Region.Host 2)
 
 let test_vring_geometry_validated () =
-  let region = Region.create ~name:"vr" 8192 in
+  let region = Region.create ~prot:Region.Shared ~model:Cio_util.Cost.default ~name:"vr" 8192 in
   Alcotest.check_raises "non-pow2" (Invalid_argument "Vring.create: size must be a power of two")
     (fun () -> ignore (Vring.create ~region ~base:0 ~size:5))
 
