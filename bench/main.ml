@@ -105,7 +105,7 @@ let test_tls_record () =
   let c = Cio_tls.Session.create ~role:Cio_tls.Session.Client ~psk ~psk_id:"b" ~rng () in
   let s = Cio_tls.Session.create ~role:Cio_tls.Session.Server ~psk ~psk_id:"b" ~rng () in
   let cat l = List.fold_left Bytes.cat Bytes.empty l in
-  let inbox = Queue.create () in
+  let inbox = Cio_util.Byteq.create 2048 in
   let feed session b =
     ignore (Cio_tls.Session.feed_into session b ~off:0 ~len:(Bytes.length b) inbox);
     cat (Cio_tls.Session.take_flights session)
@@ -117,14 +117,14 @@ let test_tls_record () =
   let payload = Bytes.make 1024 't' and q = Cio_util.Byteq.create 2048 in
   Test.make ~name:"tls-seal-open-1KiB"
     (Staged.stage (fun () ->
-         match Cio_tls.Session.send_data_into c payload q with
+         match Cio_tls.Session.send_data_into c payload ~off:0 ~len:1024 q with
          | Ok () ->
              let len = Cio_util.Byteq.length q in
              ignore
                (Cio_tls.Session.feed_into s (Cio_util.Byteq.storage q) ~off:(Cio_util.Byteq.front q)
                   ~len inbox);
              Cio_util.Byteq.drop q len;
-             Queue.clear inbox
+             Cio_util.Byteq.drop inbox (Cio_util.Byteq.length inbox)
          | Error _ -> assert false))
 
 let test_crypto_primitives () =

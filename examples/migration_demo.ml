@@ -59,7 +59,7 @@ let () =
   Fmt.pr "session established; streaming echoes...@.";
 
   let echoes = ref 0 and sent = ref 0 and swapped = ref false in
-  let target = 24 in
+  let target = 24 and echo = Bytes.create 16 in
   let finished =
     until
       (fun () ->
@@ -67,7 +67,7 @@ let () =
            match Channel.send ch (Bytes.of_string (Printf.sprintf "echo-%02d" !sent)) with
            | Ok () -> incr sent
            | Error _ -> ());
-        (match Channel.recv ch with Some _ -> incr echoes | None -> ());
+        if Channel.recv_into ch echo >= 0 then incr echoes;
         if !echoes = 12 && not !swapped then begin
           swapped := true;
           Fmt.pr "@.>>> hot swap at echo 12: revoking the old device wholesale <<<@.";
@@ -89,4 +89,5 @@ let () =
     | Some e -> Cio_tls.Session.error_to_string e);
   Fmt.pr "nothing was negotiated or transferred: no feature bits, no ring state,@.";
   Fmt.pr "no sequence numbers — the §3.2 zero-negotiation principle is what makes@.";
-  Fmt.pr "migration this boring. (finished=%b)@." finished
+  Fmt.pr "migration this boring. (finished=%b)@." finished;
+  if not finished then exit 1

@@ -81,8 +81,12 @@ let () =
        5_000);
   (match !echo with
   | Some m when Bytes.equal m message -> Fmt.pr "echo received intact: %S@." (Bytes.to_string m)
-  | Some m -> Fmt.pr "echo CORRUPTED: %S@." (Bytes.to_string m)
-  | None -> Fmt.pr "no echo received@.");
+  | Some m ->
+      Fmt.pr "echo CORRUPTED: %S@." (Bytes.to_string m);
+      exit 1
+  | None ->
+      Fmt.pr "no echo received@.";
+      exit 1);
 
   (* 6. Self-healing: stall the host device mid-session. The driver
      watchdog notices the missed deadline, throws the rings away
@@ -110,8 +114,12 @@ let () =
   | Some m when Bytes.equal m message2 ->
       Fmt.pr "host stalled; watchdog reset the rings; echo received intact: %S@."
         (Bytes.to_string m)
-  | Some m -> Fmt.pr "echo CORRUPTED: %S@." (Bytes.to_string m)
-  | None -> Fmt.pr "no echo after stall@.");
+  | Some m ->
+      Fmt.pr "echo CORRUPTED: %S@." (Bytes.to_string m);
+      exit 1
+  | None ->
+      Fmt.pr "no echo after stall@.";
+      exit 1);
 
   (* 7. What it cost, and what the host saw. *)
   let meter = Dual.meter unit_ in

@@ -319,6 +319,15 @@ let feed_exn session inbox b =
   | Some e -> raise (Failure (Cio_tls.Session.error_to_string e))
   | None -> Cio_tls.Session.take_flights session
 
+(* The payloads [inbox] holds, oldest first, each in a buffer of its own. *)
+let rec take_payloads inbox =
+  match Cio_tls.Session.payload_length inbox with
+  | -1 -> []
+  | len ->
+      let b = Bytes.create len in
+      ignore (Cio_tls.Session.take_payload inbox b);
+      b :: take_payloads inbox
+
 (* The L5 layer rides directly on cionet messages here (one record per
    message) so the experiment isolates the boundary question from TCP. *)
 let run_dual scenario =
@@ -332,7 +341,7 @@ let run_dual scenario =
   plant_cionet_canaries driver;
   (* Handshake through the attacked path: remote -> host -> ring -> tee. *)
   let to_tee wire = Host_model.deliver_rx host wire in
-  let inbox = Queue.create () in
+  let inbox = Byteq.create 64 in
   let pump_tee () =
     Host_model.poll host;
     let outs = ref [] in
@@ -361,7 +370,9 @@ let run_dual scenario =
     Host_model.inject host scenario.cionet;
     let secret_msg = Bytes.of_string "application-secret-message" in
     let sealed = Byteq.create 64 in
-    (match Session.send_data_into remote secret_msg sealed with Ok () -> () | Error _ -> assert false);
+    (match
+       Session.send_data_into remote secret_msg ~off:0 ~len:(Bytes.length secret_msg) sealed
+     with Ok () -> () | Error _ -> assert false);
     to_tee (Byteq.take sealed (Byteq.length sealed));
     match
       Host_model.poll host;
@@ -375,7 +386,7 @@ let run_dual scenario =
         end
       in
       drain 8;
-      List.of_seq (Queue.to_seq inbox)
+      take_payloads inbox
     with
     | received ->
         let leaked = List.exists contains_canary received in
@@ -440,7 +451,7 @@ let run_stack_compromise () =
   (* Establish honestly first. *)
   let cat l = List.fold_left Bytes.cat Bytes.empty l in
   let f1 = match Session.initiate remote with Ok o -> cat o | Error _ -> Bytes.empty in
-  let inbox = Queue.create () in
+  let inbox = Byteq.create 64 in
   let feed s b =
     ignore (Session.feed_into s b ~off:0 ~len:(Bytes.length b) inbox);
     cat (Session.take_flights s)
@@ -456,7 +467,7 @@ let run_stack_compromise () =
       match Session.feed_into tee forged ~off:0 ~len:(Bytes.length forged) inbox with
       | Some e -> Fail_closed ("record layer: " ^ Session.error_to_string e)
       | None ->
-          if Queue.is_empty inbox then No_effect
+          if Byteq.length inbox = 0 then No_effect
           else Desync "forged bytes accepted as application data"
     end
   in

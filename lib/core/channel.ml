@@ -35,9 +35,10 @@ type t = {
   (* Harvested stream bytes, each chunk behind its 4-byte length: the app
      side copies (and pays for) them chunk by chunk, as harvested. *)
   raw_in : Byteq.t;
-  inbox : bytes Queue.t;
+  (* Opened payloads, each behind its 4-byte length, until the app
+     receives them. *)
+  inbox : Byteq.t;
   mutable failed : Session.error option;
-  mutable received_messages : int;
   io_step : unit -> unit;  (* one [io_pump], built once for [pump] *)
 }
 
@@ -75,7 +76,7 @@ let io_pump t =
 
 let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f -> f ())
     ?(model = Cost.default) ?overload ~meter ~session ~stack ~conn () =
-  let outbox = Byteq.create 4096 and raw_in = Byteq.create 4096 and inbox = Queue.create () in
+  let outbox = Byteq.create 4096 and raw_in = Byteq.create 4096 and inbox = Byteq.create 4096 in
   let rec t =
     {
       session;
@@ -91,7 +92,6 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
       raw_in;
       inbox;
       failed = None;
-      received_messages = 0;
       io_step = (fun () -> ignore (io_pump t));
     }
   in
@@ -99,7 +99,6 @@ let create ?(zero_copy_send = false) ?(copy_on_recv = false) ?(enter_io = fun f 
 
 let conn t = t.conn
 let error t = t.failed
-let received_messages t = t.received_messages
 
 let fail t e = match t.failed with None -> t.failed <- Some e | Some _ -> ()
 
@@ -131,12 +130,8 @@ let rec app_pump t =
     (match t.failed with
     | Some _ -> ()
     | None -> (
-        let before = Queue.length t.inbox in
-        let err =
-          Session.feed_into t.session buf ~off:(front + chunk_header) ~len t.inbox
-        in
+        let err = Session.feed_into t.session buf ~off:(front + chunk_header) ~len t.inbox in
         queue_flights t (Session.take_flights t.session);
-        t.received_messages <- t.received_messages + (Queue.length t.inbox - before);
         match err with Some e -> fail t e | None -> ()));
     Byteq.drop q (chunk_header + len);
     app_pump t
@@ -151,19 +146,20 @@ let pump t =
    A payload over the record limit is refused with nothing sealed and
    the session intact, so the channel lives on; any other error fails
    it. *)
-let send t payload =
+let send_sub t buf ~off ~len =
   match t.failed with
   | Some e -> Error e
   | None -> (
       let before = Byteq.length t.outbox in
-      match Session.send_data_into t.session payload t.outbox with
+      match Session.send_data_into t.session buf ~off ~len t.outbox with
       | Error e ->
-          if not (Session.is_established t.session && Bytes.length payload > Session.max_payload)
-          then fail t e;
+          if not (Session.is_established t.session && len > Session.max_payload) then fail t e;
           Error e
       | Ok () ->
           charge_crossing_copy t (Byteq.length t.outbox - before);
           Ok ())
+
+let send t payload = send_sub t payload ~off:0 ~len:(Bytes.length payload)
 
 type send_outcome =
   | Sent
@@ -184,7 +180,19 @@ let send_admitted ~klass ?deadline t payload =
           match send t payload with Ok () -> Sent | Error e -> Send_error e))
 
 let outbox_bytes t = Byteq.length t.outbox
-let recv t = if Queue.is_empty t.inbox then None else Some (Queue.take t.inbox)
+
+(* The app lends the buffer: the payload is copied out of the inbox into
+   memory the app owns. *)
+let recv_into t buf = Session.take_payload t.inbox buf
+
+let recv t =
+  match Session.payload_length t.inbox with
+  | -1 -> None
+  | len ->
+      let buf = Bytes.create len in
+      ignore (recv_into t buf);
+      Some buf
+
 let is_established t = Session.is_established t.session
 
 let start_handshake t =

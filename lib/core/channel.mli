@@ -23,7 +23,6 @@ val create :
 
 val conn : t -> Tcp.conn
 val error : t -> Session.error option
-val received_messages : t -> int
 
 val start_handshake : t -> (unit, Session.error) result
 (** Client side: emit the opening flight. *)
@@ -32,6 +31,9 @@ val send : t -> bytes -> (unit, Session.error) result
 (** Seal and queue one message (app side; no boundary crossing). A
     message over {!Session.max_payload} is refused and the channel stays
     usable; any other error fails the channel for good. *)
+
+val send_sub : t -> bytes -> off:int -> len:int -> (unit, Session.error) result
+(** {!send} of the [len] bytes of the buffer from [off]. *)
 
 type send_outcome =
   | Sent
@@ -61,5 +63,13 @@ val pump : t -> unit
 (** Standalone convenience: one boundary crossing around {!io_pump}, then
     {!app_pump}. *)
 
+val recv_into : t -> bytes -> int
+(** [recv_into ch buf] copies the next received message into [buf] from
+    offset 0 and returns its length, or -1 when none is waiting. Raises
+    [Invalid_argument], leaving the message queued, when [buf] is shorter
+    than it; a buffer of {!Session.max_payload} bytes always fits. *)
+
 val recv : t -> bytes option
+(** {!recv_into} a buffer of the message's own length. *)
+
 val is_established : t -> bool

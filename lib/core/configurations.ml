@@ -59,7 +59,7 @@ type endpoint = {
   pump : unit -> unit;          (* one confidential-side scheduling quantum *)
   host_pump : unit -> unit;     (* one host-side quantum *)
   send : bytes -> bool;         (* queue one application message *)
-  recv : unit -> bytes option;  (* next echoed message *)
+  recv_into : bytes -> int;     (* next echoed message, as Channel.recv_into *)
   established : unit -> bool;
   failed : unit -> bool;
   guest_meter : Cost.meter;
@@ -77,7 +77,7 @@ let channel_endpoint ~channel ~pump ~host_pump ~guest_meter ~host_meter ~crossin
     pump;
     host_pump;
     send = (fun msg -> match Channel.send channel msg with Ok () -> true | Error _ -> false);
-    recv = (fun () -> Channel.recv channel);
+    recv_into = Channel.recv_into channel;
     established = (fun () -> Channel.is_established channel);
     failed = (fun () -> Channel.error channel <> None);
     guest_meter;
@@ -259,7 +259,7 @@ let make_syscall (bed : Testbed.t) =
     if size > 0 then Cost.charge guest_meter Cost.Copy (Cost.copy_cost model size);
     Cio_observe.Observe.record bed.tap ~time:(Engine.now bed.engine) ~kind ~size
   in
-  let inbox = Queue.create () in
+  let inbox = Byteq.create 4096 in
   let sealed = Byteq.create 4096 in
   let outbox = Buffer.create 4096 in
   let failed = ref false in
@@ -307,14 +307,14 @@ let make_syscall (bed : Testbed.t) =
     host_pump;
     send =
       (fun msg ->
-        match Session.send_data_into session msg sealed with
+        match Session.send_data_into session msg ~off:0 ~len:(Bytes.length msg) sealed with
         | Ok () ->
             push_wire (Byteq.take sealed (Byteq.length sealed));
             true
         | Error _ ->
             failed := true;
             false);
-    recv = (fun () -> if Queue.is_empty inbox then None else Some (Queue.take inbox));
+    recv_into = Session.take_payload inbox;
     established = (fun () -> Session.is_established session);
     failed = (fun () -> !failed);
     guest_meter;
@@ -353,7 +353,7 @@ let tcb = function
    the number of echoes. *)
 let echo_loop bed ep ~msg_size ~messages ~on_send ~on_echo =
   let window = 4 and quantum_ns = 2_000L and max_steps = 400_000 in
-  let payload = Bytes.make msg_size 'm' in
+  let payload = Bytes.make msg_size 'm' and echo = Bytes.create msg_size in
   let sent = ref 0 and echoes = ref 0 and steps = ref 0 in
   while !echoes < messages && !steps < max_steps && not (ep.failed ()) do
     incr steps;
@@ -364,12 +364,11 @@ let echo_loop bed ep ~msg_size ~messages ~on_send ~on_echo =
         on_send ()
       done;
     let rec drain () =
-      match ep.recv () with
-      | Some _ ->
-          incr echoes;
-          on_echo ();
-          drain ()
-      | None -> ()
+      if ep.recv_into echo >= 0 then begin
+        incr echoes;
+        on_echo ();
+        drain ()
+      end
     in
     drain ()
   done;

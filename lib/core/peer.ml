@@ -15,6 +15,9 @@ type t = {
   psk : bytes;
   psk_id : string;
   rng : Rng.t;
+  (* The echo service's one message buffer: each message is received
+     into it and echoed from it. *)
+  echo_buf : bytes;
   mutable channels : Channel.t list;
   mutable echo_channels : Channel.t list;
   mutable listeners : Tcp.listener list;  (* every one an echo service *)
@@ -43,6 +46,7 @@ let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~n
     psk;
     psk_id;
     rng;
+    echo_buf = Bytes.create Session.max_payload;
     channels = [];
     echo_channels = [];
     listeners = [];
@@ -77,22 +81,22 @@ let rec accept_listeners t = function
       accept_listeners t rest
 
 (* Echo service: bounce every received message straight back. *)
-let rec echo ch =
-  match Channel.recv ch with
-  | Some msg ->
-      ignore (Channel.send ch msg);
-      echo ch
-  | None -> ()
+let rec echo buf ch =
+  let len = Channel.recv_into ch buf in
+  if len >= 0 then begin
+    ignore (Channel.send_sub ch buf ~off:0 ~len);
+    echo buf ch
+  end
 
-let rec echo_all = function
+let rec echo_all buf = function
   | [] -> ()
   | ch :: rest ->
-      echo ch;
-      echo_all rest
+      echo buf ch;
+      echo_all buf rest
 
 let poll t =
   Stack.poll t.stack;
   (* Accept pending connections on every listener. *)
   accept_listeners t t.listeners;
   List.iter Channel.pump t.channels;
-  echo_all t.echo_channels
+  echo_all t.echo_buf t.echo_channels

@@ -489,7 +489,7 @@ let e12 ppf () =
   let unit_ = d.Testbed.unit_ in
   let ch = Testbed.connect d in
   let echoes = ref 0 and sent = ref 0 and steps = ref 0 in
-  let payload = Bytes.make 512 'm' in
+  let payload = Bytes.make 512 'm' and echo = Bytes.create 512 in
   let swap_at = 10 and target = 20 in
   let swapped_step = ref 0 and recovered_step = ref 0 in
   while !echoes < target && !steps < 300_000 do
@@ -497,12 +497,11 @@ let e12 ppf () =
     Testbed.pump d ~by:5_000L;
     if Channel.is_established ch && !sent < target && !sent - !echoes < 2 then
       if (match Channel.send ch payload with Ok () -> true | Error _ -> false) then incr sent;
-    (match Channel.recv ch with
-    | Some _ ->
-        incr echoes;
-        if !echoes = swap_at + 1 && !recovered_step = 0 && !swapped_step > 0 then
-          recovered_step := !steps
-    | None -> ());
+    if Channel.recv_into ch echo >= 0 then begin
+      incr echoes;
+      if !echoes = swap_at + 1 && !recovered_step = 0 && !swapped_step > 0 then
+        recovered_step := !steps
+    end;
     if !echoes = swap_at && !swapped_step = 0 then begin
       swapped_step := !steps;
       Cio_cionet.Driver.hot_swap (Dual.driver unit_)
@@ -536,7 +535,7 @@ let e13 ppf () =
     let cionet_config = { Cio_cionet.Config.default with Cio_cionet.Config.pad_frames } in
     let d = Testbed.attach_dual ~cionet_config bed in
     let ch = Testbed.connect d in
-    let rng_sizes = Rng.create 5L in
+    let rng_sizes = Rng.create 5L and echo = Bytes.create 1024 in
     let echoes = ref 0 and sent = ref 0 and steps = ref 0 in
     while !echoes < 30 && !steps < 100_000 do
       incr steps;
@@ -546,7 +545,7 @@ let e13 ppf () =
         let payload = Bytes.make (32 + Rng.int rng_sizes 900) 'p' in
         match Channel.send ch payload with Ok () -> incr sent | Error _ -> ()
       end;
-      match Channel.recv ch with Some _ -> incr echoes | None -> ()
+      if Channel.recv_into ch echo >= 0 then incr echoes
     done;
     (bed.tap, Link.bytes_sent bed.link ~src:Link.A + Link.bytes_sent bed.link ~src:Link.B)
   in

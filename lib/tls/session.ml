@@ -137,28 +137,30 @@ let seal_record t ~ctype plaintext =
       seal_at t k ~ctype plaintext ~src_off:0 ~len record ~dst_off:0;
       Ok record
 
-(* Open the record in view [v] into a plaintext buffer of its own. The
-   sequence number only advances on success: a replayed or reordered
-   record authenticates against the wrong nonce and lands here as
-   Auth_failed. *)
-let open_record t v =
+let plaintext_len v = Int.max 0 (v.Wire.len - Aead.tag_len)
+
+(* The one open: the record in view [v] into [dst] at [dst_off], where
+   its [plaintext_len v] bytes must fit. The tag is checked before a
+   byte is written, so a record that fails writes nothing. The sequence
+   number only advances on success: a replayed or reordered record
+   authenticates against the wrong nonce and lands here as Auth_failed. *)
+let open_at t v dst ~dst_off =
   match t.keys with
-  | None -> Error (Bad_state "protected record before key derivation")
+  | None -> Some (Bad_state "protected record before key derivation")
   | Some k ->
       let dk = recv_keys t k and len = v.Wire.len in
       Wire.write_header t.aad ~off:0 ~ctype:v.Wire.kind ~len;
       Keys.nonce_into ~iv:dk.Keys.iv ~seq:t.recv_seq t.nonce;
       charge_aead t len;
-      let plaintext = Bytes.create (Int.max 0 (len - Aead.tag_len)) in
       if
         Aead.open_with t.aead ~key:dk.Keys.key ~nonce:t.nonce ~aad:t.aad v.Wire.buf
-          ~src_off:v.Wire.off ~len plaintext ~dst_off:0
+          ~src_off:v.Wire.off ~len dst ~dst_off
       then begin
         t.recv_seq <- t.recv_seq + 1;
         t.records_received <- t.records_received + 1;
-        Ok plaintext
+        None
       end
-      else Error Auth_failed
+      else Some Auth_failed
 
 (* Handshake message bodies. *)
 
@@ -249,13 +251,17 @@ let handle_server_hello t body =
     Ok []
   end
 
-let verify_finished t plaintext =
-  if Bytes.length plaintext <> 33 || Char.code (Bytes.get plaintext 0) <> msg_finished then
-    Error (Bad_format "bad Finished message")
-  else begin
-    let expected = finished_body t ~own:false in
-    if Ct.equal (Bytes.sub expected 1 32) (Bytes.sub plaintext 1 32) then Ok () else Error Auth_failed
-  end
+(* A protected Finished, opened into a buffer of its own and checked
+   against the transcript. *)
+let open_finished t v =
+  let plaintext = Bytes.create (plaintext_len v) in
+  match open_at t v plaintext ~dst_off:0 with
+  | Some _ as err -> err
+  | None when Bytes.length plaintext <> 33 || Char.code (Bytes.get plaintext 0) <> msg_finished ->
+      Some (Bad_format "bad Finished message")
+  | None ->
+      let expected = finished_body t ~own:false in
+      if Ct.equal (Bytes.sub expected 1 32) (Bytes.sub plaintext 1 32) then None else Some Auth_failed
 
 let push_flights t records = t.flights <- List.rev_append records t.flights
 
@@ -269,18 +275,28 @@ let take_flights t =
 let view_body v = Bytes.sub v.Wire.buf v.Wire.off v.Wire.len
 let first_byte v = Bytes.get_uint8 v.Wire.buf v.Wire.off
 
+(* Inbox framing: each payload behind its length, 4 bytes little-endian. *)
+let payload_header = 4
+
+(* A data record, opened straight onto the back of [inbox] or not at all. *)
+let open_into_inbox t v inbox =
+  let len = plaintext_len v in
+  let at = Byteq.extend inbox (payload_header + len) in
+  let buf = Byteq.storage inbox in
+  Bytes.set_int32_le buf at (Int32.of_int len);
+  match open_at t v buf ~dst_off:(at + payload_header) with
+  | None -> None
+  | err ->
+      Byteq.retract inbox (payload_header + len);
+      err
+
 (* One record, in place in the splitter: [None], or the error that is to
    kill the session. Handshake records to send join [flights]; opened
    application data joins [inbox]. *)
 let process_record t v inbox =
   match (t.state, v.Wire.kind) with
   | Dead, _ -> Some (Bad_state "session dead")
-  | Established, Wire.Data -> (
-      match open_record t v with
-      | Ok plaintext ->
-          Queue.add plaintext inbox;
-          None
-      | Error e -> Some e)
+  | Established, Wire.Data -> open_into_inbox t v inbox
   | Start, Wire.Handshake
     when t.role = Server && v.Wire.len > 0 && first_byte v = msg_client_hello -> (
       match handle_client_hello t (view_body v) with
@@ -294,27 +310,21 @@ let process_record t v inbox =
       match handle_server_hello t (view_body v) with Ok _ -> None | Error e -> Some e)
   | Wait_server_finished, Wire.Handshake -> (
       (* Protected server Finished. *)
-      match open_record t v with
-      | Error e -> Some e
-      | Ok plaintext -> (
-          match verify_finished t plaintext with
+      match open_finished t v with
+      | Some e -> Some e
+      | None -> (
+          match seal_record t ~ctype:Wire.Handshake (finished_body t ~own:true) with
           | Error e -> Some e
-          | Ok () -> (
-              match seal_record t ~ctype:Wire.Handshake (finished_body t ~own:true) with
-              | Error e -> Some e
-              | Ok fin ->
-                  t.state <- Established;
-                  push_flights t [ fin ];
-                  None)))
-  | Wait_client_finished, Wire.Handshake -> (
-      match open_record t v with
-      | Error e -> Some e
-      | Ok plaintext -> (
-          match verify_finished t plaintext with
-          | Error e -> Some e
-          | Ok () ->
+          | Ok fin ->
               t.state <- Established;
+              push_flights t [ fin ];
               None))
+  | Wait_client_finished, Wire.Handshake -> (
+      match open_finished t v with
+      | Some e -> Some e
+      | None ->
+          t.state <- Established;
+          None)
   | _, Wire.Alert -> Some Peer_alert
   | _, ct -> Some (Bad_state (Printf.sprintf "unexpected %s record" (Wire.content_name ct)))
 
@@ -336,14 +346,27 @@ let feed_into t src ~off ~len inbox =
         t.last_error
     | None -> process_all t inbox
 
-let send_data_into t payload q =
+let payload_length inbox =
+  if Byteq.length inbox = 0 then -1
+  else Int32.to_int (Bytes.get_int32_le (Byteq.storage inbox) (Byteq.front inbox))
+
+let take_payload inbox dst =
+  let len = payload_length inbox in
+  if len > Bytes.length dst then invalid_arg "Session.take_payload: buffer shorter than the payload";
+  if len >= 0 then begin
+    Byteq.blit inbox ~src_off:payload_header dst ~dst_off:0 ~len;
+    Byteq.drop inbox (payload_header + len)
+  end;
+  len
+
+let send_data_into t payload ~off ~len q =
+  if off < 0 || len < 0 || off > Bytes.length payload - len then
+    invalid_arg "Session.send_data_into: range out of bounds";
   match (t.state, t.keys) with
-  | Established, Some _ when Bytes.length payload > max_payload ->
-      Error (too_large (Bytes.length payload))
+  | Established, Some _ when len > max_payload -> Error (too_large len)
   | Established, Some k ->
-      let len = Bytes.length payload in
       let at = Byteq.extend q (record_len len) in
-      seal_at t k ~ctype:Wire.Data payload ~src_off:0 ~len (Byteq.storage q) ~dst_off:at;
+      seal_at t k ~ctype:Wire.Data payload ~src_off:off ~len (Byteq.storage q) ~dst_off:at;
       Ok ()
   | Established, None -> Error (Bad_state "no keys yet")
   | _ -> Error (Bad_state "not established")

@@ -36,6 +36,11 @@ let extend t n =
   t.len <- t.len + n;
   at
 
+let retract t n =
+  if n < 0 || n > t.len then invalid_arg "Byteq.retract: count out of bounds";
+  t.len <- t.len - n;
+  if t.len = 0 then t.off <- 0
+
 let storage t = t.buf
 let front t = t.off
 

@@ -35,6 +35,10 @@ val extend : t -> int -> int
 (** [extend q n] appends [n] bytes, left for the caller to write, and
     returns where they start in {!storage}. *)
 
+val retract : t -> int -> unit
+(** Discard [n] bytes from the back: undoes an {!extend} whose bytes
+    the caller could not fill. *)
+
 val storage : t -> bytes
 (** The queue's own buffer: the queued bytes are its [length q] bytes
     from {!front}. Valid until the next append, which may move them. A

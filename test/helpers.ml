@@ -103,14 +103,24 @@ module Session_lists = struct
     err : Cio_tls.Session.error option;
   }
 
+  (* The payloads an inbox holds, oldest first, each in a buffer of its
+     own. *)
+  let rec take_payloads inbox =
+    match Cio_tls.Session.payload_length inbox with
+    | -1 -> []
+    | len ->
+        let b = Bytes.create len in
+        ignore (Cio_tls.Session.take_payload inbox b);
+        b :: take_payloads inbox
+
   let feed s b =
-    let inbox = Queue.create () in
+    let inbox = Cio_util.Byteq.create 64 in
     let err = Cio_tls.Session.feed_into s b ~off:0 ~len:(Bytes.length b) inbox in
-    { outputs = Cio_tls.Session.take_flights s; app_data = List.of_seq (Queue.to_seq inbox); err }
+    { outputs = Cio_tls.Session.take_flights s; app_data = take_payloads inbox; err }
 
   let send_data s payload =
     let q = Cio_util.Byteq.create 64 in
-    Cio_tls.Session.send_data_into s payload q
+    Cio_tls.Session.send_data_into s payload ~off:0 ~len:(Bytes.length payload) q
     |> Result.map (fun () -> Cio_util.Byteq.take q (Cio_util.Byteq.length q))
 end
 

@@ -208,8 +208,9 @@ let prop_percentile_bounded =
       let lo = Array.fold_left min arr.(0) arr and hi = Array.fold_left max arr.(0) arr in
       p >= lo -. 1e-9 && p <= hi +. 1e-9)
 
-(* Byteq against a string model: appends, takes, drops and in-place
-   consumes in any order keep the same FIFO contents. *)
+(* Byteq against a string model: appends, takes, drops, in-place
+   consumes and retracts from the back in any order keep the same FIFO
+   contents. *)
 type byteq_op =
   | Add of string
   | Extend of string
@@ -217,6 +218,7 @@ type byteq_op =
   | Drop of int
   | Peek of int
   | Transfer of int
+  | Retract of int
 
 let byteq_op_gen =
   QCheck.Gen.(
@@ -228,6 +230,7 @@ let byteq_op_gen =
         (1, map (fun s -> Extend s) (string_size (int_range 0 200)));
         (1, map (fun n -> Peek n) (int_range 0 150));
         (1, map (fun n -> Transfer n) (int_range 0 150));
+        (1, map (fun n -> Retract n) (int_range 0 150));
       ])
 
 let print_byteq_op = function
@@ -237,6 +240,7 @@ let print_byteq_op = function
   | Extend s -> Printf.sprintf "Extend %d" (String.length s)
   | Peek n -> Printf.sprintf "Peek %d" n
   | Transfer n -> Printf.sprintf "Transfer %d" n
+  | Retract n -> Printf.sprintf "Retract %d" n
 
 let prop_byteq_matches_model =
   QCheck.Test.make ~name:"byteq behaves as a FIFO string" ~count:300
@@ -286,6 +290,11 @@ let prop_byteq_matches_model =
                 Byteq.add_bytes dst (Bytes.of_string "x");
                 Byteq.transfer q dst n;
                 Bytes.to_string (Byteq.take dst (n + 1)) = "x" ^ cut n
+            | Retract n ->
+                let n = min n (Byteq.length q) in
+                Byteq.retract q n;
+                model := String.sub !model 0 (String.length !model - n);
+                true
           in
           ok
           && Byteq.length q = String.length !model
