@@ -9,12 +9,9 @@ module Trace = Cio_telemetry.Trace
 module Metrics = Cio_telemetry.Metrics
 module Kind = Cio_telemetry.Kind
 
-let m_tx = Metrics.counter Metrics.default "driver.tx_frames"
-let m_rx = Metrics.counter Metrics.default "driver.rx_frames"
 let m_kicks = Metrics.counter Metrics.default "driver.doorbells"
 let m_kicks_coalesced = Metrics.counter Metrics.default "driver.doorbells_coalesced"
 let m_batch_depth = Metrics.histogram Metrics.default "batch.depth"
-let m_swaps = Metrics.counter Metrics.default "driver.hot_swaps"
 
 type instance = {
   region : Region.t;
@@ -112,7 +109,6 @@ let hot_swap t =
     make_instance ~model:t.model ~meter:t.meter ~host_meter:t.host_meter
       ~name:(Printf.sprintf "%s-gen%d" t.name t.generation)
       t.config;
-  Metrics.inc m_swaps;
   if Trace.on () then Trace.span_end ~cat:Kind.l2 "hot-swap"
 
 (* One doorbell covers [n] produced frames: the kick is stateless and
@@ -164,7 +160,6 @@ let transmit_burst t frames =
         staged;
     if n > 0 then begin
       t.tx_frames <- t.tx_frames + n;
-      Metrics.add m_tx n;
       Metrics.observe m_batch_depth n;
       kick t n
     end;
@@ -178,7 +173,6 @@ let transmit t frame = transmit_burst t [| frame |] = 1
 
 let got_rx t frame =
   t.rx_frames <- t.rx_frames + 1;
-  Metrics.inc m_rx;
   if Trace.on () then
     Trace.instant ~arg:(Bytes.length frame) ~cat:Kind.l2 "rx-frame"
 

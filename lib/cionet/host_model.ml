@@ -17,8 +17,6 @@ module Kind = Cio_telemetry.Kind
 
 let m_tx_forwarded = Metrics.counter Metrics.default "host.tx_forwarded"
 let m_rx_injected = Metrics.counter Metrics.default "host.rx_injected"
-let m_faults = Metrics.counter Metrics.default "host.faults"
-let m_rx_dropped = Metrics.counter Metrics.default "host.rx_dropped"
 let m_injected = Metrics.counter Metrics.default "host.misbehaviors_injected"
 
 type misbehavior =
@@ -157,7 +155,6 @@ let sabotage t =
    simply unmapped. *)
 let note_fault t =
   t.stats.faults <- t.stats.faults + 1;
-  Metrics.inc m_faults;
   if Trace.on () then Trace.instant ~cat:Kind.l2 "host-fault"
 
 (* TX direction: drain the guest's ring in bursts into the host's pool
@@ -201,7 +198,6 @@ let rec fill_rx t ~batch left =
     Bufpool.recycle t.pool (Fifo.pop q);
     t.drop_frames <- t.drop_frames - 1;
     t.stats.rx_dropped <- t.stats.rx_dropped + 1;
-    Metrics.inc m_rx_dropped;
     if Trace.on () then Trace.instant ~cat:Kind.l2 "host-rx-drop";
     fill_rx t ~batch left
   end

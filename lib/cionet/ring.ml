@@ -31,13 +31,10 @@ module Trace = Cio_telemetry.Trace
 module Metrics = Cio_telemetry.Metrics
 module Kind = Cio_telemetry.Kind
 
-(* Aggregate slot-lifecycle metrics across every ring in the process.
-   Handles are resolved once at module init, so the per-event cost is a
-   single unboxed increment — cheap enough to leave always on. *)
-let m_produced = Metrics.counter Metrics.default "ring.produced"
-let m_consumed = Metrics.counter Metrics.default "ring.consumed"
-let m_full_misses = Metrics.counter Metrics.default "ring.full_misses"
-let m_empty_polls = Metrics.counter Metrics.default "ring.empty_polls"
+(* Each ring's [counters] own its counts. The three confinement counts
+   are also summed across every ring in the process, because the
+   repository benchmark reads them by name; handles are resolved once at
+   module init, so the per-event cost is a single unboxed increment. *)
 let m_len_clamped = Metrics.counter Metrics.default "ring.len_clamped"
 let m_index_masked = Metrics.counter Metrics.default "ring.index_masked"
 let m_state_skipped = Metrics.counter Metrics.default "ring.state_skipped"
@@ -244,7 +241,6 @@ let produce_one t ~amortized payload =
   let slot = t.prod_next land (t.slots - 1) in
   if read_header ~amortized t actor slot <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
-    Metrics.inc m_full_misses;
     false
   end
   else begin
@@ -258,7 +254,6 @@ let produce_one t ~amortized payload =
           match Queue.take_opt t.free_units with
           | None ->
               t.counters.full_misses <- t.counters.full_misses + 1;
-              Metrics.inc m_full_misses;
               -1
           | Some u ->
               t.bindings.(slot) <- Some u;
@@ -268,7 +263,6 @@ let produce_one t ~amortized payload =
           match Queue.take_opt t.free_units with
           | None ->
               t.counters.full_misses <- t.counters.full_misses + 1;
-              Metrics.inc m_full_misses;
               -1
           | Some u ->
               t.bindings.(slot) <- Some u;
@@ -289,7 +283,6 @@ let produce_one t ~amortized payload =
       write_word t ~amortized actor ~off:(hdr_off t slot) state_full;
       t.prod_next <- t.prod_next + 1;
       t.counters.produced <- t.counters.produced + 1;
-      Metrics.inc m_produced;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-produce";
       true
     end
@@ -382,7 +375,6 @@ let consume_one pool t ~amortized dst n =
   let len = hdr_word t 1 and info = hdr_word t 2 in
   if state = state_empty then begin
     t.counters.empty_polls <- t.counters.empty_polls + 1;
-    Metrics.inc m_empty_polls;
     Cr_empty
   end
   else if state <> state_full then begin
@@ -407,7 +399,6 @@ let consume_one pool t ~amortized dst n =
       write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
       t.cons_next <- t.cons_next + 1;
       t.counters.consumed <- t.counters.consumed + 1;
-      Metrics.inc m_consumed;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-consume";
       Cr_frame
     end
@@ -465,7 +456,6 @@ let try_consume_revoke_burst ~pool ~max t =
     let len = hdr_word t 1 in
     if state = state_empty then begin
       t.counters.empty_polls <- t.counters.empty_polls + 1;
-      Metrics.inc m_empty_polls;
       None
     end
     else if state <> state_full then begin
@@ -526,7 +516,6 @@ let try_consume_revoke_burst ~pool ~max t =
         in
         t.cons_next <- t.cons_next + k;
         t.counters.consumed <- t.counters.consumed + k;
-        Metrics.add m_consumed k;
         if Trace.on () then Trace.instant ~arg:k ~cat:Kind.l2 "slot-revoke-burst";
         Some { frames; release }
       end

@@ -178,8 +178,6 @@ let sinks =
     ("Region.write_u64", { positions = []; labels = [ "off" ] });
     ("Region.share_range", { positions = []; labels = [ "off"; "len" ] });
     ("Region.unshare_range", { positions = []; labels = [ "off"; "len" ] });
-    ("Region.share_page", { positions = [ 1 ]; labels = [] });
-    ("Region.unshare_page", { positions = [ 1 ]; labels = [] });
     ("Vring.read_desc", { positions = [ 2 ]; labels = [] });
     ("Vring.used_entry", { positions = [ 2 ]; labels = [] });
     ("Vring.avail_entry", { positions = [ 2 ]; labels = [] });

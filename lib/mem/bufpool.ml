@@ -18,7 +18,6 @@
 
 open Cio_util
 
-let m_dropped = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "bufpool.dropped"
 let m_retained_high =
   Cio_telemetry.Metrics.gauge Cio_telemetry.Metrics.default "bufpool.retained_high"
 
@@ -135,10 +134,7 @@ let recycle t b =
   if len > 0 then begin
     let q = bucket t len in
     if !checking then audit q b;
-    if !(q.in_class) >= t.cap then begin
-      t.stats.dropped <- t.stats.dropped + 1;
-      Cio_telemetry.Metrics.inc m_dropped
-    end
+    if !(q.in_class) >= t.cap then t.stats.dropped <- t.stats.dropped + 1
     else begin
       incr q.in_class;
       t.stats.recycled <- t.stats.recycled + 1;

@@ -40,4 +40,4 @@ val stats : t -> stats
 val retained : t -> int
 (** Free buffers currently held across all buckets. The process-wide
     maximum across pools is exported as the [bufpool.retained_high]
-    gauge; cap-rejected returns count under [bufpool.dropped]. *)
+    gauge; cap-rejected returns count in the pool's [stats.dropped]. *)

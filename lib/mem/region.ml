@@ -9,7 +9,6 @@
    that a driver never dereferences unvalidated host-controlled state. *)
 
 open Cio_util
-module Metrics = Cio_telemetry.Metrics
 
 type actor = Guest | Host
 
@@ -148,15 +147,10 @@ let san_note t ~off ~len =
         (fun (off2, len2, snap2) ->
           if ranges_overlap (off, len) (off2, len2) then begin
             s.s_double <- s.s_double + 1;
-            Metrics.inc (Metrics.counter Metrics.default "mem.sanitizer.double_fetch");
             let lo = max off off2 and hi = min (off + len) (off2 + len2) in
             let w1 = String.sub snap (lo - off) (hi - lo) in
             let w2 = String.sub snap2 (lo - off2) (hi - lo) in
-            if not (String.equal w1 w2) then begin
-              s.s_mutated <- s.s_mutated + 1;
-              Metrics.inc
-                (Metrics.counter Metrics.default "mem.sanitizer.double_fetch_mutated")
-            end
+            if not (String.equal w1 w2) then s.s_mutated <- s.s_mutated + 1
           end)
         s.s_fetches;
       s.s_fetches <- (off, len, snap) :: s.s_fetches
@@ -259,32 +253,10 @@ let write_u64 t actor ~off v =
   Bytes.set_int64_le t.data off v
 
 (* Page sharing / revocation. Unsharing is the paper's §3.2 "revocation"
-   primitive: the guest reclaims a page from the host on the fly instead of
-   copying out of it. *)
-
-let share_page t page =
-  if page < 0 || page >= Array.length t.prot then
-    invalid_arg "Region.share_page: bad page";
-  if t.prot.(page) <> Shared then begin
-    t.prot.(page) <- Shared;
-    t.private_pages <- t.private_pages - 1;
-    Cost.charge t.meter Cost.Share t.model.Cost.page_share;
-    log t (Share_page page)
-  end
-
-let unshare_page t page =
-  if page < 0 || page >= Array.length t.prot then
-    invalid_arg "Region.unshare_page: bad page";
-  if t.prot.(page) <> Private then begin
-    t.prot.(page) <- Private;
-    t.private_pages <- t.private_pages + 1;
-    Cost.charge t.meter Cost.Unshare t.model.Cost.page_unshare;
-    log t (Unshare_page page)
-  end
-
-(* Range variants are batched: one shootdown/hypercall covers the whole
-   range, so the first page pays full cost and the rest pay only PTE
-   work. The transition itself is identical to the per-page calls. *)
+   primitive: the guest reclaims pages from the host on the fly instead of
+   copying out of them. Each call is batched: one shootdown/hypercall
+   covers every page of the range that changes state, so the first pays
+   full cost and the rest pay only PTE work. *)
 
 let share_range t ~off ~len =
   if len > 0 then begin

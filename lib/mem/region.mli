@@ -80,10 +80,13 @@ val write_u64 : t -> actor -> off:int -> int64 -> unit
 
 (** {1 Sharing and revocation} *)
 
-val share_page : t -> int -> unit
-val unshare_page : t -> int -> unit
 val share_range : t -> off:int -> len:int -> unit
 val unshare_range : t -> off:int -> len:int -> unit
+(** Every page [[off, off + len)] touches becomes shared (private), and
+    each page that changes state is logged. One call is one batched
+    transition: the first changed page pays [page_share]
+    ([page_unshare]), every further one the [_extra] cost; a call that
+    changes nothing is free. *)
 
 (** {1 Metered copies} *)
 
@@ -106,11 +109,10 @@ val set_guest_read_hook : t -> (off:int -> len:int -> unit) option -> unit
     The dynamic counterpart of cio_lint's DF rule. The sanitizer is armed
     from the outside — by a test or fault campaign — and watches code that
     never asked to be watched: every guest fetch of a shared range is compared
-    against the current epoch's earlier fetches, and overlaps bump the
-    [mem.sanitizer.double_fetch] (and, when the bytes changed in between,
-    [mem.sanitizer.double_fetch_mutated]) counters in
-    {!Cio_telemetry.Metrics.default}. When disabled the cost is a single
-    [None] branch per access. *)
+    against the current epoch's earlier fetches, and each overlap counts
+    one double fetch (and, when the bytes changed in between, one mutated
+    fetch) in this region's {!sanitizer_stats}. When disabled the cost is
+    a single [None] branch per access. *)
 
 type sanitizer_stats = { double_fetches : int; mutated_fetches : int; epochs : int }
 

@@ -17,19 +17,11 @@
    the state machine (e.g. a stalled host resuming on its own, observed
    as ring progress, must not wait out a cooldown).
 
-   The state is exported as the [overload.breaker.state] gauge
-   (0 closed / 1 open / 2 half-open) and every edge increments
-   [overload.breaker.transitions]. *)
-
-module Metrics = Cio_telemetry.Metrics
+   Each breaker owns its state and its count of edges ([transitions]). *)
 
 type state = Closed | Open | Half_open
 
-let state_code = function Closed -> 0 | Open -> 1 | Half_open -> 2
 let state_name = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"
-
-let m_state = Metrics.gauge Metrics.default "overload.breaker.state"
-let m_transitions = Metrics.counter Metrics.default "overload.breaker.transitions"
 
 type t = {
   threshold : int;  (* consecutive failures before opening *)
@@ -43,7 +35,6 @@ type t = {
 let create ~threshold ~cooldown =
   if threshold <= 0 then invalid_arg "Breaker.create: threshold must be positive";
   if cooldown <= 0 then invalid_arg "Breaker.create: cooldown must be positive";
-  Metrics.set m_state (state_code Closed);
   { threshold; cooldown; state = Closed; consecutive = 0; cooldown_left = 0; transitions = 0 }
 
 let state t = t.state
@@ -54,8 +45,6 @@ let transition t s =
   if s <> t.state then begin
     t.state <- s;
     t.transitions <- t.transitions + 1;
-    Metrics.inc m_transitions;
-    Metrics.set m_state (state_code s);
     if Cio_telemetry.Trace.on () then
       Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.l2
         ("breaker-" ^ state_name s)

@@ -1,7 +1,8 @@
 (** The overload-control plane of one confidential unit: admission
-    controller + retry budget + circuit breaker + deadline budget, with
-    every decision counted under [overload.*] metrics. Deterministic
-    from the simulated clock and the plane's Rng split. *)
+    controller + retry budget + circuit breaker + deadline budget. The
+    plane owns the count of every decision it makes ({!admitted},
+    {!shed}, {!deadline_shed}). Deterministic from the simulated clock
+    and the plane's Rng split. *)
 
 type config = {
   admit_rate_per_sec : int;   (** token-bucket refill rate *)

@@ -16,10 +16,6 @@
    identical seeds give identical schedules. *)
 
 open Cio_util
-module Metrics = Cio_telemetry.Metrics
-
-let m_granted = Metrics.counter Metrics.default "overload.retry.granted"
-let m_denied = Metrics.counter Metrics.default "overload.retry.denied"
 
 type t = {
   capacity_c : int;       (* centi-tokens: capacity * 100 *)
@@ -54,12 +50,10 @@ let try_retry t =
   if t.tokens_c >= 100 then begin
     t.tokens_c <- t.tokens_c - 100;
     t.granted <- t.granted + 1;
-    Metrics.inc m_granted;
     true
   end
   else begin
     t.denied <- t.denied + 1;
-    Metrics.inc m_denied;
     false
   end
 

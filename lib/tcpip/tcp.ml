@@ -162,9 +162,6 @@ type t = {
   mutable mss_clamps : int;
 }
 
-let m_segments_in = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.segments_in"
-let m_segments_out = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.segments_out"
-let m_retransmits = Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default "tcp.retransmits"
 let m_segment_bytes =
   Cio_telemetry.Metrics.histogram Cio_telemetry.Metrics.default "tcp.segment_bytes"
 
@@ -172,7 +169,6 @@ let m_segment_bytes =
    expiry) funnel through here. *)
 let note_retransmit t =
   t.retransmits <- t.retransmits + 1;
-  Cio_telemetry.Metrics.inc m_retransmits;
   if Cio_telemetry.Trace.on () then
     Cio_telemetry.Trace.instant ~cat:Cio_telemetry.Kind.tcp "retransmit"
 
@@ -244,7 +240,6 @@ let emit t conn ~len ~syn ~fin ~ack ~seq =
   seg.payload_off <- (if len = 0 then 0 else Tcp_wire.seq_diff seq conn.snd_qseq);
   seg.payload_len <- len;
   t.segments_out <- t.segments_out + 1;
-  Cio_telemetry.Metrics.inc m_segments_out;
   Cio_telemetry.Metrics.observe m_segment_bytes len;
   charge_stack t len;
   t.send_segment ~dst:conn.remote_ip seg conn.snd_queue
@@ -284,7 +279,6 @@ let send_rst t ~dst ~(to_seg : Tcp_wire.t) =
     seg.payload_off <- 0;
     seg.payload_len <- 0;
     t.segments_out <- t.segments_out + 1;
-    Cio_telemetry.Metrics.inc m_segments_out;
     charge_stack t 0;
     t.send_segment ~dst seg no_payload
   end
@@ -726,7 +720,6 @@ let rec demux t ~src buf (seg : Tcp_wire.t) = function
 
 let input t ~src buf (seg : Tcp_wire.t) =
   t.segments_in <- t.segments_in + 1;
-  Cio_telemetry.Metrics.inc m_segments_in;
   charge_stack t seg.Tcp_wire.payload_len;
   demux t ~src buf seg t.conns
 

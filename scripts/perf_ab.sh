@@ -11,13 +11,17 @@
 # one process at a time: odd pairs run the parent first, even pairs the
 # change first. Each checkout builds its own benchmark (run.py builds into
 # .bench_build/ inside that checkout). For every metric of the result line
-# it prints both medians, both quartiles and in how many pairs the change
-# was better, using the direction declared in BENCHMARK.json. With -t the
+# it prints both medians, both quartiles, their ratio and in how many pairs
+# the change was better, using the direction declared in BENCHMARK.json.
+# It prints the same for the side figures of each run's text report that
+# tell a calibration effect from a slower workload: plain ops_per_s, the
+# op_wall_us_p50/p99 latencies and the reference kernel's kernel_us_mean
+# (their directions are set below; traced runs report none). With -t the
 # pairs run with --trace 1 instead, and it prints, per layer, both medians
 # of self_ns_per_op and of minor_words_per_op, plus how many of the
 # runs' replay checks read ok (a failed check already stops the script).
-# The raw result lines are kept in the temporary directory with -k and
-# deleted otherwise. Nothing in the repository is modified.
+# The raw result lines and text reports are kept in the temporary
+# directory with -k and deleted otherwise. Nothing in the repository is modified.
 set -euo pipefail
 
 pairs=10
@@ -71,6 +75,7 @@ run_one() { # side
     exit 1
   fi
   printf '%s\n' "$out" | tail -n 1 >>"$tmp/$1.jsonl"
+  printf '%s\n' "$out" | sed '$d' >>"$tmp/$1.reports"
   printf '%s\n' "$out" | { grep '^ *check:' || true; } >>"$tmp/$1.checks"
 }
 
@@ -87,8 +92,28 @@ import json, statistics, sys
 bench = json.load(open(sys.argv[1]))
 tmp, trace = sys.argv[2], sys.argv[3] == "1"
 better = {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.get("per_layer", [])}
+# Side figures of the text report, which BENCHMARK.json does not declare.
+# ops_per_s is uncalibrated throughput; the op latencies are wall-clock
+# per operation; kernel_us_mean is the time of one run of the reference
+# kernel that cal_ops_per_s divides by, so a lower one with a flat
+# ops_per_s is the machine or heap, not the workload, getting faster.
+side = {"ops_per_s": "higher", "op_wall_us_p50": "lower", "op_wall_us_p99": "lower",
+        "kernel_us_mean": "lower"}
+better.update(side)
 load = lambda p: [json.loads(l)["metrics"] for l in open(p) if l.strip()]
 parent, change = load(f"{tmp}/parent.jsonl"), load(f"{tmp}/change.jsonl")
+
+def reports(p):
+    """Each run's side figures, from its text report: every run starts
+    with a `workload` line, and a figure is an indented `name value` line."""
+    runs = []
+    for line in open(p):
+        words = line.split()
+        if line.startswith("workload "):
+            runs.append({})
+        elif len(words) >= 2 and words[0] in side:
+            runs[-1][words[0]] = {"value": float(words[1])}
+    return runs
 
 def quart(xs):
     if len(xs) < 2:
@@ -96,7 +121,7 @@ def quart(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-def row(label, name, width):
+def row(label, name, width, parent=parent, change=change):
     p = [r[name]["value"] for r in parent]
     c = [r[name]["value"] for r in change]
     hi = better.get(name, "higher") == "higher"
@@ -113,6 +138,11 @@ if not trace:
     head("metric", 22)
     for name in parent[0]:
         row(name, name, 22)
+    p_side, c_side = reports(f"{tmp}/parent.reports"), reports(f"{tmp}/change.reports")
+    print()
+    head("side figure", 22)
+    for name in side:
+        row(name, name, 22, p_side, c_side)
 else:
     # Layers that ran in this workload: a span with calls on either side.
     suffix = ".self_ns_per_op"

@@ -43,19 +43,19 @@ let test_out_of_bounds_faults () =
 let test_unshare_revokes_host_access () =
   let r = make () in
   Region.host_write r ~off:0 (Bytes.of_string "ok");
-  Region.unshare_page r 0;
+  Region.unshare_range r ~off:0 ~len:4096;
   (match Region.host_read r ~off:0 ~len:2 with
   | _ -> Alcotest.fail "revoked page must fault for host"
   | exception Region.Fault (Region.Host_access_private _) -> ());
   (* Other pages remain shared. *)
   Region.host_write r ~off:4096 (Bytes.of_string "ok");
   (* Re-sharing restores access. *)
-  Region.share_page r 0;
+  Region.share_range r ~off:0 ~len:4096;
   Region.host_write r ~off:0 (Bytes.of_string "ok")
 
 let test_partial_range_shared () =
   let r = make () in
-  Region.unshare_page r 1;
+  Region.unshare_range r ~off:4096 ~len:4096;
   Alcotest.(check bool) "page 0 shared" true (Region.range_shared r 0 4096);
   Alcotest.(check bool) "range spanning private page" false (Region.range_shared r 4000 200);
   match Region.host_read r ~off:4000 ~len:200 with
@@ -72,11 +72,11 @@ let test_share_costs_batched () =
   Alcotest.(check int) "one full + three extras"
     (model.Cost.page_unshare + (3 * model.Cost.page_unshare_extra))
     batched;
-  (* Per-page calls cost full price each. *)
+  (* One call per page: each pays full price. *)
   let r2 = make () in
   let m2 = Region.meter r2 in
   for p = 0 to 3 do
-    Region.unshare_page r2 p
+    Region.unshare_range r2 ~off:(p * 4096) ~len:4096
   done;
   Alcotest.(check int) "per-page pays full each" (4 * model.Cost.page_unshare)
     (Cost.cycles_of m2 Cost.Unshare)
@@ -84,9 +84,9 @@ let test_share_costs_batched () =
 let test_unshare_idempotent_cost () =
   let r = make () in
   let m = Region.meter r in
-  Region.unshare_page r 0;
+  Region.unshare_range r ~off:0 ~len:4096;
   let once = Cost.cycles_of m Cost.Unshare in
-  Region.unshare_page r 0;
+  Region.unshare_range r ~off:0 ~len:4096;
   Alcotest.(check int) "no double charge" once (Cost.cycles_of m Cost.Unshare)
 
 let test_copy_in_charges () =
@@ -296,10 +296,6 @@ let prop_bufpool_acquire_is_exact_and_balanced =
 
 (* --- runtime double-fetch sanitizer ----------------------------------- *)
 
-let san_metric name =
-  Cio_telemetry.Metrics.counter_value
-    (Cio_telemetry.Metrics.counter Cio_telemetry.Metrics.default name)
-
 let test_sanitizer_off_counts_nothing () =
   let r = make () in
   Alcotest.(check bool) "off by default" false (Region.sanitizer_on r);
@@ -311,14 +307,12 @@ let test_sanitizer_off_counts_nothing () =
 
 let test_sanitizer_counts_double_fetch () =
   let r = make () in
-  let m0 = san_metric "mem.sanitizer.double_fetch" in
   Region.sanitizer_enable r;
   ignore (Region.guest_read r ~off:0 ~len:8);
   ignore (Region.guest_read r ~off:4 ~len:8);
   let s = Region.sanitizer_stats r in
   Alcotest.(check int) "overlap counted" 1 s.Region.double_fetches;
-  Alcotest.(check int) "bytes unchanged: not mutated" 0 s.Region.mutated_fetches;
-  Alcotest.(check int) "metric bumped" (m0 + 1) (san_metric "mem.sanitizer.double_fetch")
+  Alcotest.(check int) "bytes unchanged: not mutated" 0 s.Region.mutated_fetches
 
 let test_sanitizer_sees_host_race () =
   (* The attack harness's race hook rewrites the bytes after the first
@@ -351,7 +345,7 @@ let test_sanitizer_epoch_resets_window () =
 
 let test_sanitizer_ignores_private_and_host () =
   let r = make () in
-  Region.unshare_page r 0;
+  Region.unshare_range r ~off:0 ~len:4096;
   Region.sanitizer_enable r;
   (* Private-page guest reads and host reads of shared memory are not
      guest fetches of host-writable state. *)
@@ -399,17 +393,18 @@ let prot_op_gen =
       ])
 
 let prot_op_print = function
-  | `Share_page p -> Printf.sprintf "share_page %d" p
-  | `Unshare_page p -> Printf.sprintf "unshare_page %d" p
+  | `Share_page p -> Printf.sprintf "share page %d" p
+  | `Unshare_page p -> Printf.sprintf "unshare page %d" p
   | `Share_range (a, b) -> Printf.sprintf "share_range (%d,%d)" a b
   | `Unshare_range (a, b) -> Printf.sprintf "unshare_range (%d,%d)" a b
 
 (* Raw draws are folded onto the region's pages and in-bounds ranges. *)
 let apply_prot_op r op =
-  let page p = p mod Region.page_count r in
+  let page_size = Region.page_size r in
+  let page_off p = p mod Region.page_count r * page_size in
   match op with
-  | `Share_page p -> Region.share_page r (page p)
-  | `Unshare_page p -> Region.unshare_page r (page p)
+  | `Share_page p -> Region.share_range r ~off:(page_off p) ~len:page_size
+  | `Unshare_page p -> Region.unshare_range r ~off:(page_off p) ~len:page_size
   | `Share_range q ->
       let off, len = Helpers.clamp_range r q in
       Region.share_range r ~off ~len

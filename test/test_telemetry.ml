@@ -166,6 +166,90 @@ let test_traced_e2_spans_both_boundaries () =
           check_int (Printf.sprintf "cat %s begin/end matched" cat) b e)
         [ Kind.l2; Kind.l5; Kind.experiment ])
 
+(* --- one owner per count ---------------------------------------------- *)
+
+(* Counts a unit owns and exports through its own accessor: the ring's,
+   driver's and host model's counters, TCP's segment counts, the
+   compartment's, the overload plane's (admission, breaker, retry
+   budget), the buffer pool's and the sanitizer's. The process-wide
+   registry keeps no second copy of any of them. *)
+let unit_owned =
+  [
+    "ring.produced"; "ring.consumed"; "ring.full_misses"; "ring.empty_polls";
+    "driver.tx_frames"; "driver.rx_frames"; "driver.hot_swaps";
+    "host.faults"; "host.rx_dropped";
+    "tcp.segments_in"; "tcp.segments_out"; "tcp.retransmits";
+    "l5.denied"; "l5.crashes"; "l5.restarts";
+    "overload.retry.granted"; "overload.retry.denied";
+    "overload.admitted"; "overload.shed"; "overload.shed.admission";
+    "overload.shed.deadline"; "overload.shed.breaker";
+    "overload.breaker.state"; "overload.breaker.transitions";
+    "bufpool.dropped";
+    "mem.sanitizer.double_fetch"; "mem.sanitizer.double_fetch_mutated";
+  ]
+
+(* The first column of DESIGN.md §7's "Metric names" table: one
+   backquoted instrument name per row. A name ending in [<config>]
+   stands for the family of names that share its prefix. *)
+let documented_instruments () =
+  let path = Filename.concat (Helpers.repo_root ()) "DESIGN.md" in
+  let lines = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all) in
+  let rec skip_to = function
+    | [] -> Alcotest.fail "DESIGN.md has no \"### Metric names\" section"
+    | l :: rest -> if l = "### Metric names" then rest else skip_to rest
+  in
+  let rec rows acc = function
+    | [] -> List.rev acc
+    | l :: _ when String.starts_with ~prefix:"#" l -> List.rev acc
+    | l :: rest when String.starts_with ~prefix:"| `" l ->
+        let name = List.nth (String.split_on_char '`' l) 1 in
+        rows (name :: acc) rest
+    | _ :: rest -> rows acc rest
+  in
+  rows [] (skip_to lines)
+
+let test_one_owner_per_count () =
+  let open Cio_core in
+  let d =
+    Testbed.attach_dual ~overload:Cio_overload.Plane.default_config
+      (Testbed.create ~name:"owners" ~psk_id:"owners" ~seed:7L ())
+  in
+  let ch = Testbed.connect d in
+  let rec until pred n = pred () || (n > 0 && (Testbed.pump d ~by:2_000L; until pred (n - 1))) in
+  Alcotest.(check bool) "established" true (until (fun () -> Channel.is_established ch) 2000);
+  (match
+     Channel.send_admitted ~klass:Cio_overload.Admission.Interactive ch
+       (Bytes.of_string "one owner")
+   with
+  | Channel.Sent -> ()
+  | Channel.Shed _ -> Alcotest.fail "echo shed"
+  | Channel.Send_error e -> Alcotest.fail (Cio_tls.Session.error_to_string e));
+  let buf = Bytes.create 64 in
+  Alcotest.(check bool) "echo received" true (until (fun () -> Channel.recv_into ch buf >= 0) 2000);
+  (match Dual.overload d.Testbed.unit_ with
+  | Some plane ->
+      Alcotest.(check int) "the plane counts its admission" 1 (Cio_overload.Plane.admitted plane)
+  | None -> Alcotest.fail "overload plane missing");
+  let registered = List.map fst (Metrics.snapshot Metrics.default) in
+  List.iter
+    (fun n ->
+      if List.mem n registered then
+        Alcotest.failf "%s has a unit owner, yet the registry counts it too" n)
+    unit_owned;
+  let documented = documented_instruments () in
+  let family = "<config>" in
+  let families, fixed = List.partition (String.ends_with ~suffix:family) documented in
+  let prefixes =
+    List.map (fun f -> String.sub f 0 (String.length f - String.length family)) families
+  in
+  let listed n =
+    List.mem n fixed || List.exists (fun p -> String.starts_with ~prefix:p n) prefixes
+  in
+  Alcotest.(check (list string)) "registered but not in DESIGN.md §7" []
+    (List.filter (fun n -> not (listed n)) registered);
+  Alcotest.(check (list string)) "in DESIGN.md §7 but not registered" []
+    (List.filter (fun n -> not (List.mem n registered)) fixed)
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -182,4 +266,5 @@ let suite =
     Alcotest.test_case "chrome json shape" `Quick test_trace_chrome_json_shape;
     Alcotest.test_case "traced e2 spans both boundaries" `Slow
       test_traced_e2_spans_both_boundaries;
+    Alcotest.test_case "one owner per count" `Quick test_one_owner_per_count;
   ]
