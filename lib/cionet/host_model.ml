@@ -128,7 +128,7 @@ let deliver_rx t frame = if Bytes.length frame > 0 then Fifo.push t.pending_rx f
    over one of its shared header words. At most one header fault lands
    per produced slot, so queued faults hit successive messages in the
    order they were injected. All writes go through the Host actor, so
-   memory protection and the region log both apply. *)
+   memory protection applies. *)
 let sabotage t =
   let ring = Driver.rx_ring t.driver in
   let region = Ring.region ring in

@@ -3,10 +3,13 @@
    This module is the root substitution of the reproduction (DESIGN.md §1):
    it stands in for SEV/TDX/SGX memory protection. Pages are either
    [Private] (guest-only; host access faults, modelling memory encryption +
-   RMP/EPT protection) or [Shared] (host-visible bounce/ring memory). Every
-   access is logged so experiments can (a) detect double fetches from
-   shared memory, (b) measure what the host could observe, and (c) verify
-   that a driver never dereferences unvalidated host-controlled state. *)
+   RMP/EPT protection) or [Shared] (host-visible bounce/ring memory). A
+   checked access does its bounds/protection check, its sanitizer branch,
+   the access and its read hook, and allocates nothing. The region keeps
+   no access log; the log's three jobs each have an owner of their own:
+   double fetches from shared memory go to the runtime sanitizer below,
+   what the host can observe to the [Observe] tap, and dereferences of
+   unvalidated host-controlled state to cio_lint's taint rules. *)
 
 open Cio_util
 
@@ -32,12 +35,6 @@ let pp_fault ppf = function
 
 exception Fault of fault
 
-type event =
-  | Read of { actor : actor; off : int; len : int }
-  | Write of { actor : actor; off : int; len : int }
-  | Share_page of int
-  | Unshare_page of int
-
 type t = {
   name : string;
   data : bytes;
@@ -48,8 +45,6 @@ type t = {
          range is shared and [range_shared] needs no page scan *)
   meter : Cost.meter;
   model : Cost.model;
-  mutable log : event list;  (* newest first *)
-  mutable log_enabled : bool;
   mutable guest_read_hook : (off:int -> len:int -> unit) option;
       (* fired after each guest read of shared memory: lets the attack
          harness model a host racing the guest between two fetches *)
@@ -83,8 +78,6 @@ let create ?(page_size = 4096) ~prot ~model ?meter ~name size =
     private_pages = (match prot with Private -> pages | Shared -> 0);
     meter = (match meter with Some m -> m | None -> Cost.meter ());
     model;
-    log = [];
-    log_enabled = true;
     guest_read_hook = None;
     san = None;
   }
@@ -95,13 +88,8 @@ let page_count t = Array.length t.prot
 let meter t = t.meter
 let model t = t.model
 
-let set_logging t flag = t.log_enabled <- flag
-let clear_log t = t.log <- []
-let events t = List.rev t.log
-
-(* Callers on the per-access path test [log_enabled] first, so that with
-   the log off no event is built. *)
-let log t e = if t.log_enabled then t.log <- e :: t.log
+(* A no-op kept for perfbench's two calls (see region.mli). *)
+let clear_log (_ : t) = ()
 
 let page_of t off = off / t.page_size
 
@@ -156,14 +144,13 @@ let san_note t ~off ~len =
       s.s_fetches <- (off, len, snap) :: s.s_fetches
 
 (* Every read runs the same steps in the same order: bounds/protection
-   check, log, sanitizer capture, the read itself (the
+   check, sanitizer capture, the read itself (the
    caller's), then the guest read hook. [read_begin] does the steps before
    the read and returns whether the hook is due; [read_end] fires it —
    after the value is captured, so the *next* fetch observes any mutation
    the hook performs. *)
 let read_begin t actor ~off ~len =
   check_access t actor off len ~write:false;
-  if t.log_enabled then log t (Read { actor; off; len });
   match actor with
   | Host -> false
   | Guest ->
@@ -190,10 +177,8 @@ let read_into t actor ~off dst =
   Bytes.blit t.data off dst 0 len;
   read_end t ~off ~len due
 
-(* Writes: check and log, then the write itself. *)
-let write_begin t actor ~off ~len =
-  check_access t actor off len ~write:true;
-  if t.log_enabled then log t (Write { actor; off; len })
+(* Writes: check, then the write itself. *)
+let write_begin t actor ~off ~len = check_access t actor off len ~write:true
 
 let write t actor ~off src =
   let len = Bytes.length src in
@@ -266,8 +251,7 @@ let share_range t ~off ~len =
       if t.prot.(p) <> Shared then begin
         t.prot.(p) <- Shared;
         t.private_pages <- t.private_pages - 1;
-        incr changed;
-        log t (Share_page p)
+        incr changed
       end
     done;
     if !changed > 0 then
@@ -283,8 +267,7 @@ let unshare_range t ~off ~len =
       if t.prot.(p) <> Private then begin
         t.prot.(p) <- Private;
         t.private_pages <- t.private_pages + 1;
-        incr changed;
-        log t (Unshare_page p)
+        incr changed
       end
     done;
     if !changed > 0 then

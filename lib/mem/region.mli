@@ -1,8 +1,12 @@
-(** Simulated TEE memory: byte regions with per-page protection, access
-    logging, page sharing/revocation, and a double-fetch sanitizer.
+(** Simulated TEE memory: byte regions with per-page protection, page
+    sharing/revocation, and a double-fetch sanitizer.
 
     Stands in for SEV/TDX/SGX memory protection (DESIGN.md §1): [Private]
-    pages fault on host access; [Shared] pages model bounce/ring memory. *)
+    pages fault on host access; [Shared] pages model bounce/ring memory.
+    A checked access allocates nothing and leaves no record in the region:
+    double fetches are counted by the sanitizer below, what the host can
+    observe is recorded by the [Observe] tap, and dereferences of
+    unvalidated host-controlled state are cio_lint's taint rules. *)
 
 open Cio_util
 
@@ -17,12 +21,6 @@ type fault =
 val pp_fault : Format.formatter -> fault -> unit
 
 exception Fault of fault
-
-type event =
-  | Read of { actor : actor; off : int; len : int }
-  | Write of { actor : actor; off : int; len : int }
-  | Share_page of int
-  | Unshare_page of int
 
 type t
 
@@ -44,11 +42,10 @@ val page_count : t -> int
 val meter : t -> Cost.meter
 val model : t -> Cost.model
 
-val set_logging : t -> bool -> unit
 val clear_log : t -> unit
-
-val events : t -> event list
-(** Oldest first. *)
+(** Does nothing: the region keeps no access log. Kept only for the
+    benchmark's two calls in [perfbench/echo.ml]; ROADMAP item 1's
+    benchmark PR deletes those calls and this function. *)
 
 val prot_of_page : t -> int -> prot
 
@@ -64,7 +61,7 @@ val host_write : t -> off:int -> bytes -> unit
 
 val guest_read_into : t -> off:int -> bytes -> unit
 (** [guest_read_into t ~off dst] reads [Bytes.length dst] bytes at [off]
-    into [dst] — same checks, logging, sanitizer capture and read-hook
+    into [dst] — same checks, sanitizer capture and read-hook
     ordering as {!guest_read}, without allocating. *)
 
 val host_read_into : t -> off:int -> bytes -> unit
@@ -82,11 +79,10 @@ val write_u64 : t -> actor -> off:int -> int64 -> unit
 
 val share_range : t -> off:int -> len:int -> unit
 val unshare_range : t -> off:int -> len:int -> unit
-(** Every page [[off, off + len)] touches becomes shared (private), and
-    each page that changes state is logged. One call is one batched
-    transition: the first changed page pays [page_share]
-    ([page_unshare]), every further one the [_extra] cost; a call that
-    changes nothing is free. *)
+(** Every page [[off, off + len)] touches becomes shared (private). One
+    call is one batched transition: the first changed page pays
+    [page_share] ([page_unshare]), every further one the [_extra] cost; a
+    call that changes nothing is free. *)
 
 (** {1 Metered copies} *)
 

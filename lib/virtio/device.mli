@@ -1,7 +1,7 @@
 (** Host-side virtio-net device model with §2.5-style misbehaviour knobs.
 
-    Operates strictly as the [Host] actor: it can only touch shared pages
-    and all accesses land in the region log. *)
+    Operates strictly as the [Host] actor: it can only touch shared pages,
+    and each access is protection-checked by the region. *)
 
 type misbehavior =
   | Lie_used_len of int

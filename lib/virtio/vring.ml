@@ -9,7 +9,7 @@
 
    Descriptor [addr] fields are offsets into the queue's buffer space (the
    simulator's stand-in for guest-physical addresses). Both actors access
-   the structure through [Region], so every read/write is logged,
+   the structure through [Region], so every read/write is bounds- and
    protection-checked and double-fetch-trackable — which is exactly where
    the paper locates the interface-vulnerability surface of this design. *)
 
@@ -55,7 +55,7 @@ let desc_slot t i = t.desc_off + (16 * i)
 
 (* Descriptor accessors. The [actor] parameter matters: guest writes
    descriptors, the device reads them — and a malicious device-side actor
-   may also *write* them, which the region log captures. *)
+   may also *write* them, as the [Host] actor on shared pages. *)
 
 let write_desc t actor i (d : desc) =
   let off = desc_slot t i in

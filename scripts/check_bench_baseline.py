@@ -14,8 +14,9 @@ Three checks:
 - micro timings: the `micro_ns_per_run` entries whose names start with
   "cio/cionet" warn when more than 10% slower than the baseline (exit 1
   with --strict). The Bechamel runs are time-boxed, so two runs of the
-  same tree already differ; the `metrics` section is not compared for
-  the same reason.
+  same tree already differ. A run's `metrics` section is not compared,
+  and the baseline keeps none: those counts depend on how long each
+  time-boxed micro ran.
 - batching win: a burst micro of depth d warns (exit 1 with --strict)
   unless it costs less per frame than its single-slot counterpart. The
   gate on this property is test_shapes' `E21 shape: burst amortizes`,

@@ -16,10 +16,14 @@
 # It prints the same for the side figures of each run's text report that
 # tell a calibration effect from a slower workload: plain ops_per_s, the
 # op_wall_us_p50/p99 latencies and the reference kernel's kernel_us_mean
-# (their directions are set below; traced runs report none). With -t the
-# pairs run with --trace 1 instead, and it prints, per layer, both medians
-# of self_ns_per_op and of minor_words_per_op, plus how many of the
-# runs' replay checks read ok (a failed check already stops the script).
+# (their directions are set below; traced runs report none), and
+# max_rss_mib, the peak resident set of the bench.exe process alone: each
+# checkout is built first, then run.py runs with its build step skipped
+# under a small wrapper that reads getrusage(RUSAGE_CHILDREN), whose only
+# child is then bench.exe. With -t the pairs run with --trace 1 instead,
+# and it prints, per layer, both medians of self_ns_per_op and of
+# minor_words_per_op, plus how many of the runs' replay checks read ok
+# (a failed check already stops the script).
 # The raw result lines and text reports are kept in the temporary
 # directory with -k and deleted otherwise. Nothing in the repository is modified.
 set -euo pipefail
@@ -65,21 +69,46 @@ git -C "$root" archive "$parent_sha" | tar -x -C "$tmp/parent"
 (cd "$root" && git ls-files -z --cached --others --exclude-standard \
   | tar --null --ignore-failed-read -T - -cf - 2>/dev/null) | tar -x -C "$tmp/change"
 
+# Builds the checkout in the current directory with run.py's own build
+# step, so that the measured run below starts no dune.
+build_py='import sys; sys.path.insert(0, "perfbench"); import run; run.build()'
+# Runs run.py with its build step skipped (argv: rss file, then run.py's
+# arguments) and appends bench.exe's peak RSS in KiB to the rss file:
+# bench.exe is this process's only child.
+measure_py='
+import resource, sys
+sys.path.insert(0, "perfbench")
+import run
+rss_file = sys.argv[1]
+sys.argv = ["perfbench/run.py"] + sys.argv[2:]
+run.build = lambda: None
+try:
+    run.main()
+finally:
+    with open(rss_file, "a") as f:
+        f.write(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}\n")
+'
+
+fail() { # side step
+  echo "perf_ab: $1 $2 failed; see $tmp/$1.stderr" >&2
+  keep=1
+  trap - EXIT
+  exit 1
+}
+
 run_one() { # side
   local out
-  if ! out=$(cd "$tmp/$1" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
-      --seconds "$seconds" --trace "$trace" 2>>"$tmp/$1.stderr"); then
-    echo "perf_ab: $1 run failed; see $tmp/$1.stderr" >&2
-    keep=1
-    trap - EXIT
-    exit 1
-  fi
+  out=$(cd "$tmp/$1" && python3 -c "$measure_py" "$tmp/$1.rss" --workload "$workload" \
+    --seed "$seed" --seconds "$seconds" --trace "$trace" 2>>"$tmp/$1.stderr") || fail "$1" run
   printf '%s\n' "$out" | tail -n 1 >>"$tmp/$1.jsonl"
   printf '%s\n' "$out" | sed '$d' >>"$tmp/$1.reports"
   printf '%s\n' "$out" | { grep '^ *check:' || true; } >>"$tmp/$1.checks"
 }
 
 echo "perf_ab: $workload seed $seed trace $trace, $pairs pairs of ${seconds}s, parent ${parent_sha:0:12} vs working tree" >&2
+for side in parent change; do
+  (cd "$tmp/$side" && python3 -c "$build_py" 2>>"$tmp/$side.stderr") || fail "$side" build
+done
 for i in $(seq 1 "$pairs"); do
   if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
   for side in $order; do run_one "$side"; done
@@ -97,22 +126,26 @@ better = {m["name"]: m["better"] for m in bench.get("end_to_end", []) + bench.ge
 # per operation; kernel_us_mean is the time of one run of the reference
 # kernel that cal_ops_per_s divides by, so a lower one with a flat
 # ops_per_s is the machine or heap, not the workload, getting faster.
+# max_rss_mib is bench.exe's peak resident set, from the wrapper's file.
 side = {"ops_per_s": "higher", "op_wall_us_p50": "lower", "op_wall_us_p99": "lower",
-        "kernel_us_mean": "lower"}
+        "kernel_us_mean": "lower", "max_rss_mib": "lower"}
 better.update(side)
 load = lambda p: [json.loads(l)["metrics"] for l in open(p) if l.strip()]
 parent, change = load(f"{tmp}/parent.jsonl"), load(f"{tmp}/change.jsonl")
 
-def reports(p):
+def reports(side_name):
     """Each run's side figures, from its text report: every run starts
-    with a `workload` line, and a figure is an indented `name value` line."""
+    with a `workload` line, and a figure is an indented `name value` line.
+    The peak RSS of each run is one KiB line of the rss file, in run order."""
     runs = []
-    for line in open(p):
+    for line in open(f"{tmp}/{side_name}.reports"):
         words = line.split()
         if line.startswith("workload "):
             runs.append({})
         elif len(words) >= 2 and words[0] in side:
             runs[-1][words[0]] = {"value": float(words[1])}
+    for run, kib in zip(runs, open(f"{tmp}/{side_name}.rss")):
+        run["max_rss_mib"] = {"value": int(kib) / 1024}
     return runs
 
 def quart(xs):
@@ -138,7 +171,7 @@ if not trace:
     head("metric", 22)
     for name in parent[0]:
         row(name, name, 22)
-    p_side, c_side = reports(f"{tmp}/parent.reports"), reports(f"{tmp}/change.reports")
+    p_side, c_side = reports("parent"), reports("change")
     print()
     head("side figure", 22)
     for name in side:

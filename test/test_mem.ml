@@ -151,17 +151,6 @@ let test_guest_read_hook_fires () =
   Alcotest.(check char) "first read honest" '\x01' (Bytes.get first 0);
   Alcotest.(check char) "second read sees race" '\xFF' (Bytes.get second 0)
 
-let test_events_logged () =
-  let r = make () in
-  Region.clear_log r;
-  ignore (Region.guest_read r ~off:0 ~len:4);
-  Region.host_write r ~off:8 (Bytes.of_string "hi");
-  let events = Region.events r in
-  Alcotest.(check int) "two events" 2 (List.length events);
-  match events with
-  | [ Region.Read { actor = Region.Guest; _ }; Region.Write { actor = Region.Host; _ } ] -> ()
-  | _ -> Alcotest.fail "unexpected event sequence"
-
 let test_word_accessors () =
   let r = make () in
   Region.write_u16 r Region.Guest ~off:0 0xBEEF;
@@ -449,7 +438,6 @@ let suite =
     Alcotest.test_case "region: disjoint reads safe" `Quick test_single_fetch_no_hazard;
     Alcotest.test_case "region: overlapping reads hazardous" `Quick test_overlapping_fetch_hazard;
     Alcotest.test_case "region: guest-read race hook" `Quick test_guest_read_hook_fires;
-    Alcotest.test_case "region: access log" `Quick test_events_logged;
     Alcotest.test_case "region: word accessors" `Quick test_word_accessors;
     Alcotest.test_case "bufpool: acquire/recycle/reuse" `Quick test_bufpool_acquire_recycle_reuse;
     Alcotest.test_case "bufpool: exact-length buckets" `Quick test_bufpool_exact_length_buckets;
