@@ -30,7 +30,7 @@ type t = {
   mutable tx_frames : int;
   mutable rx_frames : int;
   pool : Bufpool.t;       (* RX/pad buffer recycling; stable across hot swaps *)
-  mutable burst : bytes array;   (* [poll_burst]'s Copy_in burst; grows to the largest [max] *)
+  mutable burst : bytes array;   (* Copy_in receive array; grows to [poll_burst]'s largest [max] *)
 }
 
 let config_bytes = 64
@@ -82,7 +82,7 @@ let create ?(model = Cost.default) ?meter ?host_meter ~name (config : Config.t) 
     tx_frames = 0;
     rx_frames = 0;
     pool = Bufpool.create ();
-    burst = [||];
+    burst = Array.make 1 Bytes.empty;
   }
 
 let region t = t.inst.region
@@ -176,22 +176,30 @@ let got_rx t frame =
   if Trace.on () then
     Trace.instant ~arg:(Bytes.length frame) ~cat:Kind.l2 "rx-frame"
 
-let poll t =
+(* One single-slot consume: the frame, or [Bytes.empty] (never a frame:
+   each carries a byte) when none came out. *)
+let recv t =
   match t.config.Config.rx_strategy with
   | Config.Copy_in ->
-      let r = Ring.try_consume ~pool:t.pool t.inst.rx in
-      (match r with Some f -> got_rx t f | None -> ());
-      r
+      if Ring.try_consume_burst_into ~pool:t.pool t.inst.rx t.burst ~max:1 = 0 then Bytes.empty
+      else begin
+        let f = t.burst.(0) in
+        t.burst.(0) <- Bytes.empty;
+        got_rx t f;
+        f
+      end
   | Config.Revoke -> (
       match Ring.try_consume_revoke_burst ~pool:t.pool ~max:1 t.inst.rx with
       | Some { Ring.frames = [ f ]; release } ->
           got_rx t f;
-          (* The netif contract hands out an owned buffer, so release the
+          (* The caller owns the buffer it is handed, so release the
              slot immediately; the data bytes were captured while the
              pages were private, which is the property that matters. *)
           release ();
-          Some f
-      | _ -> None)
+          f
+      | _ -> Bytes.empty)
+
+let poll t = match recv t with f when f == Bytes.empty -> None | f -> Some f
 
 (* Burst receive: drain up to [max] frames in one crossing. In [Revoke]
    mode the whole contiguous run is revoked with a single shootdown and

@@ -35,7 +35,18 @@ val hot_swap : t -> unit
 val transmit : t -> bytes -> bool
 (** [transmit t f] is [transmit_burst t [| f |] = 1]. *)
 
+val recv : t -> bytes
+(** Take one received frame off the RX ring (one single-slot consume,
+    {!Ring.try_consume} under [Copy_in], the one-slot revocation under
+    [Revoke]) and hand it to the caller, or return [Bytes.empty] when
+    none came out. No frame is ever that buffer, so test the result with
+    [==]: a zero-length frame a codec built elsewhere is not [Bytes.empty].
+    Allocates nothing under [Copy_in] but the buffer it takes from the
+    pool. *)
+
 val poll : t -> bytes option
+(** {!recv}, with [None] for [Bytes.empty]: the same charges, counters
+    and trace events. *)
 
 val transmit_burst : t -> bytes array -> int
 (** Place up to a whole batch in one ring crossing with at most one
@@ -51,7 +62,7 @@ val poll_burst : max:int -> t -> bytes list
     and released before returning; every buffer is an owned snapshot. *)
 
 val recycle : t -> bytes -> unit
-(** Return a frame buffer handed out by {!poll}/{!poll_burst} to the
+(** Return a frame buffer handed out by {!recv}/{!poll}/{!poll_burst} to the
     driver's pool once the caller is done with it. *)
 
 val pool : t -> Cio_mem.Bufpool.t

@@ -118,23 +118,32 @@ let rec queue_flights t = function
       queue_flights t rest
 
 (* App-side half: move harvested bytes through the record layer, one
-   harvested chunk at a time. *)
+   harvested chunk at a time. Each chunk's length was written by the I/O
+   domain: one past the harvested bytes fails the channel and drops
+   them all, since the chunk boundaries are lost. *)
 let rec app_pump t =
   let q = t.raw_in in
   if Byteq.length q > 0 then begin
     let buf = Byteq.storage q and front = Byteq.front q in
-    let len = Int32.to_int (Bytes.get_int32_le buf front) in
-    if t.copy_on_recv then
-      (* Copy out of the I/O domain's reach before parsing. *)
-      Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model len);
-    (match t.failed with
-    | Some _ -> ()
-    | None -> (
-        let err = Session.feed_into t.session buf ~off:(front + chunk_header) ~len t.inbox in
-        queue_flights t (Session.take_flights t.session);
-        match err with Some e -> fail t e | None -> ()));
-    Byteq.drop q (chunk_header + len);
-    app_pump t
+    let avail = Byteq.length q - chunk_header in
+    let len = if avail < 0 then -1 else Int32.to_int (Bytes.get_int32_le buf front) in
+    if len < 0 || len > avail then begin
+      fail t (Session.Bad_format "harvested chunk length out of bounds");
+      Byteq.drop q (Byteq.length q)
+    end
+    else begin
+      if t.copy_on_recv then
+        (* Copy out of the I/O domain's reach before parsing. *)
+        Cost.charge t.meter Cost.Copy (Cost.copy_cost t.model len);
+      (match t.failed with
+      | Some _ -> ()
+      | None -> (
+          let err = Session.feed_into t.session buf ~off:(front + chunk_header) ~len t.inbox in
+          queue_flights t (Session.take_flights t.session);
+          match err with Some e -> fail t e | None -> ()));
+      Byteq.drop q (chunk_header + len);
+      app_pump t
+    end
   end
 
 (* Standalone pump for single-boundary users. *)

@@ -191,7 +191,7 @@ let make_virtio bed ~hardened =
    transport live in the TEE (single boundary, XL core TCB), and every
    L2 frame is sealed into a fixed-size tunnel blob with cadence padding
    (dummy blobs when idle). The host observes only uniform ciphertext. *)
-let make_tunneled (bed : Testbed.t) =
+let make_tunneled (bed : Testbed.t) tunnel =
   let guest_meter = Cost.meter () in
   let host_meter = Cost.meter () in
   let base_netif, host_pump = cionet_transport bed ~meter:guest_meter ~host_meter in
@@ -203,7 +203,7 @@ let make_tunneled (bed : Testbed.t) =
     (* Encapsulation pays full-pad crypto plus the assembly copy. *)
     Cost.charge guest_meter Cost.Crypto (Cost.aead_cost model tunnel_pad);
     Cost.charge guest_meter Cost.Copy (Cost.copy_cost model tunnel_pad);
-    base_netif.Netif.transmit (Tunnel.seal ~key:tunnel_key ~pad_to:tunnel_pad frame)
+    base_netif.Netif.transmit (Tunnel.seal tunnel ~pad_to:tunnel_pad frame)
   in
   let netif =
     {
@@ -219,7 +219,7 @@ let make_tunneled (bed : Testbed.t) =
           | Some blob -> (
               Cost.charge guest_meter Cost.Crypto (Cost.aead_cost model (Bytes.length blob));
               Cost.charge guest_meter Cost.Copy (Cost.copy_cost model (Bytes.length blob));
-              match Tunnel.open_ ~key:tunnel_key blob with
+              match Tunnel.open_ tunnel blob with
               | Some frame -> if Bytes.length frame = 0 then None else Some frame
               | None -> None));
     }
@@ -322,11 +322,11 @@ let make_syscall (bed : Testbed.t) =
     crossings = (fun () -> 0);
   }
 
-let make_endpoint ?cionet_config bed = function
+let make_endpoint ?cionet_config ~tunnel bed = function
   | Dual_boundary -> make_dual ?cionet_config bed
   | Passthrough_l2 -> make_virtio bed ~hardened:false
   | Hardened_virtio -> make_virtio bed ~hardened:true
-  | Tunneled -> make_tunneled bed
+  | Tunneled -> make_tunneled bed tunnel
   | Syscall_l5 -> make_syscall bed
 
 type tcb = { core : Tcb.component list; quarantined : Tcb.component list }
@@ -405,18 +405,17 @@ let run_echo_custom ~transport ~quarantined =
     ep.crossings () )
 
 let run_echo ?(seed = 1L) ?(msg_size = 1024) ~messages ?cionet_config kind =
+  (* The tunneled unit's end and the peer's, fresh for every run. *)
+  let unit_end, peer_end = Tunnel.pair ~key:tunnel_key in
   let peer_codec =
     match kind with
-    | Tunneled ->
-        Some
-          ( (fun frame -> Tunnel.seal ~key:tunnel_key ~pad_to:tunnel_pad frame),
-            fun blob -> Tunnel.open_ ~key:tunnel_key blob )
+    | Tunneled -> Some (Tunnel.seal peer_end ~pad_to:tunnel_pad, Tunnel.open_ peer_end)
     | _ -> None
   in
   let bed =
     Testbed.create ~latency_ns:10_000L ?peer_codec ~name:(kind_name kind) ~psk_id ~seed ()
   in
-  let ep = make_endpoint ?cionet_config bed kind in
+  let ep = make_endpoint ?cionet_config ~tunnel:unit_end bed kind in
   (* Echoes come back in order, so a FIFO of send timestamps gives each
      round trip's virtual-time latency. *)
   let rtt = Metrics.histogram Metrics.default ("echo.rtt_us." ^ kind_name kind) in

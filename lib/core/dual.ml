@@ -44,13 +44,15 @@ type listener = { tcp_listener : Tcp.listener; unit_ : t }
 let enter_io t f = Compartment.call t.world ~caller:t.app ~callee:t.io f
 
 (* The quarantined stack over the unit's driver. The closures capture
-   [driver] (whose instance is swapped in place on hot swap), so burst TX
-   and buffer recycling survive restarts; the overload plane, if any,
-   bounds TX coalescing and shares its retry budget with TCP. *)
+   [driver] (whose instance is swapped in place on hot swap), so burst
+   TX, the receive and buffer recycling survive restarts; the overload
+   plane, if any, bounds TX coalescing and shares its retry budget with
+   TCP. *)
 let make_stack ~meter ~driver ~plane ~ip ~neighbors ~now ~rng =
   Stack.create ~meter
     ~tx_burst:(fun frames -> Cio_cionet.Driver.transmit_burst driver frames)
     ~recycle:(fun f -> Cio_cionet.Driver.recycle driver f)
+    ~recv:(fun () -> Cio_cionet.Driver.recv driver)
     ?tx_queue_limit:
       (Option.map (fun p -> (Cio_overload.Plane.config p).Cio_overload.Plane.queue_limit) plane)
     ?retry_budget:(Option.map Cio_overload.Plane.retry_budget plane)

@@ -26,22 +26,28 @@ type t = {
 let create ?frame_codec ~link ~endpoint ~ip ~mac ~neighbors ~psk ~psk_id ~rng ~now () =
   let rxq = Fifo.create Bytes.empty in
   Link.attach link endpoint (Fifo.push rxq);
-  let encode, decode =
+  let encode = match frame_codec with Some (e, _) -> e | None -> Fun.id in
+  (* The next frame off the link, or [Bytes.empty]: an empty queue and a
+     frame the codec rejects both end the stack's drain. *)
+  let recv =
     match frame_codec with
-    | Some (e, d) -> (e, d)
-    | None -> ((fun f -> f), fun f -> Some f)
+    | None -> fun () -> if Fifo.is_empty rxq then Bytes.empty else Fifo.pop rxq
+    | Some (_, decode) -> (
+        fun () ->
+          if Fifo.is_empty rxq then Bytes.empty
+          else match decode (Fifo.pop rxq) with Some f -> f | None -> Bytes.empty)
   in
   let netif =
     {
       Netif.mac;
       mtu = 1500;
       transmit = (fun frame -> Link.send link ~src:endpoint (encode frame));
-      poll = (fun () -> if Fifo.is_empty rxq then None else decode (Fifo.pop rxq));
+      poll = (fun () -> match recv () with f when f == Bytes.empty -> None | f -> Some f);
     }
   in
   let meter = Cost.meter () in
   {
-    stack = Stack.create ~meter ~netif ~ip ~neighbors ~now ~rng ();
+    stack = Stack.create ~meter ~recv ~netif ~ip ~neighbors ~now ~rng ();
     meter;
     psk;
     psk_id;

@@ -51,6 +51,7 @@ type t = {
      else to [tx_pool], once handled (the decoders return views into the
      frame, and what outlives [handle_frame] is copied out first). *)
   recycle : (bytes -> unit) option;
+  recv : unit -> bytes;  (* the next frame, or [Bytes.empty] when none is waiting *)
   (* The RX headers: each frame is decoded into these, layer by layer,
      and read before the next frame is. *)
   rx_eth : Ethernet.t;
@@ -153,9 +154,11 @@ let send_tcp t ~dst (seg : Tcp_wire.t) q =
       Tcp_wire.encode frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst seg;
       send_frame t frame ~dst_mac ~dst ~protocol:Ipv4.Tcp ~l4_len:(hdr_len + len)
 
-let create ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_queue_limit
+let create ?(model = Cost.default) ?meter ?tx_burst ?recycle ?recv ?tx_queue_limit
     ?retry_budget ~netif ~ip ~neighbors ~now ~rng () =
   let meter = match meter with Some m -> m | None -> Cost.meter () in
+  let poll () = Option.value (netif.Netif.poll ()) ~default:Bytes.empty in
+  let recv = Option.value recv ~default:poll in
   let rec t =
     lazy
       {
@@ -176,6 +179,7 @@ let create ?(model = Cost.default) ?meter ?tx_burst ?recycle ?tx_queue_limit
         tx_pool = Cio_mem.Bufpool.create ();
         tx_queue_limit;
         recycle;
+        recv;
         rx_eth = Ethernet.create ();
         rx_ip = Ipv4.create ();
         rx_seg = Tcp_wire.create ();
@@ -229,14 +233,14 @@ let rx_budget = 64
 
 let rec poll_rx t n =
   if n > 0 then begin
-    match t.netif.Netif.poll () with
-    | None -> ()
-    | Some frame ->
-        handle_frame t frame;
-        (* Nothing holds a view into the frame any more; its buffer
-           can be reused. *)
-        (match t.recycle with Some r -> r frame | None -> Cio_mem.Bufpool.recycle t.tx_pool frame);
-        poll_rx t (n - 1)
+    let frame = t.recv () in
+    if frame != Bytes.empty then begin
+      handle_frame t frame;
+      (* Nothing holds a view into the frame any more; its buffer
+         can be reused. *)
+      (match t.recycle with Some r -> r frame | None -> Cio_mem.Bufpool.recycle t.tx_pool frame);
+      poll_rx t (n - 1)
+    end
   end
 
 let poll t =

@@ -19,6 +19,7 @@ val create :
   ?meter:Cost.meter ->
   ?tx_burst:(bytes array -> int) ->
   ?recycle:(bytes -> unit) ->
+  ?recv:(unit -> bytes) ->
   ?tx_queue_limit:int ->
   ?retry_budget:Cio_overload.Retry_budget.t ->
   netif:Netif.t ->
@@ -34,11 +35,14 @@ val create :
     the batch were accepted; the tail is retried next flush). It borrows
     the frames for the call only: the stack reuses each accepted frame's
     buffer afterwards. Without it, [netif.transmit] keeps every frame it
-    is given. [netif.poll] gives the stack each frame it returns; once
+    is given. [recv] is the stack's receive: it returns the next frame,
+    or [Bytes.empty] (compared with [==]) when none is waiting, and
+    boxes nothing per frame; without it the stack receives through
+    [netif.poll]. Either way the stack owns each frame it is given; once
     {!handle_frame} is done with it (nothing the stack keeps points into
     it), the buffer goes to [recycle], the driver's pool, when given and
-    into the stack's own TX pool otherwise. Omitting both yields the
-    classic frame-at-a-time stack.
+    into the stack's own TX pool otherwise. Omitting [tx_burst] and
+    [recycle] yields the classic frame-at-a-time stack.
     [tx_queue_limit] bounds the coalescing queue: a full queue sheds new
     frames (counted under [dropped] and [overload.bp.queue_full])
     instead of growing without limit while the ring is full.

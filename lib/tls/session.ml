@@ -339,6 +339,12 @@ let rec process_all t inbox =
 
 let feed_into t src ~off ~len inbox =
   if t.state = Dead then t.last_error
+  else if off < 0 || len < 0 || off > Bytes.length src - len then begin
+    (* The range comes from the transport too: one past [src] is
+       malformed input, not a reason to raise. *)
+    kill t (Bad_format "stream range out of bounds");
+    t.last_error
+  end
   else
     match Wire.push t.splitter src ~off ~len with
     | Some e ->

@@ -41,8 +41,9 @@ val feed_into : t -> bytes -> off:int -> len:int -> Byteq.t -> error option
     application payload is opened straight onto the back of [inbox],
     behind its length (4 bytes, little-endian), and handshake records to
     send wait for {!take_flights}. A record that fails to open adds
-    nothing to [inbox]. Returns the error that killed the session, now
-    or earlier, if any. *)
+    nothing to [inbox]. A range outside [src] is malformed input: it
+    kills the session with [Bad_format]. Returns the error that killed
+    the session, now or earlier, if any. *)
 
 val payload_length : Byteq.t -> int
 (** The length of the front payload of an inbox {!feed_into} fills, or

@@ -794,7 +794,10 @@ let test_multiqueue_transmit_matches_steering () =
    ahead of a valid one, which both skip without ending the call. The RX
    side is received through the driver, so under Copy_in it is
    [try_consume] against [try_consume_burst_into ~max:1] and under Revoke
-   the one-slot revocation run of both receive entry points. *)
+   the one-slot revocation run of both receive entry points. The
+   driver's [recv] is one more single-slot entry point: against [poll]
+   it gives the same frames (none for [Bytes.empty]), counters, frame
+   counts and meter totals. *)
 let burst_of_one_op_gen =
   QCheck.Gen.(
     frequency
@@ -826,7 +829,8 @@ let prop_burst_of_one_equals_single_slot =
        QCheck.bool)
     (fun (ops, revoke) ->
       let rx_strategy = if revoke then Config.Revoke else Config.Copy_in in
-      let run ~burst =
+      let run mode =
+        let burst = mode = `Burst in
         let drv = Driver.create ~name:"burst-of-one" { inline_cfg with Config.rx_strategy } in
         let tx = Driver.tx_ring drv and rx = Driver.rx_ring drv in
         let pool = Cio_mem.Bufpool.create () in
@@ -870,7 +874,12 @@ let prop_burst_of_one_equals_single_slot =
                 [ string_of_bool ok ]
             | `Guest_poll ->
                 let got =
-                  if burst then Driver.poll_burst ~max:1 drv else Option.to_list (Driver.poll drv)
+                  match mode with
+                  | `Burst -> Driver.poll_burst ~max:1 drv
+                  | `Poll -> Option.to_list (Driver.poll drv)
+                  | `Recv ->
+                      let f = Driver.recv drv in
+                      if f == Bytes.empty then [] else [ f ]
                 in
                 List.map Bytes.to_string got
           in
@@ -885,9 +894,13 @@ let prop_burst_of_one_equals_single_slot =
               k.state_skipped;
             ]
         in
-        (calls, (counters tx, counters rx), meter (Driver.host_meter drv))
+        ( calls,
+          (counters tx, counters rx),
+          (Driver.tx_frames drv, Driver.rx_frames drv),
+          meter (Driver.host_meter drv) )
       in
-      run ~burst:true = run ~burst:false)
+      let single = run `Poll in
+      run `Burst = single && run `Recv = single)
 
 let prop_burst_fifo_exactly_once =
   (* Whatever mix of burst sizes the producer uses, every frame comes out

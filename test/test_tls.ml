@@ -153,6 +153,19 @@ let test_unknown_content_type_fatal () =
       | _ -> Alcotest.failf "content type %d must poison the splitter" code)
     [ 99; 24 ]
 
+(* The stream range is the transport's claim too: one past the buffer
+   kills the session with a typed error instead of raising. *)
+let test_feed_range_out_of_bounds () =
+  let _, s = Helpers.tls_pair () in
+  let src = Bytes.make 64 '\x17' and inbox = Cio_util.Byteq.create 64 in
+  (match S.feed_into s src ~off:8 ~len:60 inbox with
+  | Some (S.Bad_format _) -> ()
+  | Some e -> Alcotest.fail ("wrong error: " ^ S.error_to_string e)
+  | None -> Alcotest.fail "a range past the buffer was accepted");
+  Alcotest.(check int) "nothing opened" 0 (Cio_util.Byteq.length inbox);
+  Alcotest.(check bool) "session dead" true
+    (match S.feed_into s src ~off:0 ~len:0 inbox with Some (S.Bad_format _) -> true | _ -> false)
+
 let test_oversized_record_fatal () =
   let _, s = Helpers.tls_pair () in
   let hdr = Bytes.create Wire.header_len in
@@ -546,6 +559,7 @@ let suite =
     Alcotest.test_case "forged record fatal" `Quick test_forged_record_fatal;
     Alcotest.test_case "unknown content type fatal" `Quick test_unknown_content_type_fatal;
     Alcotest.test_case "oversized record fatal" `Quick test_oversized_record_fatal;
+    Alcotest.test_case "feed range out of bounds fatal" `Quick test_feed_range_out_of_bounds;
     Alcotest.test_case "bidirectional traffic" `Quick test_bidirectional_traffic;
     Alcotest.test_case "send before established" `Quick test_send_before_established;
     Alcotest.test_case "alert kills peer" `Quick test_alert_kills_peer;
