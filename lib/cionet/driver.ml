@@ -1,7 +1,8 @@
 (* Guest-side cionet driver: the confidential unit's end of the safe L2
    interface. Builds the shared region (config page + TX ring + RX ring),
-   exposes the polling netif the in-TEE stack plugs into, and implements
-   the two receive strategies (early copy vs page revocation). *)
+   exposes the polling netif the in-TEE stack plugs into. The receive
+   strategy (early copy vs page revocation) is the RX ring's, fixed when
+   the instance is built. *)
 
 open Cio_util
 open Cio_mem
@@ -30,7 +31,7 @@ type t = {
   mutable tx_frames : int;
   mutable rx_frames : int;
   pool : Bufpool.t;       (* RX/pad buffer recycling; stable across hot swaps *)
-  mutable burst : bytes array;   (* Copy_in receive array; grows to [poll_burst]'s largest [max] *)
+  mutable burst : bytes array;   (* receive array; grows to [poll_burst]'s largest [max] *)
 }
 
 let config_bytes = 64
@@ -59,11 +60,13 @@ let make_instance ~model ~meter ~host_meter ~name (config : Config.t) =
   write_config region config;
   let tx =
     Ring.create ~region ~base:tx_base ~slots:config.Config.ring_slots
-      ~positioning:config.Config.positioning ~producer:Region.Guest ~host_meter
+      ~positioning:config.Config.positioning ~producer:Region.Guest ~strategy:Config.Copy_in
+      ~host_meter
   in
   let rx =
     Ring.create ~region ~base:rx_base ~slots:config.Config.ring_slots
-      ~positioning:config.Config.positioning ~producer:Region.Host ~host_meter
+      ~positioning:config.Config.positioning ~producer:Region.Host
+      ~strategy:config.Config.rx_strategy ~host_meter
   in
   { region; tx; rx }
 
@@ -179,58 +182,33 @@ let got_rx t frame =
 (* One single-slot consume: the frame, or [Bytes.empty] (never a frame:
    each carries a byte) when none came out. *)
 let recv t =
-  match t.config.Config.rx_strategy with
-  | Config.Copy_in ->
-      if Ring.try_consume_burst_into ~pool:t.pool t.inst.rx t.burst ~max:1 = 0 then Bytes.empty
-      else begin
-        let f = t.burst.(0) in
-        t.burst.(0) <- Bytes.empty;
-        got_rx t f;
-        f
-      end
-  | Config.Revoke -> (
-      match Ring.try_consume_revoke_burst ~pool:t.pool ~max:1 t.inst.rx with
-      | Some { Ring.frames = [ f ]; release } ->
-          got_rx t f;
-          (* The caller owns the buffer it is handed, so release the
-             slot immediately; the data bytes were captured while the
-             pages were private, which is the property that matters. *)
-          release ();
-          f
-      | _ -> Bytes.empty)
+  if Ring.try_consume_burst_into ~pool:t.pool t.inst.rx t.burst ~max:1 = 0 then Bytes.empty
+  else begin
+    let f = t.burst.(0) in
+    t.burst.(0) <- Bytes.empty;
+    got_rx t f;
+    f
+  end
 
 let poll t = match recv t with f when f == Bytes.empty -> None | f -> Some f
 
-(* Burst receive: drain up to [max] frames in one crossing. In [Revoke]
-   mode the whole contiguous run is revoked with a single shootdown and
-   released immediately — every returned buffer is a private snapshot. *)
+(* Burst receive: drain up to [max] frames in one crossing. *)
 let poll_burst ~max t =
-  let frames =
-    match t.config.Config.rx_strategy with
-    | Config.Copy_in ->
-        if max > Array.length t.burst then t.burst <- Array.make max Bytes.empty;
-        let n = Ring.try_consume_burst_into ~pool:t.pool t.inst.rx t.burst ~max in
-        let rec take i acc =
-          if i < 0 then acc
-          else begin
-            let f = t.burst.(i) in
-            t.burst.(i) <- Bytes.empty;
-            take (i - 1) (f :: acc)
-          end
-        in
-        take (n - 1) []
-    | Config.Revoke -> (
-        match Ring.try_consume_revoke_burst ~pool:t.pool ~max t.inst.rx with
-        | None -> []
-        | Some zcb ->
-            zcb.Ring.release ();
-            zcb.Ring.frames)
+  if max > Array.length t.burst then t.burst <- Array.make max Bytes.empty;
+  let n = Ring.try_consume_burst_into ~pool:t.pool t.inst.rx t.burst ~max in
+  let rec take i acc =
+    if i < 0 then acc
+    else begin
+      let f = t.burst.(i) in
+      t.burst.(i) <- Bytes.empty;
+      take (i - 1) (f :: acc)
+    end
   in
-  (match frames with
-  | [] -> ()
-  | _ ->
-      Metrics.observe m_batch_depth (List.length frames);
-      List.iter (fun f -> got_rx t f) frames);
+  let frames = take (n - 1) [] in
+  if n > 0 then begin
+    Metrics.observe m_batch_depth n;
+    List.iter (fun f -> got_rx t f) frames
+  end;
   frames
 
 let recycle t b = Bufpool.recycle t.pool b

@@ -13,6 +13,9 @@ val create :
   name:string ->
   Config.t ->
   t
+(** The TX ring always copies (the host consumes it); the RX ring takes
+    the configuration's [rx_strategy]. [Revoke] with [Pool] or
+    [Indirect] positioning raises [Invalid_argument] here. *)
 
 val region : t -> Region.t
 val tx_ring : t -> Ring.t
@@ -36,13 +39,13 @@ val transmit : t -> bytes -> bool
 (** [transmit t f] is [transmit_burst t [| f |] = 1]. *)
 
 val recv : t -> bytes
-(** Take one received frame off the RX ring (one single-slot consume,
-    {!Ring.try_consume} under [Copy_in], the one-slot revocation under
-    [Revoke]) and hand it to the caller, or return [Bytes.empty] when
-    none came out. No frame is ever that buffer, so test the result with
-    [==]: a zero-length frame a codec built elsewhere is not [Bytes.empty].
-    Allocates nothing under [Copy_in] but the buffer it takes from the
-    pool. *)
+(** Take one received frame off the RX ring (one
+    {!Ring.try_consume_burst_into} [~max:1], by the copy or revocation
+    strategy the configuration fixed at {!create}) and hand it to the
+    caller, or return [Bytes.empty] when none came out. No frame is ever
+    that buffer, so test the result with [==]: a zero-length frame a
+    codec built elsewhere is not [Bytes.empty]. Allocates nothing but the
+    buffer it takes from the pool. *)
 
 val poll : t -> bytes option
 (** {!recv}, with [None] for [Bytes.empty]: the same charges, counters
@@ -57,9 +60,10 @@ val transmit_burst : t -> bytes array -> int
     state. *)
 
 val poll_burst : max:int -> t -> bytes list
-(** Drain up to [max] RX frames in one crossing, FIFO. In
-    [Revoke] mode the contiguous run is revoked under a single shootdown
-    and released before returning; every buffer is an owned snapshot. *)
+(** Drain up to [max] RX frames in one crossing, FIFO: one
+    {!Ring.try_consume_burst_into}. In [Revoke] mode the contiguous run
+    is revoked under a single shootdown and released before returning;
+    every buffer is an owned snapshot. *)
 
 val recycle : t -> bytes -> unit
 (** Return a frame buffer handed out by {!recv}/{!poll}/{!poll_burst} to the

@@ -11,8 +11,9 @@
      shared bytes twice.
    - *No notifications*: both sides poll. (A stateless, idempotent
      doorbell can be layered on top for E11; nothing in the ring needs it.)
-   - *Zero (re-)negotiation*: geometry and positioning are fixed at
-     construction; there is no control plane in the ring at all.
+   - *Zero (re-)negotiation*: geometry, positioning and the consume
+     strategy (copy or revocation) are fixed at construction; there is
+     no control plane in the ring at all.
    - *Safe ring buffer & shared data area*: every size is a power of two.
      Slot cursors, pool indices and indirect buffer offsets taken from
      shared memory are confined by masking — a wild value aliases a valid
@@ -111,14 +112,22 @@ type t = {
   counters : counters;
   hdr : bytes;  (* [read_header]'s fetch buffer: private, decoded at once *)
   desc : bytes;  (* [locate]'s descriptor fetch buffer, likewise *)
-  one : bytes array;  (* [try_consume]'s one-frame burst *)
+  strategy : Config.rx_strategy;  (* how the consumer takes a message *)
+  lens : int array;  (* a revocation run's scanned lengths, per slot *)
+  mutable payload_off : int;
+      (* [validate]'s confined payload offset: a field, not a returned
+         pair, so validating a slot allocates nothing *)
 }
 
-let create ~region ~base ~slots ~positioning ~producer ~host_meter =
+let create ~region ~base ~slots ~positioning ~producer ~strategy ~host_meter =
   let lay = layout ~page_size:(Region.page_size region) ~slots positioning in
   if base + lay.total > Region.size region then invalid_arg "Ring.create: does not fit in region";
   if base mod max (Region.page_size region) 1 <> 0 then
     invalid_arg "Ring.create: base must be page-aligned";
+  (match (strategy, producer, positioning) with
+  | Config.Copy_in, _, _ | Config.Revoke, Region.Host, Config.Inline _ -> ()
+  | Config.Revoke, Region.Guest, _ -> invalid_arg "Ring.create: revocation needs a guest consumer"
+  | Config.Revoke, _, _ -> invalid_arg "Ring.create: revocation needs inline positioning");
   let t =
     {
       region;
@@ -148,7 +157,9 @@ let create ~region ~base ~slots ~positioning ~producer ~host_meter =
         };
       hdr = Bytes.create header_bytes;
       desc = Bytes.create 8;
-      one = [| Bytes.empty |];
+      strategy;
+      lens = Array.make slots 0;
+      payload_off = 0;
     }
   in
   (match positioning with
@@ -363,161 +374,113 @@ let locate ~amortized t actor slot ~info =
       end;
       t.base + t.lay.data_off + confined
 
-(* One consume step, into [dst.(n)] when a message comes out. [Cr_skip]
-   means a malformed slot was skipped and the cursor advanced — progress
-   was made but no message came out. *)
-type consume_result = Cr_empty | Cr_skip | Cr_frame
-
-let consume_one pool t ~amortized dst n =
-  let actor = consumer t in
-  let slot = t.cons_next land (t.slots - 1) in
+(* Validate the consumer's next slot: fetch its header once and confine
+   what it claims. Returns the payload length, with the payload's offset
+   left in [t.payload_off]; [-1] when the slot is EMPTY (an empty poll);
+   [0] when it was malformed and has been skipped — progress, but no
+   message. A message carries at least one byte by contract, so a
+   zero-length claim is malformed like any other (no error path). *)
+let validate ~amortized t actor slot =
   let state = read_header ~amortized t actor slot in
   let len = hdr_word t 1 and info = hdr_word t 2 in
   if state = state_empty then begin
     t.counters.empty_polls <- t.counters.empty_polls + 1;
-    Cr_empty
+    -1
   end
   else if state <> state_full then begin
     skip ~amortized ~arg:(Some state) t actor slot;
-    Cr_skip
+    0
   end
   else begin
-    let off = locate ~amortized t actor slot ~info in
+    t.payload_off <- locate ~amortized t actor slot ~info;
     let claimed =
       match t.positioning with Config.Indirect _ -> Int.min len (word t.desc 1) | _ -> len
     in
     let len = clamp t actor claimed in
-    if len = 0 then begin
-      (* A message carries at least one byte by contract: a zero-length
-         claim is malformed, so the slot is skipped like any other
-         malformed slot (no error path). *)
-      skip ~amortized ~arg:None t actor slot;
-      Cr_skip
-    end
+    if len = 0 then skip ~amortized ~arg:None t actor slot;
+    len
+  end
+
+(* Copy consume: drain up to [max] messages in one crossing, one early
+   copy each, into [dst.(n)] on. Malformed slots inside the batch are
+   skipped-and-counted — each skip writes EMPTY and advances, so the loop
+   terminates — without poisoning the rest of the batch. Only the first
+   header access of the crossing pays full ring cost. *)
+let rec copy_into pool t dst ~max ~ops n =
+  if n >= max then n
+  else begin
+    let actor = consumer t and amortized = ops > 0 in
+    let slot = t.cons_next land (t.slots - 1) in
+    let len = validate ~amortized t actor slot in
+    if len < 0 then n
+    else if len = 0 then copy_into pool t dst ~max ~ops:(ops + 1) n
     else begin
-      dst.(n) <- read_payload pool t actor ~off ~len;
+      dst.(n) <- read_payload pool t actor ~off:t.payload_off ~len;
       write_word t ~amortized actor ~off:(hdr_off t slot) state_empty;
       t.cons_next <- t.cons_next + 1;
       t.counters.consumed <- t.counters.consumed + 1;
       if Trace.on () then Trace.instant ~arg:len ~cat:Kind.l2 "slot-consume";
-      Cr_frame
+      copy_into pool t dst ~max ~ops:(ops + 1) (n + 1)
     end
   end
 
-(* Burst consume: drain up to [max] messages in one crossing. Malformed
-   slots inside the batch are skipped-and-counted exactly as in the
-   single-slot path — each skip writes EMPTY and advances, so the loop
-   terminates — without poisoning the rest of the batch. Only the first
-   header access of the crossing pays full ring cost. *)
-let rec consume_into pool t dst ~max ~ops n =
-  if n >= max then n
-  else
-    match consume_one pool t ~amortized:(ops > 0) dst n with
-    | Cr_empty -> n
-    | Cr_skip -> consume_into pool t dst ~max ~ops:(ops + 1) n
-    | Cr_frame -> consume_into pool t dst ~max ~ops:(ops + 1) (n + 1)
+(* Revocation consume (guest consumer, Inline positioning): one
+   unshare/share pair (one shootdown each way) covers a contiguous run of
+   FULL slots, read while the host is locked out, then re-shared with
+   every slot marked EMPTY before the call returns. The run never wraps
+   the ring — a wrap would split the span — and never consumes past a
+   non-FULL or zero-length slot: that slot is left in place for the next
+   call, which skips it at the head of its run with the usual
+   accounting. *)
+
+(* Extend the run from slot [k] of [start]'s up to [limit] slots, noting
+   each length in [t.lens]; returns the run length. Every scanned header
+   pays its check; only a FULL slot, the only kind that can join the run,
+   has its length clamped. *)
+let rec scan_run t start ~limit k =
+  if k >= limit then k
+  else begin
+    let len =
+      if read_header ~amortized:true t Region.Guest (start + k) = state_full then
+        clamp t Region.Guest (hdr_word t 1)
+      else begin
+        charge t Region.Guest Cost.Check t.model.Cost.check;
+        0
+      end
+    in
+    if len = 0 then k
+    else begin
+      t.lens.(k) <- len;
+      scan_run t start ~limit (k + 1)
+    end
+  end
+
+let revoke_into pool t dst ~max =
+  let start = t.cons_next land (t.slots - 1) in
+  let len = validate ~amortized:false t Region.Guest start in
+  if len <= 0 then 0
+  else begin
+    t.lens.(0) <- len;
+    let k = scan_run t start ~limit:(Int.min max (t.slots - start)) 1 in
+    let span_off = unit_off t start and span_len = k * t.lay.unit_size in
+    Region.unshare_range t.region ~off:span_off ~len:span_len;
+    for i = 0 to k - 1 do
+      let b = Bufpool.acquire pool t.lens.(i) in
+      Region.guest_read_into t.region ~off:(unit_off t (start + i)) b;
+      dst.(i) <- b
+    done;
+    t.cons_next <- t.cons_next + k;
+    t.counters.consumed <- t.counters.consumed + k;
+    if Trace.on () then Trace.instant ~arg:k ~cat:Kind.l2 "slot-revoke-burst";
+    Region.share_range t.region ~off:span_off ~len:span_len;
+    for i = 0 to k - 1 do
+      write_word t ~amortized:(i > 0) Region.Guest ~off:(hdr_off t (start + i)) state_empty
+    done;
+    k
+  end
 
 let try_consume_burst_into ~pool t dst ~max =
   if max > Array.length dst then invalid_arg "Ring.try_consume_burst_into: max exceeds the array";
-  consume_into pool t dst ~max ~ops:0 0
-
-(* A burst of one, into the ring's own one-slot array. *)
-let try_consume ~pool t =
-  if consume_into pool t t.one ~max:1 ~ops:0 0 = 0 then None
-  else begin
-    let b = t.one.(0) in
-    t.one.(0) <- Bytes.empty;
-    Some b
-  end
-
-(* Zero-copy consume by revocation (guest consumer, Inline positioning):
-   one unshare/share pair (one shootdown each way) covers a contiguous
-   run of FULL slots, read in place while the host is locked out, then
-   released by re-sharing + marking every slot EMPTY. The run never wraps
-   the ring — a wrap would split the span — and never consumes past a
-   non-FULL or malformed slot: that slot is left in place for the next
-   call, which skips it at the head of its run with the usual
-   accounting. A run of one ([~max:1]) is the single-slot revocation. *)
-type zero_copy_burst = { frames : bytes list; release : unit -> unit }
-
-let try_consume_revoke_burst ~pool ~max t =
-  let actor = consumer t in
-  if actor <> Region.Guest then
-    invalid_arg "Ring.try_consume_revoke_burst: guest-consumer rings only";
-  (match t.positioning with
-  | Config.Inline _ -> ()
-  | _ -> invalid_arg "Ring.try_consume_revoke_burst: inline positioning only");
-  if max <= 0 then None
-  else begin
-    let mask = t.slots - 1 in
-    let start = t.cons_next land mask in
-    let limit = Int.min max (t.slots - start) in
-    let state = read_header ~amortized:false t actor start in
-    let len = hdr_word t 1 in
-    if state = state_empty then begin
-      t.counters.empty_polls <- t.counters.empty_polls + 1;
-      None
-    end
-    else if state <> state_full then begin
-      skip ~amortized:false ~arg:(Some state) t actor start;
-      None
-    end
-    else begin
-      let first_len = clamp t actor len in
-      if first_len = 0 then begin
-        skip ~amortized:false ~arg:None t actor start;
-        None
-      end
-      else begin
-        (* Scan ahead for the run of valid FULL slots (amortized header
-           reads); stop at the first slot that doesn't qualify. Every
-           scanned header pays its check; only a FULL slot, which is the
-           only kind that can join the run, has its length clamped. *)
-        let lens = Array.make limit 0 in
-        lens.(0) <- first_len;
-        let k = ref 1 in
-        let scanning = ref true in
-        while !scanning && !k < limit do
-          let len =
-            if read_header ~amortized:true t actor (start + !k) = state_full then
-              clamp t actor (hdr_word t 1)
-            else begin
-              charge t actor Cost.Check t.model.Cost.check;
-              0
-            end
-          in
-          if len > 0 then begin
-            lens.(!k) <- len;
-            incr k
-          end
-          else scanning := false
-        done;
-        let k = !k in
-        let span_off = unit_off t start in
-        let span_len = k * t.lay.unit_size in
-        Region.unshare_range t.region ~off:span_off ~len:span_len;
-        let frames =
-          List.init k (fun i ->
-              let b = Bufpool.acquire pool lens.(i) in
-              Region.guest_read_into t.region ~off:(unit_off t (start + i)) b;
-              b)
-        in
-        let released = ref false in
-        let release () =
-          if not !released then begin
-            released := true;
-            Region.share_range t.region ~off:span_off ~len:span_len;
-            for i = 0 to k - 1 do
-              write_word t ~amortized:(i > 0) actor
-                ~off:(hdr_off t (start + i))
-                state_empty
-            done
-          end
-        in
-        t.cons_next <- t.cons_next + k;
-        t.counters.consumed <- t.counters.consumed + k;
-        if Trace.on () then Trace.instant ~arg:k ~cat:Kind.l2 "slot-revoke-burst";
-        Some { frames; release }
-      end
-    end
-  end
+  match t.strategy with
+  | Config.Copy_in -> copy_into pool t dst ~max ~ops:0 0
+  | Config.Revoke -> if max <= 0 then 0 else revoke_into pool t dst ~max

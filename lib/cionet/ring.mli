@@ -2,8 +2,8 @@
     (stateless slots, single-fetch headers, mask-confined indices and
     offsets, clamped lengths, polling, zero negotiation).
 
-    One ring carries one direction; the producer actor is fixed at
-    creation. *)
+    One ring carries one direction; the producer actor and the
+    consumer's strategy are fixed at creation. *)
 
 open Cio_util
 open Cio_mem
@@ -41,10 +41,15 @@ val create :
   slots:int ->
   positioning:Config.positioning ->
   producer:Region.actor ->
+  strategy:Config.rx_strategy ->
   host_meter:Cost.meter ->
   t
 (** [base] must be page-aligned. Guest-side work is charged to the
-    region's meter, host-side work to [host_meter]. *)
+    region's meter, host-side work to [host_meter]. [strategy] is how
+    the consumer takes every message: one early copy ([Copy_in]) or page
+    revocation ([Revoke]), which needs a guest consumer ([producer] is
+    [Host]) and [Inline] positioning; any other [Revoke] ring raises
+    [Invalid_argument]. *)
 
 val counters : t -> counters
 val slots : t -> int
@@ -71,30 +76,21 @@ val try_produce_burst : t -> bytes array -> len:int -> int
     header/word work. A burst of one is exactly {!try_produce} (same
     charges, same counters). *)
 
-val try_consume : pool:Bufpool.t -> t -> bytes option
-(** Consumer side, copy strategy: one early copy into private memory, a
-    buffer taken from [pool]. Malformed slots are skipped-and-counted
-    without ending the call. A burst of one: exactly
-    {!try_consume_burst_into} [~max:1] (same result, charges and
-    counters). *)
-
 val try_consume_burst_into : pool:Bufpool.t -> t -> bytes array -> max:int -> int
-(** Drain up to [max] messages ([max] at most the array's length) in one
-    crossing into the first slots of the array, in FIFO order, and return
-    how many it wrote. Malformed slots inside the batch are
-    skipped-and-counted without ending the batch; an EMPTY slot ends it.
-    Header/word costs amortize after the first access. Allocates nothing
-    but the buffers it takes from [pool]. *)
+(** The consumer side, the ring's only one: drain up to [max] messages
+    ([max] at most the array's length) in one crossing into the first
+    slots of the array, in FIFO order, and return how many it wrote. Each
+    frame is a private snapshot in a buffer taken from [pool], owned by
+    the caller; nothing else is allocated.
 
-type zero_copy_burst = { frames : bytes list; release : unit -> unit }
+    [Copy_in]: one early copy per message. Malformed slots inside the
+    batch are skipped-and-counted without ending the batch; an EMPTY slot
+    ends it. Header/word costs amortize after the first access, so
+    [~max:1] charges and counts exactly like a single-slot consume.
 
-val try_consume_revoke_burst : pool:Bufpool.t -> max:int -> t -> zero_copy_burst option
-(** Consumer side, revocation strategy (guest consumer, inline
-    positioning): one unshare/share pair (one TLB shootdown each way)
-    covers a contiguous run of up to [max] valid FULL slots,
-    read while the host is locked out. The run stops at a ring wrap or at
-    the first non-FULL/malformed slot, which is left in place for the
-    next call. [release] re-shares the whole span and returns every slot;
-    the [frames] are private snapshots in buffers taken from [pool],
-    owned by the caller. [~max:1] is
-    the single-slot revocation. *)
+    [Revoke]: one unshare/share pair (one TLB shootdown each way) covers
+    a contiguous run of valid FULL slots, read while the host is locked
+    out; every slot of the run is re-shared and returned EMPTY before the
+    call returns. The run stops at a ring wrap and before the first
+    non-FULL or zero-length slot, which the next call skips at the head
+    of its run (returning 0). *)

@@ -7,7 +7,9 @@
    Both ends seal under the one key, each in its own nonce space: the
    nonce is the sealing end's counter (bytes 0-7) and its direction byte
    (byte 8), so the two directions never share a nonce, and each end
-   counts from 1, whatever else ran in the process. *)
+   counts from 1, whatever else ran in the process. An end opens only
+   the other end's blobs: one carrying its own direction byte is a
+   reflection and is refused before the AEAD runs. *)
 
 open Cio_crypto
 
@@ -38,7 +40,7 @@ let seal t ~pad_to frame =
 
 let open_ t blob =
   let n = Bytes.length blob in
-  if n < header_len + Aead.tag_len then None
+  if n < header_len + Aead.tag_len || Bytes.get_uint8 blob 8 = t.direction then None
   else begin
     let nonce = Bytes.sub blob 0 Aead.nonce_len in
     let slen = Bytes.get_uint16_le blob Aead.nonce_len in

@@ -14,5 +14,6 @@ val seal : t -> pad_to:int -> bytes -> bytes
 (** The frame sealed into a blob of at least [pad_to] bytes. *)
 
 val open_ : t -> bytes -> bytes option
-(** The frame of a blob sealed by either end under this end's key, or
-    [None] when it does not authenticate. *)
+(** The frame of a blob the other end sealed under this end's key, or
+    [None] when it does not authenticate. A blob this end sealed itself
+    (a host reflecting it back) is refused without running the AEAD. *)

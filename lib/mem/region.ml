@@ -46,8 +46,9 @@ type t = {
   meter : Cost.meter;
   model : Cost.model;
   mutable guest_read_hook : (off:int -> len:int -> unit) option;
-      (* fired after each guest read of shared memory: lets the attack
-         harness model a host racing the guest between two fetches *)
+      (* fired after each guest read: lets the attack harness model a
+         host racing the guest between two fetches (or touching a page
+         the guest holds revoked) *)
   mutable san : san option;
       (* opt-in double-fetch sanitizer: when on, every guest fetch of
          shared memory is checked against the epoch's earlier fetches *)
@@ -124,58 +125,51 @@ let ranges_overlap (o1, l1) (o2, l2) = o1 < o2 + l2 && o2 < o1 + l1
 (* Sanitizer capture: compare this fetch against every earlier fetch of
    an overlapping shared range in the current epoch, then record it. Runs
    *before* [guest_read_hook] fires, so a hook-modelled host race is seen
-   by the second fetch's comparison, mirroring real time order. Costs a
-   single [None] branch when the sanitizer is off. *)
-let san_note t ~off ~len =
-  match t.san with
-  | None -> ()
-  | Some s ->
-      let snap = Bytes.sub_string t.data off len in
-      List.iter
-        (fun (off2, len2, snap2) ->
-          if ranges_overlap (off, len) (off2, len2) then begin
-            s.s_double <- s.s_double + 1;
-            let lo = max off off2 and hi = min (off + len) (off2 + len2) in
-            let w1 = String.sub snap (lo - off) (hi - lo) in
-            let w2 = String.sub snap2 (lo - off2) (hi - lo) in
-            if not (String.equal w1 w2) then s.s_mutated <- s.s_mutated + 1
-          end)
-        s.s_fetches;
-      s.s_fetches <- (off, len, snap) :: s.s_fetches
+   by the second fetch's comparison, mirroring real time order. *)
+let san_note s t ~off ~len =
+  let snap = Bytes.sub_string t.data off len in
+  List.iter
+    (fun (off2, len2, snap2) ->
+      if ranges_overlap (off, len) (off2, len2) then begin
+        s.s_double <- s.s_double + 1;
+        let lo = max off off2 and hi = min (off + len) (off2 + len2) in
+        let w1 = String.sub snap (lo - off) (hi - lo) in
+        let w2 = String.sub snap2 (lo - off2) (hi - lo) in
+        if not (String.equal w1 w2) then s.s_mutated <- s.s_mutated + 1
+      end)
+    s.s_fetches;
+  s.s_fetches <- (off, len, snap) :: s.s_fetches
 
 (* Every read runs the same steps in the same order: bounds/protection
-   check, sanitizer capture, the read itself (the
-   caller's), then the guest read hook. [read_begin] does the steps before
-   the read and returns whether the hook is due; [read_end] fires it —
+   check, sanitizer capture (guest fetches of shared bytes only), the read
+   itself (the caller's), then the guest read hook. [read_begin] does the
+   steps before the read; [read_end] fires the hook after a guest read —
    after the value is captured, so the *next* fetch observes any mutation
    the hook performs. *)
 let read_begin t actor ~off ~len =
   check_access t actor off len ~write:false;
-  match actor with
-  | Host -> false
-  | Guest ->
-      let shared = len > 0 && range_shared t off len in
-      if shared then san_note t ~off ~len;
-      shared
+  match (actor, t.san) with
+  | Guest, Some s when len > 0 && range_shared t off len -> san_note s t ~off ~len
+  | _ -> ()
 
-let read_end t ~off ~len hook_due =
-  match t.guest_read_hook with
-  | Some hook when hook_due -> hook ~off ~len
+let read_end t actor ~off ~len =
+  match (actor, t.guest_read_hook) with
+  | Guest, Some hook -> hook ~off ~len
   | _ -> ()
 
 let read t actor ~off ~len =
-  let due = read_begin t actor ~off ~len in
+  read_begin t actor ~off ~len;
   let result = Bytes.sub t.data off len in
-  read_end t ~off ~len due;
+  read_end t actor ~off ~len;
   result
 
 (* Blit-into variant of [read]: fills a caller-provided buffer instead of
    allocating — the allocation-free consume path. *)
 let read_into t actor ~off dst =
   let len = Bytes.length dst in
-  let due = read_begin t actor ~off ~len in
+  read_begin t actor ~off ~len;
   Bytes.blit t.data off dst 0 len;
-  read_end t ~off ~len due
+  read_end t actor ~off ~len
 
 (* Writes: check, then the write itself. *)
 let write_begin t actor ~off ~len = check_access t actor off len ~write:true
@@ -198,27 +192,27 @@ let host_read_into t ~off dst = read_into t Host ~off dst
    with no intermediate buffer. *)
 
 let read_u8 t actor ~off =
-  let due = read_begin t actor ~off ~len:1 in
+  read_begin t actor ~off ~len:1;
   let v = Bytes.get_uint8 t.data off in
-  read_end t ~off ~len:1 due;
+  read_end t actor ~off ~len:1;
   v
 
 let read_u16 t actor ~off =
-  let due = read_begin t actor ~off ~len:2 in
+  read_begin t actor ~off ~len:2;
   let v = Bytes.get_uint16_le t.data off in
-  read_end t ~off ~len:2 due;
+  read_end t actor ~off ~len:2;
   v
 
 let read_u32 t actor ~off =
-  let due = read_begin t actor ~off ~len:4 in
+  read_begin t actor ~off ~len:4;
   let v = Int32.to_int (Bytes.get_int32_le t.data off) land 0xFFFFFFFF in
-  read_end t ~off ~len:4 due;
+  read_end t actor ~off ~len:4;
   v
 
 let read_u64 t actor ~off =
-  let due = read_begin t actor ~off ~len:8 in
+  read_begin t actor ~off ~len:8;
   let v = Bytes.get_int64_le t.data off in
-  read_end t ~off ~len:8 due;
+  read_end t actor ~off ~len:8;
   v
 
 let write_u8 t actor ~off v =

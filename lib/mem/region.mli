@@ -97,8 +97,9 @@ val copy_out : t -> off:int -> bytes -> unit
 (** Guest publish of private bytes; charges [Copy]. *)
 
 val set_guest_read_hook : t -> (off:int -> len:int -> unit) option -> unit
-(** Install an adversary callback fired after every guest read of shared
-    memory: models a host core racing the guest between two fetches. *)
+(** Install an adversary callback fired after every guest read: models a
+    host core racing the guest between two fetches, or touching a page
+    while the guest holds it revoked. *)
 
 (** {1 Runtime double-fetch sanitizer}
 

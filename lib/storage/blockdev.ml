@@ -24,6 +24,7 @@ type disk = {
   req_ring : Ring.t;         (* guest produces, host consumes *)
   resp_ring : Ring.t;        (* host produces, guest consumes *)
   host_pool : Bufpool.t;     (* consumed requests and staged responses *)
+  req : bytes array;         (* the one-slot array requests are consumed into *)
   faults : misbehavior Host_fault.queue;
   mutable malformed : int;
   mutable access_log : (Block_wire.op * int) list;
@@ -40,6 +41,7 @@ type t = {
   disk : disk;
   meter : Cost.meter;
   pool : Bufpool.t;          (* staged requests and consumed responses *)
+  resp : bytes array;        (* the one-slot array responses are consumed into *)
 }
 
 let positioning = Config.Inline { data_capacity = 8192 }
@@ -53,10 +55,12 @@ let create ~name ~blocks () =
   let total = Cio_util.Bitops.align_up (resp_base + lay.Ring.total) ~align:page in
   let region = Region.create ~model:Cost.default ~page_size:page ~prot:Region.Shared ~name total in
   let req_ring =
-    Ring.create ~region ~base:req_base ~slots:16 ~positioning ~producer:Region.Guest ~host_meter
+    Ring.create ~region ~base:req_base ~slots:16 ~positioning ~producer:Region.Guest
+      ~strategy:Config.Copy_in ~host_meter
   in
   let resp_ring =
-    Ring.create ~region ~base:resp_base ~slots:16 ~positioning ~producer:Region.Host ~host_meter
+    Ring.create ~region ~base:resp_base ~slots:16 ~positioning ~producer:Region.Host
+      ~strategy:Config.Copy_in ~host_meter
   in
   let disk =
     {
@@ -65,6 +69,7 @@ let create ~name ~blocks () =
       req_ring;
       resp_ring;
       host_pool = Bufpool.create ();
+      req = [| Bytes.empty |];
       faults = Host_fault.queue ();
       malformed = 0;
       access_log = [];
@@ -77,6 +82,7 @@ let create ~name ~blocks () =
       disk;
       meter = Region.meter region;
       pool = Bufpool.create ();
+      resp = [| Bytes.empty |];
     },
     disk )
 
@@ -141,12 +147,12 @@ let serve disk raw =
 
 (* Run the host disk: consume requests, produce responses. *)
 let rec disk_poll disk =
-  match Ring.try_consume ~pool:disk.host_pool disk.req_ring with
-  | None -> ()
-  | Some raw ->
-      serve disk raw;
-      Bufpool.recycle disk.host_pool raw;
-      disk_poll disk
+  if Ring.try_consume_burst_into ~pool:disk.host_pool disk.req_ring disk.req ~max:1 > 0 then begin
+    let raw = disk.req.(0) in
+    serve disk raw;
+    Bufpool.recycle disk.host_pool raw;
+    disk_poll disk
+  end
 
 (* Guest-side API: synchronous, driving the host inline (the storage
    experiments do not need the network engine). One request is staged in
@@ -168,22 +174,24 @@ let transact t ~op ~lba ~len fill use =
   if not sent then Failed "request ring full"
   else begin
     disk_poll t.disk;
-    match Ring.try_consume ~pool:t.pool t.client_resp with
-    | None -> Failed "no response"
-    | Some raw ->
-        let plen = Block_wire.payload_len raw in
-        let r =
-          if plen < 0 then Failed "malformed response"
-          else begin
-            match Block_wire.status_of_code (Block_wire.code raw) with
-            | None -> Failed "malformed response"
-            | Some Block_wire.Error_ -> Failed "device error"
-            | Some Block_wire.Ok_ ->
-                if plen = 0 then Write_ok else Data (use raw Block_wire.header_len plen)
-          end
-        in
-        Bufpool.recycle t.pool raw;
-        r
+    if Ring.try_consume_burst_into ~pool:t.pool t.client_resp t.resp ~max:1 = 0 then
+      Failed "no response"
+    else begin
+      let raw = t.resp.(0) in
+      let plen = Block_wire.payload_len raw in
+      let r =
+        if plen < 0 then Failed "malformed response"
+        else begin
+          match Block_wire.status_of_code (Block_wire.code raw) with
+          | None -> Failed "malformed response"
+          | Some Block_wire.Error_ -> Failed "device error"
+          | Some Block_wire.Ok_ ->
+              if plen = 0 then Write_ok else Data (use raw Block_wire.header_len plen)
+        end
+      in
+      Bufpool.recycle t.pool raw;
+      r
+    end
   end
 
 let read_with t ~lba use = transact t ~op:Block_wire.Read ~lba ~len:0 no_payload use

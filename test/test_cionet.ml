@@ -109,19 +109,68 @@ let test_revoked_page_blocks_host () =
   let drv, host, _ = make ~cfg () in
   Host_model.deliver_rx host (Bytes.of_string "first");
   Host_model.poll host;
-  match Ring.try_consume_revoke_burst ~pool:(Driver.pool drv) ~max:1 (Driver.rx_ring drv) with
-  | None -> Alcotest.fail "no zero-copy rx"
-  | Some zc ->
-      (* While the guest holds the slot, its pages are private: the host
-         producing into that slot faults (and the model absorbs it). *)
-      let off, _ = Ring.data_arena (Driver.rx_ring drv) in
-      (match Region.host_read (Driver.region drv) ~off ~len:16 with
-      | _ -> Alcotest.fail "revoked page must be invisible to host"
-      | exception Region.Fault _ -> ());
-      Alcotest.(check int) "one slot held" 1 (List.length zc.Ring.frames);
-      zc.Ring.release ();
-      (* After release the host can touch it again. *)
-      ignore (Region.host_read (Driver.region drv) ~off ~len:16)
+  let region = Driver.region drv in
+  let off, _ = Ring.data_arena (Driver.rx_ring drv) in
+  (* While the guest holds the slot, its pages are private: a host core
+     touching the slot from inside the consume (the read hook runs after
+     each guest read: the header's, then the payload's) faults. *)
+  let faults = ref 0 in
+  Region.set_guest_read_hook region
+    (Some
+       (fun ~off:_ ~len:_ ->
+         match Region.host_read region ~off ~len:16 with
+         | _ -> ()
+         | exception Region.Fault _ -> incr faults));
+  let got = Driver.recv drv in
+  Region.set_guest_read_hook region None;
+  Helpers.check_bytes "frame delivered" (Bytes.of_string "first") got;
+  Alcotest.(check int) "host faulted while the slot was held" 1 !faults;
+  (* After the call the host can touch it again. *)
+  ignore (Region.host_read region ~off ~len:16)
+
+let test_revoke_refused_off_inline () =
+  (* Revocation unshares a run of inline payload pages, so a ring that
+     could not do that is refused when it is built, not at its first
+     receive. *)
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.check_raises name (Invalid_argument "Ring.create: revocation needs inline positioning")
+        (fun () ->
+          ignore
+            (Driver.create ~name:"revoke-off-inline" { cfg with Config.rx_strategy = Config.Revoke })))
+    [ ("pool", pool_cfg); ("indirect", indirect_cfg) ];
+  let region =
+    Region.create ~model:Cost.default ~page_size:4096 ~prot:Region.Shared ~name:"revoke-host" 65536
+  in
+  Alcotest.check_raises "host consumer"
+    (Invalid_argument "Ring.create: revocation needs a guest consumer") (fun () ->
+      ignore
+        (Ring.create ~region ~base:0 ~slots:8 ~positioning:(Config.Inline { data_capacity = 4096 })
+           ~producer:Region.Guest ~strategy:Config.Revoke ~host_meter:(Cost.meter ())))
+
+(* Minor words per [Driver.recv] of a 1000-byte frame, pool warm: only
+   the receive is measured, not the host's delivery. *)
+let recv_words rx_strategy =
+  let drv, host, _ = make ~cfg:{ inline_cfg with Config.rx_strategy } () in
+  let payload = Bytes.make 1000 'w' in
+  let words = ref 0. in
+  for i = 1 to 64 do
+    Host_model.deliver_rx host (Bytes.copy payload);
+    Host_model.poll host;
+    let w0 = Gc.minor_words () in
+    let f = Driver.recv drv in
+    let w1 = Gc.minor_words () in
+    if f == Bytes.empty then Alcotest.fail "no frame";
+    if i > 32 then words := !words +. (w1 -. w0);
+    Driver.recycle drv f
+  done;
+  !words /. 32.
+
+let test_revoke_recv_allocates_like_copy () =
+  let copy = recv_words Config.Copy_in and revoke = recv_words Config.Revoke in
+  Alcotest.(check bool)
+    (Printf.sprintf "revoke %.1f words per frame <= copy %.1f" revoke copy)
+    true (revoke <= copy)
 
 let test_copy_strategy_charges_copy () =
   let drv, host, _ = make () in
@@ -134,7 +183,7 @@ let test_copy_strategy_charges_copy () =
 let test_single_fetch_header () =
   (* The consumer must read each slot header exactly once per consume:
      count guest reads that cover the header word, as reported by the
-     read hook that fires after every guest read of shared memory. *)
+     read hook that fires after every guest read. *)
   let drv, host, _ = make () in
   Host_model.deliver_rx host (Bytes.of_string "data");
   Host_model.poll host;
@@ -272,7 +321,9 @@ let test_corrupt_payload_rest_of_poll_per_frame () =
   (* Reference host work: one empty TX drain, then three single-slot
      produces. *)
   let reference = Driver.create ~name:"reference" inline_cfg in
-  ignore (Ring.try_consume ~pool:(Driver.pool reference) (Driver.tx_ring reference));
+  ignore
+    (Ring.try_consume_burst_into ~pool:(Driver.pool reference) (Driver.tx_ring reference)
+       [| Bytes.empty |] ~max:1);
   List.iter
     (fun f -> ignore (Ring.try_produce (Driver.rx_ring reference) (Bytes.of_string f)))
     frames;
@@ -786,18 +837,17 @@ let test_multiqueue_transmit_matches_steering () =
 
 (* --- batched-path properties -------------------------------------------- *)
 
-(* A burst of one is *exactly* the single-slot ring operation, on both
-   sides of the ring: every call returns the same thing and leaves the
-   guest meter where the other entry point leaves it (cycles and event
-   counts per category), and the counters and host meter end the same —
-   including when the host lies about a length or leaves a malformed slot
-   ahead of a valid one, which both skip without ending the call. The RX
-   side is received through the driver, so under Copy_in it is
-   [try_consume] against [try_consume_burst_into ~max:1] and under Revoke
-   the one-slot revocation run of both receive entry points. The
-   driver's [recv] is one more single-slot entry point: against [poll]
-   it gives the same frames (none for [Bytes.empty]), counters, frame
-   counts and meter totals. *)
+(* A burst of one is *exactly* the single-slot operation: every call
+   returns the same thing and leaves the guest meter where the other entry
+   point leaves it (cycles and event counts per category), and the
+   counters and host meter end the same — including when the host lies
+   about a length or leaves a malformed slot ahead of a valid one. On the
+   TX side [try_produce_burst ~len:1] is set against [try_produce]; the
+   host consumes with [try_consume_burst_into ~max:1] in every mode. The
+   RX side is received through the driver's three entry points, under
+   Copy_in and under Revoke: [poll_burst ~max:1], [poll] and [recv]
+   (none for [Bytes.empty]) give the same frames, counters, frame counts
+   and meter totals. *)
 let burst_of_one_op_gen =
   QCheck.Gen.(
     frequency
@@ -852,13 +902,10 @@ let prop_burst_of_one_equals_single_slot =
             match op with
             | `Tx n -> [ string_of_bool (produce tx (Bytes.make n 't')) ]
             | `Host_poll ->
-                if burst then begin
-                  let dst = [| Bytes.empty |] in
-                  Array.to_list
-                    (Array.map Bytes.to_string
-                       (Array.sub dst 0 (Ring.try_consume_burst_into ~pool tx dst ~max:1)))
-                end
-                else List.map Bytes.to_string (Option.to_list (Ring.try_consume ~pool tx))
+                let dst = [| Bytes.empty |] in
+                Array.to_list
+                  (Array.map Bytes.to_string
+                     (Array.sub dst 0 (Ring.try_consume_burst_into ~pool tx dst ~max:1)))
             | `Rx n -> [ string_of_bool (produce_rx n) ]
             | `Rx_lie v ->
                 let ok = produce_rx 64 in
@@ -902,6 +949,95 @@ let prop_burst_of_one_equals_single_slot =
       let single = run `Poll in
       run `Burst = single && run `Recv = single)
 
+(* Both receive strategies deliver the same frames, each exactly once
+   and in order, with the same consumed, clamp and skip counts: they
+   differ only in where a call ends (a revocation run stops at a ring
+   wrap and before a malformed slot, which the next call skips). Each
+   round fills the empty RX ring with a script of honest, lying-length,
+   garbage-state and zero-length slots, then drains it with bursts of a
+   generated size until it is empty. *)
+let rx_slot_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> `Rx (1 + (n mod 2047))) small_nat);
+        (1, map (fun v -> `Rx_lie v) (int_range 1 100_000));
+        (1, map (fun v -> `Rx_bad_state v) (int_range 2 0xFFFF));
+        (1, return `Rx_zero_len);
+      ])
+
+let prop_copy_equals_revoke =
+  let slots = 8 in
+  QCheck.Test.make ~name:"Copy_in ≡ Revoke up to call boundaries" ~count:60
+    (QCheck.make
+       ~print:(fun rounds ->
+         String.concat " | "
+           (List.map
+              (fun (script, max) ->
+                Printf.sprintf "%s; drain %d"
+                  (String.concat "; " (List.map burst_of_one_op_print script))
+                  max)
+              rounds))
+       QCheck.Gen.(
+         list_size (int_range 1 6) (pair (list_size (int_range 1 slots) rx_slot_gen) (int_range 1 slots))))
+    (fun rounds ->
+      let run rx_strategy =
+        let drv =
+          Driver.create ~name:"copy-vs-revoke" { inline_cfg with Config.ring_slots = slots; rx_strategy }
+        in
+        let rx = Driver.rx_ring drv in
+        let k = Ring.counters rx in
+        let seq = ref 0 and expected = ref [] and got = ref [] in
+        (* Each produced slot carries its sequence number in every byte. *)
+        let produce n =
+          incr seq;
+          if not (Ring.try_produce rx (Bytes.make n (Char.chr !seq))) then
+            Alcotest.fail "RX ring full"
+        in
+        let scribble field v =
+          let slot = (k.Ring.produced - 1) land (slots - 1) in
+          Region.write_u32 (Driver.region drv) Region.Host ~off:(Ring.header_offset rx slot + field) v
+        in
+        List.iter
+          (fun (script, max) ->
+            List.iter
+              (function
+                | `Rx n ->
+                    produce n;
+                    expected := (!seq, n) :: !expected
+                | `Rx_lie v ->
+                    produce 64;
+                    scribble 4 v;
+                    expected := (!seq, Int.min v (Ring.capacity rx)) :: !expected
+                | `Rx_bad_state v ->
+                    produce 64;
+                    scribble 0 v
+                | `Rx_zero_len ->
+                    produce 64;
+                    scribble 4 0)
+              script;
+            let rec drain calls =
+              if k.Ring.consumed + k.Ring.state_skipped < k.Ring.produced then begin
+                if calls > 4 * slots then Alcotest.fail "ring never drained";
+                got := List.rev_append (List.map Bytes.to_string (Driver.poll_burst ~max drv)) !got;
+                drain (calls + 1)
+              end
+            in
+            drain 0)
+          rounds;
+        let got = List.rev !got in
+        (* A lying length reads past the 64 bytes produced: only those
+           carry the sequence number. *)
+        let matches (seq, len) frame =
+          String.length frame = len
+          && String.for_all (( = ) (Char.chr seq)) (String.sub frame 0 (Int.min len 64))
+        in
+        let delivered = List.length got = List.length !expected && List.for_all2 matches (List.rev !expected) got in
+        (delivered, got, k.Ring.consumed, k.Ring.len_clamped, k.Ring.state_skipped)
+      in
+      let ((delivered, _, _, _, _) as copy) = run Config.Copy_in in
+      delivered && run Config.Revoke = copy)
+
 let prop_burst_fifo_exactly_once =
   (* Whatever mix of burst sizes the producer uses, every frame comes out
      exactly once, in order. *)
@@ -944,6 +1080,10 @@ let suite =
     Alcotest.test_case "ring: oversized payload rejected" `Quick test_oversized_payload_rejected;
     Alcotest.test_case "revoke: roundtrip + costs" `Quick test_revoke_strategy_roundtrip;
     Alcotest.test_case "revoke: host locked out while held" `Quick test_revoked_page_blocks_host;
+    Alcotest.test_case "revoke: refused on a non-inline ring at create" `Quick
+      test_revoke_refused_off_inline;
+    Alcotest.test_case "revoke: recv allocates no more than copy" `Quick
+      test_revoke_recv_allocates_like_copy;
     Alcotest.test_case "copy: charged" `Quick test_copy_strategy_charges_copy;
     Alcotest.test_case "header: single fetch by construction" `Quick test_single_fetch_header;
     Alcotest.test_case "polling: no notifications by default" `Quick test_no_notifications_by_default;
@@ -991,6 +1131,7 @@ let suite =
       test_multiqueue_transmit_matches_steering;
     Helpers.qtest prop_burst_of_one_equals_single_slot;
     Helpers.qtest prop_burst_fifo_exactly_once;
+    Helpers.qtest prop_copy_equals_revoke;
     Helpers.qtest prop_untrusted_len_never_escapes;
     Helpers.qtest prop_untrusted_index_confined;
     Helpers.qtest prop_ring_model_based;

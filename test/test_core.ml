@@ -131,6 +131,22 @@ let test_tunnel_directions_disjoint () =
     | None -> Alcotest.fail "the other end could not open the blob"
   done
 
+(* A host that reflects an end's own blobs back to it gets nothing
+   through: the end refuses its own direction byte before the AEAD runs,
+   so not even an intact blob opens, while the other end still opens
+   it. *)
+let test_tunnel_refuses_own_blobs () =
+  let unit_end, peer_end = Tunnel.pair ~key:(Bytes.make 32 'T') in
+  let frame = Bytes.of_string "own frame" in
+  List.iter
+    (fun (name, sender, receiver) ->
+      let blob = Tunnel.seal sender ~pad_to:128 frame in
+      Alcotest.(check bool) (name ^ ": own blob refused") true (Tunnel.open_ sender blob = None);
+      match Tunnel.open_ receiver blob with
+      | Some back -> Helpers.check_bytes (name ^ ": other end opens it") frame back
+      | None -> Alcotest.fail (name ^ ": the other end could not open the blob"))
+    [ ("unit", unit_end, peer_end); ("peer", peer_end, unit_end) ]
+
 (* --- dual unit as a library (not through the harness) ----------------- *)
 
 let test_dual_unit_echo_direct () =
@@ -515,6 +531,7 @@ let suite =
     Alcotest.test_case "tunnel: nonces per tunnel" `Quick test_tunnel_nonces_per_tunnel;
     Alcotest.test_case "tunnel: directions never share a nonce" `Quick
       test_tunnel_directions_disjoint;
+    Alcotest.test_case "tunnel: an end refuses its own blobs" `Quick test_tunnel_refuses_own_blobs;
     Alcotest.test_case "dual unit direct echo" `Slow test_dual_unit_echo_direct;
     Alcotest.test_case "dual echo allocation-free in steady state" `Slow
       test_dual_echo_steady_state_zero_alloc;
