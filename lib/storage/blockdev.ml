@@ -27,9 +27,11 @@ type disk = {
   req : bytes array;         (* the one-slot array requests are consumed into *)
   faults : misbehavior Host_fault.queue;
   mutable malformed : int;
-  mutable access_log : (Block_wire.op * int) list;
-      (* newest first: everything a passive host learns even when the
+  log : int array;
+      (* the last [log_capacity] requests, [lba * 2 + (1 for a write)],
+         in a ring: everything a passive host learns even when the
          contents are sealed — the storage observability channel (E18) *)
+  mutable logged : int;      (* requests logged since the last clear *)
 }
 
 (* --- guest side: the block client ------------------------------------ *)
@@ -45,6 +47,9 @@ type t = {
 }
 
 let positioning = Config.Inline { data_capacity = 8192 }
+
+(* A power of two: a request's ring index is a mask of its count. *)
+let log_capacity = 4096
 
 let create ~name ~blocks () =
   let host_meter = Cost.meter () in
@@ -72,7 +77,8 @@ let create ~name ~blocks () =
       req = [| Bytes.empty |];
       faults = Host_fault.queue ();
       malformed = 0;
-      access_log = [];
+      log = Array.make log_capacity 0;
+      logged = 0;
     }
   in
   ( {
@@ -94,8 +100,18 @@ let take disk m =
   (not (Host_fault.is_empty disk.faults))
   && Host_fault.take disk.faults (fun q -> if q = m then Some () else None) <> None
 
-let disk_access_log d = List.rev d.access_log
-let disk_clear_log d = d.access_log <- []
+let disk_access_log d =
+  let n = Int.min d.logged log_capacity in
+  List.init n (fun i ->
+      let e = d.log.((d.logged - n + i) land (log_capacity - 1)) in
+      ((if e land 1 = 0 then Block_wire.Read else Block_wire.Write), e lsr 1))
+
+let disk_clear_log d = d.logged <- 0
+
+let log disk op lba =
+  disk.log.(disk.logged land (log_capacity - 1)) <-
+    (lba lsl 1) lor (match op with Block_wire.Read -> 0 | Block_wire.Write -> 1);
+  disk.logged <- disk.logged + 1
 
 (* A response staged in a host pool buffer: header, [len] payload bytes
    for the caller to fill. *)
@@ -113,7 +129,7 @@ let serve disk raw =
   | None -> disk.malformed <- disk.malformed + 1
   | Some op ->
       let lba = Block_wire.lba raw in
-      disk.access_log <- (op, lba) :: disk.access_log;
+      log disk op lba;
       let resp =
         if lba >= disk.blocks then stage disk Block_wire.Error_ ~lba ~len:0
         else begin
@@ -162,48 +178,74 @@ let rec disk_poll disk =
 type 'a reply = Data of 'a | Write_ok | Failed of string
 type result = bytes reply
 
-let no_payload _ _ = ()
+(* [transact]'s and [read_into]'s failures: code [-i - 1] is
+   [failures.(i)]. *)
+let ring_full = -1
+let no_response = -2
+let malformed = -3
+let device_error = -4
+let no_payload = -5
 
-let transact t ~op ~lba ~len fill use =
+let failures =
+  [| "request ring full"; "no response"; "malformed response"; "device error"; "unexpected write response" |]
+
+let failure code = failures.(-code - 1)
+
+(* Submit one request whose payload is [len] bytes of [src] at [off], run
+   the disk and consume one response into [t.resp.(0)]. Returns the
+   payload length of an ok response, held there until [release], or a
+   failure code < 0 with nothing held. *)
+let transact t ~op ~lba src ~off ~len =
   Cost.charge t.meter Cost.Ring 0;
   let req = Bufpool.acquire t.pool (Block_wire.header_len + len) in
   Block_wire.put_header req ~code:(Block_wire.op_code op) ~lba ~len;
-  fill req Block_wire.header_len;
+  Bytes.blit src off req Block_wire.header_len len;
   let sent = Ring.try_produce t.client_req req in
   Bufpool.recycle t.pool req;
-  if not sent then Failed "request ring full"
+  if not sent then ring_full
   else begin
     disk_poll t.disk;
-    if Ring.try_consume_burst_into ~pool:t.pool t.client_resp t.resp ~max:1 = 0 then
-      Failed "no response"
+    if Ring.try_consume_burst_into ~pool:t.pool t.client_resp t.resp ~max:1 = 0 then no_response
     else begin
       let raw = t.resp.(0) in
       let plen = Block_wire.payload_len raw in
-      let r =
-        if plen < 0 then Failed "malformed response"
-        else begin
-          match Block_wire.status_of_code (Block_wire.code raw) with
-          | None -> Failed "malformed response"
-          | Some Block_wire.Error_ -> Failed "device error"
-          | Some Block_wire.Ok_ ->
-              if plen = 0 then Write_ok else Data (use raw Block_wire.header_len plen)
-        end
+      let n =
+        match if plen < 0 then None else Block_wire.status_of_code (Block_wire.code raw) with
+        | None -> malformed
+        | Some Block_wire.Error_ -> device_error
+        | Some Block_wire.Ok_ -> plen
       in
-      Bufpool.recycle t.pool raw;
-      r
+      if n < 0 then Bufpool.recycle t.pool raw;
+      n
     end
   end
 
-let read_with t ~lba use = transact t ~op:Block_wire.Read ~lba ~len:0 no_payload use
+let release t = Bufpool.recycle t.pool t.resp.(0)
+let read t ~lba = transact t ~op:Block_wire.Read ~lba Bytes.empty ~off:0 ~len:0
 
-let write_from t ~lba ~len fill =
-  if len > block_size then Failed "payload larger than block"
-  else transact t ~op:Block_wire.Write ~lba ~len fill Bytes.sub
+let read_into t ~lba dst ~off ~len =
+  let n = read t ~lba in
+  if n < 0 then n
+  else begin
+    let placed = if n = 0 then no_payload else Int.min n len in
+    if placed > 0 then Bytes.blit t.resp.(0) Block_wire.header_len dst off placed;
+    release t;
+    placed
+  end
+
+let reply t n =
+  if n < 0 then Failed (failure n)
+  else begin
+    let r = if n = 0 then Write_ok else Data (Bytes.sub t.resp.(0) Block_wire.header_len n) in
+    release t;
+    r
+  end
 
 let write_sub t ~lba src ~off ~len =
-  write_from t ~lba ~len (fun dst dst_off -> Bytes.blit src off dst dst_off len)
+  if len > block_size then Failed "payload larger than block"
+  else reply t (transact t ~op:Block_wire.Write ~lba src ~off ~len)
 
-let read_block t ~lba = read_with t ~lba Bytes.sub
+let read_block t ~lba = reply t (read t ~lba)
 let write_block t ~lba payload = write_sub t ~lba payload ~off:0 ~len:(Bytes.length payload)
 
 let meter t = t.meter

@@ -17,9 +17,12 @@ val disk_inject : disk -> misbehavior -> unit
 
 val disk_access_log : disk -> (Block_wire.op * int) list
 (** (op, lba) per request, oldest first: the access-pattern side channel a
-    passive host keeps even when block contents are sealed. *)
+    passive host keeps even when block contents are sealed. The disk
+    keeps the last 4096 requests in a fixed ring, so this is the last
+    min(n, 4096) of the n requests since the last {!disk_clear_log}. *)
 
 val disk_clear_log : disk -> unit
+(** Empty the access log. *)
 
 type 'a reply = Data of 'a | Write_ok | Failed of string
 (** A device reply: [Data] for a reply that carries a payload (the
@@ -34,21 +37,24 @@ type result = bytes reply
     response. The request is staged in a buffer of the device's pool and
     the response is consumed into another; both go back to the pool
     before the call returns, so in steady state a block crossing
-    allocates no buffer. *)
+    allocates no buffer, and these two calls allocate nothing when they
+    succeed. *)
 
-val read_with : t -> lba:int -> (bytes -> int -> int -> 'a) -> 'a reply
-(** [read_with t ~lba use] reads block [lba]. When the reply carries
-    data, [use buf off len] sees its payload in place — valid only during
-    the call — and its value comes back as [Data]. *)
+val read_into : t -> lba:int -> bytes -> off:int -> len:int -> int
+(** [read_into t ~lba dst ~off ~len] reads block [lba] and copies at most
+    [len] bytes of its payload to [dst] at [off]. Returns how many it
+    copied, or a code < 0 for {!failure} when the device failed or the
+    reply carried no payload. *)
 
-val write_from : t -> lba:int -> len:int -> (bytes -> int -> unit) -> result
-(** [write_from t ~lba ~len fill] writes a [len]-byte payload to block
-    [lba]: [fill buf off] puts it at [off] in the staged request buffer
-    (valid only during the call). Fails without submitting when [len]
-    exceeds [block_size]. *)
+val failure : int -> string
+(** The message of a {!read_into} failure code, as {!read_block}'s
+    [Failed] carries it ("unexpected write response" for a reply without
+    a payload). *)
 
 val write_sub : t -> lba:int -> bytes -> off:int -> len:int -> result
-(** [write_from] with the payload copied from a slice of a buffer. *)
+(** [write_sub t ~lba src ~off ~len] writes the [len] bytes of [src] at
+    [off] to block [lba]; [Write_ok] when the device took them. Fails
+    without submitting when [len] exceeds [block_size]. *)
 
 (** {2 Copying wrappers} *)
 

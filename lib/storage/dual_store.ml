@@ -22,10 +22,10 @@ open Cio_util
 open Cio_crypto
 open Cio_compartment
 
-(* App-private state per file name: the anti-rollback version and the
+(* App-private state per file name: the anti-rollback version, the
    name's nonce prefix (the first bytes of SHA-256 of the name), hashed
-   once when the name is first written. *)
-type known = { mutable version : int; name_nonce : bytes }
+   once when the name is first written, and its AAD buffer. *)
+type known = { mutable version : int; name_nonce : bytes; mutable aad : bytes }
 
 type t = {
   world : Compartment.t;
@@ -36,6 +36,9 @@ type t = {
   names : (string, known) Hashtbl.t;  (* app-private: anti-rollback *)
   nonce : bytes;                      (* per-operation nonce *)
   aead : Aead.scratch;                (* per-operation AEAD working memory *)
+  mutable sealed : bytes;
+      (* the sealed file a write seals into and a read reads into, as
+         long as the largest sealed file so far *)
   meter : Cost.meter;
 }
 
@@ -63,6 +66,7 @@ let create ~dev ~key () =
     names = Hashtbl.create 16;
     nonce = Bytes.create Aead.nonce_len;
     aead = Aead.scratch ();
+    sealed = Bytes.empty;
     meter;
   }
 
@@ -71,7 +75,24 @@ let crossings t = (Compartment.counters t.world).Compartment.crossings
 
 let enter_store t f = Compartment.call t.world ~caller:t.app ~callee:t.store f
 
-let aad ~name ~version = Bytes.of_string (name ^ "#" ^ string_of_int version)
+let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
+
+let rec put_digits b i v =
+  Bytes.set b i (Char.unsafe_chr (Char.code '0' + (v mod 10)));
+  if v >= 10 then put_digits b (i - 1) (v / 10)
+
+(* The AAD [name ^ "#" ^ string_of_int version] (versions are positive),
+   written over the name's buffer, which is replaced only when the
+   version gains a digit. *)
+let aad known ~name ~version =
+  let len = String.length name + 1 + digits version in
+  if Bytes.length known.aad <> len then begin
+    known.aad <- Bytes.create len;
+    Bytes.blit_string name 0 known.aad 0 (String.length name);
+    Bytes.set known.aad (String.length name) '#'
+  end;
+  put_digits known.aad (len - 1) version;
+  known.aad
 
 (* Nonce: the name's nonce prefix with the version over its first four
    bytes. *)
@@ -84,42 +105,44 @@ let charge_crypto t nbytes = Cost.charge t.meter Cost.Crypto (Cost.aead_cost Cos
 
 let write_file t ~name content =
   (* Seal in the app domain: name + fresh version bound into the AAD. *)
-  let known = Hashtbl.find_opt t.names name in
-  let version, name_nonce =
-    match known with
-    | Some k -> (k.version + 1, k.name_nonce)
-    | None -> (1, Bytes.sub (Sha256.digest_string name) 0 Aead.nonce_len)
+  let known =
+    match Hashtbl.find t.names name with
+    | k -> k
+    | exception Not_found ->
+        { version = 0; name_nonce = Bytes.sub (Sha256.digest_string name) 0 Aead.nonce_len; aad = Bytes.empty }
   in
+  let version = known.version + 1 in
   let len = Bytes.length content in
+  let sealed_len = len + Aead.tag_len in
+  if Bytes.length t.sealed < sealed_len then t.sealed <- Bytes.create sealed_len;
   charge_crypto t len;
-  let sealed = Bytes.create (len + Aead.tag_len) in
-  Aead.seal_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce ~version) ~aad:(aad ~name ~version)
-    content ~src_off:0 ~len sealed ~dst_off:0;
-  match enter_store t (fun () -> File.write_file t.fs ~name sealed) with
+  Aead.seal_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce:known.name_nonce ~version)
+    ~aad:(aad known ~name ~version) content ~src_off:0 ~len t.sealed ~dst_off:0;
+  match enter_store t (fun () -> File.write_sub t.fs ~name t.sealed ~off:0 ~len:sealed_len) with
   | Ok () ->
-      (match known with
-      | Some k -> k.version <- version
-      | None -> Hashtbl.replace t.names name { version; name_nonce });
+      if known.version = 0 then Hashtbl.replace t.names name known;
+      known.version <- version;
       Ok ()
   | Error e -> Error (Store_error e)
 
 let read_file t ~name =
-  match Hashtbl.find_opt t.names name with
-  | None -> Error (Store_error File.Not_found_)
-  | Some { version; name_nonce } -> (
-      match enter_store t (fun () -> File.read_file t.fs ~name) with
+  match Hashtbl.find t.names name with
+  | exception Not_found -> Error (Store_error File.Not_found_)
+  | known -> (
+      (* Every stored file was sealed into [t.sealed], so it fits. *)
+      match enter_store t (fun () -> File.read_into t.fs ~name t.sealed) with
       | Error e -> Error (Store_error e)
-      | Ok sealed -> (
-          charge_crypto t (Bytes.length sealed);
+      | Ok len ->
+          charge_crypto t len;
           (* Unseal in the app domain against app-private name+version:
              wrong file, stale version or corrupt bytes all land here. *)
-          let len = Bytes.length sealed in
+          let version = known.version in
           let content = Bytes.create (Int.max 0 (len - Aead.tag_len)) in
           if
-            Aead.open_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce ~version)
-              ~aad:(aad ~name ~version) sealed ~src_off:0 ~len content ~dst_off:0
+            Aead.open_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce:known.name_nonce ~version)
+              ~aad:(aad known ~name ~version) t.sealed ~src_off:0 ~len content ~dst_off:0
           then Ok content
-          else Error (Integrity "file failed authentication (corrupt/swapped/rolled back)")))
+          else Error (Integrity "file failed authentication (corrupt/swapped/rolled back)"))
 
 let delete t ~name =
   match enter_store t (fun () -> File.delete t.fs name) with

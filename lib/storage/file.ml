@@ -24,14 +24,17 @@ let chunk_size = Blockdev.block_size - seal_overhead
 
 type mode = Plain | Sealed of bytes  (* 32-byte key *)
 
-type inode = { name : string; size : int; inode_blocks : int list }
+(* A file's size and its blocks in order, updated in place when the file
+   is rewritten. *)
+type inode = { mutable size : int; mutable blocks : int array }
 
 type t = {
   dev : Blockdev.t;
   mode : mode;
-  mutable inodes : inode list;
+  inodes : (string, inode) Hashtbl.t;
   free : bool array;         (* block allocation bitmap (guest-private) *)
   versions : int array;      (* per-block write version (guest-private) *)
+  block : bytes;             (* sealed mode: one block's stored bytes *)
   nonce : bytes;             (* per-block AEAD nonce *)
   aad : bytes;               (* per-block AAD: lba + version *)
   aead : Aead.scratch;       (* per-block AEAD working memory *)
@@ -53,24 +56,29 @@ let create ~dev ~mode =
   {
     dev;
     mode;
-    inodes = [];
+    inodes = Hashtbl.create 16;
     free = Array.make blocks true;
     versions = Array.make blocks 0;
+    block = Bytes.create Blockdev.block_size;
     nonce = Bytes.create Aead.nonce_len;
     aad = Bytes.create 8;
     aead = Aead.scratch ();
   }
 
-let alloc_block t =
-  let n = Array.length t.free in
-  let rec go i = if i >= n then None else if t.free.(i) then Some i else go (i + 1) in
-  match go 0 with
-  | Some i ->
-      t.free.(i) <- false;
-      Some i
-  | None -> None
+(* First fit from block [i]: the lowest free block, taken, or -1. *)
+let rec alloc_block t i =
+  if i >= Array.length t.free then -1
+  else if t.free.(i) then begin
+    t.free.(i) <- false;
+    i
+  end
+  else alloc_block t (i + 1)
 
-let free_block t i = t.free.(i) <- true
+(* Free the first [n] blocks of [blocks]. *)
+let free_blocks t blocks n =
+  for i = 0 to n - 1 do
+    t.free.(blocks.(i)) <- true
+  done
 
 let chunk t = match t.mode with Plain -> Blockdev.block_size | Sealed _ -> chunk_size
 
@@ -87,11 +95,11 @@ let nonce_off = 4
 let len_off = nonce_off + Aead.nonce_len
 let ct_off = len_off + 2
 
-(* Write [len] bytes of [content] from [off] to block [lba]. Sealed mode
-   seals them straight into the device's staged request buffer. *)
-let write_chunk t ~lba content ~off ~len =
+(* Write [len] bytes of [src] from [off] to block [lba]. Sealed mode
+   seals them into [t.block] first. *)
+let write_chunk t ~lba src ~off ~len =
   match t.mode with
-  | Plain -> Blockdev.write_sub t.dev ~lba content ~off ~len
+  | Plain -> Blockdev.write_sub t.dev ~lba src ~off ~len
   | Sealed key ->
       charge_crypto t len;
       t.versions.(lba) <- t.versions.(lba) + 1;
@@ -101,106 +109,126 @@ let write_chunk t ~lba content ~off ~len =
       Bytes.set_int32_le t.nonce 4 (Int32.of_int version);
       Bytes.set_int32_le t.nonce 8 0l;
       set_aad t ~lba ~version;
-      Blockdev.write_from t.dev ~lba ~len:(seal_overhead + len) (fun b o ->
-          Bytes.set_int32_le b o (Int32.of_int version);
-          Bytes.blit t.nonce 0 b (o + nonce_off) Aead.nonce_len;
-          Bytes.set_uint16_le b (o + len_off) (len + Aead.tag_len);
-          Aead.seal_with t.aead ~key ~nonce:t.nonce ~aad:t.aad content ~src_off:off ~len b
-            ~dst_off:(o + ct_off))
+      let b = t.block in
+      Bytes.set_int32_le b 0 (Int32.of_int version);
+      Bytes.blit t.nonce 0 b nonce_off Aead.nonce_len;
+      Bytes.set_uint16_le b len_off (len + Aead.tag_len);
+      Aead.seal_with t.aead ~key ~nonce:t.nonce ~aad:t.aad src ~src_off:off ~len b ~dst_off:ct_off;
+      Blockdev.write_sub t.dev ~lba b ~off:0 ~len:(seal_overhead + len)
 
 let auth_failed = Integrity "block failed authentication (corrupt/remap/rollback)"
 
-(* Append the chunk held by one stored block ([len] bytes at [off] in
-   [b]) to [out] at [pos]; returns how many bytes were placed. Plain
-   mode clips to [out]'s end; sealed mode opens straight into [out]. *)
-let place_chunk t ~lba b ~off ~len out ~pos =
-  let room = Bytes.length out - pos in
-  match t.mode with
-  | Plain ->
-      let n = Int.min (Int.min Blockdev.block_size len) room in
-      Bytes.blit b off out pos n;
-      Ok n
-  | Sealed key ->
-      if len < seal_overhead then Error (Integrity "sealed block too short")
-      else begin
-        (* The expected version comes from guest-private state, not from
-           the (host-controlled) stored bytes: rollback cannot lie. The
-           declared ciphertext length is untrusted and clamped. *)
-        let expected_version = t.versions.(lba) in
-        Bytes.blit b (off + nonce_off) t.nonce 0 Aead.nonce_len;
-        let declared = Bytes.get_uint16_le b (off + len_off) in
-        let clen = Int.min declared (len - seal_overhead + Aead.tag_len) in
-        charge_crypto t clen;
-        set_aad t ~lba ~version:expected_version;
-        let plain = Int.max 0 (clen - Aead.tag_len) in
-        (* A block authenticates only under the (lba, version) it was
-           sealed with, and holds exactly the chunk sealed then, which
-           fits: a longer claim cannot authenticate. *)
-        if plain <= room
-           && Aead.open_with t.aead ~key ~nonce:t.nonce ~aad:t.aad b ~src_off:(off + ct_off) ~len:clen
-                out ~dst_off:pos
-        then Ok plain
-        else Error auth_failed
-      end
-
-let find t name = List.find_opt (fun i -> i.name = name) t.inodes
+(* Read the file's blocks from the [i]th on into [out], placing block
+   [i]'s chunk at [pos]; returns the bytes placed in all. What a block
+   places is clipped to the file's [size], whatever room [out] has:
+   Plain mode reads whole zero-padded blocks, and sealed mode must not
+   open a longer chunk than the file holds. *)
+let rec read_blocks t inode out i pos =
+  if i >= Array.length inode.blocks then Ok pos
+  else begin
+    let lba = inode.blocks.(i) in
+    let room = inode.size - pos in
+    match t.mode with
+    | Plain ->
+        let n = Blockdev.read_into t.dev ~lba out ~off:pos ~len:(Int.min Blockdev.block_size room) in
+        if n < 0 then Error (Io_error (Blockdev.failure n)) else read_blocks t inode out (i + 1) (pos + n)
+    | Sealed key ->
+        let len = Blockdev.read_into t.dev ~lba t.block ~off:0 ~len:Blockdev.block_size in
+        if len < 0 then Error (Io_error (Blockdev.failure len))
+        else if len < seal_overhead then Error (Integrity "sealed block too short")
+        else begin
+          (* The expected version comes from guest-private state, not
+             from the (host-controlled) stored bytes: rollback cannot
+             lie. The declared ciphertext length is untrusted and
+             clamped. *)
+          let expected_version = t.versions.(lba) in
+          Bytes.blit t.block nonce_off t.nonce 0 Aead.nonce_len;
+          let declared = Bytes.get_uint16_le t.block len_off in
+          let clen = Int.min declared (len - seal_overhead + Aead.tag_len) in
+          charge_crypto t clen;
+          set_aad t ~lba ~version:expected_version;
+          let plain = Int.max 0 (clen - Aead.tag_len) in
+          (* A block authenticates only under the (lba, version) it was
+             sealed with, and holds exactly the chunk sealed then, which
+             fits: a longer claim cannot authenticate. *)
+          if plain <= room
+             && Aead.open_with t.aead ~key ~nonce:t.nonce ~aad:t.aad t.block ~src_off:ct_off ~len:clen
+                  out ~dst_off:pos
+          then read_blocks t inode out (i + 1) (pos + plain)
+          else Error auth_failed
+        end
+  end
 
 let delete t name =
-  match find t name with
-  | None -> Error Not_found_
-  | Some inode ->
-      List.iter (free_block t) inode.inode_blocks;
-      t.inodes <- List.filter (fun i -> i.name <> name) t.inodes;
+  match Hashtbl.find t.inodes name with
+  | exception Not_found -> Error Not_found_
+  | inode ->
+      free_blocks t inode.blocks (Array.length inode.blocks);
+      Hashtbl.remove t.inodes name;
       Ok ()
 
-let write_file t ~name content =
-  (* Replace semantics: drop any existing file first. *)
-  (match delete t name with Ok () | Error Not_found_ -> () | Error _ -> ());
-  let chunk = chunk t in
-  let size = Bytes.length content in
-  let nblocks = max 1 ((size + chunk - 1) / chunk) in
-  let rec place i acc =
-    if i >= nblocks then Ok (List.rev acc)
+(* A failed write frees the [placed] blocks it took and drops the file. *)
+let write_failed t ~name inode placed e =
+  free_blocks t inode.blocks placed;
+  Hashtbl.remove t.inodes name;
+  Error e
+
+(* Place the file's chunks from the [i]th on. *)
+let rec write_blocks t ~name inode src ~off ~chunk i =
+  if i >= Array.length inode.blocks then Ok ()
+  else begin
+    let lba = alloc_block t 0 in
+    if lba < 0 then write_failed t ~name inode i No_space
     else begin
-      match alloc_block t with
-      | None ->
-          List.iter (free_block t) acc;
-          Error No_space
-      | Some lba -> (
-          let off = i * chunk in
-          match write_chunk t ~lba content ~off ~len:(Int.min chunk (size - off)) with
-          | Blockdev.Write_ok -> place (i + 1) (lba :: acc)
-          | Blockdev.Failed e ->
-              List.iter (free_block t) (lba :: acc);
-              Error (Io_error e)
-          | Blockdev.Data _ ->
-              List.iter (free_block t) (lba :: acc);
-              Error (Io_error "unexpected data response"))
+      inode.blocks.(i) <- lba;
+      let pos = i * chunk in
+      match write_chunk t ~lba src ~off:(off + pos) ~len:(Int.min chunk (inode.size - pos)) with
+      | Blockdev.Write_ok -> write_blocks t ~name inode src ~off ~chunk (i + 1)
+      | Blockdev.Failed e -> write_failed t ~name inode (i + 1) (Io_error e)
+      | Blockdev.Data _ -> write_failed t ~name inode (i + 1) (Io_error "unexpected data response")
     end
+  end
+
+(* Replace semantics: the file's old blocks are freed before its new
+   ones are taken, first fit, so a rewrite lands where a delete and a
+   write would. *)
+let write_sub t ~name src ~off ~len =
+  let chunk = chunk t in
+  let nblocks = max 1 ((len + chunk - 1) / chunk) in
+  let inode =
+    match Hashtbl.find t.inodes name with
+    | inode ->
+        free_blocks t inode.blocks (Array.length inode.blocks);
+        if Array.length inode.blocks <> nblocks then inode.blocks <- Array.make nblocks 0;
+        inode
+    | exception Not_found ->
+        let inode = { size = 0; blocks = Array.make nblocks 0 } in
+        Hashtbl.replace t.inodes name inode;
+        inode
   in
-  match place 0 [] with
-  | Error e -> Error e
-  | Ok placed ->
-      t.inodes <- { name; size; inode_blocks = placed } :: t.inodes;
-      Ok ()
+  inode.size <- len;
+  write_blocks t ~name inode src ~off ~chunk 0
+
+let write_file t ~name content = write_sub t ~name content ~off:0 ~len:(Bytes.length content)
+
+let read_into t ~name dst =
+  match Hashtbl.find t.inodes name with
+  | exception Not_found -> Error Not_found_
+  | inode ->
+      if Bytes.length dst < inode.size then invalid_arg "File.read_into: buffer shorter than the file";
+      read_blocks t inode dst 0 0
 
 (* The result is allocated once, at the file's size, and each block's
-   chunk lands in it straight from the device's response buffer. *)
+   chunk lands in it straight from the device's response buffer (Plain)
+   or from [t.block] (sealed). *)
 let read_file t ~name =
-  match find t name with
-  | None -> Error Not_found_
-  | Some inode ->
+  match Hashtbl.find t.inodes name with
+  | exception Not_found -> Error Not_found_
+  | inode -> (
       let out = Bytes.create inode.size in
-      let rec go pos = function
-        | [] -> Ok (if pos = inode.size then out else Bytes.sub out 0 pos)
-        | lba :: rest -> (
-            match Blockdev.read_with t.dev ~lba (fun b off len -> place_chunk t ~lba b ~off ~len out ~pos) with
-            | Blockdev.Failed e -> Error (Io_error e)
-            | Blockdev.Write_ok -> Error (Io_error "unexpected write response")
-            | Blockdev.Data (Error e) -> Error e
-            | Blockdev.Data (Ok n) -> go (pos + n) rest)
-      in
-      go 0 inode.inode_blocks
+      match read_blocks t inode out 0 0 with
+      | Ok n -> Ok (if n = inode.size then out else Bytes.sub out 0 n)
+      | Error e -> Error e)
 
-let list_files t = List.map (fun i -> (i.name, i.size)) t.inodes
+let list_files t = Hashtbl.fold (fun name inode acc -> (name, inode.size) :: acc) t.inodes []
 let meter t = Blockdev.meter t.dev

@@ -20,7 +20,18 @@ val chunk : t -> int
 val write_file : t -> name:string -> bytes -> (unit, error) result
 (** Replace semantics. *)
 
+val write_sub : t -> name:string -> bytes -> off:int -> len:int -> (unit, error) result
+(** [write_file] of the [len] bytes of a buffer at [off]. *)
+
 val read_file : t -> name:string -> (bytes, error) result
+
+val read_into : t -> name:string -> bytes -> (int, error) result
+(** [read_into t ~name dst] reads file [name] into the start of [dst]
+    and returns how many bytes it placed: the file's size, unless a
+    sealed block held less. Nothing is placed past the file's size,
+    however long [dst] is. Raises [Invalid_argument] when [dst] is
+    shorter than the file. *)
+
 val delete : t -> string -> (unit, error) result
 val list_files : t -> (string * int) list
 val meter : t -> Cio_util.Cost.meter
