@@ -1,34 +1,21 @@
-(* Benchmark harness.
-
-   Two parts:
-
-   1. The experiment tables — one section per paper figure (F2-F5) and
-      per §3 exploration (E1-E11), printing the rows/series the figure
-      reports (simulated-metric results; see EXPERIMENTS.md for the
-      paper-vs-measured comparison). This is what `bench/main.exe` is for.
-
-   2. Bechamel micro-benchmarks — one Test.make per experiment datapath,
-      measuring this implementation's real wall-clock time for the same
-      operations (ring ops, driver pairs, record protection, crypto,
-      compartment calls, end-to-end echoes). These validate that the
-      simulator itself is fast enough to be used as a substrate.
+(* Bechamel micro-benchmarks: one Test.make per experiment datapath,
+   measuring this implementation's real wall-clock time for the same
+   operations (ring ops, driver pairs, record protection, crypto,
+   compartment calls, end-to-end echoes). They validate that the
+   simulator itself is fast enough to be used as a substrate. The
+   simulated results themselves are `cio_sim`'s, kept as golden files
+   under test/golden/.
 
    Usage:
-     bench/main.exe                 # tables + micro-benchmarks
-     bench/main.exe tables          # tables only
-     bench/main.exe micro           # micro-benchmarks only
-     bench/main.exe fig5 e2 ...     # selected tables only
+     bench/main.exe [--smoke] [--json FILE]
 
-   Flags (combine with any mode):
-     --json FILE    also write machine-readable results (experiment text,
-                    micro ns/run, telemetry metrics snapshot) to FILE
-     --smoke        restrict tables to a fast subset (CI)
+     --smoke        run only the cionet micros (CI)
+     --json FILE    also write machine-readable results (micro ns/run,
+                    telemetry metrics snapshot) to FILE
 *)
 
 open Bechamel
 open Toolkit
-
-(* --- part 2: Bechamel micro-benchmarks ------------------------------- *)
 
 let test_ring_roundtrip positioning name =
   let cfg = { Cio_cionet.Config.default with Cio_cionet.Config.positioning } in
@@ -286,24 +273,10 @@ let micro_ns_per_run results =
     results;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !out
 
-let write_json ~file ~mode ~smoke ~experiments ~micro =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"schema\":\"cio-bench-v1\",\"mode\":";
-  add_json_string buf mode;
-  Buffer.add_string buf (Printf.sprintf ",\"smoke\":%b" smoke);
-  Buffer.add_string buf ",\"experiments\":[";
-  List.iteri
-    (fun i (id, title, output) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"id\":";
-      add_json_string buf id;
-      Buffer.add_string buf ",\"title\":";
-      add_json_string buf title;
-      Buffer.add_string buf ",\"output\":";
-      add_json_string buf output;
-      Buffer.add_char buf '}')
-    experiments;
-  Buffer.add_string buf "],\"micro_ns_per_run\":{";
+let write_json ~file ~smoke ~micro =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Printf.sprintf "{\"schema\":\"cio-bench-v1\",\"smoke\":%b" smoke);
+  Buffer.add_string buf ",\"micro_ns_per_run\":{";
   List.iteri
     (fun i (name, ns) ->
       if i > 0 then Buffer.add_char buf ',';
@@ -318,66 +291,15 @@ let write_json ~file ~mode ~smoke ~experiments ~micro =
   close_out oc;
   Fmt.pr "wrote %s@." file
 
-(* Fast, information-dense subset for CI smoke runs. e6 pins the TCB rows:
-   a change that moves guest code moves them, and its baseline with it.
-   e4 and e15 pin the attack matrices the host fault models drive. *)
-let smoke_ids =
-  [ "fig2"; "fig3"; "fig4"; "e1"; "e2"; "e4"; "e5"; "e6"; "e11"; "e12"; "e13"; "e15"; "e17"; "e18";
-    "e21"; "e22" ]
-
-(* Run one experiment, teeing its output to stdout and into the
-   accumulator for --json. *)
-let run_captured acc ?title id =
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  (match title with Some t -> Fmt.pr "=== %s: %s ===@." id t | None -> ());
-  let known = Cio_experiments.Experiments.run_one ppf id in
-  Format.pp_print_flush ppf ();
-  if known then begin
-    print_string (Buffer.contents buf);
-    Fmt.pr "@.";
-    let title = match title with Some t -> t | None -> "" in
-    acc := (id, title, Buffer.contents buf) :: !acc
-  end
-  else Fmt.epr "unknown experiment: %s@." id;
-  known
-
 let () =
-  Cio_tcb.Tcb.set_repo_root ".";
-  let rec parse (json, smoke, words) = function
-    | [] -> (json, smoke, List.rev words)
-    | "--json" :: file :: rest -> parse (Some file, smoke, words) rest
-    | "--smoke" :: rest -> parse (json, true, words) rest
-    | w :: rest -> parse (json, smoke, w :: words) rest
+  let rec parse (json, smoke) = function
+    | [] -> (json, smoke)
+    | "--json" :: file :: rest -> parse (Some file, smoke) rest
+    | "--smoke" :: rest -> parse (json, true) rest
+    | _ ->
+        prerr_endline "usage: main.exe [--smoke] [--json FILE]";
+        exit 2
   in
-  let json, smoke, words = parse (None, false, []) (List.tl (Array.to_list Sys.argv)) in
-  let acc = ref [] in
-  let table_ids () =
-    List.filter_map
-      (fun (id, title, _) ->
-        if (not smoke) || List.mem id smoke_ids then Some (id, title) else None)
-      Cio_experiments.Experiments.all
-  in
-  let run_tables () =
-    List.iter (fun (id, title) -> ignore (run_captured acc ~title id)) (table_ids ())
-  in
-  let mode, micro =
-    match words with
-    | [] ->
-        run_tables ();
-        let r = run_micro ~smoke () in
-        ("all", micro_ns_per_run r)
-    | [ "tables" ] ->
-        run_tables ();
-        ("tables", [])
-    | [ "micro" ] ->
-        let r = run_micro ~smoke () in
-        ("micro", micro_ns_per_run r)
-    | ids ->
-        let ok = List.for_all (fun id -> run_captured acc id) ids in
-        if not ok then exit 1;
-        ("select", [])
-  in
-  match json with
-  | Some file -> write_json ~file ~mode ~smoke ~experiments:(List.rev !acc) ~micro
-  | None -> ()
+  let json, smoke = parse (None, false) (List.tl (Array.to_list Sys.argv)) in
+  let micro = micro_ns_per_run (run_micro ~smoke ()) in
+  match json with Some file -> write_json ~file ~smoke ~micro | None -> ()
