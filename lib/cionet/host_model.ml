@@ -47,6 +47,7 @@ type t = {
   batch : bytes array;  (* [drain_tx]'s burst, forwarded once the whole burst is in *)
   pending_rx : bytes Fifo.t;
   staged : bytes array;  (* [fill_rx]'s burst: the front of [pending_rx], as produced *)
+  replay : bytes array;  (* one slot: the frame a [Replay_slot] produces again *)
   one_shot : misbehavior Host_fault.queue;  (* header/payload faults *)
   (* Modal faults: unlike the one-shot header sabotage, these describe a
      host *condition* that persists for a counted number of polls/frames.
@@ -74,6 +75,7 @@ let create ~(driver : Driver.t) ~transmit =
     batch = Array.make tx_burst Bytes.empty;
     pending_rx = Fifo.create Bytes.empty;
     staged = Array.make rx_burst Bytes.empty;
+    replay = [| Bytes.empty |];
     one_shot = Host_fault.queue ();
     stall_polls = 0;
     freeze_polls = 0;
@@ -223,7 +225,8 @@ let rec fill_rx t ~batch left =
                    delivering the same bytes twice — exactly the paper's
                    point that L2 cannot and need not stop replays; the L5
                    record layer must (and does, see cio_tls tests). *)
-                ignore (Ring.try_produce rx t.staged.(n - 1))
+                t.replay.(0) <- t.staged.(n - 1);
+                ignore (Ring.try_produce_burst rx t.replay ~len:1)
             | None -> ()
           end;
           for _ = 1 to n do

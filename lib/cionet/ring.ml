@@ -247,8 +247,8 @@ let reclaim_binding t slot =
 let produce_one t ~amortized payload =
   let actor = t.producer in
   let len = Bytes.length payload in
-  if len > t.lay.unit_size then invalid_arg "Ring.try_produce: payload larger than slot capacity";
-  if len = 0 then invalid_arg "Ring.try_produce: messages carry at least one byte";
+  if len > t.lay.unit_size then invalid_arg "Ring.try_produce_burst: payload larger than slot capacity";
+  if len = 0 then invalid_arg "Ring.try_produce_burst: messages carry at least one byte";
   let slot = t.prod_next land (t.slots - 1) in
   if read_header ~amortized t actor slot <> state_empty then begin
     t.counters.full_misses <- t.counters.full_misses + 1;
@@ -298,8 +298,6 @@ let produce_one t ~amortized payload =
       true
     end
   end
-
-let try_produce t payload = produce_one t ~amortized:false payload
 
 (* Burst produce: up to [len] messages in one crossing.
    The first slot pays full ring cost; the rest amortize. Stops at the

@@ -65,16 +65,12 @@ val capacity : t -> int
 val data_arena : t -> int * int
 (** (offset, size) of the payload arena within the region. *)
 
-val try_produce : t -> bytes -> bool
-(** Producer side: place one message; [false] when the ring (or the
-    payload pool) is full. *)
-
 val try_produce_burst : t -> bytes array -> len:int -> int
-(** Place up to [frames.(0)] .. [frames.(len - 1)] in one crossing,
-    stopping at the first full slot; returns how many went in. Slots
-    after the first pay the amortized [ring_burst_op] cost for
-    header/word work. A burst of one is exactly {!try_produce} (same
-    charges, same counters). *)
+(** The producer side, the ring's only one: place up to [frames.(0)] ..
+    [frames.(len - 1)] in one crossing, stopping at the first full slot
+    (or exhausted payload pool); returns how many went in. Slots after
+    the first pay the amortized [ring_burst_op] cost for header/word
+    work, so [~len:1] charges and counts as a single-slot produce. *)
 
 val try_consume_burst_into : pool:Bufpool.t -> t -> bytes array -> max:int -> int
 (** The consumer side, the ring's only one: drain up to [max] messages

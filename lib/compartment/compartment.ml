@@ -121,6 +121,11 @@ let require_alive t d ~doing =
     raise (Access_violation (Printf.sprintf "%s: %s refused, domain crashed" d.dname doing))
   end
 
+(* [call]'s exit, on return and on raise: top level, so no closure per crossing. *)
+let leave t ~callee ~traced =
+  Cost.charge t.meter Cost.Gate (crossing_cost t);
+  if traced then Trace.span_end ~cat:Kind.l5 ("call:" ^ callee.dname)
+
 (* A cross-domain call: entry and exit each pay the boundary cost. *)
 let call t ~caller ~callee f =
   require_alive t caller ~doing:"call";
@@ -132,16 +137,12 @@ let call t ~caller ~callee f =
     let traced = Trace.on () in
     if traced then Trace.span_begin ~cat:Kind.l5 ("call:" ^ callee.dname);
     Cost.charge t.meter Cost.Gate (crossing_cost t);
-    let finish () =
-      Cost.charge t.meter Cost.Gate (crossing_cost t);
-      if traced then Trace.span_end ~cat:Kind.l5 ("call:" ^ callee.dname)
-    in
     match f () with
     | v ->
-        finish ();
+        leave t ~callee ~traced;
         v
     | exception e ->
-        finish ();
+        leave t ~callee ~traced;
         raise e
   end
 

@@ -25,6 +25,7 @@ type disk = {
   resp_ring : Ring.t;        (* host produces, guest consumes *)
   host_pool : Bufpool.t;     (* consumed requests and staged responses *)
   req : bytes array;         (* the one-slot array requests are consumed into *)
+  resp : bytes array;        (* the one-slot array responses are produced from *)
   faults : misbehavior Host_fault.queue;
   mutable malformed : int;
   log : int array;
@@ -43,6 +44,7 @@ type t = {
   disk : disk;
   meter : Cost.meter;
   pool : Bufpool.t;          (* staged requests and consumed responses *)
+  req : bytes array;         (* the one-slot array requests are produced from *)
   resp : bytes array;        (* the one-slot array responses are consumed into *)
 }
 
@@ -75,6 +77,7 @@ let create ~name ~blocks () =
       resp_ring;
       host_pool = Bufpool.create ();
       req = [| Bytes.empty |];
+      resp = [| Bytes.empty |];
       faults = Host_fault.queue ();
       malformed = 0;
       log = Array.make log_capacity 0;
@@ -88,6 +91,7 @@ let create ~name ~blocks () =
       disk;
       meter = Region.meter region;
       pool = Bufpool.create ();
+      req = [| Bytes.empty |];
       resp = [| Bytes.empty |];
     },
     disk )
@@ -154,11 +158,13 @@ let serve disk raw =
       in
       (* Lie_response_len: corrupt the embedded length field upward. *)
       if take disk Lie_response_len then Bytes.set_int32_le resp 5 (Int32.of_int 1_000_000);
-      ignore (Ring.try_produce disk.resp_ring resp);
+      disk.resp.(0) <- resp;
+      ignore (Ring.try_produce_burst disk.resp_ring disk.resp ~len:1);
       (* Replay: deliver the response just sent a second time. The ring
          copies it, so it is produced again before its buffer goes back
-         to the pool, and nothing keeps it afterwards. *)
-      if take disk Replay_response then ignore (Ring.try_produce disk.resp_ring resp);
+         to the pool, and no copy of it is kept for later. *)
+      if take disk Replay_response then
+        ignore (Ring.try_produce_burst disk.resp_ring disk.resp ~len:1);
       Bufpool.recycle disk.host_pool resp
 
 (* Run the host disk: consume requests, produce responses. *)
@@ -174,9 +180,6 @@ let rec disk_poll disk =
    experiments do not need the network engine). One request is staged in
    a pool buffer, copied once onto the ring, and its response is copied
    once off the ring into another pool buffer and used in place. *)
-
-type 'a reply = Data of 'a | Write_ok | Failed of string
-type result = bytes reply
 
 (* [transact]'s and [read_into]'s failures: code [-i - 1] is
    [failures.(i)]. *)
@@ -200,7 +203,8 @@ let transact t ~op ~lba src ~off ~len =
   let req = Bufpool.acquire t.pool (Block_wire.header_len + len) in
   Block_wire.put_header req ~code:(Block_wire.op_code op) ~lba ~len;
   Bytes.blit src off req Block_wire.header_len len;
-  let sent = Ring.try_produce t.client_req req in
+  t.req.(0) <- req;
+  let sent = Ring.try_produce_burst t.client_req t.req ~len:1 = 1 in
   Bufpool.recycle t.pool req;
   if not sent then ring_full
   else begin
@@ -233,20 +237,16 @@ let read_into t ~lba dst ~off ~len =
     placed
   end
 
-let reply t n =
-  if n < 0 then Failed (failure n)
-  else begin
-    let r = if n = 0 then Write_ok else Data (Bytes.sub t.resp.(0) Block_wire.header_len n) in
-    release t;
-    r
-  end
-
 let write_sub t ~lba src ~off ~len =
-  if len > block_size then Failed "payload larger than block"
-  else reply t (transact t ~op:Block_wire.Write ~lba src ~off ~len)
-
-let read_block t ~lba = reply t (read t ~lba)
-let write_block t ~lba payload = write_sub t ~lba payload ~off:0 ~len:(Bytes.length payload)
+  if len > block_size then Error "payload larger than block"
+  else begin
+    let n = transact t ~op:Block_wire.Write ~lba src ~off ~len in
+    if n < 0 then Error (failure n)
+    else begin
+      release t;
+      if n = 0 then Ok () else Error "unexpected data response"
+    end
+  end
 
 let meter t = t.meter
 let blocks t = t.disk.blocks

@@ -24,14 +24,7 @@ val disk_access_log : disk -> (Block_wire.op * int) list
 val disk_clear_log : disk -> unit
 (** Empty the access log. *)
 
-type 'a reply = Data of 'a | Write_ok | Failed of string
-(** A device reply: [Data] for a reply that carries a payload (the
-    payload itself, or what {!read_with}'s [use] made of it), [Write_ok]
-    for a success without one, [Failed] otherwise. *)
-
-type result = bytes reply
-
-(** {2 In place}
+(** {2 Block transactions}
 
     Each call submits one request, runs the disk inline and consumes one
     response. The request is staged in a buffer of the device's pool and
@@ -47,21 +40,14 @@ val read_into : t -> lba:int -> bytes -> off:int -> len:int -> int
     reply carried no payload. *)
 
 val failure : int -> string
-(** The message of a {!read_into} failure code, as {!read_block}'s
-    [Failed] carries it ("unexpected write response" for a reply without
-    a payload). *)
+(** The message of a {!read_into} failure code ("unexpected write
+    response" for a reply without a payload). *)
 
-val write_sub : t -> lba:int -> bytes -> off:int -> len:int -> result
+val write_sub : t -> lba:int -> bytes -> off:int -> len:int -> (unit, string) result
 (** [write_sub t ~lba src ~off ~len] writes the [len] bytes of [src] at
-    [off] to block [lba]; [Write_ok] when the device took them. Fails
-    without submitting when [len] exceeds [block_size]. *)
-
-(** {2 Copying wrappers} *)
-
-val read_block : t -> lba:int -> result
-(** Submits, runs the disk, returns the reply with its payload copied. *)
-
-val write_block : t -> lba:int -> bytes -> result
+    [off] to block [lba]; [Ok ()] when the device took them. Fails
+    without submitting when [len] exceeds [block_size], and with
+    ["unexpected data response"] when the reply carries a payload. *)
 
 val meter : t -> Cost.meter
 val blocks : t -> int

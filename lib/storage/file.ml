@@ -183,9 +183,8 @@ let rec write_blocks t ~name inode src ~off ~chunk i =
       inode.blocks.(i) <- lba;
       let pos = i * chunk in
       match write_chunk t ~lba src ~off:(off + pos) ~len:(Int.min chunk (inode.size - pos)) with
-      | Blockdev.Write_ok -> write_blocks t ~name inode src ~off ~chunk (i + 1)
-      | Blockdev.Failed e -> write_failed t ~name inode (i + 1) (Io_error e)
-      | Blockdev.Data _ -> write_failed t ~name inode (i + 1) (Io_error "unexpected data response")
+      | Ok () -> write_blocks t ~name inode src ~off ~chunk (i + 1)
+      | Error e -> write_failed t ~name inode (i + 1) (Io_error e)
     end
   end
 

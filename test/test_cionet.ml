@@ -89,7 +89,7 @@ let test_ring_full_backpressure () =
 let test_oversized_payload_rejected () =
   let drv, _, _ = make () in
   Alcotest.check_raises "too large"
-    (Invalid_argument "Ring.try_produce: payload larger than slot capacity") (fun () ->
+    (Invalid_argument "Ring.try_produce_burst: payload larger than slot capacity") (fun () ->
       ignore (Driver.transmit drv (Bytes.make 5000 'x')))
 
 let test_revoke_strategy_roundtrip () =
@@ -318,14 +318,15 @@ let test_corrupt_payload_rest_of_poll_per_frame () =
   Alcotest.(check (list string)) "frame 1 corrupted, frames 2-3 intact, in order"
     [ flip_first "frame-1"; "frame-2"; "frame-3" ]
     (List.map Bytes.to_string (Driver.poll_burst ~max:64 drv));
-  (* Reference host work: one empty TX drain, then three single-slot
-     produces. *)
+  (* Reference host work: one empty TX drain, then three bursts of
+     one. *)
   let reference = Driver.create ~name:"reference" inline_cfg in
   ignore
     (Ring.try_consume_burst_into ~pool:(Driver.pool reference) (Driver.tx_ring reference)
        [| Bytes.empty |] ~max:1);
   List.iter
-    (fun f -> ignore (Ring.try_produce (Driver.rx_ring reference) (Bytes.of_string f)))
+    (fun f ->
+      ignore (Ring.try_produce_burst (Driver.rx_ring reference) [| Bytes.of_string f |] ~len:1))
     frames;
   Alcotest.(check int) "host meter = three unamortized produces"
     (Cost.total (Driver.host_meter reference))
@@ -837,23 +838,18 @@ let test_multiqueue_transmit_matches_steering () =
 
 (* --- batched-path properties -------------------------------------------- *)
 
-(* A burst of one is *exactly* the single-slot operation: every call
-   returns the same thing and leaves the guest meter where the other entry
-   point leaves it (cycles and event counts per category), and the
-   counters and host meter end the same — including when the host lies
-   about a length or leaves a malformed slot ahead of a valid one. On the
-   TX side [try_produce_burst ~len:1] is set against [try_produce]; the
-   host consumes with [try_consume_burst_into ~max:1] in every mode. The
-   RX side is received through the driver's three entry points, under
-   Copy_in and under Revoke: [poll_burst ~max:1], [poll] and [recv]
-   (none for [Bytes.empty]) give the same frames, counters, frame counts
-   and meter totals. *)
+(* A burst of one is *exactly* the single-slot operation: the driver's
+   three receive entry points, [poll_burst ~max:1], [poll] and [recv]
+   (none for [Bytes.empty]), return the same frames call by call and
+   leave the guest meter in the same place (cycles and event counts per
+   category), under Copy_in and under Revoke; the RX ring's counters,
+   the frame count and the host meter end the same — including when the
+   host lies about a length or leaves a malformed slot ahead of a valid
+   one. *)
 let burst_of_one_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (3, map (fun n -> `Tx (1 + (n mod 2047))) small_nat);
-        (2, return `Host_poll);
         (3, map (fun n -> `Rx (1 + (n mod 2047))) small_nat);
         (1, map (fun v -> `Rx_lie v) (int_range 1 100_000));
         (1, map (fun v -> `Rx_bad_state v) (int_range 2 0xFFFF));
@@ -862,8 +858,6 @@ let burst_of_one_op_gen =
       ])
 
 let burst_of_one_op_print = function
-  | `Tx n -> Printf.sprintf "Tx %d" n
-  | `Host_poll -> "Host_poll"
   | `Rx n -> Printf.sprintf "Rx %d" n
   | `Rx_lie v -> Printf.sprintf "Rx_lie %d" v
   | `Rx_bad_state v -> Printf.sprintf "Rx_bad_state %d" v
@@ -880,32 +874,21 @@ let prop_burst_of_one_equals_single_slot =
     (fun (ops, revoke) ->
       let rx_strategy = if revoke then Config.Revoke else Config.Copy_in in
       let run mode =
-        let burst = mode = `Burst in
         let drv = Driver.create ~name:"burst-of-one" { inline_cfg with Config.rx_strategy } in
-        let tx = Driver.tx_ring drv and rx = Driver.rx_ring drv in
-        let pool = Cio_mem.Bufpool.create () in
-        let produce r payload =
-          if burst then Ring.try_produce_burst r [| payload |] ~len:1 = 1 else Ring.try_produce r payload
-        in
+        let rx = Driver.rx_ring drv in
         (* Host scribbles over a header word of the RX slot it just filled. *)
         let scribble field v =
           let slot = ((Ring.counters rx).Ring.produced - 1) land (Ring.slots rx - 1) in
           Region.write_u32 (Driver.region drv) Region.Host
             ~off:(Ring.header_offset rx slot + field) v
         in
-        let produce_rx n = produce rx (Bytes.make n 'r') in
+        let produce_rx n = Ring.try_produce_burst rx [| Bytes.make n 'r' |] ~len:1 = 1 in
         let meter m =
           List.concat_map (fun c -> [ Cost.cycles_of m c; Cost.count_of m c ]) Cost.all_categories
         in
         let call op =
           let result =
             match op with
-            | `Tx n -> [ string_of_bool (produce tx (Bytes.make n 't')) ]
-            | `Host_poll ->
-                let dst = [| Bytes.empty |] in
-                Array.to_list
-                  (Array.map Bytes.to_string
-                     (Array.sub dst 0 (Ring.try_consume_burst_into ~pool tx dst ~max:1)))
             | `Rx n -> [ string_of_bool (produce_rx n) ]
             | `Rx_lie v ->
                 let ok = produce_rx 64 in
@@ -933,17 +916,14 @@ let prop_burst_of_one_equals_single_slot =
           (result, meter (Driver.guest_meter drv))
         in
         let calls = List.map call ops in
-        let counters r =
-          let k = Ring.counters r in
+        let k = Ring.counters rx in
+        ( calls,
           Ring.
             [
               k.produced; k.consumed; k.full_misses; k.empty_polls; k.len_clamped; k.index_masked;
               k.state_skipped;
-            ]
-        in
-        ( calls,
-          (counters tx, counters rx),
-          (Driver.tx_frames drv, Driver.rx_frames drv),
+            ],
+          Driver.rx_frames drv,
           meter (Driver.host_meter drv) )
       in
       let single = run `Poll in
@@ -991,7 +971,7 @@ let prop_copy_equals_revoke =
         (* Each produced slot carries its sequence number in every byte. *)
         let produce n =
           incr seq;
-          if not (Ring.try_produce rx (Bytes.make n (Char.chr !seq))) then
+          if Ring.try_produce_burst rx [| Bytes.make n (Char.chr !seq) |] ~len:1 = 0 then
             Alcotest.fail "RX ring full"
         in
         let scribble field v =

@@ -5,29 +5,38 @@ open Cio_storage
 
 let make_dev () = Blockdev.create ~name:"test-disk" ~blocks:64 ()
 
+(* A raw block read and write, as the host could make them: the block's
+   payload, or the device's failure message. *)
+let read_block dev ~lba =
+  let b = Bytes.create Blockdev.block_size in
+  let n = Blockdev.read_into dev ~lba b ~off:0 ~len:Blockdev.block_size in
+  if n < 0 then Error (Blockdev.failure n) else Ok (Bytes.sub b 0 n)
+
+let write_block dev ~lba b = Blockdev.write_sub dev ~lba b ~off:0 ~len:(Bytes.length b)
+
 let test_block_write_read () =
   let dev, _ = make_dev () in
   let data = Bytes.make Blockdev.block_size 'D' in
-  (match Blockdev.write_block dev ~lba:3 data with
-  | Blockdev.Write_ok -> ()
+  (match write_block dev ~lba:3 data with
+  | Ok () -> ()
   | _ -> Alcotest.fail "write failed");
-  match Blockdev.read_block dev ~lba:3 with
-  | Blockdev.Data got -> Helpers.check_bytes "block content" data got
+  match read_block dev ~lba:3 with
+  | Ok got -> Helpers.check_bytes "block content" data got
   | _ -> Alcotest.fail "read failed"
 
 let test_block_out_of_range () =
   let dev, _ = make_dev () in
-  match Blockdev.read_block dev ~lba:999 with
-  | Blockdev.Failed _ -> ()
+  match read_block dev ~lba:999 with
+  | Error _ -> ()
   | _ -> Alcotest.fail "out-of-range lba must fail"
 
 let test_block_lie_len_rejected_by_codec () =
   let dev, disk = make_dev () in
-  ignore (Blockdev.write_block dev ~lba:0 (Bytes.make 512 'x'));
+  ignore (write_block dev ~lba:0 (Bytes.make 512 'x'));
   Blockdev.disk_inject disk Blockdev.Lie_response_len;
-  match Blockdev.read_block dev ~lba:0 with
-  | Blockdev.Failed "malformed response" -> ()
-  | Blockdev.Failed e -> Alcotest.fail ("unexpected failure: " ^ e)
+  match read_block dev ~lba:0 with
+  | Error "malformed response" -> ()
+  | Error e -> Alcotest.fail ("unexpected failure: " ^ e)
   | _ -> Alcotest.fail "length lie must be rejected by the stateless codec"
 
 let test_file_roundtrip_plain () =
@@ -132,19 +141,19 @@ let test_rollback_detected_in_sealed_mode () =
   ignore (File.write_file fs ~name:"f" (Bytes.of_string "version-one-content"));
   (* Capture the sealed block, overwrite the file, then roll the disk
      back to the captured block: stale-but-authentic data. *)
-  let disk_region_snapshot = Blockdev.read_block dev ~lba:0 in
+  let disk_region_snapshot = read_block dev ~lba:0 in
   ignore (File.write_file fs ~name:"f" (Bytes.of_string "version-two-content"));
   (match disk_region_snapshot with
-  | Blockdev.Data old_block -> ignore (Blockdev.write_block dev ~lba:1 old_block)
+  | Ok old_block -> ignore (write_block dev ~lba:1 old_block)
   | _ -> ());
   (* Version-two landed on a fresh block; force a rollback by rewriting
      its block with the version-one ciphertext. *)
   (match (File.list_files fs, disk_region_snapshot) with
-  | _, Blockdev.Data old_block ->
+  | _, Ok old_block ->
       (* Find version-two's block: it is whichever block the inode holds;
          easiest honest rollback: write old ciphertext over every block. *)
       for lba = 0 to 7 do
-        ignore (Blockdev.write_block dev ~lba old_block)
+        ignore (write_block dev ~lba old_block)
       done
   | _ -> ());
   match File.read_file fs ~name:"f" with
@@ -214,8 +223,8 @@ let test_dual_store_disk_never_sees_plaintext () =
   (* Read every block back raw (as the host could) and scan. *)
   let found = ref false in
   for lba = 0 to Blockdev.blocks dev - 1 do
-    match Blockdev.read_block dev ~lba with
-    | Blockdev.Data b ->
+    match read_block dev ~lba with
+    | Ok b ->
         let s = Bytes.to_string b in
         let n = String.length s and c = String.length secret in
         let rec go i = i + c <= n && (String.equal (String.sub s i c) secret || go (i + 1)) in
@@ -233,8 +242,8 @@ let test_dual_store_wrong_file_swap_detected () =
   ignore (Dual_store.write_file store ~name:"B" (Bytes.make 500 'b'));
   (* Simulate the swap below the app: copy B's sealed block over A's
      (a host-level block copy). *)
-  (match Blockdev.read_block dev ~lba:1 with
-  | Blockdev.Data b_sealed -> ignore (Blockdev.write_block dev ~lba:0 b_sealed)
+  (match read_block dev ~lba:1 with
+  | Ok b_sealed -> ignore (write_block dev ~lba:0 b_sealed)
   | _ -> ());
   match Dual_store.read_file store ~name:"A" with
   | Error (Dual_store.Integrity _) -> ()
@@ -249,12 +258,12 @@ let test_dual_store_rollback_detected () =
   let store = Dual_store.create ~dev ~key:(Bytes.make 32 'K') () in
   ignore (Dual_store.write_file store ~name:"f" (Bytes.of_string "version-1"));
   (* Capture v1's sealed block, overwrite the file, roll the block back. *)
-  let v1_block = Blockdev.read_block dev ~lba:0 in
+  let v1_block = read_block dev ~lba:0 in
   ignore (Dual_store.write_file store ~name:"f" (Bytes.of_string "version-2"));
   (match v1_block with
-  | Blockdev.Data b ->
+  | Ok b ->
       for lba = 0 to 4 do
-        ignore (Blockdev.write_block dev ~lba b)
+        ignore (write_block dev ~lba b)
       done
   | _ -> ());
   match Dual_store.read_file store ~name:"f" with
@@ -343,8 +352,8 @@ let test_dual_store_nonce_aad_formula () =
     | Ok () -> ()
     | Error e -> Alcotest.fail (Dual_store.error_to_string e));
     let want = expected ~name ~version content in
-    match Blockdev.read_block dev ~lba:0 with
-    | Blockdev.Data b ->
+    match read_block dev ~lba:0 with
+    | Ok b ->
         Helpers.check_bytes (Printf.sprintf "%S v%d" name version) want (Bytes.sub b 0 (Bytes.length want))
     | _ -> Alcotest.fail "raw block read failed"
   in
@@ -575,15 +584,15 @@ let test_sealed_nonce_not_inherited_from_reads () =
   let dev, _ = make_dev () in
   let fs = sealed_fs dev in
   write fs "f" (Bytes.make 100 'f');
-  (match Blockdev.read_block dev ~lba:0 with
-  | Blockdev.Data b ->
+  (match read_block dev ~lba:0 with
+  | Ok b ->
       Bytes.set_int32_le b 12 0x5a5a5a5al;
-      ignore (Blockdev.write_block dev ~lba:0 b)
+      ignore (write_block dev ~lba:0 b)
   | _ -> Alcotest.fail "raw block read failed");
   read_is "tampered nonce" fs "f" integrity;
   write fs "g" (Bytes.make 100 'g');
-  match Blockdev.read_block dev ~lba:1 with
-  | Blockdev.Data b -> Alcotest.(check int32) "nonce bytes 8-11" 0l (Bytes.get_int32_le b 12)
+  match read_block dev ~lba:1 with
+  | Ok b -> Alcotest.(check int32) "nonce bytes 8-11" 0l (Bytes.get_int32_le b 12)
   | _ -> Alcotest.fail "raw block read failed"
 
 (* Minor and direct-major words of [f ()], from an empty minor heap: a
@@ -635,8 +644,8 @@ let test_access_log_ring () =
   let run first last =
     for i = first to last - 1 do
       let lba = i mod 64 in
-      if i land 1 = 0 then ignore (Blockdev.write_block dev ~lba payload)
-      else ignore (Blockdev.read_block dev ~lba)
+      if i land 1 = 0 then ignore (write_block dev ~lba payload)
+      else ignore (read_block dev ~lba)
     done
   in
   let expect what want =
@@ -655,7 +664,7 @@ let test_access_log_ring () =
   expect "wrapped: the last 4096" (entries (9000 - 4096) 9000);
   Blockdev.disk_clear_log disk;
   run 9000 9003;
-  ignore (Blockdev.read_block dev ~lba:100_000);
+  ignore (read_block dev ~lba:100_000);
   expect "cleared past the wrap" (entries 9000 9003 @ [ (Block_wire.op_code Read, 100_000) ])
 
 let store_write store name content =
@@ -736,17 +745,18 @@ let test_dual_store_allocation () =
     (Printf.sprintf "major words %d + %d <= the returned buffer's %d" write_major read_major result)
     true
     (write_major + read_major <= result);
-  (* Measured 12 + 15 minor words: the compartment call's closures and
-     the read's [Ok]s. The bound is that plus 10 %, rounded down.
-     Earlier: 162 + 94 minor and 1028 + 2054 direct-major words, when
+  (* Measured 6 + 9 minor words: the closures handed to the compartment
+     call and the read's [Ok]s. The bound is that plus 10 %, rounded
+     down. Earlier: 12 + 15 when the call built its exit closure per
+     crossing; 162 + 94 minor and 1028 + 2054 direct-major words, when
      each write sealed into a fresh buffer, each read took the sealed
      file in a fresh buffer, the AAD was built as a string per call,
      inodes were rebuilt per write and each block crossing built a
      closure and its reply. *)
   Alcotest.(check bool)
-    (Printf.sprintf "minor words %d + %d <= 29" write_minor read_minor)
+    (Printf.sprintf "minor words %d + %d <= 16" write_minor read_minor)
     true
-    (write_minor + read_minor <= 29)
+    (write_minor + read_minor <= 16)
 
 let test_dual_store_live_heap_flat () =
   let store, _ = make_store () in
