@@ -2,9 +2,13 @@
 
      cio-sim list            enumerate experiments
      cio-sim run fig5 e2     run selected experiments
-     cio-sim all             run everything (same content as bench/main.exe)
+     cio-sim all             run everything
      cio-sim trace e2        run one experiment with tracing on and write
                              a Chrome trace_event JSON (about://tracing)
+     cio-sim campaign        run the composed-fault overload campaign
+
+   The output of `all`, `campaign` and `trace e2` / `trace e16` is kept
+   as golden files under test/golden/, which `dune runtest` diffs.
 *)
 
 open Cmdliner
