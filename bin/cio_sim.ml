@@ -91,8 +91,8 @@ let trace_cmd =
       Buffer.output_buffer oc buf;
       close_out oc;
       if timeline then Fmt.epr "%a@." Trace.pp_timeline ();
-      Fmt.pr "trace: %d events (%d dropped by ring wrap) -> %s@." (Trace.recorded ())
-        (Trace.dropped ()) file;
+      Fmt.pr "trace: %d events (%d dropped by ring wrap), digest %016x -> %s@."
+        (Trace.recorded ()) (Trace.dropped ()) (Trace.digest ()) file;
       0
     end
   in

@@ -40,6 +40,13 @@ type t = {
       (* the sealed file a write seals into and a read reads into, as
          long as the largest sealed file so far *)
   meter : Cost.meter;
+  (* The gate steps, built once for [Compartment.call]: each acts on the
+     name and sealed length staged just before the crossing. *)
+  mutable op_name : string;
+  mutable op_len : int;
+  write_step : unit -> (unit, File.error) result;
+  read_step : unit -> (int, File.error) result;
+  delete_step : unit -> (unit, File.error) result;
 }
 
 type error = Store_error of File.error | Integrity of string
@@ -57,23 +64,34 @@ let create ~dev ~key () =
   (* The quarantined file layer runs in Plain mode: it only ever sees
      ciphertext that the app sealed above it. *)
   let fs = File.create ~dev ~mode:File.Plain in
-  {
-    world;
-    app;
-    store;
-    fs;
-    key;
-    names = Hashtbl.create 16;
-    nonce = Bytes.create Aead.nonce_len;
-    aead = Aead.scratch ();
-    sealed = Bytes.empty;
-    meter;
-  }
+  let rec t =
+    {
+      world;
+      app;
+      store;
+      fs;
+      key;
+      names = Hashtbl.create 16;
+      nonce = Bytes.create Aead.nonce_len;
+      aead = Aead.scratch ();
+      sealed = Bytes.empty;
+      meter;
+      op_name = "";
+      op_len = 0;
+      write_step = (fun () -> File.write_sub fs ~name:t.op_name t.sealed ~off:0 ~len:t.op_len);
+      read_step = (fun () -> File.read_into fs ~name:t.op_name t.sealed);
+      delete_step = (fun () -> File.delete fs t.op_name);
+    }
+  in
+  t
 
 let meter t = t.meter
 let crossings t = (Compartment.counters t.world).Compartment.crossings
 
-let enter_store t f = Compartment.call t.world ~caller:t.app ~callee:t.store f
+(* Cross into the storage domain to run [step] on [name]. *)
+let enter_store t step ~name =
+  t.op_name <- name;
+  Compartment.call t.world ~caller:t.app ~callee:t.store step
 
 let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
 
@@ -118,7 +136,8 @@ let write_file t ~name content =
   charge_crypto t len;
   Aead.seal_with t.aead ~key:t.key ~nonce:(nonce t ~name_nonce:known.name_nonce ~version)
     ~aad:(aad known ~name ~version) content ~src_off:0 ~len t.sealed ~dst_off:0;
-  match enter_store t (fun () -> File.write_sub t.fs ~name t.sealed ~off:0 ~len:sealed_len) with
+  t.op_len <- sealed_len;
+  match enter_store t t.write_step ~name with
   | Ok () ->
       if known.version = 0 then Hashtbl.replace t.names name known;
       known.version <- version;
@@ -130,7 +149,7 @@ let read_file t ~name =
   | exception Not_found -> Error (Store_error File.Not_found_)
   | known -> (
       (* Every stored file was sealed into [t.sealed], so it fits. *)
-      match enter_store t (fun () -> File.read_into t.fs ~name t.sealed) with
+      match enter_store t t.read_step ~name with
       | Error e -> Error (Store_error e)
       | Ok len ->
           charge_crypto t len;
@@ -145,7 +164,7 @@ let read_file t ~name =
           else Error (Integrity "file failed authentication (corrupt/swapped/rolled back)"))
 
 let delete t ~name =
-  match enter_store t (fun () -> File.delete t.fs name) with
+  match enter_store t t.delete_step ~name with
   | Ok () ->
       Hashtbl.remove t.names name;
       Ok ()

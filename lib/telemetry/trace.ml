@@ -29,6 +29,14 @@ let ring : slot array ref = ref [||]
 let mask = ref 0
 let next = ref 0 (* total events ever written = next sequence number *)
 
+(* The digest: FNV-1a over each event's fields, one word per field
+   (a string as its hash), dropped events included. Each step is a
+   bijection of the running value, so two traces that differ in one
+   event's word digest differently. *)
+let running = ref 0
+let fnv_prime = 0x100000001b3
+let mix h v = (h lxor v) * fnv_prime
+
 let logical = ref 0L
 
 let default_clock () =
@@ -48,14 +56,23 @@ let enable ~capacity =
         { s_ts = 0L; s_seq = 0; s_phase = I; s_cat = ""; s_name = ""; s_arg = no_arg });
   mask := cap - 1;
   next := 0;
+  running := 0;
   logical := 0L;
   enabled := true
 
 let disable () = enabled := false
 
+let phase_code = function B -> 0 | E -> 1 | I -> 2
+
 let record phase cat name arg =
   let s = !ring.((!next) land !mask) in
-  s.s_ts <- !clock ();
+  let ts = !clock () in
+  let h = mix !running (Int64.to_int ts) in
+  let h = mix h (phase_code phase) in
+  let h = mix h (Hashtbl.hash cat) in
+  let h = mix h (Hashtbl.hash name) in
+  running := mix h arg;
+  s.s_ts <- ts;
   s.s_seq <- !next;
   s.s_phase <- phase;
   s.s_cat <- cat;
@@ -82,6 +99,7 @@ let with_span ~cat name f =
   end
 
 let recorded () = !next
+let digest () = !running
 
 let dropped () =
   let cap = Array.length !ring in

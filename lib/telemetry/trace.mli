@@ -62,6 +62,12 @@ val recorded : unit -> int
 val dropped : unit -> int
 (** Events overwritten by ring wrap-around. *)
 
+val digest : unit -> int
+(** Running digest of every event recorded since [enable], dropped ones
+    included: FNV-1a over its timestamp, phase, category hash, name
+    hash and argument. Two traces that differ in one of those words of
+    one event digest differently. *)
+
 val to_chrome_json : Buffer.t -> unit
 (** Append a Chrome [trace_event]-format JSON array ([about://tracing],
     Perfetto). Timestamps are emitted in microseconds. *)

@@ -65,6 +65,26 @@ let test_crossing_charged_on_exception () =
   Alcotest.(check int) "exit leg still charged" (2 * Cost.default.Cost.gate_crossing)
     (Cost.cycles_of (Compartment.meter w) Cost.Gate)
 
+(* A step built once crosses with no allocation: [call]'s exit leg is a
+   top-level function, not a closure per crossing. *)
+let test_call_allocates_nothing () =
+  let w, app, io = world () in
+  let m = Compartment.meter w in
+  let runs = ref 0 in
+  let step () = incr runs in
+  let calls = 1000 in
+  Gc.minor ();
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    Compartment.call w ~caller:app ~callee:io step
+  done;
+  let minor = int_of_float (Gc.minor_words () -. minor0) in
+  Alcotest.(check int) "steps run" calls !runs;
+  Alcotest.(check int) "minor words" 0 minor;
+  Alcotest.(check int) "crossings" calls (Compartment.counters w).Compartment.crossings;
+  Alcotest.(check int) "2 x gate_crossing each" (calls * 2 * Cost.default.Cost.gate_crossing)
+    (Cost.cycles_of m Cost.Gate)
+
 let test_charge_crossing_mailbox () =
   let w, _, _ = world () in
   Compartment.charge_crossing w;
@@ -95,6 +115,8 @@ let suite =
     Alcotest.test_case "same-domain call free" `Quick test_same_domain_call_free;
     Alcotest.test_case "tee switch >> gate (E8)" `Quick test_tee_switch_much_more_expensive;
     Alcotest.test_case "crossing charged on exception" `Quick test_crossing_charged_on_exception;
+    Alcotest.test_case "1000 calls of a built-once step allocate nothing" `Quick
+      test_call_allocates_nothing;
     Alcotest.test_case "mailbox handoff charging" `Quick test_charge_crossing_mailbox;
     Helpers.qtest prop_no_grant_no_access;
   ]

@@ -128,6 +128,26 @@ let test_trace_ring_wrap () =
       | last :: _ -> check_int "newest survives the wrap" 99 last.Trace.arg
       | [] -> Alcotest.fail "empty ring")
 
+(* The digest covers dropped events: renaming the first of 100 events,
+   long gone from a 16-slot ring, changes it, and the same events give
+   the same digest. Disabled recording leaves it alone. *)
+let test_trace_digest_covers_dropped () =
+  let digest_of first =
+    with_tracing ~capacity:16 (fun () ->
+        Trace.instant ~cat:"w" first;
+        for i = 1 to 99 do
+          Trace.instant ~arg:i ~cat:"w" "e"
+        done;
+        let d = Trace.digest () in
+        Trace.disable ();
+        Trace.instant ~cat:"w" "after";
+        check_int "disabled recording leaves the digest" d (Trace.digest ());
+        d)
+  in
+  let d = digest_of "start" in
+  check_int "same events, same digest" d (digest_of "start");
+  Alcotest.(check bool) "a dropped event's rename shows" true (d <> digest_of "begin")
+
 let test_trace_chrome_json_shape () =
   with_tracing (fun () ->
       Trace.span_begin ~cat:"c" "s\"pan";
@@ -263,6 +283,8 @@ let suite =
       test_trace_disabled_records_nothing;
     Alcotest.test_case "trace span pairing" `Quick test_trace_span_pairing;
     Alcotest.test_case "trace ring wrap" `Quick test_trace_ring_wrap;
+    Alcotest.test_case "trace digest covers dropped events" `Quick
+      test_trace_digest_covers_dropped;
     Alcotest.test_case "chrome json shape" `Quick test_trace_chrome_json_shape;
     Alcotest.test_case "traced e2 spans both boundaries" `Slow
       test_traced_e2_spans_both_boundaries;
